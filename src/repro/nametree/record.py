@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..naming import NameSpecifier
+
 #: Default soft-state lifetime for a name-record, seconds. Records not
 #: refreshed within one lifetime are discarded (Section 2.2).
 DEFAULT_LIFETIME = 60.0
@@ -116,6 +118,12 @@ class NameRecord:
     #: None while the record is not grafted anywhere.
     advertised_key: Optional[tuple] = field(default=None, repr=False)
 
+    #: The name-specifier object that was grafted, kept so GET-NAME can
+    #: return it instead of re-tracing Figure 6 on every refresh round
+    #: (see ``NameTree.get_name`` for when it is still trusted). Shared
+    #: by reference with whoever sent it; None while not grafted.
+    advertised_name: Optional[NameSpecifier] = field(default=None, repr=False)
+
     #: Memoized __hash__. Records live in many sets (value-node record
     #: sets, subtree caches, lookup results) and set operations probe
     #: hashes constantly; recomputing the announcer/vspace tuple hash
@@ -140,9 +148,14 @@ class NameRecord:
         trigger an update to neighbors (Section 2.2).
         """
         return (
-            sorted(self.endpoints) == sorted(other.endpoints)
-            and self.anycast_metric == other.anycast_metric
+            self.anycast_metric == other.anycast_metric
             and self.route == other.route
+            # Endpoint order carries no meaning, but a refresh almost
+            # always repeats the stored order: sort only on mismatch.
+            and (
+                self.endpoints == other.endpoints
+                or sorted(self.endpoints) == sorted(other.endpoints)
+            )
         )
 
     def __hash__(self) -> int:

@@ -6,6 +6,18 @@ the same quantity natively: a deep ``sys.getsizeof`` walk over the tree's
 nodes, dictionaries, records and strings, deduplicating shared objects by
 identity so interned attribute/value strings are counted once, exactly as
 they are stored once.
+
+The walk does not follow ``NameRecord.advertised_name``, the grafted
+name-specifier GET-NAME answers from: that object belongs to whoever
+advertised it (the service, or the message it arrived in) and is shared
+by reference with every other tree that grafted it, so it is not memory
+this tree allocated — the paper's figure is likewise the tree's heap,
+not the senders'. (A caller that grafts a name and drops its own
+reference leaves the record as the last holder; those bytes are then
+kept alive by the tree and still not counted here.) ``sys.getsizeof``
+of a record does not count its attribute values, so the extra reference
+itself adds nothing either and the walk reports the same bytes as
+before the field existed.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 ``NameTree`` stores the superposition of every name-specifier an INR
 knows about and maps each to its name-record. ``lookup`` implements
-LOOKUP-NAME (Figure 5) and ``get_name`` implements GET-NAME (Figure 6).
+LOOKUP-NAME (Figure 5) and ``get_name`` implements GET-NAME (Figure 6;
+``reconstruct_name`` is the literal trace, ``get_name`` answers from the
+grafted name-specifier kept on the record while that is still valid).
 Grafting (``insert``), soft-state expiry (``expire``) and branch pruning
 keep the structure consistent as advertisements come and go.
 
@@ -225,6 +227,7 @@ class NameTree:
     def _graft(self, name: NameSpecifier, record: NameRecord, key: tuple) -> None:
         record.attachments = []
         record.advertised_key = key
+        record.advertised_name = name
         for pair in name.roots:
             self._graft_pair(self._root, pair, record)
         self._by_announcer[record.announcer] = record
@@ -281,6 +284,7 @@ class NameTree:
             value_node.prune_upwards()
         record.attachments = []
         record.advertised_key = None
+        record.advertised_name = None
         self._bump_epoch()
         return True
 
@@ -582,7 +586,29 @@ class NameTree:
     # GET-NAME (Figure 6)
     # ------------------------------------------------------------------
     def get_name(self, record: NameRecord) -> NameSpecifier:
-        """Reconstruct the name-specifier advertised for ``record``.
+        """The name-specifier advertised for ``record``.
+
+        The object grafted for the record is returned while it is
+        provably the name in the tree: its cached canonical key is still
+        the very tuple stored as ``advertised_key`` at graft time. Any
+        ``add_pair``/``add_child`` below it clears that cache (and a
+        recomputed key is a different tuple), so a name its owner
+        mutated after advertising fails the test and
+        :meth:`reconstruct_name` answers instead. The two agree in
+        sibling order as well as structure: leaves attach in pre-order,
+        so Figure 6 rebuilds the grafted name's own order.
+
+        The result may be shared with other holders of the name (the
+        advertiser, neighbor INRs' trees, messages in flight): treat it
+        as read-only, or ``copy()`` it.
+        """
+        name = record.advertised_name
+        if name is not None and name._key_cache is record.advertised_key:
+            return name
+        return self.reconstruct_name(record)
+
+    def reconstruct_name(self, record: NameRecord) -> NameSpecifier:
+        """GET-NAME as Figure 6 states it, always from the tree.
 
         Traces upward from each of the record's leaf value-nodes,
         grafting reconstructed fragments onto av-pairs already rebuilt
@@ -639,7 +665,7 @@ class NameTree:
         return iter(list(self._by_announcer.values()))
 
     def names(self) -> Iterator[Tuple[NameSpecifier, NameRecord]]:
-        """All (name-specifier, record) pairs, reconstructed by GET-NAME.
+        """All (name-specifier, record) pairs, as GET-NAME gives them.
 
         This is exactly what the discovery protocol transmits in
         periodic updates (Section 2.3.3).

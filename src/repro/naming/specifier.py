@@ -30,7 +30,7 @@ NestedDict = Mapping[str, _DictValue]
 class NameSpecifier:
     """An intentional name: an ordered forest of orthogonal av-pairs."""
 
-    __slots__ = ("_roots", "_key_cache", "_parent")
+    __slots__ = ("_roots", "_key_cache", "_wire_cache", "_parent")
 
     def __init__(self, roots: Optional[List[AVPair]] = None) -> None:
         self._roots: Dict[str, AVPair] = {}
@@ -39,6 +39,12 @@ class NameSpecifier:
         # never itself a child, so its _parent stays None (it exists
         # only to terminate AVPair._invalidate_key's upward walk).
         self._key_cache: Optional[tuple] = None
+        # Memoized compact wire text and its UTF-8 size, filed under the
+        # canonical-key tuple that was cached when they were taken: the
+        # entry is valid only while ``_key_cache`` is still that very
+        # object, so the key's invalidation covers it at every depth
+        # (a recomputed key is a new tuple and does not revive it).
+        self._wire_cache: Optional[Tuple[tuple, str, int]] = None
         self._parent = None
         for root in roots or []:
             self.add_pair(root)
@@ -192,8 +198,13 @@ class NameSpecifier:
         Iterative token emission into one list joined at the end: no
         per-subtree string concatenation (quadratic on deep names) and
         no recursion (deep names would blow the stack). Wire bytes are
-        identical to the recursive formulation.
+        identical to the recursive formulation. The compact form is
+        served from the cache :meth:`wire_size` fills while it is valid.
         """
+        if not pretty:
+            cached = self._wire_cache
+            if cached is not None and cached[0] is self._key_cache:
+                return cached[1]
         eq = " = " if pretty else "="
         out: List[str] = []
         append = out.append
@@ -224,8 +235,17 @@ class NameSpecifier:
         return "".join(out)
 
     def wire_size(self) -> int:
-        """Length in bytes of the compact wire representation."""
-        return len(self.to_wire().encode("utf-8"))
+        """Length in bytes of the compact wire representation.
+
+        Cached with the wire text: a name is sized once per structural
+        change, not once per message that carries it (every control
+        message sizes its names at every send)."""
+        cached = self._wire_cache
+        if cached is None or cached[0] is not self._key_cache:
+            text = self.to_wire()
+            cached = (self.canonical_key(), text, len(text.encode("utf-8")))
+            self._wire_cache = cached
+        return cached[2]
 
     # ------------------------------------------------------------------
     # Equality / hashing (structural, order-insensitive among siblings)

@@ -14,6 +14,11 @@ from .network import Network, Node
 from .simulator import Event, Simulator
 
 
+#: ``Process._timers`` is first swept of dead one-shot timers at this
+#: length (and then whenever it has doubled since the last sweep).
+_TIMER_SWEEP_FLOOR = 64
+
+
 class PeriodicTimer:
     """A repeating timer with optional multiplicative jitter.
 
@@ -80,6 +85,7 @@ class Process:
         self.port = port
         node.bind(port, self)
         self._timers: list = []
+        self._timers_sweep_at = _TIMER_SWEEP_FLOOR
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -157,7 +163,22 @@ class Process:
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """One-shot timer; returns the cancellable event."""
         event = self.sim.schedule(delay, callback, *args)
-        self._timers.append(event)
+        timers = self._timers
+        timers.append(event)
+        if len(timers) >= self._timers_sweep_at:
+            # stop() needs only the timers that can still fire. A
+            # one-shot event that was cancelled, or whose time has
+            # passed (so it fired), is dead weight — and a request
+            # timeout per op adds up. Sweeping each time the list has
+            # doubled is amortized O(1) per timer and bounds the list
+            # at twice the live timers.
+            now = self.sim.now
+            timers[:] = [
+                timer for timer in timers
+                if isinstance(timer, PeriodicTimer)
+                or not (timer.cancelled or timer.time < now)
+            ]
+            self._timers_sweep_at = max(_TIMER_SWEEP_FLOOR, 2 * len(timers))
         return event
 
     def every(

@@ -37,7 +37,7 @@ from ..message import (
     Delivery,
     InsMessage,
 )
-from ..naming import NameSpecifier
+from ..naming import VSPACE_ATTRIBUTE, NameSpecifier
 from ..nametree import Endpoint, NameRecord, NameTree, Route
 from ..netsim import Node, Process
 from ..obs import DROP_PREFIX, STATUS_OK
@@ -1050,36 +1050,38 @@ class INR(Process):
         in a way neighbors should hear about."""
         new_metric = update.route_metric + link_rtt
         existing = tree.record_for(update.announcer)
-        incoming = NameRecord(
-            announcer=update.announcer,
-            endpoints=list(update.endpoints),
-            anycast_metric=update.anycast_metric,
-            route=Route(next_hop=sender, metric=new_metric),
-            expires_at=self.now + update.lifetime,
+        readmitted = False
+        if existing is not None:
+            if existing.route.is_local:
+                # Never let a reflected update displace a directly-attached
+                # service; the local announcement is authoritative.
+                return False
+            if self.config.partition_grace > 0 and existing.is_expired(self.now):
+                # A graced record names a route that died with the
+                # partition; comparing metrics against the corpse would
+                # wrongly favor it. Any fresh news re-admits the name.
+                readmitted = True
+            elif (
+                existing.route.next_hop != sender
+                and not new_metric < existing.route.metric
+            ):
+                # News from the current next hop is always accepted, even
+                # if the metric worsened (standard distance-vector rule);
+                # from anyone else only a strictly better metric is.
+                return False
+        outcome = tree.insert(
+            update.name,
+            NameRecord(
+                announcer=update.announcer,
+                endpoints=list(update.endpoints),
+                anycast_metric=update.anycast_metric,
+                route=Route(next_hop=sender, metric=new_metric),
+                expires_at=self.now + update.lifetime,
+            ),
         )
-        if existing is None:
-            tree.insert(update.name, incoming)
-            return True
-        if existing.route.is_local:
-            # Never let a reflected update displace a directly-attached
-            # service; the local announcement is authoritative.
-            return False
-        if self.config.partition_grace > 0 and existing.is_expired(self.now):
-            # A graced record names a route that died with the
-            # partition; comparing metrics against the corpse would
-            # wrongly favor it. Any fresh news re-admits the name.
-            tree.insert(update.name, incoming)
+        if readmitted:
             self.stats.expiry_grace_readmissions += 1
-            return True
-        if existing.route.next_hop == sender:
-            # News from the current next hop is always accepted, even if
-            # the metric worsened (standard distance-vector rule).
-            outcome = tree.insert(update.name, incoming)
-            return outcome.changed
-        if new_metric < existing.route.metric:
-            outcome = tree.insert(update.name, incoming)
-            return outcome.changed
-        return False
+        return outcome.changed or readmitted
 
     def _updates_for(
         self,
@@ -1116,7 +1118,7 @@ class INR(Process):
         return entries
 
     def _send_periodic_updates(self) -> None:
-        if not self.active or self._terminated:
+        if not self.active or self._terminated or not self.neighbors:
             return
         if self._reliable is not None:
             # Reliable-delta mode: names moved when they changed; the
@@ -1236,8 +1238,6 @@ class INR(Process):
         self._sync_memo_stats()
 
     def _handle_discovery(self, request: DiscoveryRequest) -> None:
-        from ..naming import VSPACE_ATTRIBUTE
-
         span = self._span_start("inr.discover", request.trace)
         if request.filter.root(VSPACE_ATTRIBUTE) is not None:
             # An explicit vspace constrains the search — and may need
@@ -1262,6 +1262,8 @@ class INR(Process):
                 (tree.get_name(record), record.anycast_metric)
                 for record in self._query_records(tree, request.filter)
             )
+        # to_wire() is the cached text for every name already sized for
+        # a send, which each retained name was when it was advertised.
         names.sort(key=lambda pair: pair[0].to_wire())
         self.send(
             request.reply_to,

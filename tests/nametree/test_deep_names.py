@@ -96,7 +96,7 @@ def test_tree_insert_lookup_get_name(name):
     found = tree.lookup(deep_name())  # a distinct, equally-deep query
     assert found == {record}
     # GET-NAME walks back up 5000 levels, iteratively.
-    recovered = tree.get_name(record)
+    recovered = tree.reconstruct_name(record)
     assert chain_tokens(recovered) == chain_tokens(name)
     # walk_values spans the whole chain without recursion.
     assert sum(1 for _ in tree.root.walk_values()) == DEPTH + 1

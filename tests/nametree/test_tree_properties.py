@@ -55,6 +55,7 @@ def test_get_name_inverts_insert(seed, count):
         tree.insert(name, record)
         pairs.append((name, record))
     for name, record in pairs:
+        assert tree.reconstruct_name(record) == name
         assert tree.get_name(record) == name
 
 

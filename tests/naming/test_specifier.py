@@ -139,3 +139,69 @@ class TestEqualityAndCopy:
         name = NameSpecifier.parse("[a=b]")
         assert str(name) == "[a=b]"
         assert "[a=b]" in repr(name)
+
+
+class TestWireCache:
+    """wire_size() memoizes the compact wire text and its byte length
+    under the cached canonical key; whatever clears the key clears it."""
+
+    DEEP = "[a=1[b=2[c=3[d=4]]]][e=5]"
+
+    @staticmethod
+    def _fresh_size(name):
+        return len(NameSpecifier.parse(name.to_wire()).to_wire().encode("utf-8"))
+
+    def test_wire_size_is_computed_once_while_unmodified(self, monkeypatch):
+        name = NameSpecifier.parse(self.DEEP)
+        assert name.wire_size() == len(self.DEEP)
+        calls = []
+        real = NameSpecifier.to_wire
+        monkeypatch.setattr(
+            NameSpecifier, "to_wire",
+            lambda self, pretty=False: calls.append(1) or real(self, pretty),
+        )
+        assert name.wire_size() == len(self.DEEP)
+        assert calls == []
+
+    def test_to_wire_serves_the_cached_text_but_not_the_pretty_form(self):
+        name = NameSpecifier.parse(self.DEEP)
+        name.wire_size()
+        assert name.to_wire() is name.to_wire()
+        assert name.to_wire() == self.DEEP
+        assert name.to_wire(pretty=True) == "[a = 1 [b = 2 [c = 3 [d = 4]]]] [e = 5]"
+
+    def test_non_ascii_names_are_sized_in_bytes(self):
+        name = NameSpecifier.parse("[café=zürich]")
+        assert name.wire_size() == len("[café=zürich]".encode("utf-8"))
+        assert name.wire_size() > len(name.to_wire())
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_mutation_at_every_depth_invalidates_the_cached_size(self, depth):
+        name = NameSpecifier.parse(self.DEEP)
+        before = name.wire_size()
+        if depth == 0:
+            name.add("z", "9")
+        else:
+            pair = name.root("a")
+            for attribute in "bcd"[: depth - 1]:
+                pair = pair.child(attribute)
+            pair.add("z", "9")
+        assert name.wire_size() == before + len("[z=9]")
+        assert name.wire_size() == self._fresh_size(name)
+        assert "[z=9]" in name.to_wire()
+
+    def test_recomputing_the_key_does_not_revive_a_stale_entry(self):
+        name = NameSpecifier.parse(self.DEEP)
+        before = name.wire_size()
+        name.root("a").child("b").add("z", "9")
+        name.canonical_key()  # cached again, as a new tuple
+        assert "[z=9]" in name.to_wire()
+        assert name.wire_size() == before + len("[z=9]")
+
+    def test_copy_starts_with_its_own_cache(self):
+        name = NameSpecifier.parse(self.DEEP)
+        name.wire_size()
+        twin = name.copy()
+        twin.add("z", "9")
+        assert name.wire_size() == len(self.DEEP)
+        assert twin.wire_size() == len(self.DEEP) + len("[z=9]")

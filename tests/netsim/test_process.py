@@ -57,6 +57,41 @@ class TestProcessBasics:
         sim.run_for(5.0)
         assert fired == []
 
+    def test_dead_one_shot_timers_are_not_kept_forever(self):
+        """A request timeout per op — set, then cancelled or fired —
+        must not grow the process for the life of the run; stop() still
+        cancels whatever can fire."""
+        sim, network, node = build()
+        process = Process(node, 10)
+        fired = []
+        periodic = process.every(1e6, lambda: fired.append("periodic"))
+        longest = 0
+        for index in range(5000):
+            timer = process.set_timer(0.5, fired.append, index)
+            if index % 2:
+                timer.cancel()
+            sim.run_for(1.0)
+            longest = max(longest, len(process._timers))
+        assert fired == list(range(0, 5000, 2))
+        assert longest <= 64
+        assert periodic in process._timers
+        live = process.set_timer(5.0, fired.append, "live")
+        process.stop()
+        sim.run_for(2000.0)
+        assert live.cancelled and periodic.stopped
+        assert fired == list(range(0, 5000, 2))
+
+    def test_pending_timers_survive_the_sweep(self):
+        sim, network, node = build()
+        process = Process(node, 10)
+        fired = []
+        for index in range(300):  # all still pending: nothing to drop
+            process.set_timer(10.0 + index, fired.append, index)
+        assert len(process._timers) == 300
+        process.stop()
+        sim.run_for(1000.0)
+        assert fired == []
+
 
 class TestTimers:
     def test_one_shot_timer(self):

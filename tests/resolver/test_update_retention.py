@@ -1,0 +1,190 @@
+"""The soft-state path pays for a name once per graft, not once per
+refresh: INRs hand on the name-specifier object they were given, sized
+once, and an unchanged domain's refresh rounds rebuild nothing.
+
+Counts only — no wall clock.
+"""
+
+import pytest
+
+import repro.resolver.inr as inr_module
+from repro.experiments import InsDomain
+from repro.naming import NameSpecifier
+from repro.nametree import NameRecord, NameTree
+from repro.resolver import InrConfig
+from repro.resolver.protocol import NameUpdate
+from repro.tools import ProtocolTrace
+
+from ..conftest import parse
+
+
+REFRESH = 5.0
+
+
+def _domain(inrs):
+    domain = InsDomain(
+        seed=1200,
+        config=InrConfig(refresh_interval=REFRESH, record_lifetime=3 * REFRESH),
+    )
+    trace = ProtocolTrace(keep_payloads=True).attach(domain.network)
+    return domain, trace, [domain.add_inr(address=a) for a in inrs]
+
+
+def _service(domain, wire, resolver):
+    return domain.add_service(
+        wire, resolver=resolver, refresh_interval=REFRESH, lifetime=3 * REFRESH
+    )
+
+
+def _periodic_updates(trace, source, destination, since):
+    return [
+        update
+        for event in trace.between(source, destination)
+        if event.kind == "UpdateBatch"
+        and event.time >= since
+        and not event.payload.triggered
+        for update in event.payload.updates
+    ]
+
+
+def _count_calls(monkeypatch, owner, method):
+    calls = []
+    real = getattr(owner, method)
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, method, counted)
+    return calls
+
+
+def test_unchanged_domain_second_round_rebuilds_and_serializes_nothing(monkeypatch):
+    domain, trace, (a, b, c) = _domain(["inr-a", "inr-b", "inr-c"])
+    for index, inr in enumerate([a, b, c, a, b, c]):
+        _service(domain, f"[service=e[id=n{index}][kind=k{index % 2}]][room=r{index}]", inr)
+    domain.run(REFRESH + 1.0)  # every table holds every name
+    assert [inr.name_count() for inr in (a, b, c)] == [6, 6, 6]
+
+    traces = _count_calls(monkeypatch, NameTree, "reconstruct_name")
+    serializations = _count_calls(monkeypatch, NameSpecifier, "to_wire")
+    domain.run(REFRESH * 1.1)  # first counted round
+    del traces[:], serializations[:]
+    names_before = sum(inr.stats.update_names_processed for inr in (a, b, c))
+    sent_before = sum(inr.stats.periodic_updates_sent for inr in (a, b, c))
+    ads_before = sum(inr.stats.advertisements_processed for inr in (a, b, c))
+    domain.run(REFRESH * 1.1)  # second round: the one the claim is about
+
+    # The round really happened: every INR sent its table to every
+    # neighbor, every service refreshed, and the names were ingested.
+    assert sum(inr.stats.periodic_updates_sent for inr in (a, b, c)) - sent_before >= 4
+    assert sum(inr.stats.update_names_processed for inr in (a, b, c)) - names_before >= 12
+    assert sum(inr.stats.advertisements_processed for inr in (a, b, c)) - ads_before >= 6
+    assert traces == []
+    assert serializations == []
+
+
+def test_updates_share_the_advertised_object_across_the_domain():
+    domain, trace, (a, b, c) = _domain(["inr-a", "inr-b", "inr-c"])
+    service = _service(domain, "[service=e[id=1]][room=510]", a)
+    domain.run(1.0)
+    start = domain.now
+    domain.run(REFRESH * 2.2)
+    for inr in (a, b, c):
+        (tree,) = inr.trees.values()
+        record = tree.record_for(service.announcer)
+        assert tree.get_name(record) is service.name
+    carried = [
+        update.name
+        for source in ("inr-a", "inr-b", "inr-c")
+        for destination in ("inr-a", "inr-b", "inr-c")
+        if source != destination
+        for update in _periodic_updates(trace, source, destination, start)
+    ]
+    assert carried and all(name is service.name for name in carried)
+
+
+def test_readvertising_reordered_siblings_keeps_first_order_on_the_wire():
+    domain, trace, (a, b) = _domain(["inr-a", "inr-b"])
+    first = "[service=e[id=1][kind=x]][room=510]"
+    service = _service(domain, first, a)
+    domain.run(1.0)
+    size = parse(first).wire_size()
+    service.rename(parse("[room=510][service=e[kind=x][id=1]]"))
+    start = domain.now
+    domain.run(REFRESH * 2.2)
+    # The same name again is a refresh, not a rename: nothing triggered,
+    assert [
+        e for e in trace.between("inr-a", "inr-b")
+        if e.kind == "UpdateBatch" and e.time >= start and e.payload.triggered
+    ] == []
+    # and the periodic rounds keep announcing the order grafted first.
+    updates = _periodic_updates(trace, "inr-a", "inr-b", start)
+    assert len(updates) >= 2
+    assert {update.name.to_wire() for update in updates} == {first}
+    assert {update.name.wire_size() for update in updates} == {size}
+    client = domain.add_client(resolver=b)
+    found = client.discover(parse("[service=e]"))
+    domain.run(1.0)
+    assert [name.to_wire() for name, _metric in found.value] == [first]
+
+
+def test_advertiser_mutating_its_name_in_place_does_not_corrupt_updates():
+    """A service that edits its name object without re-advertising has
+    not changed what the resolvers know: updates keep carrying the
+    grafted name (rebuilt by Figure 6), at its own wire size."""
+    domain, trace, (a, b) = _domain(["inr-a", "inr-b"])
+    grafted = "[service=e[id=1]]"
+    service = _service(domain, grafted, a)
+    domain.run(1.0)
+    service.refresh_interval = 1e9  # keep the edit from being advertised
+    service.name.root("service").add("kind", "x")
+    tree = a.trees["default"]
+    record = tree.record_for(service.announcer)
+    assert tree.get_name(record) is not service.name
+    start = domain.now
+    a._send_periodic_updates()
+    domain.run(0.5)
+    updates = _periodic_updates(trace, "inr-a", "inr-b", start)
+    assert [update.name.to_wire() for update in updates] == [grafted]
+    assert updates[0].wire_size() == parse(grafted).wire_size() + 30 + 12
+
+
+def test_lone_inr_does_not_build_a_table_for_nobody(monkeypatch):
+    domain, trace, (a,) = _domain(["inr-a"])
+    _service(domain, "[service=e[id=1]]", a)
+    domain.run(1.0)
+    built = _count_calls(monkeypatch, type(a), "_all_entries")
+    domain.run(REFRESH * 3)
+    assert built == []
+    assert a.stats.periodic_updates_sent == 0
+
+
+@pytest.mark.parametrize("rejected_by", ["local-authority", "worse-metric"])
+def test_rejected_updates_build_no_record(monkeypatch, rejected_by):
+    """The two refusing branches of the Bellman-Ford acceptance rule
+    decide from the update alone; only an accepted update is turned into
+    a NameRecord."""
+    domain, trace, (a, b) = _domain(["inr-a", "inr-b"])
+    service = _service(domain, "[service=e[id=1]]", a)
+    domain.run(1.0)
+    holder = a if rejected_by == "local-authority" else b
+    tree = holder.trees["default"]
+    existing = tree.record_for(service.announcer)
+    update = NameUpdate(
+        name=parse("[service=e[id=1]]"),
+        announcer=service.announcer,
+        endpoints=tuple(existing.endpoints),
+        anycast_metric=0.0,
+        route_metric=existing.route.metric + 1.0,
+        lifetime=15.0,
+        vspace="default",
+    )
+    built = []
+    monkeypatch.setattr(
+        inr_module, "NameRecord",
+        lambda **fields: built.append(fields) or NameRecord(**fields),
+    )
+    assert holder._apply_update(tree, update, "inr-elsewhere", 0.0) is False
+    assert built == []
+    assert tree.record_for(service.announcer) is existing
