@@ -9,7 +9,7 @@ exist precisely so the forwarding agent can skip it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..naming import NameSpecifier
@@ -103,10 +103,14 @@ class InsMessage:
         destination_text = str(
             view[header.destination_offset:header.data_offset], "utf-8"
         )
-        if not destination_text:
+        destination = NameSpecifier.parse(destination_text)
+        if destination.is_empty:
+            # Judged on the parsed name, not the text: a section of
+            # whitespace alone also parses to the empty name, which
+            # matches every record of the vspace.
             raise HeaderError("packet has an empty destination name-specifier")
         return cls(
-            destination=NameSpecifier.parse(destination_text),
+            destination=destination,
             source=NameSpecifier.parse(source_text),
             data=bytes(view[header.data_offset:]),
             binding=header.binding,
@@ -138,7 +142,20 @@ class InsMessage:
         """
         if self.hop_limit <= 0:
             raise ValueError("hop limit exhausted")
-        return replace(self, hop_limit=self.hop_limit - 1)
+        # Spelled out rather than dataclasses.replace(): this runs once
+        # per overlay hop, and replace() re-derives the field list and
+        # builds a kwargs dict on every call.
+        return InsMessage(
+            destination=self.destination,
+            source=self.source,
+            data=self.data,
+            binding=self.binding,
+            delivery=self.delivery,
+            hop_limit=self.hop_limit - 1,
+            cache_lifetime=self.cache_lifetime,
+            accept_cached=self.accept_cached,
+            trace=self.trace,
+        )
 
     def reply_template(self) -> "InsMessage":
         """A message skeleton addressed back at this message's source.

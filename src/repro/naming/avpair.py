@@ -40,6 +40,21 @@ def validate_token(token: str, kind: str) -> str:
     return token
 
 
+def _sibling_key(pairs) -> tuple:
+    """The order-insensitive key of sibling av-pairs that are all keyed."""
+    return tuple(sorted([pair._key_cache for pair in pairs]))
+
+
+def _pair_key(pair: "AVPair") -> tuple:
+    """The canonical-key tuple of ``pair``, whose children are all keyed.
+
+    With :func:`_sibling_key`, the one place the shape of a key is
+    decided: ``canonical_key`` (here and on the name) fills caches with
+    them, and the parser seals each group with them at its ``]``.
+    """
+    return (pair.attribute, pair.value, _sibling_key(pair._children.values()))
+
+
 class AVPair:
     """One attribute-value pair and its dependent children.
 
@@ -60,6 +75,22 @@ class AVPair:
         # which the object model already implies: names are trees.
         self._key_cache: Optional[tuple] = None
         self._parent = None
+
+    @classmethod
+    def _unchecked(cls, attribute: str, value: str) -> "AVPair":
+        """``AVPair(attribute, value)`` minus the token validation.
+
+        For the parser, whose tokeniser has already proved both tokens
+        legal. The pair is born keyed — childless, its key is known —
+        and ``add_child`` clears that like any other cached key.
+        """
+        pair = cls.__new__(cls)
+        pair.attribute = attribute
+        pair.value = value
+        pair._children = {}
+        pair._key_cache = (attribute, value, ())  # _pair_key of a leaf
+        pair._parent = None
+        return pair
 
     def _invalidate_key(self) -> None:
         # A cached ancestor implies every descendant is cached (the key
@@ -175,11 +206,7 @@ class AVPair:
                 order.append(pair)
                 pending.extend(pair._children.values())
         for pair in reversed(order):
-            pair._key_cache = (
-                pair.attribute,
-                pair.value,
-                tuple(sorted(c._key_cache for c in pair._children.values())),
-            )
+            pair._key_cache = _pair_key(pair)
         return self._key_cache
 
     def __eq__(self, other: object) -> bool:

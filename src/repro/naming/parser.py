@@ -8,13 +8,22 @@ The grammar, with arbitrary whitespace permitted between tokens::
 A group without an explicit ``= value`` (the paper's Floorplan sends
 ``[location]`` to the Locator service) is parsed as the wild-card value,
 since omitted information corresponds to wild-cards throughout INS.
+
+The reader is a single left-to-right pass: one compiled-regex *item*
+per ``[attr=value`` opener (with its ``]`` when the group is a leaf) or
+``]`` closer, an explicit stack instead of recursion. Because every
+group is closed exactly once, after all of its children, the canonical
+key of each av-pair is assembled at its ``]`` and the name leaves the
+parser already keyed; when the text contained no whitespace and no
+value-less group it *is* the compact wire form, and the name leaves
+already sized as well (``NameSpecifier._wire_cache``).
 """
 
 from __future__ import annotations
 
+import re
 
-
-from .avpair import AVPair, RESERVED_CHARACTERS
+from .avpair import AVPair, _pair_key, _sibling_key, validate_token
 from .errors import NameSyntaxError
 from .operators import WILDCARD
 from .specifier import NameSpecifier
@@ -22,115 +31,106 @@ from .specifier import NameSpecifier
 #: Maximum av-pair nesting accepted from the wire. The paper observes
 #: that depth "will be near-constant and relatively small" (Section
 #: 5.1.1); bounding it keeps adversarially deep names from exhausting
-#: the recursive parser, graft and lookup paths.
+#: the graft and lookup paths.
 MAX_NAME_DEPTH = 64
 
+# A token is a run of characters that are neither whitespace nor the
+# structural ``[ ] =``. Range-operator exception: a token that begins
+# with exactly ``<=`` or ``>=`` carries that otherwise-reserved ``=``
+# (legal in a value; in an attribute it is rejected below).
+_CHAR = r"[^\s\[\]=]"
+_TOKEN = rf"[<>]={_CHAR}*|(?![<>]=){_CHAR}+"
 
-class _Tokenizer:
-    """Splits wire text into ``[``, ``]``, ``=`` and string tokens."""
+#: One item of the grammar. Groups: 1 attribute, 2 value (None for a
+#: value-less group), 3 the ``]`` of a leaf group, 4 a ``]`` closing an
+#: earlier opener, 5 the first character of anything else — including
+#: the ``[`` of an opener whose ``=`` is not followed by a value (the
+#: lookahead), so a missing value is a syntax error before the
+#: attribute is judged. With no group set the item is the end of the
+#: text. After the leading whitespace run there is either a character,
+#: which some alternative takes, or the end: the item matches wherever
+#: it is tried, so consecutive ``finditer`` matches are contiguous,
+#: nothing is skipped unseen, and no whitespace run — however long, and
+#: a packet may carry any length — is scanned from more than one start.
+_ITEM = re.compile(
+    rf"\s*(?:\[\s*({_TOKEN})(?!{_CHAR})(?:\s*=\s*({_TOKEN})|(?!\s*=))(\s*\])?"
+    rf"|(\])|(\S)|\Z)"
+)
+_WHITESPACE = re.compile(r"\s")
 
-    def __init__(self, text: str) -> None:
-        self._text = text
-        self._position = 0
-
-    @property
-    def position(self) -> int:
-        return self._position
-
-    def _skip_whitespace(self) -> None:
-        while self._position < len(self._text) and self._text[self._position].isspace():
-            self._position += 1
-
-    def peek(self) -> str:
-        """The next token without consuming it; '' at end of input."""
-        saved = self._position
-        token = self.next()
-        self._position = saved
-        return token
-
-    def next(self) -> str:
-        """Consume and return the next token; '' at end of input."""
-        self._skip_whitespace()
-        if self._position >= len(self._text):
-            return ""
-        ch = self._text[self._position]
-        if ch in RESERVED_CHARACTERS:
-            self._position += 1
-            return ch
-        start = self._position
-        while self._position < len(self._text):
-            ch = self._text[self._position]
-            if ch in RESERVED_CHARACTERS or ch.isspace():
-                break
-            self._position += 1
-        token = self._text[start:self._position]
-        # Range-operator exception: a value like ">=12" embeds the
-        # otherwise-reserved '=' in its operator. Fold it back in when
-        # the token so far is exactly '<' or '>'.
-        if (
-            token in ("<", ">")
-            and self._position < len(self._text)
-            and self._text[self._position] == "="
-        ):
-            self._position += 1
-            while self._position < len(self._text):
-                ch = self._text[self._position]
-                if ch in RESERVED_CHARACTERS or ch.isspace():
-                    break
-                self._position += 1
-            token = self._text[start:self._position]
-        return token
-
-    def expect(self, token: str) -> None:
-        found = self.next()
-        if found != token:
-            raise NameSyntaxError(
-                f"expected {token!r}, found {found!r}", self._position
-            )
+_new_pair = AVPair._unchecked
 
 
 def parse_name_specifier(text: str) -> NameSpecifier:
     """Parse ``text`` into a :class:`NameSpecifier`.
 
     Raises :class:`NameSyntaxError` on malformed input, including
-    trailing garbage after the final group.
+    trailing garbage after the final group and nesting deeper than
+    :data:`MAX_NAME_DEPTH`; :class:`InvalidTokenError` for an attribute
+    carrying a reserved character; :class:`DuplicateAttributeError` for
+    two siblings classifying the same attribute.
     """
-    tokenizer = _Tokenizer(text)
     name = NameSpecifier()
-    while tokenizer.peek() == "[":
-        name.add_pair(_parse_group(tokenizer, depth=1))
-    trailing = tokenizer.next()
-    if trailing:
-        raise NameSyntaxError(
-            f"unexpected token {trailing!r} after name-specifier",
-            tokenizer.position,
-        )
-    return name
-
-
-def _parse_group(tokenizer: _Tokenizer, depth: int) -> AVPair:
-    if depth > MAX_NAME_DEPTH:
-        raise NameSyntaxError(
-            f"name-specifier deeper than {MAX_NAME_DEPTH} levels",
-            tokenizer.position,
-        )
-    tokenizer.expect("[")
-    attribute = tokenizer.next()
-    if attribute in ("", "[", "]", "="):
-        raise NameSyntaxError(
-            f"expected attribute token, found {attribute!r}", tokenizer.position
-        )
-    if tokenizer.peek() == "=":
-        tokenizer.expect("=")
-        value = tokenizer.next()
-        if value in ("", "[", "]", "="):
+    # Open groups, innermost last; ``attach`` adds a completed group to
+    # the innermost of them (to the name itself at the top level).
+    stack: list = []
+    attach = name.add_pair
+    compact = True
+    for item in _ITEM.finditer(text):
+        attribute, value, leaf, closer, stray = item.groups()
+        if attribute is not None:
+            if len(stack) >= MAX_NAME_DEPTH:
+                raise NameSyntaxError(
+                    f"name-specifier deeper than {MAX_NAME_DEPTH} levels",
+                    item.start(1),
+                )
+            if value is None:
+                value = WILDCARD  # omitted value is a wild-card
+                compact = False
+            if "=" in attribute:
+                validate_token(attribute, "attribute")  # raises
+            # The tokens are legal by construction of _TOKEN, so the
+            # av-pair is built without re-checking them.
+            pair = _new_pair(attribute, value)
+            if leaf is None:
+                stack.append(pair)
+                attach = pair.add_child
+                continue
+        elif closer is not None:
+            if not stack:
+                raise NameSyntaxError(
+                    "unexpected ']' outside any group", item.start(4)
+                )
+            # Every child of the group is complete and keyed: key it.
+            pair = stack.pop()
+            pair._key_cache = _pair_key(pair)
+            attach = stack[-1].add_child if stack else name.add_pair
+        elif stray is None:
+            break  # end of text
+        else:
             raise NameSyntaxError(
-                f"expected value token, found {value!r}", tokenizer.position
+                "expected '[attribute]' or '[attribute=value'"
+                if stray == "["
+                else f"unexpected {stray!r}",
+                item.start(5),
             )
-    else:
-        value = WILDCARD  # attribute-only group: omitted value is a wild-card
-    pair = AVPair(attribute, value)
-    while tokenizer.peek() == "[":
-        pair.add_child(_parse_group(tokenizer, depth + 1))
-    tokenizer.expect("]")
-    return pair
+        # The group is complete (a leaf is born keyed): only now does it
+        # join its siblings, so that an error inside it is reported
+        # before a duplicate of it.
+        attach(pair)
+    if stack:
+        raise NameSyntaxError(
+            f"expected ']' closing {stack[-1].attribute!r}", len(text)
+        )
+    # Every root is keyed, so the name's key is one sort away;
+    # canonical_key() would visit each root again to find that out.
+    key = name._key_cache = _sibling_key(name._roots.values())
+    if compact and _WHITESPACE.search(text) is None:
+        try:
+            size = len(text) if text.isascii() else len(text.encode("utf-8"))
+        except UnicodeEncodeError:
+            # A lone surrogate: a legal token that has no wire bytes.
+            # wire_size() will say so if the name is ever sent.
+            return name
+        name._wire_cache = (key, text, size)
+    return name

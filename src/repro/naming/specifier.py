@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .avpair import AVPair
+from .avpair import AVPair, _sibling_key
 from .errors import DuplicateAttributeError, WildcardValueError
 from .operators import is_operator_value
 
@@ -44,6 +44,8 @@ class NameSpecifier:
         # entry is valid only while ``_key_cache`` is still that very
         # object, so the key's invalidation covers it at every depth
         # (a recomputed key is a new tuple and does not revive it).
+        # Filled by wire_size() and by the parser (which has just read
+        # both the key and the text), never by to_wire().
         self._wire_cache: Optional[Tuple[tuple, str, int]] = None
         self._parent = None
         for root in roots or []:
@@ -104,10 +106,12 @@ class NameSpecifier:
 
     @classmethod
     def parse(cls, text: str) -> "NameSpecifier":
-        """Parse the wire representation (Figure 3). See :mod:`.parser`."""
-        from .parser import parse_name_specifier
+        """Parse the wire representation (Figure 3). See :mod:`.parser`.
 
-        return parse_name_specifier(text)
+        The name comes back with its canonical key already cached, and
+        with its wire text and size cached too when ``text`` was the
+        compact form."""
+        return _parser.parse_name_specifier(text)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -199,7 +203,8 @@ class NameSpecifier:
         per-subtree string concatenation (quadratic on deep names) and
         no recursion (deep names would blow the stack). Wire bytes are
         identical to the recursive formulation. The compact form is
-        served from the cache :meth:`wire_size` fills while it is valid.
+        served from the cache :meth:`wire_size` and the parser fill,
+        while it is valid.
         """
         if not pretty:
             cached = self._wire_cache
@@ -257,10 +262,10 @@ class NameSpecifier:
         the cache (see :meth:`AVPair.canonical_key`)."""
         cached = self._key_cache
         if cached is None:
-            cached = tuple(
-                sorted(p.canonical_key() for p in self._roots.values())
-            )
-            self._key_cache = cached
+            roots = self._roots.values()
+            for pair in roots:
+                pair.canonical_key()
+            cached = self._key_cache = _sibling_key(roots)
         return cached
 
     def __eq__(self, other: object) -> bool:
@@ -280,3 +285,9 @@ class NameSpecifier:
 
     def __str__(self) -> str:
         return self.to_wire()
+
+
+# The parser module imports this one for the class, so it is bound here,
+# once, as a module (whichever of the two is imported first): ``parse``
+# runs twice per packet per INR, too often for a function-level import.
+from . import parser as _parser  # noqa: E402

@@ -11,11 +11,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class Event:
-    """A scheduled callback; cancellable until it fires."""
+    """A scheduled callback; cancellable until it fires.
+
+    Events define no ordering of their own: the simulator's heap holds
+    ``(time, sequence, event)`` tuples, so the comparisons a push or
+    pop makes happen between floats and ints, and the unique sequence
+    number settles every tie before an ``Event`` is ever compared.
+    """
 
     __slots__ = ("time", "sequence", "callback", "args", "cancelled")
 
@@ -36,9 +42,6 @@ class Event:
         """Prevent the event from firing; safe to call repeatedly."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, {state}, {self.callback!r})"
@@ -55,7 +58,7 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         #: Optional profiling hook, called with each Event just before
@@ -78,8 +81,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        event = Event(time, next(self._sequence), callback, args)
-        heapq.heappush(self._queue, event)
+        sequence = next(self._sequence)
+        event = Event(time, sequence, callback, args)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     # ------------------------------------------------------------------
@@ -88,7 +92,7 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next pending event; False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self.now = event.time
@@ -120,11 +124,10 @@ class Simulator:
         pop = heapq.heappop
         fired = 0
         while queue:
-            head = queue[0]
+            batch_time, _, head = queue[0]
             if head.cancelled:
                 pop(queue)
                 continue
-            batch_time = head.time
             if until is not None and batch_time > until:
                 break
             # Fire the whole same-timestamp batch in one inner loop: the
@@ -137,10 +140,10 @@ class Simulator:
             # Exact equality is the batching criterion: only events whose
             # float timestamp is bit-identical share a clock assignment; a
             # near-equal time is a later instant and starts its own batch.
-            while queue and queue[0].time == batch_time:  # lint: disable=no-float-time-eq -- identity batching, not a tolerance comparison
+            while queue and queue[0][0] == batch_time:  # lint: disable=no-float-time-eq -- identity batching, not a tolerance comparison
                 if max_events is not None and fired >= max_events:
                     return
-                event = pop(queue)
+                event = pop(queue)[2]
                 if event.cancelled:
                     continue
                 self._events_processed += 1

@@ -16,6 +16,7 @@ update-overloaded delegates a virtual space to a freshly spawned INR.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -1360,8 +1361,6 @@ class INR(Process):
     ) -> None:
         """Resolve the destination and send the [ip, [port, transport]]
         list (plus metrics) back to the requester's intentional name."""
-        import json
-
         if message.source.is_empty or not message.source.is_concrete():
             # Nowhere to send the answer: early binding over the data
             # path requires an addressable source name.

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..message import InsMessage
 from ..naming import NameSpecifier
 from ..nametree import AnnouncerID, Endpoint
 from ..obs import TRACE_CONTEXT_SIZE, TraceContext
@@ -163,12 +164,10 @@ class DataPacket:
     """
 
     raw: bytes
-    _decoded: Optional[object] = field(default=None, repr=False, compare=False)
+    _decoded: Optional[InsMessage] = field(default=None, repr=False, compare=False)
 
     @property
-    def message(self):
-        from ..message import InsMessage
-
+    def message(self) -> InsMessage:
         if self._decoded is None:
             self._decoded = InsMessage.decode(self.raw)
         return self._decoded

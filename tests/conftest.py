@@ -5,8 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import InsDomain
+from repro.message import (
+    HEADER_SIZE,
+    INS_VERSION,
+    Binding,
+    Delivery,
+    Header,
+)
 from repro.naming import NameSpecifier
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
+from repro.obs import TRACE_CONTEXT_SIZE
 
 
 @pytest.fixture
@@ -34,6 +42,28 @@ def make_record(host: str = "10.0.0.1", port: int = 9, metric: float = 0.0,
 
 def parse(text: str) -> NameSpecifier:
     return NameSpecifier.parse(text)
+
+
+def forge_packet(source_text: str, destination_text: str, data: bytes = b"",
+                 trace=None, delivery: Delivery = Delivery.ANYCAST) -> bytes:
+    """A late-binding packet whose name sections hold exactly the given
+    text — spaced out, blank or malformed, as no encoder would emit."""
+    source_bytes = source_text.encode("utf-8")
+    destination_bytes = destination_text.encode("utf-8")
+    source_offset = HEADER_SIZE + (TRACE_CONTEXT_SIZE if trace is not None else 0)
+    destination_offset = source_offset + len(source_bytes)
+    header = Header(
+        version=INS_VERSION,
+        binding=Binding.LATE,
+        delivery=delivery,
+        source_offset=source_offset,
+        destination_offset=destination_offset,
+        data_offset=destination_offset + len(destination_bytes),
+        hop_limit=7,
+        cache_lifetime=3,
+        trace=trace,
+    )
+    return header.pack() + source_bytes + destination_bytes + data
 
 
 #: The paper's running example (Figures 2 and 3).

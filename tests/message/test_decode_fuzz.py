@@ -1,10 +1,13 @@
 """Fuzz tests: arbitrary bytes must never crash the packet decoder with
 anything other than a controlled error type."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.message import HEADER_SIZE, HeaderError, InsMessage
 from repro.naming import NameSpecifier, NamingError
+
+from ..conftest import forge_packet
 
 
 @given(data=st.binary(max_size=200))
@@ -42,3 +45,16 @@ def test_corrupted_headers_never_crash(flip_position, flip_bits):
     # lint: disable=no-silent-except -- fuzz oracle: these error families ARE the pass condition
     except (HeaderError, NamingError, ValueError):
         pass
+
+
+@given(
+    blank=st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u3000", max_size=12),
+    source=st.sampled_from(["", "[service=sender]", "  "]),
+    data=st.binary(max_size=20),
+)
+@settings(max_examples=150, deadline=None)
+def test_blank_destination_sections_are_header_errors(blank, source, data):
+    """Whatever whitespace fills it, a destination section that parses to
+    the empty (match-everything) name never gets out of decode."""
+    with pytest.raises(HeaderError):
+        InsMessage.decode(forge_packet(source, blank, data))

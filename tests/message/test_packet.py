@@ -1,5 +1,8 @@
 """Tests for whole INS messages (encode/decode, forwarding helpers)."""
 
+import time
+from dataclasses import fields
+
 import pytest
 
 from repro.message import (
@@ -12,7 +15,7 @@ from repro.message import (
 )
 from repro.naming import NameSpecifier
 
-from ..conftest import parse
+from ..conftest import forge_packet, parse
 
 
 def sample_message(**overrides) -> InsMessage:
@@ -56,6 +59,34 @@ class TestEncodeDecode:
         with pytest.raises((HeaderError, ValueError)):
             InsMessage.decode(forged.encode())
 
+    @pytest.mark.parametrize("blank", [" ", "   ", "\n\t ", "\u3000"])
+    def test_whitespace_only_destination_rejected_on_decode(self, blank):
+        """A destination section of whitespace parses to the empty name,
+        which matches every record in the vspace: it is as empty as a
+        zero-length section and is rejected the same way."""
+        assert NameSpecifier.parse(blank).is_empty
+        forged = forge_packet("[service=sender]", blank, b"payload")
+        with pytest.raises(HeaderError, match="empty destination"):
+            InsMessage.decode(forged)
+        InsMessage.decode(forge_packet(blank, "[a=b]"))  # a blank source is legal
+
+    def test_a_packet_padded_with_blanks_decodes_in_linear_time(self):
+        """Nothing caps a name section's length, so a sender can pad one
+        with 200 k blanks. Each INR must read that in milliseconds — as
+        many steps as characters, not as many as pairs of them."""
+        padding = " " * 200_000
+        started = time.process_time()
+        decoded = InsMessage.decode(
+            forge_packet("[service=sender]" + padding, "[a=b]" + padding, b"x")
+        )
+        with pytest.raises(HeaderError, match="empty destination"):
+            InsMessage.decode(forge_packet("[service=sender]", padding, b"x"))
+        assert time.process_time() - started < 2.0
+        assert decoded.destination == parse("[a=b]")
+        assert decoded.source == parse("[service=sender]")
+        # The forward re-encodes compactly: the padding dies at this hop.
+        assert len(decoded.encode()) < 100
+
     def test_wire_size_matches_encoding(self):
         message = sample_message()
         assert message.wire_size() == len(message.encode())
@@ -88,6 +119,19 @@ class TestForwardingHelpers:
         forwarded = message.hop_decremented()
         assert forwarded.hop_limit == 4
         assert message.hop_limit == 5  # original untouched
+
+    def test_hop_decrement_copies_every_other_field(self):
+        from repro.obs import TraceContext
+
+        message = sample_message(
+            hop_limit=5, cache_lifetime=9, accept_cached=True,
+            delivery=Delivery.MULTICAST, binding=Binding.EARLY,
+            trace=TraceContext(trace_id=1, span_id=2, parent_span_id=3),
+        )
+        forwarded = message.hop_decremented()
+        for field in fields(InsMessage):
+            if field.name != "hop_limit":
+                assert getattr(forwarded, field.name) is getattr(message, field.name)
 
     def test_hop_exhaustion_raises(self):
         with pytest.raises(ValueError):

@@ -205,3 +205,47 @@ class TestWireCache:
         twin.add("z", "9")
         assert name.wire_size() == len(self.DEEP)
         assert twin.wire_size() == len(self.DEEP) + len("[z=9]")
+
+    # -- what the parser leaves behind (it keys and sizes as it reads) --
+    def test_a_parsed_name_is_already_keyed_with_the_key_a_walk_would_build(self):
+        name = NameSpecifier.parse(" [b=2[y=1][x=2]] [a=1] ")
+        assert name._key_cache is not None
+        assert all(pair._key_cache is not None for pair in name.walk())
+        assert name._key_cache == name.copy().canonical_key()
+        assert name.canonical_key() is name._key_cache
+
+    def test_compact_input_is_already_sized_and_served_as_is(self):
+        name = NameSpecifier.parse(self.DEEP)
+        assert name._wire_cache == (name._key_cache, self.DEEP, len(self.DEEP))
+        assert name.to_wire() is self.DEEP
+
+    @pytest.mark.parametrize(
+        "text", ["[a=1] [e=5]", " [a=1]", "[a=1]\n", "[a = 1]", "[a]", "[a=1[b]]"]
+    )
+    def test_non_compact_input_seeds_no_wire_text(self, text):
+        name = NameSpecifier.parse(text)
+        assert name._key_cache is not None
+        assert name._wire_cache is None
+        assert name.to_wire() != text
+        assert NameSpecifier.parse(name.to_wire()).to_wire() == name.to_wire()
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_mutation_after_parsing_drops_the_parsers_key_and_text(self, depth):
+        name = NameSpecifier.parse(self.DEEP)  # no wire_size() call first
+        if depth == 0:
+            name.add_pair(AVPair("z", "9"))
+        else:
+            pair = name.root("a")
+            for attribute in "bcd"[: depth - 1]:
+                pair = pair.child(attribute)
+            pair.add_child(AVPair("z", "9"))
+        assert name._key_cache is None
+        assert "[z=9]" in name.to_wire()
+        assert name.to_wire() == name.copy().to_wire()
+        assert name.canonical_key() == name.copy().canonical_key()
+        assert name.wire_size() == len(self.DEEP) + len("[z=9]")
+
+    def test_non_ascii_compact_input_is_sized_in_bytes_by_the_parser(self):
+        text = "[café=zürich]"
+        name = NameSpecifier.parse(text)
+        assert name._wire_cache[2] == len(text.encode("utf-8")) > len(text)

@@ -121,3 +121,58 @@ class TestDeterminism:
 
     def test_different_seed_different_randoms(self):
         assert Simulator(seed=1).rng.random() != Simulator(seed=2).rng.random()
+
+
+class TestEventOrdering:
+    """The heap orders ``(time, sequence, event)`` tuples; an ``Event``
+    is never compared, so it needs (and has) no ordering of its own."""
+
+    def test_same_instant_events_fire_in_schedule_order_under_run_and_step(self):
+        for drain in ("run", "step"):
+            sim = Simulator()
+            fired = []
+            # Interleave two instants, with callbacks that are not
+            # orderable themselves, many more than a heap level holds.
+            for index in range(200):
+                sim.at(2.0, fired.append, ("late", index))
+                sim.at(1.0, fired.append, ("early", index))
+
+            def chain(index):
+                fired.append(("chained", index))
+                if index < 3:
+                    sim.at(sim.now, chain, index + 1)
+
+            sim.at(1.0, chain, 0)
+            if drain == "run":
+                sim.run()
+            else:
+                while sim.step():
+                    pass
+            early = [("early", index) for index in range(200)]
+            chained = [("chained", index) for index in range(4)]
+            late = [("late", index) for index in range(200)]
+            assert fired == early + chained + late
+
+    def test_cancelled_tombstones_are_skipped_wherever_they_sit(self):
+        sim = Simulator()
+        fired = []
+        events = [sim.at(1.0 + (index % 3), fired.append, index) for index in range(30)]
+        for event in events[::2]:
+            event.cancel()
+        assert sim.pending_events == 30  # tombstones stay queued until popped
+        assert sim.step() and fired == [3]  # the head (0) was a tombstone
+        sim.run(until=1.0)
+        assert fired == [3, 9, 15, 21, 27]
+        sim.run()
+        assert fired == [3, 9, 15, 21, 27, 1, 7, 13, 19, 25, 5, 11, 17, 23, 29]
+        assert sim.events_processed == 15
+        assert sim.pending_events == 0
+
+    def test_event_defines_no_ordering(self):
+        sim = Simulator()
+        first = sim.at(1.0, lambda: None)
+        second = sim.at(1.0, lambda: None)
+        assert "__lt__" not in vars(type(first))
+        with pytest.raises(TypeError):
+            first < second
+        assert (first.time, first.sequence) < (second.time, second.sequence)

@@ -8,7 +8,7 @@ from repro.naming import NameSpecifier
 from repro.resolver import DataPacket
 from repro.resolver.ports import INR_PORT
 
-from ..conftest import parse
+from ..conftest import forge_packet, parse
 
 
 @pytest.fixture
@@ -116,6 +116,19 @@ class TestMulticast:
         client.send_multicast(parse("[service=s]"), b"x")
         domain.run(1.0)
         assert sorted(inbox) == ["one", "two"]
+
+    def test_blank_destination_is_dropped_not_sent_to_everyone(self, triangle):
+        """A destination section of whitespace parses to the empty name,
+        which matches every record: the resolver must drop the packet as
+        malformed, not multicast it to the whole vspace."""
+        domain, (a, b, c), services, client, inbox = triangle
+        forged = forge_packet("", " \n\t  ", b"boo", delivery=Delivery.MULTICAST)
+        malformed_before = a.stats.drops_malformed
+        domain.network.send(client.address, a.address, INR_PORT,
+                            DataPacket(raw=forged), len(forged))
+        domain.run(1.0)
+        assert inbox == []
+        assert a.stats.drops_malformed == malformed_before + 1
 
 
 class TestHopLimit:
