@@ -59,6 +59,11 @@ class Service(InsClient):
         self.transport = transport
         self.announcer = AnnouncerID.generate(node.address)
         self.advertisements_sent = 0
+        #: True while the refresh timer is installed (start() to stop()).
+        self._advertising = False
+        #: The last advertisement sent, re-sent as it is while it still
+        #: says what this service would say now (see :meth:`advertise`).
+        self._advertisement: Optional[Advertisement] = None
 
     def start(self) -> None:
         super().start()
@@ -67,33 +72,57 @@ class Service(InsClient):
         # so a service is visible at its new resolver immediately.
         self.attached.then(lambda _resolver: self._begin_advertising())
 
+    def stop(self) -> None:
+        # The refresh timer dies with the other timers: a later start()
+        # (after a re-bind) must install a new one.
+        super().stop()
+        self._advertising = False
+        self._advertisement = None
+
     def _begin_advertising(self) -> None:
         self.advertise(triggered=True)
         # start() can run more than once (reattach after a resolver
         # failure); only the first attachment installs the refresh timer.
-        if not getattr(self, "_advertising", False):
+        if not self._advertising:
             self._advertising = True
             self.every(self.refresh_interval, self.advertise, jitter_fraction=0.05)
 
     def advertise(self, triggered: bool = False) -> None:
         """Announce (or refresh) this service's name at its resolver.
 
-        The endpoint is built fresh each time so a node that moved
+        Every field is read afresh each time, so a node that moved
         advertises its new address on the next refresh — this is what
-        makes INS track node mobility (Section 3.2).
+        makes INS track node mobility (Section 3.2) — and a metric set
+        with ``announce_now=False`` goes out with it. When nothing
+        differs from the advertisement sent last, that object is sent
+        again instead of an equal new one: resolvers and messages in
+        flight share it by reference, so it is never modified.
         """
         if self.resolver is None:
             return
-        advertisement = Advertisement(
-            name=self.name,
-            announcer=self.announcer,
-            endpoints=(
-                Endpoint(host=self.address, port=self.port, transport=self.transport),
-            ),
-            anycast_metric=self.metric,
-            lifetime=self.lifetime,
-            triggered=triggered,
-        )
+        advertisement = self._advertisement
+        if (
+            advertisement is None
+            or advertisement.name is not self.name
+            or (endpoint := advertisement.endpoints[0]).host != self.address
+            or endpoint.port != self.port
+            or endpoint.transport != self.transport
+            or advertisement.anycast_metric != self.metric
+            or advertisement.lifetime != self.lifetime
+            or advertisement.triggered != triggered
+        ):
+            advertisement = self._advertisement = Advertisement(
+                name=self.name,
+                announcer=self.announcer,
+                endpoints=(
+                    Endpoint(
+                        host=self.address, port=self.port, transport=self.transport
+                    ),
+                ),
+                anycast_metric=self.metric,
+                lifetime=self.lifetime,
+                triggered=triggered,
+            )
         self.send(self.resolver, INR_PORT, advertisement)
         self.advertisements_sent += 1
 

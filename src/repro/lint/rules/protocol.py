@@ -3,10 +3,13 @@
 The protocol has three surfaces that must not drift apart:
 
 1. **Exports vs dispatch.** Every wire-message class exported from
-   ``repro.message`` must be matched by an ``isinstance`` arm reachable
-   from a dispatch entry point (``INR.handle_message``, the DSR's
-   handler). An exported message nobody dispatches is either dead wire
-   format or — worse — a payload that silently vanishes on arrival.
+   ``repro.message`` must be matched by a dispatch arm reachable from a
+   dispatch entry point (``INR.handle_message``, the DSR's handler). An
+   arm is either an ``isinstance`` test or a key of a class-level
+   ``{message type: ...}`` dict literal that a reachable method reads
+   through ``self`` (the INR's dispatch table). An exported message
+   nobody dispatches is either dead wire format or — worse — a payload
+   that silently vanishes on arrival.
 2. **Drop counters vs span statuses.** Every ``drops_*`` field on
    ``InrStats`` must have a matching ``drop:<cause>`` span-status
    emission somewhere, so every counted loss is attributable in a
@@ -52,15 +55,15 @@ def _references_name(tree: ast.AST, name: str) -> bool:
 class ProtocolExhaustiveRule(ProjectRule):
     id = "protocol-exhaustive"
     summary = (
-        "every exported wire message needs a reachable isinstance "
-        "dispatch arm; every drops_* counter needs a drop:<cause> span "
-        "emission and a PROTOCOL.md mention"
+        "every exported wire message needs a reachable dispatch arm "
+        "(isinstance test or dispatch-table key); every drops_* counter "
+        "needs a drop:<cause> span emission and a PROTOCOL.md mention"
     )
     default_options = {
         #: The package whose ``__all__`` declares the wire surface.
         "message_package": "repro.message",
-        #: Dispatch roots; isinstance arms are collected from every
-        #: project function reachable from these.
+        #: Dispatch roots; arms are collected from every project
+        #: function reachable from these.
         "dispatch_entries": (
             "repro.resolver.inr.INR.handle_message",
             "repro.overlay.dsr.DomainSpaceResolver.handle_message",
@@ -87,7 +90,7 @@ class ProtocolExhaustiveRule(ProjectRule):
         yield from self._check_drop_causes(model)
 
     # ------------------------------------------------------------------
-    # Surface 1: exports vs reachable isinstance arms
+    # Surface 1: exports vs reachable dispatch arms
     # ------------------------------------------------------------------
     def _check_dispatch(self, model: ProjectModel) -> Iterator[Finding]:
         package = str(self.options["message_package"])
@@ -97,7 +100,7 @@ class ProtocolExhaustiveRule(ProjectRule):
         entries = [str(e) for e in self.options["dispatch_entries"]]
         if not any(e in model.functions for e in entries):
             return  # no dispatcher in scope — half a tree, stay quiet
-        arms = self._reachable_isinstance_arms(model, entries)
+        arms = self._reachable_arms(model, entries)
         ignored = set(self.options["non_payload"])
         for export, _lineno in info.exports:
             if export in ignored:
@@ -112,37 +115,66 @@ class ProtocolExhaustiveRule(ProjectRule):
             yield self.finding_at(
                 model, cls.path, cls.node.lineno,
                 f"wire message {export} is exported from {package} but "
-                "no isinstance dispatch arm reachable from "
-                f"{' / '.join(entries)} matches it; arriving payloads "
-                "of this type vanish undispatched — add a handler arm "
-                "or unexport it",
+                "no dispatch arm (isinstance test or dispatch-table key) "
+                f"reachable from {' / '.join(entries)} matches it; "
+                "arriving payloads of this type vanish undispatched — "
+                "add a handler arm or unexport it",
             )
 
-    def _reachable_isinstance_arms(
+    def _reachable_arms(
         self, model: ProjectModel, entries: List[str]
     ) -> Set[str]:
         arms: Set[str] = set()
         for qname in model.reachable_from(entries):
             fn = model.functions[qname]
-            for node in ast.walk(fn.node):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance"
-                    and len(node.args) == 2
-                ):
+            for candidate in self._arm_candidates(model, fn):
+                chain = _attribute_chain(candidate)
+                if chain is None:
                     continue
-                types = node.args[1]
-                candidates = types.elts if isinstance(types, ast.Tuple) \
-                    else [types]
-                for candidate in candidates:
-                    chain = _attribute_chain(candidate)
-                    if chain is None:
-                        continue
-                    resolved = model.resolve_dotted(fn.module, chain)
-                    if resolved is not None and resolved[0] == KIND_CLASS:
-                        arms.add(resolved[1])
+                resolved = model.resolve_dotted(fn.module, chain)
+                if resolved is not None and resolved[0] == KIND_CLASS:
+                    arms.add(resolved[1])
         return arms
+
+    @staticmethod
+    def _arm_candidates(model: ProjectModel, fn) -> Iterator[ast.expr]:
+        """Expressions in ``fn`` that may name a dispatched class: the
+        type arguments of its ``isinstance`` tests, and the keys of
+        every dict literal bound in its class body that it reads through
+        ``self`` (a dispatch table looked up by ``type(payload)``)."""
+        self_reads: Set[str] = set()
+        for node in ast.walk(fn.node):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                types = node.args[1]
+                yield from (
+                    types.elts if isinstance(types, ast.Tuple) else [types]
+                )
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                self_reads.add(node.attr)
+        cls = model.classes.get(fn.class_qname or "")
+        if cls is None:
+            return
+        for stmt in cls.node.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            if isinstance(stmt.value, ast.Dict) and any(
+                isinstance(target, ast.Name) and target.id in self_reads
+                for target in targets
+            ):
+                yield from (key for key in stmt.value.keys if key is not None)
 
     # ------------------------------------------------------------------
     # Surfaces 2 + 3: drops_* counters vs spans vs PROTOCOL.md

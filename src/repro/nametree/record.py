@@ -37,6 +37,21 @@ class AnnouncerID:
 
     _sequence = itertools.count(1)
 
+    #: Memoized __hash__, as on NameRecord: every ``_by_announcer``
+    #: probe and every record-set operation hashes an AnnouncerID, and
+    #: the generated method rebuilt and hashed the field tuple each
+    #: time. Outside ``__init__``, equality, ordering and ``repr``.
+    _hash_cache: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __hash__(self) -> int:
+        cached = self._hash_cache
+        if cached is None:
+            cached = hash((self.host, self.startup_time))
+            object.__setattr__(self, "_hash_cache", cached)  # frozen
+        return cached
+
     @classmethod
     def generate(cls, host: str, startup_time: Optional[float] = None) -> "AnnouncerID":
         """Create an AnnouncerID for ``host``.
@@ -139,24 +154,6 @@ class NameRecord:
     def refresh(self, now: float, lifetime: float = DEFAULT_LIFETIME) -> None:
         """Extend the record's life by ``lifetime`` seconds from ``now``."""
         self.expires_at = now + lifetime
-
-    def same_payload(self, other: "NameRecord") -> bool:
-        """True when ``other`` carries no new routing information.
-
-        Used to decide whether an incoming update is a pure refresh
-        (periodic, no propagation needed) or new information that must
-        trigger an update to neighbors (Section 2.2).
-        """
-        return (
-            self.anycast_metric == other.anycast_metric
-            and self.route == other.route
-            # Endpoint order carries no meaning, but a refresh almost
-            # always repeats the stored order: sort only on mismatch.
-            and (
-                self.endpoints == other.endpoints
-                or sorted(self.endpoints) == sorted(other.endpoints)
-            )
-        )
 
     def __hash__(self) -> int:
         cached = self._hash_cache

@@ -43,11 +43,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..naming import AVPair, NameSpecifier, classify_value
 from .nodes import AttributeNode, ValueNode
-from .record import AnnouncerID, NameRecord
+from .record import AnnouncerID, Endpoint, NameRecord, Route
 
 #: A shared always-empty cursor. The iterative LOOKUP-NAME assigns it to
 #: a frame whose candidate set just became empty, which ends that
@@ -187,36 +187,93 @@ class NameTree:
     # ------------------------------------------------------------------
     # Grafting and removal
     # ------------------------------------------------------------------
+    def refresh(
+        self,
+        name: NameSpecifier,
+        announcer: AnnouncerID,
+        endpoints: Sequence[Endpoint],
+        anycast_metric: float,
+        next_hop: Optional[str],
+        route_metric: float,
+        expires_at: float,
+    ) -> Optional[bool]:
+        """Refresh in place the record ``announcer`` already has grafted
+        under ``name``, from the fields an advertisement or update
+        carries — no record is built to say "same name, same payload".
+
+        Returns None, touching nothing, when there is no such record (a
+        new announcer, or a known one under another name): the caller
+        builds a ``NameRecord`` and takes :meth:`insert`. Otherwise the
+        record's expiry is moved to ``expires_at`` and the answer says
+        whether the payload carried new routing information (other
+        endpoints, another metric, another route) that neighbor INRs
+        must hear about; a payload field is written only when it
+        differs, and endpoints that merely arrive in another order are
+        stored in that order without counting as news. The tree epoch,
+        and with it the lookup memo, is never touched.
+
+        "Same name" is first an identity test: a name that still carries
+        the very key tuple stored at graft time *is* the grafted name
+        (or shares its key object), which is what a retained
+        advertisement or update re-sent by its owner looks like. Only a
+        name keyed elsewhere is compared by value; an equal key proves
+        it is the one already validated as concrete at graft time.
+        """
+        record = self._by_announcer.get(announcer)
+        if record is None:
+            return None
+        key = record.advertised_key
+        if name._key_cache is not key and name.canonical_key() != key:
+            return None
+        changed = False
+        if record.anycast_metric != anycast_metric:
+            record.anycast_metric = anycast_metric
+            changed = True
+        route = record.route
+        if route.next_hop != next_hop or route.metric != route_metric:
+            record.route = Route(next_hop, route_metric)
+            changed = True
+        offered = list(endpoints)
+        if record.endpoints != offered:
+            # Endpoint order carries no meaning, and a refresh almost
+            # always repeats the stored order: sort only on mismatch.
+            if sorted(record.endpoints) != sorted(offered):
+                changed = True
+            record.endpoints = offered
+        record.expires_at = expires_at
+        return changed
+
     def insert(self, name: NameSpecifier, record: NameRecord) -> InsertOutcome:
         """Graft ``name`` and attach ``record`` at its leaf value-nodes.
 
-        If this announcer is already known the existing record is
-        updated in place (a refresh), re-grafting only when the name
-        itself changed (service mobility, Section 3.2). Advertisements
-        must be concrete: wild-cards and ranges are query-only.
-
-        Refreshes take a fast path: the advertised name's canonical key
-        is stored on the record at graft time, so detecting "same name
-        again" is a key comparison, not a GET-NAME reconstruction — and
-        an equal key proves the name is the one already validated as
-        concrete at graft time, so the validation walk is skipped too.
-        A pure refresh leaves the tree epoch (and therefore the lookup
-        memo) untouched.
+        If this announcer is already known under this name, the stored
+        record is refreshed from ``record``'s fields (:meth:`refresh`,
+        the one home of that rule) and ``record`` itself is discarded;
+        under another name the old record is removed and ``record``
+        grafted in its place (service mobility, Section 3.2).
+        Advertisements must be concrete: wild-cards and ranges are
+        query-only.
         """
+        route = record.route
+        changed = self.refresh(
+            name,
+            record.announcer,
+            record.endpoints,
+            record.anycast_metric,
+            route.next_hop,
+            route.metric,
+            record.expires_at,
+        )
+        if changed is not None:
+            return InsertOutcome(
+                self._by_announcer[record.announcer], created=False, changed=changed
+            )
         key = name.canonical_key()
-        existing = self._by_announcer.get(record.announcer)
-        if existing is not None and existing.advertised_key == key:
-            record.vspace = self.vspace
-            changed = not existing.same_payload(record)
-            existing.endpoints = list(record.endpoints)
-            existing.anycast_metric = record.anycast_metric
-            existing.route = record.route
-            existing.expires_at = record.expires_at
-            return InsertOutcome(existing, created=False, changed=changed)
         name.require_concrete()
         if name.is_empty:
             raise ValueError("cannot advertise an empty name-specifier")
         record.vspace = self.vspace
+        existing = self._by_announcer.get(record.announcer)
         if existing is not None:
             self.remove(existing)
             self._graft(name, record, key)

@@ -9,7 +9,7 @@ so experiments can report utilization over a window.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from .simulator import Simulator
 
@@ -34,8 +34,9 @@ class Cpu:
         #: number of work items executed
         self.jobs_executed = 0
 
-    def execute(self, cost: float, callback: Callable[[], None]) -> float:
-        """Queue ``cost`` seconds of work; run ``callback`` on completion.
+    def execute(self, cost: float, callback: Callable[..., None], *args: Any) -> float:
+        """Queue ``cost`` seconds of work; run ``callback(*args)`` on
+        completion.
 
         Returns the virtual time at which the work completes. Work is
         serialized: it starts when the CPU is next free, never earlier
@@ -49,7 +50,7 @@ class Cpu:
         self.free_at = finish
         self.busy_seconds += scaled
         self.jobs_executed += 1
-        self._sim.at(finish, callback)
+        self._sim.at(finish, callback, *args)
         return finish
 
     def utilization(self, window_start: float, busy_at_start: float) -> float:

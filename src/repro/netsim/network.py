@@ -342,7 +342,7 @@ class Network:
             return
         cost = process.processing_cost(payload, size_bytes)
         self.delivered += 1
-        node.cpu.execute(cost, lambda: process.handle_message(payload, source))
+        node.cpu.execute(cost, process.handle_message, payload, source)
 
     def __repr__(self) -> str:
         return f"Network(nodes={len(self._nodes)}, links={len(self._links)})"

@@ -62,6 +62,7 @@ from .loadbalance import LoadMonitor
 from .neighbors import NeighborTable
 from .ports import DSR_PORT, INR_PORT
 from .protocol import (
+    BASE_OVERHEAD,
     Advertisement,
     DataPacket,
     DiscoveryRequest,
@@ -82,6 +83,10 @@ from .reliable import ReliableAck, ReliableChannel, ReliableFrame
 
 #: The probe name INR-pings carry: small, as the paper describes.
 _PING_PROBE = NameSpecifier.from_dict({"service": "inr-ping"})
+
+#: One name as an update round announces it: the next hop of the record's
+#: route (for split horizon), the update, and the update's wire size.
+_Announcement = Tuple[Optional[str], NameUpdate, int]
 
 
 @dataclass
@@ -231,6 +236,41 @@ class _PendingPing:
     purpose: str
 
 
+# CPU cost rules of the dispatch table: ``rule(costs, payload)`` is what
+# the node's CPU is charged before the handler runs. Anything not listed
+# in ``INR._DISPATCH`` costs ``costs.receive``.
+def _cost_receive(costs: CostModel, payload: object) -> float:
+    return costs.receive
+
+
+def _cost_one_name(costs: CostModel, payload: object) -> float:
+    return costs.update_batch(1)
+
+
+def _cost_per_record(costs: CostModel, payload: object) -> float:
+    # A custody handoff or delegation chunk costs what installing its
+    # names costs.
+    return costs.update_batch(len(payload.records))
+
+
+def _cost_update_batch(costs: CostModel, payload: UpdateBatch) -> float:
+    return costs.update_batch(len(payload.updates))
+
+
+def _cost_query(costs: CostModel, payload: object) -> float:
+    return costs.query
+
+
+def _cost_ping(costs: CostModel, payload: object) -> float:
+    return costs.ping
+
+
+def _cost_of_carried(costs: CostModel, frame: ReliableFrame) -> float:
+    """A reliable frame is charged for the update it carries."""
+    entry = INR._DISPATCH.get(type(frame.inner))
+    return costs.receive if entry is None else entry[1](costs, frame.inner)
+
+
 class INR(Process):
     """One Intentional Name Resolver process.
 
@@ -301,6 +341,10 @@ class INR(Process):
         self._join_rtts: Dict[str, float] = {}
         self._join_attempts = 0
         self._joining = False
+        #: Generation of the join attempt in flight; a watchdog armed
+        #: for an earlier one stands down. Survives restart().
+        self._join_epoch = 0
+        self._join_list_seen = False
         self._earlier_inrs: Tuple[str, ...] = ()
         # vspace -> resolver cache plus payloads parked on a DSR answer
         self._vspace_cache: Dict[str, str] = {}
@@ -500,25 +544,8 @@ class INR(Process):
     # CPU cost model hook
     # ------------------------------------------------------------------
     def processing_cost(self, payload: object, size_bytes: int) -> float:
-        costs = self.costs
-        if isinstance(payload, ReliableFrame):
-            payload = payload.inner  # charge for the carried update
-        if isinstance(payload, UpdateBatch):
-            return costs.update_batch(len(payload.updates))
-        if isinstance(payload, NameWithdraw):
-            return costs.receive + costs.update_per_name
-        if isinstance(payload, CustodyTransfer):
-            return costs.receive + costs.update_per_name * len(payload.records)
-        if isinstance(payload, DelegateTransfer):
-            # A handoff chunk costs what installing its names costs.
-            return costs.receive + costs.update_per_name * len(payload.records)
-        if isinstance(payload, Advertisement):
-            return costs.receive + costs.update_per_name
-        if isinstance(payload, (ResolutionRequest, DiscoveryRequest)):
-            return costs.query
-        if isinstance(payload, PingRequest):
-            return costs.ping
-        return costs.receive
+        entry = self._DISPATCH.get(type(payload))
+        return self.costs.receive if entry is None else entry[1](self.costs, payload)
 
     def _work(self, cost: float, continuation: Callable[[], None]) -> None:
         """Charge ``cost`` CPU seconds, then run ``continuation``."""
@@ -618,93 +645,73 @@ class INR(Process):
     # ------------------------------------------------------------------
     def handle_message(self, payload: object, source: str) -> None:
         if self._terminated:
-            if isinstance(payload, DataPacket):
-                self.stats.drops_terminated += 1
-                if self.tracer is not None:
-                    try:
-                        context = payload.message.trace
-                    except ValueError:
-                        context = None
-                    self._span_end(
-                        self._span_start("inr.hop", context),
-                        DROP_PREFIX + "terminated",
-                    )
+            self._drop_at_terminated(payload)
             return
         self.neighbors.heard_from(source, self.now)
-        if isinstance(payload, ReliableFrame):
-            if self._reliable is not None:
-                ack = self._reliable.on_frame(source, payload)
-                if ack is not None:
-                    self.send(source, INR_PORT, ack)
-            return
-        if isinstance(payload, ReliableAck):
-            if self._reliable is not None:
-                self._reliable.on_ack(source, payload)
-            return
-        if isinstance(payload, NameWithdraw):
-            self._handle_withdraw(payload, source)
-        elif isinstance(
-            payload,
-            (
-                DelegateOffer,
-                DelegateAccept,
-                DelegateTransfer,
-                DelegateCommit,
-                DelegateAbort,
-            ),
-        ):
-            self.delegation.on_message(payload, source)
-        elif isinstance(payload, CustodyTransfer):
-            self._handle_custody_transfer(payload)
-        elif isinstance(payload, UpdateBatch):
-            self._handle_update_batch(payload)
-        elif isinstance(payload, Advertisement):
-            self._handle_advertisement(payload, source)
-        elif isinstance(payload, DataPacket):
-            self._handle_data(payload, source)
-        elif isinstance(payload, ResolutionRequest):
-            self._handle_resolution(payload)
-        elif isinstance(payload, DiscoveryRequest):
-            self._handle_discovery(payload)
-        elif isinstance(payload, PingRequest):
-            self.send(
-                payload.reply_to,
-                payload.reply_port,
-                PingResponse(token=payload.token, responder=self.address),
-            )
-        elif isinstance(payload, PingResponse):
-            self._handle_ping_response(payload)
-        elif isinstance(payload, PeerRequest):
-            self._handle_peer_request(payload)
-        elif isinstance(payload, PeerAccept):
-            self.neighbors.heard_from(payload.accepter, self.now)
-            if payload.accepter == self._pending_peer:
-                self._pending_peer = None
-        elif isinstance(payload, PeerGoodbye):
-            self._drop_neighbor(payload.sender, rejoin=True)
-        elif isinstance(payload, DsrListResponse):
-            self._handle_dsr_list(payload)
-        elif isinstance(payload, DsrVspaceResponse):
-            self._handle_vspace_response(payload)
-        elif isinstance(payload, DsrClaimResponse):
-            self._handle_claim_response(payload)
+        entry = self._DISPATCH.get(type(payload))
+        if entry is None:
+            self._drop_unknown(payload)
         else:
-            # Terminal arm: an unrecognized payload must be counted and
-            # trace-attributed, not silently swallowed — this is how
-            # wire-format skew between resolver versions surfaces.
-            self.stats.drops_unknown_message += 1
+            entry[0](self, payload, source)
+
+    def _drop_at_terminated(self, payload: object) -> None:
+        if isinstance(payload, DataPacket):
+            self.stats.drops_terminated += 1
             if self.tracer is not None:
                 try:
-                    context = getattr(payload, "trace", None)
+                    context = payload.message.trace
                 except ValueError:
                     context = None
                 self._span_end(
-                    self._span_start(
-                        "inr.hop", context,
-                        payload_type=type(payload).__name__,
-                    ),
-                    DROP_PREFIX + "unknown-message",
+                    self._span_start("inr.hop", context),
+                    DROP_PREFIX + "terminated",
                 )
+
+    def _drop_unknown(self, payload: object) -> None:
+        # An unrecognized payload must be counted and trace-attributed,
+        # not silently swallowed — this is how wire-format skew between
+        # resolver versions surfaces.
+        self.stats.drops_unknown_message += 1
+        if self.tracer is not None:
+            try:
+                context = getattr(payload, "trace", None)
+            except ValueError:
+                context = None
+            self._span_end(
+                self._span_start(
+                    "inr.hop", context,
+                    payload_type=type(payload).__name__,
+                ),
+                DROP_PREFIX + "unknown-message",
+            )
+
+    def _handle_reliable_frame(self, frame: ReliableFrame, source: str) -> None:
+        if self._reliable is not None:
+            ack = self._reliable.on_frame(source, frame)
+            if ack is not None:
+                self.send(source, INR_PORT, ack)
+
+    def _handle_reliable_ack(self, ack: ReliableAck, source: str) -> None:
+        if self._reliable is not None:
+            self._reliable.on_ack(source, ack)
+
+    def _handle_delegation(self, payload: object, source: str) -> None:
+        self.delegation.on_message(payload, source)
+
+    def _handle_ping_request(self, request: PingRequest, source: str) -> None:
+        self.send(
+            request.reply_to,
+            request.reply_port,
+            PingResponse(token=request.token, responder=self.address),
+        )
+
+    def _handle_peer_accept(self, accept: PeerAccept, source: str) -> None:
+        self.neighbors.heard_from(accept.accepter, self.now)
+        if accept.accepter == self._pending_peer:
+            self._pending_peer = None
+
+    def _handle_peer_goodbye(self, goodbye: PeerGoodbye, source: str) -> None:
+        self._drop_neighbor(goodbye.sender, rejoin=True)
 
     # ------------------------------------------------------------------
     # Overlay self-configuration (Section 2.4)
@@ -713,7 +720,7 @@ class INR(Process):
         self._joining = True
         self._join_rtts = {}
         self._join_attempts += 1
-        self._join_epoch = getattr(self, "_join_epoch", 0) + 1
+        self._join_epoch += 1
         self._join_list_seen = False
         self.send(
             self.dsr_address,
@@ -736,7 +743,7 @@ class INR(Process):
             # keeps retrying in the background.
             self._finish_join(peer=None)
 
-    def _handle_dsr_list(self, response: DsrListResponse) -> None:
+    def _handle_dsr_list(self, response: DsrListResponse, source: str) -> None:
         if self._joining:
             self._join_list_seen = True
             others = tuple(a for a in response.active if a != self.address)
@@ -817,7 +824,7 @@ class INR(Process):
                 DsrHeartbeat(self.address, self.vspaces),
             )
 
-    def _handle_peer_request(self, request: PeerRequest) -> None:
+    def _handle_peer_request(self, request: PeerRequest, source: str) -> None:
         self.neighbors.add(request.requester, rtt=request.measured_rtt)
         self.neighbors.heard_from(request.requester, self.now)
         if self._reliable is not None:
@@ -870,7 +877,7 @@ class INR(Process):
         )
         self.send(address, INR_PORT, request)
 
-    def _handle_ping_response(self, response: PingResponse) -> None:
+    def _handle_ping_response(self, response: PingResponse, source: str) -> None:
         pending = self._pending_pings.pop(response.token, None)
         if pending is None:
             return
@@ -947,27 +954,38 @@ class INR(Process):
                 self._forward_foreign_payload(vspace, ad)
                 continue
             endpoints = ad.endpoints or (Endpoint(host=source),)
-            record = NameRecord(
-                announcer=ad.announcer,
-                endpoints=list(endpoints),
-                anycast_metric=ad.anycast_metric,
-                route=Route(next_hop=None, metric=0.0),
-                expires_at=self.now + ad.lifetime,
-            )
+            expires_at = self.now + ad.lifetime
             readmitted = False
             if self.config.partition_grace > 0:
                 existing = tree.record_for(ad.announcer)
                 readmitted = existing is not None and existing.is_expired(
                     self.now
                 )
-            outcome = tree.insert(ad.name, record)
+            # A refresh of a name already grafted for this announcer
+            # needs no record; only a new announcer or a renamed
+            # service is turned into one.
+            news = tree.refresh(
+                ad.name, ad.announcer, endpoints, ad.anycast_metric,
+                None, 0.0, expires_at,
+            )
+            if news is None:
+                news = tree.insert(
+                    ad.name,
+                    NameRecord(
+                        announcer=ad.announcer,
+                        endpoints=list(endpoints),
+                        anycast_metric=ad.anycast_metric,
+                        route=Route(next_hop=None, metric=0.0),
+                        expires_at=expires_at,
+                    ),
+                ).changed
             if readmitted:
                 # A graced record came back to life: the payload-equal
                 # fast path would suppress the triggered update, but
                 # neighbors believed the name dead — force propagation.
                 self.stats.expiry_grace_readmissions += 1
-            if outcome.changed or readmitted:
-                changed.append((vspace, ad.name, outcome.record))
+            if news or readmitted:
+                changed.append((vspace, ad.name, tree.record_for(ad.announcer)))
         if changed:
             self._send_triggered(changed, exclude=None)
             self._custody_retry()
@@ -975,11 +993,11 @@ class INR(Process):
     def _deliver_reliable(self, neighbor: str, payload: object) -> None:
         """In-order application delivery from the reliable channel."""
         if isinstance(payload, UpdateBatch):
-            self._handle_update_batch(payload)
+            self._handle_update_batch(payload, neighbor)
         elif isinstance(payload, NameWithdraw):
             self._handle_withdraw(payload, neighbor)
         elif isinstance(payload, CustodyTransfer):
-            self._handle_custody_transfer(payload)
+            self._handle_custody_transfer(payload, neighbor)
 
     def _handle_withdraw(self, withdraw: NameWithdraw, source: str) -> None:
         """Explicit name removal (reliable-delta mode)."""
@@ -1006,15 +1024,22 @@ class INR(Process):
                              vspace=vspace),
             )
 
-    def _send_control(self, neighbor_address: str, payload: object) -> None:
+    def _send_control(
+        self,
+        neighbor_address: str,
+        payload: object,
+        size_bytes: Optional[int] = None,
+    ) -> None:
         """Send a name-state message to a neighbor on the configured
-        transport (raw datagram, or the reliable channel)."""
+        transport (raw datagram, or the reliable channel, which frames
+        and sizes the payload itself). ``size_bytes`` is the payload's
+        ``wire_size()`` when the caller already knows it."""
         if self._reliable is not None:
             self._reliable.send(neighbor_address, payload)
         else:
-            self.send(neighbor_address, INR_PORT, payload)
+            self.send(neighbor_address, INR_PORT, payload, size_bytes)
 
-    def _handle_update_batch(self, batch: UpdateBatch) -> None:
+    def _handle_update_batch(self, batch: UpdateBatch, source: str) -> None:
         self.monitor.count_update_names(len(batch.updates))
         self.stats.update_names_processed += len(batch.updates)
         link_rtt = self.neighbors.rtt_to(batch.sender)
@@ -1070,53 +1095,71 @@ class INR(Process):
                 # if the metric worsened (standard distance-vector rule);
                 # from anyone else only a strictly better metric is.
                 return False
-        outcome = tree.insert(
-            update.name,
-            NameRecord(
-                announcer=update.announcer,
-                endpoints=list(update.endpoints),
-                anycast_metric=update.anycast_metric,
-                route=Route(next_hop=sender, metric=new_metric),
-                expires_at=self.now + update.lifetime,
-            ),
+        expires_at = self.now + update.lifetime
+        news = tree.refresh(
+            update.name, update.announcer, update.endpoints,
+            update.anycast_metric, sender, new_metric, expires_at,
         )
+        if news is None:
+            news = tree.insert(
+                update.name,
+                NameRecord(
+                    announcer=update.announcer,
+                    endpoints=list(update.endpoints),
+                    anycast_metric=update.anycast_metric,
+                    route=Route(next_hop=sender, metric=new_metric),
+                    expires_at=expires_at,
+                ),
+            ).changed
         if readmitted:
             self.stats.expiry_grace_readmissions += 1
-        return outcome.changed or readmitted
+        return news or readmitted
 
-    def _updates_for(
+    def _announce(
+        self, vspace: str, name: NameSpecifier, record: NameRecord
+    ) -> _Announcement:
+        """What an update round says about one name — built, and sized,
+        once per round whatever the number of neighbors it goes to."""
+        update = NameUpdate(
+            name=name,
+            announcer=record.announcer,
+            endpoints=tuple(record.endpoints),
+            anycast_metric=record.anycast_metric,
+            route_metric=record.route.metric,
+            # Reliable-delta entries are hard state: they live until
+            # withdrawn or their neighbor dies.
+            lifetime=(
+                1e12 if self._reliable is not None
+                else self.config.record_lifetime
+            ),
+            vspace=vspace,
+        )
+        return record.route.next_hop, update, update.wire_size()
+
+    def _all_entries(self) -> List[_Announcement]:
+        return [
+            self._announce(vspace, name, record)
+            for vspace, tree in self.trees.items()
+            for name, record in tree.names()
+        ]
+
+    def _batch_for(
         self,
-        entries: List[Tuple[str, NameSpecifier, NameRecord]],
+        announcements: List[_Announcement],
         neighbor_address: str,
-    ) -> List[NameUpdate]:
+        triggered: bool,
+    ) -> Tuple[UpdateBatch, int]:
+        """The batch ``neighbor_address`` is sent and its wire size
+        (``UpdateBatch.wire_size()``, summed from the sizes already
+        taken instead of re-walking the batch)."""
         updates = []
-        for vspace, name, record in entries:
-            if record.route.next_hop == neighbor_address:
-                continue  # split horizon: never echo a route to its source
-            updates.append(
-                NameUpdate(
-                    name=name,
-                    announcer=record.announcer,
-                    endpoints=tuple(record.endpoints),
-                    anycast_metric=record.anycast_metric,
-                    route_metric=record.route.metric,
-                    # Reliable-delta entries are hard state: they live
-                    # until withdrawn or their neighbor dies.
-                    lifetime=(
-                        1e12 if self._reliable is not None
-                        else self.config.record_lifetime
-                    ),
-                    vspace=vspace,
-                )
-            )
-        return updates
-
-    def _all_entries(self) -> List[Tuple[str, NameSpecifier, NameRecord]]:
-        entries = []
-        for vspace, tree in self.trees.items():
-            for name, record in tree.names():
-                entries.append((vspace, name, record))
-        return entries
+        size = BASE_OVERHEAD
+        for next_hop, update, update_size in announcements:
+            if next_hop != neighbor_address:
+                # split horizon: never echo a route to its source
+                updates.append(update)
+                size += update_size
+        return UpdateBatch(self.address, updates, triggered=triggered), size
 
     def _send_periodic_updates(self) -> None:
         if not self.active or self._terminated or not self.neighbors:
@@ -1133,14 +1176,10 @@ class INR(Process):
                 )
                 self.stats.periodic_updates_sent += 1
             return
-        entries = self._all_entries()
+        announcements = self._all_entries()
         for neighbor in self.neighbors:
-            updates = self._updates_for(entries, neighbor.address)
-            self.send(
-                neighbor.address,
-                INR_PORT,
-                UpdateBatch(self.address, updates, triggered=False),
-            )
+            batch, size = self._batch_for(announcements, neighbor.address, False)
+            self.send(neighbor.address, INR_PORT, batch, size)
             self.stats.periodic_updates_sent += 1
 
     def _send_triggered(
@@ -1148,25 +1187,19 @@ class INR(Process):
         entries: List[Tuple[str, NameSpecifier, NameRecord]],
         exclude: Optional[str],
     ) -> None:
+        announcements = [self._announce(*entry) for entry in entries]
         for neighbor in self.neighbors:
             if neighbor.address == exclude:
                 continue
-            updates = self._updates_for(entries, neighbor.address)
-            if not updates:
+            batch, size = self._batch_for(announcements, neighbor.address, True)
+            if not batch.updates:
                 continue
-            self._send_control(
-                neighbor.address,
-                UpdateBatch(self.address, updates, triggered=True),
-            )
+            self._send_control(neighbor.address, batch, size)
             self.stats.triggered_updates_sent += 1
 
     def _send_full_table(self, neighbor_address: str) -> None:
-        entries = self._all_entries()
-        updates = self._updates_for(entries, neighbor_address)
-        self._send_control(
-            neighbor_address,
-            UpdateBatch(self.address, updates, triggered=True),
-        )
+        batch, size = self._batch_for(self._all_entries(), neighbor_address, True)
+        self._send_control(neighbor_address, batch, size)
 
     def _sweep(self) -> None:
         for tree in self.trees.values():
@@ -1214,7 +1247,7 @@ class INR(Process):
             return [r for r in records if not r.is_expired(self.now)]
         return list(records)
 
-    def _handle_resolution(self, request: ResolutionRequest) -> None:
+    def _handle_resolution(self, request: ResolutionRequest, source: str) -> None:
         span = self._span_start("inr.resolve", request.trace)
         vspace = request.name.vspaces()[0]
         tree = self.trees.get(vspace)
@@ -1238,7 +1271,7 @@ class INR(Process):
         self._span_end(span)
         self._sync_memo_stats()
 
-    def _handle_discovery(self, request: DiscoveryRequest) -> None:
+    def _handle_discovery(self, request: DiscoveryRequest, source: str) -> None:
         span = self._span_start("inr.discover", request.trace)
         if request.filter.root(VSPACE_ATTRIBUTE) is not None:
             # An explicit vspace constrains the search — and may need
@@ -1648,7 +1681,9 @@ class INR(Process):
             self._span_note(span, f"handoff to {recipient}")
             self._span_end(span, "custody-transferred")
 
-    def _handle_custody_transfer(self, transfer: CustodyTransfer) -> None:
+    def _handle_custody_transfer(
+        self, transfer: CustodyTransfer, source: str
+    ) -> None:
         """Adopt payloads from a departing custodian, preserving each
         absolute deadline, then immediately re-attempt them — this
         resolver may well have the route its predecessor lacked."""
@@ -1719,7 +1754,9 @@ class INR(Process):
 
         self._work(self.costs.vspace_forward, forward)
 
-    def _handle_vspace_response(self, response: DsrVspaceResponse) -> None:
+    def _handle_vspace_response(
+        self, response: DsrVspaceResponse, source: str
+    ) -> None:
         self._tally_termination_vote(response)
         waiting = self._vspace_waiting.pop(response.vspace, [])
         if not response.resolvers:
@@ -1834,7 +1871,9 @@ class INR(Process):
             ),
         )
 
-    def _handle_claim_response(self, response: DsrClaimResponse) -> None:
+    def _handle_claim_response(
+        self, response: DsrClaimResponse, source: str
+    ) -> None:
         self._spawn_pending = False
         if not response.candidate or self.spawner is None:
             return
@@ -1885,3 +1924,32 @@ class INR(Process):
             f"INR({self.address}, vspaces={list(self.trees)}, "
             f"names={self.name_count()}, neighbors={len(self.neighbors)})"
         )
+
+    #: Message dispatch: payload type -> (handler, CPU cost rule), looked
+    #: up by ``type(payload)`` in :meth:`handle_message` and
+    #: :meth:`processing_cost`. Handlers take ``(self, payload, source)``.
+    #: A type missing here is counted in ``drops_unknown_message``.
+    _DISPATCH: Dict[type, Tuple[Callable, Callable]] = {
+        UpdateBatch: (_handle_update_batch, _cost_update_batch),
+        Advertisement: (_handle_advertisement, _cost_one_name),
+        DataPacket: (_handle_data, _cost_receive),
+        ResolutionRequest: (_handle_resolution, _cost_query),
+        DiscoveryRequest: (_handle_discovery, _cost_query),
+        NameWithdraw: (_handle_withdraw, _cost_one_name),
+        ReliableFrame: (_handle_reliable_frame, _cost_of_carried),
+        ReliableAck: (_handle_reliable_ack, _cost_receive),
+        PingRequest: (_handle_ping_request, _cost_ping),
+        PingResponse: (_handle_ping_response, _cost_receive),
+        PeerRequest: (_handle_peer_request, _cost_receive),
+        PeerAccept: (_handle_peer_accept, _cost_receive),
+        PeerGoodbye: (_handle_peer_goodbye, _cost_receive),
+        CustodyTransfer: (_handle_custody_transfer, _cost_per_record),
+        DelegateOffer: (_handle_delegation, _cost_receive),
+        DelegateAccept: (_handle_delegation, _cost_receive),
+        DelegateTransfer: (_handle_delegation, _cost_per_record),
+        DelegateCommit: (_handle_delegation, _cost_receive),
+        DelegateAbort: (_handle_delegation, _cost_receive),
+        DsrListResponse: (_handle_dsr_list, _cost_receive),
+        DsrVspaceResponse: (_handle_vspace_response, _cost_receive),
+        DsrClaimResponse: (_handle_claim_response, _cost_receive),
+    }

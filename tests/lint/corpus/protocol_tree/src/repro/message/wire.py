@@ -1,4 +1,4 @@
-"""Corpus: wire message classes, one of them never dispatched.
+"""Corpus: wire message classes; no arm or table key names Orphan.
 
 Never imported; scanned by tests/lint/test_corpus.py. Line numbers are
 asserted — append, don't reorder.
@@ -14,4 +14,8 @@ class Pong:
 
 
 class Orphan:                            # line 16: exported, undispatched
+    pass
+
+
+class Tabled:                            # a dispatch-table key; not flagged
     pass

@@ -1,13 +1,13 @@
 """Corpus: resolver stand-in for the protocol-exhaustive surfaces.
 
-Dispatches Ping (directly) and Pong (via a helper reachable from
-``handle_message``) but not Orphan; counts one drop cause with a span
-emission and one without. Never imported; scanned by
+Dispatches Ping (directly), Pong (via a reachable helper) and Tabled (a
+key of the class-level table that helper reads) but not Orphan; counts
+one drop cause with a span emission and one without. Never imported; see
 tests/lint/test_corpus.py. Line numbers are asserted — append, don't
 reorder.
 """
 
-from repro.message import Ping, Pong
+from repro.message import Ping, Pong, Tabled
 
 DROP_PREFIX = "drop:"
 
@@ -29,8 +29,13 @@ class INR:
     def _late(self, payload, source):
         if isinstance(payload, (Pong,)):
             return source
-        return None
+        return self._TABLE[type(payload)](self, payload, source)
 
     def _drop(self, source):
         self.stats.drops_no_route += 1
         return (source, DROP_PREFIX + "no-route")
+
+    def _on_tabled(self, payload, source):
+        return payload
+
+    _TABLE = {Tabled: _on_tabled}

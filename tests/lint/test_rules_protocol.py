@@ -78,7 +78,7 @@ class TestDispatchSurface:
             ("src/repro/message/wire.py", 10)
         ]
         assert "Orphan" in flagged[0].message
-        assert "no isinstance dispatch arm" in flagged[0].message
+        assert "no dispatch arm" in flagged[0].message
         # Handled is dispatched; Header is non_payload wire format.
         assert all("Handled" not in f.message for f in flagged)
 
@@ -112,6 +112,74 @@ class TestDispatchSurface:
                 def never_called(self, payload):
                     if isinstance(payload, Orphan):
                         return payload
+        """
+        flagged = findings(run_tree(tmp_path, files))
+        assert [f.line for f in flagged] == [10]
+        assert "Orphan" in flagged[0].message
+
+    def test_dispatch_table_keys_count_as_arms(self, tmp_path):
+        files = dict(WIRE)
+        files["src/repro/resolver/inr.py"] = """
+            from repro.message import Handled, Orphan
+
+
+            class INR:
+                def handle_message(self, payload, sender):
+                    entry = self._DISPATCH.get(type(payload))
+                    if entry is not None:
+                        entry[0](self, payload, sender)
+
+                def _on_handled(self, payload, sender):
+                    return payload
+
+                _DISPATCH = {
+                    Handled: (_on_handled, None),
+                    Orphan: (_on_handled, None),
+                }
+        """
+        assert findings(run_tree(tmp_path, files)) == []
+
+    def test_export_missing_from_the_table_is_flagged(self, tmp_path):
+        files = dict(WIRE)
+        files["src/repro/resolver/inr.py"] = """
+            from typing import Dict
+
+            from repro.message import Handled
+
+
+            class INR:
+                def handle_message(self, payload, sender):
+                    return self._dispatch(payload, sender)
+
+                def _dispatch(self, payload, sender):
+                    self._TABLE[type(payload)](self, payload, sender)
+
+                def _on_handled(self, payload, sender):
+                    return payload
+
+                _TABLE: Dict[type, object] = {Handled: _on_handled}
+        """
+        flagged = findings(run_tree(tmp_path, files))
+        assert [(f.path, f.line) for f in flagged] == [
+            ("src/repro/message/wire.py", 10)
+        ]
+        assert "Orphan" in flagged[0].message
+
+    def test_table_nothing_reachable_reads_does_not_count(self, tmp_path):
+        files = dict(WIRE)
+        files["src/repro/resolver/inr.py"] = """
+            from repro.message import Handled, Orphan
+
+
+            class INR:
+                def handle_message(self, payload, sender):
+                    if isinstance(payload, Handled):
+                        return payload
+
+                def never_called(self, payload):
+                    return self._UNUSED[type(payload)]
+
+                _UNUSED = {Orphan: None}
         """
         flagged = findings(run_tree(tmp_path, files))
         assert [f.line for f in flagged] == [10]

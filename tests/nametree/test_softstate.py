@@ -60,14 +60,6 @@ class TestRecordBasics:
         assert not record.is_expired(9.999)
         assert record.is_expired(10.0)
 
-    def test_same_payload_detects_differences(self):
-        base = make_record(host="h", metric=1.0)
-        twin = make_record(host="h", metric=1.0)
-        twin.endpoints = list(base.endpoints)
-        assert base.same_payload(twin)
-        twin.anycast_metric = 2.0
-        assert not base.same_payload(twin)
-
     def test_records_hash_by_identity_semantics(self):
         """Two records never compare equal unless identical objects —
         a set of records is a set of distinct announcements."""

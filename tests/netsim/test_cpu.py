@@ -50,6 +50,39 @@ class TestExecution:
         sim.run()
         assert done == [0.0]
 
+    def test_callback_arguments_fire_like_the_closure_form(self):
+        """``execute(cost, callback, *args)`` schedules what
+        ``execute(cost, lambda: callback(*args))`` schedules: the same
+        virtual time, the same place in (time, sequence) order — also
+        among equal-time jobs and events scheduled in between."""
+
+        def drive(submit):
+            sim = Simulator()
+            cpu, other = Cpu(sim), Cpu(sim, speed=2.0)
+            fired = []
+
+            def note(label, extra=None):
+                fired.append((label, extra, sim.now, sim.events_processed))
+
+            finishes = [
+                submit(cpu, 0.5, note, "a", 1),
+                submit(other, 1.0, note, "b"),       # also done at t=0.5
+                submit(cpu, 0.0, note, "c", None),   # queues behind "a"
+            ]
+            sim.at(0.5, note, "plain event")
+            finishes.append(submit(other, 0.0, note, "d"))
+            sim.run()
+            return finishes, fired
+
+        with_args = drive(lambda cpu, cost, fn, *args: cpu.execute(cost, fn, *args))
+        with_closure = drive(
+            lambda cpu, cost, fn, *args: cpu.execute(cost, lambda: fn(*args))
+        )
+        assert with_args == with_closure
+        assert [entry[0] for entry in with_args[1]] == [
+            "a", "b", "c", "plain event", "d",
+        ]
+
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             Cpu(Simulator()).execute(-0.1, lambda: None)

@@ -1,8 +1,9 @@
 """Regression: unknown payload types must not vanish uncounted.
 
-``INR.handle_message`` is an isinstance elif-chain; before the terminal
-``else`` existed, a payload type no arm recognized was silently
-swallowed — no counter, no span, invisible to traces and stats alike.
+``INR.handle_message`` looks the payload's type up in a dispatch table
+(it was an isinstance elif-chain); before the terminal arm existed, a
+payload type nothing recognized was silently swallowed — no counter,
+no span, invisible to traces and stats alike.
 """
 
 from repro.experiments import InsDomain

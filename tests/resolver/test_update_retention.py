@@ -1,16 +1,20 @@
 """The soft-state path pays for a name once per graft, not once per
 refresh: INRs hand on the name-specifier object they were given, sized
-once, and an unchanged domain's refresh rounds rebuild nothing.
+once, and an unchanged domain's refresh rounds rebuild nothing — no
+name, no record, no route, one update per name per sender, and the
+service re-sends the advertisement it sent last.
 
 Counts only — no wall clock.
 """
 
 import pytest
 
+import repro.client.service as service_module
+import repro.nametree.tree as tree_module
 import repro.resolver.inr as inr_module
 from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
-from repro.nametree import NameRecord, NameTree
+from repro.nametree import NameTree
 from repro.resolver import InrConfig
 from repro.resolver.protocol import NameUpdate
 from repro.tools import ProtocolTrace
@@ -21,10 +25,12 @@ from ..conftest import parse
 REFRESH = 5.0
 
 
-def _domain(inrs):
+def _domain(inrs, **config):
     domain = InsDomain(
         seed=1200,
-        config=InrConfig(refresh_interval=REFRESH, record_lifetime=3 * REFRESH),
+        config=InrConfig(
+            refresh_interval=REFRESH, record_lifetime=3 * REFRESH, **config
+        ),
     )
     trace = ProtocolTrace(keep_payloads=True).attach(domain.network)
     return domain, trace, [domain.add_inr(address=a) for a in inrs]
@@ -82,6 +88,156 @@ def test_unchanged_domain_second_round_rebuilds_and_serializes_nothing(monkeypat
     assert sum(inr.stats.advertisements_processed for inr in (a, b, c)) - ads_before >= 6
     assert traces == []
     assert serializations == []
+
+
+def _count_constructions(monkeypatch, module, class_name):
+    """Count what ``module`` constructs through its own binding of
+    ``class_name`` (the class itself stays usable as a dict key, in
+    ``isinstance`` tests and from every other module)."""
+    built = []
+    real = getattr(module, class_name)
+
+    def counted(*args, **kwargs):
+        instance = real(*args, **kwargs)
+        built.append(instance)
+        return instance
+
+    monkeypatch.setattr(module, class_name, counted)
+    return built
+
+
+def test_unchanged_domain_second_round_builds_one_update_per_name_per_sender(
+    monkeypatch,
+):
+    domain, trace, (a, b, c) = _domain(["inr-a", "inr-b", "inr-c"])
+    for index, inr in enumerate([a, b, c, a, b, c]):
+        _service(domain, f"[service=e[id=n{index}]][room=r{index}]", inr)
+    domain.run(REFRESH * 2.2)  # every table holds every name, refreshed once
+    assert [inr.name_count() for inr in (a, b, c)] == [6, 6, 6]
+
+    records = _count_constructions(monkeypatch, inr_module, "NameRecord")
+    routes = _count_constructions(monkeypatch, inr_module, "Route") + \
+        _count_constructions(monkeypatch, tree_module, "Route")
+    updates = _count_constructions(monkeypatch, inr_module, "NameUpdate")
+    advertisements = _count_constructions(monkeypatch, service_module, "Advertisement")
+    endpoints = _count_constructions(monkeypatch, service_module, "Endpoint") + \
+        _count_constructions(monkeypatch, inr_module, "Endpoint")
+    tables = _count_calls(monkeypatch, type(a), "_all_entries")
+    batches_before = sum(inr.stats.periodic_updates_sent for inr in (a, b, c))
+    names_before = sum(inr.stats.update_names_processed for inr in (a, b, c))
+    ads_before = sum(inr.stats.advertisements_processed for inr in (a, b, c))
+    start = domain.now
+    domain.run(REFRESH * 1.1)
+
+    # The round happened: every INR sent its table, every service refreshed.
+    batches = sum(inr.stats.periodic_updates_sent for inr in (a, b, c)) - batches_before
+    assert {id(inr) for inr in tables} == {id(a), id(b), id(c)}
+    assert sum(inr.stats.update_names_processed for inr in (a, b, c)) - names_before >= 12
+    assert sum(inr.stats.advertisements_processed for inr in (a, b, c)) - ads_before >= 6
+    # A three-node overlay has an INR with two neighbors, so there are
+    # more batches than tables — and one update per name per *table*.
+    assert batches > len(tables)
+    assert len(updates) == 6 * len(tables)
+    assert (records, routes, advertisements, endpoints) == ([], [], [], [])
+    # The batches' sizes were summed from the per-update sizes.
+    sized = [
+        event for event in trace.events
+        if event.kind == "UpdateBatch" and event.time >= start
+    ]
+    assert sized and all(e.size == e.payload.wire_size() for e in sized)
+
+
+def test_triggered_updates_are_built_once_for_all_neighbors(monkeypatch):
+    domain, trace, (a, b, c) = _domain(["inr-a", "inr-b", "inr-c"])
+    hub = max((a, b, c), key=lambda inr: len(inr.neighbors))
+    assert len(hub.neighbors) == 2
+    service = _service(domain, "[service=e[id=1]]", hub)
+    domain.run(1.0)
+    updates = _count_constructions(monkeypatch, inr_module, "NameUpdate")
+    start = domain.now
+    service.set_metric(4.0)
+    domain.run(1.0)
+    sent = [
+        event for event in trace.events
+        if event.kind == "UpdateBatch" and event.time >= start
+        and event.source == hub.address and event.payload.triggered
+    ]
+    # (the two receivers each build one more, to find nobody to tell)
+    assert len(sent) == 2
+    assert len([u for u in updates if u.route_metric == 0.0]) == 1
+    assert sent[0].payload.updates[0] is sent[1].payload.updates[0]
+    assert all(e.size == e.payload.wire_size() for e in sent)
+    for inr in (a, b, c):
+        record = inr.trees["default"].record_for(service.announcer)
+        assert record.anycast_metric == 4.0
+
+
+def test_grace_readmitted_name_still_triggers_an_update(monkeypatch):
+    """A refresh that revives a graced (expired, not yet collected)
+    record is payload-equal, so the refresh entry point reports no news;
+    neighbors believed the name dead and must hear about it anyway."""
+    domain, trace, (a, b) = _domain(["inr-a", "inr-b"], partition_grace=2 * REFRESH)
+    service = _service(domain, "[service=graced[id=1]]", a)
+    domain.run(1.0)
+    domain.network.partition([service.address], [a.address])
+    domain.run(3 * REFRESH + 1.0)   # past the lifetime, inside the grace
+    record = a.trees["default"].record_for(service.announcer)
+    assert record is not None and record.is_expired(domain.now)
+    domain.network.heal([service.address], [a.address])
+    start = domain.now
+    domain.run(REFRESH * 1.2)
+    assert a.stats.expiry_grace_readmissions == 1
+    assert a.trees["default"].record_for(service.announcer) is record
+    triggered = [
+        update.announcer
+        for event in trace.between("inr-a", "inr-b")
+        if event.kind == "UpdateBatch" and event.time >= start
+        and event.payload.triggered
+        for update in event.payload.updates
+    ]
+    assert triggered == [service.announcer]
+
+
+def test_duplicated_and_reordered_refreshes_leave_the_trees_as_they_were():
+    """The advertisement a service re-sends and the name-specifiers in
+    updates are shared by reference between sender, receiver and
+    datagrams in flight; a copy delivered twice, or late, must find
+    nothing to change."""
+    domain, trace, (a, b) = _domain(["inr-a", "inr-b"])
+    services = [
+        _service(domain, f"[service=e[id=n{index}]]", inr)
+        for index, inr in enumerate([a, b, a, b])
+    ]
+    domain.run(REFRESH * 2.2)
+
+    def state(inr):
+        tree = inr.trees["default"]
+        return tree.epoch, {
+            record.announcer: (
+                tree.get_name(record), list(record.endpoints),
+                record.anycast_metric, record.route,
+            )
+            for record in tree.records()
+        }
+
+    before = {inr.address: state(inr) for inr in (a, b)}
+    triggered_before = sum(inr.stats.triggered_updates_sent for inr in (a, b))
+    pairs = [("inr-a", "inr-b")] + [
+        (service.address, service.resolver) for service in services
+    ]
+    for one, other in pairs:
+        domain.network.configure_link(
+            one, other, duplicate_rate=0.5, reorder_rate=0.4, reorder_delay=0.5
+        )
+    domain.run(REFRESH * 4.4)
+    links = [domain.network.link(one, other) for one, other in pairs]
+    assert sum(link.stats.duplicates for link in links) >= 4
+    assert sum(link.stats.reorders for link in links) >= 4
+    assert {inr.address: state(inr) for inr in (a, b)} == before
+    assert sum(inr.stats.triggered_updates_sent for inr in (a, b)) == triggered_before
+    for inr in (a, b):
+        for record in inr.trees["default"].records():
+            assert not record.is_expired(domain.now)
 
 
 def test_updates_share_the_advertised_object_across_the_domain():
@@ -180,11 +336,7 @@ def test_rejected_updates_build_no_record(monkeypatch, rejected_by):
         lifetime=15.0,
         vspace="default",
     )
-    built = []
-    monkeypatch.setattr(
-        inr_module, "NameRecord",
-        lambda **fields: built.append(fields) or NameRecord(**fields),
-    )
+    built = _count_constructions(monkeypatch, inr_module, "NameRecord")
     assert holder._apply_update(tree, update, "inr-elsewhere", 0.0) is False
     assert built == []
     assert tree.record_for(service.announcer) is existing
