@@ -2,6 +2,7 @@
 
     python3 benchmarks/ab_pairs.py <parent-ref> --workload steady-mix \\
         [--pairs 10] [--seed 1]
+    python3 benchmarks/ab_pairs.py <parent-ref> --workload all
 
 The protocol of the choosing-metrics guide, section 8, as one command:
 the parent commit is exported (``git archive``) into a temporary
@@ -22,8 +23,11 @@ change won, and a verdict:
                  run of the parent;
 - ``ok``         otherwise.
 
-The last line of standard output is one JSON object holding every run.
-This is a measuring tool for the PR author; nothing in CI gates on it.
+Each workload's table is followed by one line holding a JSON object
+with every run. ``--workload all`` measures every workload that
+``BENCHMARK.json`` declares, one after the other, against one export of
+the parent. This is a measuring tool for the PR author; nothing in CI
+gates on it.
 """
 
 from __future__ import annotations
@@ -111,34 +115,24 @@ def verdict(parent: List[float], change: List[float], higher_is_better: bool,
     }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="git ref of the parent commit")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+def measure(sides: Dict[str, Path], workload: str, args, contract: dict) -> None:
+    """Run the pairs of one workload; print its table and its JSON line."""
     seconds = contract["run_seconds"]
     declared = {metric["name"]: metric for metric in contract["end_to_end"]}
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab-pairs-") as scratch:
-        parent_root = Path(scratch) / "parent"
-        export(args.parent, parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(sides[side], args.workload, args.seed, seconds))
-            print(
-                f"pair {pair + 1}/{args.pairs} ({order[0]} first): " + "  ".join(
-                    f"{name} {runs['parent'][-1][name]:.4g}->{runs['change'][-1][name]:.4g}"
-                    for name in declared
-                ),
-                file=sys.stderr,
-            )
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(sides[side], workload, args.seed, seconds))
+        print(
+            f"{workload} pair {pair + 1}/{args.pairs} ({order[0]} first): " + "  ".join(
+                f"{name} {runs['parent'][-1][name]:.4g}->{runs['change'][-1][name]:.4g}"
+                for name in declared
+            ),
+            file=sys.stderr,
+        )
     print(
-        f"{args.workload}  seed {args.seed}  {seconds:g} s  {args.pairs} alternating "
+        f"{workload}  seed {args.seed}  {seconds:g} s  {args.pairs} alternating "
         f"pairs  parent {args.parent}"
     )
     print(
@@ -159,9 +153,26 @@ def main() -> int:
             f"{row['ratio']:>7.3f} {row['wins']:>3}/{row['pairs']:<2}  {row['verdict']}"
         )
     print(json.dumps({
-        "workload": args.workload, "seed": args.seed, "seconds": seconds,
+        "workload": workload, "seed": args.seed, "seconds": seconds,
         "parent_ref": args.parent, "runs": runs, "verdicts": verdicts,
-    }))
+    }), flush=True)
+
+
+def main() -> int:
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = [workload["name"] for workload in contract["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="git ref of the parent commit")
+    parser.add_argument("--workload", required=True, choices=declared + ["all"])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="ab-pairs-") as scratch:
+        parent_root = Path(scratch) / "parent"
+        export(args.parent, parent_root)
+        sides = {"parent": parent_root, "change": ROOT}
+        for workload in declared if args.workload == "all" else [args.workload]:
+            measure(sides, workload, args, contract)
     return 0
 
 

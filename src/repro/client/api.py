@@ -375,15 +375,18 @@ class InsClient(Process):
                 f"attempt {pending.attempts} -> {self.resolver}",
             )
         self.send(self.resolver, INR_PORT, pending.request)
-        timeout = min(
-            policy.request_timeout * policy.backoff_factor ** pending.timeouts,
-            policy.backoff_max,
-        )
-        if pending.timeouts > 0 and policy.jitter_fraction > 0.0:
-            # Jitter only the backed-off waits: synchronized clients must
-            # not hammer a recovering resolver in lockstep, but the happy
-            # path should not consume RNG draws.
-            timeout *= 1.0 + policy.jitter_fraction * self.sim.rng.random()
+        if pending.timeouts == 0:
+            # The happy path: no backoff power to raise, no RNG draw.
+            timeout = min(policy.request_timeout, policy.backoff_max)
+        else:
+            timeout = min(
+                policy.request_timeout * policy.backoff_factor ** pending.timeouts,
+                policy.backoff_max,
+            )
+            if policy.jitter_fraction > 0.0:
+                # Jitter only the backed-off waits: synchronized clients
+                # must not hammer a recovering resolver in lockstep.
+                timeout *= 1.0 + policy.jitter_fraction * self.sim.rng.random()
         remaining = pending.started_at + policy.deadline - self.now
         timeout = min(timeout, max(remaining, 1e-3))
         pending.timer = self.set_timer(

@@ -53,6 +53,24 @@ class Cpu:
         self._sim.at(finish, callback, *args)
         return finish
 
+    def execute_last(self, cost: float, callback: Callable[..., None], *args: Any) -> float:
+        """:meth:`execute` for a caller in tail position — one with
+        nothing left to do once the work is queued.
+
+        Free work on an idle CPU completes at this very instant; when
+        the simulator has nothing else due, scheduling the callback
+        would only pop it straight back, so it is fired in place — still
+        one job and one event. Anything else is :meth:`execute`.
+        """
+        sim = self._sim
+        now = sim.now
+        if cost == 0 and self.free_at <= now and sim.nothing_else_due():
+            self.free_at = now
+            self.jobs_executed += 1
+            sim.fire(callback, *args)
+            return now
+        return self.execute(cost, callback, *args)
+
     def utilization(self, window_start: float, busy_at_start: float) -> float:
         """Fraction of the window since ``window_start`` spent busy.
 

@@ -11,7 +11,7 @@ and demultiplexes messages to processes by port.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .cpu import Cpu
 from .simulator import Simulator
@@ -148,9 +148,12 @@ class Network:
         self.default_loss_rate = default_loss_rate
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        #: per-direction last-arrival times enforcing link FIFO order:
-        #: a small datagram must not overtake a large one sent earlier.
-        self._last_arrival: Dict[Tuple[str, str], float] = {}
+        #: (source, destination) -> [link, last arrival]: what one send
+        #: needs, found in one probe. The arrival time enforces FIFO
+        #: order per direction (a small datagram must not overtake a
+        #: large one sent earlier). Links are only ever mutated in
+        #: place, so a record filled on first use never goes stale.
+        self._paths: Dict[Tuple[str, str], List[Any]] = {}
         #: datagrams addressed to hosts that do not exist (e.g. a node
         #: that moved away); they vanish silently like real UDP.
         self.undeliverable = 0
@@ -206,8 +209,13 @@ class Network:
     ) -> Link:
         """Create or update the link between ``a`` and ``b``."""
         # Updates bypass Link.__init__, so validate up front (before any
-        # mutation): a rate of 1.0 would turn the RNG draw into an
-        # unconditional branch.
+        # mutation): a zero bandwidth would divide by zero in the next
+        # send, a negative latency be clamped away by the FIFO rule, and
+        # a rate of 1.0 turn the RNG draw into an unconditional branch.
+        if latency is not None and latency < 0:
+            raise ValueError(f"latency must be non-negative, got {latency}")
+        if bandwidth_bps is not None and bandwidth_bps <= 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         for label, rate in (("loss", loss_rate), ("duplicate", duplicate_rate),
                             ("reorder", reorder_rate)):
             if rate is not None and not 0.0 <= rate < 1.0:
@@ -288,38 +296,42 @@ class Network:
                 0.0, self._deliver, destination, port, payload, source, size_bytes
             )
             return
-        link = self.link(source, destination)
-        link.stats.messages += 1
-        link.stats.bytes += size_bytes
+        path = self._paths.get((source, destination))
+        if path is None:
+            path = self._paths[(source, destination)] = [
+                self.link(source, destination), 0.0
+            ]
+        link = path[0]
+        stats = link.stats
+        stats.messages += 1
+        stats.bytes += size_bytes
         if not link.up:
-            link.stats.drops += 1
+            stats.drops += 1
             return
-        if link.loss_rate > 0 and self.sim.rng.random() < link.loss_rate:
-            link.stats.drops += 1
+        sim = self.sim
+        if link.loss_rate > 0 and sim.rng.random() < link.loss_rate:
+            stats.drops += 1
             return
-        delay = link.transfer_delay(size_bytes)
-        direction = (source, destination)
-        if link.reorder_rate > 0 and self.sim.rng.random() < link.reorder_rate:
+        arrival = sim.now + link.transfer_delay(size_bytes)
+        if link.reorder_rate > 0 and sim.rng.random() < link.reorder_rate:
             # Reordering: hold this datagram back without advancing the
             # direction's FIFO clamp, so traffic sent later overtakes it.
-            link.stats.reorders += 1
-            held = self.sim.now + delay + self.sim.rng.uniform(0.0, link.reorder_delay)
-            self.sim.at(
-                held, self._deliver, destination, port, payload, source, size_bytes
-            )
+            stats.reorders += 1
+            held = arrival + sim.rng.uniform(0.0, link.reorder_delay)
+            sim.at(held, self._deliver, destination, port, payload, source, size_bytes)
             return
         # FIFO per direction: arrival times on one path never decrease,
         # so a short datagram cannot overtake a long one sent earlier.
-        arrival = max(self.sim.now + delay, self._last_arrival.get(direction, 0.0))
-        self._last_arrival[direction] = arrival
-        self.sim.at(
-            arrival, self._deliver, destination, port, payload, source, size_bytes
-        )
-        if link.duplicate_rate > 0 and self.sim.rng.random() < link.duplicate_rate:
+        if arrival < path[1]:
+            arrival = path[1]
+        else:
+            path[1] = arrival
+        sim.at(arrival, self._deliver, destination, port, payload, source, size_bytes)
+        if link.duplicate_rate > 0 and sim.rng.random() < link.duplicate_rate:
             # Duplication: a second copy arrives one transmission later,
             # as if a link-layer retransmission fired despite delivery.
-            link.stats.duplicates += 1
-            self.sim.at(
+            stats.duplicates += 1
+            sim.at(
                 arrival + link.transfer_delay(size_bytes) - link.latency,
                 self._deliver, destination, port, payload, source, size_bytes,
             )
@@ -342,7 +354,8 @@ class Network:
             return
         cost = process.processing_cost(payload, size_bytes)
         self.delivered += 1
-        node.cpu.execute(cost, process.handle_message, payload, source)
+        # Nothing follows: the handler may run in place (see execute_last).
+        node.cpu.execute_last(cost, process.handle_message, payload, source)
 
     def __repr__(self) -> str:
         return f"Network(nodes={len(self._nodes)}, links={len(self._links)})"

@@ -83,6 +83,9 @@ class Process:
     def __init__(self, node: Node, port: int) -> None:
         self.node = node
         self.port = port
+        #: a node never changes network, nor a network its simulator
+        self.network: Network = node.network
+        self.sim: Simulator = node.network.sim
         node.bind(port, self)
         self._timers: list = []
         self._timers_sweep_at = _TIMER_SWEEP_FLOOR
@@ -90,14 +93,6 @@ class Process:
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
-    @property
-    def network(self) -> Network:
-        return self.node.network
-
-    @property
-    def sim(self) -> Simulator:
-        return self.node.network.sim
-
     @property
     def address(self) -> str:
         """The node's current network address (may change on mobility)."""
@@ -162,7 +157,10 @@ class Process:
     # ------------------------------------------------------------------
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """One-shot timer; returns the cancellable event."""
-        event = self.sim.schedule(delay, callback, *args)
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        sim = self.sim
+        event = sim.at(sim.now + delay, callback, *args)
         timers = self._timers
         timers.append(event)
         if len(timers) >= self._timers_sweep_at:
@@ -172,7 +170,7 @@ class Process:
             # timeout per op adds up. Sweeping each time the list has
             # doubled is amortized O(1) per timer and bounds the list
             # at twice the live timers.
-            now = self.sim.now
+            now = sim.now
             timers[:] = [
                 timer for timer in timers
                 if isinstance(timer, PeriodicTimer)

@@ -14,6 +14,10 @@ import random
 from typing import Any, Callable, List, Optional, Tuple
 
 
+#: ``Simulator._budget_end`` while no ``run(max_events=...)`` is in progress
+_NO_BUDGET = float("inf")
+
+
 class Event:
     """A scheduled callback; cancellable until it fires.
 
@@ -61,6 +65,9 @@ class Simulator:
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._events_processed = 0
+        #: ``events_processed`` value at which a ``run(max_events=...)``
+        #: in progress must return; in-place firings count against it.
+        self._budget_end = _NO_BUDGET
         #: Optional profiling hook, called with each Event just before
         #: it fires (``repro.obs`` installs one to count events per
         #: callback). None costs a single comparison per event.
@@ -87,10 +94,43 @@ class Simulator:
         return event
 
     # ------------------------------------------------------------------
+    # Firing in place
+    # ------------------------------------------------------------------
+    def nothing_else_due(self) -> bool:
+        """True when a callback scheduled for the current instant would
+        be the very next entry popped.
+
+        An entry pushed now gets the highest sequence number, so every
+        queued entry due at this instant — live or cancelled — goes
+        first; if the head of the heap is later than ``now`` there is
+        none, and a caller in tail position may :meth:`fire` the
+        callback in place with the same ``(time, sequence)`` firing
+        order as scheduling it. An exhausted ``run(max_events=...)``
+        budget also answers False: the callback belongs to a later run.
+        """
+        queue = self._queue
+        return (
+            (not queue or queue[0][0] > self.now)
+            and self._events_processed < self._budget_end
+        )
+
+    def fire(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` now, counted and profiled as the
+        fired event it stands for — sequence number included, so every
+        later entry is keyed exactly as if this one had been scheduled.
+        Only valid in tail position while :meth:`nothing_else_due` holds."""
+        sequence = next(self._sequence)
+        self._events_processed += 1
+        if self.event_hook is not None:
+            self.event_hook(Event(self.now, sequence, callback, args))
+        callback(*args)
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the next pending event; False when the queue is empty."""
+        """Fire the next pending event (and whatever it fires in place);
+        False when the queue is empty."""
         while self._queue:
             event = heapq.heappop(self._queue)[2]
             if event.cancelled:
@@ -122,35 +162,42 @@ class Simulator:
         """
         queue = self._queue
         pop = heapq.heappop
-        fired = 0
-        while queue:
-            batch_time, _, head = queue[0]
-            if head.cancelled:
-                pop(queue)
-                continue
-            if until is not None and batch_time > until:
-                break
-            # Fire the whole same-timestamp batch in one inner loop: the
-            # clock is assigned once per distinct time and each event
-            # costs one heappop, not a step() call with its own re-peek.
-            # Callbacks that schedule new events at this same timestamp
-            # enqueue them with later sequence numbers, so the batch
-            # picks them up in deterministic (time, sequence) order.
-            self.now = batch_time
-            # Exact equality is the batching criterion: only events whose
-            # float timestamp is bit-identical share a clock assignment; a
-            # near-equal time is a later instant and starts its own batch.
-            while queue and queue[0][0] == batch_time:  # lint: disable=no-float-time-eq -- identity batching, not a tolerance comparison
-                if max_events is not None and fired >= max_events:
-                    return
-                event = pop(queue)[2]
-                if event.cancelled:
+        # The budget lives on the simulator, not in a local: a callback
+        # fired in place inside another is an event of this run too.
+        self._budget_end = budget_end = (
+            _NO_BUDGET if max_events is None
+            else self._events_processed + max_events
+        )
+        try:
+            while queue:
+                batch_time, _, head = queue[0]
+                if head.cancelled:
+                    pop(queue)
                     continue
-                self._events_processed += 1
-                fired += 1
-                if self.event_hook is not None:
-                    self.event_hook(event)
-                event.callback(*event.args)
+                if until is not None and batch_time > until:
+                    break
+                # Fire the whole same-timestamp batch in one inner loop: the
+                # clock is assigned once per distinct time and each event
+                # costs one heappop, not a step() call with its own re-peek.
+                # Callbacks that schedule new events at this same timestamp
+                # enqueue them with later sequence numbers, so the batch
+                # picks them up in deterministic (time, sequence) order.
+                self.now = batch_time
+                # Exact equality is the batching criterion: only events whose
+                # float timestamp is bit-identical share a clock assignment; a
+                # near-equal time is a later instant and starts its own batch.
+                while queue and queue[0][0] == batch_time:  # lint: disable=no-float-time-eq -- identity batching, not a tolerance comparison
+                    if self._events_processed >= budget_end:
+                        return
+                    event = pop(queue)[2]
+                    if event.cancelled:
+                        continue
+                    self._events_processed += 1
+                    if self.event_hook is not None:
+                        self.event_hook(event)
+                    event.callback(*event.args)
+        finally:
+            self._budget_end = _NO_BUDGET
         if until is not None:
             self.now = max(self.now, until)
 

@@ -204,7 +204,7 @@ class DelegationCoordinator:
         inr = self.inr
         for vspace, recipient in delegated:
             self.delegated_away[vspace] = recipient
-            inr.trees.pop(vspace, None)
+            inr.drop_tree(vspace)
             inr._vspace_cache[vspace] = recipient
         for vspace, donor, handoff_id in adopted:
             self.adopted[vspace] = donor
@@ -383,7 +383,7 @@ class DelegationCoordinator:
         re-registration that removes it from the DSR's map."""
         inr = self.inr
         self.donor = None
-        inr.trees.pop(handoff.vspace, None)
+        inr.drop_tree(handoff.vspace)
         self.delegated_away[handoff.vspace] = handoff.recipient
         if len(inr._vspace_cache) >= inr.config.vspace_cache_size:
             inr._vspace_cache.pop(next(iter(inr._vspace_cache)))
@@ -763,7 +763,7 @@ class DelegationCoordinator:
         if self.adopted.get(vspace) == donor:
             self.adopted.pop(vspace, None)
             self._adopted_ids.pop(vspace, None)
-            inr.trees.pop(vspace, None)
+            inr.drop_tree(vspace)
             inr._register()
             inr.stats.delegation_rollbacks += 1
             if handoff_id in self._settled:

@@ -17,8 +17,8 @@ update-overloaded delegates a virtual space to a freshly spawned INR.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import InitVar, dataclass, field, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..dtn import (
     PRIORITY_KNOWN_NAME,
@@ -89,6 +89,11 @@ _PING_PROBE = NameSpecifier.from_dict({"service": "inr-ping"})
 _Announcement = Tuple[Optional[str], NameUpdate, int]
 
 
+#: ``NameTree`` memo counters, in snapshot order; ``InrStats`` reads each
+#: through as ``lookup_<counter>``.
+_MEMO_COUNTERS = ("memo_hits", "memo_misses", "memo_invalidations")
+
+
 @dataclass
 class InrStats:
     """Operation counters exposed for experiments and tests.
@@ -98,7 +103,16 @@ class InrStats:
     flushed before refreshes re-installed them, while
     ``drops_expired_record`` means soft state aged out faster than the
     service refreshed. ``packets_dropped`` stays available as the sum.
+
+    The LOOKUP-NAME memo counters are not stored here: they are summed,
+    at the moment they are read, over the trees ``memo_trees()`` yields
+    (the INR passes its name-trees plus the packet cache's index), so
+    they can never lag a lookup that some early return skipped past.
+    A tree the INR lets go of (a delegated vspace) is retired
+    first (:meth:`retire`), so the counters never run backwards either.
     """
+
+    memo_trees: InitVar[Callable[[], Iterable[NameTree]]]
 
     lookups: int = 0
     update_names_processed: int = 0
@@ -127,13 +141,6 @@ class InrStats:
     #: payload type no dispatch arm recognizes (wire-format skew or a
     #: message class added without a handler)
     drops_unknown_message: int = 0
-
-    #: --- LOOKUP-NAME memo (resolution fast path) ---------------------
-    #: Aggregated over every name-tree this INR routes plus the packet
-    #: cache's index tree; refreshed after each lookup-serving path.
-    lookup_memo_hits: int = 0
-    lookup_memo_misses: int = 0
-    lookup_memo_invalidations: int = 0
 
     #: --- Admission control (overload shedding) -----------------------
     #: periodic refreshes (non-triggered batches/ads) shed at the door
@@ -183,6 +190,35 @@ class InrStats:
     #: control-plane drops, deliberately not in ``packets_dropped``
     delegate_stale_dropped: int = 0
 
+    def __post_init__(self, memo_trees) -> None:
+        self._memo_trees = memo_trees
+        #: what retired trees had counted
+        self._memo_retired = dict.fromkeys(_MEMO_COUNTERS, 0)
+
+    # --- LOOKUP-NAME memo (resolution fast path), read through ----------
+    def _memo_total(self, counter: str) -> int:
+        return self._memo_retired[counter] + sum(
+            getattr(tree, counter) for tree in self._memo_trees()
+        )
+
+    def retire(self, tree: NameTree) -> None:
+        """Keep the memo counts of a tree ``memo_trees()`` is about to
+        stop yielding."""
+        for counter in _MEMO_COUNTERS:
+            self._memo_retired[counter] += getattr(tree, counter)
+
+    @property
+    def lookup_memo_hits(self) -> int:
+        return self._memo_total("memo_hits")
+
+    @property
+    def lookup_memo_misses(self) -> int:
+        return self._memo_total("memo_misses")
+
+    @property
+    def lookup_memo_invalidations(self) -> int:
+        return self._memo_total("memo_invalidations")
+
     @property
     def packets_dropped(self) -> int:
         """Total packets dropped, across every cause."""
@@ -221,9 +257,14 @@ class InrStats:
         """Every counter in declaration order, plus the derived sum and
         the per-cause drop breakdown — the uniform shape the metrics
         registry ingests and artifacts embed."""
-        out: Dict[str, object] = {
-            f.name: getattr(self, f.name) for f in fields(self)
-        }
+        out: Dict[str, object] = {}
+        for f in fields(self):
+            if f.name == "shed_periodic":
+                # the memo counters sit between the drop causes and the
+                # admission block, where they were fields
+                for counter in _MEMO_COUNTERS:
+                    out["lookup_" + counter] = self._memo_total(counter)
+            out[f.name] = getattr(self, f.name)
         out["packets_dropped"] = self.packets_dropped
         out["drops_by_cause"] = self.drops_by_cause()
         return out
@@ -304,7 +345,7 @@ class INR(Process):
         self.trees: Dict[str, NameTree] = {v: NameTree(vspace=v) for v in vspaces}
         self.neighbors = NeighborTable()
         self.monitor = LoadMonitor(ewma_alpha=self.config.load_ewma_alpha)
-        self.stats = InrStats()
+        self.stats = InrStats(self._memo_trees)
         #: Two-phase vspace handoff state machines (PROTOCOL.md §11).
         self.delegation = DelegationCoordinator(self)
         #: Finalized delegation facts preserved across a crash, like
@@ -460,7 +501,7 @@ class INR(Process):
         self.monitor = LoadMonitor(
             now=self.now, ewma_alpha=self.config.load_ewma_alpha
         )
-        self.stats = InrStats()
+        self.stats = InrStats(self._memo_trees)
         self._last_load_action = float("-inf")
         self._overload_lookup_streak = 0
         self._overload_update_streak = 0
@@ -551,19 +592,20 @@ class INR(Process):
         """Charge ``cost`` CPU seconds, then run ``continuation``."""
         self.node.cpu.execute(cost, continuation)
 
-    def _sync_memo_stats(self) -> None:
-        """Mirror the per-tree LOOKUP-NAME memo counters into InrStats."""
-        hits = misses = invalidations = 0
+    def _memo_trees(self) -> List[NameTree]:
+        """Every tree whose LOOKUP-NAME memo serves this resolver: what
+        ``InrStats.lookup_memo_*`` sum over."""
         trees = list(self.trees.values())
         if self.cache is not None:
             trees.append(self.cache.index)
-        for tree in trees:
-            hits += tree.memo_hits
-            misses += tree.memo_misses
-            invalidations += tree.memo_invalidations
-        self.stats.lookup_memo_hits = hits
-        self.stats.lookup_memo_misses = misses
-        self.stats.lookup_memo_invalidations = invalidations
+        return trees
+
+    def drop_tree(self, vspace: str) -> None:
+        """Stop routing ``vspace`` (delegated away, or an adoption
+        rolled back); what its memo counted stays in the stats."""
+        tree = self.trees.pop(vspace, None)
+        if tree is not None:
+            self.stats.retire(tree)
 
     # ------------------------------------------------------------------
     # Tracing hooks (repro.obs)
@@ -1262,14 +1304,14 @@ class INR(Process):
         for record in self._query_records(tree, request.name):
             for endpoint in record.endpoints:
                 bindings.append((endpoint, record.anycast_metric))
-        bindings.sort(key=lambda pair: (pair[1], pair[0]))
+        if len(bindings) > 1:
+            bindings.sort(key=lambda pair: (pair[1], pair[0]))
         self.send(
             request.reply_to,
             request.reply_port,
             ResolutionResponse(request_id=request.request_id, bindings=bindings),
         )
         self._span_end(span)
-        self._sync_memo_stats()
 
     def _handle_discovery(self, request: DiscoveryRequest, source: str) -> None:
         span = self._span_start("inr.discover", request.trace)
@@ -1305,7 +1347,6 @@ class INR(Process):
             DiscoveryResponse(request_id=request.request_id, names=names),
         )
         self._span_end(span)
-        self._sync_memo_stats()
 
     # ------------------------------------------------------------------
     # The forwarding agent: late binding (Section 2.3)
@@ -1387,7 +1428,6 @@ class INR(Process):
             self._route_multicast(
                 tree, packet, records, arrived_from=source, span=span
             )
-        self._sync_memo_stats()
 
     def _answer_early_binding(
         self, tree: NameTree, message: InsMessage, span=None
@@ -1915,7 +1955,7 @@ class INR(Process):
             for name, record in tree.names()
         ]
         self.send(candidate, INR_PORT, UpdateBatch(self.address, updates, triggered=True))
-        del self.trees[vspace]
+        self.drop_tree(vspace)
         self._vspace_cache[vspace] = candidate
         self._register()  # refresh the DSR's view of our vspaces
 

@@ -86,10 +86,49 @@ class TestExecution:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             Cpu(Simulator()).execute(-0.1, lambda: None)
+        with pytest.raises(ValueError):
+            Cpu(Simulator()).execute_last(-0.1, lambda: None)
 
     def test_invalid_speed_rejected(self):
         with pytest.raises(ValueError):
             Cpu(Simulator(), speed=0.0)
+
+
+class TestExecuteLast:
+    """``execute_last`` is ``execute`` for a caller in tail position."""
+
+    def test_free_work_on_an_idle_cpu_with_nothing_due_runs_in_place(self):
+        sim = Simulator()
+        cpu = Cpu(sim)
+        sim.at(2.0, lambda: None)  # later: not in the way
+        sim.run(until=1.0)
+        done = []
+        pending = sim.pending_events
+        assert cpu.execute_last(0.0, done.append, "ran") == 1.0
+        assert done == ["ran"]
+        assert sim.pending_events == pending
+        # ... and is still one job and one event
+        assert (cpu.jobs_executed, cpu.free_at, cpu.busy_seconds) == (1, 1.0, 0.0)
+        assert sim.events_processed == 1
+
+    @pytest.mark.parametrize("why", ["costs time", "cpu busy", "something due"])
+    def test_anything_else_is_execute(self, why):
+        def drive(submit_name):
+            sim = Simulator()
+            cpu = Cpu(sim)
+            fired = []
+            if why == "cpu busy":
+                cpu.execute(0.5, fired.append, "earlier job")
+            if why == "something due":
+                sim.at(0.0, fired.append, "already due")
+            cost = 0.25 if why == "costs time" else 0.0
+            finish = getattr(cpu, submit_name)(cost, fired.append, "the job")
+            queued = (list(fired), sim.pending_events)
+            sim.run()
+            return finish, queued, fired, cpu.jobs_executed, cpu.free_at, sim.now
+
+        assert drive("execute_last") == drive("execute")
+        assert "the job" not in drive("execute_last")[1][0]
 
 
 class TestAccounting:

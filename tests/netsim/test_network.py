@@ -145,9 +145,48 @@ class TestTopologyManagement:
         assert link.latency == 0.5
         assert link.bandwidth_bps == 42.0
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["create", "update"])
+    @pytest.mark.parametrize("kwargs", [
+        dict(bandwidth_bps=0), dict(bandwidth_bps=-1e6), dict(latency=-1.0),
+        dict(latency=-1.0, bandwidth_bps=2e6),
+    ])
+    def test_configure_link_rejects_bad_latency_and_bandwidth(self, existing, kwargs):
+        """An update bypasses Link.__init__; a zero bandwidth accepted
+        there would only surface as a ZeroDivisionError in a later send,
+        a negative latency as a datagram that arrives when it is sent."""
+        sim, network, a, b, recorder = build()
+        if existing:
+            network.configure_link("a", "b", latency=0.25, bandwidth_bps=5e5)
+        with pytest.raises(ValueError):
+            network.configure_link("a", "b", **kwargs)
+        # Rejected before any mutation, and the link still carries traffic.
+        link = network.link("a", "b")
+        expected = (0.25, 5e5) if existing else (
+            network.default_latency, network.default_bandwidth_bps
+        )
+        assert (link.latency, link.bandwidth_bps) == expected
+        network.send("a", "b", 100, "still works", 100)
+        sim.run()
+        assert recorder.received[0][2] == pytest.approx(link.transfer_delay(100))
+
     def test_link_is_symmetric(self):
         _, network, *_ = build()
         assert network.link("a", "b") is network.link("b", "a")
+
+    def test_a_link_reconfigured_after_traffic_is_the_link_sends_use(self):
+        """The per-direction path record holds the link object itself,
+        and links are only ever mutated in place."""
+        sim, network, a, b, recorder = build()
+        network.send("a", "b", 100, "first", 100)
+        sim.run()
+        link = network.configure_link("a", "b", latency=0.5)
+        network.send("a", "b", 100, "second", 100)
+        network.partition(["a"], ["b"])
+        network.send("a", "b", 100, "cut", 100)
+        sim.run()
+        first, second = recorder.received
+        assert second[2] - first[2] == pytest.approx(0.5 + 800 / link.bandwidth_bps)
+        assert link.stats.messages == 3 and link.stats.drops == 1
 
     def test_rename_node_moves_identity(self):
         sim, network, a, b, recorder = build()

@@ -111,6 +111,50 @@ class TestBoundedRuns:
         assert sim.events_processed == 5
 
 
+class TestFiringInPlace:
+    """``nothing_else_due`` is the whole test; ``fire`` the whole effect."""
+
+    def test_nothing_is_due_on_an_empty_or_later_heap(self):
+        sim = Simulator()
+        assert sim.nothing_else_due()
+        sim.at(1.0, lambda: None)
+        assert sim.nothing_else_due()
+
+    def test_an_entry_at_this_instant_is_due_even_when_cancelled(self):
+        sim = Simulator()
+        sim.at(0.0, lambda: None).cancel()
+        assert not sim.nothing_else_due()
+        sim.run()
+        assert sim.nothing_else_due()
+
+    def test_an_exhausted_event_budget_leaves_the_callback_to_a_later_run(self):
+        sim = Simulator()
+        verdicts = []
+        sim.at(1.0, lambda: verdicts.append(sim.nothing_else_due()))
+        sim.at(2.0, lambda: verdicts.append(sim.nothing_else_due()))
+        sim.run(max_events=1)
+        sim.run(max_events=2)
+        assert verdicts == [False, True]
+        assert sim.nothing_else_due()  # no run in progress, no budget
+
+    def test_fire_counts_and_profiles_the_event_it_stands_for(self):
+        sim = Simulator()
+        seen, fired = [], []
+        sim.event_hook = seen.append
+        first = sim.at(3.0, lambda: None)
+        sim.run(until=1.0)
+        sim.fire(fired.append, "in place")
+        after = sim.at(3.0, lambda: None)
+        assert fired == ["in place"]
+        assert sim.events_processed == 1
+        (event,) = seen
+        assert (event.time, event.callback, event.args) == (
+            1.0, fired.append, ("in place",)
+        )
+        # it took the sequence number scheduling would have taken
+        assert (first.sequence, event.sequence, after.sequence) == (0, 1, 2)
+
+
 class TestDeterminism:
     def test_same_seed_same_randoms(self):
         a = Simulator(seed=42)

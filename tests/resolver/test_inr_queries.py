@@ -189,3 +189,75 @@ class TestMemoStats:
         client.resolve_early(query)
         domain.run(0.5)
         assert a.stats.lookup_memo_invalidations > 0
+
+    def _tree_totals(self, inr):
+        trees = list(inr.trees.values())
+        if inr.cache is not None:
+            trees.append(inr.cache.index)
+        return (
+            sum(t.memo_hits for t in trees),
+            sum(t.memo_misses for t in trees),
+            sum(t.memo_invalidations for t in trees),
+        )
+
+    def _stat_totals(self, inr):
+        stats = inr.stats
+        return (
+            stats.lookup_memo_hits,
+            stats.lookup_memo_misses,
+            stats.lookup_memo_invalidations,
+        )
+
+    def test_a_no_route_drop_does_not_leave_the_counters_behind(self, queryable):
+        """An anycast nobody matches returns from the routing path at
+        its no-route drop; the lookup it made still has to show."""
+        domain, a, b, client = queryable
+        dropped = a.stats.drops_no_route
+        misses = a.stats.lookup_memo_misses
+        client.send_anycast(parse("[service=nobody-advertises-this]"), b"x")
+        domain.run(0.5)
+        assert a.stats.drops_no_route == dropped + 1
+        assert a.stats.lookup_memo_misses == misses + 1
+        assert self._stat_totals(a) == self._tree_totals(a)
+
+    def test_snapshot_keeps_the_memo_counters_where_they_were(self, queryable):
+        domain, a, b, client = queryable
+        client.resolve_early(parse("[service=cam]"))
+        domain.run(0.5)
+        snapshot = a.stats.snapshot()
+        keys = list(snapshot)
+        at = keys.index("lookup_memo_hits")
+        assert keys[at - 1:at + 4] == [
+            "drops_unknown_message", "lookup_memo_hits", "lookup_memo_misses",
+            "lookup_memo_invalidations", "shed_periodic",
+        ]
+        assert (
+            snapshot["lookup_memo_hits"], snapshot["lookup_memo_misses"],
+            snapshot["lookup_memo_invalidations"],
+        ) == self._tree_totals(a)
+
+    def test_restart_starts_the_counters_over(self, queryable):
+        domain, a, b, client = queryable
+        client.resolve_early(parse("[service=cam]"))
+        domain.run(0.5)
+        assert a.stats.lookup_memo_misses > 0
+        a.crash()
+        a.restart()
+        assert self._stat_totals(a) == (0, 0, 0)
+
+    def test_a_dropped_tree_keeps_its_counts_in_the_stats(self):
+        """Delegating a vspace away removes its tree; the lookups that
+        tree served stay counted."""
+        domain = InsDomain(seed=25)
+        inr = domain.add_inr(vspaces=("cams", "printers"))
+        domain.add_service("[service=camera[id=1]][vspace=cams]", resolver=inr)
+        client = domain.add_client(resolver=inr)
+        domain.run(1.0)
+        for _ in range(3):
+            client.resolve_early(parse("[service=camera][vspace=cams]"))
+            domain.run(0.5)
+        before = self._stat_totals(inr)
+        assert before[0] >= 2 and before[1] >= 1
+        inr.drop_tree("cams")
+        assert "cams" not in inr.trees
+        assert self._stat_totals(inr) == before
