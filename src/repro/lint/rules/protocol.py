@@ -6,8 +6,10 @@ The protocol has three surfaces that must not drift apart:
    ``repro.message`` must be matched by a dispatch arm reachable from a
    dispatch entry point (``INR.handle_message``, the DSR's handler). An
    arm is either an ``isinstance`` test or a key of a class-level
-   ``{message type: ...}`` dict literal that a reachable method reads
-   through ``self`` (the INR's dispatch table). An exported message
+   ``{message type: ...}`` table that a reachable method reads through
+   ``self``: a dict literal, or the union of other classes' class-level
+   dict literals (the INR's dispatch table, assembled from its
+   components' ``HANDLERS`` and bound per incarnation). An exported message
    nobody dispatches is either dead wire format or — worse — a payload
    that silently vanishes on arrival.
 2. **Drop counters vs span statuses.** Every ``drops_*`` field on
@@ -29,7 +31,7 @@ literal argument).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ..engine import Finding
 from ..project import KIND_CLASS, ProjectModel, _attribute_chain
@@ -42,6 +44,31 @@ def _string_constants(tree: ast.AST) -> Set[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
+
+
+def _self_reads(tree: ast.AST) -> Set[str]:
+    """Attribute names read (or written) as ``self.<name>`` in ``tree``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
+def _class_bindings(cls) -> Iterator[Tuple[str, ast.expr]]:
+    """``(name, value)`` of every assignment in the body of ``cls``."""
+    for stmt in cls.node.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, stmt.value
 
 
 def _references_name(tree: ast.AST, name: str) -> bool:
@@ -69,7 +96,7 @@ class ProtocolExhaustiveRule(ProjectRule):
             "repro.overlay.dsr.DomainSpaceResolver.handle_message",
         ),
         #: The stats dataclass carrying per-cause drop counters.
-        "stats_class": "repro.resolver.inr.InrStats",
+        "stats_class": "repro.resolver.stats.InrStats",
         "drops_prefix": "drops_",
         #: Exported names that are wire *format*, not dispatched
         #: payloads: headers, enums, records carried inside payloads,
@@ -127,22 +154,24 @@ class ProtocolExhaustiveRule(ProjectRule):
         arms: Set[str] = set()
         for qname in model.reachable_from(entries):
             fn = model.functions[qname]
-            for candidate in self._arm_candidates(model, fn):
+            for module, candidate in self._arm_candidates(model, fn):
                 chain = _attribute_chain(candidate)
                 if chain is None:
                     continue
-                resolved = model.resolve_dotted(fn.module, chain)
+                resolved = model.resolve_dotted(module, chain)
                 if resolved is not None and resolved[0] == KIND_CLASS:
                     arms.add(resolved[1])
         return arms
 
-    @staticmethod
-    def _arm_candidates(model: ProjectModel, fn) -> Iterator[ast.expr]:
-        """Expressions in ``fn`` that may name a dispatched class: the
-        type arguments of its ``isinstance`` tests, and the keys of
-        every dict literal bound in its class body that it reads through
-        ``self`` (a dispatch table looked up by ``type(payload)``)."""
-        self_reads: Set[str] = set()
+    @classmethod
+    def _arm_candidates(
+        cls, model: ProjectModel, fn
+    ) -> Iterator[Tuple[str, ast.expr]]:
+        """Expressions in ``fn`` that may name a dispatched class, each
+        with the module whose names it is written in: the type arguments
+        of its ``isinstance`` tests, and the keys of every table bound in
+        its class body that it reads through ``self`` (a dispatch table
+        looked up by ``type(payload)``)."""
         for node in ast.walk(fn.node):
             if (
                 isinstance(node, ast.Call)
@@ -151,30 +180,44 @@ class ProtocolExhaustiveRule(ProjectRule):
                 and len(node.args) == 2
             ):
                 types = node.args[1]
-                yield from (
-                    types.elts if isinstance(types, ast.Tuple) else [types]
-                )
-            elif (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                self_reads.add(node.attr)
-        cls = model.classes.get(fn.class_qname or "")
-        if cls is None:
+                for expr in types.elts if isinstance(types, ast.Tuple) else [types]:
+                    yield fn.module, expr
+        owner = model.classes.get(fn.class_qname or "")
+        if owner is None:
             return
-        for stmt in cls.node.body:
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AnnAssign):
-                targets = [stmt.target]
-            else:
-                continue
-            if isinstance(stmt.value, ast.Dict) and any(
-                isinstance(target, ast.Name) and target.id in self_reads
-                for target in targets
+        reads = _self_reads(fn.node)
+        # A per-instance table built from a class-level one (``self.x =
+        # {... self._TABLE ...}`` in any method) has that table's keys.
+        for stmt in ast.walk(owner.node):
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(target, ast.Attribute) and _self_reads(target) & reads
+                for target in stmt.targets
             ):
-                yield from (key for key in stmt.value.keys if key is not None)
+                reads = reads | _self_reads(stmt.value)
+        for name, value in _class_bindings(owner):
+            if name in reads:
+                for module, table in cls._dict_literals(model, owner, value):
+                    yield from ((module, key) for key in table.keys if key is not None)
+
+    @classmethod
+    def _dict_literals(
+        cls, model: ProjectModel, owner, value: ast.expr
+    ) -> Iterator[Tuple[str, ast.Dict]]:
+        """The dict literals a class-level table is made of, each with
+        its module: the table itself, or — for one assembled from other
+        classes' tables (``merge(a=A.TABLE, b=B.TABLE)``) — every
+        class-level table it names."""
+        if isinstance(value, ast.Dict):
+            yield owner.module, value
+            return
+        for node in ast.walk(value):
+            chain = _attribute_chain(node) if isinstance(node, ast.Attribute) else None
+            resolved = chain and model.resolve_dotted(owner.module, chain[:-1])
+            if resolved and resolved[0] == KIND_CLASS:
+                part = model.classes[resolved[1]]
+                for name, bound in _class_bindings(part):
+                    if name == chain[-1]:
+                        yield from cls._dict_literals(model, part, bound)
 
     # ------------------------------------------------------------------
     # Surfaces 2 + 3: drops_* counters vs spans vs PROTOCOL.md

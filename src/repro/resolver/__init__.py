@@ -4,7 +4,7 @@ from .cache import CacheEntry, PacketCache
 from .config import InrConfig
 from .costs import DEFAULT_COSTS, CostModel
 from .delegation import DelegationCoordinator, DonorHandoff, RecipientHandoff
-from .inr import INR, InrStats
+from .inr import INR
 from .loadbalance import LoadMonitor, LoadSample
 from .neighbors import Neighbor, NeighborTable
 from .ports import DSR_PORT, EPHEMERAL_BASE, INR_PORT, PortAllocator
@@ -24,6 +24,7 @@ from .protocol import (
     ResolutionResponse,
     UpdateBatch,
 )
+from .stats import InrStats
 
 __all__ = [
     "Advertisement",

@@ -58,26 +58,6 @@ class InrConfig:
     #: A freshly spawned INR will not self-terminate before this age.
     minimum_lifetime: float = 30.0
 
-    #: --- Load hysteresis (flap damping for Section 2.5 decisions) ----
-    #: EWMA smoothing factor applied to the load rates the policy
-    #: compares against its thresholds. 1.0 (the default) disables
-    #: smoothing: each window's raw rate is used directly, the paper's
-    #: implied behavior.
-    load_ewma_alpha: float = 1.0
-
-    #: Consecutive over-threshold samples required before an overload
-    #: action (spawn or delegate) fires. 1 = act on the first signal.
-    overload_consecutive_samples: int = 1
-
-    #: Consecutive under-threshold samples required before a spawned
-    #: INR considers self-termination.
-    underload_consecutive_samples: int = 1
-
-    #: Minimum seconds between load-policy actions (spawn, delegate or
-    #: termination check) — a cooldown so one hot window cannot trigger
-    #: a burst of spawns. 0 disables.
-    load_action_cooldown: float = 0.0
-
     #: --- Crash-safe vspace delegation (PROTOCOL.md §11) --------------
     #: Use the two-phase OFFER/ACCEPT/TRANSFER/COMMIT handoff when
     #: delegating a vspace. False falls back to the single-shot

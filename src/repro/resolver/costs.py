@@ -86,3 +86,37 @@ class CostModel:
 
 #: The model used unless an experiment overrides it.
 DEFAULT_COSTS = CostModel()
+
+
+# What each message type costs to receive. ``rule(inr, payload)`` is the
+# second element of a dispatch-table entry: the CPU seconds charged
+# before the handler runs.
+def cost_receive(inr, payload: object) -> float:
+    return inr.costs.receive
+
+
+def cost_one_name(inr, payload: object) -> float:
+    return inr.costs.update_batch(1)
+
+
+def cost_per_record(inr, payload: object) -> float:
+    # A custody handoff or delegation chunk costs what installing its
+    # names costs.
+    return inr.costs.update_batch(len(payload.records))
+
+
+def cost_update_batch(inr, payload: object) -> float:
+    return inr.costs.update_batch(len(payload.updates))
+
+
+def cost_query(inr, payload: object) -> float:
+    return inr.costs.query
+
+
+def cost_ping(inr, payload: object) -> float:
+    return inr.costs.ping
+
+
+def cost_of_carried(inr, frame: object) -> float:
+    """A reliable frame is charged for the update it carries."""
+    return inr.processing_cost(frame.inner, 0)

@@ -2,7 +2,8 @@
 
 The paper's §2.5 cure for update overload is to delegate a virtual
 space to a freshly spawned INR. Done as a single-shot transfer (the
-``delegation_two_phase=False`` ablation, kept in ``INR._delegate_vspace``)
+``delegation_two_phase=False`` ablation, kept in
+``LoadControl._delegate_vspace``)
 the one mechanism meant to save an overloaded resolver can itself lose
 every name in the vspace if either side dies mid-handoff. This module
 makes the handoff survive crashes on both sides:
@@ -74,6 +75,7 @@ from ..message.delegation import (
 )
 from ..nametree import AnnouncerID, Endpoint, NameRecord, NameTree, Route
 from ..obs import DROP_PREFIX, STATUS_OK
+from .costs import cost_per_record, cost_receive
 from .ports import INR_PORT
 
 #: How many settled handoff outcomes a recipient remembers per process.
@@ -205,19 +207,13 @@ class DelegationCoordinator:
         for vspace, recipient in delegated:
             self.delegated_away[vspace] = recipient
             inr.drop_tree(vspace)
-            inr._vspace_cache[vspace] = recipient
+            inr.dataplane.remember_vspace(vspace, recipient)
         for vspace, donor, handoff_id in adopted:
             self.adopted[vspace] = donor
             self._adopted_ids[vspace] = handoff_id
             if vspace not in inr.trees:
                 inr.trees[vspace] = NameTree(vspace=vspace)
-            inr.send(
-                donor,
-                INR_PORT,
-                DelegateCommit(
-                    sender=inr.address, handoff_id=handoff_id, vspace=vspace
-                ),
-            )
+            self._tell_commit(donor, handoff_id, vspace)
 
     def shutdown(self) -> None:
         """Graceful termination: tell the recipient of any in-flight
@@ -330,16 +326,13 @@ class DelegationCoordinator:
                       handoff.epoch)
 
     def _donor_timeout(self, handoff_id: int, epoch: int) -> None:
-        inr = self.inr
-        if inr._terminated or getattr(inr, "delegation", None) is not self:
-            return
         handoff = self.donor
         if handoff is None or handoff.handoff_id != handoff_id:
             return
         if handoff.epoch != epoch:
             return  # progress happened since this timer was armed
         handoff.retries += 1
-        if handoff.retries > inr.config.delegation_max_retries:
+        if handoff.retries > self.inr.config.delegation_max_retries:
             self._donor_abort(f"timeout:{handoff.phase}")
             return
         if handoff.phase == "offer":
@@ -362,15 +355,8 @@ class DelegationCoordinator:
             self._aborted_ids.popitem(last=False)
         inr.stats.delegations_aborted += 1
         if notify:
-            inr.send(
-                handoff.recipient,
-                INR_PORT,
-                DelegateAbort(
-                    sender=inr.address,
-                    handoff_id=handoff.handoff_id,
-                    vspace=handoff.vspace,
-                    reason=reason,
-                ),
+            self._tell_abort(
+                handoff.recipient, handoff.handoff_id, handoff.vspace, reason
             )
         # The tree never left self.trees: the donor simply remains
         # authoritative, and the load checker retries (new candidate,
@@ -385,41 +371,19 @@ class DelegationCoordinator:
         self.donor = None
         inr.drop_tree(handoff.vspace)
         self.delegated_away[handoff.vspace] = handoff.recipient
-        if len(inr._vspace_cache) >= inr.config.vspace_cache_size:
-            inr._vspace_cache.pop(next(iter(inr._vspace_cache)))
-        inr._vspace_cache[handoff.vspace] = handoff.recipient
-        inr._register()
+        inr.dataplane.remember_vspace(handoff.vspace, handoff.recipient)
+        inr.membership.register()
         inr.stats.delegations_committed += 1
         # Echo stops the recipient's COMMIT retransmission.
-        inr.send(
-            handoff.recipient,
-            INR_PORT,
-            DelegateCommit(
-                sender=inr.address,
-                handoff_id=handoff.handoff_id,
-                vspace=handoff.vspace,
-            ),
-        )
+        self._tell_commit(handoff.recipient, handoff.handoff_id, handoff.vspace)
         self._emit_span("donor", "commit", handoff.handoff_id, handoff.vspace,
                         note=f"delegated to {handoff.recipient}")
 
     # ------------------------------------------------------------------
-    # Message dispatch (called from INR.handle_message)
+    # Message handlers (registered in HANDLERS, below)
     # ------------------------------------------------------------------
-    def on_message(self, payload, source: str) -> None:
-        if isinstance(payload, DelegateOffer):
-            self._on_offer(payload, source)
-        elif isinstance(payload, DelegateAccept):
-            self._on_accept(payload)
-        elif isinstance(payload, DelegateTransfer):
-            self._on_transfer(payload, source)
-        elif isinstance(payload, DelegateCommit):
-            self._on_commit(payload, source)
-        elif isinstance(payload, DelegateAbort):
-            self._on_abort(payload)
-
     # -- donor-side receives -------------------------------------------
-    def _on_accept(self, accept: DelegateAccept) -> None:
+    def _on_accept(self, accept: DelegateAccept, source: str) -> None:
         handoff = self.donor
         if handoff is None or handoff.handoff_id != accept.handoff_id:
             self._count_stale("accept", accept.handoff_id)
@@ -491,28 +455,13 @@ class DelegationCoordinator:
                 # echo arrived, and the donor is retransmitting the
                 # final chunk: answer with the COMMIT the crash
                 # swallowed so the donor can finalize.
-                inr.send(
-                    source,
-                    INR_PORT,
-                    DelegateCommit(
-                        sender=inr.address,
-                        handoff_id=transfer.handoff_id,
-                        vspace=transfer.vspace,
-                    ),
-                )
+                self._tell_commit(source, transfer.handoff_id, transfer.vspace)
             else:
                 # A chunk for a handoff we never heard of: this process
                 # crashed between offer and transfer. Abort fast so the
                 # donor keeps its tree instead of burning retries.
-                inr.send(
-                    source,
-                    INR_PORT,
-                    DelegateAbort(
-                        sender=inr.address,
-                        handoff_id=transfer.handoff_id,
-                        vspace=transfer.vspace,
-                        reason="no-recipient-state",
-                    ),
+                self._tell_abort(
+                    source, transfer.handoff_id, transfer.vspace, "no-recipient-state"
                 )
             return
         if handoff.phase != "staging":
@@ -568,7 +517,7 @@ class DelegationCoordinator:
         handoff.staged = []
         handoff.phase = "committed"
         inr.stats.delegations_adopted += 1
-        inr._register()
+        inr.membership.register()
         self._emit_span("recipient", "commit", handoff.handoff_id,
                         handoff.vspace, note=f"{len(tree)} records adopted")
         self._send_commit(handoff)
@@ -597,9 +546,6 @@ class DelegationCoordinator:
         )
 
     def _staging_timeout(self, handoff_id: int, epoch: int) -> None:
-        inr = self.inr
-        if inr._terminated or getattr(inr, "delegation", None) is not self:
-            return
         handoff = self.recipients.get(handoff_id)
         if handoff is None or handoff.phase != "staging":
             return
@@ -610,15 +556,8 @@ class DelegationCoordinator:
         # resolver to retire back into the candidate pool.
         self.recipients.pop(handoff_id, None)
         self._remember(handoff_id, "aborted", handoff.vspace, handoff.donor)
-        inr.send(
-            handoff.donor,
-            INR_PORT,
-            DelegateAbort(
-                sender=inr.address,
-                handoff_id=handoff_id,
-                vspace=handoff.vspace,
-                reason="staging-timeout",
-            ),
+        self._tell_abort(
+            handoff.donor, handoff_id, handoff.vspace, "staging-timeout"
         )
         self._emit_span("recipient", "abort", handoff_id, handoff.vspace,
                         status="abort:staging-timeout")
@@ -626,15 +565,7 @@ class DelegationCoordinator:
     def _send_commit(self, handoff: RecipientHandoff) -> None:
         inr = self.inr
         handoff.epoch += 1
-        inr.send(
-            handoff.donor,
-            INR_PORT,
-            DelegateCommit(
-                sender=inr.address,
-                handoff_id=handoff.handoff_id,
-                vspace=handoff.vspace,
-            ),
-        )
+        self._tell_commit(handoff.donor, handoff.handoff_id, handoff.vspace)
         inr.set_timer(
             inr.config.delegation_commit_timeout,
             self._commit_retransmit,
@@ -643,16 +574,13 @@ class DelegationCoordinator:
         )
 
     def _commit_retransmit(self, handoff_id: int, epoch: int) -> None:
-        inr = self.inr
-        if inr._terminated or getattr(inr, "delegation", None) is not self:
-            return
         handoff = self.recipients.get(handoff_id)
         if handoff is None or handoff.phase != "committed":
             return  # settled (echo arrived) or rolled back
         if handoff.epoch != epoch:
             return
         handoff.commit_resends += 1
-        if handoff.commit_resends > 4 * inr.config.delegation_max_retries:
+        if handoff.commit_resends > 4 * self.inr.config.delegation_max_retries:
             # The donor has been gone far past its whole retry budget.
             # We are registered and authoritative; settle locally so
             # this resolver is not pinned busy forever. The settled
@@ -684,15 +612,8 @@ class DelegationCoordinator:
         if aborted_vspace is not None:
             # We aborted this handoff; a COMMIT for it is a recipient
             # that adopted off a retransmitted final chunk. Abort wins.
-            inr.send(
-                source,
-                INR_PORT,
-                DelegateAbort(
-                    sender=inr.address,
-                    handoff_id=commit.handoff_id,
-                    vspace=commit.vspace,
-                    reason="aborted-handoff",
-                ),
+            self._tell_abort(
+                source, commit.handoff_id, commit.vspace, "aborted-handoff"
             )
             return
         # Unknown id: we are a donor that crashed mid-handoff. If we no
@@ -700,29 +621,13 @@ class DelegationCoordinator:
         # (delegated_away is in the snapshot) — echo idempotently. If we
         # still route it, we cannot have finalized: abort wins.
         if inr.routes_vspace(commit.vspace):
-            inr.send(
-                source,
-                INR_PORT,
-                DelegateAbort(
-                    sender=inr.address,
-                    handoff_id=commit.handoff_id,
-                    vspace=commit.vspace,
-                    reason="donor-restarted",
-                ),
+            self._tell_abort(
+                source, commit.handoff_id, commit.vspace, "donor-restarted"
             )
         else:
-            inr.send(
-                source,
-                INR_PORT,
-                DelegateCommit(
-                    sender=inr.address,
-                    handoff_id=commit.handoff_id,
-                    vspace=commit.vspace,
-                ),
-            )
+            self._tell_commit(source, commit.handoff_id, commit.vspace)
 
-    def _on_abort(self, abort: DelegateAbort) -> None:
-        inr = self.inr
+    def _on_abort(self, abort: DelegateAbort, source: str) -> None:
         donor = self.donor
         if donor is not None and donor.handoff_id == abort.handoff_id:
             # Recipient-initiated abort (crashed recipient, refused
@@ -764,7 +669,7 @@ class DelegationCoordinator:
             self.adopted.pop(vspace, None)
             self._adopted_ids.pop(vspace, None)
             inr.drop_tree(vspace)
-            inr._register()
+            inr.membership.register()
             inr.stats.delegation_rollbacks += 1
             if handoff_id in self._settled:
                 outcome, settled_vspace, settled_donor = self._settled[handoff_id]
@@ -776,6 +681,27 @@ class DelegationCoordinator:
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
+    def _tell_commit(self, peer: str, handoff_id: int, vspace: str) -> None:
+        inr = self.inr
+        inr.send(
+            peer,
+            INR_PORT,
+            DelegateCommit(sender=inr.address, handoff_id=handoff_id, vspace=vspace),
+        )
+
+    def _tell_abort(
+        self, peer: str, handoff_id: int, vspace: str, reason: str
+    ) -> None:
+        inr = self.inr
+        inr.send(
+            peer,
+            INR_PORT,
+            DelegateAbort(
+                sender=inr.address, handoff_id=handoff_id, vspace=vspace,
+                reason=reason,
+            ),
+        )
+
     def _send_accept(self, donor: str, handoff_id: int, ack_seq: int) -> None:
         self.inr.send(
             donor,
@@ -801,26 +727,10 @@ class DelegationCoordinator:
         """Answer a retransmission for a settled handoff with its
         terminal message — never with fresh state."""
         outcome, vspace, donor = settled
-        inr = self.inr
         if outcome == "committed":
-            inr.send(
-                donor,
-                INR_PORT,
-                DelegateCommit(
-                    sender=inr.address, handoff_id=handoff_id, vspace=vspace
-                ),
-            )
+            self._tell_commit(donor, handoff_id, vspace)
         else:
-            inr.send(
-                donor,
-                INR_PORT,
-                DelegateAbort(
-                    sender=inr.address,
-                    handoff_id=handoff_id,
-                    vspace=vspace,
-                    reason="already-aborted",
-                ),
-            )
+            self._tell_abort(donor, handoff_id, vspace, "already-aborted")
 
     def _count_stale(self, kind: str, handoff_id: int) -> None:
         inr = self.inr
@@ -855,6 +765,14 @@ class DelegationCoordinator:
         if note:
             inr.tracer.annotate(span, note)
         inr.tracer.end_span(span, status)
+
+    HANDLERS = {
+        DelegateOffer: (_on_offer, cost_receive),
+        DelegateAccept: (_on_accept, cost_receive),
+        DelegateTransfer: (_on_transfer, cost_per_record),
+        DelegateCommit: (_on_commit, cost_receive),
+        DelegateAbort: (_on_abort, cost_receive),
+    }
 
 
 __all__ = [

@@ -1,0 +1,366 @@
+"""The name discovery protocol (Section 2.2).
+
+Names reach an INR in service advertisements and in the update batches
+its overlay neighbors send — periodically (soft state: every name,
+every refresh interval) and triggered (what just changed). A received
+update is accepted by the distributed Bellman-Ford rule and, when it is
+news, passed on with split horizon. This component owns the transport
+those updates travel on: raw datagrams, or the per-neighbor reliable
+channel of the ``reliable-delta`` mode (footnote 3).
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+from ..message import CustodyTransfer
+from ..naming import NameSpecifier
+from ..nametree import Endpoint, NameRecord, NameTree, Route
+from .costs import cost_of_carried, cost_one_name, cost_receive, cost_update_batch
+from .ports import INR_PORT
+from .protocol import (
+    BASE_OVERHEAD, Advertisement, NameUpdate, NameWithdraw, UpdateBatch,
+)
+from .reliable import ReliableAck, ReliableChannel, ReliableFrame
+
+#: One name as an update round announces it: the next hop of the record's
+#: route (for split horizon), the update, and the update's wire size.
+_Announcement = Tuple[Optional[str], NameUpdate, int]
+
+#: What :meth:`NameDiscovery.send_control` is handed, and so what a
+#: reliable frame may carry (a ``CustodyTransfer`` from the custodian).
+_SENT_RELIABLY = frozenset({UpdateBatch, NameWithdraw, CustodyTransfer})
+
+
+def _graft(
+    tree: NameTree, news, endpoints, next_hop: Optional[str], metric: float,
+    expires_at: float,
+) -> bool:
+    """Install what an advertisement or update says about one name;
+    True when it changed the tree. A refresh of a name already grafted
+    for this announcer needs no record; only a new announcer or a
+    renamed service is turned into one."""
+    changed = tree.refresh(
+        news.name, news.announcer, endpoints, news.anycast_metric,
+        next_hop, metric, expires_at,
+    )
+    if changed is None:
+        changed = tree.insert(
+            news.name,
+            NameRecord(
+                announcer=news.announcer,
+                endpoints=list(endpoints),
+                anycast_metric=news.anycast_metric,
+                route=Route(next_hop=next_hop, metric=metric),
+                expires_at=expires_at,
+            ),
+        ).changed
+    return changed
+
+
+class NameDiscovery:
+    """How one INR learns names and tells its neighbors about them."""
+
+    def __init__(self, inr) -> None:
+        self.inr = inr
+        config = inr.config
+        if config.update_mode not in ("soft-state", "reliable-delta"):
+            raise ValueError(f"unknown update mode: {config.update_mode!r}")
+        #: the reliable-delta transport; None in soft-state mode. Built
+        #: per incarnation: sequence numbers from a previous one must
+        #: not be mistaken for the new one's.
+        self._reliable: Optional[ReliableChannel] = None
+        if config.update_mode == "reliable-delta":
+            self._reliable = ReliableChannel(
+                transmit=lambda neighbor, payload: inr.send(
+                    neighbor, INR_PORT, payload
+                ),
+                deliver=self._deliver_reliable,
+                set_timer=inr.set_timer,
+                retransmit_timeout=config.reliable_retransmit_timeout,
+            )
+
+    # ------------------------------------------------------------------
+    # Learning names
+    # ------------------------------------------------------------------
+    def _handle_advertisement(self, ad: Advertisement, source: str) -> None:
+        inr = self.inr
+        now = inr.now
+        inr.stats.advertisements_processed += 1
+        inr.monitor.count_update_names(1)
+        changed: List[tuple] = []  # (vspace, name, record) of what is news
+        for vspace in ad.name.vspaces():
+            tree = inr.trees.get(vspace)
+            if tree is None:
+                inr.dataplane.forward_foreign(vspace, ad)
+                continue
+            endpoints = ad.endpoints or (Endpoint(host=source),)
+            readmitted = False
+            if inr.config.partition_grace > 0:
+                existing = tree.record_for(ad.announcer)
+                readmitted = existing is not None and existing.is_expired(now)
+            news = _graft(tree, ad, endpoints, None, 0.0, now + ad.lifetime)
+            if readmitted:
+                # A graced record came back to life: the payload-equal
+                # fast path would suppress the triggered update, but
+                # neighbors believed the name dead — force propagation.
+                inr.stats.expiry_grace_readmissions += 1
+            if news or readmitted:
+                changed.append((vspace, ad.name, tree.record_for(ad.announcer)))
+        if changed:
+            self._send_triggered(changed, exclude=None)
+            inr.custodian.retry()
+
+    def _handle_update_batch(self, batch: UpdateBatch, source: str) -> None:
+        inr = self.inr
+        inr.monitor.count_update_names(len(batch.updates))
+        inr.stats.update_names_processed += len(batch.updates)
+        link_rtt = inr.neighbors.rtt_to(batch.sender)
+        changed: List[tuple] = []  # (vspace, name, record) of what is news
+        # One tree epoch per delivered batch, not per name: each touched
+        # tree's batch is opened lazily the first time an update lands in
+        # it (updates stay in arrival order — no regrouping by vspace)
+        # and closed once the whole batch has been applied, so N periodic
+        # refreshes invalidate lookup memo/subtree state at most once.
+        opened: Dict[str, NameTree] = {}
+        try:
+            for update in batch.updates:
+                tree = inr.trees.get(update.vspace)
+                if tree is None:
+                    continue
+                if update.vspace not in opened:
+                    opened[update.vspace] = tree
+                    tree.begin_batch()
+                if self._apply_update(tree, update, batch.sender, link_rtt):
+                    record = tree.record_for(update.announcer)
+                    if record is not None:
+                        changed.append((update.vspace, update.name, record))
+        finally:
+            for tree in opened.values():
+                tree.end_batch()
+        if changed:
+            self._send_triggered(changed, exclude=batch.sender)
+            inr.custodian.retry()
+
+    def _apply_update(
+        self, tree: NameTree, update: NameUpdate, sender: str, link_rtt: float
+    ) -> bool:
+        """Distributed Bellman-Ford acceptance; True when state changed
+        in a way neighbors should hear about."""
+        inr = self.inr
+        now = inr.now
+        new_metric = update.route_metric + link_rtt
+        existing = tree.record_for(update.announcer)
+        readmitted = False
+        if existing is not None:
+            if existing.route.is_local:
+                # Never let a reflected update displace a directly-attached
+                # service; the local announcement is authoritative.
+                return False
+            if inr.config.partition_grace > 0 and existing.is_expired(now):
+                # A graced record names a route that died with the
+                # partition; comparing metrics against the corpse would
+                # wrongly favor it. Any fresh news re-admits the name.
+                readmitted = True
+            elif (
+                existing.route.next_hop != sender
+                and not new_metric < existing.route.metric
+            ):
+                # News from the current next hop is always accepted, even
+                # if the metric worsened (standard distance-vector rule);
+                # from anyone else only a strictly better metric is.
+                return False
+        news = _graft(
+            tree, update, update.endpoints, sender, new_metric, now + update.lifetime
+        )
+        if readmitted:
+            inr.stats.expiry_grace_readmissions += 1
+        return news or readmitted
+
+    # ------------------------------------------------------------------
+    # Forgetting names
+    # ------------------------------------------------------------------
+    def _handle_withdraw(self, withdraw: NameWithdraw, source: str) -> None:
+        """Explicit name removal (reliable-delta mode)."""
+        tree = self.inr.trees.get(withdraw.vspace)
+        if tree is None:
+            return
+        record = tree.record_for(withdraw.announcer)
+        if record is None or record.route.next_hop != source:
+            return  # only the route's source may withdraw it (never a local one)
+        tree.remove(record)
+        self._propagate_withdraw(withdraw.announcer, withdraw.vspace,
+                                 exclude=source)
+
+    def _propagate_withdraw(self, announcer, vspace: str,
+                            exclude: Optional[str]) -> None:
+        inr = self.inr
+        for neighbor in inr.neighbors:
+            if neighbor.address == exclude:
+                continue
+            self.send_control(
+                neighbor.address,
+                NameWithdraw(sender=inr.address, announcer=announcer,
+                             vspace=vspace),
+            )
+
+    def flush_routes_via(self, address: str) -> None:
+        """Remove records learned through a dead neighbor immediately.
+
+        Soft state would expire them anyway; flushing now restores
+        responsiveness, and periodic updates from live neighbors
+        re-install any name still reachable another way. In
+        reliable-delta mode there are no periodic re-floods, so the
+        flush is also propagated as withdrawals downstream.
+        """
+        self.reset_channel(address)
+        for tree in self.inr.trees.values():
+            for record in list(tree.records()):
+                if record.route.next_hop == address:
+                    tree.remove(record)
+                    if self._reliable is not None:
+                        self._propagate_withdraw(
+                            record.announcer, tree.vspace, exclude=address
+                        )
+
+    def expire(self) -> None:
+        """The soft-state sweep: collect names that outlived their
+        lifetime (and any partition grace)."""
+        inr = self.inr
+        for tree in inr.trees.values():
+            expired = tree.expire(inr.now, grace=inr.config.partition_grace)
+            if self._reliable is not None:
+                # Explicitly withdraw locally announced names that died
+                # (the service stopped refreshing its advertisement).
+                for record in expired:
+                    if record.route.is_local:
+                        self._propagate_withdraw(
+                            record.announcer, tree.vspace, exclude=None
+                        )
+
+    # ------------------------------------------------------------------
+    # The transport name state travels on
+    # ------------------------------------------------------------------
+    def send_control(
+        self,
+        neighbor_address: str,
+        payload: object,
+        size_bytes: Optional[int] = None,
+    ) -> None:
+        """Send a name-state message to a neighbor on the configured
+        transport (raw datagram, or the reliable channel, which frames
+        and sizes the payload itself). ``size_bytes`` is the payload's
+        ``wire_size()`` when the caller already knows it."""
+        if self._reliable is not None:
+            self._reliable.send(neighbor_address, payload)
+        else:
+            self.inr.send(neighbor_address, INR_PORT, payload, size_bytes)
+
+    def reset_channel(self, neighbor_address: str) -> None:
+        """Start a fresh reliable conversation with a neighbor: a new
+        epoch from sequence 1, which the peer can always accept."""
+        if self._reliable is not None:
+            self._reliable.reset(neighbor_address)
+
+    def _handle_reliable_frame(self, frame: ReliableFrame, source: str) -> None:
+        if self._reliable is not None:
+            ack = self._reliable.on_frame(source, frame)
+            if ack is not None:
+                self.inr.send(source, INR_PORT, ack)
+
+    def _handle_reliable_ack(self, ack: ReliableAck, source: str) -> None:
+        if self._reliable is not None:
+            self._reliable.on_ack(source, ack)
+
+    def _deliver_reliable(self, neighbor: str, payload: object) -> None:
+        """In-order application delivery from the reliable channel: the
+        payload's own dispatch arm, for what :meth:`send_control` sends."""
+        if type(payload) in _SENT_RELIABLY:
+            self.inr.dispatch[type(payload)][0](payload, neighbor)
+
+    # ------------------------------------------------------------------
+    # Telling the neighbors
+    # ------------------------------------------------------------------
+    def _announce(
+        self, vspace: str, name: NameSpecifier, record: NameRecord
+    ) -> _Announcement:
+        """What an update round says about one name — built, and sized,
+        once per round whatever the number of neighbors it goes to."""
+        update = NameUpdate(
+            name=name,
+            announcer=record.announcer,
+            endpoints=tuple(record.endpoints),
+            anycast_metric=record.anycast_metric,
+            route_metric=record.route.metric,
+            # Reliable-delta entries are hard state: they live until
+            # withdrawn or their neighbor dies.
+            lifetime=(
+                1e12 if self._reliable is not None
+                else self.inr.config.record_lifetime
+            ),
+            vspace=vspace,
+        )
+        return record.route.next_hop, update, update.wire_size()
+
+    def _all_entries(self) -> List[_Announcement]:
+        return [
+            self._announce(vspace, name, record)
+            for vspace, tree in self.inr.trees.items()
+            for name, record in tree.names()
+        ]
+
+    def _batch_for(
+        self,
+        announcements: List[_Announcement],
+        neighbor_address: str,
+        triggered: bool,
+    ) -> Tuple[UpdateBatch, int]:
+        """The batch ``neighbor_address`` is sent and its wire size
+        (``UpdateBatch.wire_size()``, summed from the sizes already
+        taken instead of re-walking the batch)."""
+        updates = []
+        size = BASE_OVERHEAD
+        for next_hop, update, update_size in announcements:
+            if next_hop != neighbor_address:
+                # split horizon: never echo a route to its source
+                updates.append(update)
+                size += update_size
+        return UpdateBatch(self.inr.address, updates, triggered=triggered), size
+
+    def send_periodic_updates(self) -> None:
+        inr = self.inr
+        if not inr.active or inr.terminated or not inr.neighbors:
+            return
+        # Reliable-delta mode: names moved when they changed; the
+        # periodic message degenerates to an empty keepalive that feeds
+        # the neighbor liveness timeout.
+        announcements = [] if self._reliable is not None else self._all_entries()
+        for neighbor in inr.neighbors:
+            batch, size = self._batch_for(announcements, neighbor.address, False)
+            inr.send(neighbor.address, INR_PORT, batch, size)
+            inr.stats.periodic_updates_sent += 1
+
+    def _send_triggered(self, entries: List[tuple], exclude: Optional[str]) -> None:
+        inr = self.inr
+        announcements = [self._announce(*entry) for entry in entries]
+        for neighbor in inr.neighbors:
+            if neighbor.address == exclude:
+                continue
+            batch, size = self._batch_for(announcements, neighbor.address, True)
+            if not batch.updates:
+                continue
+            self.send_control(neighbor.address, batch, size)
+            inr.stats.triggered_updates_sent += 1
+
+    def send_full_table(self, neighbor_address: str) -> None:
+        batch, size = self._batch_for(self._all_entries(), neighbor_address, True)
+        self.send_control(neighbor_address, batch, size)
+
+    HANDLERS = {
+        Advertisement: (_handle_advertisement, cost_one_name),
+        UpdateBatch: (_handle_update_batch, cost_update_batch),
+        NameWithdraw: (_handle_withdraw, cost_one_name),
+        ReliableFrame: (_handle_reliable_frame, cost_of_carried),
+        ReliableAck: (_handle_reliable_ack, cost_receive),
+    }
+

@@ -1,5 +1,5 @@
 """Corpus: the wire-surface export list the dispatch check reads."""
 
-from .wire import Orphan, Ping, Pong, Tabled
+from .wire import Bound, Orphan, Ping, Pong, Tabled
 
-__all__ = ["Orphan", "Ping", "Pong", "Tabled"]
+__all__ = ["Bound", "Orphan", "Ping", "Pong", "Tabled"]

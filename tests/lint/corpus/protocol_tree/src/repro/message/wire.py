@@ -17,5 +17,9 @@ class Orphan:                            # line 16: exported, undispatched
     pass
 
 
-class Tabled:                            # a dispatch-table key; not flagged
+class Tabled:                            # a key of one component's table
+    pass
+
+
+class Bound:                             # a key of the other component's table
     pass

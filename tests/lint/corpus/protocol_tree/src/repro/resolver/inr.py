@@ -1,25 +1,31 @@
-"""Corpus: resolver stand-in for the protocol-exhaustive surfaces.
+"""Corpus: resolver stand-in for the protocol-exhaustive dispatch surface.
 
-Dispatches Ping (directly), Pong (via a reachable helper) and Tabled (a
-key of the class-level table that helper reads) but not Orphan; counts
-one drop cause with a span emission and one without. Never imported; see
-tests/lint/test_corpus.py. Line numbers are asserted — append, don't
-reorder.
+Dispatches Ping (directly), Pong (via a reachable helper), and Tabled and
+Bound through the table that helper reads: ``_bound`` is built per
+instance from the class-level ``_TABLE``, itself the union of the
+``HANDLERS`` dict literals of the components in parts.py. Nothing
+dispatches Orphan. Never imported; see tests/lint/test_corpus.py.
 """
 
-from repro.message import Ping, Pong, Tabled
+from repro.message import Ping, Pong
+
+from .parts import Left, Right, merge
+from .stats import InrStats
 
 DROP_PREFIX = "drop:"
 
 
-class InrStats:
-    drops_no_route: int = 0              # emitted below; not flagged
-    drops_ghost: int = 0                 # line 17: no span emission
-
-
 class INR:
+    _TABLE = merge(left=Left.HANDLERS, right=Right.HANDLERS)
+
     def __init__(self):
         self.stats = InrStats()
+        self.left = Left()
+        self.right = Right()
+        self._bound = {
+            message: getattr(self, owner)
+            for message, owner in self._TABLE.items()
+        }
 
     def handle_message(self, payload, source):
         if isinstance(payload, Ping):
@@ -29,13 +35,8 @@ class INR:
     def _late(self, payload, source):
         if isinstance(payload, (Pong,)):
             return source
-        return self._TABLE[type(payload)](self, payload, source)
+        return self._bound[type(payload)].handle(payload, source)
 
     def _drop(self, source):
         self.stats.drops_no_route += 1
         return (source, DROP_PREFIX + "no-route")
-
-    def _on_tabled(self, payload, source):
-        return payload
-
-    _TABLE = {Tabled: _on_tabled}

@@ -52,7 +52,7 @@ EXPECTED = {
     for line in (16, 17, 18, 21, 22, 23)
 } | {
     ("protocol-exhaustive", "protocol_tree/src/repro/message/wire.py", 16),
-    ("protocol-exhaustive", "protocol_tree/src/repro/resolver/inr.py", 17),
+    ("protocol-exhaustive", "protocol_tree/src/repro/resolver/stats.py", 11),
 }
 
 

@@ -1,16 +1,18 @@
 """Rule-level tests for protocol-exhaustive over synthetic trees.
 
 The fixtures reuse the rule's default qnames (``repro.message``,
-``repro.resolver.inr.INR.handle_message``, ``repro.resolver.inr.
+``repro.resolver.inr.INR.handle_message``, ``repro.resolver.stats.
 InrStats``) so no option overrides are needed — mirroring how the rule
 runs against the real tree.
 """
 
+import shutil
 import textwrap
-
-import pytest
+from pathlib import Path
 
 from repro.lint import Engine
+
+PROTOCOL_TREE = Path(__file__).resolve().parent / "corpus" / "protocol_tree"
 
 
 def run_tree(tmp_path, files):
@@ -54,10 +56,6 @@ DISPATCH = {
         DROP_PREFIX = "drop:"
 
 
-        class InrStats:
-            drops_no_route: int = 0
-
-
         class INR:
             def handle_message(self, payload, sender):
                 if isinstance(payload, Handled):
@@ -66,6 +64,10 @@ DISPATCH = {
 
             def _drop(self, cause):
                 return DROP_PREFIX + cause
+    """,
+    "src/repro/resolver/stats.py": """
+        class InrStats:
+            drops_no_route: int = 0
     """,
 }
 
@@ -185,6 +187,57 @@ class TestDispatchSurface:
         assert [f.line for f in flagged] == [10]
         assert "Orphan" in flagged[0].message
 
+    def test_assembled_table_has_the_union_of_its_components_keys(self, tmp_path):
+        """The corpus tree mirrors the INR: ``_TABLE`` is merged from two
+        components' ``HANDLERS`` literals and read through a per-instance
+        copy; only Orphan (no arm anywhere) is flagged."""
+        tree = shutil.copytree(PROTOCOL_TREE, tmp_path / "tree")
+        result = Engine(root=tree, select=["protocol-exhaustive"]).run([tree])
+        assert [
+            f.message.split()[2] for f in findings(result)
+            if "no dispatch arm" in f.message
+        ] == ["Orphan"]
+
+    def test_deleting_a_key_from_one_components_table_is_flagged(self, tmp_path):
+        tree = shutil.copytree(PROTOCOL_TREE, tmp_path / "tree")
+        parts = tree / "src" / "repro" / "resolver" / "parts.py"
+        source = parts.read_text()
+        assert "HANDLERS = {Bound: handle}" in source
+        parts.write_text(source.replace("HANDLERS = {Bound: handle}", "HANDLERS = {}"))
+        result = Engine(root=tree, select=["protocol-exhaustive"]).run([tree])
+        unarmed = [f for f in findings(result) if "no dispatch arm" in f.message]
+        assert sorted(f.message.split()[2] for f in unarmed) == ["Bound", "Orphan"]
+        assert {f.path for f in unarmed} == {"src/repro/message/wire.py"}
+
+    def test_assembled_table_nothing_reachable_reads_does_not_count(self, tmp_path):
+        files = dict(WIRE)
+        files["src/repro/resolver/inr.py"] = """
+            from repro.message import Handled
+
+            from .parts import Part
+
+
+            class INR:
+                _TABLE = dict(Part.HANDLERS)
+
+                def __init__(self):
+                    self._bound = dict(self._TABLE)
+
+                def handle_message(self, payload, sender):
+                    if isinstance(payload, Handled):
+                        return payload
+        """
+        files["src/repro/resolver/parts.py"] = """
+            from repro.message import Orphan
+
+
+            class Part:
+                HANDLERS = {Orphan: None}
+        """
+        flagged = findings(run_tree(tmp_path, files))
+        assert [f.line for f in flagged] == [10]
+        assert "Orphan" in flagged[0].message
+
     def test_silent_without_message_package_or_dispatcher(self, tmp_path):
         # Only the dispatcher: no export surface to check.
         assert findings(run_tree(tmp_path / "a", dict(DISPATCH))) == []
@@ -202,20 +255,20 @@ class TestDropSurface:
             DROP_PREFIX = "drop:"
 
 
-            class InrStats:
-                drops_no_route: int = 0
-                drops_ghost: int = 0
-
-
             class INR:
                 def handle_message(self, payload, sender):
                     if isinstance(payload, (Handled, Orphan)):
                         return payload
                     return DROP_PREFIX + "no-route"
         """
+        files["src/repro/resolver/stats.py"] = """
+            class InrStats:
+                drops_no_route: int = 0
+                drops_ghost: int = 0
+        """
         flagged = findings(run_tree(tmp_path, files))
         assert [(f.path, f.line) for f in flagged] == [
-            ("src/repro/resolver/inr.py", 9)
+            ("src/repro/resolver/stats.py", 4)
         ]
         assert "drops_ghost" in flagged[0].message
         assert "'drop:ghost'" in flagged[0].message
@@ -226,14 +279,14 @@ class TestDropSurface:
             from repro.message import Handled, Orphan
 
 
-            class InrStats:
-                drops_ghost: int = 0
-
-
             class INR:
                 def handle_message(self, payload, sender):
                     if isinstance(payload, (Handled, Orphan)):
                         return payload
+        """
+        files["src/repro/resolver/stats.py"] = """
+            class InrStats:
+                drops_ghost: int = 0
         """
         files["src/repro/obs_helper.py"] = """
             def status():
@@ -249,16 +302,16 @@ class TestDropSurface:
             DROP_PREFIX = "drop:"
 
 
-            class InrStats:
-                drops_no_route: int = 0
-                drops_ghost: int = 0
-
-
             class INR:
                 def handle_message(self, payload, sender):
                     if isinstance(payload, (Handled, Orphan)):
                         return payload
                     return DROP_PREFIX + "no-route", DROP_PREFIX + "ghost"
+        """
+        files["src/repro/resolver/stats.py"] = """
+            class InrStats:
+                drops_no_route: int = 0
+                drops_ghost: int = 0
         """
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "PROTOCOL.md").write_text(
@@ -266,7 +319,7 @@ class TestDropSurface:
         )
         flagged = findings(run_tree(tmp_path, files))
         assert [(f.path, f.line) for f in flagged] == [
-            ("src/repro/resolver/inr.py", 9)
+            ("src/repro/resolver/stats.py", 4)
         ]
         assert "docs/PROTOCOL.md" in flagged[0].message
         assert "'ghost'" in flagged[0].message
@@ -281,14 +334,14 @@ class TestDropSurface:
             DROP_PREFIX = "drop:"
 
 
-            class InrStats:
-                drops_ghost: int = 0
-
-
             class INR:
                 def handle_message(self, payload, sender):
                     if isinstance(payload, (Handled, Orphan)):
                         return payload
                     return DROP_PREFIX + "ghost"
+        """
+        files["src/repro/resolver/stats.py"] = """
+            class InrStats:
+                drops_ghost: int = 0
         """
         assert findings(run_tree(tmp_path, files)) == []

@@ -227,7 +227,7 @@ class TestFencingAndStaleness:
     def test_offer_below_fence_is_dropped_and_counted(self):
         domain, a, b = self.make_recipient(63)
         b.delegation._fence["inr-a"] = 100
-        b.delegation.on_message(
+        b.handle_message(
             DelegateOffer(sender="inr-a", handoff_id=50, vspace="x",
                           total_records=0),
             "inr-a",
@@ -238,7 +238,7 @@ class TestFencingAndStaleness:
     def test_reoffer_of_settled_handoff_answered_with_terminal(self):
         domain, a, b = self.make_recipient(64)
         b.delegation._remember(60, "aborted", "x", "inr-a")
-        b.delegation.on_message(
+        b.handle_message(
             DelegateOffer(sender="inr-a", handoff_id=60, vspace="x",
                           total_records=0),
             "inr-a",
@@ -259,7 +259,7 @@ class TestFencingAndStaleness:
             endpoints=(("10.0.0.1", 5000, "udp"),),
             anycast_metric=0.0, route_metric=0.0, lifetime=30.0,
         )
-        b.delegation.on_message(
+        b.handle_message(
             DelegateTransfer(sender="inr-a", handoff_id=70, vspace="x",
                              seq=0, final=False, records=(record,)),
             "inr-a",
@@ -267,7 +267,7 @@ class TestFencingAndStaleness:
         assert handoff.staged == []  # duplicate: re-acked, not re-applied
         assert handoff.expected_seq == 1
         # ...and a chunk from the future is dropped as a gap.
-        b.delegation.on_message(
+        b.handle_message(
             DelegateTransfer(sender="inr-a", handoff_id=70, vspace="x",
                              seq=5, final=False, records=(record,)),
             "inr-a",
@@ -286,7 +286,7 @@ class TestFencingAndStaleness:
             endpoints=(("10.0.0.1", 5000, "udp"),),
             anycast_metric=0.0, route_metric=0.0, lifetime=30.0,
         )
-        b.delegation.on_message(
+        b.handle_message(
             DelegateTransfer(sender="inr-a", handoff_id=999, vspace="x",
                              seq=0, final=True, records=(record,)),
             "inr-a",
@@ -308,7 +308,7 @@ class TestStagingTimeout:
         ))
         a = domain.add_inr(address="inr-a", vspaces=("v",))
         b = domain.add_inr(address="inr-b", vspaces=("w",))
-        b.delegation.on_message(
+        b.handle_message(
             DelegateOffer(sender="inr-a", handoff_id=80, vspace="x",
                           total_records=16),
             "inr-a",

@@ -1,5 +1,6 @@
 """The INR's dispatch table: one ``{message type: (handler, cost rule)}``
-lookup serves ``handle_message`` and ``processing_cost``.
+lookup serves ``handle_message`` and ``processing_cost``, assembled from
+the tables the resolver's components declare.
 
 The cost expectations below are the rules as the ``isinstance`` ladder
 stated them before the table existed, written out per message.
@@ -15,6 +16,7 @@ from repro.message import (
     DelegateTransfer, DsrClaimResponse, DsrListResponse, DsrVspaceResponse,
 )
 from repro.resolver import INR
+from repro.resolver.inr import merge_tables
 from repro.resolver.costs import DEFAULT_COSTS as C
 from repro.resolver.protocol import (
     Advertisement, DataPacket, DiscoveryRequest, NameWithdraw, PeerAccept,
@@ -76,6 +78,46 @@ def test_unlisted_payloads_cost_a_receive(inr):
 def test_every_costed_message_has_a_handler():
     listed = {type(payload) for payload, _cost in EXPECTED} | {ReliableFrame}
     assert set(INR._DISPATCH) == listed
-    for handler, rule in INR._DISPATCH.values():
-        assert getattr(INR, handler.__name__) is handler
-        assert callable(rule)
+    for owner, handler, rule in INR._DISPATCH.values():
+        assert callable(handler) and callable(rule)
+
+
+def test_every_type_is_registered_by_exactly_one_component(inr):
+    components = {
+        owner: type(getattr(inr, owner))
+        for owner, _handler, _rule in INR._DISPATCH.values()
+    }
+    assert set(components) == {
+        "membership", "discovery", "dataplane", "custodian", "load", "delegation",
+    }
+    claims = [
+        (message, owner)
+        for owner, component in components.items()
+        for message in component.HANDLERS
+    ]
+    assert len(claims) == len({message for message, _owner in claims}) == 22
+    for message, owner in claims:
+        registered_by, handler, rule = INR._DISPATCH[message]
+        assert registered_by == owner
+        assert (handler, rule) == components[owner].HANDLERS[message]
+        # the handler is the registering component's own method ...
+        assert vars(components[owner])[handler.__name__] is handler
+        # ... and the incarnation's table holds it bound to that component
+        bound, bound_rule = inr.dispatch[message]
+        assert bound.__func__ is handler and bound.__self__ is getattr(inr, owner)
+        assert bound_rule is rule
+
+
+def test_a_type_claimed_by_two_components_is_an_error():
+    def handler(self, payload, source):
+        return None
+
+    one = {DataPacket: (handler, None)}
+    other = {Advertisement: (handler, None), DataPacket: (handler, None)}
+    with pytest.raises(TypeError, match="DataPacket.*both one and other"):
+        merge_tables(one=one, other=other)
+    merged = merge_tables(one=one, other={Advertisement: (handler, None)})
+    assert merged == {
+        DataPacket: ("one", handler, None),
+        Advertisement: ("other", handler, None),
+    }

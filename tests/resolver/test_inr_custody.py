@@ -209,7 +209,7 @@ class TestCustodyMigration:
                 ),
             ),
         )
-        inr._handle_custody_transfer(transfer, "inr-ghost")
+        inr.custodian._handle_custody_transfer(transfer, "inr-ghost")
         assert inr.stats.custody_transfers_received == 1
         assert inr.stats.drops_custody_transfer_failed == 1
         assert inr.stats.drops_by_cause()["custody-transfer-failed"] == 1

@@ -37,36 +37,3 @@ class TestLoadMonitor:
         sample = monitor.sample(now=5.0)
         assert sample.lookups_per_second > 0  # huge, but finite
 
-
-class TestEwma:
-    def test_default_alpha_tracks_raw_rates_exactly(self):
-        monitor = LoadMonitor(now=0.0)  # alpha = 1.0: no smoothing
-        monitor.count_lookup(100)
-        sample = monitor.sample(now=1.0)
-        assert sample.ewma_lookups_per_second == sample.lookups_per_second
-        monitor.sample(now=2.0)
-
-    def test_smoothing_damps_a_spike(self):
-        monitor = LoadMonitor(now=0.0, ewma_alpha=0.5)
-        monitor.count_lookup(100)
-        first = monitor.sample(now=1.0)  # seeds the EWMA at the raw rate
-        assert first.ewma_lookups_per_second == pytest.approx(100.0)
-        second = monitor.sample(now=2.0)  # raw drops to 0 instantly...
-        assert second.lookups_per_second == 0.0
-        # ...but the smoothed signal decays, damping flappy decisions.
-        assert second.ewma_lookups_per_second == pytest.approx(50.0)
-        third = monitor.sample(now=3.0)
-        assert third.ewma_lookups_per_second == pytest.approx(25.0)
-
-    def test_update_rate_smoothed_independently(self):
-        monitor = LoadMonitor(now=0.0, ewma_alpha=0.5)
-        monitor.count_update_names(80)
-        monitor.sample(now=1.0)
-        second = monitor.sample(now=2.0)
-        assert second.ewma_update_names_per_second == pytest.approx(40.0)
-        assert second.ewma_lookups_per_second == 0.0
-
-    def test_invalid_alpha_rejected(self):
-        for alpha in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="ewma_alpha"):
-                LoadMonitor(ewma_alpha=alpha)

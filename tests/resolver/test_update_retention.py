@@ -11,7 +11,7 @@ import pytest
 
 import repro.client.service as service_module
 import repro.nametree.tree as tree_module
-import repro.resolver.inr as inr_module
+import repro.resolver.discovery as discovery_module
 from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
 from repro.nametree import NameTree
@@ -115,14 +115,14 @@ def test_unchanged_domain_second_round_builds_one_update_per_name_per_sender(
     domain.run(REFRESH * 2.2)  # every table holds every name, refreshed once
     assert [inr.name_count() for inr in (a, b, c)] == [6, 6, 6]
 
-    records = _count_constructions(monkeypatch, inr_module, "NameRecord")
-    routes = _count_constructions(monkeypatch, inr_module, "Route") + \
+    records = _count_constructions(monkeypatch, discovery_module, "NameRecord")
+    routes = _count_constructions(monkeypatch, discovery_module, "Route") + \
         _count_constructions(monkeypatch, tree_module, "Route")
-    updates = _count_constructions(monkeypatch, inr_module, "NameUpdate")
+    updates = _count_constructions(monkeypatch, discovery_module, "NameUpdate")
     advertisements = _count_constructions(monkeypatch, service_module, "Advertisement")
     endpoints = _count_constructions(monkeypatch, service_module, "Endpoint") + \
-        _count_constructions(monkeypatch, inr_module, "Endpoint")
-    tables = _count_calls(monkeypatch, type(a), "_all_entries")
+        _count_constructions(monkeypatch, discovery_module, "Endpoint")
+    tables = _count_calls(monkeypatch, type(a.discovery), "_all_entries")
     batches_before = sum(inr.stats.periodic_updates_sent for inr in (a, b, c))
     names_before = sum(inr.stats.update_names_processed for inr in (a, b, c))
     ads_before = sum(inr.stats.advertisements_processed for inr in (a, b, c))
@@ -131,7 +131,7 @@ def test_unchanged_domain_second_round_builds_one_update_per_name_per_sender(
 
     # The round happened: every INR sent its table, every service refreshed.
     batches = sum(inr.stats.periodic_updates_sent for inr in (a, b, c)) - batches_before
-    assert {id(inr) for inr in tables} == {id(a), id(b), id(c)}
+    assert {id(d) for d in tables} == {id(inr.discovery) for inr in (a, b, c)}
     assert sum(inr.stats.update_names_processed for inr in (a, b, c)) - names_before >= 12
     assert sum(inr.stats.advertisements_processed for inr in (a, b, c)) - ads_before >= 6
     # A three-node overlay has an INR with two neighbors, so there are
@@ -153,7 +153,7 @@ def test_triggered_updates_are_built_once_for_all_neighbors(monkeypatch):
     assert len(hub.neighbors) == 2
     service = _service(domain, "[service=e[id=1]]", hub)
     domain.run(1.0)
-    updates = _count_constructions(monkeypatch, inr_module, "NameUpdate")
+    updates = _count_constructions(monkeypatch, discovery_module, "NameUpdate")
     start = domain.now
     service.set_metric(4.0)
     domain.run(1.0)
@@ -299,7 +299,7 @@ def test_advertiser_mutating_its_name_in_place_does_not_corrupt_updates():
     record = tree.record_for(service.announcer)
     assert tree.get_name(record) is not service.name
     start = domain.now
-    a._send_periodic_updates()
+    a.discovery.send_periodic_updates()
     domain.run(0.5)
     updates = _periodic_updates(trace, "inr-a", "inr-b", start)
     assert [update.name.to_wire() for update in updates] == [grafted]
@@ -310,7 +310,7 @@ def test_lone_inr_does_not_build_a_table_for_nobody(monkeypatch):
     domain, trace, (a,) = _domain(["inr-a"])
     _service(domain, "[service=e[id=1]]", a)
     domain.run(1.0)
-    built = _count_calls(monkeypatch, type(a), "_all_entries")
+    built = _count_calls(monkeypatch, type(a.discovery), "_all_entries")
     domain.run(REFRESH * 3)
     assert built == []
     assert a.stats.periodic_updates_sent == 0
@@ -336,7 +336,7 @@ def test_rejected_updates_build_no_record(monkeypatch, rejected_by):
         lifetime=15.0,
         vspace="default",
     )
-    built = _count_constructions(monkeypatch, inr_module, "NameRecord")
-    assert holder._apply_update(tree, update, "inr-elsewhere", 0.0) is False
+    built = _count_constructions(monkeypatch, discovery_module, "NameRecord")
+    assert holder.discovery._apply_update(tree, update, "inr-elsewhere", 0.0) is False
     assert built == []
     assert tree.record_for(service.announcer) is existing
