@@ -2,68 +2,27 @@
 
 Each benchmark records the rows it regenerated; the conftest hook prints
 every recorded table in the terminal summary (which pytest never
-captures) and writes it under ``benchmarks/results/`` so EXPERIMENTS.md
-can reference stable artifacts.
+captures) and the table is written under ``benchmarks/results/`` so
+EXPERIMENTS.md can reference stable artifacts. Rendering and file
+naming are ``repro.xp.report``'s.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import List, Sequence, Tuple
 
-_TABLES: List[Tuple[str, Sequence[str], List[Sequence[str]]]] = []
+from repro.xp.report import write_table
+
+_TABLES: List[Tuple[str, Sequence[str], List[Sequence]]] = []
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def write_json_artifact(name: str, payload: dict) -> str:
-    """Write ``payload`` under ``benchmarks/results/`` as canonical JSON.
-
-    Canonical means sorted keys, two-space indent and a trailing
-    newline, so two runs that produce equal payloads produce
-    byte-identical files — the property the determinism checks diff on.
-    Returns the path written.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def record_table(title: str, headers: Sequence[str], rows: List[Sequence]) -> None:
     """Register a result table for the end-of-run report."""
-    rendered = [[str(cell) for cell in row] for row in rows]
-    _TABLES.append((title, [str(h) for h in headers], rendered))
-    _write_file(title, headers, rendered)
-
-
-def _write_file(title: str, headers: Sequence[str], rows: List[Sequence[str]]) -> None:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    # A TRAILING parenthesized part of a title carries run-specific
-    # numbers (fitted parameters, slopes); strip it so filenames stay
-    # stable across runs. Interior parentheses (e.g. "T(d) model") stay.
-    import re
-
-    stem = re.sub(r"\s*\([^()]*\)\s*$", "", title).strip()
-    slug = "".join(c if c.isalnum() else "_" for c in stem.lower()).strip("_")
-    path = os.path.join(RESULTS_DIR, f"{slug}.txt")
-    with open(path, "w") as handle:
-        handle.write(format_table(title, headers, rows))
-
-
-def format_table(title: str, headers: Sequence[str], rows: List[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [title, "-" * len(title)]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    for row in rows:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines) + "\n"
+    _TABLES.append((title, headers, rows))
+    write_table(RESULTS_DIR, title, headers, rows)
 
 
 def drain_tables():

@@ -1,9 +1,9 @@
 """Ablation — the INR packet-caching extension (Section 3.2).
 
 Engine-driven: the ``packet-cache`` workload runs the baseline and the
-cache-off arm from one spec, so this driver shares its run IDs (and its
-numbers) with the committed ``BENCH_matrix.json`` entry of the same
-name. Repeated cacheable Camera requests should be answered by INR
+cache-off arm from the committed suite's own spec, so this driver
+shares its run IDs (and its numbers) with the ``BENCH_matrix.json``
+entry of the same name. Repeated cacheable Camera requests should be answered by INR
 caches; the origin camera serves the first request and the caches
 absorb the rest — with the cache ablated, every request reaches the
 origin.
@@ -11,14 +11,9 @@ origin.
 
 from _report import record_table
 
-from repro.xp import ExperimentSpec, WORKLOADS, run_spec
+from repro.xp import WORKLOADS, default_suite, run_spec
 
-SPEC = ExperimentSpec(
-    name="packet-cache-camera",
-    workload="packet-cache",
-    seed=0,
-    params={"requests": 10},
-)
+SPEC = default_suite()["packet-cache-camera"]
 
 
 def test_ablation_packet_cache(benchmark):

@@ -12,18 +12,10 @@ overloaded resolver just stays overloaded.
 
 from _report import record_table
 
-from repro.xp import ExperimentSpec, WORKLOADS, run_spec
+from repro.xp import WORKLOADS, default_suite, run_spec
 
-SPAWN_SPEC = ExperimentSpec(
-    name="spawn-overload",
-    workload="spawn-overload",
-    seed=0,
-    params={"request_rate": 900.0, "duration": 40.0},
-)
-
-UPDATE_SPEC = ExperimentSpec(
-    name="update-overload", workload="update-overload", seed=0
-)
+SPAWN_SPEC = default_suite()["spawn-overload"]
+UPDATE_SPEC = default_suite()["update-overload"]
 
 
 def test_ablation_spawn(benchmark):

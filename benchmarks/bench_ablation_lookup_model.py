@@ -1,8 +1,8 @@
 """Ablation — the Section 5.1.1 analytic model vs measurements.
 
-Checks that measured LOOKUP-NAME times track the fitted
-T(d) = Theta(n_a^d (t + b)) model as the name-specifier depth grows, and
-quantifies the hash-table vs linear-search gap the analysis predicts.
+Checks that measured LOOKUP-NAME times (memo off, so every lookup
+walks the recursion) track the fitted T(d) = Theta(n_a^d (t + b)) model
+as the name-specifier depth grows.
 """
 
 from _report import record_table
@@ -22,14 +22,9 @@ def test_ablation_lookup_model(benchmark):
     record_table(
         "Ablation: T(d) model vs measured lookup time "
         f"(fit t={fitted_t_us:.2f}us, b={fitted_b_us:.2f}us)",
-        ["depth d", "measured (us)", "model (us)", "linear search (us)"],
+        ["depth d", "measured (us)", "model (us)"],
         [
-            (
-                row.depth,
-                f"{row.measured_us:.1f}",
-                f"{row.predicted_us:.1f}",
-                f"{row.linear_search_us:.1f}",
-            )
+            (row.depth, f"{row.measured_us:.1f}", f"{row.predicted_us:.1f}")
             for row in rows
         ],
     )
@@ -38,6 +33,3 @@ def test_ablation_lookup_model(benchmark):
     # The fitted model tracks the deeper measurements well.
     for row in rows[1:]:
         assert relative_error(row.predicted_us, row.measured_us) < 0.5
-    # Linear child search loses to hashing at depth (the paper's reason
-    # for the hash-table design).
-    assert rows[-1].linear_search_us > rows[-1].measured_us * 0.8

@@ -23,22 +23,23 @@ the harvested metrics and span summary under ``observability``.
 
 import math
 import os
+from dataclasses import replace
 
-from _report import RESULTS_DIR, record_table, write_json_artifact
+from _report import RESULTS_DIR, record_table
 
 from repro.chaos import write_bench_availability_json
-from repro.obs import well_formed_traces, write_chrome_trace, write_spans_jsonl
-from repro.xp import ExperimentSpec, run_spec
-
-#: Same spec as the committed ``BENCH_matrix.json`` entry, restricted
-#: to the resilience arm (the full matrix also ablates admission
-#: control and tracing; this driver regenerates the on/off artifact).
-SPEC = ExperimentSpec(
-    name="availability-chaos",
-    workload="availability",
-    seed=7,
-    ablations=("resilience",),
+from repro.obs import (
+    well_formed_traces,
+    write_canonical_json,
+    write_chrome_trace,
+    write_spans_jsonl,
 )
+from repro.xp import default_suite, run_spec
+
+#: The committed ``BENCH_matrix.json`` entry, restricted to the
+#: resilience arm (the full matrix also ablates admission control and
+#: tracing; this driver regenerates the on/off artifact).
+SPEC = replace(default_suite()["availability-chaos"], ablations=("resilience",))
 
 
 def _mttr_cell(report, kind):
@@ -72,8 +73,8 @@ def test_availability_resilience_on_vs_off(benchmark):
     )
     # The standalone metrics snapshot — the artifact the determinism
     # contract promises is byte-identical across same-seed runs.
-    write_json_artifact(
-        "BENCH_availability_metrics.json",
+    write_canonical_json(
+        os.path.join(RESULTS_DIR, "BENCH_availability_metrics.json"),
         resilient.collector.metrics_snapshot(),
     )
     assert "observability" in payload

@@ -22,21 +22,20 @@ transfer. The matrix's baseline run is traced: ``inr.delegate`` spans
 
 import os
 
-from _report import RESULTS_DIR, record_table, write_json_artifact
+from _report import RESULTS_DIR, record_table
 
 from repro.chaos import (
+    fingerprint,
     run_delegation_matrix,
     write_bench_delegation_json,
 )
-from repro.obs import well_formed_traces, write_spans_jsonl
-from repro.xp import ExperimentSpec, run_spec
+from repro.obs import well_formed_traces, write_canonical_json, write_spans_jsonl
+from repro.xp import default_suite, run_spec
 
 SEED = 7
 
-#: Identical to the committed matrix entry, run-IDs included.
-ABLATION_SPEC = ExperimentSpec(
-    name="delegation-crash", workload="delegation", seed=SEED
-)
+#: The committed matrix entry itself (seed 7 too), run IDs included.
+ABLATION_SPEC = default_suite()["delegation-crash"]
 
 #: The dual-serving guarantee: lookups issued while a handoff is in
 #: flight keep succeeding, because the donor answers until COMMIT.
@@ -57,14 +56,8 @@ def test_delegation_crash_matrix_and_ablation(benchmark):
         rounds=1,
         iterations=1,
     )
-    ablation = {
-        "two_phase": ablation_run.baseline.details["report"],
-        "ablated": ablation_run.ablations["delegation_two_phase"].details[
-            "report"
-        ],
-    }
     payload = write_bench_delegation_json(
-        os.path.join(RESULTS_DIR, "BENCH_delegation.json"), matrix, ablation
+        os.path.join(RESULTS_DIR, "BENCH_delegation.json"), matrix, ablation_run
     )
 
     # Span acceptance: the traced baseline produced well-formed trees
@@ -90,8 +83,9 @@ def test_delegation_crash_matrix_and_ablation(benchmark):
     write_spans_jsonl(
         os.path.join(RESULTS_DIR, "BENCH_delegation_spans.jsonl"), spans
     )
-    write_json_artifact(
-        "BENCH_delegation_metrics.json", traced.collector.metrics_snapshot()
+    write_canonical_json(
+        os.path.join(RESULTS_DIR, "BENCH_delegation_metrics.json"),
+        traced.collector.metrics_snapshot(),
     )
     assert "observability" in payload
 
@@ -116,7 +110,8 @@ def test_delegation_crash_matrix_and_ablation(benchmark):
             for report in matrix
         ],
     )
-    on, off = ablation["two_phase"], ablation["ablated"]
+    on = ablation_run.baseline.details["report"]
+    off = ablation_run.ablations["delegation_two_phase"].details["report"]
     record_table(
         "Delegation ablation: recipient crash, no operator restart "
         "(two-phase vs single-shot transfer)",
@@ -174,4 +169,4 @@ def test_delegation_crash_matrix_and_ablation(benchmark):
     assert "single-vspace-authority" in off.converged_violations
     # Reproducibility: the whole matrix is seed-deterministic.
     rerun = run_delegation_matrix(seed=SEED)[1]
-    assert rerun.fingerprint() == matrix[1].fingerprint()
+    assert fingerprint(rerun) == fingerprint(matrix[1])

@@ -21,10 +21,10 @@ drop attribution rides the artifact under ``observability``.
 
 import os
 
-from _report import RESULTS_DIR, record_table, write_json_artifact
+from _report import RESULTS_DIR, record_table
 
 from repro.chaos import write_bench_dtn_json
-from repro.obs import well_formed_traces, write_spans_jsonl
+from repro.obs import well_formed_traces, write_canonical_json, write_spans_jsonl
 from repro.xp import ExperimentSpec, run_spec
 
 SEED = 7
@@ -52,20 +52,19 @@ def test_dtn_custody_on_vs_off(benchmark):
         rounds=1,
         iterations=1,
     )
-    rows = [
-        {
-            "disruption": disruption,
-            "custody_on": run.baseline.details["report"],
-            "custody_off": run.ablations["custody"].details["report"],
-        }
-        for disruption, run in zip(DISRUPTIONS, runs)
-    ]
     payload = write_bench_dtn_json(
-        os.path.join(RESULTS_DIR, "BENCH_dtn.json"), rows
+        os.path.join(RESULTS_DIR, "BENCH_dtn.json"), runs
     )
+    pairs = [
+        (
+            run.baseline.details["report"],
+            run.ablations["custody"].details["report"],
+        )
+        for run in runs
+    ]
     # Span acceptance: the traced custody-on run produced well-formed
     # trees whose custody spans carry the accept/release lifecycle.
-    traced = rows[0]["custody_on"]
+    traced = pairs[0][0]
     spans = traced.collector.tracer.spans
     assert spans, "observed run produced no spans"
     assert well_formed_traces(spans) == {}
@@ -73,8 +72,9 @@ def test_dtn_custody_on_vs_off(benchmark):
     statuses = {span.status for span in custody_spans}
     assert "custody-released" in statuses
     write_spans_jsonl(os.path.join(RESULTS_DIR, "BENCH_dtn_spans.jsonl"), spans)
-    write_json_artifact(
-        "BENCH_dtn_metrics.json", traced.collector.metrics_snapshot()
+    write_canonical_json(
+        os.path.join(RESULTS_DIR, "BENCH_dtn_metrics.json"),
+        traced.collector.metrics_snapshot(),
     )
     assert "observability" in payload
     record_table(
@@ -84,7 +84,7 @@ def test_dtn_custody_on_vs_off(benchmark):
          "p50 (s)", "max (s)", "accepted", "released", "lapsed"],
         [
             (
-                f"{row['disruption']:.0f}",
+                f"{report.disruption:.0f}",
                 "on" if report.custody else "off",
                 f"{report.messages_sent}",
                 f"{report.messages_delivered}",
@@ -95,8 +95,8 @@ def test_dtn_custody_on_vs_off(benchmark):
                 f"{report.custody_released}",
                 f"{report.drops_custody_expired}",
             )
-            for row in rows
-            for report in (row["custody_on"], row["custody_off"])
+            for pair in pairs
+            for report in pair
         ],
     )
     # The acceptance bar: at every disruption length custody must
@@ -104,8 +104,7 @@ def test_dtn_custody_on_vs_off(benchmark):
     # (including custody-drained) must hold, and no payload may lose
     # attribution — accepted payloads are all released, lapsed, or
     # evicted by the end of the drain.
-    for row in rows:
-        on, off = row["custody_on"], row["custody_off"]
+    for on, off in pairs:
         assert on.messages_sent == off.messages_sent > 0
         assert on.delivery_ratio > off.delivery_ratio
         assert on.converged_violations == ()
@@ -118,4 +117,4 @@ def test_dtn_custody_on_vs_off(benchmark):
         assert off.custody_accepted == 0
         # Longer partitions stretch the delivery tail: payloads wait in
         # custody for (at most) the disruption plus reconvergence.
-        assert on.latency_max <= row["disruption"] + 20.0
+        assert on.latency_max <= on.disruption + 20.0

@@ -13,14 +13,13 @@ import random
 from _report import RESULTS_DIR, record_table
 
 from repro.experiments.fig12 import (
-    MemoAblationResult,
     run_lookup_experiment,
-    run_update_ingestion_bench,
     write_bench_lookup_json,
 )
 from repro.experiments.workload import UniformWorkload
 from repro.nametree import NameTree
-from repro.xp import ExperimentSpec, WORKLOADS, run_spec
+from repro.xp import WORKLOADS, run_spec
+from repro.xp.workloads import FIG12_MEMO_SPEC, memo_ablation_block
 
 
 def test_fig12_lookup_curve(benchmark):
@@ -65,18 +64,6 @@ def test_fig12_lookup_curve(benchmark):
     assert last.lookups_per_second > 5000
 
 
-#: The memo's home workload, engine-declared: the baseline arm runs
-#: memoized with periodic refreshes, the ``lookup_memo`` ablation arm
-#: is the uncached control — same tree, same queries, same refreshes.
-MEMO_SPEC = ExperimentSpec(
-    name="fig12-memo",
-    workload="lookup",
-    seed=0,
-    params={"names": 5000, "lookups": 20000},
-    ablations=("lookup_memo",),
-)
-
-
 def test_fig12_memo_ablation(benchmark):
     """Cached vs uncached LOOKUP-NAME on the repeated-query workload.
 
@@ -87,47 +74,25 @@ def test_fig12_memo_ablation(benchmark):
     Figure-12 curve and the ablation numbers.
     """
     run = benchmark.pedantic(
-        lambda: run_spec(MEMO_SPEC, timing=True), rounds=1, iterations=1
+        lambda: run_spec(FIG12_MEMO_SPEC, timing=True), rounds=1, iterations=1
     )
-    base = run.baseline
-    uncached_arm = run.ablations["lookup_memo"]
-    ablation = MemoAblationResult(
-        names_in_tree=int(MEMO_SPEC.params["names"]),
-        distinct_queries=64,
-        lookups=int(MEMO_SPEC.params["lookups"]),
-        uncached_lookups_per_second=uncached_arm.timings["lookups_per_second"],
-        cached_lookups_per_second=base.timings["lookups_per_second"],
-        speedup=(
-            base.timings["lookups_per_second"]
-            / uncached_arm.timings["lookups_per_second"]
-        ),
-        memo_hits=int(base.metrics["memo_hits"]),
-        memo_misses=int(base.metrics["memo_misses"]),
-        refreshes_during_cached_run=int(base.metrics["refreshes"]),
-        memo_invalidations=int(base.metrics["memo_invalidations"]),
-    )
-    ingestion = run_update_ingestion_bench()
+    ablation = memo_ablation_block(run)
     curve = run_lookup_experiment(
         name_counts=(100, 2500, 5000), lookups_per_point=1000
     )
     payload = write_bench_lookup_json(
-        os.path.join(RESULTS_DIR, "BENCH_lookup.json"), curve, ablation,
-        ingestion,
+        os.path.join(RESULTS_DIR, "BENCH_lookup.json"), curve, ablation
     )
     for title, headers, rows in WORKLOADS["lookup"].suite_tables(run):
         record_table(title, headers, rows)
-    assert payload["memo_ablation"]["speedup"] == ablation.speedup
+    assert payload["memo_ablation"] == ablation
     # The fast path must be worth having: >= 2x on repeated queries.
-    assert ablation.speedup >= 2.0
-    # Batched refresh ingestion must beat per-update validation: the
-    # refresh fast path plus one epoch per batch is the whole point.
-    assert payload["update_ingestion"]["speedup"] == ingestion.speedup
-    assert ingestion.speedup >= 1.5
+    assert ablation["speedup"] >= 2.0
     # Pure periodic refreshes kept the memo warm: each distinct query
     # misses once, every other lookup hits.
-    assert ablation.memo_misses == ablation.distinct_queries
-    assert ablation.memo_invalidations == 0
-    assert ablation.refreshes_during_cached_run > 0
+    assert ablation["memo_misses"] == ablation["distinct_queries"]
+    assert ablation["memo_invalidations"] == 0
+    assert ablation["refreshes_during_cached_run"] > 0
 
 
 def test_fig12_single_lookup_benchmark(benchmark):

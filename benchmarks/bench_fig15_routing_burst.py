@@ -19,7 +19,7 @@ from repro.experiments.fig15 import (
     write_bench_routing_json,
 )
 from repro.obs import well_formed_traces
-from repro.xp import ExperimentSpec, WORKLOADS, run_spec
+from repro.xp import WORKLOADS, default_suite, run_spec
 
 
 def test_fig15_routing_burst(benchmark):
@@ -67,16 +67,11 @@ def test_fig15_routing_burst(benchmark):
         assert row.remote_other_vspace_ms == pytest.approx(381, rel=0.1)
 
 
-#: The same spec the committed ``BENCH_matrix.json`` runs: the baseline
+#: The spec the committed ``BENCH_matrix.json`` runs: the baseline
 #: keeps the paper's delivery-code artifact, the ablated arm disables
 #: it. Its importance in the matrix is negative by construction — the
 #: artifact is a reproduced *cost*.
-ABLATION_SPEC = ExperimentSpec(
-    name="routing-burst",
-    workload="routing",
-    seed=0,
-    params={"name_counts": (250, 5000)},
-)
+ABLATION_SPEC = default_suite()["routing-burst"]
 
 
 def test_fig15_ablation_delivery_artifact_off(benchmark):

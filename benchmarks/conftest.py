@@ -6,7 +6,9 @@ tables always appear in the run's output (and in bench_output.txt).
 
 from __future__ import annotations
 
-from _report import drain_tables, format_table
+from _report import drain_tables
+
+from repro.xp.report import format_table
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,8 +1,8 @@
 """Perf smoke: the deterministic Figure-12 bench gated by repro-bench-gate.
 
 Runs the fig12 lookup curve (same workload seeds as the checked-in
-``benchmarks/results/BENCH_lookup.json``), the memo ablation and the
-update-ingestion ablation, then:
+``benchmarks/results/BENCH_lookup.json``) and the memo ablation (the
+``fig12-memo`` spec of the ``lookup`` workload), then:
 
 1. hands the freshly-measured payload and the checked-in baseline to
    the :mod:`repro.xp.gate` comparison — the same machinery behind the
@@ -37,14 +37,17 @@ from _report import RESULTS_DIR  # noqa: E402
 
 from repro.experiments.fig12 import (  # noqa: E402
     run_lookup_experiment,
-    run_memo_ablation,
-    run_update_ingestion_bench,
     write_bench_lookup_json,
 )
+from repro.xp import run_spec  # noqa: E402
 from repro.xp.gate import (  # noqa: E402
     MetricRule,
     compare_artifacts,
     render_gate_report,
+)
+from repro.xp.workloads import (  # noqa: E402
+    FIG12_MEMO_SPEC,
+    memo_ablation_block,
 )
 
 #: The curve protocol: same points and seeds as the checked-in
@@ -69,16 +72,6 @@ def measure_curve(repeats: int) -> list:
                 row if row.mean_lookup_us < kept.mean_lookup_us else kept
                 for kept, row in zip(best, rows)
             ]
-    return best
-
-
-def best_ingestion(repeats: int):
-    """The update-ingestion ablation at its best-of-``repeats`` rates."""
-    best = None
-    for _ in range(repeats):
-        result = run_update_ingestion_bench()
-        if best is None or result.batched_updates_per_second > best.batched_updates_per_second:
-            best = result
     return best
 
 
@@ -126,8 +119,7 @@ def main(argv=None) -> int:
         baseline = None
 
     curve = measure_curve(args.repeats)
-    ablation = run_memo_ablation(refresh_every=100)
-    ingestion = best_ingestion(args.repeats)
+    ablation = memo_ablation_block(run_spec(FIG12_MEMO_SPEC, timing=True))
 
     for row in curve:
         print(
@@ -135,15 +127,14 @@ def main(argv=None) -> int:
             f"{row.mean_lookup_us:7.2f} us/lookup  "
             f"{row.lookups_per_second:10.0f} lookups/s"
         )
-    print(f"perf-smoke: memo speedup {ablation.speedup:.1f}x, "
-          f"ingestion speedup {ingestion.speedup:.2f}x")
+    print(f"perf-smoke: memo speedup {ablation['speedup']:.1f}x")
 
     if args.dry_run:
         # The writer both writes and returns the payload; a dry run
         # only wants the return value.
-        payload = write_bench_lookup_json(os.devnull, curve, ablation, ingestion)
+        payload = write_bench_lookup_json(os.devnull, curve, ablation)
     else:
-        payload = write_bench_lookup_json(args.output, curve, ablation, ingestion)
+        payload = write_bench_lookup_json(args.output, curve, ablation)
         print(f"perf-smoke: wrote {args.output}")
 
     if baseline is None:

@@ -57,7 +57,7 @@ def main() -> None:
         print(f"{row.names_in_tree:>6}  {row.tree_megabytes:>6.2f}")
 
     banner("Figure 14: discovery time vs INR hops")
-    rows = run_discovery_experiment(max_hops=6)
+    rows, _ = run_discovery_experiment(max_hops=6)
     print(f"{'hops':>4}  {'ms':>6}")
     for row in rows:
         print(f"{row.hops:>4}  {row.discovery_ms:>6.2f}")

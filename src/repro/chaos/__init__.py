@@ -24,7 +24,6 @@ from .delegation import (
     CRASH_ROLES,
     DelegationReport,
     delegation_chaos_config,
-    run_delegation_ablation,
     run_delegation_matrix,
     run_delegation_scenario,
     write_bench_delegation_json,
@@ -33,7 +32,6 @@ from .dtn import (
     DtnReport,
     dtn_chaos_config,
     run_dtn_scenario,
-    run_dtn_sweep,
     write_bench_dtn_json,
 )
 from .invariants import InvariantChecker, Violation
@@ -43,6 +41,7 @@ from .scenario import (
     ChaosReport,
     RecoveryAblationRow,
     fast_chaos_config,
+    fingerprint,
     run_chaos_scenario,
     run_recovery_ablation,
 )
@@ -66,14 +65,13 @@ __all__ = [
     "delegation_chaos_config",
     "dtn_chaos_config",
     "fast_chaos_config",
+    "fingerprint",
     "percentile",
     "run_availability_scenario",
     "run_chaos_scenario",
-    "run_delegation_ablation",
     "run_delegation_matrix",
     "run_delegation_scenario",
     "run_dtn_scenario",
-    "run_dtn_sweep",
     "run_recovery_ablation",
     "write_bench_availability_json",
     "write_bench_dtn_json",

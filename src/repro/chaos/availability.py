@@ -17,19 +17,24 @@ request-resilience machinery buys.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..client import RetryPolicy
-from ..experiments.domain import DSR_HOST, InsDomain
+from ..experiments.domain import DSR_HOST
 from ..naming import NameSpecifier
-from ..obs import merge_counts
+from ..obs import write_canonical_json
 from ..resolver import InrConfig
 from .plan import ChaosController, FaultEvent, FaultPlan
 from .recovery import RecoveryTracker, percentile
-from .scenario import fast_chaos_config
+from .scenario import (
+    chaos_domain,
+    fast_chaos_config,
+    fault_surface,
+    add_observability,
+    summed_counters,
+)
 
 
 @dataclass
@@ -63,33 +68,6 @@ class AvailabilityReport:
     fault_kinds: Tuple[str, ...]
     mttr: Dict[str, Dict[str, float]]
     sim_time: float
-
-    def fingerprint(self) -> Tuple:
-        """Deterministic digest: same seed + parameters ⇒ identical."""
-        mttr_items = tuple(
-            (kind, tuple(sorted((k, round(v, 6)) for k, v in stats.items())))
-            for kind, stats in sorted(self.mttr.items())
-        )
-        return (
-            self.seed,
-            self.resilience,
-            self.requests_attempted,
-            self.requests_succeeded,
-            self.requests_empty,
-            self.requests_failed,
-            self.requests_hung,
-            round(self.success_rate, 6),
-            round(self.latency_p50, 6),
-            round(self.latency_p99, 6),
-            self.retries,
-            self.failovers,
-            self.deadline_exceeded,
-            self.pushbacks_received,
-            self.faults_applied,
-            self.fault_kinds,
-            mttr_items,
-            round(self.sim_time, 6),
-        )
 
 
 #: Retry policy scaled to the fast chaos clocks (requests resolve in
@@ -142,9 +120,9 @@ def run_availability_scenario(
     ``observe=True`` attaches a :class:`repro.obs.ObsCollector` before
     any traffic flows: every lookup then produces a hop-by-hop span
     tree and the harvested metrics registry rides on the returned
-    report as ``report.collector`` (a plain attribute — it is not part
-    of the dataclass, the fingerprint, or the JSON artifact's report
-    sections).
+    report as ``report.collector`` (a plain attribute, None when not
+    observed — it is not part of the dataclass, the fingerprint, or the
+    JSON artifact's report sections).
     """
     config = config or fast_chaos_config()
     config = replace(
@@ -159,13 +137,7 @@ def run_availability_scenario(
         else RetryPolicy.disabled()
     )
 
-    domain = InsDomain(
-        seed=seed,
-        config=config,
-        dsr_registration_lifetime=3.0 * config.heartbeat_interval,
-        dsr_sweep_interval=max(0.5, config.heartbeat_interval / 2.0),
-    )
-    collector = domain.observe() if observe else None
+    domain = chaos_domain(seed, config, observe=observe)
     inrs = [domain.add_inr() for _ in range(n_inrs)]
     names = [
         NameSpecifier.parse(f"[service=avail[id={index}]]")
@@ -184,22 +156,11 @@ def run_availability_scenario(
     ]
     domain.run(settle)
 
-    # Fault surface: overlay edges plus every service and client link —
-    # the full request path, so lookups actually traverse faulty links.
-    link_pairs = set()
-    for inr in domain.live_inrs:
-        for neighbor in inr.neighbors.addresses:
-            link_pairs.add(tuple(sorted((inr.address, neighbor))))
-    for endpoint_process in list(domain.services) + list(domain.clients):
-        if endpoint_process.resolver is not None:
-            link_pairs.add(
-                tuple(sorted((endpoint_process.address, endpoint_process.resolver)))
-            )
-
     plan = FaultPlan.random(
         seed=seed,
         inr_addresses=[inr.address for inr in inrs],
-        link_pairs=sorted(link_pairs),
+        # the full request path, so lookups actually traverse faulty links
+        link_pairs=fault_surface(domain, domain.services + domain.clients),
         duration=duration,
         crash_fraction=crash_fraction,
         flap_fraction=0.0,
@@ -297,11 +258,6 @@ def run_availability_scenario(
             hung += 1
     attempted = len(outstanding)
 
-    # Aggregate the per-component counters through their uniform
-    # snapshot() shape instead of plucking fields one by one.
-    client_totals = merge_counts(c.stats.snapshot() for c in clients)
-    inr_totals = merge_counts(inr.stats.snapshot() for inr in domain.inrs)
-
     report = AvailabilityReport(
         seed=seed,
         resilience=resilience,
@@ -313,21 +269,19 @@ def run_availability_scenario(
         success_rate=succeeded / attempted if attempted else 0.0,
         latency_p50=percentile(latencies, 0.50) if latencies else float("nan"),
         latency_p99=percentile(latencies, 0.99) if latencies else float("nan"),
-        retries=int(client_totals.get("retries", 0)),
-        failovers=int(client_totals.get("failovers", 0)),
-        deadline_exceeded=int(client_totals.get("deadline_exceeded", 0)),
-        pushbacks_received=int(client_totals.get("pushbacks_received", 0)),
-        shed_periodic=int(inr_totals.get("shed_periodic", 0)),
-        shed_triggered=int(inr_totals.get("shed_triggered", 0)),
-        pushbacks_sent=int(inr_totals.get("pushbacks_sent", 0)),
+        **summed_counters(
+            clients,
+            "retries", "failovers", "deadline_exceeded", "pushbacks_received",
+        ),
+        **summed_counters(
+            domain.inrs, "shed_periodic", "shed_triggered", "pushbacks_sent"
+        ),
         faults_applied=len(controller.applied),
         fault_kinds=plan.kinds,
         mttr=tracker.mttr_summary(),
         sim_time=domain.now,
     )
-    if collector is not None:
-        domain.harvest()
-        report.collector = collector
+    report.collector = domain.harvest()
     return report
 
 
@@ -352,17 +306,9 @@ def write_bench_availability_json(
             resilience_on.success_rate - resilience_off.success_rate, 6
         ),
     }
-    observability = {}
-    for key, report in (
-        ("resilience_on", resilience_on),
-        ("resilience_off", resilience_off),
-    ):
-        collector = getattr(report, "collector", None)
-        if collector is not None:
-            observability[key] = collector.observability_payload()
-    if observability:
-        payload["observability"] = observability
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    add_observability(
+        payload,
+        (("resilience_on", resilience_on), ("resilience_off", resilience_off)),
+    )
+    write_canonical_json(path, payload)
     return payload

@@ -26,28 +26,33 @@ role x phase matrix actually exercises the transition it names (a
 pre-computed :class:`FaultPlan` cannot, because the handoff's start
 time depends on load-policy timing).
 
-:func:`run_delegation_ablation` runs the same recipient-crash plan
-with ``delegation_two_phase=False`` — the paper-era single-shot
-transfer — as a controlled ablation: the records are flung in one
-unacknowledged batch and the tree dropped, so the crash loses the
-vspace outright until the operator restarts the recipient and soft
-state refills it. ``BENCH_delegation.json`` records the comparison.
+The ``delegation`` experiment workload (``repro.xp``) runs the same
+recipient-crash plan with ``delegation_two_phase=False`` — the
+paper-era single-shot transfer — as a controlled ablation: the records
+are flung in one unacknowledged batch and the tree dropped, so the
+crash loses the vspace outright until the operator restarts the
+recipient and soft state refills it. ``BENCH_delegation.json`` records
+the comparison.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..experiments.domain import InsDomain
 from ..naming import NameSpecifier
-from ..obs import merge_counts
+from ..obs import write_canonical_json
 from ..resolver import InrConfig
 from .availability import CHAOS_RETRY_POLICY
 from .invariants import InvariantChecker
-from .scenario import fast_chaos_config
+from .scenario import (
+    chaos_domain,
+    fast_chaos_config,
+    add_observability,
+    summed_counters,
+)
 
 #: The handoff phases a seeded crash can target. The first three are
 #: donor-side state-machine phases; "committed" is the recipient-side
@@ -105,38 +110,6 @@ class DelegationReport:
     converged_violations: Tuple[str, ...]
     invariant_samples: int
     sim_time: float
-
-    def fingerprint(self) -> Tuple:
-        """Deterministic digest: same seed + parameters ⇒ identical."""
-        return (
-            self.seed,
-            self.two_phase,
-            self.crash_role,
-            self.crash_phase,
-            round(self.handoff_started_at, 6),
-            round(self.crash_at, 6),
-            round(self.restarted_at, 6),
-            self.delegations_started,
-            self.delegations_committed,
-            self.delegations_aborted,
-            self.delegations_adopted,
-            self.delegation_rollbacks,
-            self.delegate_records_sent,
-            self.delegate_records_received,
-            self.delegate_stale_dropped,
-            self.requests_attempted,
-            self.requests_succeeded,
-            round(self.success_rate, 6),
-            self.window_requests,
-            self.window_succeeded,
-            round(self.window_success_rate, 6),
-            self.lost_records,
-            self.authority,
-            self.always_violations,
-            self.converged_violations,
-            self.invariant_samples,
-            round(self.sim_time, 6),
-        )
 
 
 def delegation_chaos_config(two_phase: bool = True) -> InrConfig:
@@ -321,16 +294,11 @@ def run_delegation_scenario(
 
     ``observe=True`` attaches an :class:`repro.obs.ObsCollector`; it
     rides on the returned report as ``report.collector`` (a plain
-    attribute — not part of the dataclass or the fingerprint).
+    attribute, None when not observed — not part of the dataclass or
+    the fingerprint).
     """
     config = config or delegation_chaos_config(two_phase)
-    domain = InsDomain(
-        seed=seed,
-        config=config,
-        dsr_registration_lifetime=3.0 * config.heartbeat_interval,
-        dsr_sweep_interval=max(0.25, config.heartbeat_interval / 2.0),
-    )
-    collector = domain.observe() if observe else None
+    domain = chaos_domain(seed, config, observe=observe, sweep_floor=0.25)
     base = domain.add_inr(address="inr-base")
     donor = domain.add_inr(
         address="inr-donor", vspaces=(KEPT_VSPACE, DELEGATED_VSPACE)
@@ -446,8 +414,6 @@ def run_delegation_scenario(
         )
     )
 
-    inr_totals = merge_counts(inr.stats.snapshot() for inr in domain.inrs)
-
     def stamp(value: Optional[float]) -> float:
         return -1.0 if value is None else value
 
@@ -459,17 +425,16 @@ def run_delegation_scenario(
         handoff_started_at=stamp(watch.handoff_started_at),
         crash_at=stamp(watch.crash_at),
         restarted_at=stamp(watch.restarted_at),
-        delegations_started=int(inr_totals.get("delegations_started", 0)),
-        delegations_committed=int(inr_totals.get("delegations_committed", 0)),
-        delegations_aborted=int(inr_totals.get("delegations_aborted", 0)),
-        delegations_adopted=int(inr_totals.get("delegations_adopted", 0)),
-        delegation_rollbacks=int(inr_totals.get("delegation_rollbacks", 0)),
-        delegate_records_sent=int(inr_totals.get("delegate_records_sent", 0)),
-        delegate_records_received=int(
-            inr_totals.get("delegate_records_received", 0)
-        ),
-        delegate_stale_dropped=int(
-            inr_totals.get("delegate_stale_dropped", 0)
+        **summed_counters(
+            domain.inrs,
+            "delegations_started",
+            "delegations_committed",
+            "delegations_aborted",
+            "delegations_adopted",
+            "delegation_rollbacks",
+            "delegate_records_sent",
+            "delegate_records_received",
+            "delegate_stale_dropped",
         ),
         requests_attempted=attempted,
         requests_succeeded=ok,
@@ -488,9 +453,7 @@ def run_delegation_scenario(
         invariant_samples=checker.samples_taken,
         sim_time=domain.now,
     )
-    if collector is not None:
-        domain.harvest()
-        report.collector = collector
+    report.collector = domain.harvest()
     return report
 
 
@@ -504,7 +467,7 @@ def run_delegation_matrix(
     (role, phase) combination — donor and recipient each crashed at
     every handoff phase. Every run must converge to exactly one
     authoritative resolver per vspace with zero lost records; the
-    benchmark and the CI smoke job assert exactly that."""
+    benchmark asserts exactly that."""
     reports = [
         run_delegation_scenario(
             seed=seed, two_phase=True, observe=observe_baseline, **kwargs
@@ -525,68 +488,32 @@ def run_delegation_matrix(
     return reports
 
 
-def run_delegation_ablation(
-    seed: int = 0, restart_after: Optional[float] = None, **kwargs
-) -> Dict[str, DelegationReport]:
-    """The controlled ablation ``BENCH_delegation.json`` leads with:
-    the same recipient crash, with no operator intervention (the
-    crashed process is never restarted), against both transfer modes.
-
-    Two-phase: the donor's chunk acks time out, it aborts, keeps its
-    tree — it never stopped serving it — and retries onto the spare
-    candidate; nothing is lost and no human touched anything. Single
-    shot: the records were flung in one unacknowledged batch and the
-    tree dropped, so the crash orphans the vspace permanently — every
-    record is lost, lookups collapse, and the single-authority
-    invariant is violated at convergence. (A prompt operator restart
-    plus client retries can mask the single-shot loss, which is why
-    the ablation defaults to none.)"""
-    return {
-        "two_phase": run_delegation_scenario(
-            seed=seed,
-            two_phase=True,
-            crash_role="recipient",
-            crash_phase="transfer",
-            restart_after=restart_after,
-            **kwargs,
-        ),
-        "ablated": run_delegation_scenario(
-            seed=seed,
-            two_phase=False,
-            crash_role="recipient",
-            crash_phase="post-transfer",
-            restart_after=restart_after,
-            **kwargs,
-        ),
-    }
-
-
 def write_bench_delegation_json(
     path: Union[str, Path],
     matrix: Sequence[DelegationReport],
-    ablation: Dict[str, DelegationReport],
+    ablation_run,
 ) -> dict:
     """Emit ``BENCH_delegation.json``: the crash matrix and the
     two-phase vs single-shot ablation. Returns the payload.
+
+    ``ablation_run`` is the executed ``delegation`` spec
+    (``repro.xp.SpecRun``): the same recipient crash with no operator
+    restart, baseline arm two-phase, ``delegation_two_phase`` arm
+    single-shot. (A prompt operator restart plus client retries can
+    mask the single-shot loss, which is why the spec restarts nothing.)
 
     A report carrying a collector (an ``observe=True`` run) contributes
     an ``observability`` section — drop attribution and per-hop span
     percentiles for the traced run.
     """
-    observability = {}
-    matrix_rows = []
-    for report in matrix:
-        matrix_rows.append(asdict(report))
-        collector = getattr(report, "collector", None)
-        if collector is not None:
-            label = f"{report.crash_role or 'baseline'}:{report.crash_phase or '-'}"
-            observability[label] = collector.observability_payload()
-    on = ablation["two_phase"]
-    off = ablation["ablated"]
+    on: DelegationReport = ablation_run.baseline.details["report"]
+    off: DelegationReport = ablation_run.ablations[
+        "delegation_two_phase"
+    ].details["report"]
     payload = {
         "benchmark": "delegation-chaos",
         "schema_version": 1,
-        "matrix": matrix_rows,
+        "matrix": [asdict(report) for report in matrix],
         "ablation": {
             "two_phase": asdict(on),
             "ablated": asdict(off),
@@ -596,9 +523,12 @@ def write_bench_delegation_json(
             "lost_records_delta": off.lost_records - on.lost_records,
         },
     }
-    if observability:
-        payload["observability"] = observability
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    add_observability(
+        payload,
+        (
+            (f"{report.crash_role or 'baseline'}:{report.crash_phase or '-'}", report)
+            for report in matrix
+        ),
+    )
+    write_canonical_json(path, payload)
     return payload

@@ -18,25 +18,30 @@ delivery ratio and latency — including payloads that waited out the
 partition in custody. Running the identical plan with custody enabled
 and disabled is a controlled ablation of the DTN machinery alone.
 
-:func:`run_dtn_sweep` sweeps disruption lengths and
-:func:`write_bench_dtn_json` emits ``BENCH_dtn.json`` for trend
-tracking across sessions.
+The sweep over disruption lengths is one ``dtn`` experiment spec per
+length (``repro.xp``: baseline custody on, ``custody`` arm off);
+:func:`write_bench_dtn_json` folds those runs into ``BENCH_dtn.json``
+for trend tracking across sessions.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..experiments.domain import DSR_HOST, InsDomain
+from ..experiments.domain import DSR_HOST
 from ..naming import NameSpecifier
-from ..obs import merge_counts
+from ..obs import write_canonical_json
 from ..resolver import InrConfig
 from .invariants import InvariantChecker
 from .plan import ChaosController, FaultEvent, FaultPlan
-from .scenario import fast_chaos_config
+from .scenario import (
+    chaos_domain,
+    fast_chaos_config,
+    add_observability,
+    summed_counters,
+)
 
 
 @dataclass
@@ -73,34 +78,6 @@ class DtnReport:
     faults_applied: int
     fault_kinds: Tuple[str, ...]
     sim_time: float
-
-    def fingerprint(self) -> Tuple:
-        """Deterministic digest: same seed + parameters ⇒ identical."""
-        return (
-            self.seed,
-            self.custody,
-            round(self.disruption, 6),
-            self.messages_sent,
-            self.messages_delivered,
-            round(self.delivery_ratio, 6),
-            round(self.latency_p50, 6),
-            round(self.latency_p99, 6),
-            round(self.latency_max, 6),
-            self.custody_accepted,
-            self.custody_released,
-            self.custody_transfers_sent,
-            self.custody_transfers_received,
-            self.expiry_grace_readmissions,
-            self.drops_custody_expired,
-            self.drops_custody_evicted,
-            self.drops_custody_transfer_failed,
-            self.drops_no_route,
-            self.drops_expired_record,
-            self.converged_violations,
-            self.faults_applied,
-            self.fault_kinds,
-            round(self.sim_time, 6),
-        )
 
 
 def dtn_chaos_config(disruption: float, custody: bool) -> InrConfig:
@@ -154,18 +131,12 @@ def run_dtn_scenario(
 
     ``observe=True`` attaches a :class:`repro.obs.ObsCollector` before
     any traffic flows; it rides on the returned report as
-    ``report.collector`` (a plain attribute — not part of the
-    dataclass, the fingerprint, or the JSON artifact).
+    ``report.collector`` (a plain attribute, None when not observed —
+    not part of the dataclass, the fingerprint, or the JSON artifact).
     """
     config = config or dtn_chaos_config(disruption, custody)
 
-    domain = InsDomain(
-        seed=seed,
-        config=config,
-        dsr_registration_lifetime=3.0 * config.heartbeat_interval,
-        dsr_sweep_interval=max(0.5, config.heartbeat_interval / 2.0),
-    )
-    collector = domain.observe() if observe else None
+    domain = chaos_domain(seed, config, observe=observe)
     inrs = [domain.add_inr() for _ in range(n_inrs)]
     far = inrs[-1]
     name = NameSpecifier.parse("[service=dtn[role=sink]]")
@@ -260,7 +231,6 @@ def run_dtn_scenario(
     domain.run(checker.convergence_bound())
     converged = checker.check_converged()
 
-    inr_totals = merge_counts(inr.stats.snapshot() for inr in domain.inrs)
     latencies = sorted(delivered.values())
 
     def latency_at(fraction: float) -> float:
@@ -279,22 +249,19 @@ def run_dtn_scenario(
         latency_p50=latency_at(0.50),
         latency_p99=latency_at(0.99),
         latency_max=latencies[-1] if latencies else 0.0,
-        custody_accepted=int(inr_totals.get("custody_accepted", 0)),
-        custody_released=int(inr_totals.get("custody_released", 0)),
-        custody_transfers_sent=int(inr_totals.get("custody_transfers_sent", 0)),
-        custody_transfers_received=int(
-            inr_totals.get("custody_transfers_received", 0)
+        **summed_counters(
+            domain.inrs,
+            "custody_accepted",
+            "custody_released",
+            "custody_transfers_sent",
+            "custody_transfers_received",
+            "expiry_grace_readmissions",
+            "drops_custody_expired",
+            "drops_custody_evicted",
+            "drops_custody_transfer_failed",
+            "drops_no_route",
+            "drops_expired_record",
         ),
-        expiry_grace_readmissions=int(
-            inr_totals.get("expiry_grace_readmissions", 0)
-        ),
-        drops_custody_expired=int(inr_totals.get("drops_custody_expired", 0)),
-        drops_custody_evicted=int(inr_totals.get("drops_custody_evicted", 0)),
-        drops_custody_transfer_failed=int(
-            inr_totals.get("drops_custody_transfer_failed", 0)
-        ),
-        drops_no_route=int(inr_totals.get("drops_no_route", 0)),
-        drops_expired_record=int(inr_totals.get("drops_expired_record", 0)),
         converged_violations=tuple(
             violation.invariant for violation in converged
         ),
@@ -302,85 +269,42 @@ def run_dtn_scenario(
         fault_kinds=plan.kinds,
         sim_time=domain.now,
     )
-    if collector is not None:
-        domain.harvest()
-        report.collector = collector
+    report.collector = domain.harvest()
     return report
 
 
-def run_dtn_sweep(
-    seed: int = 0,
-    disruptions: Sequence[float] = (10.0, 30.0, 60.0),
-    observe_first: bool = False,
-    **kwargs,
-) -> List[Dict[str, DtnReport]]:
-    """Delivery ratio and latency vs disruption length, custody on vs
-    off — the controlled ablation ``BENCH_dtn.json`` records.
-
-    ``observe_first`` traces the custody-on run of the first disruption
-    length (one observed run keeps the sweep cheap while still
-    producing span artifacts for the CI job to upload).
-    """
-    rows: List[Dict[str, DtnReport]] = []
-    for index, disruption in enumerate(disruptions):
-        observed = observe_first and index == 0
-        rows.append(
-            {
-                "disruption": disruption,
-                "custody_on": run_dtn_scenario(
-                    seed=seed,
-                    custody=True,
-                    disruption=disruption,
-                    observe=observed,
-                    **kwargs,
-                ),
-                "custody_off": run_dtn_scenario(
-                    seed=seed, custody=False, disruption=disruption, **kwargs
-                ),
-            }
-        )
-    return rows
-
-
-def write_bench_dtn_json(
-    path: Union[str, Path], rows: Sequence[Dict[str, object]]
-) -> dict:
+def write_bench_dtn_json(path: Union[str, Path], runs: Sequence) -> dict:
     """Emit ``BENCH_dtn.json``: delivery ratio and latency vs
     disruption length, custody on vs off. Returns the payload.
 
-    A custody-on report carrying a collector (an ``observe=True`` run)
+    ``runs`` are executed ``dtn`` specs (``repro.xp.SpecRun``), one per
+    disruption length: the baseline arm is the custody-on report, the
+    ``custody`` arm the custody-off one. A traced custody-on run
     contributes an ``observability`` section keyed by its disruption
-    length — drop attribution and per-hop percentiles for the traced
-    run.
+    length — drop attribution and per-hop percentiles.
     """
-    payload_rows = []
-    observability = {}
-    for row in rows:
-        on: DtnReport = row["custody_on"]
-        off: DtnReport = row["custody_off"]
-        payload_rows.append(
+    pairs = [
+        (
+            run.baseline.details["report"],
+            run.ablations["custody"].details["report"],
+        )
+        for run in runs
+    ]
+    payload = {
+        "benchmark": "dtn-chaos",
+        "schema_version": 1,
+        "rows": [
             {
-                "disruption": row["disruption"],
+                "disruption": on.disruption,
                 "custody_on": asdict(on),
                 "custody_off": asdict(off),
                 "delivery_ratio_delta": round(
                     on.delivery_ratio - off.delivery_ratio, 6
                 ),
             }
-        )
-        collector = getattr(on, "collector", None)
-        if collector is not None:
-            observability[str(row["disruption"])] = (
-                collector.observability_payload()
-            )
-    payload = {
-        "benchmark": "dtn-chaos",
-        "schema_version": 1,
-        "rows": payload_rows,
+            for on, off in pairs
+        ],
     }
-    if observability:
-        payload["observability"] = observability
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    add_observability(payload, ((str(on.disruption), on) for on, _off in pairs))
+    write_canonical_json(path, payload)
     return payload

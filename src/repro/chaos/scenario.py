@@ -6,9 +6,8 @@ crashes a fraction of the resolvers (with restarts), flaps a fraction
 of the overlay links, injects duplication/reordering, and fails the DSR
 over to a warm standby — all while the always-invariants are sampled —
 then waits out the convergence bound and checks the converged
-invariants. The returned report carries a :meth:`fingerprint
-<ChaosReport.fingerprint>` so two runs with the same seed can be
-compared bit-for-bit.
+invariants. :func:`fingerprint` digests the returned report so two
+runs with the same seed can be compared bit-for-bit.
 
 :func:`run_recovery_ablation` sweeps the soft-state clocks (refresh
 interval and neighbor timeout) through that scenario and reports MTTR
@@ -18,10 +17,11 @@ the paper's bandwidth/staleness tradeoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..experiments.domain import InsDomain
+from ..obs import merge_counts
 from ..resolver import InrConfig
 from .invariants import InvariantChecker, Violation
 from .plan import ChaosController, FaultPlan
@@ -44,6 +44,87 @@ def fast_chaos_config(
     )
 
 
+def chaos_domain(
+    seed: int,
+    config: InrConfig,
+    observe: bool = False,
+    sweep_floor: float = 0.5,
+) -> InsDomain:
+    """The domain a chaos scenario runs in: DSR registrations live
+    three of ``config``'s heartbeats and are swept twice per heartbeat
+    (no faster than ``sweep_floor``), so a crashed resolver leaves the
+    active list on the same clocks its peers time it out on. With
+    ``observe`` an :class:`repro.obs.ObsCollector` is attached before
+    any traffic flows (``domain.collector``)."""
+    domain = InsDomain(
+        seed=seed,
+        config=config,
+        dsr_registration_lifetime=3.0 * config.heartbeat_interval,
+        dsr_sweep_interval=max(sweep_floor, config.heartbeat_interval / 2.0),
+    )
+    if observe:
+        domain.observe()
+    return domain
+
+
+def fault_surface(domain: InsDomain, endpoints: Iterable) -> List[Tuple[str, str]]:
+    """The links a fault plan may hit: every overlay edge plus each of
+    ``endpoints``' (services, clients) link to its resolver, so every
+    fault lands on a link that actually carries protocol traffic."""
+    pairs = set()
+    for inr in domain.live_inrs:
+        for neighbor in inr.neighbors.addresses:
+            pairs.add(tuple(sorted((inr.address, neighbor))))
+    for process in endpoints:
+        if process.resolver is not None:
+            pairs.add(tuple(sorted((process.address, process.resolver))))
+    return sorted(pairs)
+
+
+def summed_counters(processes: Iterable, *names: str) -> Dict[str, int]:
+    """The named counters summed over ``processes``' uniform
+    ``stats.snapshot()`` shape, keyed by name — a report copies its
+    resolver/client counter fields with ``**summed_counters(...)``."""
+    totals = merge_counts(process.stats.snapshot() for process in processes)
+    return {name: int(totals.get(name, 0)) for name in names}
+
+
+def add_observability(
+    payload: dict, labelled_reports: Iterable[Tuple[str, object]]
+) -> None:
+    """Give a chaos ``BENCH_*.json`` payload its ``observability``
+    block: ``{label: observability payload}`` over the reports of
+    observed runs (``report.collector`` set by the scenario); no block
+    when none was observed."""
+    sections = {
+        label: report.collector.observability_payload()
+        for label, report in labelled_reports
+        if getattr(report, "collector", None) is not None
+    }
+    if sections:
+        payload["observability"] = sections
+
+
+def fingerprint(report) -> Tuple:
+    """A deterministic digest of a chaos report: every declared field,
+    floats rounded to six places, mappings sorted by key, nested
+    dataclasses (violations) digested the same way. Two executions
+    with the same seed and parameters must fingerprint identically."""
+    return tuple(_digest(getattr(report, f.name)) for f in fields(report))
+
+
+def _digest(value):
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return tuple((key, _digest(item)) for key, item in sorted(value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_digest(item) for item in value)
+    if is_dataclass(value):
+        return fingerprint(value)
+    return value
+
+
 @dataclass
 class ChaosReport:
     """Everything a chaos run observed."""
@@ -63,25 +144,6 @@ class ChaosReport:
     @property
     def all_violations(self) -> List[Violation]:
         return self.violations + self.converged_violations
-
-    def fingerprint(self) -> Tuple:
-        """A deterministic digest of the run: two executions with the
-        same seed and topology must produce identical fingerprints."""
-        mttr_items = tuple(
-            (kind, tuple(sorted((k, round(v, 6)) for k, v in stats.items())))
-            for kind, stats in sorted(self.mttr.items())
-        )
-        return (
-            self.seed,
-            self.faults_applied,
-            self.fault_kinds,
-            tuple(str(v) for v in self.all_violations),
-            mttr_items,
-            self.final_active,
-            self.final_name_counts,
-            self.control_bytes,
-            round(self.sim_time, 6),
-        )
 
 
 def run_chaos_scenario(
@@ -107,12 +169,7 @@ def run_chaos_scenario(
     that actually carries protocol traffic.
     """
     config = config or fast_chaos_config()
-    domain = InsDomain(
-        seed=seed,
-        config=config,
-        dsr_registration_lifetime=3.0 * config.heartbeat_interval,
-        dsr_sweep_interval=max(0.5, config.heartbeat_interval / 2.0),
-    )
+    domain = chaos_domain(seed, config)
     domain.add_dsr_replica()
     inrs = [domain.add_inr() for _ in range(n_inrs)]
     for index in range(n_services):
@@ -124,19 +181,10 @@ def run_chaos_scenario(
         )
     domain.run(settle)
 
-    # Fault surface: overlay edges plus each service's resolver link.
-    link_pairs = set()
-    for inr in domain.live_inrs:
-        for neighbor in inr.neighbors.addresses:
-            link_pairs.add(tuple(sorted((inr.address, neighbor))))
-    for service in domain.services:
-        if service.resolver is not None:
-            link_pairs.add(tuple(sorted((service.address, service.resolver))))
-
     plan = FaultPlan.random(
         seed=seed,
         inr_addresses=[inr.address for inr in inrs],
-        link_pairs=sorted(link_pairs),
+        link_pairs=fault_surface(domain, domain.services),
         duration=chaos_duration,
         crash_fraction=crash_fraction,
         flap_fraction=flap_fraction,

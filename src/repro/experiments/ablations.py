@@ -1,9 +1,9 @@
 """Ablation experiments for the design choices DESIGN.md calls out.
 
 These go beyond the paper's figures: they check the Section 5.1.1
-analytic model against measurements, compare hash-table against linear
-child search, quantify what overlay relaxation buys, exercise the
-spawn/delegate load-balancing machinery, and measure the packet cache.
+analytic model against measurements, quantify what overlay relaxation
+buys, exercise the spawn/delegate load-balancing machinery, and measure
+the packet cache.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from .workload import UniformWorkload
 
 
 # ----------------------------------------------------------------------
-# 1. The Section 5.1.1 model vs measured lookup times; hash vs linear
+# 1. The Section 5.1.1 model vs measured lookup times
 # ----------------------------------------------------------------------
 @dataclass
 class ModelCheckRow:
     depth: int
     measured_us: float
     predicted_us: float
-    linear_search_us: float
 
 
 def run_lookup_model_check(
@@ -43,15 +42,15 @@ def run_lookup_model_check(
     attributes_per_level: int = 2,
     seed: int = 0,
 ) -> Tuple[List[ModelCheckRow], float, float]:
-    """Measure lookup time as d grows, for hash and linear search, and
-    fit the paper's T(d) model to the hash measurements.
+    """Measure lookup time as d grows and fit the paper's T(d) model
+    to the measurements.
 
     Returns (rows, fitted_t_us, fitted_b_us). The shape to verify: the
     model tracks the measurements (it is exponential in d with base
-    n_a), and linear search is consistently slower than hash search.
+    n_a).
     """
 
-    def measure(search: str, depth: int) -> float:
+    def measure(depth: int) -> float:
         rng = random.Random(seed + depth)
         workload = UniformWorkload(
             rng=rng,
@@ -60,7 +59,10 @@ def run_lookup_model_check(
             value_range=value_range,
             attributes_per_level=attributes_per_level,
         )
-        tree = NameTree(search=search)
+        # The queries are drawn from at most ``target`` inserted names,
+        # so most of them repeat: with the memo on, the fit would be to
+        # memo hits, not to the n_a^d recursion (as in fig12's curve).
+        tree = NameTree(memoize=False)
         target = min(
             names_per_tree,
             # shallow namespaces cannot produce many distinct names
@@ -82,8 +84,7 @@ def run_lookup_model_check(
             tree.lookup(query)
         return (time.perf_counter() - started) / lookups * 1e6
 
-    measured = {d: measure("hash", d) for d in depths}
-    linear = {d: measure("linear", d) for d in depths}
+    measured = {d: measure(d) for d in depths}
     fit = fit_parameters(
         [(d, attributes_per_level, measured[d] / 1e6) for d in depths]
     )
@@ -95,7 +96,6 @@ def run_lookup_model_check(
                 d, attributes_per_level, fit.t, fit.b
             )
             * 1e6,
-            linear_search_us=linear[d],
         )
         for d in depths
     ]

@@ -13,7 +13,6 @@ is high throughput that decays mildly and smoothly as the tree grows.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -21,6 +20,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from ..nametree import NameTree
+from ..obs import write_canonical_json
 from .workload import UniformWorkload
 
 
@@ -41,7 +41,6 @@ def run_lookup_experiment(
     value_range: int = 3,
     attributes_per_level: int = 2,
     seed: int = 0,
-    search: str = "hash",
     memoize: bool = False,
 ) -> List[LookupRow]:
     """Reproduce Figure 12. Returns one row per tree size.
@@ -49,7 +48,8 @@ def run_lookup_experiment(
     The tree is grown incrementally (names are cumulative across
     points), matching how the paper sweeps n upward. ``memoize``
     defaults to off so the curve measures raw LOOKUP-NAME, as the paper
-    does; the memo's effect is measured by :func:`run_memo_ablation`.
+    does; the memo's effect is the ``lookup_memo`` arm of the ``lookup``
+    experiment workload.
     """
     counts = sorted(set(name_counts))
     rng = random.Random(seed)
@@ -70,7 +70,7 @@ def run_lookup_experiment(
     )
     queries = [query_source.random_name() for _ in range(lookups_per_point)]
 
-    tree = NameTree(search=search, memoize=memoize)
+    tree = NameTree(memoize=memoize)
     inserted = 0
     rows: List[LookupRow] = []
     from ..nametree import AnnouncerID, Endpoint, NameRecord
@@ -97,227 +97,21 @@ def run_lookup_experiment(
     return rows
 
 
-# ----------------------------------------------------------------------
-# Cached-vs-uncached ablation (the resolution fast path)
-# ----------------------------------------------------------------------
-@dataclass
-class MemoAblationResult:
-    """Cached vs uncached LOOKUP-NAME on a repeated-query workload."""
-
-    names_in_tree: int
-    distinct_queries: int
-    lookups: int
-    uncached_lookups_per_second: float
-    cached_lookups_per_second: float
-    speedup: float
-    memo_hits: int
-    memo_misses: int
-    refreshes_during_cached_run: int
-    memo_invalidations: int
-
-
-def run_memo_ablation(
-    names_in_tree: int = 5000,
-    distinct_queries: int = 64,
-    lookups: int = 20000,
-    depth: int = 3,
-    attribute_range: int = 3,
-    value_range: int = 3,
-    attributes_per_level: int = 2,
-    seed: int = 0,
-    refresh_every: int = 0,
-) -> MemoAblationResult:
-    """Measure the lookup memo on the workload it is built for: a small
-    set of distinct queries issued over and over against a tree whose
-    record set is stable (or only *refreshed*, never changed).
-
-    ``refresh_every`` > 0 re-inserts an existing advertisement (a pure
-    periodic refresh) every that-many lookups during the cached run, to
-    demonstrate that refreshes keep the memo warm instead of flushing
-    it. Returns throughput for both modes plus the memo counters.
-    """
-    rng = random.Random(seed)
-    workload = UniformWorkload(
-        rng=rng,
-        depth=depth,
-        attribute_range=attribute_range,
-        value_range=value_range,
-        attributes_per_level=attributes_per_level,
-    )
-    names = workload.distinct_names(names_in_tree)
-    query_source = UniformWorkload(
-        rng=random.Random(seed + 1),
-        depth=depth,
-        attribute_range=attribute_range,
-        value_range=value_range,
-        attributes_per_level=attributes_per_level,
-    )
-    queries = [query_source.random_name() for _ in range(distinct_queries)]
-
-    from ..nametree import AnnouncerID, Endpoint, NameRecord
-
-    def build(memoize: bool) -> NameTree:
-        tree = NameTree(memoize=memoize)
-        for index, name in enumerate(names):
-            tree.insert(
-                name,
-                NameRecord(
-                    announcer=AnnouncerID.generate(f"memo-{index}", startup_time=1.0),
-                    endpoints=[Endpoint(host=f"memo-{index}", port=1)],
-                ),
-            )
-        return tree
-
-    rates = {}
-    counters = {}
-    refreshes = 0
-    for memoize in (False, True):
-        tree = build(memoize)
-        started = time.perf_counter()
-        for index in range(lookups):
-            tree.lookup(queries[index % distinct_queries])
-            if memoize and refresh_every and index % refresh_every == 0:
-                # A pure periodic refresh: same announcer, same name.
-                j = index % len(names)
-                tree.insert(
-                    names[j],
-                    NameRecord(
-                        announcer=AnnouncerID.generate(f"memo-{j}", startup_time=1.0),
-                        endpoints=[Endpoint(host=f"memo-{j}", port=1)],
-                    ),
-                )
-                refreshes += 1
-        elapsed = time.perf_counter() - started
-        rates[memoize] = lookups / elapsed
-        counters[memoize] = (tree.memo_hits, tree.memo_misses, tree.memo_invalidations)
-
-    hits, misses, invalidations = counters[True]
-    return MemoAblationResult(
-        names_in_tree=names_in_tree,
-        distinct_queries=distinct_queries,
-        lookups=lookups,
-        uncached_lookups_per_second=rates[False],
-        cached_lookups_per_second=rates[True],
-        speedup=rates[True] / rates[False],
-        memo_hits=hits,
-        memo_misses=misses,
-        refreshes_during_cached_run=refreshes,
-        memo_invalidations=invalidations,
-    )
-
-
-# ----------------------------------------------------------------------
-# Update-ingestion ablation (the batched refresh path)
-# ----------------------------------------------------------------------
-@dataclass
-class UpdateIngestionResult:
-    """Periodic-refresh ingestion: per-update validation vs the batched
-    refresh fast path.
-
-    "Legacy" reproduces what every insert used to cost: a full
-    ``require_concrete`` walk of the name per update, one potential
-    epoch move per name. "Batched" is the current INR path: one
-    :meth:`NameTree.batch` per delivery, refreshes detected by
-    advertised-key equality (no re-validation walk), at most one epoch
-    per batch.
-    """
-
-    names_in_tree: int
-    refresh_rounds: int
-    updates_applied: int
-    legacy_updates_per_second: float
-    batched_updates_per_second: float
-    speedup: float
-
-
-def run_update_ingestion_bench(
-    names_in_tree: int = 2000,
-    refresh_rounds: int = 10,
-    depth: int = 3,
-    attribute_range: int = 3,
-    value_range: int = 3,
-    attributes_per_level: int = 2,
-    seed: int = 0,
-) -> UpdateIngestionResult:
-    """Measure refresh-storm ingestion throughput both ways.
-
-    The workload is the INR's steady state: every announced name is
-    re-advertised each lifetime, so the tree absorbs ``names_in_tree``
-    pure refreshes per round. Each mode gets its own freshly-populated
-    tree and is timed over ``refresh_rounds`` full storms.
-    """
-    rng = random.Random(seed)
-    workload = UniformWorkload(
-        rng=rng,
-        depth=depth,
-        attribute_range=attribute_range,
-        value_range=value_range,
-        attributes_per_level=attributes_per_level,
-    )
-    names = workload.distinct_names(names_in_tree)
-
-    from ..nametree import AnnouncerID, Endpoint, NameRecord
-
-    def fresh_record(index: int) -> NameRecord:
-        # A new object per update, same announcer: exactly what the INR
-        # builds when a periodic NAME-UPDATE arrives.
-        return NameRecord(
-            announcer=AnnouncerID(host=f"ingest-{index}", startup_time=1.0),
-            endpoints=[Endpoint(host=f"ingest-{index}", port=1)],
-        )
-
-    def populate() -> NameTree:
-        tree = NameTree()
-        for index, name in enumerate(names):
-            tree.insert(name, fresh_record(index))
-        return tree
-
-    updates = refresh_rounds * names_in_tree
-
-    legacy_tree = populate()
-    started = time.perf_counter()
-    for _ in range(refresh_rounds):
-        for index, name in enumerate(names):
-            name.require_concrete()  # the per-update walk inserts used to pay
-            legacy_tree.insert(name, fresh_record(index))
-    legacy_rate = updates / (time.perf_counter() - started)
-
-    batched_tree = populate()
-    started = time.perf_counter()
-    for _ in range(refresh_rounds):
-        with batched_tree.batch():
-            for index, name in enumerate(names):
-                batched_tree.insert(name, fresh_record(index))
-    batched_rate = updates / (time.perf_counter() - started)
-
-    return UpdateIngestionResult(
-        names_in_tree=names_in_tree,
-        refresh_rounds=refresh_rounds,
-        updates_applied=updates,
-        legacy_updates_per_second=legacy_rate,
-        batched_updates_per_second=batched_rate,
-        speedup=batched_rate / legacy_rate,
-    )
-
-
 def write_bench_lookup_json(
     path: Union[str, Path],
     curve: Sequence[LookupRow],
-    ablation: Optional[MemoAblationResult] = None,
-    ingestion: Optional[UpdateIngestionResult] = None,
+    memo_ablation: Optional[dict] = None,
 ) -> dict:
     """Emit ``BENCH_lookup.json``: the Figure-12 curve plus the
-    cached-vs-uncached ablation and the update-ingestion ablation, as a
+    cached-vs-uncached ablation block (built from the ``lookup``
+    workload's run by ``repro.xp.workloads.memo_ablation_block``), as a
     machine-readable perf trajectory for later sessions to compare
     against. Returns the payload."""
     payload = {
         "benchmark": "fig12-lookup",
-        "schema_version": 2,
+        "schema_version": 3,
         "curve": [asdict(row) for row in curve],
-        "memo_ablation": asdict(ablation) if ablation is not None else None,
-        "update_ingestion": asdict(ingestion) if ingestion is not None else None,
+        "memo_ablation": memo_ablation,
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_canonical_json(path, payload)
     return payload

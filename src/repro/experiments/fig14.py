@@ -17,12 +17,12 @@ the simulator event by event.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..naming import NameSpecifier
+from ..obs import write_canonical_json
 from ..resolver import InrConfig
 from .domain import InsDomain
 
@@ -63,21 +63,23 @@ def run_discovery_experiment(
     seed: int = 0,
     chain_latency: float = 0.002,
     observe: bool = False,
-) -> Union[List[DiscoveryRow], Tuple[List[DiscoveryRow], object]]:
+) -> Tuple[List[DiscoveryRow], Optional[object]]:
     """Reproduce Figure 14 on a chain of ``max_hops + 1`` INRs.
+    Returns ``(rows, collector)``.
 
     Hop h is the h-th resolver away from the one the new service
     attached to; discovery time is when h's tree first contains the
     name.
 
     ``observe=True`` runs the chain under an
-    :class:`~repro.obs.ObsCollector` with per-event simulator profiling
-    and returns ``(rows, collector)``; the harvested metrics explain
-    the slope (update fan-out per hop, per-INR name counts, per-link
-    traffic) rather than just reporting it.
+    :class:`~repro.obs.ObsCollector` with per-event simulator profiling;
+    the harvested metrics explain the slope (update fan-out per hop,
+    per-INR name counts, per-link traffic) rather than just reporting
+    it. Unobserved, the collector is None.
     """
     domain = build_chain_domain(max_hops + 1, chain_latency=chain_latency, seed=seed)
-    collector = domain.observe(profile_events=True) if observe else None
+    if observe:
+        domain.observe(profile_events=True)
     # Verify the topology really is a chain; a mis-built overlay would
     # silently turn the linear-in-hops claim into something else.
     for index, inr in enumerate(domain.inrs[1:], start=1):
@@ -115,10 +117,7 @@ def run_discovery_experiment(
                 discovery_ms=(discovered_at[address] - announced_at) * 1000.0,
             )
         )
-    if collector is not None:
-        domain.harvest()
-        return rows, collector
-    return rows
+    return rows, domain.harvest()
 
 
 def write_bench_discovery_json(
@@ -139,9 +138,7 @@ def write_bench_discovery_json(
     }
     if collector is not None:
         payload["observability"] = collector.observability_payload()
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_canonical_json(path, payload)
     return payload
 
 

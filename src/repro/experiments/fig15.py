@@ -18,7 +18,6 @@ INR, the time to process and route the burst in three placements:
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
@@ -26,6 +25,7 @@ from typing import List, Optional, Sequence
 from ..message import Binding, Delivery, InsMessage
 from ..naming import NameSpecifier
 from ..nametree import AnnouncerID, Endpoint, NameRecord, Route
+from ..obs import write_canonical_json
 from ..resolver import DataPacket, InrConfig
 from ..resolver.costs import CostModel
 from ..resolver.ports import INR_PORT
@@ -239,8 +239,7 @@ def run_observed_routing(
     burst_ms = _burst_makespan_ms(
         domain, inr_a, destination, NameSpecifier(), tracer=collector.tracer
     )
-    domain.harvest()
-    return burst_ms, collector
+    return burst_ms, domain.harvest()
 
 
 def write_bench_routing_json(
@@ -264,7 +263,5 @@ def write_bench_routing_json(
             payload["observability"]["traced_burst_ms"] = round(
                 observed_burst_ms, 6
             )
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_canonical_json(path, payload)
     return payload

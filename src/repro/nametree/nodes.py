@@ -24,7 +24,6 @@ class ValueNode:
         "children",
         "records",
         "ptr",
-        "aggregate",
         "_sub_fs",
         "_sub_epoch",
     )
@@ -33,7 +32,6 @@ class ValueNode:
         self,
         value: Optional[str],
         parent: Optional["AttributeNode"],
-        indexed: bool = False,
     ) -> None:
         self.value = value
         self.parent = parent
@@ -43,15 +41,10 @@ class ValueNode:
         self.records: Set["NameRecord"] = set()
         #: transient pointer used by GET-NAME (Figure 6); None outside it
         self.ptr = None
-        #: optional incrementally-maintained subtree index: maps every
-        #: record at-or-below this node to its attachment count here.
-        #: Enabled per-tree (NameTree(index_subtrees=True)); trades
-        #: memory and O(depth) maintenance on insert/remove for O(1)
-        #: wild-card unions in LOOKUP-NAME.
-        self.aggregate: Optional[Dict["NameRecord", int]] = {} if indexed else None
-        #: lazily-built set of subtree_records(), valid only while the
-        #: owning tree's epoch equals ``_sub_epoch``. A frozenset for
-        #: interior nodes; for leaves it aliases ``records`` outright.
+        #: lazily-built set of every record at or below this node, valid
+        #: only while the owning tree's epoch equals ``_sub_epoch``. A
+        #: frozenset for interior nodes; for leaves it aliases
+        #: ``records`` outright.
         #: LOOKUP-NAME consults it so wildcard-heavy (and deep concrete)
         #: queries stop re-scanning unchanged subtrees; a membership
         #: change advances the tree epoch, which invalidates every cache
@@ -79,59 +72,22 @@ class ValueNode:
             self.children[attribute] = node
         return node
 
-    def subtree_records(self) -> Set["NameRecord"]:
-        """All records attached at or below this value-node.
+    def subtree_frozen(self, epoch: int) -> FrozenSet["NameRecord"]:
+        """All records attached at or below this value-node, as a cached
+        frozenset keyed by the owning tree's ``epoch``.
 
         This is the union LOOKUP-NAME computes for wild-card matching
         and for queries that end above the advertisement's leaf
-        (omitted query attributes are wild-cards). With the subtree
-        index enabled it is a dictionary-view copy; otherwise a
-        traversal of the subtree.
-        """
-        if self.aggregate is not None:
-            return set(self.aggregate)
-        collected: Set["NameRecord"] = set(self.records)
-        stack = list(self.children.values())
-        while stack:
-            attribute_node = stack.pop()
-            for value_node in attribute_node.children.values():
-                collected.update(value_node.records)
-                stack.extend(value_node.children.values())
-        return collected
-
-    def subtree_scan_cost(self) -> int:
-        """Nodes :meth:`subtree_records` visits when no aggregate is
-        maintained — the traversal the incremental subtree index
-        replaces with a dictionary copy. 0 when this node keeps an
-        aggregate: the indexed fast path walks nothing.
-        """
-        if self.aggregate is not None:
-            return 0
-        visited = 1
-        stack = list(self.children.values())
-        while stack:
-            attribute_node = stack.pop()
-            visited += 1
-            for value_node in attribute_node.children.values():
-                visited += 1
-                stack.extend(value_node.children.values())
-        return visited
-
-    def subtree_frozen(self, epoch: int) -> FrozenSet["NameRecord"]:
-        """:meth:`subtree_records` as a cached frozenset, keyed by the
-        owning tree's ``epoch``.
-
-        The first call after a membership change rebuilds the set; every
-        later call at the same epoch returns the cached object, so the
+        (omitted query attributes are wild-cards). The first call after
+        a membership change rebuilds the set by traversal; every later
+        call at the same epoch returns the cached object, so the
         unions and intersections of LOOKUP-NAME operate on shared
         frozensets instead of walking the subtree per query. Callers
         must not mutate the result (take ``set(...)`` to own a copy).
         """
         if self._sub_epoch == epoch:
             return self._sub_fs
-        if self.aggregate is not None:
-            frozen = frozenset(self.aggregate)
-        elif not self.children:
+        if not self.children:
             # A leaf's subtree IS its record set: alias it instead of
             # copying (leaf builds dominate a cold pass). The read-only
             # discipline holds because LOOKUP-NAME never mutates
@@ -219,11 +175,10 @@ class AttributeNode:
         return self.children.get(value)
 
     def ensure_child(self, value: str) -> ValueNode:
-        """The value-node for ``value``, created if absent; inherits the
-        tree's subtree-indexing choice from its grandparent."""
+        """The value-node for ``value``, created if absent."""
         node = self.children.get(value)
         if node is None:
-            node = ValueNode(value, self, indexed=self.parent.aggregate is not None)
+            node = ValueNode(value, self)
             self.children[value] = node
         return node
 

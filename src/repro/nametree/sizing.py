@@ -70,8 +70,6 @@ def name_tree_bytes(tree: NameTree) -> int:
             # The memoized subtree frozenset is resident memory the tree
             # owns; its record elements are deduplicated by identity.
             total += _sizeof(value_node._sub_fs, seen)
-        if value_node.aggregate is not None:
-            total += _sizeof(value_node.aggregate, seen)
         for record in value_node.records:
             total += _record_size(record, seen)
         for attribute_node in value_node.children.values():

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..naming import AVPair, NameSpecifier, classify_value
-from .nodes import AttributeNode, ValueNode
+from .nodes import ValueNode
 from .record import AnnouncerID, Endpoint, NameRecord, Route
 
 #: A shared always-empty cursor. The iterative LOOKUP-NAME assigns it to
@@ -76,29 +76,20 @@ class NameTree:
     def __init__(
         self,
         vspace: str = "default",
-        search: str = "hash",
-        index_subtrees: bool = False,
         memoize: bool = True,
         memo_capacity: int = 1024,
     ) -> None:
-        """``search`` selects how attribute/value children are found:
-        ``"hash"`` (the implementation the paper measures) or
-        ``"linear"`` (the strawman in the Section 5.1.1 analysis, kept
-        for the ablation benchmark). ``index_subtrees`` additionally
-        maintains per-value-node record aggregates so wild-card unions
-        cost O(result) instead of O(subtree) — an optimization ablation
-        beyond the paper. ``memoize`` enables the LOOKUP-NAME memo: a
-        bounded LRU of ``lookup()`` result sets keyed by the query's
-        canonical key, invalidated wholesale whenever the tree's record
-        *set* changes (pure refreshes keep it warm).
+        """Attribute and value children are found by hashing (the
+        implementation the paper measures, Section 5.1.1). ``memoize``
+        enables the LOOKUP-NAME memo: a bounded LRU of ``lookup()``
+        result sets keyed by the query's canonical key, invalidated
+        wholesale whenever the tree's record *set* changes (pure
+        refreshes keep it warm).
         """
-        if search not in ("hash", "linear"):
-            raise ValueError(f"unknown search strategy: {search!r}")
         if memo_capacity <= 0:
             raise ValueError("memo_capacity must be positive")
         self.vspace = vspace
-        self._linear = search == "linear"
-        self._root = ValueNode(value=None, parent=None, indexed=index_subtrees)
+        self._root = ValueNode(value=None, parent=None)
         self._by_announcer: Dict[AnnouncerID, NameRecord] = {}
         # LOOKUP-NAME memo. The epoch counter advances only on
         # membership changes (graft, remove, expire); the memo is
@@ -164,25 +155,6 @@ class NameTree:
             self._batch_dirty = True
         else:
             self._epoch += 1
-
-    # ------------------------------------------------------------------
-    # Child search (hash vs linear, for the Section 5.1.1 ablation)
-    # ------------------------------------------------------------------
-    def _find_attribute(self, node: ValueNode, attribute: str) -> Optional[AttributeNode]:
-        if self._linear:
-            for candidate, child in node.children.items():
-                if candidate == attribute:
-                    return child
-            return None
-        return node.children.get(attribute)
-
-    def _find_value(self, node: AttributeNode, value: str) -> Optional[ValueNode]:
-        if self._linear:
-            for candidate, child in node.children.items():
-                if candidate == value:
-                    return child
-            return None
-        return node.children.get(value)
 
     # ------------------------------------------------------------------
     # Grafting and removal
@@ -304,27 +276,9 @@ class NameTree:
             if not children:
                 child_value.records.add(record)
                 record.attachments.append(child_value)
-                self._adjust_aggregates(child_value, record, +1)
             else:
                 for child_pair in list(children.values())[::-1]:
                     stack.append((child_value, child_pair))
-
-    @staticmethod
-    def _adjust_aggregates(leaf: ValueNode, record: NameRecord, delta: int) -> None:
-        """Maintain the optional subtree indexes along one leaf's
-        ancestor chain (counting attachments, since one record may hang
-        from several leaves under a shared ancestor)."""
-        node: Optional[ValueNode] = leaf
-        while node is not None:
-            if node.aggregate is None:
-                return
-            count = node.aggregate.get(record, 0) + delta
-            if count <= 0:
-                node.aggregate.pop(record, None)
-            else:
-                node.aggregate[record] = count
-            attribute_node = node.parent
-            node = attribute_node.parent if attribute_node is not None else None
 
     def remove(self, record: NameRecord) -> bool:
         """Detach ``record`` and prune branches it alone kept alive.
@@ -337,7 +291,6 @@ class NameTree:
         del self._by_announcer[record.announcer]
         for value_node in record.attachments:
             value_node.records.discard(record)
-            self._adjust_aggregates(value_node, record, -1)
             value_node.prune_upwards()
         record.attachments = []
         record.advertised_key = None
@@ -433,22 +386,6 @@ class NameTree:
         self._memo[key] = frozen = frozenset(result)
         return set(frozen)
 
-    def wildcard_scan_cost(self, attribute: str) -> int:
-        """Nodes LOOKUP-NAME's wild-card branch must walk to union
-        every subtree under ``attribute``'s values when the incremental
-        index is off — the analytic cost the ``subtree_index`` ablation
-        reports (0 with the index: every union is a dictionary copy).
-        Counting instead of timing keeps the metric deterministic and
-        the lookup hot path uninstrumented.
-        """
-        attribute_node = self._root.children.get(attribute)
-        if attribute_node is None:
-            return 0
-        return sum(
-            value_node.subtree_scan_cost()
-            for value_node in attribute_node.children.values()
-        )
-
     _EMPTY: FrozenSet[NameRecord] = frozenset()
 
     def _lookup(self, tree_node: ValueNode, pairs):
@@ -466,8 +403,6 @@ class NameTree:
         materialize "all possible name-records" just to intersect it
         away.
         """
-        if self._linear:
-            return self._lookup_linear(tree_node, pairs)
         epoch = self._epoch
         empty = self._EMPTY
         # Frame: [value_node, pair iterator, candidates]. The iterator
@@ -565,79 +500,6 @@ class NameTree:
                 # Intersection can only stay empty: skip the parent's
                 # remaining pairs by exhausting its cursor.
                 parent[1] = _EXHAUSTED
-
-    def _lookup_linear(self, tree_node: ValueNode, pairs):
-        """The ``search="linear"`` ablation: the same iterative Figure 5
-        as :meth:`_lookup`, with dict scans in place of hash descent
-        (the Section 5.1.1 strawman). Not a hot path."""
-        epoch = self._epoch
-        empty = self._EMPTY
-        frames: List[list] = [[tree_node, iter(pairs), None]]
-        push = frames.append
-        while True:
-            frame = frames[-1]
-            node = frame[0]
-            pending = frame[1]
-            candidates = frame[2]
-            descend = False
-            for pair in pending:
-                if candidates is not None and not candidates:
-                    break  # early exit: intersection can only stay empty
-                attribute_node = None
-                for attribute, child in node.children.items():
-                    if attribute == pair.attribute:
-                        attribute_node = child
-                        break
-                if attribute_node is None:
-                    continue
-                value = pair.value
-                if value != "*" and (not value or value[0] not in "<>"):
-                    value_node = None
-                    for candidate, child in attribute_node.children.items():
-                        if candidate == value:
-                            value_node = child
-                            break
-                    if value_node is None:
-                        candidates = empty
-                        continue
-                    children = pair._children
-                    if not value_node.children or not children:
-                        subtree = value_node.subtree_frozen(epoch)
-                        if candidates is None:
-                            candidates = subtree
-                        else:
-                            candidates = candidates & subtree
-                    else:
-                        frame[2] = candidates
-                        push([value_node, iter(children.values()), None])
-                        descend = True
-                        break
-                else:
-                    matches = classify_value(value).matches
-                    selected: Set[NameRecord] = set()
-                    for advertised, value_node in attribute_node.children.items():
-                        if matches(advertised):
-                            selected |= value_node.subtree_frozen(epoch)
-                    if candidates is None:
-                        candidates = selected
-                    else:
-                        candidates = candidates & selected
-            if descend:
-                continue
-            if candidates is None:
-                returned = node.subtree_frozen(epoch)
-            else:
-                records = node.records
-                returned = candidates | records if records else candidates
-            frames.pop()
-            if not frames:
-                return returned
-            parent = frames[-1]
-            parent_candidates = parent[2]
-            if parent_candidates is None:
-                parent[2] = returned
-            else:
-                parent[2] = parent_candidates & returned
 
     # ------------------------------------------------------------------
     # GET-NAME (Figure 6)

@@ -24,8 +24,8 @@ from .export import (
     spans_to_jsonl,
     summarize_spans,
     to_chrome_trace,
+    write_canonical_json,
     write_chrome_trace,
-    write_metrics_json,
     write_spans_jsonl,
 )
 from .metrics import (
@@ -68,7 +68,7 @@ __all__ = [
     "to_chrome_trace",
     "trace_tree_errors",
     "well_formed_traces",
+    "write_canonical_json",
     "write_chrome_trace",
-    "write_metrics_json",
     "write_spans_jsonl",
 ]

@@ -2,9 +2,11 @@
 
 Three consumers, three formats:
 
-- **JSONL** (:func:`write_spans_jsonl`, :func:`write_metrics_json`) —
-  machine-readable artifacts checked into ``benchmarks/results`` and
-  uploaded by CI; one span per line, stable key order.
+- **JSONL / JSON** (:func:`write_spans_jsonl`,
+  :func:`write_canonical_json`) — machine-readable artifacts checked
+  into ``benchmarks/results`` and uploaded by CI; one span per line,
+  stable key order. Every ``BENCH_*.json`` writer in the repository
+  ends in :func:`write_canonical_json`.
 - **timeline** (:func:`render_timeline`) — a human-readable rendering
   of one trace's span tree, indented by causality, for terminal
   debugging of a single slow or dropped request.
@@ -45,10 +47,12 @@ def write_spans_jsonl(path: PathLike, spans: Sequence[Span]) -> None:
         handle.write(spans_to_jsonl(spans))
 
 
-def write_metrics_json(path: PathLike, snapshot: dict) -> None:
-    """A metrics snapshot as canonical (sorted, indented) JSON."""
+def write_canonical_json(path: PathLike, payload: dict) -> None:
+    """Write ``payload`` as canonical JSON: sorted keys, two-space
+    indent, trailing newline — equal payloads give byte-identical
+    files, the property the determinism checks diff on."""
     with open(path, "w") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

@@ -41,17 +41,17 @@ def _cmd_list() -> int:
     for toggle in sorted(TOGGLES):
         print(f"  {toggle}: {TOGGLES[toggle]}")
     print("default suite:")
-    for spec in default_suite():
+    for spec in default_suite().values():
         print(f"  {spec.run_id()}  {spec.name}  [{spec.workload}, seed {spec.seed}]")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    specs = default_suite()
+    suite = default_suite()
+    specs = list(suite.values())
     if args.spec:
-        wanted = set(args.spec)
-        specs = [spec for spec in specs if spec.name in wanted]
-        unknown = wanted - {spec.name for spec in specs}
+        unknown = set(args.spec) - set(suite)
+        specs = [spec for name, spec in suite.items() if name in args.spec]
         if unknown:
             print(
                 f"repro-xp: unknown spec name(s): {', '.join(sorted(unknown))}",

@@ -10,12 +10,12 @@ stamped by the caller (the CLI) *outside* the run, via the
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from .runner import SpecRun, Table, WORKLOADS
+from ..obs import write_canonical_json
+from .runner import SpecRun, WORKLOADS
 
 #: Version of the ``BENCH_matrix.json`` artifact layout.
 MATRIX_SCHEMA_VERSION = 1
@@ -175,28 +175,27 @@ def write_bench_matrix_json(
         payload["generated_at"] = generated_at
     else:
         payload.pop("generated_at", None)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_canonical_json(path, payload)
     return payload
 
 
 # ----------------------------------------------------------------------
-# Historical text-table artifacts
+# Text-table artifacts (the one slug rule and the one renderer; the
+# bench scripts' ``record_table`` writes through these too)
 # ----------------------------------------------------------------------
 def table_filename(title: str) -> str:
-    """The ``benchmarks/results/`` filename a table title maps to —
-    the same slug rule the pre-engine benchmarks used, so migrated
-    ablations keep their artifact names. A *trailing* parenthesized
-    part carries run-specific numbers and is stripped; interior
-    parentheses stay."""
+    """The ``benchmarks/results/`` filename a table title maps to. A
+    *trailing* parenthesized part carries run-specific numbers (fitted
+    parameters, slopes) and is stripped so filenames stay stable across
+    runs; interior parentheses (e.g. "T(d) model") stay."""
     stem = re.sub(r"\s*\([^()]*\)\s*$", "", title).strip()
     slug = "".join(c if c.isalnum() else "_" for c in stem.lower())
     return f"{slug.strip('_')}.txt"
 
 
 def format_table(title: str, headers: Sequence[str], rows) -> str:
-    """Render one result table exactly as the bench reporter does."""
+    """Render one result table: title, rule, left-aligned headers,
+    right-aligned cells."""
     headers = [str(h) for h in headers]
     rendered = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
@@ -210,23 +209,28 @@ def format_table(title: str, headers: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_table(
+    results_dir: Union[str, Path], title: str, headers: Sequence[str], rows
+) -> Path:
+    """Write one table under ``results_dir`` at the name its title
+    maps to and return the path."""
+    results_dir = Path(results_dir)
+    results_dir.mkdir(parents=True, exist_ok=True)
+    path = results_dir / table_filename(title)
+    path.write_text(format_table(title, headers, rows))
+    return path
+
+
 def write_tables(
     runs: Sequence[SpecRun], results_dir: Union[str, Path]
 ) -> List[str]:
     """Write every table the suite produced under ``results_dir`` and
     return the paths written."""
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
     written: List[str] = []
     for run in runs:
-        workload = WORKLOADS[run.spec.workload]
-        tables: List[Table] = list(run.baseline.tables)
-        for _, result in sorted(run.ablations.items()):
-            tables.extend(result.tables)
-        if workload.suite_tables is not None:
-            tables.extend(workload.suite_tables(run))
-        for title, headers, rows in tables:
-            path = results_dir / table_filename(title)
-            path.write_text(format_table(title, headers, rows))
-            written.append(str(path))
+        suite_tables = WORKLOADS[run.spec.workload].suite_tables
+        if suite_tables is None:
+            continue
+        for title, headers, rows in suite_tables(run):
+            written.append(str(write_table(results_dir, title, headers, rows)))
     return written

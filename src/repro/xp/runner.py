@@ -47,7 +47,6 @@ class WorkloadResult:
 
     metrics: Dict[str, float] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
-    tables: List[Table] = field(default_factory=list)
     details: Dict[str, object] = field(default_factory=dict)
     collector: Optional[object] = None
 
@@ -71,8 +70,6 @@ class Workload:
     #: (which way is better). Metrics named here must be deterministic.
     primary_metrics: Mapping[str, Tuple[str, str]]
     run: WorkloadFn
-    #: baseline toggle values when a spec does not say otherwise
-    default_toggles: Mapping[str, bool] = field(default_factory=dict)
     #: optional ``f(spec_run) -> [Table]`` producing the historical
     #: cross-run comparison tables (``ablation__*.txt``) for this
     #: workload; tables that need wall-clock numbers must return []
@@ -111,17 +108,11 @@ def register_workload(workload: Workload) -> Workload:
 def baseline_toggles(
     workload: Workload, spec: ExperimentSpec
 ) -> Dict[str, bool]:
-    """The concrete baseline toggle values a spec runs under: the
-    workload defaults (all-on unless declared otherwise) overridden by
-    whatever the spec pins explicitly."""
-    values = {
-        toggle: bool(workload.default_toggles.get(toggle, True))
-        for toggle in workload.toggles
+    """The concrete baseline toggle values a spec runs under: every
+    toggle the workload honors on, unless the spec pins it."""
+    return {
+        toggle: spec.toggles.get(toggle, True) for toggle in workload.toggles
     }
-    for toggle, value in spec.toggles.items():
-        if toggle in values:
-            values[toggle] = value
-    return values
 
 
 @dataclass

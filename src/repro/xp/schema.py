@@ -201,7 +201,7 @@ _matrix_ablation = obj(
 # ----------------------------------------------------------------------
 #: family name -> (expected schema_version, payload check)
 ARTIFACT_SCHEMAS: Dict[str, Tuple[int, Check]] = {
-    "fig12-lookup": (2, obj(required={
+    "fig12-lookup": (3, obj(required={
         "curve": list_of(obj(required={
             "names_in_tree": number,
             "lookups_per_second": number,
@@ -217,13 +217,6 @@ ARTIFACT_SCHEMAS: Dict[str, Tuple[int, Check]] = {
             "memo_hits": number,
             "memo_misses": number,
             "memo_invalidations": number,
-        }),
-        "update_ingestion": obj(required={
-            "names_in_tree": number,
-            "updates_applied": number,
-            "legacy_updates_per_second": number,
-            "batched_updates_per_second": number,
-            "speedup": number,
         }),
     })),
     "availability-chaos": (1, obj(required={

@@ -28,10 +28,6 @@ TOGGLES: Dict[str, str] = {
         "LOOKUP-NAME memo: epoch-invalidated LRU of canonical query "
         "keys on the name-tree"
     ),
-    "subtree_index": (
-        "incrementally-maintained per-value-node subtree aggregates "
-        "(wild-card unions become dictionary copies)"
-    ),
     "packet_cache": (
         "INR packet caching of intentionally-named data (Section 3.2)"
     ),
@@ -173,7 +169,3 @@ class ExperimentSpec:
             self.canonical_json(ablate).encode("ascii")
         ).hexdigest()
         return f"xp-{digest[:16]}"
-
-    def effective_toggles(self, ablate: Optional[str] = None) -> Dict[str, bool]:
-        """The toggle values one run actually executes under."""
-        return dict(self.canonical_dict(ablate)["toggles"])

@@ -3,7 +3,8 @@
 Each adapter maps concrete toggle values onto the knobs the underlying
 experiment already exposes (``InrConfig`` flags, scenario arguments,
 ``NameTree`` construction options) and folds the experiment's native
-report into a :class:`~.runner.WorkloadResult`. The ``metrics`` it
+report into a :class:`~.runner.WorkloadResult`: it names the report
+fields it exports (:func:`_report_metrics`). The ``metrics`` it
 returns are deterministic — simulated-clock latencies, counters,
 ratios, analytic costs — so the matrix report is byte-reproducible;
 wall-clock throughput numbers go in ``timings`` and only exist when the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import List
+from typing import Dict, List, Sequence
 
 from .runner import (
     WORKLOADS,
@@ -33,26 +34,46 @@ from .runner import (
 from .spec import ExperimentSpec
 
 
+def _report_metrics(report, names: Sequence[str]) -> Dict[str, float]:
+    """The named fields of an experiment's native report as matrix
+    metrics (counts become floats, rates stay as they are)."""
+    return {name: float(getattr(report, name)) for name in names}
+
+
 # ----------------------------------------------------------------------
 # lookup — Figure 12 repeated queries + a top-level wild-card
 # ----------------------------------------------------------------------
+#: The ``lookup`` workload's scale parameters when a spec does not say.
+LOOKUP_DEFAULTS = {
+    "names": 6000,
+    "distinct_queries": 64,
+    "lookups": 6000,
+    "refresh_every": 100,
+    "wildcard_attribute": "a0",
+    "depth": 3,
+    "attribute_range": 3,
+    "value_range": 3,
+    "attributes_per_level": 2,
+}
+
+
 def _run_lookup(params, toggles, seed, timing) -> WorkloadResult:
     from ..experiments.workload import UniformWorkload
     from ..naming import NameSpecifier
     from ..nametree import AnnouncerID, Endpoint, NameRecord, NameTree
 
-    names_in_tree = int(params.get("names", 6000))
-    distinct_queries = int(params.get("distinct_queries", 64))
-    lookups = int(params.get("lookups", 6000))
-    refresh_every = int(params.get("refresh_every", 100))
-    wildcard_attribute = str(params.get("wildcard_attribute", "a0"))
-    wildcard_reps = int(params.get("wildcard_reps", 40))
-    shape = dict(
-        depth=int(params.get("depth", 3)),
-        attribute_range=int(params.get("attribute_range", 3)),
-        value_range=int(params.get("value_range", 3)),
-        attributes_per_level=int(params.get("attributes_per_level", 2)),
-    )
+    params = {**LOOKUP_DEFAULTS, **params}
+    names_in_tree = int(params["names"])
+    distinct_queries = int(params["distinct_queries"])
+    lookups = int(params["lookups"])
+    refresh_every = int(params["refresh_every"])
+    wildcard_attribute = str(params["wildcard_attribute"])
+    shape = {
+        key: int(params[key])
+        for key in (
+            "depth", "attribute_range", "value_range", "attributes_per_level"
+        )
+    }
 
     names = UniformWorkload(rng=random.Random(seed), **shape).distinct_names(
         names_in_tree
@@ -66,10 +87,7 @@ def _run_lookup(params, toggles, seed, timing) -> WorkloadResult:
             endpoints=[Endpoint(host=f"memo-{index}", port=1)],
         )
 
-    tree = NameTree(
-        memoize=toggles["lookup_memo"],
-        index_subtrees=toggles["subtree_index"],
-    )
+    tree = NameTree(memoize=toggles["lookup_memo"])
     for index, name in enumerate(names):
         tree.insert(name, record(index))
 
@@ -94,66 +112,58 @@ def _run_lookup(params, toggles, seed, timing) -> WorkloadResult:
         "memo_served_fraction": (tree.memo_hits / lookups) if lookups else 0.0,
         "refreshes": float(refreshes),
         "repeated_result_records": float(repeated_records),
-        # Analytic wild-card cost: nodes LOOKUP-NAME walks to build the
-        # union without the index (0 with it) — deterministic, and it
-        # keeps the lookup hot path free of instrumentation.
-        "wildcard_scan_nodes": float(
-            tree.wildcard_scan_cost(wildcard_attribute)
-        ),
     }
     wildcard = NameSpecifier.parse(f"[{wildcard_attribute}=*]")
     metrics["wildcard_matches"] = float(len(tree.lookup(wildcard)))
 
     timings = {}
-    if timing:
-        if elapsed:
-            timings["lookups_per_second"] = lookups / elapsed
-        started = time.perf_counter()
-        for _ in range(wildcard_reps):
-            tree.lookup(wildcard)
-        timings["wildcard_us"] = (
-            (time.perf_counter() - started) / wildcard_reps * 1e6
-        )
+    if timing and elapsed:
+        timings["lookups_per_second"] = lookups / elapsed
     return WorkloadResult(metrics=metrics, timings=timings)
 
 
+def memo_ablation_block(run: SpecRun) -> dict:
+    """The ``memo_ablation`` block of ``BENCH_lookup.json``, from a
+    timed ``lookup`` run whose baseline arm is memoized: cached vs
+    uncached throughput plus the memo counters of the cached arm."""
+    params = {**LOOKUP_DEFAULTS, **run.spec.params}
+    cached = run.baseline.timings["lookups_per_second"]
+    uncached = run.ablations["lookup_memo"].timings["lookups_per_second"]
+    counters = run.baseline.metrics
+    return {
+        "names_in_tree": int(params["names"]),
+        "distinct_queries": int(params["distinct_queries"]),
+        "lookups": int(params["lookups"]),
+        "uncached_lookups_per_second": uncached,
+        "cached_lookups_per_second": cached,
+        "speedup": cached / uncached,
+        "memo_hits": int(counters["memo_hits"]),
+        "memo_misses": int(counters["memo_misses"]),
+        "refreshes_during_cached_run": int(counters["refreshes"]),
+        "memo_invalidations": int(counters["memo_invalidations"]),
+    }
+
+
 def _lookup_tables(run: SpecRun) -> List[Table]:
-    """The two historical wall-clock ablation tables; both need timing
-    numbers, so a metrics-only run writes neither."""
-    tables: List[Table] = []
-    if not run.timing:
-        return tables
-    base = run.baseline.timings
-    memo_arm = run.ablations.get("lookup_memo")
-    if run.toggles.get("lookup_memo") and memo_arm is not None:
-        cached = base.get("lookups_per_second")
-        uncached = memo_arm.timings.get("lookups_per_second")
-        if cached and uncached:
-            tables.append((
-                "Ablation: lookup memo (cached vs uncached, repeated queries)",
-                ["mode", "lookups/s", "speedup"],
-                [
-                    ("uncached", f"{uncached:.0f}", "1.0x"),
-                    ("memoized", f"{cached:.0f}", f"{cached / uncached:.1f}x"),
-                ],
-            ))
-    index_arm = run.ablations.get("subtree_index")
-    if run.toggles.get("subtree_index") and index_arm is not None:
-        plain_us = index_arm.timings.get("wildcard_us")
-        indexed_us = base.get("wildcard_us")
-        if plain_us and indexed_us:
-            names = run.spec.params.get("names", 6000)
-            tables.append((
-                "Ablation: subtree indexing, top-level wild-card "
-                f"over {names} names",
-                ["variant", "us per wild-card lookup"],
-                [
-                    ("traversal (paper's algorithm)", f"{plain_us:.0f}"),
-                    ("incremental index", f"{indexed_us:.0f}"),
-                    ("speedup", f"{plain_us / indexed_us:.2f}x"),
-                ],
-            ))
-    return tables
+    """The wall-clock memo table; it needs timing numbers, so a
+    metrics-only run writes nothing."""
+    if not (
+        run.timing
+        and run.toggles.get("lookup_memo")
+        and "lookup_memo" in run.ablations
+    ):
+        return []
+    block = memo_ablation_block(run)
+    uncached = block["uncached_lookups_per_second"]
+    cached = block["cached_lookups_per_second"]
+    return [(
+        "Ablation: lookup memo (cached vs uncached, repeated queries)",
+        ["mode", "lookups/s", "speedup"],
+        [
+            ("uncached", f"{uncached:.0f}", "1.0x"),
+            ("memoized", f"{cached:.0f}", f"{block['speedup']:.1f}x"),
+        ],
+    )]
 
 
 register_workload(Workload(
@@ -162,14 +172,24 @@ register_workload(Workload(
         "Figure 12 regime: repeated distinct queries with periodic "
         "refreshes, plus one top-level wild-card union"
     ),
-    toggles=("lookup_memo", "subtree_index"),
-    primary_metrics={
-        "lookup_memo": ("memo_served_fraction", "higher"),
-        "subtree_index": ("wildcard_scan_nodes", "lower"),
-    },
+    toggles=("lookup_memo",),
+    primary_metrics={"lookup_memo": ("memo_served_fraction", "higher")},
     run=_run_lookup,
     suite_tables=_lookup_tables,
 ))
+
+
+#: The memo's home workload at Figure-12 scale: the baseline arm runs
+#: memoized with periodic refreshes, the ``lookup_memo`` arm is the
+#: uncached control — same tree, same queries, same refreshes. The
+#: fig12 bench and ``perf_smoke.py`` both run this one spec.
+FIG12_MEMO_SPEC = ExperimentSpec(
+    name="fig12-memo",
+    workload="lookup",
+    seed=0,
+    params={"names": 5000, "lookups": 20000},
+    ablations=("lookup_memo",),
+)
 
 
 # ----------------------------------------------------------------------
@@ -239,27 +259,26 @@ def _run_availability(params, toggles, seed, timing) -> WorkloadResult:
         duration=float(params.get("duration", 30.0)),
         lookup_interval=float(params.get("lookup_interval", 0.5)),
     )
-    metrics = {
-        "success_rate": report.success_rate,
-        "requests_attempted": float(report.requests_attempted),
-        "requests_succeeded": float(report.requests_succeeded),
-        "requests_empty": float(report.requests_empty),
-        "requests_failed": float(report.requests_failed),
-        "requests_hung": float(report.requests_hung),
-        "latency_p50": report.latency_p50,
-        "latency_p99": report.latency_p99,
-        "retries": float(report.retries),
-        "failovers": float(report.failovers),
-        "deadline_exceeded": float(report.deadline_exceeded),
-        "pushbacks_received": float(report.pushbacks_received),
-        "shed_periodic": float(report.shed_periodic),
-        "shed_triggered": float(report.shed_triggered),
-        "pushbacks_sent": float(report.pushbacks_sent),
-    }
     return WorkloadResult(
-        metrics=metrics,
+        metrics=_report_metrics(report, (
+            "success_rate",
+            "requests_attempted",
+            "requests_succeeded",
+            "requests_empty",
+            "requests_failed",
+            "requests_hung",
+            "latency_p50",
+            "latency_p99",
+            "retries",
+            "failovers",
+            "deadline_exceeded",
+            "pushbacks_received",
+            "shed_periodic",
+            "shed_triggered",
+            "pushbacks_sent",
+        )),
         details={"report": report},
-        collector=getattr(report, "collector", None),
+        collector=report.collector,
     )
 
 
@@ -292,27 +311,27 @@ def _run_dtn(params, toggles, seed, timing) -> WorkloadResult:
         duty_window=float(params.get("duty_window", 12.0)),
         observe=toggles["obs_tracing"],
     )
-    metrics = {
-        "delivery_ratio": report.delivery_ratio,
-        "messages_sent": float(report.messages_sent),
-        "messages_delivered": float(report.messages_delivered),
-        "latency_p50": report.latency_p50,
-        "latency_p99": report.latency_p99,
-        "latency_max": report.latency_max,
-        "custody_accepted": float(report.custody_accepted),
-        "custody_released": float(report.custody_released),
-        "custody_transfers_sent": float(report.custody_transfers_sent),
-        "custody_transfers_received": float(report.custody_transfers_received),
-        "drops_custody_expired": float(report.drops_custody_expired),
-        "drops_custody_evicted": float(report.drops_custody_evicted),
-        "drops_no_route": float(report.drops_no_route),
-        "drops_expired_record": float(report.drops_expired_record),
-        "converged_violations": float(len(report.converged_violations)),
-    }
+    metrics = _report_metrics(report, (
+        "delivery_ratio",
+        "messages_sent",
+        "messages_delivered",
+        "latency_p50",
+        "latency_p99",
+        "latency_max",
+        "custody_accepted",
+        "custody_released",
+        "custody_transfers_sent",
+        "custody_transfers_received",
+        "drops_custody_expired",
+        "drops_custody_evicted",
+        "drops_no_route",
+        "drops_expired_record",
+    ))
+    metrics["converged_violations"] = float(len(report.converged_violations))
     return WorkloadResult(
         metrics=metrics,
         details={"report": report},
-        collector=getattr(report, "collector", None),
+        collector=report.collector,
     )
 
 
@@ -353,21 +372,21 @@ def _run_delegation(params, toggles, seed, timing) -> WorkloadResult:
         n_anchor=int(params.get("n_anchor", 6)),
         traffic=float(params.get("traffic", 14.0)),
     )
-    metrics = {
-        "window_success_rate": report.window_success_rate,
-        "success_rate": report.success_rate,
-        "lost_records": float(report.lost_records),
-        "delegations_started": float(report.delegations_started),
-        "delegations_committed": float(report.delegations_committed),
-        "delegations_aborted": float(report.delegations_aborted),
-        "delegation_rollbacks": float(report.delegation_rollbacks),
-        "requests_attempted": float(report.requests_attempted),
-        "requests_succeeded": float(report.requests_succeeded),
-        "window_requests": float(report.window_requests),
-        "window_succeeded": float(report.window_succeeded),
-        "authority_count": float(len(report.authority)),
-        "converged_violations": float(len(report.converged_violations)),
-    }
+    metrics = _report_metrics(report, (
+        "window_success_rate",
+        "success_rate",
+        "lost_records",
+        "delegations_started",
+        "delegations_committed",
+        "delegations_aborted",
+        "delegation_rollbacks",
+        "requests_attempted",
+        "requests_succeeded",
+        "window_requests",
+        "window_succeeded",
+    ))
+    metrics["authority_count"] = float(len(report.authority))
+    metrics["converged_violations"] = float(len(report.converged_violations))
     return WorkloadResult(metrics=metrics, details={"report": report})
 
 
@@ -391,17 +410,12 @@ register_workload(Workload(
 def _run_discovery(params, toggles, seed, timing) -> WorkloadResult:
     from ..experiments.fig14 import run_discovery_experiment, slope_ms_per_hop
 
-    observe = toggles["obs_tracing"]
-    out = run_discovery_experiment(
+    rows, collector = run_discovery_experiment(
         max_hops=int(params.get("max_hops", 6)),
         seed=seed,
         chain_latency=float(params.get("chain_latency", 0.002)),
-        observe=observe,
+        observe=toggles["obs_tracing"],
     )
-    collector = None
-    rows = out
-    if observe:
-        rows, collector = out
     # Discovery traffic carries no trace contexts, so ablating tracing
     # must not move a single timestamp: importance 0 here is the
     # reproduced zero-overhead claim, not a missing measurement.
@@ -596,11 +610,14 @@ register_workload(Workload(
 # ----------------------------------------------------------------------
 # The committed default suite
 # ----------------------------------------------------------------------
-def default_suite() -> List[ExperimentSpec]:
-    """The suite behind the committed ``BENCH_matrix.json``: every
-    toggle exercised at least once, scaled to finish in well under a
-    minute, deterministic with ``timing=False``."""
-    return [
+def default_suite() -> Dict[str, ExperimentSpec]:
+    """The suite behind the committed ``BENCH_matrix.json``, by spec
+    name and in run order: every toggle exercised at least once, scaled
+    to finish in well under a minute, deterministic with
+    ``timing=False``. A bench script that regenerates one entry's
+    artifact fetches the spec from here, so its run IDs are the
+    matrix's."""
+    specs = [
         ExperimentSpec(
             name="lookup-memo-index",
             workload="lookup",
@@ -651,3 +668,4 @@ def default_suite() -> List[ExperimentSpec]:
         ),
         ExperimentSpec(name="update-overload", workload="update-overload", seed=0),
     ]
+    return {spec.name: spec for spec in specs}

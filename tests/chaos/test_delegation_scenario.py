@@ -1,14 +1,12 @@
 """Reduced-scale checks of the delegation-under-fire chaos scenario.
 
-The benchmark and CI smoke run the full crash matrix; these tests keep
-a representative slice in tier-1 so a regression in the handoff
-protocol, the invariants, or the scenario plumbing fails fast.
+The benchmark runs the full crash matrix; these tests keep a
+representative slice in tier-1 so a regression in the handoff protocol,
+the invariants, or the scenario plumbing fails fast.
 """
 
-from repro.chaos import (
-    run_delegation_ablation,
-    run_delegation_scenario,
-)
+from repro.chaos import fingerprint, run_delegation_scenario
+from repro.xp import ExperimentSpec, run_spec
 
 # Small enough to stay fast in tier-1, but with >= 3 transfer chunks
 # (20 records / chunk size 8) so a mid-transfer crash has an observable
@@ -57,11 +55,15 @@ class TestDelegationScenario:
             seed=3, crash_role="recipient", crash_phase="transfer",
             restart_after=1.5, **SCALE
         )
-        assert first.fingerprint() == second.fingerprint()
+        assert fingerprint(first) == fingerprint(second)
 
     def test_single_shot_ablation_loses_the_vspace(self):
-        ablation = run_delegation_ablation(seed=3, **SCALE)
-        on, off = ablation["two_phase"], ablation["ablated"]
+        run = run_spec(ExperimentSpec(
+            name="delegation-smoke", workload="delegation", seed=3, params=SCALE
+        ))
+        on = run.baseline.details["report"]
+        off = run.ablations["delegation_two_phase"].details["report"]
+        assert on.two_phase and not off.two_phase
         assert on.lost_records == 0
         assert on.converged_violations == ()
         assert off.lost_records > 0

@@ -105,7 +105,7 @@ class TestFig13Shape:
 
 class TestFig14Shape:
     def test_discovery_time_linear_in_hops(self):
-        rows = run_discovery_experiment(max_hops=5)
+        rows, _ = run_discovery_experiment(max_hops=5)
         slope = slope_ms_per_hop(rows)
         assert slope < 10.0  # the paper's bound
         # near-perfect linearity: residuals small relative to the slope
@@ -114,7 +114,7 @@ class TestFig14Shape:
             assert row.discovery_ms == pytest.approx(predicted, rel=0.15)
 
     def test_absolute_times_are_tens_of_ms(self):
-        rows = run_discovery_experiment(max_hops=5)
+        rows, _ = run_discovery_experiment(max_hops=5)
         assert rows[-1].discovery_ms < 100.0
 
 
@@ -147,3 +147,28 @@ class TestFig15Shape:
             costs=CostModel(model_delivery_artifact=False),
         )
         assert rows[1].local_ms == pytest.approx(rows[0].local_ms, rel=0.05)
+
+
+class TestLookupModelCheck:
+    def test_measures_the_recursion_not_memo_hits(self, monkeypatch):
+        """The §5.1.1 check draws its queries from the few names it
+        inserted, so most repeat: a memoized tree would answer them from
+        the memo and the T(d) fit would be to hash hits."""
+        from repro.experiments import ablations
+
+        measured = []
+
+        class RecordingTree(ablations.NameTree):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                measured.append(self)
+
+        monkeypatch.setattr(ablations, "NameTree", RecordingTree)
+        rows, _t_us, _b_us = ablations.run_lookup_model_check(
+            depths=(1, 2), names_per_tree=40, lookups=60
+        )
+        assert [row.depth for row in rows] == [1, 2]
+        assert measured
+        for tree in measured:
+            assert len(tree) > 0
+            assert tree.memo_hits == 0

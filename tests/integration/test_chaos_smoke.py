@@ -11,7 +11,7 @@ seed. Uses the scaled-down soft-state clocks so the suite stays fast.
 import math
 import time
 
-from repro.chaos import run_chaos_scenario
+from repro.chaos import fingerprint, run_chaos_scenario
 
 
 def test_chaos_scenario_invariants_recovery_and_reproducibility():
@@ -60,7 +60,7 @@ def test_chaos_scenario_invariants_recovery_and_reproducibility():
         dsr_failover=True,
         link_fault_fraction=0.2,
     )
-    assert first.fingerprint() == second.fingerprint()
+    assert fingerprint(first) == fingerprint(second)
 
     # Smoke budget: both runs well under five wall-clock seconds.
     assert time.perf_counter() - started < 5.0

@@ -13,7 +13,8 @@ seed.
 
 import json
 
-from repro.chaos import run_dtn_scenario, run_dtn_sweep, write_bench_dtn_json
+from repro.chaos import fingerprint, run_dtn_scenario, write_bench_dtn_json
+from repro.xp import ExperimentSpec, run_spec
 
 SCALE = dict(
     seed=7,
@@ -65,19 +66,20 @@ def test_dtn_scenario_delivery_and_reproducibility(tmp_path):
 
     # Bit-reproducibility: same seed, same parameters, same run.
     again = run_dtn_scenario(custody=True, **SCALE)
-    assert again.fingerprint() == on.fingerprint()
+    assert fingerprint(again) == fingerprint(on)
 
 
 def test_bench_dtn_artifact_schema(tmp_path):
-    rows = run_dtn_sweep(
+    # One traced ``dtn`` spec: baseline custody on, ``custody`` arm off.
+    spec = ExperimentSpec(
+        name="dtn-smoke",
+        workload="dtn",
         seed=3,
-        disruptions=(6.0,),
-        duty_window=6.0,
-        send_interval=0.5,
-        observe_first=True,
+        params={"disruption": 6.0, "duty_window": 6.0},
+        ablations=("custody",),
     )
     path = tmp_path / "BENCH_dtn.json"
-    payload = write_bench_dtn_json(path, rows)
+    payload = write_bench_dtn_json(path, [run_spec(spec)])
 
     on_disk = json.loads(path.read_text())
     # JSON rendering turns tuples into lists; normalize before comparing.

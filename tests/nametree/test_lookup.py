@@ -6,6 +6,7 @@ from repro.naming import NameSpecifier
 from repro.nametree import NameTree
 
 from ..conftest import OVAL_OFFICE_CAMERA, make_record, parse
+from .fig5_oracle import oracle_lookup
 
 
 @pytest.fixture
@@ -219,35 +220,39 @@ class TestLookupEdgeBranches:
         assert tree.lookup(parse("[room=<5][floor=2]")) == set()
 
 
-class TestLinearSearchEquivalence:
-    def test_hash_and_linear_agree(self):
-        """The search strategy is a performance knob, never a semantic
-        one (Section 5.1.1 compares their costs)."""
+class TestFigure5Oracle:
+    def test_tree_and_oracle_agree(self):
+        """The tree's LOOKUP-NAME against the literal Figure 5
+        recursion (``fig5_oracle``): exact, wild-card, range and
+        omitted-attribute queries over shallow and deep advertisements,
+        with and without the memo, each asked twice so the second
+        answer is a cached one."""
         queries = [
             "[service=camera]",
             "[city=*]",
             "[service=camera[data-type=picture]]",
             "[service=printer[room=<15]]",
+            "[service=sensor[unit=celsius]]",
+            "[service=printer[room=4[desk=2]]][city=rome]",
             OVAL_OFFICE_CAMERA,
+            "",
         ]
         ads = [
             OVAL_OFFICE_CAMERA,
             "[service=printer[room=4]]",
             "[service=printer[room=20]]",
             "[city=rome][service=camera]",
+            "[service=sensor]",
+            "[service=sensor[unit=kelvin]]",
         ]
-        hash_tree, linear_tree = NameTree(search="hash"), NameTree(search="linear")
-        for index, wire in enumerate(ads):
-            for target in (hash_tree, linear_tree):
-                target.insert(parse(wire), make_record(host=f"ad-{index}-{target.vspace}-{id(target)}"))
-        for query in queries:
-            hash_hosts = {r.endpoints[0].host.split("-")[1] for r in hash_tree.lookup(parse(query))}
-            linear_hosts = {r.endpoints[0].host.split("-")[1] for r in linear_tree.lookup(parse(query))}
-            assert hash_hosts == linear_hosts, query
-
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            NameTree(search="binary")
+        for memoize in (True, False):
+            tree = NameTree(memoize=memoize)
+            for index, wire in enumerate(ads):
+                tree.insert(parse(wire), make_record(host=f"ad-{index}"))
+            for query in queries:
+                expected = oracle_lookup(tree, parse(query))
+                assert tree.lookup(parse(query)) == expected, query
+                assert tree.lookup(parse(query)) == expected, query
 
 
 class TestValueDependentHierarchy:

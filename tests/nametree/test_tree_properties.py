@@ -1,12 +1,15 @@
 """Property-based tests for name-tree invariants (hypothesis)."""
 
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments import UniformWorkload
 from repro.naming import NameSpecifier
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
+
+from .fig5_oracle import oracle_lookup
 
 
 def _workload(seed: int, depth: int = 2) -> UniformWorkload:
@@ -114,27 +117,35 @@ def test_lookup_results_subset_of_wildcard_union(seed, count):
     assert tree.lookup(exact) <= tree.lookup(wild)
 
 
+def _query_variants(seed: int):
+    """One generated query with wild-cards, the same with its first
+    literal leaf turned into a range, and its first root pair alone
+    (every attribute below it omitted)."""
+    wild = _workload(seed).random_query(wildcard_probability=0.3)
+    text = wild.to_wire()
+    ranged = NameSpecifier.parse(re.sub(r"=(v\d+)\]", r"=>=\1]", text, count=1))
+    root = wild.roots[0]
+    omitted = NameSpecifier.parse(f"[{root.attribute}={root.value}]")
+    return wild, ranged, omitted
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000),
        count=st.integers(min_value=1, max_value=20))
 @settings(max_examples=40, deadline=None)
-def test_hash_and_linear_search_agree(seed, count):
-    """Search strategy never changes lookup results."""
-    workload_a = _workload(seed)
-    workload_b = _workload(seed)
-    hash_tree = NameTree(search="hash")
-    linear_tree = NameTree(search="linear")
-    names_a = workload_a.distinct_names(count)
-    names_b = workload_b.distinct_names(count)
-    hash_records, linear_records = {}, {}
-    for index, (na, nb) in enumerate(zip(names_a, names_b)):
-        ra, rb = _record(f"h-{index}"), _record(f"l-{index}")
-        hash_tree.insert(na, ra)
-        linear_tree.insert(nb, rb)
-        hash_records[index] = ra
-        linear_records[index] = rb
-    query = _workload(seed + 1).random_query(wildcard_probability=0.3)
-    found_hash = {i for i, r in hash_records.items() if r in hash_tree.lookup(query)}
-    found_linear = {
-        i for i, r in linear_records.items() if r in linear_tree.lookup(query)
-    }
-    assert found_hash == found_linear
+def test_lookup_agrees_with_the_figure5_oracle(seed, count):
+    """The iterative, cached, memoized LOOKUP-NAME returns what the
+    literal Figure 5 recursion returns — wild-card, range and
+    omitted-attribute queries, with and without the memo, asked twice
+    so the second answer comes from the caches."""
+    # Shallow names beside deep ones, so interior value-nodes carry
+    # records of their own (the "S ∪ the name-records of T" of Fig. 5).
+    names = _workload(seed).distinct_names(count)
+    names += _workload(seed, depth=1).distinct_names(min(count, 9))
+    for memoize in (True, False):
+        tree = NameTree(memoize=memoize)
+        for index, name in enumerate(names):
+            tree.insert(name, _record(f"o-{index}"))
+        for query in _query_variants(seed + 1):
+            expected = oracle_lookup(tree, query)
+            assert tree.lookup(query) == expected
+            assert tree.lookup(query) == expected

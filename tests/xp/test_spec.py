@@ -56,12 +56,12 @@ class TestRunIds:
     def test_equal_specs_share_an_id(self):
         a = ExperimentSpec(
             name="s", workload="lookup", seed=1,
-            toggles={"lookup_memo": True, "subtree_index": False},
+            toggles={"lookup_memo": True, "packet_cache": False},
             params={"b": 2, "a": 1},
         )
         b = ExperimentSpec(
             name="s", workload="lookup", seed=1,
-            toggles={"subtree_index": False, "lookup_memo": True},
+            toggles={"packet_cache": False, "lookup_memo": True},
             params={"a": 1, "b": 2},
         )
         assert a.run_id() == b.run_id()
@@ -94,7 +94,7 @@ class TestRunIds:
         ids = {
             spec.run_id(),
             spec.run_id("lookup_memo"),
-            spec.run_id("subtree_index"),
+            spec.run_id("packet_cache"),
         }
         assert len(ids) == 3
         for value in sorted(ids):
@@ -104,7 +104,9 @@ class TestRunIds:
         spec = ExperimentSpec(
             name="s", workload="lookup", toggles={"lookup_memo": True}
         )
-        assert spec.effective_toggles("lookup_memo") == {"lookup_memo": False}
+        assert spec.canonical_dict("lookup_memo")["toggles"] == {
+            "lookup_memo": False
+        }
 
     def test_ablate_rejects_unknown_toggle(self):
         spec = ExperimentSpec(name="s", workload="lookup")
