@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..obs import TRACE_CONTEXT_SIZE, TraceContext
@@ -40,6 +40,10 @@ _HEADER = struct.Struct("!BBHIIIHH")
 
 HEADER_SIZE = _HEADER.size
 
+#: Where the hop limit sits, for the forwarder that changes nothing else.
+_HOP_LIMIT = struct.Struct("!H")
+_HOP_LIMIT_OFFSET = struct.calcsize("!BBHIII")
+
 _FLAG_LATE_BINDING = 0x01
 _FLAG_MULTICAST = 0x02
 #: Extension flag (Section 3.2 caching): the sender of this message is
@@ -49,6 +53,8 @@ _FLAG_ACCEPT_CACHED = 0x04
 #: Extension flag (PROTOCOL.md §9): a 24-byte trace context follows the
 #: fixed header (before the source name-specifier).
 _FLAG_TRACE_CONTEXT = 0x08
+#: The flag bits this version assigns no meaning to (sent as zero).
+_FLAGS_RESERVED = 0xF0
 
 
 class Binding(enum.Enum):
@@ -85,6 +91,10 @@ class Header:
     #: Optional per-request trace context (PROTOCOL.md §9). ``None``
     #: packs to the exact pre-extension byte layout.
     trace: Optional[TraceContext] = None
+    #: False for a received header that set the unused u16 or a reserved
+    #: flag bit. Both are ignored, so it decodes like any other — but
+    #: :meth:`pack` writes them as zero and would not reproduce it.
+    reserved_clear: bool = field(default=True, repr=False, compare=False)
 
     @property
     def wire_length(self) -> int:
@@ -185,4 +195,19 @@ class Header:
             cache_lifetime=cache_lifetime,
             accept_cached=bool(flags & _FLAG_ACCEPT_CACHED),
             trace=trace,
+            reserved_clear=not (_unused or flags & _FLAGS_RESERVED),
         )
+
+
+def patch_for_next_hop(
+    frame, hop_limit: int, trace: Optional[TraceContext] = None
+) -> bytes:
+    """A copy of ``frame`` as the next overlay hop must see it: the hop
+    limit field set to ``hop_limit`` and, when ``trace`` is given, that
+    context over the one the frame carries (it must carry one — the
+    size does not change). Every other byte is the frame's own."""
+    out = bytearray(frame)
+    _HOP_LIMIT.pack_into(out, _HOP_LIMIT_OFFSET, hop_limit)
+    if trace is not None:
+        trace.pack_into(out, HEADER_SIZE)
+    return bytes(out)

@@ -10,7 +10,7 @@ exist precisely so the forwarding agent can skip it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..naming import NameSpecifier
 from ..obs import TRACE_CONTEXT_SIZE, TraceContext
@@ -22,6 +22,7 @@ from .header import (
     Delivery,
     Header,
     HeaderError,
+    patch_for_next_hop,
 )
 
 
@@ -50,6 +51,15 @@ class InsMessage:
     #: message carries across hops. ``None`` keeps the wire layout
     #: byte-identical to the untraced format.
     trace: Optional[TraceContext] = None
+    #: Set by :meth:`decode`, and only on a *canonical* frame — one
+    #: that is byte for byte what :meth:`encode` of this message
+    #: returns: the buffer it was decoded from, which
+    #: :meth:`forwarded_frame` copies and patches instead of
+    #: re-serializing. It describes the message as decoded; whoever
+    #: changes a field afterwards sends it with :meth:`encode`.
+    _frame: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Wire format
@@ -88,12 +98,21 @@ class InsMessage:
         return bytes(out)
 
     @classmethod
-    def decode(cls, packet) -> "InsMessage":
+    def decode(
+        cls, packet, name_of: Optional[Callable[[str], NameSpecifier]] = None
+    ) -> "InsMessage":
         """Parse a packet produced by :meth:`encode`.
 
         Accepts any bytes-like buffer; the name-specifier sections are
         UTF-8-decoded straight out of a ``memoryview``, so no sliced
         ``bytes`` copies are made before parsing.
+
+        ``name_of`` turns the text of a name section into its
+        name-specifier; it defaults to :meth:`NameSpecifier.parse`. A
+        forwarding agent passes a function that recognises texts it has
+        already parsed, and may return the same object for the same
+        text every time: a decoded name is to be read, not modified
+        (``copy()`` it first).
         """
         header = Header.unpack(packet)
         view = memoryview(packet)
@@ -103,15 +122,20 @@ class InsMessage:
         destination_text = str(
             view[header.destination_offset:header.data_offset], "utf-8"
         )
-        destination = NameSpecifier.parse(destination_text)
+        if name_of is None:
+            # Looked up per call, not bound as the default: the class
+            # attribute is what an instrumented run replaces.
+            name_of = NameSpecifier.parse
+        destination = name_of(destination_text)
         if destination.is_empty:
             # Judged on the parsed name, not the text: a section of
             # whitespace alone also parses to the empty name, which
             # matches every record of the vspace.
             raise HeaderError("packet has an empty destination name-specifier")
-        return cls(
+        source = name_of(source_text)
+        message = cls(
             destination=destination,
-            source=NameSpecifier.parse(source_text),
+            source=source,
             data=bytes(view[header.data_offset:]),
             binding=header.binding,
             delivery=header.delivery,
@@ -120,6 +144,21 @@ class InsMessage:
             accept_cached=header.accept_cached,
             trace=header.trace,
         )
+        if (
+            packet.__class__ is bytes  # a buffer nobody can write to
+            and header.reserved_clear
+            and header.source_offset == header.wire_length
+            and destination.cached_wire() == destination_text
+            and (not source_text or source.cached_wire() == source_text)
+        ):
+            # Canonical: nothing between the header and the names (the
+            # sections are contiguous by construction of the offsets),
+            # no ignored bit set, and each section is its name's
+            # compact text — a name fresh from a compact parse, or one
+            # recognised by this very text, says so without a walk; a
+            # spaced-out or value-less section does not.
+            message._frame = packet
+        return message
 
     def wire_size(self) -> int:
         """Size in bytes of the encoded packet (for link accounting)."""
@@ -156,6 +195,28 @@ class InsMessage:
             accept_cached=self.accept_cached,
             trace=self.trace,
         )
+
+    def forwarded_frame(self, trace: Optional[TraceContext] = None) -> bytes:
+        """The packet this message travels its next overlay hop as: the
+        hop limit one lower and, when ``trace`` is given, that context
+        in place of the one it arrived with — the bytes of
+        ``hop_decremented()`` with ``trace`` set, encoded.
+
+        A message decoded from a canonical frame is forwarded by
+        patching a copy of that frame; any other is re-encoded, which
+        emits the canonical form, so an oddly laid-out packet is
+        normalized at its first hop and patched at every later one.
+        Raises ValueError at hop limit zero, like :meth:`hop_decremented`.
+        """
+        frame = self._frame
+        if frame is None or (trace is not None and self.trace is None):
+            outgoing = self.hop_decremented()
+            if trace is not None:
+                outgoing.trace = trace
+            return outgoing.encode()
+        if self.hop_limit <= 0:
+            raise ValueError("hop limit exhausted")
+        return patch_for_next_hop(frame, self.hop_limit - 1, trace)
 
     def reply_template(self) -> "InsMessage":
         """A message skeleton addressed back at this message's source.

@@ -139,6 +139,12 @@ class NameRecord:
     #: by reference with whoever sent it; None while not grafted.
     advertised_name: Optional[NameSpecifier] = field(default=None, repr=False)
 
+    #: The compact wire text ``advertised_name`` was indexed under at
+    #: graft time (``NameTree.advertised``), so ``remove`` finds the
+    #: entry without asking a name that may have changed since. None
+    #: for a name that arrived unsized, and while not grafted.
+    advertised_text: Optional[str] = field(default=None, repr=False)
+
     #: Memoized __hash__. Records live in many sets (value-node record
     #: sets, subtree caches, lookup results) and set operations probe
     #: hashes constantly; recomputing the announcer/vspace tuple hash

@@ -91,6 +91,10 @@ class NameTree:
         self.vspace = vspace
         self._root = ValueNode(value=None, parent=None)
         self._by_announcer: Dict[AnnouncerID, NameRecord] = {}
+        # Retained names by their compact wire text (see advertised()):
+        # written by _graft, dropped by remove, never more entries than
+        # records. A name grafted unsized is not in it.
+        self._by_text: Dict[str, NameSpecifier] = {}
         # LOOKUP-NAME memo. The epoch counter advances only on
         # membership changes (graft, remove, expire); the memo is
         # flushed lazily at the next lookup that observes a newer
@@ -257,6 +261,10 @@ class NameTree:
         record.attachments = []
         record.advertised_key = key
         record.advertised_name = name
+        text = record.advertised_text = name.cached_wire()
+        if text is not None:
+            # The latest graft owns a text that replicas share.
+            self._by_text[text] = name
         for pair in name.roots:
             self._graft_pair(self._root, pair, record)
         self._by_announcer[record.announcer] = record
@@ -293,8 +301,12 @@ class NameTree:
             value_node.records.discard(record)
             value_node.prune_upwards()
         record.attachments = []
+        text = record.advertised_text
+        if text is not None and self._by_text.get(text) is record.advertised_name:
+            del self._by_text[text]
         record.advertised_key = None
         record.advertised_name = None
+        record.advertised_text = None
         self._bump_epoch()
         return True
 
@@ -525,6 +537,25 @@ class NameTree:
         if name is not None and name._key_cache is record.advertised_key:
             return name
         return self.reconstruct_name(record)
+
+    def advertised(self, text: str) -> Optional[NameSpecifier]:
+        """The retained name-specifier whose compact wire text is
+        exactly ``text``, or None: a name section recognised by its
+        bytes instead of parsed again.
+
+        An entry is served only while the name provably still
+        serializes to that text — :meth:`get_name`'s rule, read off the
+        name's own wire cache. A name its owner has since mutated is a
+        miss, and its entry is dropped. The answer is shared like
+        ``get_name``'s: read it, or ``copy()`` it.
+        """
+        name = self._by_text.get(text)
+        if name is None:
+            return None
+        if name.cached_wire() != text:
+            del self._by_text[text]
+            return None
+        return name
 
     def reconstruct_name(self, record: NameRecord) -> NameSpecifier:
         """GET-NAME as Figure 6 states it, always from the tree.

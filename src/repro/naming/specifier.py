@@ -239,6 +239,18 @@ class NameSpecifier:
                         stack.extend(list(children.values())[::-1])
         return "".join(out)
 
+    def cached_wire(self) -> Optional[str]:
+        """The compact wire text if this name is already sized (by the
+        parser, or by :meth:`wire_size`) and unchanged since; else None.
+
+        Never walks the name: it is how a holder of some text asks "do
+        you provably still serialize to this?" at the price of two
+        attribute reads."""
+        cached = self._wire_cache
+        if cached is not None and cached[0] is self._key_cache:
+            return cached[1]
+        return None
+
     def wire_size(self) -> int:
         """Length in bytes of the compact wire representation.
 

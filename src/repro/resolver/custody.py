@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..dtn import CustodyEntry, CustodyStore
-from ..message import Binding, CustodyRecord, CustodyTransfer, Delivery, InsMessage
+from ..message import Binding, CustodyRecord, CustodyTransfer, Delivery, Header
 from ..obs import DROP_PREFIX
 from .dataplane import best_route
 from .costs import cost_per_record
@@ -212,8 +212,8 @@ class Custodian:
             # custodian left and are lost, attributably.
             for record in transfer.records:
                 try:
-                    context = InsMessage.decode(record.raw).trace
-                except Exception:
+                    context = Header.unpack(record.raw).trace
+                except ValueError:
                     context = None
                 inr.stats.drops_custody_transfer_failed += 1
                 span = inr.span_start("inr.custody", context)

@@ -30,6 +30,15 @@ from .protocol import (
 )
 
 
+#: Bounds of the per-INR table of name-section texts already parsed
+#: (:meth:`DataPlane.name_of`): how many texts, and how long (in
+#: characters) a text may be to get in. Both, because a parsed name
+#: weighs some 58 times its text (5.7 KB for a 98-byte name) — a count
+#: alone would not bound the memory; together they cap it near 4 MB.
+NAME_TABLE_CAPACITY = 256
+NAME_TABLE_MAX_TEXT = 256
+
+
 def best_route(records: Sequence[NameRecord]) -> NameRecord:
     """The anycast choice among live matches: least application metric,
     then least route metric, then announcer (a total order, so the pick
@@ -51,6 +60,15 @@ class DataPlane:
         self._vspace_cache: Dict[str, str] = {}
         #: payloads (with their hop span) parked on a DSR answer
         self._vspace_waiting: Dict[str, List[tuple]] = {}
+        #: name-section text -> the name it parsed to, for the texts no
+        #: tree recognises (queries, group filters, unadvertised
+        #: sources); bounded by the two NAME_TABLE constants
+        self._names: Dict[str, NameSpecifier] = {}
+        #: how :meth:`name_of` answered: from a tree, from the table,
+        #: by parsing
+        self.names_advertised = 0
+        self.names_remembered = 0
+        self.names_parsed = 0
 
     # ------------------------------------------------------------------
     # Early binding and discovery queries
@@ -140,10 +158,45 @@ class DataPlane:
     # ------------------------------------------------------------------
     # The forwarding agent: late binding (Section 2.3)
     # ------------------------------------------------------------------
+    def name_of(self, text: str) -> NameSpecifier:
+        """The name a packet's name section spells, parsed only if this
+        incarnation has not understood these very bytes before.
+
+        A text byte-equal to a name some tree here retains is that
+        object (every tree is asked: the vspace is not known until the
+        name is); any other text is parsed once and remembered while
+        the table has room for it. Either way the answer is shared —
+        the data plane reads names, it never modifies one. A text that
+        does not parse raises out of here and is never remembered.
+        """
+        if not text:
+            return NameSpecifier()
+        for tree in self.inr.trees.values():
+            name = tree.advertised(text)
+            if name is not None:
+                self.names_advertised += 1
+                return name
+        table = self._names
+        name = table.get(text)
+        if name is not None:
+            if name.cached_wire() == text:
+                self.names_remembered += 1
+                return name
+            del table[text]  # somebody wrote to a shared name
+        name = NameSpecifier.parse(text)
+        self.names_parsed += 1
+        if len(text) <= NAME_TABLE_MAX_TEXT and name.cached_wire() == text:
+            # Parsed, and compactly: the text is the name's own wire
+            # form, which is also what lets a later hit be trusted.
+            if len(table) >= NAME_TABLE_CAPACITY:
+                del table[next(iter(table))]
+            table[text] = name
+        return name
+
     def handle_data(self, packet: DataPacket, source: str) -> None:
         inr = self.inr
         try:
-            message = packet.message
+            message = packet.decode(self.name_of)
         except ValueError:
             # Malformed packet (bad header, unparsable names): a robust
             # resolver drops it rather than dying (design goal iii).
@@ -252,8 +305,8 @@ class DataPlane:
         """Answer ``request`` in band: a late-binding anycast to the
         requester's own intentional name, routed like any other packet."""
         reply = InsMessage(
-            destination=request.source.copy(),
-            source=source.copy(),
+            destination=request.source,
+            source=source,
             data=data,
             binding=Binding.LATE,
             delivery=Delivery.ANYCAST,
@@ -330,12 +383,11 @@ class DataPlane:
             inr.stats.drops_hop_limit += 1
             inr.span_end(span, DROP_PREFIX + "hop-limit")
             return
-        outgoing = message.hop_decremented()
-        if span is not None:
-            # Re-parent the context so the next hop's span nests under
-            # this one: the exported tree then mirrors the actual path.
-            outgoing.trace = span.context
-        forwarded = DataPacket(raw=outgoing.encode())
+        # Re-parent the context so the next hop's span nests under this
+        # one: the exported tree then mirrors the actual path.
+        forwarded = DataPacket(
+            raw=message.forwarded_frame(None if span is None else span.context)
+        )
         inr.stats.packets_forwarded += 1
         inr.work(
             inr.costs.forward, self._send, next_hop, INR_PORT, forwarded, span,

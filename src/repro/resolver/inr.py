@@ -18,6 +18,7 @@ from __future__ import annotations
 from types import MethodType
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..message import Header
 from ..message.dsr import DsrDeregister, DsrRegisterCandidate
 from ..nametree import NameTree
 from ..netsim import Node, Process
@@ -374,7 +375,11 @@ class INR(Process):
         if self._terminated:
             if isinstance(payload, DataPacket):
                 self.stats.drops_terminated += 1
-                self._drop_span("terminated", lambda: payload.message.trace)
+                # The context is 24 header bytes: a frame whose names do
+                # not parse is still attributable to its trace.
+                self._drop_span(
+                    "terminated", lambda: Header.unpack(payload.raw).trace
+                )
             return
         self.neighbors.heard_from(source, self.now)
         entry = self.dispatch.get(type(payload))

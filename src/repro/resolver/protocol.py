@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..message import InsMessage
 from ..naming import NameSpecifier
@@ -166,11 +166,19 @@ class DataPacket:
     raw: bytes
     _decoded: Optional[InsMessage] = field(default=None, repr=False, compare=False)
 
+    def decode(
+        self, name_of: Optional[Callable[[str], NameSpecifier]] = None
+    ) -> InsMessage:
+        """The decoded message. The first call does the decoding, with
+        ``name_of`` as :meth:`InsMessage.decode` takes it; every later
+        one, and :attr:`message`, is served that result."""
+        if self._decoded is None:
+            self._decoded = InsMessage.decode(self.raw, name_of)
+        return self._decoded
+
     @property
     def message(self) -> InsMessage:
-        if self._decoded is None:
-            self._decoded = InsMessage.decode(self.raw)
-        return self._decoded
+        return self.decode()
 
     def wire_size(self) -> int:
         return BASE_OVERHEAD + len(self.raw)

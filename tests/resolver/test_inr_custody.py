@@ -13,8 +13,9 @@ from dataclasses import replace
 from repro.chaos.scenario import fast_chaos_config
 from repro.experiments import InsDomain
 from repro.message import CustodyRecord, CustodyTransfer, InsMessage
+from repro.obs import TraceContext
 
-from ..conftest import parse
+from ..conftest import forge_packet, parse
 
 
 def custody_config(**overrides):
@@ -213,6 +214,31 @@ class TestCustodyMigration:
         assert inr.stats.custody_transfers_received == 1
         assert inr.stats.drops_custody_transfer_failed == 1
         assert inr.stats.drops_by_cause()["custody-transfer-failed"] == 1
+
+    def test_the_loss_is_traced_even_when_the_names_do_not_parse(self):
+        """The span joins the payload's trace from the header's context
+        alone; a record whose name sections are garbage (or that is no
+        packet at all) is still one attributed loss, not an exception."""
+        domain, (inr,), _client = make_domain(
+            replace(fast_chaos_config(), enable_custody=False)
+        )
+        collector = domain.observe()
+        context = TraceContext(trace_id=55, span_id=9)
+        records = tuple(
+            CustodyRecord(
+                raw=raw, vspace="default", deadline=domain.now + 10.0,
+                priority=0, transfers=1,
+            )
+            for raw in (forge_packet("", "[[", b"p", trace=context), b"\x01")
+        )
+        inr.custodian._handle_custody_transfer(
+            CustodyTransfer(sender="inr-ghost", records=records), "inr-ghost"
+        )
+        assert inr.stats.drops_custody_transfer_failed == 2
+        spans = [s for s in collector.tracer.spans if s.name == "inr.custody"]
+        assert [(s.trace_id, s.status) for s in spans] == [
+            (55, "drop:custody-transfer-failed")
+        ]
 
 
 class TestPartitionGrace:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.experiments import InsDomain
-from repro.resolver import InrConfig
+from repro.obs import TraceContext
+from repro.resolver import DataPacket, InrConfig
 
-from ..conftest import parse
+from ..conftest import forge_packet, parse
 
 
 class TestJoin:
@@ -139,3 +140,22 @@ class TestTermination:
         a = domain.add_inr()
         a.terminate()
         a.terminate()
+
+    @pytest.mark.parametrize("destination", ["[service=x]", "[["])
+    def test_a_packet_reaching_a_terminated_inr_is_attributed_to_its_trace(
+        self, destination
+    ):
+        """The drop span needs the 24 bytes of context, not the names: a
+        traced frame whose name section does not even parse is still a
+        ``drop:terminated`` under its own trace id."""
+        domain = InsDomain(seed=39)
+        inr = domain.add_inr(address="inr-a")
+        collector = domain.observe()
+        inr.terminate()
+        context = TraceContext(trace_id=91, span_id=4)
+        raw = forge_packet("", destination, b"late", trace=context)
+        inr.handle_message(DataPacket(raw=raw), "stranger")
+        assert inr.stats.drops_terminated == 1
+        (span,) = [s for s in collector.tracer.spans if s.name == "inr.hop"]
+        assert span.status == "drop:terminated"
+        assert (span.trace_id, span.parent_span_id) == (91, 4)
