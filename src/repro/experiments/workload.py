@@ -51,33 +51,23 @@ class UniformWorkload:
         self.value_range = value_range
         self.attributes_per_level = attributes_per_level
         self.vspace = vspace
-        self._pad = "x" * token_pad
+        # Formatted once: every generated av-pair shares these strings
+        # instead of holding two of its own.
+        pad = "x" * token_pad
+        self._attributes = [f"a{index}{pad}" for index in range(attribute_range)]
+        self._values = [f"v{index}{pad}" for index in range(value_range)]
 
     # ------------------------------------------------------------------
     # Name generation
     # ------------------------------------------------------------------
-    def _attribute_token(self, index: int) -> str:
-        return f"a{index}{self._pad}"
-
-    def _value_token(self, index: int) -> str:
-        return f"v{index}{self._pad}"
-
-    def _random_pair(self, level: int) -> AVPair:
-        attribute_index = self.rng.randrange(self.attribute_range)
-        value_index = self.rng.randrange(self.value_range)
-        pair = AVPair(self._attribute_token(attribute_index), self._value_token(value_index))
-        if level < self.depth:
-            self._add_children(pair, level)
-        return pair
-
     def _add_children(self, pair: AVPair, level: int) -> None:
         attributes = self.rng.sample(
             range(self.attribute_range), self.attributes_per_level
         )
         for attribute_index in sorted(attributes):
             child = AVPair(
-                self._attribute_token(attribute_index),
-                self._value_token(self.rng.randrange(self.value_range)),
+                self._attributes[attribute_index],
+                self._values[self.rng.randrange(self.value_range)],
             )
             if level + 1 < self.depth:
                 self._add_children(child, level + 1)
@@ -91,8 +81,8 @@ class UniformWorkload:
         )
         for attribute_index in sorted(attributes):
             root = AVPair(
-                self._attribute_token(attribute_index),
-                self._value_token(self.rng.randrange(self.value_range)),
+                self._attributes[attribute_index],
+                self._values[self.rng.randrange(self.value_range)],
             )
             if self.depth > 1:
                 self._add_children(root, 1)

@@ -114,7 +114,10 @@ class NameRecord:
     """The resolver-side state for one announced name.
 
     Mutable on purpose: refreshes update endpoints, metrics, routes and
-    expiry in place so every leaf value-node pointer stays valid.
+    expiry in place so every leaf value-node pointer stays valid. Once
+    grafted, the owning ``NameTree`` is the only writer: it keeps a
+    bound on ``expires_at`` (``NameTree.set_expiry``) and drops
+    ``kept_update`` with every payload store (``NameTree.refresh``).
     """
 
     announcer: AnnouncerID
@@ -145,6 +148,24 @@ class NameRecord:
     #: for a name that arrived unsized, and while not grafted.
     advertised_text: Optional[str] = field(default=None, repr=False)
 
+    #: What the owning resolver's last full table said about this
+    #: record (a ``NameUpdate``; opaque here), kept to be said again at
+    #: the next round. Valid only while nothing it was built from has
+    #: been written since: the tree clears it at every store to
+    #: ``endpoints``, ``anycast_metric`` or ``route`` and at every
+    #: graft, and ``NameTree.kept_update`` re-checks the name.
+    kept_update: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    #: The message (an ``Advertisement`` or ``NameUpdate``; opaque here)
+    #: the payload was last compared with and written from, shared by
+    #: reference with its sender: hearing the same object again can only
+    #: move the deadline. ``NameTree.refresh`` is its one writer.
+    heard: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     #: Memoized __hash__. Records live in many sets (value-node record
     #: sets, subtree caches, lookup results) and set operations probe
     #: hashes constantly; recomputing the announcer/vspace tuple hash
@@ -156,10 +177,6 @@ class NameRecord:
     def is_expired(self, now: float) -> bool:
         """True once the soft-state lifetime has elapsed unrefreshed."""
         return now >= self.expires_at
-
-    def refresh(self, now: float, lifetime: float = DEFAULT_LIFETIME) -> None:
-        """Extend the record's life by ``lifetime`` seconds from ``now``."""
-        self.expires_at = now + lifetime
 
     def __hash__(self) -> int:
         cached = self._hash_cache

@@ -18,6 +18,15 @@ kept alive by the tree and still not counted here.) ``sys.getsizeof``
 of a record does not count its attribute values, so the extra reference
 itself adds nothing either and the walk reports the same bytes as
 before the field existed.
+
+Of the two message references a record carries, ``kept_update`` is this
+tree's memory — its resolver built the update and is the one that keeps
+it alive from round to round — so the update object and its endpoints
+tuple are counted (its name, announcer and endpoints are the shared
+objects already counted, or not, above). ``heard`` is its sender's: the
+advertisement a service re-sends, or the update a neighbor keeps on its
+own record, would exist without this tree, and is not counted. (A tree
+filled directly, as Figure 13's is, has neither.)
 """
 
 from __future__ import annotations
@@ -51,6 +60,9 @@ def _record_size(record: NameRecord, seen: Set[int]) -> int:
     if record.route.next_hop is not None:
         total += _sizeof(record.route.next_hop, seen)
     total += _sizeof(record.attachments, seen)
+    if record.kept_update is not None:
+        total += _sizeof(record.kept_update, seen)
+        total += _sizeof(record.kept_update.endpoints, seen)
     return total
 
 

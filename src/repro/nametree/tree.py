@@ -40,6 +40,7 @@ to all records they correspond to, which is the same set.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -95,6 +96,10 @@ class NameTree:
         # written by _graft, dropped by remove, never more entries than
         # records. A name grafted unsized is not in it.
         self._by_text: Dict[str, NameSpecifier] = {}
+        # A lower bound on every record's ``expires_at``: lowered by
+        # set_expiry(), through which every deadline write goes, and
+        # recomputed by the expire() scan it lets most sweeps skip.
+        self._earliest_expiry = math.inf
         # LOOKUP-NAME memo. The epoch counter advances only on
         # membership changes (graft, remove, expire); the memo is
         # flushed lazily at the next lookup that observes a newer
@@ -172,6 +177,7 @@ class NameTree:
         next_hop: Optional[str],
         route_metric: float,
         expires_at: float,
+        message: Optional[object] = None,
     ) -> Optional[bool]:
         """Refresh in place the record ``announcer`` already has grafted
         under ``name``, from the fields an advertisement or update
@@ -194,20 +200,43 @@ class NameTree:
         advertisement or update re-sent by its owner looks like. Only a
         name keyed elsewhere is compared by value; an equal key proves
         it is the one already validated as concrete at graft time.
+
+        ``message`` is the ``Advertisement`` or ``NameUpdate`` the
+        fields were read from, when there is one. Messages are immutable
+        once sent, so the very object the payload was last written from
+        (``NameRecord.heard``), offering its own endpoints tuple under a
+        name that is still the grafted one, over the route already
+        stored, says nothing new: the deadline moves and nothing is
+        compared or built.
         """
         record = self._by_announcer.get(announcer)
         if record is None:
             return None
         key = record.advertised_key
+        route = record.route
+        if (
+            record.heard is message
+            and message is not None
+            and name._key_cache is key
+            and endpoints is message.endpoints
+            and route.next_hop == next_hop
+            and route.metric == route_metric
+        ):
+            self.set_expiry(record, expires_at)
+            return False
         if name._key_cache is not key and name.canonical_key() != key:
             return None
+        # Every store to a payload field drops the update kept for the
+        # record (including the reorder-only one ``changed`` does not
+        # report): it no longer says what the record says.
         changed = False
         if record.anycast_metric != anycast_metric:
             record.anycast_metric = anycast_metric
+            record.kept_update = None
             changed = True
-        route = record.route
         if route.next_hop != next_hop or route.metric != route_metric:
             record.route = Route(next_hop, route_metric)
+            record.kept_update = None
             changed = True
         offered = list(endpoints)
         if record.endpoints != offered:
@@ -216,8 +245,24 @@ class NameTree:
             if sorted(record.endpoints) != sorted(offered):
                 changed = True
             record.endpoints = offered
-        record.expires_at = expires_at
+            record.kept_update = None
+        # The payload now says what ``message`` says — unless the
+        # endpoints offered were not the message's own.
+        record.heard = (
+            message
+            if message is not None and endpoints is message.endpoints
+            else None
+        )
+        self.set_expiry(record, expires_at)
         return changed
+
+    def set_expiry(self, record: NameRecord, expires_at: float) -> None:
+        """Move ``record``'s soft-state deadline. Every write of a
+        grafted record's ``expires_at`` goes through here, which is what
+        lets :meth:`expire` trust its bound."""
+        record.expires_at = expires_at
+        if expires_at < self._earliest_expiry:
+            self._earliest_expiry = expires_at
 
     def insert(self, name: NameSpecifier, record: NameRecord) -> InsertOutcome:
         """Graft ``name`` and attach ``record`` at its leaf value-nodes.
@@ -261,6 +306,11 @@ class NameTree:
         record.attachments = []
         record.advertised_key = key
         record.advertised_name = name
+        # A graft writes everything: whatever was said or heard of the
+        # record was said or heard of another one.
+        record.kept_update = None
+        record.heard = None
+        self.set_expiry(record, record.expires_at)
         text = record.advertised_text = name.cached_wire()
         if text is not None:
             # The latest graft owns a text that replicas share.
@@ -332,11 +382,18 @@ class NameTree:
 
         A sweep that collects several records advances the epoch once
         (it is one membership change from the memo's point of view).
+
+        While ``now - grace`` is below the bound on every deadline
+        nothing can be due and no record is visited; a sweep that does
+        scan recomputes the bound from the records it leaves behind.
         """
+        horizon = now - grace
+        if horizon < self._earliest_expiry:
+            return []
         expired = [
             record
             for record in self._by_announcer.values()
-            if now - grace >= record.expires_at
+            if horizon >= record.expires_at
         ]
         if expired:
             self.begin_batch()
@@ -345,13 +402,11 @@ class NameTree:
                     self.remove(record)
             finally:
                 self.end_batch()
+        self._earliest_expiry = min(
+            [record.expires_at for record in self._by_announcer.values()],
+            default=math.inf,
+        )
         return expired
-
-    def next_expiry(self) -> Optional[float]:
-        """Earliest expiration time among live records, or None."""
-        if not self._by_announcer:
-            return None
-        return min(record.expires_at for record in self._by_announcer.values())
 
     # ------------------------------------------------------------------
     # LOOKUP-NAME (Figure 5)
@@ -537,6 +592,22 @@ class NameTree:
         if name is not None and name._key_cache is record.advertised_key:
             return name
         return self.reconstruct_name(record)
+
+    def kept_update(self, record: NameRecord) -> Optional[object]:
+        """The update kept on ``record`` while it still says what a new
+        one would, else None.
+
+        The payload half of that is :meth:`refresh`'s doing (it drops
+        the update with every store). The name half is
+        :meth:`get_name`'s own test, applied to the name the update
+        carries: a retained name its advertiser has edited since fails
+        it — as does the Figure 6 rebuild sent in its place, at every
+        round, so such a record is announced afresh each time.
+        """
+        update = record.kept_update
+        if update is not None and update.name._key_cache is record.advertised_key:
+            return update
+        return None
 
     def advertised(self, text: str) -> Optional[NameSpecifier]:
         """The retained name-specifier whose compact wire text is

@@ -9,7 +9,8 @@ on this pair is a *descendant* of it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Tuple
 
 from .errors import DuplicateAttributeError, InvalidTokenError
 
@@ -40,6 +41,13 @@ def validate_token(token: str, kind: str) -> str:
     return token
 
 
+#: The children of every childless av-pair. Most pairs are leaves, and
+#: an empty dict each is most of what a leaf would weigh. Read-only:
+#: ``add_child``, the only writer of ``_children``, gives a pair its own
+#: dict first.
+_NO_CHILDREN: Mapping[str, "AVPair"] = MappingProxyType({})
+
+
 def _sibling_key(pairs) -> tuple:
     """The order-insensitive key of sibling av-pairs that are all keyed."""
     return tuple(sorted([pair._key_cache for pair in pairs]))
@@ -68,7 +76,7 @@ class AVPair:
     def __init__(self, attribute: str, value: str) -> None:
         self.attribute = validate_token(attribute, "attribute")
         self.value = validate_token(value, "value")
-        self._children: Dict[str, "AVPair"] = {}
+        self._children: Mapping[str, "AVPair"] = _NO_CHILDREN
         # Memoized canonical_key() plus the upward link that lets a
         # descendant mutation invalidate every ancestor's cache. An
         # av-pair belongs to at most one parent (pair or specifier) —
@@ -87,7 +95,7 @@ class AVPair:
         pair = cls.__new__(cls)
         pair.attribute = attribute
         pair.value = value
-        pair._children = {}
+        pair._children = _NO_CHILDREN
         pair._key_cache = (attribute, value, ())  # _pair_key of a leaf
         pair._parent = None
         return pair
@@ -110,12 +118,15 @@ class AVPair:
         Raises :class:`DuplicateAttributeError` when a sibling already
         classifies the same attribute.
         """
-        if child.attribute in self._children:
+        children = self._children
+        if child.attribute in children:
             raise DuplicateAttributeError(
                 f"sibling av-pair with attribute {child.attribute!r} "
                 f"already present under {self.attribute}={self.value}"
             )
-        self._children[child.attribute] = child
+        if not children:
+            children = self._children = {}  # was the shared empty mapping
+        children[child.attribute] = child
         child._parent = self
         self._invalidate_key()
         return child

@@ -14,7 +14,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .avpair import AVPair, _sibling_key
 from .errors import DuplicateAttributeError, WildcardValueError
-from .operators import is_operator_value
 
 #: The well-known attribute an application uses to declare the virtual
 #: space(s) its names belong to (Section 2.5).
@@ -30,7 +29,7 @@ NestedDict = Mapping[str, _DictValue]
 class NameSpecifier:
     """An intentional name: an ordered forest of orthogonal av-pairs."""
 
-    __slots__ = ("_roots", "_key_cache", "_wire_cache", "_parent")
+    __slots__ = ("_roots", "_key_cache", "_wire_cache", "_concrete_key", "_parent")
 
     def __init__(self, roots: Optional[List[AVPair]] = None) -> None:
         self._roots: Dict[str, AVPair] = {}
@@ -47,6 +46,11 @@ class NameSpecifier:
         # Filled by wire_size() and by the parser (which has just read
         # both the key and the text), never by to_wire().
         self._wire_cache: Optional[Tuple[tuple, str, int]] = None
+        # The canonical-key tuple under which the name was last found
+        # concrete, valid like the wire cache: only while ``_key_cache``
+        # is still that very object. A service's name is checked where
+        # it is advertised and again at every resolver that grafts it.
+        self._concrete_key: Optional[tuple] = None
         self._parent = None
         for root in roots or []:
             self.add_pair(root)
@@ -145,34 +149,45 @@ class NameSpecifier:
         """True for the empty name, which matches everything."""
         return not self._roots
 
-    def is_concrete(self) -> bool:
-        """True when no value is a wild-card or range operator.
+    def _operator_pair(self) -> Optional[AVPair]:
+        """The first av-pair, in the walk's order, whose value is a
+        wild-card or range operator; None for a concrete name.
 
-        Only concrete names may be advertised; operators belong in
-        queries (Section 2.2 advertisements describe actual services).
-        Iterative, with the operator test inlined: this predicate runs
-        once per name on the advertisement ingestion path.
-        """
+        "None" is remembered under the name's canonical key, so the
+        name is walked once per structural change, not once per holder
+        that has to be sure. Iterative, with the operator test inlined:
+        a miss is one walk on the advertisement ingestion path."""
+        key = self._key_cache
+        if key is not None and self._concrete_key is key:
+            return None
         stack = list(self._roots.values())
         while stack:
             pair = stack.pop()
             value = pair.value
             if value == "*" or (value and value[0] in "<>"):
-                return False
+                return pair
             stack.extend(pair._children.values())
-        return True
+        # Whoever asks goes on to key the name (to graft it, to size
+        # it), so taking the key here computes nothing twice.
+        self._concrete_key = self.canonical_key()
+        return None
+
+    def is_concrete(self) -> bool:
+        """True when no value is a wild-card or range operator.
+
+        Only concrete names may be advertised; operators belong in
+        queries (Section 2.2 advertisements describe actual services).
+        """
+        return self._operator_pair() is None
 
     def require_concrete(self) -> "NameSpecifier":
         """Raise :class:`WildcardValueError` unless concrete; returns self."""
-        stack = list(self._roots.values())
-        while stack:
-            pair = stack.pop()
-            if is_operator_value(pair.value):
-                raise WildcardValueError(
-                    f"advertisement value {pair.value!r} for attribute "
-                    f"{pair.attribute!r} is not a concrete literal"
-                )
-            stack.extend(pair._children.values())
+        pair = self._operator_pair()
+        if pair is not None:
+            raise WildcardValueError(
+                f"advertisement value {pair.value!r} for attribute "
+                f"{pair.attribute!r} is not a concrete literal"
+            )
         return self
 
     def vspaces(self) -> Tuple[str, ...]:

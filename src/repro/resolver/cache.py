@@ -67,7 +67,7 @@ class PacketCache:
             entry.stored_at = now
             entry.expires_at = now + lifetime
             entry.last_used = now
-            existing.expires_at = entry.expires_at
+            self._index.set_expiry(existing, entry.expires_at)
             self.stores += 1
             return
         if len(self._entries) >= self._max_entries:

@@ -18,14 +18,12 @@ from ..naming import NameSpecifier
 from ..nametree import Endpoint, NameRecord, NameTree, Route
 from .costs import cost_of_carried, cost_one_name, cost_receive, cost_update_batch
 from .ports import INR_PORT
-from .protocol import (
-    BASE_OVERHEAD, Advertisement, NameUpdate, NameWithdraw, UpdateBatch,
-)
+from .protocol import Advertisement, NameUpdate, NameWithdraw, UpdateBatch
 from .reliable import ReliableAck, ReliableChannel, ReliableFrame
 
-#: One name as an update round announces it: the next hop of the record's
-#: route (for split horizon), the update, and the update's wire size.
-_Announcement = Tuple[Optional[str], NameUpdate, int]
+#: What an update round says: records and, index for index, the update
+#: of each (the record's route is what split horizon reads).
+_Entries = Tuple[List[NameRecord], List[NameUpdate]]
 
 #: What :meth:`NameDiscovery.send_control` is handed, and so what a
 #: reliable frame may carry (a ``CustodyTransfer`` from the custodian).
@@ -42,7 +40,7 @@ def _graft(
     renamed service is turned into one."""
     changed = tree.refresh(
         news.name, news.announcer, endpoints, news.anycast_metric,
-        next_hop, metric, expires_at,
+        next_hop, metric, expires_at, news,
     )
     if changed is None:
         changed = tree.insert(
@@ -148,12 +146,13 @@ class NameDiscovery:
         """Distributed Bellman-Ford acceptance; True when state changed
         in a way neighbors should hear about."""
         inr = self.inr
-        now = inr.now
+        now = inr.sim.now
         new_metric = update.route_metric + link_rtt
         existing = tree.record_for(update.announcer)
         readmitted = False
         if existing is not None:
-            if existing.route.is_local:
+            route = existing.route
+            if route.next_hop is None:
                 # Never let a reflected update displace a directly-attached
                 # service; the local announcement is authoritative.
                 return False
@@ -162,10 +161,7 @@ class NameDiscovery:
                 # partition; comparing metrics against the corpse would
                 # wrongly favor it. Any fresh news re-admits the name.
                 readmitted = True
-            elif (
-                existing.route.next_hop != sender
-                and not new_metric < existing.route.metric
-            ):
+            elif route.next_hop != sender and not new_metric < route.metric:
                 # News from the current next hop is always accepted, even
                 # if the metric worsened (standard distance-vector rule);
                 # from anyone else only a strictly better metric is.
@@ -215,7 +211,7 @@ class NameDiscovery:
         """
         self.reset_channel(address)
         for tree in self.inr.trees.values():
-            for record in list(tree.records()):
+            for record in tree.records():
                 if record.route.next_hop == address:
                     tree.remove(record)
                     if self._reliable is not None:
@@ -241,20 +237,14 @@ class NameDiscovery:
     # ------------------------------------------------------------------
     # The transport name state travels on
     # ------------------------------------------------------------------
-    def send_control(
-        self,
-        neighbor_address: str,
-        payload: object,
-        size_bytes: Optional[int] = None,
-    ) -> None:
+    def send_control(self, neighbor_address: str, payload: object) -> None:
         """Send a name-state message to a neighbor on the configured
-        transport (raw datagram, or the reliable channel, which frames
-        and sizes the payload itself). ``size_bytes`` is the payload's
-        ``wire_size()`` when the caller already knows it."""
+        transport: a raw datagram, or the reliable channel (which
+        frames the payload). Either way the payload sizes itself."""
         if self._reliable is not None:
             self._reliable.send(neighbor_address, payload)
         else:
-            self.inr.send(neighbor_address, INR_PORT, payload, size_bytes)
+            self.inr.send(neighbor_address, INR_PORT, payload)
 
     def reset_channel(self, neighbor_address: str) -> None:
         """Start a fresh reliable conversation with a neighbor: a new
@@ -283,10 +273,10 @@ class NameDiscovery:
     # ------------------------------------------------------------------
     def _announce(
         self, vspace: str, name: NameSpecifier, record: NameRecord
-    ) -> _Announcement:
-        """What an update round says about one name — built, and sized,
-        once per round whatever the number of neighbors it goes to."""
-        update = NameUpdate(
+    ) -> NameUpdate:
+        """What this INR says about one name now — built, and sized,
+        once, whatever the number of neighbors it goes to."""
+        return NameUpdate(
             name=name,
             announcer=record.announcer,
             endpoints=tuple(record.endpoints),
@@ -300,32 +290,53 @@ class NameDiscovery:
             ),
             vspace=vspace,
         )
-        return record.route.next_hop, update, update.wire_size()
 
-    def _all_entries(self) -> List[_Announcement]:
-        return [
-            self._announce(vspace, name, record)
-            for vspace, tree in self.inr.trees.items()
-            for name, record in tree.names()
-        ]
+    def table(self, tree: NameTree) -> _Entries:
+        """What a full table says about ``tree``'s vspace: every record
+        and, beside it, its update — the one kept on the record since
+        the last table, while the tree still vouches for it
+        (``NameTree.kept_update``). Only a record that changed since, or
+        whose retained name its advertiser has edited, costs a
+        ``GET-NAME`` and a ``NameUpdate``; nothing else an update is
+        built from moves (the vspace and the lifetime are fixed for the
+        tree and the incarnation)."""
+        records = list(tree.records())
+        kept = tree.kept_update
+        updates = []
+        for record in records:
+            update = kept(record)
+            if update is None:
+                update = record.kept_update = self._announce(
+                    tree.vspace, tree.get_name(record), record
+                )
+            updates.append(update)
+        return records, updates
+
+    def _all_entries(self) -> _Entries:
+        records: List[NameRecord] = []
+        updates: List[NameUpdate] = []
+        for tree in self.inr.trees.values():
+            tree_records, tree_updates = self.table(tree)
+            records += tree_records
+            updates += tree_updates
+        return records, updates
 
     def _batch_for(
-        self,
-        announcements: List[_Announcement],
-        neighbor_address: str,
-        triggered: bool,
-    ) -> Tuple[UpdateBatch, int]:
-        """The batch ``neighbor_address`` is sent and its wire size
-        (``UpdateBatch.wire_size()``, summed from the sizes already
-        taken instead of re-walking the batch)."""
-        updates = []
-        size = BASE_OVERHEAD
-        for next_hop, update, update_size in announcements:
-            if next_hop != neighbor_address:
-                # split horizon: never echo a route to its source
-                updates.append(update)
-                size += update_size
-        return UpdateBatch(self.inr.address, updates, triggered=triggered), size
+        self, entries: _Entries, neighbor_address: str, triggered: bool
+    ) -> UpdateBatch:
+        """The batch ``neighbor_address`` is sent: every update but
+        those whose route it is itself the next hop of (split horizon:
+        never echo a route to its source). Sizing it is a sum of the
+        sizes its updates took when they were built."""
+        return UpdateBatch(
+            self.inr.address,
+            [
+                update
+                for record, update in zip(*entries)
+                if record.route.next_hop != neighbor_address
+            ],
+            triggered=triggered,
+        )
 
     def send_periodic_updates(self) -> None:
         inr = self.inr
@@ -334,27 +345,35 @@ class NameDiscovery:
         # Reliable-delta mode: names moved when they changed; the
         # periodic message degenerates to an empty keepalive that feeds
         # the neighbor liveness timeout.
-        announcements = [] if self._reliable is not None else self._all_entries()
+        entries = ([], []) if self._reliable is not None else self._all_entries()
         for neighbor in inr.neighbors:
-            batch, size = self._batch_for(announcements, neighbor.address, False)
-            inr.send(neighbor.address, INR_PORT, batch, size)
+            batch = self._batch_for(entries, neighbor.address, False)
+            inr.send(neighbor.address, INR_PORT, batch)
             inr.stats.periodic_updates_sent += 1
 
-    def _send_triggered(self, entries: List[tuple], exclude: Optional[str]) -> None:
+    def _send_triggered(self, changed: List[tuple], exclude: Optional[str]) -> None:
         inr = self.inr
-        announcements = [self._announce(*entry) for entry in entries]
+        # News is said under the name it arrived with — not always the
+        # retained one (a re-spelt name) — so it is built for the
+        # occasion; what a record keeps is what a table says of it.
+        entries = (
+            [record for _, _, record in changed],
+            [self._announce(*entry) for entry in changed],
+        )
         for neighbor in inr.neighbors:
             if neighbor.address == exclude:
                 continue
-            batch, size = self._batch_for(announcements, neighbor.address, True)
+            batch = self._batch_for(entries, neighbor.address, True)
             if not batch.updates:
                 continue
-            self.send_control(neighbor.address, batch, size)
+            self.send_control(neighbor.address, batch)
             inr.stats.triggered_updates_sent += 1
 
     def send_full_table(self, neighbor_address: str) -> None:
-        batch, size = self._batch_for(self._all_entries(), neighbor_address, True)
-        self.send_control(neighbor_address, batch, size)
+        self.send_control(
+            neighbor_address,
+            self._batch_for(self._all_entries(), neighbor_address, True),
+        )
 
     HANDLERS = {
         Advertisement: (_handle_advertisement, cost_one_name),

@@ -28,7 +28,7 @@ from ..message.dsr import (
 )
 from .costs import cost_receive
 from .ports import INR_PORT
-from .protocol import NameUpdate, UpdateBatch
+from .protocol import UpdateBatch
 
 
 @dataclass
@@ -189,18 +189,7 @@ class LoadControl:
         vspace = max(inr.trees, key=lambda v: len(inr.trees[v]))
         tree = inr.trees[vspace]
         inr.spawner(candidate, (vspace,))
-        updates = [
-            NameUpdate(
-                name=name,
-                announcer=record.announcer,
-                endpoints=tuple(record.endpoints),
-                anycast_metric=record.anycast_metric,
-                route_metric=record.route.metric,
-                lifetime=inr.config.record_lifetime,
-                vspace=vspace,
-            )
-            for name, record in tree.names()
-        ]
+        _, updates = inr.discovery.table(tree)
         inr.send(candidate, INR_PORT, UpdateBatch(inr.address, updates, triggered=True))
         inr.drop_tree(vspace)
         inr.dataplane.remember_vspace(vspace, candidate)

@@ -35,14 +35,25 @@ def _fresh_request_id() -> int:
 _REQUEST_IDS = itertools.count(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NameUpdate:
     """Everything an INR update says about one name (Section 2.2).
 
     ``route_metric`` is the announcing path's cumulative overlay metric
     as seen by the *sender* of the update; the receiver adds its own
     link cost to the sender (distributed Bellman-Ford).
+
+    Immutable, and sized once, when built: a sender keeps the object
+    for as long as it says the same thing and a receiver recognises it
+    by identity (``NameTree.refresh``), which stands for the equality of
+    the bytes a socket INR would have decoded.
     """
+
+    # By hand: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = (
+        "name", "announcer", "endpoints", "anycast_metric", "route_metric",
+        "lifetime", "vspace", "_size",
+    )
 
     name: NameSpecifier
     announcer: AnnouncerID
@@ -52,8 +63,15 @@ class NameUpdate:
     lifetime: float
     vspace: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_size",
+            self.name.wire_size() + PER_NAME_OVERHEAD + 12 * len(self.endpoints),
+        )
+
     def wire_size(self) -> int:
-        return self.name.wire_size() + PER_NAME_OVERHEAD + 12 * len(self.endpoints)
+        return self._size
 
 
 @dataclass
@@ -65,10 +83,10 @@ class UpdateBatch:
     triggered: bool = False
 
     def wire_size(self) -> int:
-        return BASE_OVERHEAD + sum(update.wire_size() for update in self.updates)
+        return BASE_OVERHEAD + sum([update.wire_size() for update in self.updates])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Advertisement:
     """A service's periodic announcement of its intentional name.
 
@@ -76,6 +94,9 @@ class Advertisement:
     advertisement after attaching, a metric change, a rename) as
     opposed to periodic soft-state refreshes; an overloaded resolver's
     admission control sheds refreshes before triggered updates.
+
+    Immutable: a service re-sends the object while it says the same
+    thing, and a resolver recognises it by identity, as a ``NameUpdate``.
     """
 
     name: NameSpecifier

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.experiments import InsDomain
@@ -42,6 +44,27 @@ def make_record(host: str = "10.0.0.1", port: int = 9, metric: float = 0.0,
 
 def parse(text: str) -> NameSpecifier:
     return NameSpecifier.parse(text)
+
+
+@contextmanager
+def stores_to(owner, field):
+    """Count stores to the instance attribute ``field`` of ``owner``'s
+    instances: yields the list each store appends the instance to. A
+    data descriptor stands in front of the instance dict meanwhile.
+    (``NameTree.refresh`` stores ``NameRecord.heard`` exactly when it
+    compares a payload: recognising a message stores nothing.)"""
+    stored = []
+
+    def store(self, value):
+        stored.append(self)
+        vars(self)[field] = value
+
+    default = vars(owner)[field]
+    setattr(owner, field, property(lambda self: vars(self).get(field), store))
+    try:
+        yield stored
+    finally:
+        setattr(owner, field, default)
 
 
 def forge_packet(source_text: str, destination_text: str, data: bytes = b"",

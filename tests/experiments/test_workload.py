@@ -57,6 +57,32 @@ class TestGeneration:
             make(depth=0)
 
 
+    def test_tokens_are_formatted_once_and_names_read_the_same(self):
+        """The generator holds ``r_a + r_v`` token strings and every
+        av-pair shares them; the names are the ones the per-pair
+        f-strings used to spell."""
+        workload = make(seed=7, token_pad=2)
+        names = [workload.random_name() for _ in range(20)]
+        tokens = {id(t) for n in names for p in n.walk() for t in (p.attribute, p.value)}
+        assert len(tokens) <= 3 + 3
+        replay = random.Random(7)
+
+        def spelled(level):
+            attributes = sorted(replay.sample(range(3), 2))
+            out = []
+            for attribute in attributes:
+                value = replay.randrange(3)
+                below = spelled(level + 1) if level < 3 else ""
+                out.append(f"[a{attribute}xx=v{value}xx{below}]")
+            return "".join(out)
+
+        assert [name.to_wire() for name in names] == [spelled(1) for _ in names]
+        assert names[0].to_wire() == (
+            "[a0xx=v1xx[a0xx=v0xx[a0xx=v1xx][a2xx=v2xx]][a2xx=v0xx[a0xx=v0xx][a2xx=v0xx]]]"
+            "[a1xx=v1xx[a0xx=v0xx[a0xx=v0xx][a1xx=v2xx]][a1xx=v0xx[a0xx=v2xx][a2xx=v2xx]]]"
+        )
+
+
 class TestDistinctNames:
     def test_requested_count_all_distinct(self):
         names = make().distinct_names(200)

@@ -6,15 +6,21 @@ declines; ``insert(name, record)`` delegates to the same body. The
 differential below drives generated histories through both forms and
 through a literal model of the rule ``insert`` carried before the
 entry point existed (compare every payload field, overwrite them all),
-and wants the same verdicts, record fields, epochs and lookups.
+and wants the same verdicts, record fields, epochs and lookups — also
+when the very message object is offered again (which ``refresh``
+recognises instead of comparing) and when a lifetime shrinks (which the
+bound that lets ``expire`` skip its scan must follow; the model's scan
+of every deadline is the oracle for what a sweep collects).
 """
+
+from collections import namedtuple
 
 from hypothesis import given, settings, strategies as st
 
 from repro.naming import NameSpecifier
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree, Route
 
-from ..conftest import make_record, parse
+from ..conftest import make_record, parse, stores_to
 
 ANNOUNCERS = [AnnouncerID("host-%d" % index, float(index)) for index in range(3)]
 ENDPOINTS = [
@@ -69,7 +75,15 @@ class _Model:
         return set(gone)
 
 
-def _record(announcer, endpoints, metric, next_hop, route_metric, expires_at):
+#: What the tree reads of a message: its endpoints tuple, by identity.
+#: (What else it carries — name, metric — reaches ``refresh`` as
+#: arguments; being immutable, the same object always carries the same.)
+Message = namedtuple("Message", "name endpoints metric")
+
+
+def _record(announcer, endpoints, metric, next_hop, route_metric, expires_at,
+            message=None):
+    # A record is built knowing no message: only ``refresh`` learns one.
     return NameRecord(
         announcer=announcer, endpoints=list(endpoints), anycast_metric=metric,
         route=Route(next_hop, route_metric), expires_at=expires_at,
@@ -104,6 +118,8 @@ steps = st.lists(
         st.integers(min_value=0, max_value=5),      # which alternative
         st.booleans(),                              # re-send the name object
         st.sampled_from([0.5, 4.0, 11.0]),          # virtual time step
+        st.booleans(),                              # re-send the message object
+        st.sampled_from([10.0, 10.0, 3.0]),         # lifetime granted
     ),
     min_size=1, max_size=40,
 )
@@ -114,8 +130,9 @@ steps = st.lists(
 def test_refresh_and_forced_insert_agree_with_the_parent_rule(history):
     refreshed, inserted, model = NameTree(), NameTree(), _Model()
     last = {}       # announcer -> the fields it announced last
+    sent = {}       # announcer -> the message that carried them
     now = 0.0
-    for who, kind, pick, resend, dt in history:
+    for who, kind, pick, resend, dt, resend_message, lifetime in history:
         now += dt
         announcer = ANNOUNCERS[who]
         if kind.startswith("expire"):
@@ -144,13 +161,30 @@ def test_refresh_and_forced_insert_agree_with_the_parent_rule(history):
             if name is None or not resend:
                 name = parse(text)
             last[announcer] = (text, name, endpoints, metric, next_hop, route_metric)
+            # The same message again, when it can still say this: what
+            # it carries is immutable, the route is the receiver's own
+            # term, and endpoints other than its own are what a receiver
+            # offers when the message brought none.
+            message = sent.get(announcer)
+            if not (
+                resend_message and message is not None
+                and message.name is name and message.metric == metric
+            ):
+                message = sent[announcer] = Message(name, tuple(endpoints), metric)
+            offered = (
+                message.endpoints if list(message.endpoints) == endpoints
+                else tuple(endpoints)
+            )
             epoch_before = refreshed.epoch
             known = model.state.get(announcer)
             same_name = known is not None and known["key"] == name.canonical_key()
-            fields = (announcer, tuple(endpoints), metric, next_hop, route_metric, now + 10.0)
+            fields = (
+                announcer, offered, metric, next_hop, route_metric, now + lifetime,
+                message,
+            )
             verdict = model.announce(
                 announcer, name.canonical_key(), list(endpoints), metric,
-                Route(next_hop, route_metric), now + 10.0,
+                Route(next_hop, route_metric), now + lifetime,
             )
             assert _via_refresh(refreshed, name, *fields) is verdict
             assert _via_insert(inserted, name, *fields) is verdict
@@ -234,6 +268,83 @@ class TestRefreshEntryPoint:
         assert keyed == []
         assert self._refresh(tree, parse(name.to_wire()), record) is False
         assert len(keyed) == 1  # a name keyed elsewhere is compared by value
+
+    def test_a_message_heard_again_moves_only_the_deadline(self, tree):
+        name, record = self._grafted(tree, expires_at=10.0)
+        message = Message(name, tuple(record.endpoints), record.anycast_metric)
+
+        def hear(**override):
+            override.setdefault("endpoints", message.endpoints)
+            return self._refresh(tree, name, record, message=message, **override)
+
+        with stores_to(NameRecord, "heard") as compared:
+            assert hear() is False and compared == [record]   # compared, remembered
+            assert record.heard is message
+            del compared[:]
+            assert hear(expires_at=70.0) is False
+            assert hear(expires_at=40.0) is False             # a life may shrink too
+            assert compared == [] and record.expires_at == 40.0
+            # What the message does not carry is compared every time: the
+            # route is the receiver's own term, and endpoints other than
+            # the message's own tuple are what stood in for an empty one.
+            for moved in ({"next_hop": "inr-x"}, {"route_metric": 0.5}):
+                assert hear(**moved) is True and compared == [record]
+                del compared[:]
+                assert hear() is False and compared == []
+            stand_in = tuple(list(message.endpoints))
+            assert hear(endpoints=stand_in) is False and record.heard is None
+            assert hear() is False and record.heard is message  # learnt again
+            assert compared == [record, record]
+            del compared[:]
+            assert hear() is False and compared == []
+            # ...and so is any other object, however equal,
+            twin = Message(*message)
+            assert self._refresh(
+                tree, name, record, endpoints=twin.endpoints, message=twin
+            ) is False
+            assert compared == [record] and record.heard is twin
+            del compared[:]
+            # and a name its owner edited since is another name altogether.
+            name.root("service").add("kind", "k")
+            assert self._refresh(
+                tree, name, record, endpoints=twin.endpoints, message=twin
+            ) is None
+
+    def test_every_payload_store_drops_the_kept_update(self, tree):
+        name, record = self._grafted(tree)
+        first, second = Endpoint("10.0.0.1", 9), Endpoint("10.0.0.2", 9)
+        kept = Message(name, (), 0.0)   # anything that carries the name
+
+        def keep():
+            record.kept_update = kept
+            assert tree.kept_update(record) is kept
+
+        keep()
+        assert self._refresh(tree, name, record, expires_at=50.0) is False
+        assert tree.kept_update(record) is kept     # nothing new: said again as it is
+        for store in (
+            {"anycast_metric": 2.0}, {"next_hop": "inr-x", "route_metric": 0.5},
+            {"endpoints": (first, second)},
+            {"endpoints": (second, first)},         # not news, but it is a store
+        ):
+            keep()
+            self._refresh(tree, name, record, **store)
+            assert record.kept_update is None, store
+        keep()
+        record.heard = kept
+        tree.remove(record)
+        tree.insert(parse("[service=y]"), record)   # a graft writes everything
+        assert record.kept_update is None and record.heard is None
+
+    def test_a_kept_update_does_not_outlive_an_edit_of_its_name(self, tree):
+        name, record = self._grafted(tree)
+        record.kept_update = Message(name, (), 0.0)
+        name.root("service").add("kind", "k")
+        assert tree.kept_update(record) is None
+        rebuilt = tree.get_name(record)             # Figure 6 answers now,
+        record.kept_update = Message(rebuilt, (), 0.0)
+        rebuilt.wire_size()                         # keyed, but not by the graft:
+        assert tree.kept_update(record) is None     # announced afresh every round
 
     def test_a_name_mutated_after_grafting_is_another_name(self, tree):
         name, record = self._grafted(tree)

@@ -1,5 +1,8 @@
 """Tests for name-tree memory accounting (the Figure 13 instrument)."""
 
+import sys
+from collections import namedtuple
+
 from repro.nametree import NameTree, name_tree_bytes, name_tree_megabytes
 
 from ..conftest import make_record, parse
@@ -44,3 +47,17 @@ class TestSizing:
     def test_megabytes_scaling(self, tree):
         tree.insert(parse("[a=b]"), make_record())
         assert name_tree_megabytes(tree) == name_tree_bytes(tree) / (1024 * 1024)
+
+    def test_the_kept_update_is_this_trees_memory_the_heard_message_is_not(self, tree):
+        """What a resolver keeps to say again it allocated; what it
+        heard belongs to whoever sent it."""
+        message = namedtuple("Message", "name endpoints")
+        name, record = parse("[a=b]"), make_record()
+        tree.insert(name, record)
+        bare = name_tree_bytes(tree)
+        record.heard = message(name, tuple(record.endpoints))
+        assert name_tree_bytes(tree) == bare
+        kept = record.kept_update = message(name, tuple(record.endpoints))
+        assert name_tree_bytes(tree) == (
+            bare + sys.getsizeof(kept) + sys.getsizeof(kept.endpoints)
+        )

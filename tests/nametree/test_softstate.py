@@ -38,15 +38,23 @@ class TestExpiry:
     def test_refresh_extends_life(self, tree):
         record = make_record(expires_at=5.0)
         tree.insert(parse("[a=b]"), record)
-        record.refresh(now=4.0, lifetime=DEFAULT_LIFETIME)
+        tree.set_expiry(record, 4.0 + DEFAULT_LIFETIME)
         assert tree.expire(now=6.0) == []
         assert record.expires_at == 4.0 + DEFAULT_LIFETIME
 
-    def test_next_expiry(self, tree):
-        assert tree.next_expiry() is None
-        tree.insert(parse("[a=b]"), make_record(expires_at=7.0))
-        tree.insert(parse("[a=c]"), make_record(expires_at=3.0))
-        assert tree.next_expiry() == 3.0
+    def test_a_deadline_moved_earlier_is_still_swept_on_time(self, tree):
+        """A sweep that scanned trusts what it found until a deadline
+        write says otherwise — including one that shortens a life."""
+        early = make_record(host="early", expires_at=50.0)
+        late = make_record(host="late", expires_at=90.0)
+        tree.insert(parse("[a=b]"), early)
+        tree.insert(parse("[a=c]"), late)
+        assert tree.expire(now=10.0) == []        # nothing can be due before 50
+        tree.set_expiry(late, 20.0)
+        assert tree.expire(now=19.0) == []
+        assert tree.expire(now=20.0) == [late]
+        assert tree.expire(now=49.0, grace=5.0) == []
+        assert tree.expire(now=55.0, grace=5.0) == [early]
 
     def test_infinite_lifetime_never_expires(self, tree):
         record = make_record(expires_at=math.inf)

@@ -6,6 +6,7 @@ from repro.naming import (
     AVPair,
     DuplicateAttributeError,
     InvalidTokenError,
+    NameSpecifier,
     make_pair,
     validate_token,
 )
@@ -130,3 +131,34 @@ class TestEquality:
         assert duplicate == original
         duplicate.child("y").add("w", "4")
         assert duplicate != original
+
+
+class TestLeavesShareNoState:
+    """Childless av-pairs share one empty children mapping; a pair gets
+    a dict of its own the moment it gets a child."""
+
+    def test_a_child_added_to_one_leaf_shows_under_no_other(self):
+        first = NameSpecifier.parse("[a=1[b=2][c=3]][d=4]")
+        second = NameSpecifier.parse("[a=1[b=2][c=3]][d=4]")
+        built = AVPair("e", "5")
+        first.root("a").child("b").add("x", "9")
+        for pair in list(second.walk()) + [built]:
+            if pair.attribute in ("b", "c", "d", "e"):
+                assert pair.is_leaf and pair.children == ()
+                assert pair.child("x") is None
+        assert first.root("a").child("c").is_leaf and first.root("d").is_leaf
+        assert [p.attribute for p in first.root("a").child("b").children] == ["x"]
+
+    def test_the_copy_of_a_leaf_is_independent(self):
+        leaf = AVPair("a", "1")
+        duplicate = leaf.copy()
+        duplicate.add("b", "2")
+        assert leaf.is_leaf and leaf != duplicate
+        leaf.add("c", "3")
+        assert [p.attribute for p in duplicate.children] == ["b"]
+
+    def test_a_duplicate_sibling_is_still_refused_on_the_first_child(self):
+        pair = AVPair("a", "1")
+        pair.add("b", "2")
+        with pytest.raises(DuplicateAttributeError):
+            pair.add("b", "3")

@@ -83,6 +83,30 @@ class TestConcreteness:
         name = NameSpecifier.parse("[a=b]")
         assert name.require_concrete() is name
 
+    def test_a_verdict_is_kept_until_the_name_changes(self):
+        """"Concrete" is remembered under the canonical key, so an
+        ``add_child`` at any depth — which clears the key — forgets it."""
+        name = NameSpecifier.parse("[a=b[c=d]][room=510]")
+        assert name.is_concrete() and name.require_concrete() is name
+        name.root("a").child("c").add("e", "*")
+        assert not name.is_concrete()
+        with pytest.raises(WildcardValueError, match="'e'"):
+            name.require_concrete()
+        built = NameSpecifier()
+        built.add("a", "b")
+        assert built.is_concrete()          # keys the name to remember it
+        built.add("room", ">5")
+        assert not built.is_concrete()
+
+    def test_the_first_offending_pair_is_reported_as_before(self):
+        name = NameSpecifier.parse("[a=*][b=c[d=<5]][e=*]")
+        for _ in range(2):  # never cached: walked, and worded, the same
+            with pytest.raises(WildcardValueError) as raised:
+                name.require_concrete()
+            assert str(raised.value) == (
+                "advertisement value '*' for attribute 'e' is not a concrete literal"
+            )
+
 
 class TestVspaces:
     def test_default_when_undeclared(self):

@@ -6,6 +6,7 @@ from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
 from repro.resolver import InrConfig, ResolutionRequest
 from repro.resolver.ports import INR_PORT
+from repro.tools import ProtocolTrace
 
 from ..conftest import parse
 
@@ -187,3 +188,33 @@ class TestDelegation:
         reply = client.resolve_early(parse(f"[service=bulk][vspace={delegated}]"))
         domain.run(2.0)
         assert len(reply.value) == 30
+
+    def test_single_shot_arm_sends_what_a_full_table_would(self):
+        """The ablation arm (``delegation_two_phase=False``) asks the
+        discovery component what to say about each record, as every
+        update round does: no second statement of an update's fields."""
+        domain = InsDomain(
+            seed=48,
+            config=loaded_config(delegation_two_phase=False, record_lifetime=1e9),
+        )
+        trace = ProtocolTrace(keep_payloads=True).attach(domain.network)
+        inr = domain.add_inr(address="inr-main", vspaces=("space-a", "space-b"))
+        domain.add_candidate("spare-1")
+        domain.network.add_node("onlooker")
+        for i in range(9):
+            space = "space-a" if i % 3 else "space-b"
+            domain.add_service(
+                f"[service=bulk[id=n{i}]][vspace={space}]", resolver=inr,
+                metric=float(i),
+            )
+        domain.run(2.0)
+        inr.discovery.send_full_table("onlooker")
+        inr.load._delegate_vspace("spare-1")
+        (full,) = [e for e in trace.between("inr-main", "onlooker") if e.kind == "UpdateBatch"]
+        (flung,) = [e for e in trace.between("inr-main", "spare-1") if e.kind == "UpdateBatch"]
+        assert inr.vspaces == ("space-b",)
+        assert len(flung.payload.updates) == 6 and flung.payload.triggered
+        assert flung.payload.updates == [
+            update for update in full.payload.updates if update.vspace == "space-a"
+        ]
+        assert flung.size == flung.payload.wire_size()

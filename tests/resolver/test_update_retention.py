@@ -1,8 +1,9 @@
 """The soft-state path pays for a name once per graft, not once per
 refresh: INRs hand on the name-specifier object they were given, sized
 once, and an unchanged domain's refresh rounds rebuild nothing — no
-name, no record, no route, one update per name per sender, and the
-service re-sends the advertisement it sent last.
+name, no record, no route, no update — and compare nothing: the
+service re-sends the advertisement it sent last, an INR the update it
+kept, and a receiver recognises each as the message it already applied.
 
 Counts only — no wall clock.
 """
@@ -14,12 +15,12 @@ import repro.nametree.tree as tree_module
 import repro.resolver.discovery as discovery_module
 from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
-from repro.nametree import NameTree
+from repro.nametree import NameRecord, NameTree
 from repro.resolver import InrConfig
 from repro.resolver.protocol import NameUpdate
 from repro.tools import ProtocolTrace
 
-from ..conftest import parse
+from ..conftest import parse, stores_to
 
 
 REFRESH = 5.0
@@ -106,9 +107,7 @@ def _count_constructions(monkeypatch, module, class_name):
     return built
 
 
-def test_unchanged_domain_second_round_builds_one_update_per_name_per_sender(
-    monkeypatch,
-):
+def test_unchanged_domain_second_round_builds_no_update(monkeypatch):
     domain, trace, (a, b, c) = _domain(["inr-a", "inr-b", "inr-c"])
     for index, inr in enumerate([a, b, c, a, b, c]):
         _service(domain, f"[service=e[id=n{index}]][room=r{index}]", inr)
@@ -127,7 +126,8 @@ def test_unchanged_domain_second_round_builds_one_update_per_name_per_sender(
     names_before = sum(inr.stats.update_names_processed for inr in (a, b, c))
     ads_before = sum(inr.stats.advertisements_processed for inr in (a, b, c))
     start = domain.now
-    domain.run(REFRESH * 1.1)
+    with stores_to(NameRecord, "heard") as compared:
+        domain.run(REFRESH * 1.1)
 
     # The round happened: every INR sent its table, every service refreshed.
     batches = sum(inr.stats.periodic_updates_sent for inr in (a, b, c)) - batches_before
@@ -135,9 +135,11 @@ def test_unchanged_domain_second_round_builds_one_update_per_name_per_sender(
     assert sum(inr.stats.update_names_processed for inr in (a, b, c)) - names_before >= 12
     assert sum(inr.stats.advertisements_processed for inr in (a, b, c)) - ads_before >= 6
     # A three-node overlay has an INR with two neighbors, so there are
-    # more batches than tables — and one update per name per *table*.
+    # more batches than tables — all of them made of kept updates, all
+    # of them (and every advertisement) heard as themselves.
     assert batches > len(tables)
-    assert len(updates) == 6 * len(tables)
+    assert updates == []
+    assert compared == []
     assert (records, routes, advertisements, endpoints) == ([], [], [], [])
     # The batches' sizes were summed from the per-update sizes.
     sized = [
@@ -304,6 +306,33 @@ def test_advertiser_mutating_its_name_in_place_does_not_corrupt_updates():
     updates = _periodic_updates(trace, "inr-a", "inr-b", start)
     assert [update.name.to_wire() for update in updates] == [grafted]
     assert updates[0].wire_size() == parse(grafted).wire_size() + 30 + 12
+
+
+def test_a_rename_is_walked_for_wildcards_once_across_the_domain(monkeypatch):
+    """``Service.rename`` and each resolver that grafts the new name
+    must know it is concrete; the first to ask walks it, and the verdict
+    travels with the (shared) name-specifier."""
+    domain, trace, (a, b, c) = _domain(["inr-a", "inr-b", "inr-c"])
+    service = _service(domain, "[service=e[id=1]]", a)
+    domain.run(1.0)
+    asked, walked = [], []
+    real = NameSpecifier._operator_pair
+
+    def counted(name):
+        asked.append(name)
+        if name._key_cache is None or name._concrete_key is not name._key_cache:
+            walked.append(name)
+        return real(name)
+
+    monkeypatch.setattr(NameSpecifier, "_operator_pair", counted)
+    renamed = parse("[service=e[id=2]][room=510]")
+    service.rename(renamed)
+    domain.run(1.0)
+    for inr in (a, b, c):
+        (tree,) = inr.trees.values()
+        assert tree.get_name(tree.record_for(service.announcer)) is renamed
+    assert len(asked) >= 4 and all(name is renamed for name in asked)
+    assert walked == [renamed]
 
 
 def test_lone_inr_does_not_build_a_table_for_nobody(monkeypatch):
