@@ -26,7 +26,11 @@ change won, and a verdict:
 Each workload's table is followed by one line holding a JSON object
 with every run. ``--workload all`` measures every workload that
 ``BENCHMARK.json`` declares, one after the other, against one export of
-the parent. This is a measuring tool for the PR author; nothing in CI
+the parent. After the last table comes the verdict of the whole run, one
+line per workload (``n ok / n unresolved / n gain / n regressed``), and
+the exit status is 1 if any row reads ``regressed`` or a metric that is
+a count of the simulation (``wire_bytes_per_op``) differs between the
+sides at all. This is a measuring tool for the PR author; nothing in CI
 gates on it.
 """
 
@@ -44,6 +48,10 @@ from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("benchmarks") / "e2e" / "run.py"
+#: Metrics the simulation determines: equal seeds give equal values, so
+#: any difference between the sides is a change of behaviour.
+EXACT = ("wire_bytes_per_op",)
+WORDS = ("ok", "unresolved", "gain", "regressed")
 
 
 def export(ref: str, into: Path) -> None:
@@ -115,8 +123,9 @@ def verdict(parent: List[float], change: List[float], higher_is_better: bool,
     }
 
 
-def measure(sides: Dict[str, Path], workload: str, args, contract: dict) -> None:
-    """Run the pairs of one workload; print its table and its JSON line."""
+def measure(sides: Dict[str, Path], workload: str, args, contract: dict):
+    """Run the pairs of one workload; print its table and its JSON line.
+    Returns its line of the closing summary, and whether it fails the run."""
     seconds = contract["run_seconds"]
     declared = {metric["name"]: metric for metric in contract["end_to_end"]}
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
@@ -156,6 +165,15 @@ def measure(sides: Dict[str, Path], workload: str, args, contract: dict) -> None
         "workload": workload, "seed": args.seed, "seconds": seconds,
         "parent_ref": args.parent, "runs": runs, "verdicts": verdicts,
     }), flush=True)
+    words = [row["verdict"] for row in verdicts.values()]
+    differing = [
+        name for name in EXACT
+        if {run[name] for run in runs["parent"]} != {run[name] for run in runs["change"]}
+    ]
+    line = f"{workload:<16} " + " / ".join(
+        f"{words.count(word)} {word}" for word in WORDS
+    ) + "".join(f" / {name} differs" for name in differing)
+    return line, bool(differing) or "regressed" in words
 
 
 def main() -> int:
@@ -171,9 +189,12 @@ def main() -> int:
         parent_root = Path(scratch) / "parent"
         export(args.parent, parent_root)
         sides = {"parent": parent_root, "change": ROOT}
-        for workload in declared if args.workload == "all" else [args.workload]:
+        summary = [
             measure(sides, workload, args, contract)
-    return 0
+            for workload in (declared if args.workload == "all" else [args.workload])
+        ]
+    print("\n".join(line for line, _ in summary))
+    return int(any(failed for _, failed in summary))
 
 
 if __name__ == "__main__":

@@ -95,8 +95,8 @@ class Service(InsClient):
         makes INS track node mobility (Section 3.2) — and a metric set
         with ``announce_now=False`` goes out with it. When nothing
         differs from the advertisement sent last, that object is sent
-        again instead of an equal new one: resolvers and messages in
-        flight share it by reference, so it is never modified.
+        again instead of an equal new one (names are sealed values:
+        the same name object is the same name).
         """
         if self.resolver is None:
             return

@@ -111,8 +111,7 @@ class InsMessage:
         name-specifier; it defaults to :meth:`NameSpecifier.parse`. A
         forwarding agent passes a function that recognises texts it has
         already parsed, and may return the same object for the same
-        text every time: a decoded name is to be read, not modified
-        (``copy()`` it first).
+        text every time (a parsed name is sealed).
         """
         header = Header.unpack(packet)
         view = memoryview(packet)
@@ -225,8 +224,8 @@ class InsMessage:
         transmitter answers a receiver (Section 3.2).
         """
         return InsMessage(
-            destination=self.source.copy(),
-            source=self.destination.copy(),
+            destination=self.source,
+            source=self.destination,
             binding=self.binding,
             delivery=Delivery.ANYCAST,
             hop_limit=DEFAULT_HOP_LIMIT,

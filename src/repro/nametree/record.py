@@ -65,7 +65,12 @@ class AnnouncerID:
         return cls(host=host, startup_time=startup_time)
 
     def __str__(self) -> str:
-        return f"{self.host}@{self.startup_time:g}"
+        # Anycast ties are broken on this string: ``:g`` keeps six
+        # digits, and gives way to ``repr`` where it would round.
+        text = f"{self.startup_time:g}"
+        if float(text) != self.startup_time:  # lint: disable=no-float-time-eq -- does the text round-trip: an identifier, not a clock
+            text = repr(self.startup_time)
+        return f"{self.host}@{text}"
 
 
 @dataclass(frozen=True, order=True)
@@ -131,29 +136,18 @@ class NameRecord:
     #: NameTree.insert/remove, read by GET-NAME.
     attachments: list = field(default_factory=list, repr=False)
 
-    #: Canonical key of the advertised name, stored at graft time so a
-    #: refresh can detect "same name again" without re-running GET-NAME;
-    #: None while the record is not grafted anywhere.
-    advertised_key: Optional[tuple] = field(default=None, repr=False)
-
-    #: The name-specifier object that was grafted, kept so GET-NAME can
-    #: return it instead of re-tracing Figure 6 on every refresh round
-    #: (see ``NameTree.get_name`` for when it is still trusted). Shared
-    #: by reference with whoever sent it; None while not grafted.
+    #: The name-specifier that was grafted — sealed, like every keyed
+    #: name, and shared with whoever sent it — kept so GET-NAME returns
+    #: it instead of re-tracing Figure 6 on every refresh round, and so
+    #: a refresh can detect "same name again" by identity. None while
+    #: the record is not grafted anywhere.
     advertised_name: Optional[NameSpecifier] = field(default=None, repr=False)
-
-    #: The compact wire text ``advertised_name`` was indexed under at
-    #: graft time (``NameTree.advertised``), so ``remove`` finds the
-    #: entry without asking a name that may have changed since. None
-    #: for a name that arrived unsized, and while not grafted.
-    advertised_text: Optional[str] = field(default=None, repr=False)
 
     #: What the owning resolver's last full table said about this
     #: record (a ``NameUpdate``; opaque here), kept to be said again at
-    #: the next round. Valid only while nothing it was built from has
-    #: been written since: the tree clears it at every store to
+    #: the next round. The tree clears it at every store to
     #: ``endpoints``, ``anycast_metric`` or ``route`` and at every
-    #: graft, and ``NameTree.kept_update`` re-checks the name.
+    #: graft, so while it is there it says what the record says.
     kept_update: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )

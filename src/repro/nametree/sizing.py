@@ -8,16 +8,13 @@ identity so interned attribute/value strings are counted once, exactly as
 they are stored once.
 
 The walk does not follow ``NameRecord.advertised_name``, the grafted
-name-specifier GET-NAME answers from: that object belongs to whoever
-advertised it (the service, or the message it arrived in) and is shared
-by reference with every other tree that grafted it, so it is not memory
+name-specifier GET-NAME answers with: that value came from whoever
+advertised it (the service, or the message it arrived in) and every
+other tree that grafted it holds the same object, so it is not memory
 this tree allocated — the paper's figure is likewise the tree's heap,
 not the senders'. (A caller that grafts a name and drops its own
 reference leaves the record as the last holder; those bytes are then
-kept alive by the tree and still not counted here.) ``sys.getsizeof``
-of a record does not count its attribute values, so the extra reference
-itself adds nothing either and the walk reports the same bytes as
-before the field existed.
+kept alive by the tree and still not counted here.)
 
 Of the two message references a record carries, ``kept_update`` is this
 tree's memory — its resolver built the update and is the one that keeps

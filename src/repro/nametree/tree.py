@@ -3,8 +3,8 @@
 ``NameTree`` stores the superposition of every name-specifier an INR
 knows about and maps each to its name-record. ``lookup`` implements
 LOOKUP-NAME (Figure 5) and ``get_name`` implements GET-NAME (Figure 6;
-``reconstruct_name`` is the literal trace, ``get_name`` answers from the
-grafted name-specifier kept on the record while that is still valid).
+``reconstruct_name`` is the literal trace, ``get_name`` answers with the
+grafted name-specifier kept on the record — a sealed value).
 Grafting (``insert``), soft-state expiry (``expire``) and branch pruning
 keep the structure consistent as advertisements come and go.
 
@@ -194,37 +194,35 @@ class NameTree:
         stored in that order without counting as news. The tree epoch,
         and with it the lookup memo, is never touched.
 
-        "Same name" is first an identity test: a name that still carries
-        the very key tuple stored at graft time *is* the grafted name
-        (or shares its key object), which is what a retained
-        advertisement or update re-sent by its owner looks like. Only a
-        name keyed elsewhere is compared by value; an equal key proves
-        it is the one already validated as concrete at graft time.
+        "Same name" is first an identity test: the grafted object
+        itself, which is what a retained advertisement or update re-sent
+        by its owner carries. Only another object is compared by value;
+        an equal key proves it is the name already validated as concrete
+        at graft time.
 
         ``message`` is the ``Advertisement`` or ``NameUpdate`` the
         fields were read from, when there is one. Messages are immutable
         once sent, so the very object the payload was last written from
-        (``NameRecord.heard``), offering its own endpoints tuple under a
-        name that is still the grafted one, over the route already
-        stored, says nothing new: the deadline moves and nothing is
-        compared or built.
+        (``NameRecord.heard``), offering its own endpoints tuple under
+        the grafted name, over the route already stored, says nothing
+        new: the deadline moves and nothing is compared or built.
         """
         record = self._by_announcer.get(announcer)
         if record is None:
             return None
-        key = record.advertised_key
+        grafted = record.advertised_name
         route = record.route
         if (
             record.heard is message
             and message is not None
-            and name._key_cache is key
+            and name is grafted
             and endpoints is message.endpoints
             and route.next_hop == next_hop
             and route.metric == route_metric
         ):
             self.set_expiry(record, expires_at)
             return False
-        if name._key_cache is not key and name.canonical_key() != key:
+        if name is not grafted and name.canonical_key() != grafted.canonical_key():
             return None
         # Every store to a payload field drops the update kept for the
         # record (including the reorder-only one ``changed`` does not
@@ -289,29 +287,25 @@ class NameTree:
             return InsertOutcome(
                 self._by_announcer[record.announcer], created=False, changed=changed
             )
-        key = name.canonical_key()
-        name.require_concrete()
+        name.require_concrete()  # which keys, and so seals, the name
         if name.is_empty:
             raise ValueError("cannot advertise an empty name-specifier")
         record.vspace = self.vspace
         existing = self._by_announcer.get(record.announcer)
         if existing is not None:
             self.remove(existing)
-            self._graft(name, record, key)
-            return InsertOutcome(record, created=False, changed=True)
-        self._graft(name, record, key)
-        return InsertOutcome(record, created=True, changed=True)
+        self._graft(name, record)
+        return InsertOutcome(record, created=existing is None, changed=True)
 
-    def _graft(self, name: NameSpecifier, record: NameRecord, key: tuple) -> None:
+    def _graft(self, name: NameSpecifier, record: NameRecord) -> None:
         record.attachments = []
-        record.advertised_key = key
         record.advertised_name = name
         # A graft writes everything: whatever was said or heard of the
         # record was said or heard of another one.
         record.kept_update = None
         record.heard = None
         self.set_expiry(record, record.expires_at)
-        text = record.advertised_text = name.cached_wire()
+        text = name.cached_wire()
         if text is not None:
             # The latest graft owns a text that replicas share.
             self._by_text[text] = name
@@ -351,12 +345,11 @@ class NameTree:
             value_node.records.discard(record)
             value_node.prune_upwards()
         record.attachments = []
-        text = record.advertised_text
-        if text is not None and self._by_text.get(text) is record.advertised_name:
+        name = record.advertised_name
+        text = name.cached_wire()
+        if text is not None and self._by_text.get(text) is name:
             del self._by_text[text]
-        record.advertised_key = None
         record.advertised_name = None
-        record.advertised_text = None
         self._bump_epoch()
         return True
 
@@ -572,61 +565,18 @@ class NameTree:
     # GET-NAME (Figure 6)
     # ------------------------------------------------------------------
     def get_name(self, record: NameRecord) -> NameSpecifier:
-        """The name-specifier advertised for ``record``.
-
-        The object grafted for the record is returned while it is
-        provably the name in the tree: its cached canonical key is still
-        the very tuple stored as ``advertised_key`` at graft time. Any
-        ``add_pair``/``add_child`` below it clears that cache (and a
-        recomputed key is a different tuple), so a name its owner
-        mutated after advertising fails the test and
-        :meth:`reconstruct_name` answers instead. The two agree in
-        sibling order as well as structure: leaves attach in pre-order,
-        so Figure 6 rebuilds the grafted name's own order.
-
-        The result may be shared with other holders of the name (the
-        advertiser, neighbor INRs' trees, messages in flight): treat it
-        as read-only, or ``copy()`` it.
-        """
-        name = record.advertised_name
-        if name is not None and name._key_cache is record.advertised_key:
-            return name
-        return self.reconstruct_name(record)
-
-    def kept_update(self, record: NameRecord) -> Optional[object]:
-        """The update kept on ``record`` while it still says what a new
-        one would, else None.
-
-        The payload half of that is :meth:`refresh`'s doing (it drops
-        the update with every store). The name half is
-        :meth:`get_name`'s own test, applied to the name the update
-        carries: a retained name its advertiser has edited since fails
-        it — as does the Figure 6 rebuild sent in its place, at every
-        round, so such a record is announced afresh each time.
-        """
-        update = record.kept_update
-        if update is not None and update.name._key_cache is record.advertised_key:
-            return update
-        return None
+        """The name-specifier advertised for ``record``: the object
+        grafted, a sealed value shared with its other holders (the
+        advertiser, neighbor INRs' trees, messages in flight).
+        :meth:`reconstruct_name` rebuilds the same name from the tree,
+        sibling order included: leaves attach in pre-order."""
+        return record.advertised_name
 
     def advertised(self, text: str) -> Optional[NameSpecifier]:
         """The retained name-specifier whose compact wire text is
         exactly ``text``, or None: a name section recognised by its
-        bytes instead of parsed again.
-
-        An entry is served only while the name provably still
-        serializes to that text — :meth:`get_name`'s rule, read off the
-        name's own wire cache. A name its owner has since mutated is a
-        miss, and its entry is dropped. The answer is shared like
-        ``get_name``'s: read it, or ``copy()`` it.
-        """
-        name = self._by_text.get(text)
-        if name is None:
-            return None
-        if name.cached_wire() != text:
-            del self._by_text[text]
-            return None
-        return name
+        bytes instead of parsed again."""
+        return self._by_text.get(text)
 
     def reconstruct_name(self, record: NameRecord) -> NameSpecifier:
         """GET-NAME as Figure 6 states it, always from the tree.

@@ -23,6 +23,7 @@ from .errors import (
     InvalidTokenError,
     NameSyntaxError,
     NamingError,
+    SealedNameError,
     WildcardValueError,
     WireFormatError,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "NameSyntaxError",
     "NamingError",
     "RangeMatcher",
+    "SealedNameError",
     "VSPACE_ATTRIBUTE",
     "ValueMatcher",
     "WILDCARD",

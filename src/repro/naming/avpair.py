@@ -12,7 +12,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Tuple
 
-from .errors import DuplicateAttributeError, InvalidTokenError
+from .errors import DuplicateAttributeError, InvalidTokenError, SealedNameError
 
 #: Characters that cannot appear inside attribute or value tokens
 #: because they are structural in the wire format.
@@ -69,45 +69,36 @@ class AVPair:
     The children are kept in a dict keyed by attribute, preserving
     insertion order while enforcing sibling-attribute orthogonality and
     giving O(1) child lookup during name-tree operations.
+
+    Sealed, like the name it belongs to, once its canonical key has
+    been taken (see :class:`NameSpecifier`).
     """
 
-    __slots__ = ("attribute", "value", "_children", "_key_cache", "_parent")
+    __slots__ = ("attribute", "value", "_children", "_key_cache")
 
     def __init__(self, attribute: str, value: str) -> None:
         self.attribute = validate_token(attribute, "attribute")
         self.value = validate_token(value, "value")
         self._children: Mapping[str, "AVPair"] = _NO_CHILDREN
-        # Memoized canonical_key() plus the upward link that lets a
-        # descendant mutation invalidate every ancestor's cache. An
-        # av-pair belongs to at most one parent (pair or specifier) —
-        # which the object model already implies: names are trees.
+        # canonical_key(), once taken; it is never cleared, and its
+        # presence is the seal. A key is assembled from keyed children
+        # only, so a keyed pair's whole subtree is keyed and sealed too.
         self._key_cache: Optional[tuple] = None
-        self._parent = None
 
     @classmethod
     def _unchecked(cls, attribute: str, value: str) -> "AVPair":
         """``AVPair(attribute, value)`` minus the token validation.
 
         For the parser, whose tokeniser has already proved both tokens
-        legal. The pair is born keyed — childless, its key is known —
-        and ``add_child`` clears that like any other cached key.
+        legal. The pair is unkeyed, so the parser can hang children
+        under it; the parser keys it at its ``]``.
         """
         pair = cls.__new__(cls)
         pair.attribute = attribute
         pair.value = value
         pair._children = _NO_CHILDREN
-        pair._key_cache = (attribute, value, ())  # _pair_key of a leaf
-        pair._parent = None
+        pair._key_cache = None
         return pair
-
-    def _invalidate_key(self) -> None:
-        # A cached ancestor implies every descendant is cached (the key
-        # is built bottom-up), so stopping at the first already-clear
-        # cache never strands a stale ancestor.
-        node = self
-        while node is not None and node._key_cache is not None:
-            node._key_cache = None
-            node = node._parent
 
     # ------------------------------------------------------------------
     # Tree construction
@@ -116,8 +107,11 @@ class AVPair:
         """Attach ``child`` as a dependent av-pair; returns ``child``.
 
         Raises :class:`DuplicateAttributeError` when a sibling already
-        classifies the same attribute.
+        classifies the same attribute, :class:`SealedNameError` once
+        this pair's canonical key has been taken.
         """
+        if self._key_cache is not None:
+            raise SealedNameError(f"{self!r} is keyed: edit a copy()")
         children = self._children
         if child.attribute in children:
             raise DuplicateAttributeError(
@@ -127,8 +121,6 @@ class AVPair:
         if not children:
             children = self._children = {}  # was the shared empty mapping
         children[child.attribute] = child
-        child._parent = self
-        self._invalidate_key()
         return child
 
     def add(self, attribute: str, value: str) -> "AVPair":
@@ -198,8 +190,7 @@ class AVPair:
     def canonical_key(self) -> tuple:
         """A hashable key identifying this subtree up to sibling order.
 
-        Cached: structural mutation (``add_child`` anywhere below)
-        invalidates the cache up the parent chain, so repeated key
+        Computed once: taking it seals the subtree, so repeated key
         computations — hashing, name-tree memo lookups, refresh
         comparisons — cost one attribute read instead of a tree walk.
         """
@@ -229,7 +220,8 @@ class AVPair:
         return hash(self.canonical_key())
 
     def copy(self) -> "AVPair":
-        """A deep copy of this subtree (iterative, depth-safe)."""
+        """A deep copy of this subtree, unsealed at every depth
+        (iterative, depth-safe)."""
         duplicate = AVPair(self.attribute, self.value)
         stack = [(self, duplicate)]
         while stack:

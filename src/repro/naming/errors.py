@@ -41,6 +41,13 @@ class DuplicateAttributeError(NamingError):
     """
 
 
+class SealedNameError(NamingError):
+    """An av-pair was added to a name whose canonical key has been taken.
+
+    Names are values (see ``NameSpecifier``): edit a ``copy()``.
+    """
+
+
 class WildcardValueError(NamingError):
     """A wildcard or range value was used where a literal is required.
 

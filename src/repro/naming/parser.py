@@ -14,9 +14,10 @@ per ``[attr=value`` opener (with its ``]`` when the group is a leaf) or
 ``]`` closer, an explicit stack instead of recursion. Because every
 group is closed exactly once, after all of its children, the canonical
 key of each av-pair is assembled at its ``]`` and the name leaves the
-parser already keyed; when the text contained no whitespace and no
-value-less group it *is* the compact wire form, and the name leaves
-already sized as well (``NameSpecifier._wire_cache``).
+parser already keyed — and therefore sealed (``copy()`` it to edit it);
+when the text contained no whitespace and no value-less group it *is*
+the compact wire form, and the name leaves already sized as well
+(``NameSpecifier._wire_cache``).
 """
 
 from __future__ import annotations
@@ -93,9 +94,11 @@ def parse_name_specifier(text: str) -> NameSpecifier:
             # av-pair is built without re-checking them.
             pair = _new_pair(attribute, value)
             if leaf is None:
+                # Unkeyed, so unsealed, until its own ``]``.
                 stack.append(pair)
                 attach = pair.add_child
                 continue
+            pair._key_cache = (attribute, value, ())  # _pair_key of a leaf
         elif closer is not None:
             if not stack:
                 raise NameSyntaxError(
@@ -114,9 +117,9 @@ def parse_name_specifier(text: str) -> NameSpecifier:
                 else f"unexpected {stray!r}",
                 item.start(5),
             )
-        # The group is complete (a leaf is born keyed): only now does it
-        # join its siblings, so that an error inside it is reported
-        # before a duplicate of it.
+        # The group is complete and keyed: only now does it join its
+        # siblings, so that an error inside it is reported before a
+        # duplicate of it.
         attach(pair)
     if stack:
         raise NameSyntaxError(
@@ -124,7 +127,8 @@ def parse_name_specifier(text: str) -> NameSpecifier:
         )
     # Every root is keyed, so the name's key is one sort away;
     # canonical_key() would visit each root again to find that out.
-    key = name._key_cache = _sibling_key(name._roots.values())
+    # It seals the name: what was read off the wire is a value.
+    name._key_cache = _sibling_key(name._roots.values())
     if compact and _WHITESPACE.search(text) is None:
         try:
             size = len(text) if text.isascii() else len(text.encode("utf-8"))
@@ -132,5 +136,5 @@ def parse_name_specifier(text: str) -> NameSpecifier:
             # A lone surrogate: a legal token that has no wire bytes.
             # wire_size() will say so if the name is ever sent.
             return name
-        name._wire_cache = (key, text, size)
+        name._wire_cache = (text, size)
     return name

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .avpair import AVPair, _sibling_key
-from .errors import DuplicateAttributeError, WildcardValueError
+from .errors import DuplicateAttributeError, SealedNameError, WildcardValueError
 
 #: The well-known attribute an application uses to declare the virtual
 #: space(s) its names belong to (Section 2.5).
@@ -27,31 +27,31 @@ NestedDict = Mapping[str, _DictValue]
 
 
 class NameSpecifier:
-    """An intentional name: an ordered forest of orthogonal av-pairs."""
+    """An intentional name: an ordered forest of orthogonal av-pairs.
 
-    __slots__ = ("_roots", "_key_cache", "_wire_cache", "_concrete_key", "_parent")
+    Names are values. A name is built freely until something takes its
+    canonical key — hashing or comparing it, parsing it from text,
+    sizing it for a send, finding it concrete, grafting it, looking it
+    up — and is *sealed* from then on: ``add_pair`` / ``add``, and
+    ``add_child`` anywhere below, raise :class:`SealedNameError`. To
+    edit a name, edit its :meth:`copy`, which is unsealed.
+    """
+
+    __slots__ = ("_roots", "_key_cache", "_wire_cache", "_concrete")
 
     def __init__(self, roots: Optional[List[AVPair]] = None) -> None:
         self._roots: Dict[str, AVPair] = {}
-        # Memoized canonical_key(); root av-pairs point back here so a
-        # mutation anywhere in the name invalidates it. A specifier is
-        # never itself a child, so its _parent stays None (it exists
-        # only to terminate AVPair._invalidate_key's upward walk).
+        # canonical_key(), once taken; never cleared, and its presence
+        # is the seal (see AVPair).
         self._key_cache: Optional[tuple] = None
-        # Memoized compact wire text and its UTF-8 size, filed under the
-        # canonical-key tuple that was cached when they were taken: the
-        # entry is valid only while ``_key_cache`` is still that very
-        # object, so the key's invalidation covers it at every depth
-        # (a recomputed key is a new tuple and does not revive it).
-        # Filled by wire_size() and by the parser (which has just read
-        # both the key and the text), never by to_wire().
-        self._wire_cache: Optional[Tuple[tuple, str, int]] = None
-        # The canonical-key tuple under which the name was last found
-        # concrete, valid like the wire cache: only while ``_key_cache``
-        # is still that very object. A service's name is checked where
-        # it is advertised and again at every resolver that grafts it.
-        self._concrete_key: Optional[tuple] = None
-        self._parent = None
+        # The compact wire text and its UTF-8 size. Filled by
+        # wire_size() and by the parser, each on a name it has just
+        # keyed — so once set it is true forever — never by to_wire().
+        self._wire_cache: Optional[Tuple[str, int]] = None
+        # True once the name was found concrete, by a check that keyed
+        # it first. A service's name is checked where it is advertised
+        # and again at every resolver that grafts it.
+        self._concrete = False
         for root in roots or []:
             self.add_pair(root)
 
@@ -62,16 +62,17 @@ class NameSpecifier:
         """Attach a top-level av-pair; returns it.
 
         Raises :class:`DuplicateAttributeError` if the attribute is
-        already classified at the top level.
+        already classified at the top level, :class:`SealedNameError`
+        once the name's canonical key has been taken.
         """
+        if self._key_cache is not None:
+            raise SealedNameError(f"{self!r} is keyed: edit a copy()")
         if pair.attribute in self._roots:
             raise DuplicateAttributeError(
                 f"top-level av-pair with attribute {pair.attribute!r} "
                 "already present"
             )
         self._roots[pair.attribute] = pair
-        pair._parent = self
-        self._key_cache = None
         return pair
 
     def add(self, attribute: str, value: str) -> AVPair:
@@ -112,9 +113,8 @@ class NameSpecifier:
     def parse(cls, text: str) -> "NameSpecifier":
         """Parse the wire representation (Figure 3). See :mod:`.parser`.
 
-        The name comes back with its canonical key already cached, and
-        with its wire text and size cached too when ``text`` was the
-        compact form."""
+        The name comes back keyed, hence sealed, and with its wire text
+        and size known too when ``text`` was the compact form."""
         return _parser.parse_name_specifier(text)
 
     # ------------------------------------------------------------------
@@ -153,12 +153,11 @@ class NameSpecifier:
         """The first av-pair, in the walk's order, whose value is a
         wild-card or range operator; None for a concrete name.
 
-        "None" is remembered under the name's canonical key, so the
-        name is walked once per structural change, not once per holder
-        that has to be sure. Iterative, with the operator test inlined:
-        a miss is one walk on the advertisement ingestion path."""
-        key = self._key_cache
-        if key is not None and self._concrete_key is key:
+        "None" is remembered, so a concrete name is walked once, not
+        once per holder that has to be sure. Iterative, with the
+        operator test inlined: a miss is one walk on the advertisement
+        ingestion path."""
+        if self._concrete:
             return None
         stack = list(self._roots.values())
         while stack:
@@ -167,9 +166,10 @@ class NameSpecifier:
             if value == "*" or (value and value[0] in "<>"):
                 return pair
             stack.extend(pair._children.values())
-        # Whoever asks goes on to key the name (to graft it, to size
-        # it), so taking the key here computes nothing twice.
-        self._concrete_key = self.canonical_key()
+        # Keyed, so that the verdict stays true; whoever asks goes on
+        # to key the name anyway (to graft it, to size it).
+        self.canonical_key()
+        self._concrete = True
         return None
 
     def is_concrete(self) -> bool:
@@ -218,13 +218,12 @@ class NameSpecifier:
         per-subtree string concatenation (quadratic on deep names) and
         no recursion (deep names would blow the stack). Wire bytes are
         identical to the recursive formulation. The compact form is
-        served from the cache :meth:`wire_size` and the parser fill,
-        while it is valid.
+        served from the cache :meth:`wire_size` and the parser fill.
         """
         if not pretty:
             cached = self._wire_cache
-            if cached is not None and cached[0] is self._key_cache:
-                return cached[1]
+            if cached is not None:
+                return cached[0]
         eq = " = " if pretty else "="
         out: List[str] = []
         append = out.append
@@ -256,28 +255,25 @@ class NameSpecifier:
 
     def cached_wire(self) -> Optional[str]:
         """The compact wire text if this name is already sized (by the
-        parser, or by :meth:`wire_size`) and unchanged since; else None.
+        parser, or by :meth:`wire_size`); else None.
 
         Never walks the name: it is how a holder of some text asks "do
-        you provably still serialize to this?" at the price of two
-        attribute reads."""
+        you serialize to exactly this?" at the price of two reads."""
         cached = self._wire_cache
-        if cached is not None and cached[0] is self._key_cache:
-            return cached[1]
-        return None
+        return None if cached is None else cached[0]
 
     def wire_size(self) -> int:
         """Length in bytes of the compact wire representation.
 
-        Cached with the wire text: a name is sized once per structural
-        change, not once per message that carries it (every control
-        message sizes its names at every send)."""
+        Kept with the wire text: a name is sized once, not once per
+        message that carries it (every control message sizes its names
+        at every send) — and sealed first, so the size stays true."""
         cached = self._wire_cache
-        if cached is None or cached[0] is not self._key_cache:
+        if cached is None:
+            self.canonical_key()
             text = self.to_wire()
-            cached = (self.canonical_key(), text, len(text.encode("utf-8")))
-            self._wire_cache = cached
-        return cached[2]
+            cached = self._wire_cache = (text, len(text.encode("utf-8")))
+        return cached[1]
 
     # ------------------------------------------------------------------
     # Equality / hashing (structural, order-insensitive among siblings)
@@ -285,8 +281,8 @@ class NameSpecifier:
     def canonical_key(self) -> tuple:
         """A hashable key identifying the name up to sibling order.
 
-        Cached; any ``add_pair``/``add_child`` below this name clears
-        the cache (see :meth:`AVPair.canonical_key`)."""
+        Computed once; taking it seals the name at every depth (see
+        :meth:`AVPair.canonical_key`)."""
         cached = self._key_cache
         if cached is None:
             roots = self._roots.values()
@@ -304,7 +300,7 @@ class NameSpecifier:
         return hash(self.canonical_key())
 
     def copy(self) -> "NameSpecifier":
-        """A deep copy of the name."""
+        """An unsealed deep copy of the name: how a name is edited."""
         return NameSpecifier([pair.copy() for pair in self._roots.values()])
 
     def __repr__(self) -> str:

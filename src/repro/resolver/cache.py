@@ -76,7 +76,7 @@ class PacketCache:
         record = NameRecord(announcer=announcer, expires_at=now + lifetime)
         self._index.insert(name, record)
         self._entries[announcer] = CacheEntry(
-            name=name.copy(),
+            name=name,
             data=data,
             stored_at=now,
             expires_at=now + lifetime,

@@ -165,9 +165,9 @@ class DataPlane:
         A text byte-equal to a name some tree here retains is that
         object (every tree is asked: the vspace is not known until the
         name is); any other text is parsed once and remembered while
-        the table has room for it. Either way the answer is shared —
-        the data plane reads names, it never modifies one. A text that
-        does not parse raises out of here and is never remembered.
+        the table has room for it. Either way the answer is a sealed
+        name. A text that does not parse raises out of here and is
+        never remembered.
         """
         if not text:
             return NameSpecifier()
@@ -179,15 +179,13 @@ class DataPlane:
         table = self._names
         name = table.get(text)
         if name is not None:
-            if name.cached_wire() == text:
-                self.names_remembered += 1
-                return name
-            del table[text]  # somebody wrote to a shared name
+            self.names_remembered += 1
+            return name
         name = NameSpecifier.parse(text)
         self.names_parsed += 1
         if len(text) <= NAME_TABLE_MAX_TEXT and name.cached_wire() == text:
             # Parsed, and compactly: the text is the name's own wire
-            # form, which is also what lets a later hit be trusted.
+            # form, which is what lets a frame carrying it be patched.
             if len(table) >= NAME_TABLE_CAPACITY:
                 del table[next(iter(table))]
             table[text] = name

@@ -510,7 +510,7 @@ class DelegationCoordinator:
                 route=Route(next_hop=None, metric=0.0),
                 expires_at=now + staged.lifetime,
             )
-            tree.insert(staged.name.copy(), record)
+            tree.insert(staged.name, record)
         inr.trees[handoff.vspace] = tree
         self.adopted[handoff.vspace] = handoff.donor
         self._adopted_ids[handoff.vspace] = handoff.handoff_id

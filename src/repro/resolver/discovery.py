@@ -294,17 +294,15 @@ class NameDiscovery:
     def table(self, tree: NameTree) -> _Entries:
         """What a full table says about ``tree``'s vspace: every record
         and, beside it, its update — the one kept on the record since
-        the last table, while the tree still vouches for it
-        (``NameTree.kept_update``). Only a record that changed since, or
-        whose retained name its advertiser has edited, costs a
+        the last table, which the tree drops whenever the record stops
+        saying what it says. Only a record that changed since costs a
         ``GET-NAME`` and a ``NameUpdate``; nothing else an update is
         built from moves (the vspace and the lifetime are fixed for the
         tree and the incarnation)."""
         records = list(tree.records())
-        kept = tree.kept_update
         updates = []
         for record in records:
-            update = kept(record)
+            update = record.kept_update
             if update is None:
                 update = record.kept_update = self._announce(
                     tree.vspace, tree.get_name(record), record

@@ -65,11 +65,19 @@ class TestFig09Shape:
 
 class TestFig12Shape:
     def test_throughput_decays_mildly(self):
-        rows = run_lookup_experiment(name_counts=(200, 2000), lookups_per_point=200)
-        small, large = rows[0], rows[1]
-        assert large.lookups_per_second < small.lookups_per_second
+        # Each point is ~2 ms of wall clock: one sample of each is at
+        # the mercy of whatever else the host is doing, so the best of
+        # five stands for the point (same seed, same trees, same queries).
+        runs = [
+            run_lookup_experiment(name_counts=(200, 2000), lookups_per_point=200)
+            for _ in range(5)
+        ]
+        small, large = (
+            max(rows[point].lookups_per_second for rows in runs) for point in (0, 1)
+        )
+        assert large < small
         # mild decay, not collapse: within 5x across a 10x size range
-        assert large.lookups_per_second > small.lookups_per_second / 5
+        assert large > small / 5
 
     def test_rates_are_high(self):
         """The implementation should sustain at least hundreds of

@@ -13,7 +13,7 @@ from repro.message import (
     HeaderError,
     InsMessage,
 )
-from repro.naming import NameSpecifier
+from repro.naming import NameSpecifier, SealedNameError
 
 from ..conftest import forge_packet, parse
 
@@ -146,8 +146,10 @@ class TestForwardingHelpers:
         assert reply.hop_limit == DEFAULT_HOP_LIMIT
         assert reply.data == b""
 
-    def test_reply_template_names_are_copies(self):
+    def test_reply_template_shares_the_sealed_names(self):
         message = sample_message()
         reply = message.reply_template()
-        reply.destination.add("extra", "1")
-        assert message.source != reply.destination
+        assert reply.destination is message.source
+        assert reply.source is message.destination
+        with pytest.raises(SealedNameError):
+            reply.destination.add("extra", "1")

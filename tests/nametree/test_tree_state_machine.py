@@ -1,0 +1,262 @@
+"""The name-tree as a state machine: any interleaving of what a resolver
+does to it leaves it equal to the paper's figures and holding only
+sealed names.
+
+Rules: advertise a new name / refresh with the grafted object, an equal
+copy, a reordered copy, a message heard before / rename / remove / let
+time pass / expire, with and without grace / open and close batch
+epochs / look up literal, wild-card and range queries — over a tree
+with the lookup memo on or off. After every rule:
+
+- ``lookup`` is the literal Figure 5 (``fig5_oracle``) on every query;
+- ``get_name`` is the object grafted, and it is Figure 6's answer
+  (``reconstruct_name``) in wire text and in key;
+- ``advertised(text)`` is a live record's own name spelling ``text``,
+  and the index holds no more entries than the tree has records;
+- the epoch has not run backwards;
+- nothing the tree hands out can be written to.
+"""
+
+import random
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.naming import AVPair, NameSpecifier, SealedNameError
+from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
+
+from .fig5_oracle import oracle_lookup
+from .test_refresh import Message
+
+ANNOUNCERS = [AnnouncerID(host=f"h{index}", startup_time=1.0) for index in range(5)]
+QUERIES = [
+    NameSpecifier.parse(text)
+    for text in (
+        "[a=1]", "[a=*]", "[a=<2]", "[b=>=2]", "[a=1[x=2]]", "[a=2[x=*]][b=1]",
+        "[b=3[y=<=2]]", "[c=1]", "[a=1][b=*]", "[a=1[x=1[p=*]]]", "",
+    )
+]
+
+_values = st.sampled_from(["1", "2", "3"])
+_leaves = st.dictionaries(st.just("p"), _values, max_size=1)
+_children = st.dictionaries(
+    st.sampled_from(["x", "y"]), _values | st.tuples(_values, _leaves), max_size=2
+)
+#: from_dict shapes: one or two of three roots, up to three levels deep
+#: — small enough that announcers collide on names, prefixes and whole
+#: subtrees.
+shapes = st.dictionaries(
+    st.sampled_from(["a", "b", "c"]),
+    st.tuples(_values, _children),
+    min_size=1, max_size=2,
+)
+
+
+def _reordered(name: NameSpecifier, rng: random.Random) -> NameSpecifier:
+    """A structurally equal name with every sibling list shuffled."""
+
+    def rebuild(pair: AVPair) -> AVPair:
+        twin = AVPair(pair.attribute, pair.value)
+        children = list(pair.children)
+        rng.shuffle(children)
+        for child in children:
+            twin.add_child(rebuild(child))
+        return twin
+
+    roots = list(name.roots)
+    rng.shuffle(roots)
+    return NameSpecifier([rebuild(root) for root in roots])
+
+
+class NameTreeMachine(RuleBasedStateMachine):
+    @initialize(memoize=st.booleans())
+    def plant(self, memoize):
+        self.tree = NameTree(memoize=memoize, memo_capacity=4)
+        self.grafted = {}    # announcer -> the name object the tree retains
+        self.deadline = {}   # announcer -> what its record's expiry must be
+        self.heard = {}      # announcer -> the message refresh() saw last
+        self.now = 0.0
+        self.epoch = 0
+        self.open_batches = 0
+
+    def teardown(self):
+        for _ in range(self.open_batches):
+            self.tree.end_batch()
+
+    # ------------------------------------------------------------------
+    def _insert(self, announcer, name, lifetime):
+        self.deadline[announcer] = self.now + lifetime
+        return self.tree.insert(
+            name,
+            NameRecord(
+                announcer=announcer,
+                endpoints=[Endpoint(host=announcer.host, port=1)],
+                expires_at=self.now + lifetime,
+            ),
+        )
+
+    def _refreshed(self, announcer, name, lifetime):
+        """``name`` equals what ``announcer`` has grafted: offering it
+        is a refresh, whatever object and sibling order it comes as."""
+        held = self.grafted[announcer]
+        record = self.tree.record_for(announcer)
+        epoch = self.tree.epoch
+        outcome = self._insert(announcer, name, lifetime)
+        assert outcome.record is record and not outcome.created
+        assert not outcome.changed
+        assert self.tree.get_name(record) is held  # the first graft's object stays
+        assert self.tree.epoch == epoch
+
+    @rule(
+        announcer=st.sampled_from(ANNOUNCERS), shape=shapes, sized=st.booleans(),
+        lifetime=st.sampled_from([3.0, 30.0]),
+    )
+    def advertise(self, announcer, shape, sized, lifetime):
+        """A first advertisement, a rename, or — when the shape drawn
+        is the name already grafted — a refresh by an equal name."""
+        name = NameSpecifier.from_dict(shape)
+        if sized:
+            name = NameSpecifier.parse(name.to_wire())  # as off the wire
+        held = self.grafted.get(announcer)
+        if held is not None and held == name:
+            self._refreshed(announcer, name, lifetime)
+            return
+        outcome = self._insert(announcer, name, lifetime)
+        assert outcome.changed and outcome.created == (held is None)
+        self.grafted[announcer] = name
+        self.heard.pop(announcer, None)
+
+    @precondition(lambda self: self.grafted)
+    @rule(
+        data=st.data(), how=st.sampled_from(["object", "copy", "reordered"]),
+        lifetime=st.sampled_from([3.0, 30.0]), seed=st.integers(0, 1000),
+    )
+    def refresh(self, data, how, lifetime, seed):
+        announcer = data.draw(st.sampled_from(sorted(self.grafted)))
+        held = self.grafted[announcer]
+        if how == "object":
+            name = held
+        elif how == "copy":
+            name = held.copy()
+        else:
+            name = _reordered(held, random.Random(seed))
+        self._refreshed(announcer, name, lifetime)
+
+    @precondition(lambda self: self.grafted)
+    @rule(data=st.data(), again=st.booleans(), lifetime=st.sampled_from([3.0, 30.0]))
+    def hear(self, data, again, lifetime):
+        """The refresh entry point, with the message it reads from: the
+        same object as last time, or an equal new one."""
+        announcer = data.draw(st.sampled_from(sorted(self.grafted)))
+        record = self.tree.record_for(announcer)
+        message = self.heard.get(announcer)
+        if message is None or not again:
+            message = self.heard[announcer] = Message(
+                self.grafted[announcer], tuple(record.endpoints), 0.0
+            )
+        self.deadline[announcer] = self.now + lifetime
+        assert self.tree.refresh(
+            message.name, announcer, message.endpoints, message.metric, None, 0.0,
+            self.now + lifetime, message,
+        ) is False
+        assert record.heard is message
+
+    @precondition(lambda self: self.grafted)
+    @rule(data=st.data())
+    def remove(self, data):
+        announcer = data.draw(st.sampled_from(sorted(self.grafted)))
+        record = self.tree.remove_announcer(announcer)
+        assert record is not None and record.advertised_name is None
+        del self.grafted[announcer], self.deadline[announcer]
+        self.heard.pop(announcer, None)
+
+    @rule(dt=st.sampled_from([1.0, 4.0, 20.0]))
+    def pass_time(self, dt):
+        self.now += dt
+
+    @rule(grace=st.sampled_from([0.0, 5.0]))
+    def expire(self, grace):
+        due = {a for a, t in self.deadline.items() if self.now - grace >= t}
+        assert {r.announcer for r in self.tree.expire(self.now, grace)} == due
+        for announcer in sorted(due):
+            del self.grafted[announcer], self.deadline[announcer]
+            self.heard.pop(announcer, None)
+
+    @rule()
+    def open_batch(self):
+        self.tree.begin_batch()
+        self.open_batches += 1
+
+    @precondition(lambda self: self.open_batches)
+    @rule()
+    def close_batch(self):
+        self.tree.end_batch()
+        self.open_batches -= 1
+
+    @rule(shape=shapes, wild=st.sampled_from(["", "*", "<3", ">=2"]))
+    def look_up(self, shape, wild):
+        """A generated query beside the fixed ones: some name's shape,
+        its first root's value replaced by an operator or left literal."""
+        query = NameSpecifier.from_dict(shape)
+        if wild:
+            query.roots[0].value = wild
+        assert self.tree.lookup(query) == oracle_lookup(self.tree, query)
+
+    # ------------------------------------------------------------------
+    @invariant()
+    def lookup_is_figure_5(self):
+        for query in QUERIES:
+            assert self.tree.lookup(query) == oracle_lookup(self.tree, query)
+
+    @invariant()
+    def get_name_is_the_grafted_object_and_figure_6(self):
+        tree = self.tree
+        assert {r.announcer for r in tree.records()} == set(self.grafted)
+        assert len(tree) == len(self.grafted)
+        for record in tree.records():
+            retained = tree.get_name(record)
+            traced = tree.reconstruct_name(record)
+            assert retained is self.grafted[record.announcer]
+            assert retained is not traced
+            assert retained.to_wire() == traced.to_wire()
+            assert retained.canonical_key() == traced.canonical_key()
+            assert record.expires_at == self.deadline[record.announcer]
+
+    @invariant()
+    def the_index_serves_live_names_by_their_own_text(self):
+        tree = self.tree
+        assert len(tree._by_text) <= len(tree)
+        live = {id(record.advertised_name) for record in tree.records()}
+        for text in list(tree._by_text):
+            name = tree.advertised(text)
+            assert id(name) in live and name.to_wire() == text
+
+    @invariant()
+    def the_epoch_never_runs_backwards(self):
+        assert self.tree.epoch >= self.epoch
+        self.epoch = self.tree.epoch
+
+    @invariant()
+    def what_the_tree_hands_out_is_sealed(self):
+        tree = self.tree
+        handed_out = [tree.get_name(record) for record in tree.records()]
+        handed_out += [tree.advertised(text) for text in list(tree._by_text)]
+        for name in handed_out:
+            with pytest.raises(SealedNameError):
+                name.add("extra", "1")
+            for pair in name.walk():
+                with pytest.raises(SealedNameError):
+                    pair.add("extra", "1")
+
+
+NameTreeMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestNameTreeMachine = NameTreeMachine.TestCase

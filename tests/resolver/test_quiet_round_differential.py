@@ -3,7 +3,7 @@ that says everything again.
 
 Three shortcuts make soft-state maintenance cheap while nothing
 changes: an INR re-sends the ``NameUpdate`` it kept for a record
-(``NameTree.kept_update``), a receiver recognises a message object it
+(``NameRecord.kept_update``), a receiver recognises a message object it
 has already applied to a record and only moves the deadline
 (``NameTree.refresh``), and a sweep returns at once while no deadline
 can have passed (``NameTree.expire``). The oracle here is the behaviour
@@ -13,11 +13,12 @@ matches), and the bound on the deadlines is pinned at minus infinity
 (so every sweep scans). Seeded small domains are driven through a
 generated history — metric changes, renames and re-spellings, node
 mobility (announced and not), endpoints appearing, changing order and
-left to the datagram's source, an owner editing a retained name,
-services stopping and coming back, loss, duplication, late delivery,
-partitions (with and without grace), overlay RTTs drifting, an INR
-crash and restart, in both update modes — under both, and must agree
-on every datagram, every counter, every table, every answer.
+left to the datagram's source, an owner swapping in an edited copy of
+its name without saying so, services stopping and coming back, loss,
+duplication, late delivery, partitions (with and without grace),
+overlay RTTs drifting, an INR crash and restart, in both update modes —
+under both, and must agree on every datagram, every counter, every
+table, every answer.
 
 The overrides exist only in this file; ``src/`` has one behaviour and
 no switch. Tier-1 runs 30 seeds; ``check_seeds`` is what the CI
@@ -35,6 +36,7 @@ from repro.client.mobility import MobilityManager
 from repro.experiments import InsDomain
 from repro.nametree import Endpoint, NameRecord, NameTree
 from repro.resolver import INR, InrConfig
+from repro.resolver.discovery import NameDiscovery
 from repro.resolver.ports import INR_PORT
 from repro.resolver.protocol import Advertisement, UpdateBatch
 from repro.tools import ProtocolTrace
@@ -76,12 +78,17 @@ def _on_a_copy(handler):
 def shortcuts(overridden: bool, tally: dict):
     """Run as shipped, counting each shortcut's verdicts into ``tally``
     — or with all three overridden to what they replaced."""
-    shipped = (NameTree.kept_update, NameTree.refresh, NameTree.expire)
+    shipped = (NameDiscovery.table, NameTree.refresh, NameTree.expire)
     dispatch = dict(INR._DISPATCH)
-    kept_update, refresh, expire = shipped
+    table, refresh, expire = shipped
     with stores_to(NameRecord, "heard") as compared:
         if overridden:
-            NameTree.kept_update = lambda tree, record: None
+            def rebuilding(discovery, tree):
+                for record in tree.records():
+                    record.kept_update = None
+                return table(discovery, tree)
+
+            NameDiscovery.table = rebuilding
 
             def scanning(tree, now, grace=0.0):
                 tree._earliest_expiry = -math.inf
@@ -92,10 +99,11 @@ def shortcuts(overridden: bool, tally: dict):
                 owner, handler, rule = dispatch[message]
                 INR._DISPATCH[message] = (owner, _on_a_copy(handler), rule)
         else:
-            def counted_kept(tree, record):
-                update = kept_update(tree, record)
-                tally["rebuilt" if update is None else "re-sent"] += 1
-                return update
+            def counted_table(discovery, tree):
+                for record in tree.records():
+                    kept = record.kept_update is not None
+                    tally["re-sent" if kept else "rebuilt"] += 1
+                return table(discovery, tree)
 
             def counted_refresh(tree, *args):
                 before = len(compared)
@@ -110,13 +118,13 @@ def shortcuts(overridden: bool, tally: dict):
                 tally["scanned" if due else "skipped"] += 1
                 return expire(tree, now, grace)
 
-            NameTree.kept_update = counted_kept
+            NameDiscovery.table = counted_table
             NameTree.refresh = counted_refresh
             NameTree.expire = counted_expire
         try:
             yield
         finally:
-            NameTree.kept_update, NameTree.refresh, NameTree.expire = shipped
+            NameDiscovery.table, NameTree.refresh, NameTree.expire = shipped
             INR._DISPATCH.clear()
             INR._DISPATCH.update(dispatch)
 
@@ -255,10 +263,11 @@ def run_history(seed: int, overridden: bool, tally: dict) -> dict:
             service.anonymous = not service.anonymous
 
         def edit(service):
-            # The owner edits the object it advertised — every resolver's
-            # record and every kept update point at it — and says nothing.
-            leaf = service.name.root("service")
-            leaf.add(f"edit{next(serial)}", "x")
+            # The owner swaps in an edited copy of the name it advertised
+            # and says nothing: its next refresh is the first to carry it.
+            edited = service.name.copy()
+            edited.root("service").add(f"edit{next(serial)}", "x")
+            service.rename(edited, announce_now=False)
 
         def stop(service):
             if service.node.process_on(service.port) is service:

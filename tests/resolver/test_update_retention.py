@@ -287,27 +287,6 @@ def test_readvertising_reordered_siblings_keeps_first_order_on_the_wire():
     assert [name.to_wire() for name, _metric in found.value] == [first]
 
 
-def test_advertiser_mutating_its_name_in_place_does_not_corrupt_updates():
-    """A service that edits its name object without re-advertising has
-    not changed what the resolvers know: updates keep carrying the
-    grafted name (rebuilt by Figure 6), at its own wire size."""
-    domain, trace, (a, b) = _domain(["inr-a", "inr-b"])
-    grafted = "[service=e[id=1]]"
-    service = _service(domain, grafted, a)
-    domain.run(1.0)
-    service.refresh_interval = 1e9  # keep the edit from being advertised
-    service.name.root("service").add("kind", "x")
-    tree = a.trees["default"]
-    record = tree.record_for(service.announcer)
-    assert tree.get_name(record) is not service.name
-    start = domain.now
-    a.discovery.send_periodic_updates()
-    domain.run(0.5)
-    updates = _periodic_updates(trace, "inr-a", "inr-b", start)
-    assert [update.name.to_wire() for update in updates] == [grafted]
-    assert updates[0].wire_size() == parse(grafted).wire_size() + 30 + 12
-
-
 def test_a_rename_is_walked_for_wildcards_once_across_the_domain(monkeypatch):
     """``Service.rename`` and each resolver that grafts the new name
     must know it is concrete; the first to ask walks it, and the verdict
@@ -320,7 +299,7 @@ def test_a_rename_is_walked_for_wildcards_once_across_the_domain(monkeypatch):
 
     def counted(name):
         asked.append(name)
-        if name._key_cache is None or name._concrete_key is not name._key_cache:
+        if not name._concrete:
             walked.append(name)
         return real(name)
 
