@@ -37,8 +37,8 @@ from repro.obs import (
 from repro.xp import default_suite, run_spec
 
 #: The committed ``BENCH_matrix.json`` entry, restricted to the
-#: resilience arm (the full matrix also ablates admission control and
-#: tracing; this driver regenerates the on/off artifact).
+#: resilience arm (the full matrix also ablates tracing; this driver
+#: regenerates the on/off artifact).
 SPEC = replace(default_suite()["availability-chaos"], ablations=("resilience",))
 
 

@@ -56,8 +56,8 @@ def main() -> None:
         helper = next((i for i in domain.inrs if i.address == "spare-1"), None)
         print(f"{domain.now:5.0f}  {','.join(domain.dsr.active_inrs):<24} "
               f"{client.resolver or '-':<10} "
-              f"{main_inr.monitor.total_lookups:>12} "
-              f"{helper.monitor.total_lookups if helper else 0:>14}")
+              f"{main_inr.stats.lookups:>12} "
+              f"{helper.stats.lookups if helper else 0:>14}")
 
     print("\nload over — waiting for the idle helper to retire...")
     domain.run(180.0)

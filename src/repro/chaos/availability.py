@@ -7,9 +7,8 @@ fault plan (INR crashes with restarts, lossy links, a partition, CPU
 overload) and measures what the application actually experienced —
 request success rate, tail latency, and how many ``Reply`` objects were
 left permanently hanging. Running the same plan with the client
-resilience layer (retries, deadlines, failover) and resolver admission
-control enabled versus disabled quantifies exactly what the
-request-resilience machinery buys.
+resilience layer (retries, deadlines, failover) enabled versus disabled
+quantifies exactly what the request-resilience machinery buys.
 
 :func:`write_bench_availability_json` emits the on/off comparison as
 ``BENCH_availability.json`` for trend tracking across sessions.
@@ -17,7 +16,7 @@ request-resilience machinery buys.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -59,11 +58,6 @@ class AvailabilityReport:
     retries: int
     failovers: int
     deadline_exceeded: int
-    pushbacks_received: int
-    #: aggregated resolver admission-control counters
-    shed_periodic: int
-    shed_triggered: int
-    pushbacks_sent: int
     faults_applied: int
     fault_kinds: Tuple[str, ...]
     mttr: Dict[str, Dict[str, float]]
@@ -104,18 +98,13 @@ def run_availability_scenario(
     settle: float = 3.0,
     drain: Optional[float] = None,
     observe: bool = False,
-    admission_control: Optional[bool] = None,
 ) -> AvailabilityReport:
     """Run steady lookup traffic through a seeded fault plan.
 
-    ``resilience`` toggles the whole availability stack at once: client
-    retries/deadlines/failover *and* resolver admission control. The
-    fault plan itself is identical for both settings of ``resilience``
+    ``resilience`` toggles the client's retries, deadlines and
+    failover. The fault plan itself is identical for both settings
     (same seed, same surface), so the pair of runs is a controlled
-    ablation of the resilience machinery alone. ``admission_control``
-    splits the resolver half out: when given, it overrides what
-    ``resilience`` implies, so the experiment engine can ablate client
-    retries and resolver admission control independently.
+    ablation of the resilience machinery alone.
 
     ``observe=True`` attaches a :class:`repro.obs.ObsCollector` before
     any traffic flows: every lookup then produces a hop-by-hop span
@@ -125,12 +114,6 @@ def run_availability_scenario(
     JSON artifact's report sections).
     """
     config = config or fast_chaos_config()
-    config = replace(
-        config,
-        admission_control=(
-            resilience if admission_control is None else admission_control
-        ),
-    )
     policy = (
         (retry_policy or CHAOS_RETRY_POLICY)
         if resilience
@@ -269,13 +252,7 @@ def run_availability_scenario(
         success_rate=succeeded / attempted if attempted else 0.0,
         latency_p50=percentile(latencies, 0.50) if latencies else float("nan"),
         latency_p99=percentile(latencies, 0.99) if latencies else float("nan"),
-        **summed_counters(
-            clients,
-            "retries", "failovers", "deadline_exceeded", "pushbacks_received",
-        ),
-        **summed_counters(
-            domain.inrs, "shed_periodic", "shed_triggered", "pushbacks_sent"
-        ),
+        **summed_counters(clients, "retries", "failovers", "deadline_exceeded"),
         faults_applied=len(controller.applied),
         fault_kinds=plan.kinds,
         mttr=tracker.mttr_summary(),

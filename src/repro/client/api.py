@@ -18,10 +18,9 @@ Every request/response operation (early binding, discovery, the attach
 pings and DSR list requests behind them) is wrapped in the resilience
 layer described by :class:`RetryPolicy`: per-request timeouts with
 capped exponential backoff, an overall deadline after which the
-:class:`~.futures.Reply` fails instead of hanging, resolver ``Pushback``
-hints that defer the next retransmission, and automatic failover to a
-different resolver after enough consecutive timeouts against the
-current one. Per-client counters live in :class:`ClientStats`.
+:class:`~.futures.Reply` fails instead of hanging, and automatic
+failover to a different resolver after enough consecutive timeouts
+against the current one. Per-client counters live in :class:`ClientStats`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from ..resolver.protocol import (
     DiscoveryResponse,
     PingRequest,
     PingResponse,
-    Pushback,
     ResolutionRequest,
     ResolutionResponse,
 )
@@ -102,7 +100,6 @@ class ClientStats:
     requests_succeeded: int = 0
     requests_failed: int = 0
     deadline_exceeded: int = 0
-    pushbacks_received: int = 0
     failovers: int = 0
     attach_retries: int = 0
 
@@ -396,7 +393,7 @@ class InsClient(Process):
     def _on_request_timeout(self, request_id: int, attempt_no: int) -> None:
         pending = self._pending.get(request_id)
         if pending is None or pending.attempts != attempt_no:
-            return  # answered, or superseded by a pushback reschedule
+            return  # answered
         pending.timeouts += 1
         if pending.span is not None:
             self.tracer.annotate(
@@ -443,26 +440,6 @@ class InsClient(Process):
             self._consecutive_failures = 0
             self.stats.failovers += 1
             self.reattach(exclude=address)
-
-    def _handle_pushback(self, pushback: Pushback) -> None:
-        pending = self._pending.get(pushback.request_id)
-        if pending is None:
-            return
-        self.stats.pushbacks_received += 1
-        # The resolver is alive, just shedding: its hint replaces our own
-        # backoff and does not count toward failover.
-        self._consecutive_failures = 0
-        if pending.span is not None:
-            self.tracer.annotate(
-                pending.span,
-                f"pushback from {pushback.responder}, "
-                f"retry after {pushback.retry_after:.3f}s",
-            )
-        if not self.retry_policy.enabled:
-            return
-        pending.cancel_timer()
-        delay = max(pushback.retry_after, self.retry_policy.request_timeout * 0.5)
-        pending.timer = self.set_timer(delay, self._attempt, pushback.request_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -579,8 +556,6 @@ class InsClient(Process):
                     if isinstance(payload, ResolutionResponse)
                     else payload.names
                 )
-        elif isinstance(payload, Pushback):
-            self._handle_pushback(payload)
         elif isinstance(payload, DataPacket):
             if self._message_handler is not None:
                 self._message_handler(payload.message, source)

@@ -8,9 +8,7 @@ anycast toward the least-loaded printer (Section 3.3).
 
 Advertisements are marked *triggered* when they carry new information
 (first announcement after an attachment or failover, a metric change, a
-rename, a post-mobility repair) and left periodic otherwise; an
-overloaded resolver's admission control sheds periodic refreshes first,
-so triggered state still lands while pure keepalives wait a round.
+rename, a post-mobility repair) and left periodic otherwise.
 """
 
 from __future__ import annotations

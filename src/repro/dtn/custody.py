@@ -12,16 +12,14 @@ intentional naming a natural fit for delay-tolerant networks.
 Everything about the store is deterministic: admission order assigns a
 monotonic sequence number, eviction is FIFO within priority tiers, and
 expiry compares virtual-time deadlines — two same-seed runs make
-identical custody decisions. Priorities mirror the resolver's
-admission-control tiers, cheapest loss last to be kept:
+identical custody decisions. Priorities keep the cheapest loss last:
 
 - :data:`PRIORITY_KNOWN_NAME` (0): the destination name *was* known
   here (an expired record, or a suspect next hop on a live route). The
-  service evidently exists and is likely to re-advertise — the
-  analogue of triggered state, shed last.
+  service evidently exists and is likely to re-advertise — evicted
+  last.
 - :data:`PRIORITY_UNKNOWN_NAME` (1): no record for the name was ever
-  seen. It may be a name that never existed — the analogue of a
-  periodic refresh, shed first.
+  seen. It may be a name that never existed — evicted first.
 
 The store also supports the DSR's snapshot/adopt state-transfer
 pattern: :meth:`CustodyStore.snapshot` emits a copyable view (custody

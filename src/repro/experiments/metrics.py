@@ -23,7 +23,7 @@ class ResolverSample:
     address: str
     cpu_utilization: float
     names: int
-    total_lookups: int
+    lookups: int
     neighbors: int
 
 
@@ -71,7 +71,7 @@ class DomainSampler:
                     address=inr.address,
                     cpu_utilization=utilization,
                     names=inr.name_count(),
-                    total_lookups=inr.monitor.total_lookups,
+                    lookups=inr.stats.lookups,
                     neighbors=len(inr.neighbors),
                 )
             )

@@ -8,7 +8,6 @@ These are *wire* definitions, so they live in the ``message`` layer:
 both the resolver (an INR registers, heartbeats, claims candidates) and
 the overlay's DSR itself speak this protocol, and keeping it below both
 is what makes the resolver -> overlay layer direction acyclic.
-``repro.overlay.protocol`` re-exports everything for compatibility.
 """
 
 from __future__ import annotations

@@ -16,18 +16,12 @@ whole memo is flushed when a tree *epoch* counter advances. The epoch
 moves only on membership changes — graft, remove, expiry — never on a
 pure refresh, so periodic soft-state refreshes keep the memo warm.
 
-Two implementation notes on the hot paths:
-
-- LOOKUP-NAME runs iteratively over an explicit frame stack (names of
-  any depth resolve without recursion) and reads per-value-node subtree
-  sets through an epoch-keyed frozenset cache
-  (:meth:`.nodes.ValueNode.subtree_frozen`), so repeated distinct
-  queries against an unchanged record set stop re-walking subtrees.
-- Mutations can be grouped into a *batch epoch*
-  (:meth:`begin_batch`/:meth:`end_batch`/:meth:`batch`): the epoch
-  advances once when the outermost batch closes instead of once per
-  graft, which keeps one simulator delivery of N periodic updates from
-  invalidating lookup state N times.
+One implementation note on the hot path: LOOKUP-NAME runs iteratively
+over an explicit frame stack (names of any depth resolve without
+recursion) and reads per-value-node subtree sets through an epoch-keyed
+frozenset cache (:meth:`.nodes.ValueNode.subtree_frozen`), so repeated
+distinct queries against an unchanged record set stop re-walking
+subtrees.
 
 One fidelity note on LOOKUP-NAME: the paper states that omitted
 attributes correspond to wild-cards for both queries and advertisements.
@@ -42,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -109,61 +102,14 @@ class NameTree:
         self._memo_capacity = memo_capacity
         self._memo_epoch = 0
         self._epoch = 0
-        # Batch-epoch state: while a batch is open, membership changes
-        # set the dirty flag instead of advancing the epoch; the
-        # outermost end_batch() commits one advance for the whole group.
-        self._batch_depth = 0
-        self._batch_dirty = False
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_invalidations = 0
 
     @property
     def epoch(self) -> int:
-        """Mutation counter: advances only when the record set changes.
-
-        Inside an open batch the counter is deferred; reads mid-batch
-        see the last committed value (lookups commit it themselves so
-        they never serve stale results).
-        """
+        """Mutation counter: advances only when the record set changes."""
         return self._epoch
-
-    # ------------------------------------------------------------------
-    # Batched mutation epochs
-    # ------------------------------------------------------------------
-    def begin_batch(self) -> None:
-        """Open a batch: membership changes until :meth:`end_batch`
-        advance the epoch once, together, not once each.
-
-        Nests; only the outermost close commits. Use :meth:`batch` for
-        the context-manager form.
-        """
-        self._batch_depth += 1
-
-    def end_batch(self) -> None:
-        """Close a batch, committing one epoch advance if anything
-        inside it changed tree membership."""
-        if self._batch_depth == 0:
-            raise RuntimeError("end_batch() without begin_batch()")
-        self._batch_depth -= 1
-        if self._batch_depth == 0 and self._batch_dirty:
-            self._batch_dirty = False
-            self._epoch += 1
-
-    @contextmanager
-    def batch(self):
-        """Context manager wrapping :meth:`begin_batch`/:meth:`end_batch`."""
-        self.begin_batch()
-        try:
-            yield self
-        finally:
-            self.end_batch()
-
-    def _bump_epoch(self) -> None:
-        if self._batch_depth:
-            self._batch_dirty = True
-        else:
-            self._epoch += 1
 
     # ------------------------------------------------------------------
     # Grafting and removal
@@ -312,7 +258,7 @@ class NameTree:
         for pair in name.roots:
             self._graft_pair(self._root, pair, record)
         self._by_announcer[record.announcer] = record
-        self._bump_epoch()
+        self._epoch += 1
 
     def _graft_pair(self, value_node: ValueNode, pair: AVPair, record: NameRecord) -> None:
         # Explicit stack, pushed in reverse child order so leaves attach
@@ -350,7 +296,7 @@ class NameTree:
         if text is not None and self._by_text.get(text) is name:
             del self._by_text[text]
         record.advertised_name = None
-        self._bump_epoch()
+        self._epoch += 1
         return True
 
     def remove_announcer(self, announcer: AnnouncerID) -> Optional[NameRecord]:
@@ -373,9 +319,6 @@ class NameTree:
         name as a fast-path update instead of a from-scratch rebuild —
         the partition-tolerant soft-state behavior.
 
-        A sweep that collects several records advances the epoch once
-        (it is one membership change from the memo's point of view).
-
         While ``now - grace`` is below the bound on every deadline
         nothing can be due and no record is visited; a sweep that does
         scan recomputes the bound from the records it leaves behind.
@@ -388,13 +331,8 @@ class NameTree:
             for record in self._by_announcer.values()
             if horizon >= record.expires_at
         ]
-        if expired:
-            self.begin_batch()
-            try:
-                for record in expired:
-                    self.remove(record)
-            finally:
-                self.end_batch()
+        for record in expired:
+            self.remove(record)
         self._earliest_expiry = min(
             [record.expires_at for record in self._by_announcer.values()],
             default=math.inf,
@@ -412,13 +350,7 @@ class NameTree:
         by the query's canonical key. Records are shared objects, so
         in-place refreshes (endpoints, metrics, expiry) are visible
         through memoized results without any invalidation.
-
-        A lookup inside an open batch commits the batch's pending epoch
-        advance first, so it always observes the mutations made so far.
         """
-        if self._batch_dirty:
-            self._batch_dirty = False
-            self._epoch += 1
         if not self._memoize:
             return set(self._lookup(self._root, name._roots.values()))
         if self._memo_epoch != self._epoch:

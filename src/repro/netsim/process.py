@@ -145,8 +145,8 @@ class Process:
     def admit(self, payload: Any, source: str) -> bool:
         """Accept or shed an arriving datagram *before* any CPU work is
         queued for it. Returning False drops the message at the door —
-        the admission-control hook an overloaded resolver uses to bound
-        its pending-work queue. The default accepts everything."""
+        the admission hook a process that bounds its pending-work queue
+        would override. The default accepts everything."""
         return True
 
     def handle_message(self, payload: Any, source: str) -> None:

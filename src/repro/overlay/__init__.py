@@ -1,7 +1,7 @@
 """Overlay self-configuration: the DSR and its protocol (Section 2.4)."""
 
 from .dsr import DEFAULT_REGISTRATION_LIFETIME, DomainSpaceResolver
-from .protocol import (
+from ..message.dsr import (
     DsrClaimCandidate,
     DsrClaimResponse,
     DsrDeregister,

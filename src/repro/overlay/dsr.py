@@ -22,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from ..netsim import Node, Process
-from ..resolver.ports import DSR_PORT, INR_PORT
-from .protocol import (
+from ..message.dsr import (
     DsrClaimCandidate,
     DsrClaimResponse,
     DsrDeregister,
@@ -37,6 +35,8 @@ from .protocol import (
     DsrVspaceRequest,
     DsrVspaceResponse,
 )
+from ..netsim import Node, Process
+from ..resolver.ports import DSR_PORT, INR_PORT
 
 #: How long a registration lives without a heartbeat.
 DEFAULT_REGISTRATION_LIFETIME = 45.0

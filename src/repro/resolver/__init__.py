@@ -19,7 +19,6 @@ from .protocol import (
     PeerRequest,
     PingRequest,
     PingResponse,
-    Pushback,
     ResolutionRequest,
     ResolutionResponse,
     UpdateBatch,
@@ -54,7 +53,6 @@ __all__ = [
     "PingRequest",
     "PingResponse",
     "PortAllocator",
-    "Pushback",
     "RecipientHandoff",
     "ResolutionRequest",
     "ResolutionResponse",

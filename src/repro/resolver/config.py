@@ -31,14 +31,6 @@ class InrConfig:
     #: A neighbor silent for this long is declared dead.
     neighbor_timeout: float = 50.0
 
-    #: Jitter fraction applied to periodic timers so resolver timers do
-    #: not phase-lock.
-    timer_jitter: float = 0.05
-
-    #: How long to wait for INR-ping responses while joining before
-    #: picking the best peer among those that answered.
-    join_ping_timeout: float = 0.5
-
     #: --- Load balancing (Section 2.5) --------------------------------
     #: Enable spawn/terminate decisions.
     enable_load_balancing: bool = False
@@ -95,41 +87,8 @@ class InrConfig:
     #: Seconds between relaxation probes.
     relaxation_interval: float = 30.0
 
-    #: Required multiplicative improvement before switching parents
-    #: (hysteresis so the tree does not flap).
-    relaxation_improvement: float = 0.8
-
-    #: Maximum entries in the vspace -> resolver cache.
-    vspace_cache_size: int = 32
-
     #: Maximum entries in the data-packet cache (0 disables caching).
     packet_cache_size: int = 128
-
-    #: --- Admission control (overload shedding) -----------------------
-    #: When enabled, an INR bounds the work it accepts: once the node's
-    #: CPU backlog (seconds of queued work) crosses the thresholds
-    #: below, incoming messages are shed in priority order — periodic
-    #: soft-state refreshes first, then triggered updates, and client
-    #: lookups last (those get an explicit Pushback with a retry-after
-    #: hint instead of a silent drop). Defaults off: unbounded
-    #: acceptance is the paper's behavior and what the Figure 8
-    #: saturation experiments measure.
-    admission_control: bool = False
-
-    #: Backlog above which periodic refreshes (non-triggered update
-    #: batches and advertisements) are shed.
-    admission_shed_backlog: float = 0.25
-
-    #: Backlog above which triggered updates and withdrawals are shed
-    #: too; soft state re-delivers them within a refresh interval.
-    admission_trigger_backlog: float = 0.75
-
-    #: Backlog above which client resolution/discovery requests are
-    #: answered with a Pushback instead of being queued.
-    admission_pushback_backlog: float = 1.5
-
-    #: Cap on the retry-after hint carried by a Pushback.
-    admission_retry_after_max: float = 3.0
 
     #: --- Disruption tolerance (custody store-and-forward) ------------
     #: When enabled, a payload the forwarding agent cannot move — no
@@ -169,6 +128,3 @@ class InrConfig:
     #: changed entries and explicit withdrawals; periodic messages
     #: shrink to empty keepalives.
     update_mode: str = "soft-state"
-
-    #: Retransmission timeout of the reliable channel.
-    reliable_retransmit_timeout: float = 1.0

@@ -38,6 +38,9 @@ from .protocol import (
 NAME_TABLE_CAPACITY = 256
 NAME_TABLE_MAX_TEXT = 256
 
+#: Maximum entries in the vspace -> resolver cache.
+VSPACE_CACHE_SIZE = 32
+
 
 def best_route(records: Sequence[NameRecord]) -> NameRecord:
     """The anycast choice among live matches: least application metric,
@@ -56,7 +59,7 @@ class DataPlane:
         size = inr.config.packet_cache_size
         self.cache: Optional[PacketCache] = PacketCache(size) if size > 0 else None
         #: vspace -> a resolver that routes it, bounded at
-        #: ``vspace_cache_size`` (see :meth:`remember_vspace`)
+        #: ``VSPACE_CACHE_SIZE`` (see :meth:`remember_vspace`)
         self._vspace_cache: Dict[str, str] = {}
         #: payloads (with their hop span) parked on a DSR answer
         self._vspace_waiting: Dict[str, List[tuple]] = {}
@@ -106,7 +109,6 @@ class DataPlane:
         if tree is None:
             self.forward_foreign(vspace, request, span=span)
             return
-        inr.monitor.count_lookup()
         stats = inr.stats
         stats.lookups += 1
         stats.queries_served += 1
@@ -136,7 +138,6 @@ class DataPlane:
             # Section 2.2: a discovery message matches against "all the
             # names it knows about" — every vspace this INR routes.
             searched = list(inr.trees.values())
-        inr.monitor.count_lookup()
         inr.stats.lookups += 1
         inr.stats.queries_served += 1
         names = []
@@ -208,7 +209,6 @@ class DataPlane:
             inr.stats.packets_forwarded_foreign_vspace += 1
             self.forward_foreign(vspace, packet, span=span)
             return
-        inr.monitor.count_lookup()
         inr.stats.lookups += 1
         # Charge one LOOKUP-NAME per packet per INR, then route.
         inr.work(inr.costs.lookup, self._route, tree, packet, source, span)
@@ -431,9 +431,9 @@ class DataPlane:
 
     def remember_vspace(self, vspace: str, resolver: str) -> None:
         """The one writer of the vspace -> resolver cache: evicts the
-        oldest entry at ``vspace_cache_size``."""
+        oldest entry at ``VSPACE_CACHE_SIZE``."""
         cache = self._vspace_cache
-        if len(cache) >= self.inr.config.vspace_cache_size:
+        if len(cache) >= VSPACE_CACHE_SIZE:
             cache.pop(next(iter(cache)))
         cache[vspace] = resolver
 

@@ -11,7 +11,7 @@ channel of the ``reliable-delta`` mode (footnote 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..message import CustodyTransfer
 from ..naming import NameSpecifier
@@ -28,6 +28,9 @@ _Entries = Tuple[List[NameRecord], List[NameUpdate]]
 #: What :meth:`NameDiscovery.send_control` is handed, and so what a
 #: reliable frame may carry (a ``CustodyTransfer`` from the custodian).
 _SENT_RELIABLY = frozenset({UpdateBatch, NameWithdraw, CustodyTransfer})
+
+#: Retransmission timeout of the reliable-delta channel.
+RELIABLE_RETRANSMIT_TIMEOUT = 1.0
 
 
 def _graft(
@@ -75,7 +78,7 @@ class NameDiscovery:
                 ),
                 deliver=self._deliver_reliable,
                 set_timer=inr.set_timer,
-                retransmit_timeout=config.reliable_retransmit_timeout,
+                retransmit_timeout=RELIABLE_RETRANSMIT_TIMEOUT,
             )
 
     # ------------------------------------------------------------------
@@ -85,7 +88,6 @@ class NameDiscovery:
         inr = self.inr
         now = inr.now
         inr.stats.advertisements_processed += 1
-        inr.monitor.count_update_names(1)
         changed: List[tuple] = []  # (vspace, name, record) of what is news
         for vspace in ad.name.vspaces():
             tree = inr.trees.get(vspace)
@@ -111,31 +113,17 @@ class NameDiscovery:
 
     def _handle_update_batch(self, batch: UpdateBatch, source: str) -> None:
         inr = self.inr
-        inr.monitor.count_update_names(len(batch.updates))
         inr.stats.update_names_processed += len(batch.updates)
         link_rtt = inr.neighbors.rtt_to(batch.sender)
         changed: List[tuple] = []  # (vspace, name, record) of what is news
-        # One tree epoch per delivered batch, not per name: each touched
-        # tree's batch is opened lazily the first time an update lands in
-        # it (updates stay in arrival order — no regrouping by vspace)
-        # and closed once the whole batch has been applied, so N periodic
-        # refreshes invalidate lookup memo/subtree state at most once.
-        opened: Dict[str, NameTree] = {}
-        try:
-            for update in batch.updates:
-                tree = inr.trees.get(update.vspace)
-                if tree is None:
-                    continue
-                if update.vspace not in opened:
-                    opened[update.vspace] = tree
-                    tree.begin_batch()
-                if self._apply_update(tree, update, batch.sender, link_rtt):
-                    record = tree.record_for(update.announcer)
-                    if record is not None:
-                        changed.append((update.vspace, update.name, record))
-        finally:
-            for tree in opened.values():
-                tree.end_batch()
+        for update in batch.updates:
+            tree = inr.trees.get(update.vspace)
+            if tree is None:
+                continue
+            if self._apply_update(tree, update, batch.sender, link_rtt):
+                record = tree.record_for(update.announcer)
+                if record is not None:
+                    changed.append((update.vspace, update.name, record))
         if changed:
             self._send_triggered(changed, exclude=batch.sender)
             inr.custodian.retry()

@@ -8,9 +8,9 @@ the work, each in its own module: overlay self-configuration
 2.3), custody store-and-forward (``custody``), load balancing
 (``loadbalance``, 2.5) and the vspace handoff it starts (``delegation``).
 
-What is left here is the process itself: its lifecycle, admission
-control, the dispatch of an arriving message to the component that
-registered its type, and the hooks the components share.
+What is left here is the process itself: its lifecycle, the dispatch of
+an arriving message to the component that registered its type, and the
+hooks the components share.
 """
 
 from __future__ import annotations
@@ -32,17 +32,13 @@ from .discovery import NameDiscovery
 from .loadbalance import LoadControl
 from .membership import OverlayMembership
 from .ports import DSR_PORT, INR_PORT
-from .protocol import (
-    Advertisement,
-    DataPacket,
-    DiscoveryRequest,
-    NameWithdraw,
-    PeerGoodbye,
-    Pushback,
-    ResolutionRequest,
-    UpdateBatch,
-)
+from .protocol import DataPacket, PeerGoodbye
 from .stats import InrStats
+
+
+#: Jitter fraction applied to the periodic timers so resolver timers do
+#: not phase-lock.
+TIMER_JITTER = 0.05
 
 
 def merge_tables(**tables: Dict[type, tuple]) -> Dict[type, tuple]:
@@ -158,7 +154,7 @@ class INR(Process):
     def start(self) -> None:
         """Join the overlay and begin periodic protocol activity."""
         config = self.config
-        jitter = config.timer_jitter
+        jitter = TIMER_JITTER
         # every() draws jitter and sequence numbers in call order: the
         # order below is part of the determinism contract.
         self.every(
@@ -314,59 +310,15 @@ class INR(Process):
             self.tracer.annotate(span, text)
 
     # ------------------------------------------------------------------
-    # Admission control (overload shedding)
-    # ------------------------------------------------------------------
-    def admit(self, payload: object, source: str) -> bool:
-        """Bound the pending-work queue with priority shedding.
-
-        Work already accepted sits in the node CPU's serial queue; its
-        backlog (seconds of queued work) is the queue depth. Past the
-        configured thresholds, arriving work is shed cheapest-loss
-        first: periodic soft-state refreshes (they recur anyway), then
-        triggered updates (the next refresh re-delivers the state), and
-        only under the heaviest backlog client lookups — which are
-        answered with an explicit :class:`Pushback` carrying a
-        retry-after hint, so the client backs off instead of declaring
-        the resolver dead.
-        """
-        config = self.config
-        if not config.admission_control or self._terminated:
-            return True
-        backlog = self.node.cpu.backlog
-        if backlog <= config.admission_shed_backlog:
-            return True
-        periodic = (
-            isinstance(payload, UpdateBatch) and not payload.triggered
-        ) or (isinstance(payload, Advertisement) and not payload.triggered)
-        if periodic:
-            self.stats.shed_periodic += 1
-            return False
-        if backlog <= config.admission_trigger_backlog:
-            return True
-        if isinstance(payload, (UpdateBatch, Advertisement, NameWithdraw)):
-            self.stats.shed_triggered += 1
-            return False
-        if backlog <= config.admission_pushback_backlog:
-            return True
-        if isinstance(payload, (ResolutionRequest, DiscoveryRequest)):
-            self.stats.pushbacks_sent += 1
-            span = self.span_start("inr.pushback", payload.trace)
-            self.send(
-                payload.reply_to,
-                payload.reply_port,
-                Pushback(
-                    request_id=payload.request_id,
-                    responder=self.address,
-                    retry_after=min(backlog, config.admission_retry_after_max),
-                ),
-            )
-            self.span_end(span, "pushback")
-            return False
-        return True
-
-    # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
+    def admit(self, payload: object, source: str) -> bool:
+        """Accept everything: overload is cured by spawning a helper or
+        delegating a vspace (``loadbalance``, Section 2.5), never by
+        refusing work. Defined here, not only inherited, because the
+        e2e ledger wraps ``vars(INR)["admit"]``."""
+        return True
+
     def processing_cost(self, payload: object, size_bytes: int) -> float:
         entry = self.dispatch.get(type(payload))
         return self.costs.receive if entry is None else entry[1](self, payload)

@@ -10,9 +10,10 @@ The paper identifies two distinct overload modes with different cures:
   (every replica still processes every name), so the cure is to
   *delegate* one or more virtual spaces to a new INR network.
 
-:class:`LoadMonitor` just counts; :class:`LoadControl` is the policy:
-it samples the monitor, claims a candidate node from the DSR when a
-threshold is crossed, and retires a spawned resolver that has gone idle.
+:class:`LoadMonitor` turns the resolver's counters into rates;
+:class:`LoadControl` is the policy: it samples the monitor, claims a
+candidate node from the DSR when a threshold is crossed, and retires a
+spawned resolver that has gone idle.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ..message.dsr import (
 from .costs import cost_receive
 from .ports import INR_PORT
 from .protocol import UpdateBatch
+from .stats import InrStats
 
 
 @dataclass
@@ -41,33 +43,31 @@ class LoadSample:
 
 
 class LoadMonitor:
-    """Windowed counters of resolver work."""
+    """Windowed rates of resolver work: what its incarnation's
+    ``InrStats`` counted between two samples."""
 
-    def __init__(self, now: float = 0.0) -> None:
+    def __init__(self, stats: InrStats, now: float = 0.0) -> None:
+        self._stats = stats
         self._window_start = now
-        self._lookups = 0
-        self._update_names = 0
-        self.total_lookups = 0
+        self._counted = self._count()
 
-    def count_lookup(self, count: int = 1) -> None:
-        self._lookups += count
-        self.total_lookups += count
-
-    def count_update_names(self, count: int) -> None:
-        self._update_names += count
+    def _count(self) -> Tuple[int, int]:
+        """Lookups, and names heard in advertisements and update batches."""
+        stats = self._stats
+        names = stats.update_names_processed + stats.advertisements_processed
+        return stats.lookups, names
 
     def sample(self, now: float) -> LoadSample:
         """Rates since the last sample; resets the window."""
         window = max(now - self._window_start, 1e-9)
-        sample = LoadSample(
-            window=window,
-            lookups_per_second=self._lookups / window,
-            update_names_per_second=self._update_names / window,
-        )
+        lookups_before, names_before = self._counted
+        self._counted = lookups, names = self._count()
         self._window_start = now
-        self._lookups = 0
-        self._update_names = 0
-        return sample
+        return LoadSample(
+            window=window,
+            lookups_per_second=(lookups - lookups_before) / window,
+            update_names_per_second=(names - names_before) / window,
+        )
 
 
 class LoadControl:
@@ -75,7 +75,7 @@ class LoadControl:
 
     def __init__(self, inr) -> None:
         self.inr = inr
-        self.monitor = LoadMonitor(inr.now)
+        self.monitor = LoadMonitor(inr.stats, inr.now)
         self._started_at = inr.now
         #: the one candidate claim in flight at the DSR: ``(request_id,
         #: purpose)``; a claim response matching no claim is ignored

@@ -27,6 +27,14 @@ from .protocol import PeerAccept, PeerGoodbye, PeerRequest, PingRequest, PingRes
 #: The probe name INR-pings carry: small, as the paper describes.
 _PING_PROBE = NameSpecifier.from_dict({"service": "inr-ping"})
 
+#: How long a joining INR waits for INR-ping responses before picking
+#: the best peer among those that answered.
+JOIN_PING_TIMEOUT = 0.5
+
+#: Multiplicative RTT improvement required before relaxation switches
+#: parents (hysteresis so the tree does not flap).
+RELAXATION_IMPROVEMENT = 0.8
+
 
 class OverlayMembership:
     """One INR's place in the overlay: its neighbors and how it got them."""
@@ -87,7 +95,7 @@ class OverlayMembership:
                 return
             for address in others:
                 self._ping(address, purpose="join")
-            inr.set_timer(inr.config.join_ping_timeout, self._pick_join_peer)
+            inr.set_timer(JOIN_PING_TIMEOUT, self._pick_join_peer)
             return
         # A list response outside a join: relaxation probing.
         self._relax_with_list(response)
@@ -276,7 +284,7 @@ class OverlayMembership:
         parent = self.neighbors.parent
         if parent is None or candidate == parent.address:
             return
-        if rtt >= parent.rtt * inr.config.relaxation_improvement:
+        if rtt >= parent.rtt * RELAXATION_IMPROVEMENT:
             return
         # Better parent found: swap the tree edge. Only earlier-ordered
         # INRs are probed, so the topology remains acyclic.

@@ -92,8 +92,7 @@ class Advertisement:
 
     ``triggered`` marks announcements that carry *new* state (first
     advertisement after attaching, a metric change, a rename) as
-    opposed to periodic soft-state refreshes; an overloaded resolver's
-    admission control sheds refreshes before triggered updates.
+    opposed to periodic soft-state refreshes.
 
     Immutable: a service re-sends the object while it says the same
     thing, and a resolver recognises it by identity, as a ``NameUpdate``.
@@ -246,26 +245,6 @@ class PingResponse:
 
 
 @dataclass
-class Pushback:
-    """Explicit overload signal for a client request (admission control).
-
-    When an INR's pending-work queue is past its client-request bound it
-    answers a resolution/discovery request with a Pushback instead of
-    silently dropping it: the client learns the resolver is alive (no
-    failover needed) and defers its next retransmission by
-    ``retry_after`` seconds, replacing its own backoff with the
-    resolver's estimate of when the backlog will have drained.
-    """
-
-    request_id: int
-    responder: str
-    retry_after: float
-
-    def wire_size(self) -> int:
-        return BASE_OVERHEAD + 8
-
-
-@dataclass
 class PeerRequest:
     """Ask an INR to become an overlay neighbor (spanning-tree join).
 
@@ -312,7 +291,6 @@ __all__ = [
     "PeerRequest",
     "PingRequest",
     "PingResponse",
-    "Pushback",
     "ResolutionRequest",
     "ResolutionResponse",
     "UpdateBatch",

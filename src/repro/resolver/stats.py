@@ -67,14 +67,6 @@ class InrStats:
     #: message class added without a handler)
     drops_unknown_message: int = 0
 
-    #: --- Admission control (overload shedding) -----------------------
-    #: periodic refreshes (non-triggered batches/ads) shed at the door
-    shed_periodic: int = 0
-    #: triggered updates/withdrawals shed under heavier backlog
-    shed_triggered: int = 0
-    #: client requests answered with an explicit Pushback
-    pushbacks_sent: int = 0
-
     #: --- Disruption tolerance (custody store-and-forward) ------------
     #: payloads taken into custody instead of being dropped
     custody_accepted: int = 0
@@ -161,9 +153,8 @@ class InrStats:
         registry ingests and artifacts embed."""
         out: Dict[str, object] = {}
         for f in fields(self):
-            if f.name == "shed_periodic":
-                # the memo counters sit between the drop causes and the
-                # admission block, where they were fields
+            if f.name == _MEMO_BEFORE:
+                # where the memo counters were fields
                 for counter in _MEMO_COUNTERS:
                     out["lookup_" + counter] = self._memo_total(counter)
             out[f.name] = getattr(self, f.name)
@@ -178,3 +169,12 @@ _DROP_FIELDS: Dict[str, str] = {
     for f in fields(InrStats)
     if f.name.startswith("drops_")
 }
+
+#: The field a snapshot puts the memo counters before: the first after
+#: the leading block of drop causes (none is an import-time error).
+_FIELDS = [f.name for f in fields(InrStats)]
+_MEMO_BEFORE = next(
+    name
+    for before, name in zip(_FIELDS, _FIELDS[1:])
+    if before in _DROP_FIELDS and name not in _DROP_FIELDS
+)

@@ -35,10 +35,6 @@ TOGGLES: Dict[str, str] = {
         "client request resilience: retries/backoff, deadlines, "
         "automatic failover"
     ),
-    "admission_control": (
-        "INR admission control: bounded pending-work queue with "
-        "priority shedding and explicit Pushback"
-    ),
     "custody": (
         "disruption-tolerant custody store-and-forward for late-binding "
         "anycast (PROTOCOL.md §10)"

@@ -251,7 +251,6 @@ def _run_availability(params, toggles, seed, timing) -> WorkloadResult:
     report = run_availability_scenario(
         seed=seed,
         resilience=toggles["resilience"],
-        admission_control=toggles["admission_control"],
         observe=toggles["obs_tracing"],
         n_inrs=int(params.get("n_inrs", 4)),
         n_services=int(params.get("n_services", 3)),
@@ -272,10 +271,6 @@ def _run_availability(params, toggles, seed, timing) -> WorkloadResult:
             "retries",
             "failovers",
             "deadline_exceeded",
-            "pushbacks_received",
-            "shed_periodic",
-            "shed_triggered",
-            "pushbacks_sent",
         )),
         details={"report": report},
         collector=report.collector,
@@ -288,10 +283,9 @@ register_workload(Workload(
         "steady early-binding lookups through one seeded fault plan "
         "(crashes, lossy links, partition, CPU overload)"
     ),
-    toggles=("resilience", "admission_control", "obs_tracing"),
+    toggles=("resilience", "obs_tracing"),
     primary_metrics={
         "resilience": ("success_rate", "higher"),
-        "admission_control": ("success_rate", "higher"),
         "obs_tracing": ("success_rate", "higher"),
     },
     run=_run_availability,
@@ -631,16 +625,6 @@ def default_suite() -> Dict[str, ExperimentSpec]:
             params={"requests": 10},
         ),
         ExperimentSpec(name="availability-chaos", workload="availability", seed=7),
-        # Overload regime: admission control actually engages here, and
-        # the matrix records its honest cost — shed requests lower the
-        # success rate while the queue bound protects the resolver.
-        ExperimentSpec(
-            name="availability-overload",
-            workload="availability",
-            seed=7,
-            params={"lookup_interval": 0.1},
-            ablations=("admission_control",),
-        ),
         ExperimentSpec(
             name="dtn-disruption",
             workload="dtn",

@@ -12,7 +12,7 @@ survivor keeps its stale channel state rather than timing the peer out.
 
 from repro.chaos.invariants import InvariantChecker
 from repro.experiments import InsDomain
-from repro.resolver import InrConfig
+from repro.resolver import InrConfig, discovery
 
 
 def reliable_delta_config() -> InrConfig:
@@ -23,12 +23,12 @@ def reliable_delta_config() -> InrConfig:
         expiry_sweep_interval=1.0,
         heartbeat_interval=1.0,
         neighbor_timeout=8.0,
-        reliable_retransmit_timeout=0.5,
     )
 
 
 class TestReliableRestart:
-    def test_neighbor_crash_and_restart_reconverges(self):
+    def test_neighbor_crash_and_restart_reconverges(self, monkeypatch):
+        monkeypatch.setattr(discovery, "RELIABLE_RETRANSMIT_TIMEOUT", 0.5)
         domain = InsDomain(seed=808, config=reliable_delta_config())
         a = domain.add_inr(address="inr-a")
         b = domain.add_inr(address="inr-b")

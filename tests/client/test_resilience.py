@@ -1,9 +1,8 @@
 """Tests for the client request-resilience layer.
 
 Retry/backoff under deterministic netsim packet loss, failure of every
-attempt, deadlines, failover away from a silent resolver, pushback
-handling, and the two attachment-machinery fixes (ping-token purge,
-reselect restore).
+attempt, deadlines, failover away from a silent resolver, and the two
+attachment-machinery fixes (ping-token purge, reselect restore).
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.client import (
     Reply,
 )
 from repro.experiments import InsDomain
-from repro.resolver.protocol import Pushback
 
 from ..conftest import parse
 
@@ -155,22 +153,6 @@ class TestFailover:
         late = client.resolve_early(NAME)
         domain.run(2.0)
         assert late.done
-
-    def test_pushback_defers_retry_without_counting_failure(self):
-        domain, inrs, client = printer_domain(seed=711)
-        reply = client.resolve_early(NAME)
-        pending_id = next(iter(client._pending))
-        client._consecutive_failures = 2
-        client.handle_message(
-            Pushback(request_id=pending_id, responder=inrs[0].address,
-                     retry_after=0.8),
-            inrs[0].address,
-        )
-        assert client.stats.pushbacks_received == 1
-        assert client._consecutive_failures == 0
-        assert not reply.settled
-        domain.run(3.0)  # the deferred re-attempt still completes it
-        assert reply.done
 
     def test_resolve_best_propagates_failure(self):
         domain, inrs, client = printer_domain(seed=712)

@@ -4,9 +4,9 @@ sealed names.
 
 Rules: advertise a new name / refresh with the grafted object, an equal
 copy, a reordered copy, a message heard before / rename / remove / let
-time pass / expire, with and without grace / open and close batch
-epochs / look up literal, wild-card and range queries — over a tree
-with the lookup memo on or off. After every rule:
+time pass / expire, with and without grace / look up literal, wild-card
+and range queries — over a tree with the lookup memo on or off. After
+every rule:
 
 - ``lookup`` is the literal Figure 5 (``fig5_oracle``) on every query;
 - ``get_name`` is the object grafted, and it is Figure 6's answer
@@ -84,11 +84,6 @@ class NameTreeMachine(RuleBasedStateMachine):
         self.heard = {}      # announcer -> the message refresh() saw last
         self.now = 0.0
         self.epoch = 0
-        self.open_batches = 0
-
-    def teardown(self):
-        for _ in range(self.open_batches):
-            self.tree.end_batch()
 
     # ------------------------------------------------------------------
     def _insert(self, announcer, name, lifetime):
@@ -188,17 +183,6 @@ class NameTreeMachine(RuleBasedStateMachine):
         for announcer in sorted(due):
             del self.grafted[announcer], self.deadline[announcer]
             self.heard.pop(announcer, None)
-
-    @rule()
-    def open_batch(self):
-        self.tree.begin_batch()
-        self.open_batches += 1
-
-    @precondition(lambda self: self.open_batches)
-    @rule()
-    def close_batch(self):
-        self.tree.end_batch()
-        self.open_batches -= 1
 
     @rule(shape=shapes, wild=st.sampled_from(["", "*", "<3", ">=2"]))
     def look_up(self, shape, wild):

@@ -4,9 +4,9 @@ INR-pings awaiting a response (emptied only by the responses)."""
 
 from repro.experiments import InsDomain
 from repro.resolver import InrConfig
+from repro.resolver.dataplane import VSPACE_CACHE_SIZE
 
 CONFIG = InrConfig(
-    vspace_cache_size=8,
     neighbor_timeout=4.0,
     expiry_sweep_interval=0.5,
     refresh_interval=1.0,
@@ -18,7 +18,7 @@ class TestVspaceCache:
     def test_adopting_a_large_delegation_snapshot_respects_the_bound(self):
         domain = InsDomain(seed=91, config=CONFIG)
         inr = domain.add_inr(address="inr-a")
-        size = CONFIG.vspace_cache_size
+        size = VSPACE_CACHE_SIZE
         delegated = tuple((f"space-{i}", f"inr-{i}") for i in range(size + 5))
         inr.delegation.adopt_snapshot((delegated, ()))
         cache = inr.dataplane._vspace_cache
@@ -29,9 +29,9 @@ class TestVspaceCache:
     def test_every_writer_goes_through_the_one_bounded_insert(self):
         domain = InsDomain(seed=92, config=CONFIG)
         inr = domain.add_inr(address="inr-a")
-        for i in range(3 * CONFIG.vspace_cache_size):
+        for i in range(3 * VSPACE_CACHE_SIZE):
             inr.dataplane.remember_vspace(f"space-{i}", "inr-b")
-            assert len(inr.dataplane._vspace_cache) <= CONFIG.vspace_cache_size
+            assert len(inr.dataplane._vspace_cache) <= VSPACE_CACHE_SIZE
 
 
 class TestPendingPings:

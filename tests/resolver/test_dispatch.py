@@ -75,6 +75,16 @@ def test_unlisted_payloads_cost_a_receive(inr):
     assert inr.processing_cost(frame, 0) == C.receive
 
 
+def test_the_door_admits_everything_whatever_the_backlog():
+    """Overload is cured by spawning and delegating, never by refusing
+    work; ``admit`` stays on ``INR`` itself for the e2e ledger's wrapper."""
+    assert "admit" in vars(INR)
+    inr = InsDomain(seed=6).add_inr(address="inr-a")
+    inr.node.cpu.execute(1e6, lambda: None)
+    assert inr.node.cpu.backlog > 1e5
+    assert all(inr.admit(payload, "anyone") for payload, _cost in EXPECTED)
+
+
 def test_every_costed_message_has_a_handler():
     listed = {type(payload) for payload, _cost in EXPECTED} | {ReliableFrame}
     assert set(INR._DISPATCH) == listed

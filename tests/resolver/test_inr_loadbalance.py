@@ -60,7 +60,7 @@ class TestSpawning:
         spawned = next(i for i in domain.inrs if i.address == "spare-1")
         assert spawned.vspaces == inr.vspaces
         # Client re-selection moved the load onto the helper.
-        assert spawned.monitor.total_lookups > 0
+        assert spawned.stats.lookups > 0
 
     def test_no_spawn_without_candidates(self):
         domain = InsDomain(seed=41, config=loaded_config())

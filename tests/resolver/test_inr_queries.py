@@ -229,7 +229,7 @@ class TestMemoStats:
         at = keys.index("lookup_memo_hits")
         assert keys[at - 1:at + 4] == [
             "drops_unknown_message", "lookup_memo_hits", "lookup_memo_misses",
-            "lookup_memo_invalidations", "shed_periodic",
+            "lookup_memo_invalidations", "custody_accepted",
         ]
         assert (
             snapshot["lookup_memo_hits"], snapshot["lookup_memo_misses"],

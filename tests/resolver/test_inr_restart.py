@@ -111,7 +111,7 @@ class TestRestartLifecycle:
         a.crash()
         domain.run(5.0)
         a.restart()
-        a.monitor.count_lookup(10)
+        a.stats.lookups += 10
         sample = a.monitor.sample(now=a.now + 1.0)
         # 10 lookups in the 1 s since restart: ~10/s, not 10/107 s.
         assert sample.lookups_per_second == pytest.approx(10.0, rel=0.01)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
-from repro.resolver import InrConfig
+from repro.resolver import InrConfig, discovery
 from repro.resolver.reliable import ReliableAck, ReliableChannel, ReliableFrame
 
 from ..conftest import parse
@@ -280,13 +280,13 @@ class TestReliableDeltaMode:
         record = next(iter(b.trees["default"].lookup(parse("[service=r]"))))
         assert record.anycast_metric == 1.0
 
-    def test_updates_survive_lossy_links(self):
+    def test_updates_survive_lossy_links(self, monkeypatch):
         """The channel's whole point: one lost datagram must not lose a
         delta forever (soft state would repair it at the next flood;
         reliable mode has no next flood)."""
+        monkeypatch.setattr(discovery, "RELIABLE_RETRANSMIT_TIMEOUT", 0.5)
         config = InrConfig(update_mode="reliable-delta",
-                           refresh_interval=5.0, record_lifetime=15.0,
-                           reliable_retransmit_timeout=0.5)
+                           refresh_interval=5.0, record_lifetime=15.0)
         domain = InsDomain(seed=703, default_loss_rate=0.3, config=config)
         a = domain.add_inr(address="inr-a")
         b = domain.add_inr(address="inr-b")

@@ -92,7 +92,7 @@ def _dirty(domain, inr, other):
     domain.network.add_node("black-hole")
     inr.membership._ping("black-hole", purpose="relax")
     inr.dataplane.remember_vspace("somewhere", other.address)
-    inr.monitor.count_lookup(10_000)
+    inr.stats.lookups += 10_000
     inr.load._claim_candidate(purpose="delegate")
     domain.run(2.0)
     inr.load._claim_candidate(purpose="spawn")  # left in flight by the crash
