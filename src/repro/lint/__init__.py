@@ -1,19 +1,20 @@
 """``repro.lint`` — static analysis for the INS reproduction.
 
-A pluggable two-pass rule engine. Pass 1 parses every file once (AST
-plus import/alias and pragma tables, content-hash cached across runs)
-and runs the per-file rules, enforcing the invariants the runtime
-cannot cheaply check: determinism (no ambient randomness, wall clocks,
-or hash-order iteration on scheduling/wire paths), the declared layer
-DAG, and protocol hygiene. Pass 2 assembles every parse into a
-whole-program :class:`~repro.lint.project.ProjectModel` (symbol table,
-import graph, call graph) and runs the project rules over it —
-interprocedural entropy taint, protocol-surface exhaustiveness, and
-node isolation — the properties no single file can witness.
-Violations are fixed, justified in place with a pragma, or recorded in
-the checked-in baseline — and stale suppressions are themselves
-reported, so escapes expire from the codebase the way the paper's
-soft-state name records expire from a resolver.
+A pluggable two-pass rule engine with six rules, each kept because it
+catches a mutant of the real tree that the tier-1 tests miss. Pass 1
+parses every file once (AST plus import/alias and pragma tables) and
+runs the per-file rules: hash-order iteration on scheduling/wire paths
+(``no-unsorted-iteration``), the declared layer DAG (``layering``) and
+swallowed exceptions (``no-silent-except``). Pass 2 assembles every
+parse into a whole-program :class:`~repro.lint.project.ProjectModel`
+(symbol table, call graph) and runs the project rules over it — ambient
+entropy and every call path reaching it (``entropy-taint``),
+protocol-surface exhaustiveness (``protocol-exhaustive``) and node
+isolation (``node-isolation``) — the properties no single file can
+witness. Every file gets the same rules. A violation is fixed or
+justified in place with a pragma, and a pragma that suppresses nothing
+is itself reported, so escapes expire from the codebase the way the
+paper's soft-state name records expire from a resolver.
 
 Run it as ``python -m repro.lint [paths...]`` or via the
 ``repro-lint`` console script; the full suite also runs as a tier-1
@@ -24,8 +25,6 @@ This package imports nothing else from ``repro`` — it sits outside the
 runtime layer DAG it enforces.
 """
 
-from .baseline import Baseline, BaselineEntry
-from .config import DEFAULT_PROFILES, STRICT, Profile, profile_for
 from .engine import (
     BAD_PRAGMA,
     PARSE_ERROR,
@@ -38,32 +37,24 @@ from .engine import (
     LintResult,
 )
 from .project import ProjectModel
-from .report import REPORT_SCHEMA_VERSION, render_json, render_text
+from .report import render_text
 from .rules import REGISTRY, ProjectRule, Rule, create_rules, register
 
 __all__ = [
     "BAD_PRAGMA",
-    "Baseline",
-    "BaselineEntry",
-    "DEFAULT_PROFILES",
     "Engine",
     "FileContext",
     "Finding",
     "LintResult",
     "PARSE_ERROR",
-    "Profile",
     "ProjectModel",
     "ProjectRule",
     "REGISTRY",
-    "REPORT_SCHEMA_VERSION",
     "Rule",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "STRICT",
     "USELESS_PRAGMA",
     "create_rules",
-    "profile_for",
     "register",
-    "render_json",
     "render_text",
 ]

@@ -1,10 +1,9 @@
 """Command-line interface: ``python -m repro.lint`` / ``repro-lint``.
 
 Exit codes: 0 — no error-severity findings (warnings do not fail the
-build); 1 — at least one error finding; 2 — usage or configuration
-error. CI runs ``--format json`` and archives the report; pytest runs
-the same engine through the tier-1 blanket test, so both share one
-source of truth.
+build); 1 — at least one error finding; 2 — usage error. CI runs it
+as one step; pytest runs the same engine through the tier-1 blanket
+test, so both share one source of truth.
 """
 
 from __future__ import annotations
@@ -12,12 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
-from .config import DEFAULT_PROFILES
 from .engine import Engine
-from .report import render_json, render_text
+from .report import render_text
 from .rules import REGISTRY
 
 #: Directories scanned when no paths are given (those that exist).
@@ -39,37 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
         + " ".join(DEFAULT_PATHS) + ", those that exist)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--root",
         default=".",
         help="project root findings are reported relative to "
         "(default: cwd)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME} "
-        "when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record every current finding into the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite the baseline without stale entries",
     )
     parser.add_argument(
         "--select",
@@ -78,32 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
         "project rules alike; unknown ids are a usage error)",
     )
     parser.add_argument(
-        "--ignore",
-        default=None,
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
     )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also report pragma-suppressed findings (text format)",
-    )
     return parser
 
 
-def _split(raw: Optional[str]) -> Optional[List[str]]:
-    if raw is None:
-        return None
-    return [part.strip() for part in raw.split(",") if part.strip()]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.list_rules:
         for rule_id in sorted(REGISTRY):
@@ -126,53 +79,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-lint: no such path(s): {joined}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline) if args.baseline else \
-        root / DEFAULT_BASELINE_NAME
-    baseline = Baseline()
-    if not args.no_baseline and not args.write_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, KeyError, TypeError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-
+    select = None
+    if args.select is not None:
+        select = [part.strip() for part in args.select.split(",") if part.strip()]
     try:
-        engine = Engine(
-            profiles=DEFAULT_PROFILES,
-            baseline=baseline,
-            root=root,
-            select=_split(args.select),
-            ignore=_split(args.ignore),
-        )
-        result = engine.run(paths)
-    except ValueError as exc:  # unknown rule ids, bad options
+        engine = Engine(root=root, select=select)
+    except ValueError as exc:  # unknown rule ids
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        Baseline.from_findings(result.findings + result.baselined).save(
-            baseline_path
-        )
-        print(
-            f"wrote {baseline_path} with "
-            f"{len(result.findings) + len(result.baselined)} finding(s)"
-        )
-        return 0
-
-    if args.prune_baseline:
-        pruned = baseline.pruned(result.stale_baseline)
-        pruned.save(baseline_path)
-        print(
-            f"pruned {len(result.stale_baseline)} stale entr"
-            f"{'y' if len(result.stale_baseline) == 1 else 'ies'} from "
-            f"{baseline_path}"
-        )
-        result.stale_baseline = []
-
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result, verbose=args.verbose))
+    result = engine.run(paths)
+    print(render_text(result))
     return result.exit_code
 
 

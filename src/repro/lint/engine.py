@@ -3,9 +3,7 @@
 **Pass 1** parses every file exactly once into a :class:`FileContext` —
 AST, source lines, import/alias tables, pragma table, and (for files
 inside ``repro``) the module's dotted name and layer package — and runs
-the per-file rules over it. Parses are cached across runs keyed by
-content hash, so re-running the engine (pytest's blanket test, the CI
-wall-time budget check) re-parses only files that changed.
+the per-file rules over it.
 
 **Pass 2** assembles every context into one
 :class:`~repro.lint.project.ProjectModel` and runs the project rules
@@ -18,21 +16,18 @@ pragma left behind after the cross-file path is fixed becomes a
 ``USELESS_PRAGMA`` finding like any other.
 
 The design mirrors how the paper treats correctness state as soft
-state: violations must either be fixed, justified in place (pragma), or
-recorded in the baseline — and stale baseline entries / useless pragmas
-are themselves findings, so suppressions expire instead of accumulating.
+state: a violation is either fixed or justified in place by a pragma,
+and a pragma that no longer suppresses anything is itself a finding, so
+suppressions expire instead of accumulating.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .baseline import Baseline, BaselineEntry
-from .config import Profile, profile_for
 from .pragmas import Pragma, parse_pragmas
 
 SEVERITY_ERROR = "error"
@@ -44,16 +39,9 @@ BAD_PRAGMA = "bad-pragma"
 USELESS_PRAGMA = "useless-pragma"
 
 #: Directory names never descended into while discovering files.
-DEFAULT_EXCLUDED_DIRS = frozenset(
+EXCLUDED_DIRS = frozenset(
     {"__pycache__", ".git", ".hypothesis", "results", "corpus", ".venv"}
 )
-
-#: Cross-run parse cache: (abs path, root, content sha1) -> FileContext.
-#: Content-hash keyed, so an edited file re-parses and an untouched one
-#: does not; bounded by wholesale eviction, which at worst costs one
-#: re-parse sweep.
-_PARSE_CACHE: Dict[Tuple[str, str, str], "FileContext"] = {}
-_PARSE_CACHE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -68,30 +56,8 @@ class Finding:
     severity: str = SEVERITY_ERROR
     source: str = ""
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Hashes the rule id plus the stripped source text of the line, so
-        entries survive unrelated edits that only shift line numbers.
-        """
-        basis = f"{self.rule}::{self.source.strip()}".encode("utf-8")
-        return hashlib.sha1(basis).hexdigest()[:16]
-
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-            "source": self.source.strip(),
-        }
 
 
 class FileContext:
@@ -218,12 +184,7 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
-    #: Parse-cache accounting for this run (content-hash keyed).
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Ids of the project rules that ran in pass 2.
     project_rules: List[str] = field(default_factory=list)
 
@@ -244,38 +205,19 @@ class Engine:
     """Runs the rule pack over files: pass 1 per file, pass 2 project."""
 
     def __init__(
-        self,
-        rules: Optional[Sequence] = None,
-        profiles: Optional[Dict[str, Profile]] = None,
-        baseline: Optional[Baseline] = None,
-        root: Optional[Path] = None,
-        select: Optional[Iterable[str]] = None,
-        ignore: Optional[Iterable[str]] = None,
-        excluded_dirs: Iterable[str] = DEFAULT_EXCLUDED_DIRS,
+        self, root: Optional[Path] = None, select: Optional[Iterable[str]] = None
     ):
         # Imported lazily so ``engine`` has no import cycle with ``rules``.
-        from .rules import REGISTRY, create_rules
+        from .rules import create_rules
 
-        self._explicit_rules = list(rules) if rules is not None else None
-        self._create_rules = create_rules
-        self.profiles = profiles
-        self.baseline = baseline or Baseline()
         self.root = Path(root) if root is not None else Path.cwd()
-        self.select = frozenset(select) if select else None
-        self.ignore = frozenset(ignore) if ignore else frozenset()
-        self.excluded_dirs = frozenset(excluded_dirs)
-        self._rule_cache: Dict[str, List] = {}
-        known = set(REGISTRY)
-        if self._explicit_rules is not None:
-            known |= {rule.id for rule in self._explicit_rules}
-        for label, ids in (("select", self.select), ("ignore", self.ignore)):
-            unknown = set(ids or ()) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown rule ids in --{label}: "
-                    f"{', '.join(sorted(unknown))} "
-                    f"(known: {', '.join(sorted(known))})"
-                )
+        rules = create_rules(select)
+        self.file_rules = [
+            rule for rule in rules if getattr(rule, "scope", "file") != "project"
+        ]
+        self.project_rules = [
+            rule for rule in rules if getattr(rule, "scope", "file") == "project"
+        ]
 
     # ------------------------------------------------------------------
     # File discovery
@@ -288,62 +230,18 @@ class Engine:
                 files.append(path)
             elif path.is_dir():
                 files.extend(self._walk(path))
-        unique = sorted(set(files), key=lambda p: p.as_posix())
-        return unique
+        return sorted(set(files), key=lambda p: p.as_posix())
 
     def _walk(self, directory: Path) -> List[Path]:
         found: List[Path] = []
         for child in sorted(directory.iterdir(), key=lambda p: p.name):
             if child.is_dir():
-                if child.name in self.excluded_dirs or \
-                        child.name.startswith("."):
+                if child.name in EXCLUDED_DIRS or child.name.startswith("."):
                     continue
                 found.extend(self._walk(child))
             elif child.suffix == ".py":
                 found.append(child)
         return found
-
-    # ------------------------------------------------------------------
-    # Rule selection
-    # ------------------------------------------------------------------
-    def _rules_for(self, profile: Profile) -> List:
-        """Per-file rules for one profile (project rules are pass 2)."""
-        if profile.name in self._rule_cache:
-            return self._rule_cache[profile.name]
-        if self._explicit_rules is not None:
-            rules = [
-                rule for rule in self._explicit_rules
-                if rule.id not in profile.disable
-            ]
-        else:
-            rules = self._create_rules(
-                ignore=profile.disable, rule_options=profile.rule_options
-            )
-        if self.select is not None:
-            rules = [rule for rule in rules if rule.id in self.select]
-        rules = [
-            rule for rule in rules
-            if rule.id not in self.ignore
-            and getattr(rule, "scope", "file") != "project"
-        ]
-        self._rule_cache[profile.name] = rules
-        return rules
-
-    def _project_rules(self) -> List:
-        """Project rules honoring select/ignore (profile ``disable``
-        applies per finding path in pass 2, not here — a project rule
-        runs once and its findings land all over the tree)."""
-        if self._explicit_rules is not None:
-            rules = list(self._explicit_rules)
-        else:
-            rules = self._create_rules()
-        rules = [
-            rule for rule in rules
-            if getattr(rule, "scope", "file") == "project"
-        ]
-        if self.select is not None:
-            rules = [rule for rule in rules if rule.id in self.select]
-        return [rule for rule in rules if rule.id not in self.ignore]
 
     # ------------------------------------------------------------------
     # Running
@@ -354,36 +252,27 @@ class Engine:
         by_path: Dict[str, List[Finding]] = {}
         raw_findings: List[Finding] = []
 
-        # Pass 1: parse (cached) + per-file rules. Findings are staged
-        # per path, NOT pragma-filtered yet — pass 2 may add more.
+        # Pass 1: parse + per-file rules. Findings are staged per path,
+        # NOT pragma-filtered yet — pass 2 may add more.
         for path in self.discover(paths):
             result.files_scanned += 1
-            ctx, errors = self._context_for(path, result)
+            ctx, errors = self._context_for(path)
             if ctx is None:
                 raw_findings.extend(errors)
                 continue
             contexts.append(ctx)
-            profile = profile_for(ctx.rel_path, self.profiles)
             staged = by_path.setdefault(ctx.rel_path, [])
-            for rule in self._rules_for(profile):
+            for rule in self.file_rules:
                 staged.extend(rule.check(ctx))
 
-        # Pass 2: whole-program model + project rules. A project rule
-        # runs once; its findings are dropped per path where the path's
-        # profile disables the rule (mirroring per-file selection).
-        project_rules = self._project_rules()
-        if project_rules and contexts:
+        # Pass 2: whole-program model + project rules, each run once.
+        if self.project_rules and contexts:
             from .project import ProjectModel
 
-            model = ProjectModel(
-                contexts, root=self.root, profiles=self.profiles
-            )
-            for rule in project_rules:
+            model = ProjectModel(contexts, root=self.root)
+            for rule in self.project_rules:
                 result.project_rules.append(rule.id)
                 for finding in rule.check_project(model):
-                    profile = profile_for(finding.path, self.profiles)
-                    if rule.id in profile.disable:
-                        continue
                     by_path.setdefault(finding.path, []).append(finding)
 
         # Pragma accounting runs last so pragmas can cover cross-file
@@ -398,70 +287,36 @@ class Engine:
         for leftovers in by_path.values():  # paths with no context
             raw_findings.extend(leftovers)
 
-        raw_findings.sort(key=Finding.sort_key)
-        kept, baselined, stale = self.baseline.apply(raw_findings)
-        result.findings = kept
-        result.baselined = baselined
-        result.stale_baseline = stale
+        result.findings = sorted(raw_findings, key=Finding.sort_key)
         return result
 
     def _context_for(
-        self, path: Path, result: LintResult
+        self, path: Path
     ) -> Tuple[Optional[FileContext], List[Finding]]:
-        """Parse one file through the content-hash cache.
-
-        Returns ``(context, [])`` or ``(None, [parse-error finding])``.
-        On a cache hit, per-run pragma usage is reset so accounting from
-        a previous run cannot leak into this one.
-        """
+        """``(context, [])`` or ``(None, [parse-error finding])``."""
         rel = self._rel(path)
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError, ValueError) as exc:
-            return None, [self._parse_error(rel, exc)]
-        digest = hashlib.sha1(text.encode("utf-8")).hexdigest()
-        key = (str(path.resolve()), str(self.root), digest)
-        cached = _PARSE_CACHE.get(key)
-        if cached is not None:
-            result.cache_hits += 1
-            for pragma in cached.pragmas.values():
-                pragma.used_for.clear()
-            return cached, []
-        result.cache_misses += 1
-        try:
-            ctx = FileContext(path, text, root=self.root)
-        except (SyntaxError, ValueError) as exc:
-            return None, [self._parse_error(rel, exc)]
-        if len(_PARSE_CACHE) >= _PARSE_CACHE_MAX:
-            _PARSE_CACHE.clear()
-        _PARSE_CACHE[key] = ctx
-        return ctx, []
+            return FileContext(path, path.read_text(encoding="utf-8"),
+                               root=self.root), []
+        except (OSError, UnicodeDecodeError, SyntaxError, ValueError) as exc:
+            lineno = getattr(exc, "lineno", None) or 1
+            return None, [Finding(
+                rule=PARSE_ERROR,
+                path=rel,
+                line=int(lineno),
+                col=0,
+                message=f"could not parse file: {exc}",
+            )]
 
-    @staticmethod
-    def _parse_error(rel: str, exc: Exception) -> Finding:
-        lineno = getattr(exc, "lineno", None) or 1
-        return Finding(
-            rule=PARSE_ERROR,
-            path=rel,
-            line=int(lineno),
-            col=0,
-            message=f"could not parse file: {exc}",
-        )
-
-    def lint_text(
-        self, text: str, path: str = "<memory>", profile: Optional[str] = None
-    ) -> List[Finding]:
+    def lint_text(self, text: str, path: str = "<memory>") -> List[Finding]:
         """Lint one in-memory source string (test/corpus helper).
 
         Per-file rules only — a single string has no project to model;
         run :meth:`run` over a directory to exercise project rules.
         """
         ctx = FileContext(Path(path), text, root=self.root)
-        chosen = profile_for(
-            profile if profile is not None else ctx.rel_path, self.profiles
-        )
         findings: List[Finding] = []
-        for rule in self._rules_for(chosen):
+        for rule in self.file_rules:
             findings.extend(rule.check(ctx))
         return sorted(self._apply_pragmas(ctx, findings), key=Finding.sort_key)
 
@@ -477,14 +332,14 @@ class Engine:
         kept: List[Finding] = []
         for finding in findings:
             pragma = ctx.pragmas.get(finding.line)
-            if pragma is not None and pragma.covers(finding.rule):
+            if pragma is not None and finding.rule in pragma.rules:
                 pragma.used_for.add(finding.rule)
                 if pragma.justified:
                     if suppressed_sink is not None:
                         suppressed_sink.append(finding)
                     continue
             kept.append(finding)
-        rel = self._rel(ctx.path)
+        rel = ctx.rel_path
         for line in sorted(ctx.pragmas):
             pragma = ctx.pragmas[line]
             if pragma.used_for and not pragma.justified:

@@ -1,10 +1,10 @@
 """Pragma comments: targeted, justified suppression of lint findings.
 
-A violation may be deliberate — figure-12 style experiments read the
-host's ``perf_counter`` because they measure the *host*, not simulated
-behavior. Such exceptions are annotated in place::
+A violation may be deliberate — a fuzz oracle's ``except`` that
+swallows the one error family it expects *is* the pass condition. Such
+exceptions are annotated in place::
 
-    started = time.time()  # lint: disable=no-ambient-entropy -- measuring host wall clock
+    except BinaryNameError:  # lint: disable=no-silent-except -- the fuzz contract under test
 
 The justification text after ``--`` is mandatory: a pragma without one
 does not suppress anything and is itself reported (``bad-pragma``), so
@@ -20,16 +20,13 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 #: Matches ``disable=rule-a,rule-b -- why`` after the pragma marker.
 PRAGMA_RE = re.compile(
     r"#\s*lint:\s*disable=([A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*)"
     r"(?:\s*--\s*(\S.*?))?\s*$"
 )
-
-#: Pragma rule name that suppresses every rule on the line.
-DISABLE_ALL = "all"
 
 
 @dataclass
@@ -44,9 +41,6 @@ class Pragma:
     justification: str
     #: Rules this pragma actually suppressed, filled in by the engine.
     used_for: Set[str] = field(default_factory=set)
-
-    def covers(self, rule_id: str) -> bool:
-        return DISABLE_ALL in self.rules or rule_id in self.rules
 
     @property
     def justified(self) -> bool:

@@ -26,8 +26,6 @@ from typing import (
     TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
-from .config import Profile, profile_for
-
 if TYPE_CHECKING:  # engine imports this module lazily; avoid the cycle
     from .engine import FileContext
 
@@ -39,7 +37,7 @@ KIND_VAR = "var"
 KIND_EXTERNAL = "external"
 
 #: Constructor calls / literals whose module-level binding is mutable
-#: shared state (mirrors the per-file ``no-mutable-default`` notion).
+#: shared state (what ``node-isolation`` polices).
 _MUTABLE_CONSTRUCTORS = frozenset(
     {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
      "OrderedDict"}
@@ -154,19 +152,14 @@ class ProjectModel:
         self,
         contexts: Sequence[FileContext],
         root: Optional[Path] = None,
-        profiles: Optional[Dict[str, Profile]] = None,
     ):
         self.root = Path(root) if root is not None else Path.cwd()
-        self.profiles = profiles
         self.contexts: Dict[str, FileContext] = {}
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: module -> project modules it imports (the import graph).
-        self.import_graph: Dict[str, Set[str]] = {}
         for ctx in contexts:
             self._index_file(ctx)
-        self._link_imports()
         for info in self.functions.values():
             self._link_calls(info)
 
@@ -283,25 +276,6 @@ class ProjectModel:
                     bound = alias.asname or alias.name
                     info.import_bindings[bound] = (base, alias.name)
 
-    def _link_imports(self) -> None:
-        for name, info in self.modules.items():
-            deps: Set[str] = set()
-            for base, _ in info.import_bindings.values():
-                top = self._project_module_prefix(base)
-                if top is not None:
-                    deps.add(top)
-            deps.discard(name)
-            self.import_graph[name] = deps
-
-    def _project_module_prefix(self, dotted: str) -> Optional[str]:
-        """Longest prefix of ``dotted`` that names a scanned module."""
-        parts = dotted.split(".")
-        for depth in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:depth])
-            if candidate in self.modules:
-                return candidate
-        return None
-
     # ------------------------------------------------------------------
     # Symbol resolution
     # ------------------------------------------------------------------
@@ -411,22 +385,6 @@ class ProjectModel:
             if base is not None and base[0] == KIND_CLASS:
                 resolved.append(base[1])
         return resolved
-
-    def is_subclass_of(self, class_qname: str, base_qname: str) -> bool:
-        if class_qname == base_qname:
-            return True
-        stack = [class_qname]
-        seen: Set[str] = set()
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for base in self.base_qnames(current):
-                if base == base_qname:
-                    return True
-                stack.append(base)
-        return False
 
     def subclasses_of(self, base_qnames: Iterable[str]) -> Set[str]:
         """Every project class transitively deriving from the bases
@@ -620,9 +578,6 @@ class ProjectModel:
     # ------------------------------------------------------------------
     # Conveniences for rules
     # ------------------------------------------------------------------
-    def profile_for(self, rel_path: str) -> Profile:
-        return profile_for(rel_path, self.profiles)
-
     def callees(self, qname: str) -> List[Tuple[str, ast.Call]]:
         fn = self.functions.get(qname)
         return list(fn.project_calls) if fn is not None else []

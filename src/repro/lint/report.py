@@ -1,22 +1,13 @@
-"""Text and JSON reporters over a :class:`~repro.lint.engine.LintResult`.
-
-The text form is for humans at a terminal; the JSON form is the stable
-machine interface CI archives as an artifact, with a versioned schema
-so downstream tooling can rely on it.
-"""
+"""The text reporter over a :class:`~repro.lint.engine.LintResult`."""
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List
+from typing import List
 
-from .engine import SEVERITY_ERROR, LintResult
-
-#: Version of the JSON report schema (bump on breaking change).
-REPORT_SCHEMA_VERSION = 1
+from .engine import LintResult
 
 
-def render_text(result: LintResult, verbose: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """``path:line:col: severity [rule] message`` plus a summary."""
     out: List[str] = []
     for finding in result.findings:
@@ -27,63 +18,10 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
         source = finding.source.strip()
         if source:
             out.append(f"    {source}")
-    for entry in result.stale_baseline:
-        out.append(
-            f"{entry.path}: warning [stale-baseline] baseline entry for "
-            f"{entry.rule} ({entry.fingerprint}, x{entry.count}) no longer "
-            "matches anything; prune it (repro-lint --prune-baseline)"
-        )
-    if verbose and result.suppressed:
-        out.append("")
-        for finding in sorted(result.suppressed, key=lambda f: f.sort_key()):
-            out.append(
-                f"{finding.path}:{finding.line}: suppressed [{finding.rule}] "
-                "by pragma"
-            )
     out.append("")
     out.append(
         f"{result.files_scanned} files scanned: "
         f"{len(result.errors)} error(s), {len(result.warnings)} warning(s), "
-        f"{len(result.suppressed)} pragma-suppressed, "
-        f"{len(result.baselined)} baselined, "
-        f"{len(result.stale_baseline)} stale baseline entr"
-        f"{'y' if len(result.stale_baseline) == 1 else 'ies'}"
+        f"{len(result.suppressed)} pragma-suppressed"
     )
     return "\n".join(out)
-
-
-def render_json(result: LintResult) -> str:
-    by_rule: Dict[str, int] = {}
-    for finding in result.findings:
-        by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
-    payload = {
-        "version": REPORT_SCHEMA_VERSION,
-        "summary": {
-            "files_scanned": result.files_scanned,
-            "findings": len(result.findings),
-            "errors": len(result.errors),
-            "warnings": len(result.warnings),
-            "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
-            "by_rule": {rule: by_rule[rule] for rule in sorted(by_rule)},
-            # Additive (schema still v1): pass-2 and parse-cache info,
-            # so CI can assert the content-hash cache is exercised.
-            "project_rules": sorted(result.project_rules),
-            "parse_cache": {
-                "hits": result.cache_hits,
-                "misses": result.cache_misses,
-            },
-        },
-        "findings": [finding.to_dict() for finding in result.findings],
-        "suppressed": [
-            finding.to_dict()
-            for finding in sorted(
-                result.suppressed, key=lambda f: f.sort_key()
-            )
-        ],
-        "stale_baseline": [
-            entry.to_dict() for entry in result.stale_baseline
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -2,20 +2,17 @@
 
 Rules come in two scopes. A **per-file** rule (:class:`Rule`) is one
 AST visitor over a :class:`~repro.lint.engine.FileContext`; the engine
-instantiates the pack per profile so the same rule can run with
-different options in different directories. A **project** rule
+instantiates the pack once per run. A **project** rule
 (:class:`ProjectRule`) runs once, after every file has parsed, over the
 :class:`~repro.lint.project.ProjectModel` — that is where cross-file
 properties (taint reachability, protocol-surface exhaustiveness, node
-isolation) live. Both share the id/severity/pragma/baseline machinery.
+isolation) live. Both share the id/severity/pragma machinery.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (
-    TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Type,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Type
 
 from ..engine import SEVERITY_ERROR, SEVERITY_WARNING, FileContext, Finding
 
@@ -38,24 +35,11 @@ def register(cls: Type["Rule"]) -> Type["Rule"]:
 class Rule:
     """Base class for one static-analysis rule."""
 
-    #: Stable identifier used in pragmas, baselines, and reports.
+    #: Stable identifier used in pragmas and reports.
     id: str = ""
     severity: str = SEVERITY_ERROR
     #: One-line summary shown by ``--list-rules``.
     summary: str = ""
-    #: Option defaults, overridable per profile.
-    default_options: Mapping[str, object] = {}
-
-    def __init__(self, options: Optional[Mapping[str, object]] = None):
-        merged = dict(self.default_options)
-        for key, value in (options or {}).items():
-            if key not in merged:
-                raise ValueError(
-                    f"rule {self.id!r} has no option {key!r} "
-                    f"(known: {sorted(merged)})"
-                )
-            merged[key] = value
-        self.options = merged
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -86,7 +70,7 @@ class ProjectRule(Rule):
     ``check`` is a no-op — project rules never see individual files;
     the engine calls :meth:`check_project` exactly once per run with
     the assembled model. Findings anchor to real (path, line) spots so
-    pragmas and the baseline apply exactly as for per-file rules.
+    pragmas apply exactly as for per-file rules.
     """
 
     #: Marks the rule for the engine's pass-2 scheduling and for
@@ -119,22 +103,16 @@ class ProjectRule(Rule):
         )
 
 
-def create_rules(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    rule_options: Optional[Mapping[str, Mapping[str, object]]] = None,
-) -> List[Rule]:
-    """Instantiate the registered pack, honoring select/ignore/options."""
-    chosen = set(select) if select is not None else set(REGISTRY)
-    chosen -= set(ignore or ())
+def create_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
+    """Instantiate the registered pack, or the ``select``-ed part of it."""
+    chosen = set(select) if select else set(REGISTRY)
     unknown = chosen - set(REGISTRY)
     if unknown:
-        raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    options = rule_options or {}
-    return [
-        REGISTRY[rule_id](options.get(rule_id))
-        for rule_id in sorted(chosen)
-    ]
+        raise ValueError(
+            f"unknown rule ids: {', '.join(sorted(unknown))} "
+            f"(known: {', '.join(sorted(REGISTRY))})"
+        )
+    return [REGISTRY[rule_id]() for rule_id in sorted(chosen)]
 
 
 # Importing the rule modules populates REGISTRY as a side effect.

@@ -1,113 +1,25 @@
-"""Determinism rules.
+"""Determinism rule ``no-unsorted-iteration``.
 
 Every figure in the reproduction and the chaos harness's
 same-seed-same-run guarantee depend on one property: a simulation run
-is a pure function of its seed. Three rules guard it.
-
-``no-ambient-entropy``
-    No interpreter-global RNG, wall clock, or OS entropy in simulation
-    code. Randomness flows from a seeded ``random.Random`` (usually the
-    simulator's ``rng``), time from the simulator's virtual ``now``.
-
-``no-unsorted-iteration``
-    Iterating a ``set`` observes hash order, which varies across
-    processes (``PYTHONHASHSEED``) and with object identity. When loop
-    order feeds the event scheduler, packet emission, or serialization,
-    that is silent nondeterminism. Order-sensitive iteration over sets
-    (``for`` loops, ``list``/``tuple`` conversions, list/dict
-    comprehensions, ``join``) must go through ``sorted(...)``;
-    order-insensitive folds (``sum``, ``len``, ``any``, set algebra)
-    remain free.
-
-``no-float-time-eq``
-    Simulated time is a float accumulated by addition; exact equality
-    (``t == deadline``) silently breaks when a refresh interval or
-    delay changes representation. Compare with inequalities or an
-    explicit tolerance.
+is a pure function of its seed. Iterating a ``set`` observes hash
+order, which varies across processes (``PYTHONHASHSEED``) and with
+object identity. When loop order feeds the event scheduler, packet
+emission, or serialization, that is silent nondeterminism.
+Order-sensitive iteration over sets (``for`` loops, ``list``/``tuple``
+conversions, list/dict comprehensions, ``join``) must go through
+``sorted(...)``; order-insensitive folds (``sum``, ``len``, ``any``,
+set algebra) remain free. Ambient entropy — the other half of the
+contract — is ``entropy-taint``'s (``flow.py``).
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Iterator, List, Optional, Set
 
 from ..engine import FileContext, Finding
 from . import Rule, register
-
-# ----------------------------------------------------------------------
-# no-ambient-entropy
-# ----------------------------------------------------------------------
-
-#: random-module attributes that construct independent RNG instances.
-ALLOWED_RANDOM = frozenset({"Random", "SystemRandom"})
-
-#: Wall-clock reads (banned unless the profile sanctions host timing).
-#: ``time.perf_counter`` stays allowed everywhere: figure-12 style
-#: experiments measure real host CPU cost, which is a measurement of
-#: the host, not simulated behavior.
-WALL_CLOCK = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-#: OS entropy sources that bypass the seed entirely.
-OS_ENTROPY = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
-
-
-@register
-class AmbientEntropyRule(Rule):
-    id = "no-ambient-entropy"
-    summary = (
-        "simulation code must draw randomness from a seeded "
-        "random.Random and time from the simulator's virtual clock"
-    )
-    default_options = {"allow_wall_clock": False}
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        allow_wall_clock = bool(self.options["allow_wall_clock"])
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            origin = ctx.resolve_name(node.func)
-            if origin is None:
-                continue
-            parts = origin.split(".")
-            if parts[0] == "random" and len(parts) == 2 and \
-                    parts[1] not in ALLOWED_RANDOM:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{origin}() uses the interpreter-global RNG; draw "
-                    "from a seeded random.Random (e.g. sim.rng) instead",
-                )
-            elif origin in OS_ENTROPY or parts[0] == "secrets":
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{origin}() reads OS entropy, which no seed can "
-                    "reproduce; derive ids/bytes from a seeded "
-                    "random.Random",
-                )
-            elif origin in WALL_CLOCK and not allow_wall_clock:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{origin}() reads the wall clock; use the "
-                    "simulator's virtual now (perf_counter is allowed "
-                    "for host-CPU measurements)",
-                )
-
-
-# ----------------------------------------------------------------------
-# no-unsorted-iteration
-# ----------------------------------------------------------------------
 
 #: Annotation heads that mark a name as set-typed.
 SET_ANNOTATIONS = frozenset(
@@ -121,9 +33,6 @@ SET_PRODUCING_METHODS = frozenset(
 
 #: Builtins that materialize iteration order into a sequence.
 ORDER_SENSITIVE_CONVERTERS = frozenset({"list", "tuple"})
-
-#: Dict-view methods (only checked when ``flag_dict_views`` is on).
-DICT_VIEW_METHODS = frozenset({"keys", "values", "items"})
 
 
 def _annotation_is_set(annotation: Optional[ast.AST]) -> bool:
@@ -261,17 +170,13 @@ class UnsortedIterationRule(Rule):
         "order-sensitive iteration over a set observes hash order; "
         "wrap the iterable in sorted(...)"
     )
-    default_options = {"flag_dict_views": False}
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         tracker = _SetTracker(ctx)
-        flag_dict_views = bool(self.options["flag_dict_views"])
         for scope in _scopes(ctx.tree):
             scope_sets = tracker.scope_sets(scope)
             for node in _scope_nodes(scope):
-                yield from self._check_node(
-                    ctx, tracker, scope_sets, node, flag_dict_views
-                )
+                yield from self._check_node(ctx, tracker, scope_sets, node)
 
     def _check_node(
         self,
@@ -279,7 +184,6 @@ class UnsortedIterationRule(Rule):
         tracker: _SetTracker,
         scope_sets: Set[str],
         node: ast.AST,
-        flag_dict_views: bool,
     ) -> Iterator[Finding]:
         if isinstance(node, (ast.For, ast.AsyncFor)):
             if tracker.is_set_expr(node.iter, scope_sets):
@@ -290,13 +194,6 @@ class UnsortedIterationRule(Rule):
                     "with PYTHONHASHSEED/object identity); iterate "
                     "sorted(...) so scheduling and emission order are "
                     "reproducible",
-                )
-            elif flag_dict_views and self._is_dict_view(node.iter):
-                yield self.finding(
-                    ctx,
-                    node.iter,
-                    "for-loop over a dict view; this profile requires "
-                    "sorted(...) iteration",
                 )
         elif isinstance(node, (ast.ListComp, ast.DictComp)):
             for generator in node.generators:
@@ -322,107 +219,4 @@ class UnsortedIterationRule(Rule):
                     node,
                     f"{converter}(...) materializes a set's hash order "
                     "into a sequence; use sorted(...) instead",
-                )
-
-    @staticmethod
-    def _is_dict_view(node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in DICT_VIEW_METHODS
-            and not node.args
-        )
-
-
-# ----------------------------------------------------------------------
-# no-float-time-eq
-# ----------------------------------------------------------------------
-
-#: Identifier tokens that mark an expression as simulated time.
-TIME_TOKENS = frozenset(
-    {"now", "time", "deadline", "expiry", "expires", "expire", "timestamp",
-     "clock"}
-)
-
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-
-
-def _tokens(identifier: str) -> Set[str]:
-    return {tok for tok in _TOKEN_SPLIT.split(identifier.lower()) if tok}
-
-
-def _time_like(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name):
-        return bool(_tokens(node.id) & TIME_TOKENS)
-    if isinstance(node, ast.Attribute):
-        return bool(_tokens(node.attr) & TIME_TOKENS) or \
-            _time_like(node.value)
-    if isinstance(node, ast.Call):
-        return _time_like(node.func)
-    if isinstance(node, ast.BinOp):
-        return _time_like(node.left) or _time_like(node.right)
-    return False
-
-
-#: Call targets that make an equality comparison tolerance-based or
-#: that construct exact sentinels.
-_TOLERANCE_CALLS = frozenset({"approx", "isclose"})
-
-
-def _exempt_operand(node: ast.AST) -> bool:
-    """Operands whose equality comparison is exact or tolerance-based.
-
-    ``x == pytest.approx(y)`` and ``math.isclose`` are the sanctioned
-    fixes; ``math.inf`` / ``float("inf")`` sentinels compare exactly by
-    IEEE-754 construction; None/str/bool and container literals are not
-    float comparisons at all.
-    """
-    if isinstance(node, ast.Constant) and (
-        node.value is None or isinstance(node.value, (str, bool))
-    ):
-        return True
-    if isinstance(node, (ast.List, ast.Tuple, ast.Dict, ast.Set)):
-        return True
-    if isinstance(node, (ast.Name, ast.Attribute)):
-        terminal = node.id if isinstance(node, ast.Name) else node.attr
-        if terminal in {"inf", "nan"}:
-            return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        terminal = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if terminal in _TOLERANCE_CALLS:
-            return True
-        if terminal == "float" and node.args and isinstance(
-            node.args[0], ast.Constant
-        ) and str(node.args[0].value).lstrip("+-") in {"inf", "infinity"}:
-            return True
-    return False
-
-
-@register
-class FloatTimeEqRule(Rule):
-    id = "no-float-time-eq"
-    summary = (
-        "exact == / != on simulated time is brittle float equality; "
-        "compare with inequalities or a tolerance"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                continue
-            operands = [node.left] + list(node.comparators)
-            if any(_exempt_operand(operand) for operand in operands):
-                continue
-            if any(_time_like(operand) for operand in operands):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "exact equality on simulated time breaks when a "
-                    "delay or interval changes float representation; "
-                    "use <=/>= bounds or an explicit tolerance",
                 )

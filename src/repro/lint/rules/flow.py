@@ -1,16 +1,16 @@
 """Cross-file flow rules: entropy taint and node isolation.
 
 ``entropy-taint``
-    The per-file ``no-ambient-entropy`` rule only sees *direct* calls;
-    a wrapper around ``time.time()`` in one module laundered through an
-    intermediate helper is invisible to it. This rule propagates
-    ambient-entropy taint over the project call graph and flags every
-    call site that *reaches* a source, judged by the **caller's**
-    profile — which turns the wall-clock-forbidden profile pins for
-    ``obs``/``dtn``/``delegation`` into reachability guarantees. A
-    pragma at the source suppresses only the direct finding (the source
-    module may legitimately read the host clock); it does not sanction
-    callers in stricter profiles, so taint flows through it.
+    No ambient entropy — wall clock, interpreter-global RNG, OS entropy
+    — may reach simulation code. The rule reports (a) every source call
+    itself, in a function or at module level, and (b) every project
+    call site that transitively *reaches* a source over the call graph,
+    so a ``time.time()`` laundered through helpers in other modules is
+    pinned at each hop. A pragma at the source suppresses only (a): a
+    host-profiling helper may justify its own clock read, but its
+    callers are still reported, so taint flows through the pragma.
+    Half (a) is also the only witness for a source inside a handler
+    reached through a dispatch table, which no call site names.
 
 ``node-isolation``
     The simulator's race-detector analog. Simulated nodes must interact
@@ -30,7 +30,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from ..engine import Finding
 from ..project import ProjectModel, _attribute_chain
 from . import ProjectRule, register
-from .determinism import ALLOWED_RANDOM, OS_ENTROPY, WALL_CLOCK
 
 # ----------------------------------------------------------------------
 # entropy-taint
@@ -40,21 +39,65 @@ TAINT_RNG = "ambient-rng"
 TAINT_OS_ENTROPY = "os-entropy"
 TAINT_WALL_CLOCK = "wall-clock"
 
+#: Ambient-entropy sources by dotted origin. Besides these, every
+#: ``secrets.*`` call is OS entropy and every ``random.<fn>`` call but
+#: the seeded ``random.Random`` constructor uses the global RNG.
+#: ``time.perf_counter`` is not a source: host-CPU measurement never
+#: feeds simulated behaviour. ``random.SystemRandom`` accepts a seed and
+#: ignores it, so it is OS entropy, not a seeded RNG.
+SOURCES: Dict[str, str] = {
+    **dict.fromkeys(
+        (
+            "time.time",
+            "time.time_ns",
+            "datetime.datetime.now",
+            "datetime.datetime.utcnow",
+            "datetime.datetime.today",
+            "datetime.date.today",
+        ),
+        TAINT_WALL_CLOCK,
+    ),
+    **dict.fromkeys(
+        (
+            "os.urandom",
+            "os.getrandom",
+            "uuid.uuid1",
+            "uuid.uuid4",
+            "random.SystemRandom",
+        ),
+        TAINT_OS_ENTROPY,
+    ),
+}
+
+#: What the rule says about a source, and about a call that reaches one.
+SOURCE_MESSAGES = {
+    TAINT_WALL_CLOCK: "reads the wall clock; use the simulator's virtual "
+                      "now (perf_counter is allowed for host-CPU "
+                      "measurements)",
+    TAINT_RNG: "uses the interpreter-global RNG; draw from a seeded "
+               "random.Random (e.g. sim.rng) instead",
+    TAINT_OS_ENTROPY: "reads OS entropy, which no seed can reproduce; "
+                      "derive ids/bytes from a seeded random.Random",
+}
+REMEDIES = {
+    TAINT_WALL_CLOCK: "thread the simulator's virtual now instead",
+    TAINT_RNG: "thread a seeded random.Random instead",
+    TAINT_OS_ENTROPY: "derive bytes/ids from a seeded random.Random instead",
+}
+
+#: Chains longer than this are reported truncated (they still flag).
+MAX_CHAIN_DISPLAY = 6
+
 
 def classify_entropy_origin(origin: str) -> Optional[str]:
-    """Taint kind of one external call origin, or None when clean.
-
-    Mirrors the per-file rule's source sets so the two rules can never
-    disagree about what counts as ambient entropy.
-    """
+    """Taint kind of one external call origin, or None when clean."""
+    if origin in SOURCES:
+        return SOURCES[origin]
     parts = origin.split(".")
-    if parts[0] == "random" and len(parts) == 2 and \
-            parts[1] not in ALLOWED_RANDOM:
-        return TAINT_RNG
-    if origin in OS_ENTROPY or parts[0] == "secrets":
+    if parts[0] == "secrets":
         return TAINT_OS_ENTROPY
-    if origin in WALL_CLOCK:
-        return TAINT_WALL_CLOCK
+    if parts[0] == "random" and len(parts) == 2 and parts[1] != "Random":
+        return TAINT_RNG
     return None
 
 
@@ -62,34 +105,35 @@ def classify_entropy_origin(origin: str) -> Optional[str]:
 class EntropyTaintRule(ProjectRule):
     id = "entropy-taint"
     summary = (
-        "no call path from simulation code may reach ambient entropy "
-        "(wall clock, unseeded RNG, OS entropy), even through helpers "
-        "in other modules"
+        "no ambient entropy (wall clock, unseeded RNG, OS entropy): "
+        "neither a source call nor a call path reaching one, even through "
+        "helpers in other modules"
     )
-    #: Chains longer than this are reported truncated (they still flag).
-    default_options = {"max_chain_display": 6}
 
     def check_project(self, model: ProjectModel) -> Iterator[Finding]:
+        for ctx in model.contexts.values():
+            yield from self._sources(model, ctx)
         taint = self._propagate(model)
         for fn in model.functions.values():
-            profile = model.profile_for(fn.path)
-            if self.id in profile.disable:
-                continue
-            entropy_options = profile.rule_options.get(
-                "no-ambient-entropy", {}
-            )
-            sanctioned = frozenset(
-                {TAINT_WALL_CLOCK}
-                if entropy_options.get("allow_wall_clock", False)
-                else ()
-            )
             for callee, call in fn.project_calls:
                 for kind, chain in sorted(taint.get(callee, {}).items()):
-                    if kind in sanctioned:
-                        continue
                     yield self._taint_finding(
                         model, fn.path, call, kind, (callee,) + chain
                     )
+
+    def _sources(self, model: ProjectModel, ctx) -> Iterator[Finding]:
+        """Half (a): every source call in one file, at any nesting."""
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            origin = ctx.resolve_name(node.func)
+            kind = classify_entropy_origin(origin) if origin else None
+            if kind is not None:
+                yield self.finding_at(
+                    model, ctx.rel_path, node.lineno,
+                    f"{origin}() {SOURCE_MESSAGES[kind]}",
+                    col=node.col_offset,
+                )
 
     # ------------------------------------------------------------------
     def _propagate(
@@ -137,24 +181,15 @@ class EntropyTaintRule(ProjectRule):
         kind: str,
         chain: Tuple[str, ...],
     ) -> Finding:
-        limit = int(self.options["max_chain_display"])
-        shown = list(chain[:limit])
-        if len(chain) > limit:
+        shown = list(chain[:MAX_CHAIN_DISPLAY])
+        if len(chain) > MAX_CHAIN_DISPLAY:
             shown.append("...")
-        rendered = " -> ".join(shown)
-        remedy = {
-            TAINT_WALL_CLOCK: "thread the simulator's virtual now instead",
-            TAINT_RNG: "thread a seeded random.Random instead",
-            TAINT_OS_ENTROPY: "derive bytes/ids from a seeded "
-                              "random.Random instead",
-        }[kind]
         return self.finding_at(
             model,
             path,
             call.lineno,
-            f"call launders {kind} through {rendered}; {remedy} "
-            "(the per-file no-ambient-entropy rule cannot see across "
-            "files, this reachability check can)",
+            f"call launders {kind} through {' -> '.join(shown)}; "
+            f"{REMEDIES[kind]}",
             col=call.col_offset,
         )
 
@@ -162,6 +197,9 @@ class EntropyTaintRule(ProjectRule):
 # ----------------------------------------------------------------------
 # node-isolation
 # ----------------------------------------------------------------------
+
+#: Root process classes; methods of their subclasses are "node methods".
+PROCESS_BASES = ("repro.netsim.process.Process",)
 
 #: Container methods that mutate their receiver in place.
 MUTATING_METHODS = frozenset(
@@ -252,24 +290,14 @@ class NodeIsolationRule(ProjectRule):
         "reference or mutate module-level state; nodes communicate "
         "only via netsim send"
     )
-    default_options = {
-        #: Root process classes; methods of their subclasses are "node
-        #: methods". The default is the simulator's process base.
-        "process_bases": ("repro.netsim.process.Process",),
-    }
 
     def check_project(self, model: ProjectModel) -> Iterator[Finding]:
-        bases = tuple(self.options["process_bases"])
-        process_classes = model.subclasses_of(bases)
+        process_classes = model.subclasses_of(PROCESS_BASES)
         if not process_classes:
             return
         for fn in model.functions.values():
-            if fn.class_qname not in process_classes:
-                continue
-            profile = model.profile_for(fn.path)
-            if self.id in profile.disable:
-                continue
-            yield from self._check_method(model, fn, process_classes)
+            if fn.class_qname in process_classes:
+                yield from self._check_method(model, fn, process_classes)
 
     # ------------------------------------------------------------------
     def _check_method(self, model, fn, process_classes) -> Iterator[Finding]:

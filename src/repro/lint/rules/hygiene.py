@@ -1,17 +1,10 @@
-"""Hygiene rules: shared-state and error-masking footguns.
+"""Hygiene rule ``no-silent-except``: no error-masking handlers.
 
-``no-mutable-default``
-    A mutable default argument is evaluated once and shared across
-    every call — in a system built around per-run simulator instances
-    that is cross-run state leakage, the exact thing seed isolation
-    exists to prevent.
-
-``no-silent-except``
-    The protocol handlers (INR/DSR dispatch, reliable channel, client
-    retry loop) are where faults surface. A bare ``except:`` also
-    catches ``SystemExit``/``KeyboardInterrupt``; an ``except`` whose
-    body is only ``pass``/``continue`` erases the fault the chaos
-    harness is trying to observe. Count it, log it, or re-raise.
+The protocol handlers (INR/DSR dispatch, reliable channel, client retry
+loop) are where faults surface. A bare ``except:`` also catches
+``SystemExit``/``KeyboardInterrupt``; an ``except`` whose body is only
+``pass``/``continue`` erases the fault the chaos harness is trying to
+observe. Count it, log it, or re-raise.
 """
 
 from __future__ import annotations
@@ -21,58 +14,6 @@ from typing import Iterator
 
 from ..engine import FileContext, Finding
 from . import Rule, register
-
-#: Constructor calls whose results are mutable containers.
-MUTABLE_CONSTRUCTORS = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
-     "OrderedDict"}
-)
-
-#: AST literal nodes that build a fresh mutable container.
-MUTABLE_LITERALS = (
-    ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
-)
-
-
-@register
-class MutableDefaultRule(Rule):
-    id = "no-mutable-default"
-    summary = (
-        "mutable default arguments are shared across calls; default to "
-        "None and construct inside the function"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            defaults = list(node.args.defaults) + [
-                default for default in node.args.kw_defaults
-                if default is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        ctx,
-                        default,
-                        "mutable default argument is evaluated once and "
-                        "shared by every call; use None and build the "
-                        "container inside the function",
-                    )
-
-    @staticmethod
-    def _is_mutable(node: ast.AST) -> bool:
-        if isinstance(node, MUTABLE_LITERALS):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            return name in MUTABLE_CONSTRUCTORS
-        return False
 
 
 @register

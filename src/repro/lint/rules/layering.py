@@ -19,7 +19,7 @@ error.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from ..engine import SEVERITY_WARNING, FileContext, Finding
 from . import Rule, register

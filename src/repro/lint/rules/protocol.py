@@ -2,9 +2,11 @@
 
 The protocol has three surfaces that must not drift apart:
 
-1. **Exports vs dispatch.** Every wire-message class exported from
-   ``repro.message`` must be matched by a dispatch arm reachable from a
-   dispatch entry point (``INR.handle_message``, the DSR's handler). An
+1. **Exports vs dispatch.** Every message class exported from
+   ``repro.message`` (the wire format, the DSR's messages) or from
+   ``repro.resolver.protocol`` (the INR's own control messages) must be
+   matched by a dispatch arm reachable from a dispatch entry point
+   (``INR.handle_message``, the DSR's and the client's handlers). An
    arm is either an ``isinstance`` test or a key of a class-level
    ``{message type: ...}`` table that a reachable method reads through
    ``self``: a dict literal, or the union of other classes' class-level
@@ -31,11 +33,39 @@ literal argument).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from ..engine import Finding
 from ..project import KIND_CLASS, ProjectModel, _attribute_chain
 from . import ProjectRule, register
+
+#: The modules whose ``__all__`` declares the message surface.
+MESSAGE_PACKAGES = ("repro.message", "repro.resolver.protocol")
+
+#: Dispatch roots; arms are collected from every project function
+#: reachable from these.
+DISPATCH_ENTRIES = (
+    "repro.resolver.inr.INR.handle_message",
+    "repro.overlay.dsr.DomainSpaceResolver.handle_message",
+    "repro.client.api.InsClient.handle_message",
+)
+
+#: Exported names that are message *format*, not dispatched payloads:
+#: headers, enums, records carried inside payloads (a ``NameUpdate``
+#: travels in an ``UpdateBatch``), error types, and InsMessage
+#: (dispatched wrapped in the resolver's DataPacket).
+NON_PAYLOAD = frozenset({
+    "Binding", "CustodyRecord", "DelegateRecord", "DelegationWireError",
+    "Delivery", "Header", "HeaderError", "InsMessage", "NameUpdate",
+})
+
+#: The stats dataclass carrying per-cause drop counters.
+STATS_CLASS = "repro.resolver.stats.InrStats"
+DROPS_PREFIX = "drops_"
+
+#: Protocol document checked for drop-cause mentions, relative to the
+#: lint root; the doc surface is skipped when absent.
+PROTOCOL_DOC = "docs/PROTOCOL.md"
 
 
 def _string_constants(tree: ast.AST) -> Set[str]:
@@ -82,36 +112,10 @@ def _references_name(tree: ast.AST, name: str) -> bool:
 class ProtocolExhaustiveRule(ProjectRule):
     id = "protocol-exhaustive"
     summary = (
-        "every exported wire message needs a reachable dispatch arm "
+        "every exported message needs a reachable dispatch arm "
         "(isinstance test or dispatch-table key); every drops_* counter "
         "needs a drop:<cause> span emission and a PROTOCOL.md mention"
     )
-    default_options = {
-        #: The package whose ``__all__`` declares the wire surface.
-        "message_package": "repro.message",
-        #: Dispatch roots; arms are collected from every project
-        #: function reachable from these.
-        "dispatch_entries": (
-            "repro.resolver.inr.INR.handle_message",
-            "repro.overlay.dsr.DomainSpaceResolver.handle_message",
-        ),
-        #: The stats dataclass carrying per-cause drop counters.
-        "stats_class": "repro.resolver.stats.InrStats",
-        "drops_prefix": "drops_",
-        #: Exported names that are wire *format*, not dispatched
-        #: payloads: headers, enums, records carried inside payloads,
-        #: error types, and InsMessage (dispatched wrapped in the
-        #: resolver's DataPacket).
-        "non_payload": (
-            "Binding", "CustodyRecord", "DelegateRecord",
-            "DelegationWireError", "Delivery", "Header", "HeaderError",
-            "InsMessage",
-        ),
-        #: Protocol document checked for drop-cause mentions, relative
-        #: to the lint root; the doc surface is skipped when absent.
-        "protocol_doc": "docs/PROTOCOL.md",
-    }
-
     def check_project(self, model: ProjectModel) -> Iterator[Finding]:
         yield from self._check_dispatch(model)
         yield from self._check_drop_causes(model)
@@ -120,36 +124,34 @@ class ProtocolExhaustiveRule(ProjectRule):
     # Surface 1: exports vs reachable dispatch arms
     # ------------------------------------------------------------------
     def _check_dispatch(self, model: ProjectModel) -> Iterator[Finding]:
-        package = str(self.options["message_package"])
-        info = model.modules.get(package)
-        if info is None or not info.exports:
-            return  # tree without the wire package (fixtures, subsets)
-        entries = [str(e) for e in self.options["dispatch_entries"]]
-        if not any(e in model.functions for e in entries):
+        if not any(e in model.functions for e in DISPATCH_ENTRIES):
             return  # no dispatcher in scope — half a tree, stay quiet
-        arms = self._reachable_arms(model, entries)
-        ignored = set(self.options["non_payload"])
-        for export, _lineno in info.exports:
-            if export in ignored:
-                continue
-            resolved = model.resolve_local(package, export)
-            if resolved is None or resolved[0] != KIND_CLASS:
-                continue  # constants, helper functions, unresolved
-            class_qname = resolved[1]
-            if class_qname in arms:
-                continue
-            cls = model.classes[class_qname]
-            yield self.finding_at(
-                model, cls.path, cls.node.lineno,
-                f"wire message {export} is exported from {package} but "
-                "no dispatch arm (isinstance test or dispatch-table key) "
-                f"reachable from {' / '.join(entries)} matches it; "
-                "arriving payloads of this type vanish undispatched — "
-                "add a handler arm or unexport it",
-            )
+        arms = self._reachable_arms(model, DISPATCH_ENTRIES)
+        for package in MESSAGE_PACKAGES:
+            info = model.modules.get(package)
+            if info is None:
+                continue  # tree without this package (fixtures, subsets)
+            for export, _lineno in info.exports:
+                if export in NON_PAYLOAD:
+                    continue
+                resolved = model.resolve_local(package, export)
+                if resolved is None or resolved[0] != KIND_CLASS:
+                    continue  # constants, helper functions, unresolved
+                if resolved[1] in arms:
+                    continue
+                cls = model.classes[resolved[1]]
+                yield self.finding_at(
+                    model, cls.path, cls.node.lineno,
+                    f"wire message {export} is exported from {package} "
+                    "but no dispatch arm (isinstance test or "
+                    "dispatch-table key) reachable from an INR, DSR or "
+                    "client handle_message matches it; arriving payloads "
+                    "of this type vanish undispatched — add a handler arm "
+                    "or unexport it",
+                )
 
     def _reachable_arms(
-        self, model: ProjectModel, entries: List[str]
+        self, model: ProjectModel, entries: Sequence[str]
     ) -> Set[str]:
         arms: Set[str] = set()
         for qname in model.reachable_from(entries):
@@ -223,22 +225,20 @@ class ProtocolExhaustiveRule(ProjectRule):
     # Surfaces 2 + 3: drops_* counters vs spans vs PROTOCOL.md
     # ------------------------------------------------------------------
     def _check_drop_causes(self, model: ProjectModel) -> Iterator[Finding]:
-        stats_qname = str(self.options["stats_class"])
-        cls = model.classes.get(stats_qname)
+        cls = model.classes.get(STATS_CLASS)
         if cls is None:
             return
-        prefix = str(self.options["drops_prefix"])
         emitted = self._emitted_statuses(model)
         doc_text = self._protocol_doc_text(model)
         for stmt in cls.node.body:
             if not (
                 isinstance(stmt, ast.AnnAssign)
                 and isinstance(stmt.target, ast.Name)
-                and stmt.target.id.startswith(prefix)
+                and stmt.target.id.startswith(DROPS_PREFIX)
             ):
                 continue
             field = stmt.target.id
-            cause = field[len(prefix):].replace("_", "-")
+            cause = field[len(DROPS_PREFIX):].replace("_", "-")
             if f"drop:{cause}" not in emitted and cause not in emitted:
                 yield self.finding_at(
                     model, cls.path, stmt.lineno,
@@ -249,11 +249,10 @@ class ProtocolExhaustiveRule(ProjectRule):
                 )
             if doc_text is not None and cause not in doc_text and \
                     field not in doc_text:
-                doc = self.options["protocol_doc"]
                 yield self.finding_at(
                     model, cls.path, stmt.lineno,
                     f"drop cause '{cause}' ({field}) is not mentioned "
-                    f"in {doc}; the spec must enumerate every way a "
+                    f"in {PROTOCOL_DOC}; the spec must enumerate every way a "
                     "packet can die",
                 )
 
@@ -275,7 +274,7 @@ class ProtocolExhaustiveRule(ProjectRule):
         return statuses
 
     def _protocol_doc_text(self, model: ProjectModel) -> Optional[str]:
-        doc = model.root / str(self.options["protocol_doc"])
+        doc = model.root / PROTOCOL_DOC
         try:
             return doc.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError):

@@ -68,7 +68,7 @@ class AnnouncerID:
         # Anycast ties are broken on this string: ``:g`` keeps six
         # digits, and gives way to ``repr`` where it would round.
         text = f"{self.startup_time:g}"
-        if float(text) != self.startup_time:  # lint: disable=no-float-time-eq -- does the text round-trip: an identifier, not a clock
+        if float(text) != self.startup_time:
             text = repr(self.startup_time)
         return f"{self.host}@{text}"
 

@@ -186,7 +186,7 @@ class Simulator:
                 # Exact equality is the batching criterion: only events whose
                 # float timestamp is bit-identical share a clock assignment; a
                 # near-equal time is a later instant and starts its own batch.
-                while queue and queue[0][0] == batch_time:  # lint: disable=no-float-time-eq -- identity batching, not a tolerance comparison
+                while queue and queue[0][0] == batch_time:
                     if self._events_processed >= budget_end:
                         return
                     event = pop(queue)[2]

@@ -9,15 +9,14 @@ from repro.lint import Engine
 
 @pytest.fixture
 def lint():
-    """Lint a source snippet under the strict profile.
+    """Lint a source snippet with the per-file rules.
 
     Returns the findings list; pass ``path=`` to simulate a location
     (e.g. ``src/repro/resolver/x.py`` to exercise the layering rule).
     """
 
-    def _lint(source, path="snippet.py", **engine_kwargs):
-        engine = Engine(**engine_kwargs)
-        return engine.lint_text(textwrap.dedent(source), path=path)
+    def _lint(source, path="snippet.py"):
+        return Engine().lint_text(textwrap.dedent(source), path=path)
 
     return _lint
 
@@ -26,7 +25,7 @@ def lint():
 def rule_ids(lint):
     """Like ``lint`` but collapsed to the list of rule ids found."""
 
-    def _rule_ids(source, path="snippet.py", **engine_kwargs):
-        return [f.rule for f in lint(source, path=path, **engine_kwargs)]
+    def _rule_ids(source, path="snippet.py"):
+        return [f.rule for f in lint(source, path=path)]
 
     return _rule_ids

@@ -1,42 +1,25 @@
-"""Corpus: mutable defaults and silent exception handlers.
+"""Corpus: silent exception handlers.
 
 Never imported; scanned by tests/lint/test_corpus.py. Line numbers are
 asserted — append, don't reorder.
 """
 
 
-def collect(into=[]):                    # line 8: mutable list default
-    into.append(1)
-    return into
-
-
-def index(table={}):                     # line 13: mutable dict default
-    return table
-
-
-def register(seen=set()):                # line 17: mutable set constructor
-    return seen
-
-
 def dispatch(packet):
     try:
         packet.decode()
-    except:                              # line 24: bare except
+    except:                              # line 11: bare except
         return None
 
 
 def refresh(record):
     try:
         record.touch()
-    except Exception:                    # line 31: swallowed exception
+    except Exception:                    # line 18: swallowed exception
         pass
 
 
 # Compliant shapes must NOT be flagged:
-def ok_default(into=None, limit=10, name="x"):
-    return into, limit, name
-
-
 def ok_handler(stats, record):
     try:
         record.touch()

@@ -1,4 +1,4 @@
-"""Corpus: second hop — the two-hop wrapper per-file lint cannot see.
+"""Corpus: second hop — the two-hop wrapper no per-file scan can see.
 
 This module is two calls away from ``time.time()`` (sched ->
 stopwatch -> clock) with no entropy token anywhere in the file; only

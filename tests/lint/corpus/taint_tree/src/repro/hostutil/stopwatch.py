@@ -1,8 +1,8 @@
 """Corpus: first hop — launders the clock through an intermediate.
 
-No entropy source appears in this file, so the per-file rule has
-nothing to say; ``entropy-taint`` flags the call because its callee is
-a wall-clock source. Never imported; line numbers are asserted.
+No entropy source appears in this file; ``entropy-taint`` flags the
+call because its callee is a wall-clock source. Never imported; line
+numbers are asserted.
 """
 
 from repro.hostutil.clock import wall_seconds

@@ -1,75 +1,63 @@
-"""Engine-level behavior: pragmas, baseline, reporters, parse errors."""
-
-import json
+"""Engine-level behavior: pragmas, the reporter, parse errors, select."""
 
 import pytest
 
 from repro.lint import (
     BAD_PRAGMA,
-    Baseline,
-    BaselineEntry,
     Engine,
     PARSE_ERROR,
     SEVERITY_WARNING,
     USELESS_PRAGMA,
-    render_json,
     render_text,
 )
 
-VIOLATION = "import random\nx = random.randint(0, 5)\n"
+VIOLATION = "try:\n    x = 1\nexcept ValueError:\n    pass\n"
 
 
 class TestPragmas:
     def test_justified_pragma_suppresses(self, lint):
         findings = lint(
-            "import random\n"
-            "x = random.randint(0, 5)  "
-            "# lint: disable=no-ambient-entropy -- seeding study needs it\n"
+            "for x in {1, 2}:  "
+            "# lint: disable=no-unsorted-iteration -- printing order is moot\n"
+            "    print(x)\n"
         )
         assert findings == []
 
     def test_unjustified_pragma_keeps_finding_and_reports_pragma(self, lint):
         findings = lint(
-            "import random\n"
-            "x = random.randint(0, 5)  # lint: disable=no-ambient-entropy\n"
+            "for x in {1, 2}:  # lint: disable=no-unsorted-iteration\n"
+            "    print(x)\n"
         )
         rules = sorted(f.rule for f in findings)
-        assert rules == [BAD_PRAGMA, "no-ambient-entropy"]
+        assert rules == [BAD_PRAGMA, "no-unsorted-iteration"]
 
     def test_comment_line_pragma_covers_next_line(self, lint):
         findings = lint(
-            "import random\n"
-            "# lint: disable=no-ambient-entropy -- exercising the pragma\n"
-            "x = random.randint(0, 5)\n"
+            "# lint: disable=no-unsorted-iteration -- exercising the pragma\n"
+            "for x in {1, 2}:\n"
+            "    print(x)\n"
         )
         assert findings == []
 
     def test_pragma_for_other_rule_does_not_suppress(self, lint):
         findings = lint(
-            "import random\n"
-            "x = random.randint(0, 5)  "
-            "# lint: disable=no-mutable-default -- wrong rule on purpose\n"
+            "for x in {1, 2}:  "
+            "# lint: disable=no-silent-except -- wrong rule on purpose\n"
+            "    print(x)\n"
         )
         rules = sorted(f.rule for f in findings)
-        assert rules == ["no-ambient-entropy", USELESS_PRAGMA]
-
-    def test_disable_all_with_justification(self, lint):
-        findings = lint(
-            "import random\n"
-            "x = random.randint(0, 5)  # lint: disable=all -- kitchen sink\n"
-        )
-        assert findings == []
+        assert rules == ["no-unsorted-iteration", USELESS_PRAGMA]
 
     def test_useless_pragma_is_warning(self, lint):
         findings = lint(
-            "x = 1  # lint: disable=no-ambient-entropy -- nothing here\n"
+            "x = 1  # lint: disable=no-unsorted-iteration -- nothing here\n"
         )
         assert [f.rule for f in findings] == [USELESS_PRAGMA]
         assert findings[0].severity == SEVERITY_WARNING
 
     def test_pragma_inside_string_ignored(self, lint):
         findings = lint(
-            's = "# lint: disable=no-ambient-entropy -- not a pragma"\n'
+            's = "# lint: disable=no-unsorted-iteration -- not a pragma"\n'
         )
         assert findings == []
 
@@ -78,7 +66,7 @@ class TestPragmas:
         target.write_text(
             "import random\n"
             "x = random.randint(0, 5)  "
-            "# lint: disable=no-ambient-entropy -- deliberate\n"
+            "# lint: disable=entropy-taint -- deliberate\n"
         )
         result = Engine(root=tmp_path).run([target])
         assert result.findings == []
@@ -86,102 +74,15 @@ class TestPragmas:
         assert result.exit_code == 0
 
 
-class TestBaseline:
-    def _run(self, tmp_path, baseline=None):
-        engine = Engine(root=tmp_path, baseline=baseline)
-        return engine.run([tmp_path])
-
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        (tmp_path / "mod.py").write_text(VIOLATION)
-        first = self._run(tmp_path)
-        assert first.exit_code == 1
-        baseline = Baseline.from_findings(first.findings)
-        second = self._run(tmp_path, baseline=baseline)
-        assert second.exit_code == 0
-        assert len(second.baselined) == 1
-        assert second.stale_baseline == []
-
-    def test_new_finding_still_fails_with_baseline(self, tmp_path):
-        (tmp_path / "mod.py").write_text(VIOLATION)
-        baseline = Baseline.from_findings(self._run(tmp_path).findings)
-        (tmp_path / "mod.py").write_text(
-            VIOLATION + "y = random.random()\n"
-        )
-        result = self._run(tmp_path, baseline=baseline)
-        assert result.exit_code == 1
-        assert len(result.findings) == 1
-        assert "random.random" in result.findings[0].message
-
-    def test_fixed_finding_reported_stale(self, tmp_path):
-        (tmp_path / "mod.py").write_text(VIOLATION)
-        baseline = Baseline.from_findings(self._run(tmp_path).findings)
-        (tmp_path / "mod.py").write_text("x = 1\n")
-        result = self._run(tmp_path, baseline=baseline)
-        assert result.exit_code == 0
-        assert len(result.stale_baseline) == 1
-        assert result.stale_baseline[0].rule == "no-ambient-entropy"
-        pruned = baseline.pruned(result.stale_baseline)
-        assert pruned.entries == []
-
-    def test_fingerprint_survives_line_shift(self, tmp_path):
-        (tmp_path / "mod.py").write_text(VIOLATION)
-        baseline = Baseline.from_findings(self._run(tmp_path).findings)
-        (tmp_path / "mod.py").write_text(
-            "# a new leading comment shifts every line\n\n" + VIOLATION
-        )
-        result = self._run(tmp_path, baseline=baseline)
-        assert result.exit_code == 0
-        assert len(result.baselined) == 1
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        entry = BaselineEntry(
-            rule="no-ambient-entropy", path="mod.py", fingerprint="ab12",
-            count=2,
-        )
-        path = tmp_path / ".lint-baseline.json"
-        Baseline([entry]).save(path)
-        loaded = Baseline.load(path)
-        assert [e.to_dict() for e in loaded.entries] == [entry.to_dict()]
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").entries == []
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-
 class TestReporters:
     def _result(self, tmp_path):
         (tmp_path / "mod.py").write_text(VIOLATION)
         return Engine(root=tmp_path).run([tmp_path])
 
-    def test_json_schema(self, tmp_path):
-        report = json.loads(render_json(self._result(tmp_path)))
-        assert report["version"] == 1
-        summary = report["summary"]
-        for key in (
-            "files_scanned", "findings", "errors", "warnings",
-            "suppressed", "baselined", "stale_baseline", "by_rule",
-        ):
-            assert key in summary
-        assert summary["errors"] == 1
-        assert summary["by_rule"] == {"no-ambient-entropy": 1}
-        (finding,) = report["findings"]
-        for key in (
-            "rule", "severity", "path", "line", "col", "message",
-            "fingerprint", "source",
-        ):
-            assert key in finding
-        assert finding["path"] == "mod.py"
-        assert finding["line"] == 2
-
     def test_text_report_mentions_location_and_rule(self, tmp_path):
         text = render_text(self._result(tmp_path))
-        assert "mod.py:2:" in text
-        assert "[no-ambient-entropy]" in text
+        assert "mod.py:3:" in text
+        assert "[no-silent-except]" in text
         assert "1 error(s)" in text
 
 
@@ -192,36 +93,25 @@ class TestEngineEdges:
         assert [f.rule for f in result.findings] == [PARSE_ERROR]
         assert result.exit_code == 1
 
-    def test_select_and_ignore(self, tmp_path):
+    def test_select_runs_only_the_named_rules(self, tmp_path):
         (tmp_path / "mod.py").write_text(
             "import random\n"
-            "x = random.randint(0, 5)\n"
-            "def f(y=[]):\n"
-            "    return y\n"
+            "x = random.randint(0, 5)\n" + VIOLATION
         )
-        only = Engine(root=tmp_path, select=["no-mutable-default"]).run(
+        every = Engine(root=tmp_path).run([tmp_path])
+        assert {f.rule for f in every.findings} == {
+            "entropy-taint", "no-silent-except"
+        }
+        only = Engine(root=tmp_path, select=["no-silent-except"]).run(
             [tmp_path]
         )
-        assert {f.rule for f in only.findings} == {"no-mutable-default"}
-        skipped = Engine(root=tmp_path, ignore=["no-mutable-default"]).run(
-            [tmp_path]
-        )
-        assert {f.rule for f in skipped.findings} == {"no-ambient-entropy"}
+        assert {f.rule for f in only.findings} == {"no-silent-except"}
 
     def test_unknown_rule_id_rejected(self):
         from repro.lint import create_rules
 
         with pytest.raises(ValueError):
             create_rules(select=["no-such-rule"])
-
-    def test_unknown_rule_option_rejected(self):
-        from repro.lint import create_rules
-
-        with pytest.raises(ValueError):
-            create_rules(
-                select=["no-ambient-entropy"],
-                rule_options={"no-ambient-entropy": {"typo_option": 1}},
-            )
 
     def test_discovery_skips_excluded_dirs(self, tmp_path):
         nested = tmp_path / "corpus"
@@ -239,7 +129,7 @@ TAINTED_SOURCE = (
     "\n"
     "def jitter():\n"
     "    return time.time()  "
-    "# lint: disable=no-ambient-entropy -- host helper\n"
+    "# lint: disable=entropy-taint -- host helper\n"
 )
 
 TAINTED_CALLER = (
@@ -253,7 +143,7 @@ TAINTED_CALLER = (
 
 
 class TestWholeProgramEngine:
-    """Pass-2 plumbing: validation, the parse cache, deferred pragmas."""
+    """Pass-2 plumbing: validation, deferred pragmas."""
 
     def _tree(self, tmp_path):
         pkg = tmp_path / "src" / "repro"
@@ -262,14 +152,11 @@ class TestWholeProgramEngine:
         (pkg / "proto.py").write_text(TAINTED_CALLER)
         return tmp_path
 
-    def test_engine_rejects_unknown_select_and_ignore(self):
-        with pytest.raises(ValueError, match="--select"):
+    def test_engine_rejects_unknown_select(self):
+        with pytest.raises(ValueError, match="no-such-rule"):
             Engine(select=["entropy-taint", "no-such-rule"])
-        with pytest.raises(ValueError, match="--ignore"):
-            Engine(ignore=["nope"])
-        # Project rule ids are valid in both.
-        Engine(select=["entropy-taint"])
-        Engine(ignore=["protocol-exhaustive", "node-isolation"])
+        # Project rule ids are valid too.
+        Engine(select=["entropy-taint", "protocol-exhaustive"])
 
     def test_project_rules_recorded_on_result(self, tmp_path):
         root = self._tree(tmp_path)
@@ -277,66 +164,35 @@ class TestWholeProgramEngine:
         assert "entropy-taint" in result.project_rules
         assert "node-isolation" in result.project_rules
         assert "protocol-exhaustive" in result.project_rules
-        only = Engine(root=root, select=["no-ambient-entropy"]).run([root])
+        only = Engine(root=root, select=["layering"]).run([root])
         assert only.project_rules == []
-
-    def test_parse_cache_hits_and_identical_findings(self, tmp_path):
-        root = self._tree(tmp_path)
-        first = Engine(root=root).run([root])
-        assert first.cache_misses == 2
-        second = Engine(root=root).run([root])
-        assert second.cache_hits == 2
-        assert second.cache_misses == 0
-        key = lambda r: [
-            (f.rule, f.path, f.line, f.message) for f in r.findings
-        ]
-        assert key(first) == key(second)
-        assert len(first.suppressed) == len(second.suppressed)
-
-    def test_cache_invalidated_by_edit(self, tmp_path):
-        root = self._tree(tmp_path)
-        Engine(root=root).run([root])
-        (root / "src" / "repro" / "util.py").write_text(
-            TAINTED_SOURCE + "\n# touched\n"
-        )
-        result = Engine(root=root).run([root])
-        assert result.cache_hits == 1
-        assert result.cache_misses == 1
 
     def test_cross_file_pragma_suppresses_project_finding(self, tmp_path):
         root = self._tree(tmp_path)
         result = Engine(root=root).run([root])
         assert result.findings == []
-        suppressed = sorted(f.rule for f in result.suppressed)
-        assert suppressed == ["entropy-taint", "no-ambient-entropy"]
+        # The source report in util.py and the laundering call in proto.py.
+        suppressed = sorted((f.rule, f.path) for f in result.suppressed)
+        assert suppressed == [
+            ("entropy-taint", "src/repro/proto.py"),
+            ("entropy-taint", "src/repro/util.py"),
+        ]
 
     def test_fixed_taint_path_turns_pragma_useless(self, tmp_path):
-        """SATELLITE 3: fix the cross-file taint at its *source* and the
-        caller's untouched (cache-hit) pragma must surface as
-        USELESS_PRAGMA — deferred pragma accounting working across
-        files and across cached parses."""
+        """Fix the cross-file taint at its *source* and the caller's
+        untouched pragma must surface as USELESS_PRAGMA — deferred pragma
+        accounting working across files."""
         root = self._tree(tmp_path)
-        Engine(root=root).run([root])
         (root / "src" / "repro" / "util.py").write_text(
             "def jitter():\n    return 0.0\n"
         )
         result = Engine(root=root).run([root])
-        assert result.cache_hits == 1  # proto.py came from the cache
         assert [
             (f.rule, f.path) for f in result.findings
         ] == [(USELESS_PRAGMA, "src/repro/proto.py")]
         assert result.findings[0].line == 5
         assert result.findings[0].severity == SEVERITY_WARNING
         assert result.exit_code == 0
-
-    def test_json_report_carries_pass2_fields(self, tmp_path):
-        root = self._tree(tmp_path)
-        report = json.loads(render_json(Engine(root=root).run([root])))
-        summary = report["summary"]
-        assert "entropy-taint" in summary["project_rules"]
-        cache = summary["parse_cache"]
-        assert set(cache) == {"hits", "misses"}
-        assert cache["hits"] + cache["misses"] == 2
 
 
 class TestCli:
@@ -351,7 +207,7 @@ class TestCli:
         code, out, _ = self._main(["--list-rules"], capsys)
         assert code == 0
         assert "entropy-taint [project]" in out
-        assert "no-ambient-entropy [file]" in out
+        assert "layering [file]" in out
 
     def test_unknown_select_id_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("x = 1\n")
@@ -367,9 +223,8 @@ class TestCli:
         (tmp_path / "mod.py").write_text("x = 1\n")
         code, out, _ = self._main(
             ["--root", str(tmp_path), "--select", "entropy-taint",
-             "--format", "json", str(tmp_path)],
+             str(tmp_path)],
             capsys,
         )
         assert code == 0
-        report = json.loads(out)
-        assert report["summary"]["project_rules"] == ["entropy-taint"]
+        assert "1 files scanned: 0 error(s), 0 warning(s)" in out

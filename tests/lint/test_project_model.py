@@ -2,8 +2,6 @@
 
 import textwrap
 
-import pytest
-
 from repro.lint import FileContext
 from repro.lint.project import ProjectModel
 
@@ -81,13 +79,6 @@ class TestResolution:
         })
         fn = model.functions["repro.m.stamp"]
         assert [origin for origin, _ in fn.external_calls] == ["time.time"]
-
-    def test_import_graph_edges(self, tmp_path):
-        model = build_model(tmp_path, {
-            "src/repro/a.py": "from repro.b import helper\n",
-            "src/repro/b.py": "def helper():\n    pass\n",
-        })
-        assert model.import_graph["repro.a"] == {"repro.b"}
 
 
 class TestCallGraph:
@@ -168,16 +159,6 @@ class TestHierarchy:
         })
         assert model.lookup_method("repro.leaf.Leaf", "ping") == \
             "repro.base.Root.ping"
-
-
-class TestProfiles:
-    def test_profile_for_uses_rel_path(self, tmp_path):
-        model = build_model(tmp_path, {
-            "src/repro/m.py": "",
-            "tests/t.py": "",
-        })
-        assert model.profile_for("tests/t.py").name == "tests"
-        assert model.profile_for("src/repro/m.py").name == "src"
 
 
 def test_source_line_round_trip(tmp_path):

@@ -2,86 +2,95 @@
 
 Each rule has at least one failing and one passing case (several
 migrated from the original ``tests/test_determinism_lint.py``
-meta-tests, which this suite supersedes).
+meta-tests, which this suite supersedes). Ambient-entropy sources are
+reported by the project rule ``entropy-taint``, so those cases lint a
+one-module tree rather than a string.
 """
 
 import pytest
 
+from repro.lint import Engine
+
+
+@pytest.fixture
+def entropy_rule_ids(tmp_path):
+    """Rule ids ``entropy-taint`` reports on one module, linted as a tree."""
+
+    def _scan(source):
+        path = tmp_path / "mod.py"
+        path.write_text(source)
+        engine = Engine(root=tmp_path, select=["entropy-taint"])
+        return [f.rule for f in engine.run([path]).findings]
+
+    return _scan
+
 
 class TestAmbientEntropy:
-    RULE = "no-ambient-entropy"
+    RULE = "entropy-taint"
 
-    def test_global_random_flagged(self, rule_ids):
-        assert self.RULE in rule_ids(
+    def test_global_random_flagged(self, entropy_rule_ids):
+        assert self.RULE in entropy_rule_ids(
             "import random\nx = random.randint(0, 5)\n"
         )
 
-    def test_seeded_random_allowed(self, rule_ids):
-        assert self.RULE not in rule_ids(
+    def test_seeded_random_allowed(self, entropy_rule_ids):
+        assert self.RULE not in entropy_rule_ids(
             "import random\nrng = random.Random(7)\nx = rng.random()\n"
         )
 
-    def test_wall_clock_flagged(self, rule_ids):
-        assert self.RULE in rule_ids("import time\nt = time.time()\n")
-        assert self.RULE in rule_ids("import time\nt = time.time_ns()\n")
+    def test_system_random_is_os_entropy_not_a_seeded_rng(self, entropy_rule_ids):
+        # SystemRandom accepts a seed and ignores it: SystemRandom(7)
+        # never repeats, so it is as ambient as os.urandom.
+        assert self.RULE in entropy_rule_ids(
+            "import random\nrng = random.SystemRandom(7)\nx = rng.random()\n"
+        )
+        assert self.RULE in entropy_rule_ids(
+            "from random import SystemRandom\nx = SystemRandom().random()\n"
+        )
+        assert self.RULE in entropy_rule_ids("import os\nb = os.getrandom(8)\n")
 
-    def test_perf_counter_allowed(self, rule_ids):
-        assert self.RULE not in rule_ids(
+    def test_wall_clock_flagged(self, entropy_rule_ids):
+        assert self.RULE in entropy_rule_ids("import time\nt = time.time()\n")
+        assert self.RULE in entropy_rule_ids("import time\nt = time.time_ns()\n")
+
+    def test_perf_counter_allowed(self, entropy_rule_ids):
+        assert self.RULE not in entropy_rule_ids(
             "import time\nt = time.perf_counter()\n"
         )
 
-    def test_from_import_flagged(self, rule_ids):
-        assert self.RULE in rule_ids(
+    def test_from_import_flagged(self, entropy_rule_ids):
+        assert self.RULE in entropy_rule_ids(
             "from random import randint\nx = randint(0, 5)\n"
         )
-        assert self.RULE in rule_ids("from time import time\nt = time()\n")
+        assert self.RULE in entropy_rule_ids("from time import time\nt = time()\n")
 
-    def test_aliased_module_flagged(self, rule_ids):
-        assert self.RULE in rule_ids(
+    def test_aliased_module_flagged(self, entropy_rule_ids):
+        assert self.RULE in entropy_rule_ids(
             "import random as rnd\nx = rnd.choice([1, 2])\n"
         )
-        assert self.RULE in rule_ids(
+        assert self.RULE in entropy_rule_ids(
             "from time import time as walltime\nt = walltime()\n"
         )
 
-    def test_datetime_now_flagged(self, rule_ids):
-        assert self.RULE in rule_ids(
+    def test_datetime_now_flagged(self, entropy_rule_ids):
+        assert self.RULE in entropy_rule_ids(
             "from datetime import datetime\nt = datetime.now()\n"
         )
-        assert self.RULE in rule_ids(
+        assert self.RULE in entropy_rule_ids(
             "import datetime\nt = datetime.datetime.utcnow()\n"
         )
 
-    def test_os_entropy_flagged(self, rule_ids):
-        assert self.RULE in rule_ids("import os\nb = os.urandom(8)\n")
-        assert self.RULE in rule_ids("import uuid\ni = uuid.uuid4()\n")
-        assert self.RULE in rule_ids(
+    def test_os_entropy_flagged(self, entropy_rule_ids):
+        assert self.RULE in entropy_rule_ids("import os\nb = os.urandom(8)\n")
+        assert self.RULE in entropy_rule_ids("import uuid\ni = uuid.uuid4()\n")
+        assert self.RULE in entropy_rule_ids(
             "import secrets\nt = secrets.token_hex(4)\n"
         )
 
-    def test_uuid5_is_deterministic_and_allowed(self, rule_ids):
-        assert self.RULE not in rule_ids(
+    def test_uuid5_is_deterministic_and_allowed(self, entropy_rule_ids):
+        assert self.RULE not in entropy_rule_ids(
             "import uuid\ni = uuid.uuid5(uuid.NAMESPACE_DNS, 'x')\n"
         )
-
-    def test_allow_wall_clock_option(self, lint):
-        from repro.lint import create_rules
-
-        rules = create_rules(
-            select=["no-ambient-entropy"],
-            rule_options={"no-ambient-entropy": {"allow_wall_clock": True}},
-        )
-        source = "import time\nimport random\n" \
-                 "t = time.time()\nx = random.random()\n"
-        findings = lint(source, rules=rules)
-        messages = [f.message for f in findings]
-        assert len(findings) == 1  # randomness still banned
-        assert "RNG" in messages[0]
-
-    def test_benchmarks_profile_allows_wall_clock(self, lint):
-        source = "import time\nt = time.time()\n"
-        assert lint(source, path="benchmarks/bench_x.py") == []
-        assert lint(source, path="src/repro/netsim/x.py") != []
 
 
 class TestUnsortedIteration:
@@ -148,67 +157,8 @@ class TestUnsortedIteration:
             "items = [1, 2]\nfor x in items:\n    print(x)\n"
         )
 
-    def test_dict_views_only_with_option(self, lint):
-        from repro.lint import create_rules
-
-        source = "d = {}\nfor k in d.keys():\n    print(k)\n"
-        assert self.RULE not in [f.rule for f in lint(source)]
-        rules = create_rules(
-            select=[self.RULE],
-            rule_options={self.RULE: {"flag_dict_views": True}},
-        )
-        assert self.RULE in [f.rule for f in lint(source, rules=rules)]
-
-
-class TestFloatTimeEq:
-    RULE = "no-float-time-eq"
-
-    def test_equality_on_now_flagged(self, rule_ids):
-        assert self.RULE in rule_ids(
-            "def f(sim, deadline):\n"
-            "    return sim.now == deadline\n"
-        )
-
-    def test_inequality_allowed(self, rule_ids):
+    def test_dict_views_allowed(self, rule_ids):
+        # A dict iterates in insertion order, which the seed reproduces.
         assert self.RULE not in rule_ids(
-            "def f(sim, deadline):\n"
-            "    return sim.now <= deadline\n"
+            "d = {}\nfor k in d.keys():\n    print(k)\n"
         )
-
-    def test_not_equals_flagged(self, rule_ids):
-        assert self.RULE in rule_ids(
-            "def f(record, t):\n"
-            "    return record.expires_at != t\n"
-        )
-
-    def test_tolerance_comparison_allowed(self, rule_ids):
-        assert self.RULE not in rule_ids(
-            "import math\n"
-            "def f(sim, deadline):\n"
-            "    return math.isclose(sim.now, deadline)\n"
-        )
-        assert self.RULE not in rule_ids(
-            "def f(sim, deadline, approx):\n"
-            "    return sim.now == approx(deadline)\n"
-        )
-
-    def test_infinity_sentinel_allowed(self, rule_ids):
-        assert self.RULE not in rule_ids(
-            "import math\n"
-            "def f(record):\n"
-            "    return record.expires_at == math.inf\n"
-        )
-        assert self.RULE not in rule_ids(
-            "def f(record):\n"
-            "    return record.expires_at == float('inf')\n"
-        )
-
-    def test_non_time_equality_allowed(self, rule_ids):
-        assert self.RULE not in rule_ids(
-            "def f(a, b):\n    return a.count == b.count\n"
-        )
-
-    def test_tests_profile_disables_rule(self, lint):
-        source = "def f(sim):\n    assert sim.now == 2.5\n"
-        assert lint(source, path="tests/netsim/test_x.py") == []
-        assert lint(source, path="src/repro/netsim/x.py") != []

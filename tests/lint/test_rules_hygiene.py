@@ -1,33 +1,4 @@
-"""Per-rule unit tests for the hygiene rules."""
-
-
-class TestMutableDefault:
-    RULE = "no-mutable-default"
-
-    def test_list_literal_flagged(self, rule_ids):
-        assert self.RULE in rule_ids("def f(x=[]):\n    return x\n")
-
-    def test_dict_literal_flagged(self, rule_ids):
-        assert self.RULE in rule_ids("def f(x={}):\n    return x\n")
-
-    def test_constructor_call_flagged(self, rule_ids):
-        assert self.RULE in rule_ids("def f(x=set()):\n    return x\n")
-        assert self.RULE in rule_ids(
-            "from collections import defaultdict\n"
-            "def f(x=defaultdict(list)):\n    return x\n"
-        )
-
-    def test_keyword_only_default_flagged(self, rule_ids):
-        assert self.RULE in rule_ids("def f(*, x=[]):\n    return x\n")
-
-    def test_lambda_default_flagged(self, rule_ids):
-        assert self.RULE in rule_ids("f = lambda x=[]: x\n")
-
-    def test_immutable_defaults_allowed(self, rule_ids):
-        assert self.RULE not in rule_ids(
-            "def f(a=None, b=0, c='x', d=(), e=frozenset()):\n"
-            "    return a, b, c, d, e\n"
-        )
+"""Per-rule unit tests for the hygiene rule (no-silent-except)."""
 
 
 class TestSilentExcept:

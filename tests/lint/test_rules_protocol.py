@@ -238,6 +238,50 @@ class TestDispatchSurface:
         assert [f.line for f in flagged] == [10]
         assert "Orphan" in flagged[0].message
 
+    def test_inr_control_messages_are_checked_too(self, tmp_path):
+        """``repro.resolver.protocol`` exports the INR's own control
+        messages; each needs an arm like a wire message does. The
+        client's handler is a dispatch entry (replies land there), and a
+        record carried inside a batch is not a payload."""
+        files = {
+            "src/repro/resolver/protocol.py": """
+                class Goodbye:
+                    pass
+
+
+                class NameUpdate:
+                    pass
+
+
+                class Reply:
+                    pass
+
+
+                __all__ = ["Goodbye", "NameUpdate", "Reply"]
+            """,
+            "src/repro/resolver/inr.py": """
+                class INR:
+                    def handle_message(self, payload, sender):
+                        return self._TABLE.get(type(payload))
+
+                    _TABLE = {}
+            """,
+            "src/repro/client/api.py": """
+                from repro.resolver.protocol import Reply
+
+
+                class InsClient:
+                    def handle_message(self, payload, source):
+                        if isinstance(payload, Reply):
+                            return payload
+            """,
+        }
+        flagged = findings(run_tree(tmp_path, files))
+        assert [(f.path, f.line) for f in flagged] == [
+            ("src/repro/resolver/protocol.py", 2)
+        ]
+        assert "Goodbye is exported from repro.resolver.protocol" in flagged[0].message
+
     def test_silent_without_message_package_or_dispatcher(self, tmp_path):
         # Only the dispatcher: no export surface to check.
         assert findings(run_tree(tmp_path / "a", dict(DISPATCH))) == []

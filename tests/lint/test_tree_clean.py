@@ -2,8 +2,7 @@
 
 This replaces the old ``tests/test_determinism_lint.py`` ad-hoc AST
 scan. The whole rule pack — per-file *and* project rules — runs over
-src, tests, benchmarks, and examples with the per-directory profiles
-and the checked-in baseline: the same configuration
+src, tests, benchmarks, and examples: the same configuration
 ``python -m repro.lint`` uses, so pytest and CI cannot drift apart.
 """
 
@@ -11,23 +10,16 @@ import pytest
 
 from pathlib import Path
 
-from repro.lint import Baseline, DEFAULT_PROFILES, Engine, render_text
-from repro.lint.baseline import DEFAULT_BASELINE_NAME
+from repro.lint import Engine, render_text
 from repro.lint.cli import DEFAULT_PATHS
 
 REPO = Path(__file__).resolve().parents[2]
 
 
-def _run():
-    baseline = Baseline.load(REPO / DEFAULT_BASELINE_NAME)
-    engine = Engine(profiles=DEFAULT_PROFILES, baseline=baseline, root=REPO)
-    roots = [REPO / name for name in DEFAULT_PATHS if (REPO / name).is_dir()]
-    return engine.run(roots)
-
-
 @pytest.fixture(scope="module")
 def tree_result():
-    return _run()
+    roots = [REPO / name for name in DEFAULT_PATHS if (REPO / name).is_dir()]
+    return Engine(root=REPO).run(roots)
 
 
 def test_shipped_tree_is_lint_clean(tree_result):
@@ -35,15 +27,9 @@ def test_shipped_tree_is_lint_clean(tree_result):
     assert tree_result.warnings == [], "\n" + render_text(tree_result)
 
 
-def test_baseline_has_no_stale_entries(tree_result):
-    assert tree_result.stale_baseline == [], [
-        entry.to_dict() for entry in tree_result.stale_baseline
-    ]
-
-
 def test_blanket_scan_actually_covers_the_tree(tree_result):
-    # The repo ships ~200 Python files; a collapsing count means the
-    # walker or the profile wiring broke, not that the tree shrank.
+    # The repo ships ~300 Python files; a collapsing count means the
+    # walker broke, not that the tree shrank.
     assert tree_result.files_scanned > 150
 
 
@@ -53,12 +39,3 @@ def test_project_rules_ran_in_the_blanket_scan(tree_result):
     assert set(tree_result.project_rules) >= {
         "entropy-taint", "node-isolation", "protocol-exhaustive"
     }
-
-
-def test_rescan_is_served_from_the_parse_cache(tree_result):
-    # A second scan of the unchanged tree must not re-parse anything,
-    # and the cached contexts must reproduce the same (clean) verdict.
-    again = _run()
-    assert again.cache_hits == again.files_scanned
-    assert again.cache_misses == 0
-    assert again.errors == [] and again.warnings == []
