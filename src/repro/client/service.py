@@ -102,7 +102,7 @@ class Service(InsClient):
         if (
             advertisement is None
             or advertisement.name is not self.name
-            or (endpoint := advertisement.endpoints[0]).host != self.address
+            or (endpoint := advertisement.endpoints[0]).host != self.node.address
             or endpoint.port != self.port
             or endpoint.transport != self.transport
             or advertisement.anycast_metric != self.metric
@@ -121,7 +121,7 @@ class Service(InsClient):
                 lifetime=self.lifetime,
                 triggered=triggered,
             )
-        self.send(self.resolver, INR_PORT, advertisement)
+        self.send(self.resolver, INR_PORT, advertisement, advertisement.wire_size())
         self.advertisements_sent += 1
 
     def set_metric(self, metric: float, announce_now: bool = True) -> None:

@@ -13,7 +13,7 @@ The package sits low in the layer DAG (above ``naming``/``message``/
 custody handoff lives in :mod:`repro.message.custody`, and the chaos
 scenario that measures delivery ratio versus disruption length lives
 in :mod:`repro.chaos.dtn`. All timing is virtual — the wall clock is
-banned here by the dtn lint profile.
+banned here, as everywhere, by the ``entropy-taint`` lint rule.
 """
 
 from .custody import (

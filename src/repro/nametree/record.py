@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..naming import NameSpecifier
 
@@ -23,34 +23,23 @@ from ..naming import NameSpecifier
 DEFAULT_LIFETIME = 60.0
 
 
-@dataclass(frozen=True, order=True)
-class AnnouncerID:
+class AnnouncerID(NamedTuple):
     """Unique identifier of the application announcing a name.
 
     The paper's implementation concatenates the announcer's IP address
     with its startup time, allowing multiple instances of the same
     service on one node (Section 2.2).
+
+    A tuple: every ``_by_announcer`` probe and every record-set
+    operation hashes one, and a tuple is hashed in C —
+    ``hash((host, startup_time))``, the same value a field-tuple hash
+    gives, so dict and set layouts do not depend on the class.
     """
 
     host: str
     startup_time: float
 
     _sequence = itertools.count(1)
-
-    #: Memoized __hash__, as on NameRecord: every ``_by_announcer``
-    #: probe and every record-set operation hashes an AnnouncerID, and
-    #: the generated method rebuilt and hashed the field tuple each
-    #: time. Outside ``__init__``, equality, ordering and ``repr``.
-    _hash_cache: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __hash__(self) -> int:
-        cached = self._hash_cache
-        if cached is None:
-            cached = hash((self.host, self.startup_time))
-            object.__setattr__(self, "_hash_cache", cached)  # frozen
-        return cached
 
     @classmethod
     def generate(cls, host: str, startup_time: Optional[float] = None) -> "AnnouncerID":
@@ -121,8 +110,9 @@ class NameRecord:
     Mutable on purpose: refreshes update endpoints, metrics, routes and
     expiry in place so every leaf value-node pointer stays valid. Once
     grafted, the owning ``NameTree`` is the only writer: it keeps a
-    bound on ``expires_at`` (``NameTree.set_expiry``) and drops
-    ``kept_update`` with every payload store (``NameTree.refresh``).
+    bound on ``expires_at`` (``NameTree.rehear`` and
+    ``NameTree.set_expiry``) and drops ``kept_update`` with every
+    payload store (``NameTree.refresh``).
     """
 
     announcer: AnnouncerID
@@ -155,7 +145,8 @@ class NameRecord:
     #: The message (an ``Advertisement`` or ``NameUpdate``; opaque here)
     #: the payload was last compared with and written from, shared by
     #: reference with its sender: hearing the same object again can only
-    #: move the deadline. ``NameTree.refresh`` is its one writer.
+    #: move the deadline (``NameTree.rehear``). ``NameTree.refresh`` is
+    #: its one writer.
     heard: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )

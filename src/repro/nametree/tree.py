@@ -114,10 +114,44 @@ class NameTree:
     # ------------------------------------------------------------------
     # Grafting and removal
     # ------------------------------------------------------------------
+    def rehear(
+        self,
+        record: NameRecord,
+        message: object,
+        next_hop: Optional[str],
+        route_metric: float,
+        expires_at: float,
+    ) -> bool:
+        """Recognise ``message`` as the very one ``record``'s payload
+        was last written from, and if so move the deadline: True, and
+        nothing compared or built. False touches nothing.
+
+        ``message`` is an ``Advertisement`` or ``NameUpdate``, immutable
+        once sent, offered with its own endpoints tuple. It says nothing
+        new when it **is** ``NameRecord.heard`` (which is stored only
+        after a message's own endpoints), carries the grafted name
+        object, and ``next_hop`` and ``route_metric`` — the receiver's
+        own terms — equal the stored route. This is the one statement
+        of that rule; :meth:`refresh` runs it first.
+        """
+        route = record.route
+        if (
+            record.heard is message
+            and message is not None
+            and message.name is record.advertised_name
+            and route.next_hop == next_hop
+            and route.metric == route_metric
+        ):
+            record.expires_at = expires_at
+            if expires_at < self._earliest_expiry:
+                self._earliest_expiry = expires_at
+            return True
+        return False
+
     def refresh(
         self,
+        record: NameRecord,
         name: NameSpecifier,
-        announcer: AnnouncerID,
         endpoints: Sequence[Endpoint],
         anycast_metric: float,
         next_hop: Optional[str],
@@ -125,17 +159,18 @@ class NameTree:
         expires_at: float,
         message: Optional[object] = None,
     ) -> Optional[bool]:
-        """Refresh in place the record ``announcer`` already has grafted
-        under ``name``, from the fields an advertisement or update
-        carries — no record is built to say "same name, same payload".
+        """Refresh in place ``record``, grafted in this tree, when it is
+        grafted under ``name``, from the fields an advertisement or
+        update carries — no record is built to say "same name, same
+        payload". The caller found ``record`` (``record_for``); it is
+        not looked up again.
 
-        Returns None, touching nothing, when there is no such record (a
-        new announcer, or a known one under another name): the caller
-        builds a ``NameRecord`` and takes :meth:`insert`. Otherwise the
-        record's expiry is moved to ``expires_at`` and the answer says
-        whether the payload carried new routing information (other
-        endpoints, another metric, another route) that neighbor INRs
-        must hear about; a payload field is written only when it
+        Returns None, touching nothing, when ``name`` is another name:
+        the caller builds a ``NameRecord`` and takes :meth:`insert`.
+        Otherwise the record's expiry is moved to ``expires_at`` and the
+        answer says whether the payload carried new routing information
+        (other endpoints, another metric, another route) that neighbor
+        INRs must hear about; a payload field is written only when it
         differs, and endpoints that merely arrive in another order are
         stored in that order without counting as news. The tree epoch,
         and with it the lookup memo, is never touched.
@@ -147,29 +182,19 @@ class NameTree:
         at graft time.
 
         ``message`` is the ``Advertisement`` or ``NameUpdate`` the
-        fields were read from, when there is one. Messages are immutable
-        once sent, so the very object the payload was last written from
-        (``NameRecord.heard``), offering its own endpoints tuple under
-        the grafted name, over the route already stored, says nothing
-        new: the deadline moves and nothing is compared or built.
+        fields were read from, when there is one. Offered with its own
+        endpoints tuple, it is first tried by :meth:`rehear`.
         """
-        record = self._by_announcer.get(announcer)
-        if record is None:
-            return None
-        grafted = record.advertised_name
-        route = record.route
         if (
-            record.heard is message
-            and message is not None
-            and name is grafted
+            message is not None
             and endpoints is message.endpoints
-            and route.next_hop == next_hop
-            and route.metric == route_metric
+            and self.rehear(record, message, next_hop, route_metric, expires_at)
         ):
-            self.set_expiry(record, expires_at)
             return False
+        grafted = record.advertised_name
         if name is not grafted and name.canonical_key() != grafted.canonical_key():
             return None
+        route = record.route
         # Every store to a payload field drops the update kept for the
         # record (including the reorder-only one ``changed`` does not
         # report): it no longer says what the record says.
@@ -202,8 +227,9 @@ class NameTree:
 
     def set_expiry(self, record: NameRecord, expires_at: float) -> None:
         """Move ``record``'s soft-state deadline. Every write of a
-        grafted record's ``expires_at`` goes through here, which is what
-        lets :meth:`expire` trust its bound."""
+        grafted record's ``expires_at`` goes through here or through
+        :meth:`rehear`, which is what lets :meth:`expire` trust its
+        bound."""
         record.expires_at = expires_at
         if expires_at < self._earliest_expiry:
             self._earliest_expiry = expires_at
@@ -219,25 +245,24 @@ class NameTree:
         Advertisements must be concrete: wild-cards and ranges are
         query-only.
         """
-        route = record.route
-        changed = self.refresh(
-            name,
-            record.announcer,
-            record.endpoints,
-            record.anycast_metric,
-            route.next_hop,
-            route.metric,
-            record.expires_at,
-        )
-        if changed is not None:
-            return InsertOutcome(
-                self._by_announcer[record.announcer], created=False, changed=changed
+        existing = self._by_announcer.get(record.announcer)
+        if existing is not None:
+            route = record.route
+            changed = self.refresh(
+                existing,
+                name,
+                record.endpoints,
+                record.anycast_metric,
+                route.next_hop,
+                route.metric,
+                record.expires_at,
             )
+            if changed is not None:
+                return InsertOutcome(existing, created=False, changed=changed)
         name.require_concrete()  # which keys, and so seals, the name
         if name.is_empty:
             raise ValueError("cannot advertise an empty name-specifier")
         record.vspace = self.vspace
-        existing = self._by_announcer.get(record.announcer)
         if existing is not None:
             self.remove(existing)
         self._graft(name, record)

@@ -23,7 +23,7 @@ class Cpu:
     """
 
     def __init__(self, sim: Simulator, speed: float = 1.0) -> None:
-        if speed <= 0:
+        if not speed > 0:
             raise ValueError(f"cpu speed must be positive, got {speed}")
         self._sim = sim
         self.speed = speed
@@ -42,7 +42,7 @@ class Cpu:
         serialized: it starts when the CPU is next free, never earlier
         than now.
         """
-        if cost < 0:
+        if not cost >= 0:
             raise ValueError(f"cpu cost must be non-negative, got {cost}")
         scaled = cost / self.speed
         start = max(self._sim.now, self.free_at)

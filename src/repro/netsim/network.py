@@ -59,15 +59,15 @@ class Link:
         reorder_rate: float = 0.0,
         reorder_delay: float = 0.05,
     ) -> None:
-        if latency < 0:
+        if not latency >= 0:
             raise ValueError(f"latency must be non-negative, got {latency}")
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         for label, rate in (("loss", loss_rate), ("duplicate", duplicate_rate),
                             ("reorder", reorder_rate)):
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{label} rate must be in [0, 1), got {rate}")
-        if reorder_delay < 0:
+        if not reorder_delay >= 0:
             raise ValueError(f"reorder delay must be non-negative, got {reorder_delay}")
         self.latency = latency
         self.bandwidth_bps = bandwidth_bps
@@ -212,15 +212,15 @@ class Network:
         # mutation): a zero bandwidth would divide by zero in the next
         # send, a negative latency be clamped away by the FIFO rule, and
         # a rate of 1.0 turn the RNG draw into an unconditional branch.
-        if latency is not None and latency < 0:
+        if latency is not None and not latency >= 0:
             raise ValueError(f"latency must be non-negative, got {latency}")
-        if bandwidth_bps is not None and bandwidth_bps <= 0:
+        if bandwidth_bps is not None and not bandwidth_bps > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         for label, rate in (("loss", loss_rate), ("duplicate", duplicate_rate),
                             ("reorder", reorder_rate)):
             if rate is not None and not 0.0 <= rate < 1.0:
                 raise ValueError(f"{label} rate must be in [0, 1), got {rate}")
-        if reorder_delay is not None and reorder_delay < 0:
+        if reorder_delay is not None and not reorder_delay >= 0:
             raise ValueError(
                 f"reorder delay must be non-negative, got {reorder_delay}"
             )
@@ -289,7 +289,7 @@ class Network:
         Local delivery (source == destination) skips the link but still
         pays the receiver's CPU cost.
         """
-        if size_bytes < 0:
+        if not size_bytes >= 0:
             raise ValueError(f"size must be non-negative, got {size_bytes}")
         if source == destination:
             self.sim.schedule(
@@ -312,7 +312,8 @@ class Network:
         if link.loss_rate > 0 and sim.rng.random() < link.loss_rate:
             stats.drops += 1
             return
-        arrival = sim.now + link.transfer_delay(size_bytes)
+        # Link.transfer_delay, inline: one frame fewer on every send
+        arrival = sim.now + (link.latency + (size_bytes * 8.0) / link.bandwidth_bps)
         if link.reorder_rate > 0 and sim.rng.random() < link.reorder_rate:
             # Reordering: hold this datagram back without advancing the
             # direction's FIFO clamp, so traffic sent later overtakes it.
@@ -343,7 +344,7 @@ class Network:
         if node is None:
             self.undeliverable += 1
             return
-        process = node.process_on(port)
+        process = node._ports.get(port)
         if process is None:
             self.undeliverable += 1
             return

@@ -35,42 +35,41 @@ class PeriodicTimer:
         jitter_fraction: float = 0.0,
         fire_immediately: bool = False,
     ) -> None:
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError(f"interval must be positive, got {interval}")
         if not 0.0 <= jitter_fraction < 1.0:
             raise ValueError(f"jitter fraction must be in [0, 1), got {jitter_fraction}")
         self._sim = sim
         self.interval = interval
         self._callback = callback
-        self._jitter_fraction = jitter_fraction
-        self._event: Optional[Event] = None
+        #: half-width of the jitter window, in seconds (0: no jitter)
+        self._spread = spread = jitter_fraction * interval
         self._stopped = False
-        if fire_immediately:
-            self._event = sim.schedule(0.0, self._fire)
-        else:
-            self._schedule_next()
-
-    def _next_delay(self) -> float:
-        if self._jitter_fraction == 0.0:
-            return self.interval
-        spread = self._jitter_fraction * self.interval
-        return self.interval + self._sim.rng.uniform(-spread, spread)
-
-    def _schedule_next(self) -> None:
-        if not self._stopped:
-            self._event = self._sim.schedule(self._next_delay(), self._fire)
+        delay = 0.0
+        if not fire_immediately:
+            delay = interval + sim.rng.uniform(-spread, spread) if spread else interval
+        self._event: Event = sim.at(sim.now + delay, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:
             return
         self._callback()
-        self._schedule_next()
+        if self._stopped:
+            return
+        # Re-armed here, not in a helper: every periodic timer of the
+        # domain passes through this frame once a period.
+        sim = self._sim
+        spread = self._spread
+        delay = (
+            self.interval + sim.rng.uniform(-spread, spread) if spread
+            else self.interval
+        )
+        self._event = sim.at(sim.now + delay, self._fire)
 
     def stop(self) -> None:
         """Cancel the timer; no further firings."""
         self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
+        self._event.cancel()
 
     @property
     def stopped(self) -> bool:
@@ -136,7 +135,7 @@ class Process:
         if size_bytes is None:
             sizer = getattr(payload, "wire_size", None)
             size_bytes = int(sizer()) if callable(sizer) else 0
-        self.network.send(self.address, destination, port, payload, size_bytes)
+        self.network.send(self.node.address, destination, port, payload, size_bytes)
 
     def processing_cost(self, payload: Any, size_bytes: int) -> float:
         """CPU seconds charged before :meth:`handle_message` runs."""
@@ -157,7 +156,7 @@ class Process:
     # ------------------------------------------------------------------
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """One-shot timer; returns the cancellable event."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         sim = self.sim
         event = sim.at(sim.now + delay, callback, *args)

@@ -78,13 +78,16 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
+        # Every guard here and in the rest of netsim is written as the
+        # negated accepting comparison, so that NaN — which fails every
+        # comparison — is refused rather than let onto the heap.
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self.at(self.now + delay, callback, *args)
 
     def at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )

@@ -14,7 +14,8 @@ The layer that turns black-box aggregates into explainable numbers:
 ``obs`` sits at the bottom of the layer DAG (beside ``message``): it
 imports nothing from the rest of the system, so every layer above may
 use it. All timing flows from the simulator's virtual clock — wall
-clocks are banned here by the obs lint profile.
+clocks are banned here, as everywhere, by the ``entropy-taint`` lint
+rule.
 """
 
 from .context import NO_PARENT, TRACE_CONTEXT_SIZE, TraceContext

@@ -9,7 +9,8 @@ span of a trace has parent ``0``.
 The :class:`Tracer` is deliberately dumb: it hands out counter-based
 ids, timestamps spans with the clock it was constructed with (always
 the simulator's virtual ``now`` in this repo — wall clocks are banned
-by the obs lint profile), and keeps every span in memory for the
+everywhere by the ``entropy-taint`` lint rule), and keeps every span in
+memory for the
 exporters. There is no sampling; simulations are small enough to keep
 everything, and determinism matters more than memory here.
 """

@@ -34,15 +34,16 @@ RELIABLE_RETRANSMIT_TIMEOUT = 1.0
 
 
 def _graft(
-    tree: NameTree, news, endpoints, next_hop: Optional[str], metric: float,
-    expires_at: float,
+    tree: NameTree, record: Optional[NameRecord], news, endpoints,
+    next_hop: Optional[str], metric: float, expires_at: float,
 ) -> bool:
-    """Install what an advertisement or update says about one name;
-    True when it changed the tree. A refresh of a name already grafted
-    for this announcer needs no record; only a new announcer or a
-    renamed service is turned into one."""
-    changed = tree.refresh(
-        news.name, news.announcer, endpoints, news.anycast_metric,
+    """Install what an advertisement or update says about one name,
+    given the record ``tree`` holds for its announcer (or None); True
+    when it changed the tree. A refresh of a name already grafted for
+    this announcer needs no record; only a new announcer or a renamed
+    service is turned into one."""
+    changed = None if record is None else tree.refresh(
+        record, news.name, endpoints, news.anycast_metric,
         next_hop, metric, expires_at, news,
     )
     if changed is None:
@@ -87,6 +88,7 @@ class NameDiscovery:
     def _handle_advertisement(self, ad: Advertisement, source: str) -> None:
         inr = self.inr
         now = inr.now
+        graced = inr.config.partition_grace > 0
         inr.stats.advertisements_processed += 1
         changed: List[tuple] = []  # (vspace, name, record) of what is news
         for vspace in ad.name.vspaces():
@@ -94,12 +96,18 @@ class NameDiscovery:
             if tree is None:
                 inr.dataplane.forward_foreign(vspace, ad)
                 continue
+            expires_at = now + ad.lifetime
+            record = tree.record_for(ad.announcer)
+            # A graced record that hears anything is re-admitted (below),
+            # so only a live one may be told "nothing new".
+            readmitted = graced and record is not None and record.is_expired(now)
+            if (
+                record is not None and not readmitted
+                and tree.rehear(record, ad, None, 0.0, expires_at)
+            ):
+                continue
             endpoints = ad.endpoints or (Endpoint(host=source),)
-            readmitted = False
-            if inr.config.partition_grace > 0:
-                existing = tree.record_for(ad.announcer)
-                readmitted = existing is not None and existing.is_expired(now)
-            news = _graft(tree, ad, endpoints, None, 0.0, now + ad.lifetime)
+            news = _graft(tree, record, ad, endpoints, None, 0.0, expires_at)
             if readmitted:
                 # A graced record came back to life: the payload-equal
                 # fast path would suppress the triggered update, but
@@ -114,51 +122,64 @@ class NameDiscovery:
     def _handle_update_batch(self, batch: UpdateBatch, source: str) -> None:
         inr = self.inr
         inr.stats.update_names_processed += len(batch.updates)
-        link_rtt = inr.neighbors.rtt_to(batch.sender)
+        sender = batch.sender
+        link_rtt = inr.neighbors.rtt_to(sender)
+        now = inr.sim.now
+        graced = inr.config.partition_grace > 0
+        trees = inr.trees
         changed: List[tuple] = []  # (vspace, name, record) of what is news
         for update in batch.updates:
-            tree = inr.trees.get(update.vspace)
+            tree = trees.get(update.vspace)
             if tree is None:
                 continue
-            if self._apply_update(tree, update, batch.sender, link_rtt):
+            if self._apply_update(tree, update, sender, link_rtt, now, graced):
                 record = tree.record_for(update.announcer)
                 if record is not None:
                     changed.append((update.vspace, update.name, record))
         if changed:
-            self._send_triggered(changed, exclude=batch.sender)
+            self._send_triggered(changed, exclude=sender)
             inr.custodian.retry()
 
     def _apply_update(
-        self, tree: NameTree, update: NameUpdate, sender: str, link_rtt: float
+        self, tree: NameTree, update: NameUpdate, sender: str, link_rtt: float,
+        now: float, graced: bool,
     ) -> bool:
         """Distributed Bellman-Ford acceptance; True when state changed
-        in a way neighbors should hear about."""
-        inr = self.inr
-        now = inr.sim.now
+        in a way neighbors should hear about. ``graced``: partition
+        grace is configured."""
         new_metric = update.route_metric + link_rtt
+        expires_at = now + update.lifetime
         existing = tree.record_for(update.announcer)
-        readmitted = False
+        # A graced record names a route that died with the partition;
+        # comparing metrics against the corpse would wrongly favor it.
+        # Any fresh news re-admits the name.
+        readmitted = graced and existing is not None and existing.is_expired(now)
         if existing is not None:
+            if not readmitted and tree.rehear(
+                existing, update, sender, new_metric, expires_at
+            ):
+                # Heard again from the current next hop at the same
+                # metric: no check below can find news in it.
+                return False
             route = existing.route
             if route.next_hop is None:
                 # Never let a reflected update displace a directly-attached
                 # service; the local announcement is authoritative.
                 return False
-            if inr.config.partition_grace > 0 and existing.is_expired(now):
-                # A graced record names a route that died with the
-                # partition; comparing metrics against the corpse would
-                # wrongly favor it. Any fresh news re-admits the name.
-                readmitted = True
-            elif route.next_hop != sender and not new_metric < route.metric:
+            if (
+                not readmitted
+                and route.next_hop != sender
+                and not new_metric < route.metric
+            ):
                 # News from the current next hop is always accepted, even
                 # if the metric worsened (standard distance-vector rule);
                 # from anyone else only a strictly better metric is.
                 return False
         news = _graft(
-            tree, update, update.endpoints, sender, new_metric, now + update.lifetime
+            tree, existing, update, update.endpoints, sender, new_metric, expires_at
         )
         if readmitted:
-            inr.stats.expiry_grace_readmissions += 1
+            self.inr.stats.expiry_grace_readmissions += 1
         return news or readmitted
 
     # ------------------------------------------------------------------

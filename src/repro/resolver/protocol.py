@@ -45,7 +45,7 @@ class NameUpdate:
 
     Immutable, and sized once, when built: a sender keeps the object
     for as long as it says the same thing and a receiver recognises it
-    by identity (``NameTree.refresh``), which stands for the equality of
+    by identity (``NameTree.rehear``), which stands for the equality of
     the bytes a socket INR would have decoded.
     """
 
@@ -94,8 +94,9 @@ class Advertisement:
     advertisement after attaching, a metric change, a rename) as
     opposed to periodic soft-state refreshes.
 
-    Immutable: a service re-sends the object while it says the same
-    thing, and a resolver recognises it by identity, as a ``NameUpdate``.
+    Immutable, and sized once, when built: a service re-sends the
+    object while it says the same thing, and a resolver recognises it by
+    identity, as a ``NameUpdate``.
     """
 
     name: NameSpecifier
@@ -105,8 +106,15 @@ class Advertisement:
     lifetime: float
     triggered: bool = False
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_size",
+            BASE_OVERHEAD + self.name.wire_size() + 12 * len(self.endpoints),
+        )
+
     def wire_size(self) -> int:
-        return BASE_OVERHEAD + self.name.wire_size() + 12 * len(self.endpoints)
+        return self._size
 
 
 @dataclass

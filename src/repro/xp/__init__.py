@@ -18,10 +18,13 @@ Around the engine sit two data contracts:
   freshly produced artifact against a committed baseline and fails on
   regressions beyond per-metric tolerances.
 
-Layering: spec/report/schema/gate code is pure (wall-clock forbidden by
-the lint profile — reports must be byte-reproducible); only the runner
-side (:mod:`~.runner`, :mod:`~.workloads`, :mod:`~.cli`) may read the
-host clock, and only for the optional wall-clock ``timings`` section.
+Layering: spec/report/schema/gate code is pure (reports must be
+byte-reproducible); only the runner side (:mod:`~.runner`,
+:mod:`~.workloads`, :mod:`~.cli`) reads the host clock, and only for the
+optional wall-clock ``timings`` section. The ``entropy-taint`` lint rule
+applies everywhere: it bans the wall clock (``time.time``) in every
+module and allows ``time.perf_counter``, host-CPU measurement that
+never feeds simulated behaviour.
 """
 
 from .gate import GateReport, MetricRule, compare_artifacts, render_gate_report

@@ -16,8 +16,10 @@ matrix for the spec. Determinism contract: two calls with the same
 spec and ``timing=False`` produce equal results, which is what the
 byte-identical ``BENCH_matrix.json`` test pins.
 
-This is the only engine module (with :mod:`.workloads` and :mod:`.cli`)
-whose lint profile permits the wall clock.
+This is the engine side (with :mod:`.workloads` and :mod:`.cli`) where
+host time may be read, for ``timings`` only. No module has a lint
+exception: the ``entropy-taint`` rule applies everywhere, and allows
+``time.perf_counter`` because it never feeds simulated behaviour.
 """
 
 from __future__ import annotations

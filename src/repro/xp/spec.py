@@ -10,7 +10,8 @@ versions, and an artifact can always be traced back to the exact
 configuration that produced it.
 
 This module is pure data: no clocks, no randomness, no I/O beyond
-hashing. The lint profile pins the wall-clock ban.
+hashing. The ``entropy-taint`` lint rule, which applies everywhere,
+pins the wall-clock ban.
 """
 
 from __future__ import annotations

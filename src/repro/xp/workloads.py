@@ -12,9 +12,10 @@ run asked for them. ``details`` keeps the native report object so the
 migrated bench drivers retain their own assertions and artifact
 writers.
 
-This module (with :mod:`.runner` and :mod:`.cli`) is lint-profiled to
-permit the wall clock; :mod:`.spec`, :mod:`.report`, :mod:`.schema`
-and :mod:`.gate` are not.
+This module (with :mod:`.runner` and :mod:`.cli`) reads the host clock,
+``time.perf_counter`` only, which the ``entropy-taint`` lint rule
+(applied everywhere) allows; :mod:`.spec`, :mod:`.report`,
+:mod:`.schema` and :mod:`.gate` read no clock at all.
 """
 
 from __future__ import annotations

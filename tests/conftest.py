@@ -67,6 +67,44 @@ def stores_to(owner, field):
         setattr(owner, field, default)
 
 
+class CountingDict(dict):
+    """A dict that counts probes, writes and whole-table walks."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.probes = 0
+        self.writes = 0
+        self.walks = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
 def forge_packet(source_text: str, destination_text: str, data: bytes = b"",
                  trace=None, delivery: Delivery = Delivery.ANYCAST) -> bytes:
     """A late-binding packet whose name sections hold exactly the given

@@ -40,3 +40,23 @@ def test_a_startup_time_that_six_digits_hold_prints_as_it_always_did():
         assert str(AnnouncerID("h", startup)) == f"h@{startup:g}"
     for startup in (0.0, 0.5, 12.5, 1e6, 2.5e9, 1e-7, float("inf")):
         assert str(AnnouncerID("h", startup)) == f"h@{startup:g}"
+
+
+def test_an_announcer_hashes_orders_and_prints_as_its_field_tuple():
+    """A tuple, hashed in C: the hash is the one the field tuple has, so
+    every dict and set of announcers (and of records, which hash one)
+    keeps its layout; ordering is field by field; ``str`` and ``repr``
+    read as they always did."""
+    announcers = [
+        AnnouncerID("b", 1.0), AnnouncerID("a", 2.0), AnnouncerID("a", 1.5),
+        AnnouncerID.generate("c", startup_time=0.25),
+    ]
+    for announcer in announcers:
+        assert hash(announcer) == hash((announcer.host, announcer.startup_time))
+        assert announcer == AnnouncerID(announcer.host, announcer.startup_time)
+    assert sorted(announcers) == [
+        AnnouncerID("a", 1.5), AnnouncerID("a", 2.0), AnnouncerID("b", 1.0),
+        AnnouncerID("c", 0.25),
+    ]
+    assert str(announcers[2]) == "a@1.5"
+    assert repr(announcers[0]) == "AnnouncerID(host='b', startup_time=1.0)"

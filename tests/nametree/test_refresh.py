@@ -1,14 +1,15 @@
 """``NameTree.refresh``: the record-less home of the refresh rule.
 
 A resolver that receives "same name, same payload" again calls
-``refresh`` with the fields and builds a ``NameRecord`` only when it
-declines; ``insert(name, record)`` delegates to the same body. The
-differential below drives generated histories through both forms and
-through a literal model of the rule ``insert`` carried before the
-entry point existed (compare every payload field, overwrite them all),
-and wants the same verdicts, record fields, epochs and lookups — also
-when the very message object is offered again (which ``refresh``
-recognises instead of comparing) and when a lifetime shrinks (which the
+``refresh`` with the record it found and the fields, and builds a
+``NameRecord`` only when it declines; ``insert(name, record)``
+delegates to the same body. The differential below drives generated
+histories through both forms and through a literal model of the rule
+``insert`` carried before the entry point existed (compare every
+payload field, overwrite them all), and wants the same verdicts, record
+fields, epochs and lookups — also when the very message object is
+offered again (which ``refresh`` hands to ``rehear`` instead of
+comparing) and when a lifetime shrinks (which the
 bound that lets ``expire`` skip its scan must follow; the model's scan
 of every deadline is the oracle for what a sweep collects).
 """
@@ -90,10 +91,11 @@ def _record(announcer, endpoints, metric, next_hop, route_metric, expires_at,
     )
 
 
-def _via_refresh(tree, name, *fields):
-    news = tree.refresh(name, *fields)
+def _via_refresh(tree, name, announcer, *fields):
+    record = tree.record_for(announcer)
+    news = None if record is None else tree.refresh(record, name, *fields)
     if news is None:
-        news = tree.insert(name, _record(*fields)).changed
+        news = tree.insert(name, _record(announcer, *fields)).changed
     return news
 
 
@@ -217,7 +219,7 @@ class TestRefreshEntryPoint:
             "expires_at": record.expires_at,
         }
         fields.update(override)
-        return tree.refresh(name, record.announcer, **fields)
+        return tree.refresh(record, name, **fields)
 
     def test_pure_refresh_moves_only_the_expiry(self, tree):
         name, record = self._grafted(tree, expires_at=10.0)
@@ -229,8 +231,8 @@ class TestRefreshEntryPoint:
 
     def test_declines_and_touches_nothing_for_a_stranger_or_another_name(self, tree):
         name, record = self._grafted(tree, expires_at=10.0)
-        stranger = make_record()
-        assert self._refresh(tree, name, stranger) is None
+        # A stranger has no record for the caller to offer.
+        assert tree.record_for(make_record().announcer) is None
         assert self._refresh(
             tree, parse("[service=x[id=2]]"), record, expires_at=99.0
         ) is None

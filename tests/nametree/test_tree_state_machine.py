@@ -158,7 +158,7 @@ class NameTreeMachine(RuleBasedStateMachine):
             )
         self.deadline[announcer] = self.now + lifetime
         assert self.tree.refresh(
-            message.name, announcer, message.endpoints, message.metric, None, 0.0,
+            record, message.name, message.endpoints, message.metric, None, 0.0,
             self.now + lifetime, message,
         ) is False
         assert record.heard is message

@@ -14,45 +14,7 @@ Counts only — no wall clock. The timing claim lives in EXPERIMENTS.md.
 from repro.experiments import InsDomain
 from repro.netsim import Network, Simulator
 
-from ..conftest import parse
-
-
-class _CountingDict(dict):
-    """A dict that counts probes, writes and whole-table walks."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.probes = 0
-        self.writes = 0
-        self.walks = 0
-
-    def __setitem__(self, key, value):
-        self.writes += 1
-        super().__setitem__(key, value)
-
-    def get(self, key, default=None):
-        self.probes += 1
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.probes += 1
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
-
-    def keys(self):
-        self.walks += 1
-        return super().keys()
-
-    def values(self):
-        self.walks += 1
-        return super().values()
-
-    def items(self):
-        self.walks += 1
-        return super().items()
+from ..conftest import CountingDict, parse
 
 
 def _quiet_domain():
@@ -102,8 +64,8 @@ def test_one_request_is_four_heap_entries_and_four_events(monkeypatch):
                 link_lookups.append(_name), _real(*args, **kwargs)
             )[1],
         )
-    network._paths = paths = _CountingDict(network._paths)
-    inr.trees = trees = _CountingDict(inr.trees)
+    network._paths = paths = CountingDict(network._paths)
+    inr.trees = trees = CountingDict(inr.trees)
     events = sim.events_processed
     jobs = client.node.cpu.jobs_executed
     lookups = inr.stats.lookups

@@ -5,7 +5,7 @@ Three shortcuts make soft-state maintenance cheap while nothing
 changes: an INR re-sends the ``NameUpdate`` it kept for a record
 (``NameRecord.kept_update``), a receiver recognises a message object it
 has already applied to a record and only moves the deadline
-(``NameTree.refresh``), and a sweep returns at once while no deadline
+(``NameTree.rehear``), and a sweep returns at once while no deadline
 can have passed (``NameTree.expire``). The oracle here is the behaviour
 they replaced: every round builds every update afresh, every delivered
 ``Advertisement`` / ``NameUpdate`` is a copy (so identity never
@@ -78,9 +78,11 @@ def _on_a_copy(handler):
 def shortcuts(overridden: bool, tally: dict):
     """Run as shipped, counting each shortcut's verdicts into ``tally``
     — or with all three overridden to what they replaced."""
-    shipped = (NameDiscovery.table, NameTree.refresh, NameTree.expire)
+    shipped = (
+        NameDiscovery.table, NameTree.rehear, NameTree.refresh, NameTree.expire
+    )
     dispatch = dict(INR._DISPATCH)
-    table, refresh, expire = shipped
+    table, rehear, refresh, expire = shipped
     with stores_to(NameRecord, "heard") as compared:
         if overridden:
             def rebuilding(discovery, tree):
@@ -105,12 +107,17 @@ def shortcuts(overridden: bool, tally: dict):
                     tally["re-sent" if kept else "rebuilt"] += 1
                 return table(discovery, tree)
 
+            def counted_rehear(tree, *args):
+                heard = rehear(tree, *args)
+                tally["recognised"] += heard
+                return heard
+
             def counted_refresh(tree, *args):
+                # refresh's comparing path, and only it, stores ``heard``
+                # (a graft clears it, outside refresh)
                 before = len(compared)
                 verdict = refresh(tree, *args)
-                if verdict is not None:
-                    # the comparing path, and only it, stores ``heard``
-                    tally["recognised" if len(compared) == before else "compared"] += 1
+                tally["compared"] += len(compared) - before
                 return verdict
 
             def counted_expire(tree, now, grace=0.0):
@@ -119,12 +126,16 @@ def shortcuts(overridden: bool, tally: dict):
                 return expire(tree, now, grace)
 
             NameDiscovery.table = counted_table
+            NameTree.rehear = counted_rehear
             NameTree.refresh = counted_refresh
             NameTree.expire = counted_expire
         try:
             yield
         finally:
-            NameDiscovery.table, NameTree.refresh, NameTree.expire = shipped
+            (
+                NameDiscovery.table, NameTree.rehear, NameTree.refresh,
+                NameTree.expire,
+            ) = shipped
             INR._DISPATCH.clear()
             INR._DISPATCH.update(dispatch)
 

@@ -345,6 +345,8 @@ def test_rejected_updates_build_no_record(monkeypatch, rejected_by):
         vspace="default",
     )
     built = _count_constructions(monkeypatch, discovery_module, "NameRecord")
-    assert holder.discovery._apply_update(tree, update, "inr-elsewhere", 0.0) is False
+    assert holder.discovery._apply_update(
+        tree, update, "inr-elsewhere", 0.0, holder.now, False
+    ) is False
     assert built == []
     assert tree.record_for(service.announcer) is existing
