@@ -19,7 +19,6 @@ from repro.experiments.fig15 import (
     write_bench_routing_json,
 )
 from repro.obs import well_formed_traces
-from repro.xp import WORKLOADS, default_suite, run_spec
 
 
 def test_fig15_routing_burst(benchmark):
@@ -65,25 +64,3 @@ def test_fig15_routing_burst(benchmark):
     assert by_names[250].remote_same_vspace_ms / 100 == pytest.approx(9.8, rel=0.1)
     for row in rows:
         assert row.remote_other_vspace_ms == pytest.approx(381, rel=0.1)
-
-
-#: The spec the committed ``BENCH_matrix.json`` runs: the baseline
-#: keeps the paper's delivery-code artifact, the ablated arm disables
-#: it. Its importance in the matrix is negative by construction — the
-#: artifact is a reproduced *cost*.
-ABLATION_SPEC = default_suite()["routing-burst"]
-
-
-def test_fig15_ablation_delivery_artifact_off(benchmark):
-    """With the paper's delivery-code artifact disabled, the local curve
-    flattens — evidence the linearity was the artifact, not lookups."""
-    run = benchmark.pedantic(
-        lambda: run_spec(ABLATION_SPEC, timing=False), rounds=1, iterations=1
-    )
-    for title, headers, rows in WORKLOADS["routing"].suite_tables(run):
-        record_table(title, headers, rows)
-    rows = run.ablations["delivery_artifact"].details["rows"]
-    assert rows[1].local_ms == pytest.approx(rows[0].local_ms, rel=0.05)
-    # The baseline keeps the artifact's linear growth in the vspace size.
-    base_rows = run.baseline.details["rows"]
-    assert base_rows[1].local_ms > 3 * base_rows[0].local_ms

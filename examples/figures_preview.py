@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Regenerate every figure of the paper's evaluation, scaled down.
 
-The full-size sweeps live in ``pytest benchmarks/ --benchmark-only``;
+The full-size figures are the default suite's specs (``repro-xp run
+--tables-dir benchmarks/results``) and the Fig. 12/14/15 bench scripts;
 this script runs reduced versions of all six figures in about a minute
 and prints the same tables, so a reader can see the reproduction
 working before committing to the full run.
@@ -9,37 +10,40 @@ working before committing to the full run.
 Run:  python examples/figures_preview.py
 """
 
-from repro.experiments.fig08 import run_saturation_experiment, saturation_point
-from repro.experiments.fig09 import run_partition_experiment
+from repro.experiments.fig08 import saturation_point
 from repro.experiments.fig12 import run_lookup_experiment
-from repro.experiments.fig13 import run_size_experiment
 from repro.experiments.fig14 import run_discovery_experiment, slope_ms_per_hop
 from repro.experiments.fig15 import run_routing_experiment
+from repro.xp import WORKLOADS, ExperimentSpec, run_spec
+from repro.xp.report import format_table
 
 
 def banner(text: str) -> None:
     print(f"\n=== {text} ===")
 
 
-def main() -> None:
-    banner("Figure 8: CPU vs bandwidth saturation (15s refresh, 1 Mbps)")
-    rows = run_saturation_experiment(
-        name_counts=(0, 5000, 10000, 15000, 20000), measure_intervals=1
+def show(workload: str, **params):
+    """Run a scaled-down spec of one of the default suite's workloads,
+    print the table ``repro-xp run`` writes for it and return its rows."""
+    spec = ExperimentSpec(
+        name=f"preview-{workload}", workload=workload, params=params
     )
-    print(f"{'names':>6}  {'cpu %':>6}  {'bandwidth %':>11}")
-    for row in rows:
-        print(f"{row.total_names:>6}  {row.cpu_percent:>6.1f}  "
-              f"{row.bandwidth_percent:>11.1f}")
+    run = run_spec(spec, timing=True)
+    for table in WORKLOADS[workload].suite_tables(run):
+        print("\n" + format_table(*table), end="")
+    return run.baseline.details["rows"]
+
+
+def main() -> None:
+    rows = show(
+        "saturation",
+        name_counts=(0, 5000, 10000, 15000, 20000),
+        measure_intervals=1,
+    )
     print(f"CPU saturates at ~{saturation_point(rows)} names; "
           "bandwidth never reaches the link (the paper's CPU-bound claim)")
 
-    banner("Figure 9: periodic update time (ms), two equal vspaces")
-    rows = run_partition_experiment(name_counts=(1000, 3000, 5000))
-    print(f"{'names':>6}  {'1v/1m':>7}  {'2v/1m':>7}  {'2v/2m':>7}")
-    for row in rows:
-        print(f"{row.total_names:>6}  {row.one_vspace_one_machine_ms:>7.0f}  "
-              f"{row.two_vspaces_one_machine_ms:>7.0f}  "
-              f"{row.two_vspaces_two_machines_ms:>7.0f}")
+    show("partition", name_counts=(1000, 3000, 5000))
     print("partitioning across two machines halves per-machine time")
 
     banner("Figure 12: name-tree lookup performance (native measurement)")
@@ -50,11 +54,7 @@ def main() -> None:
         print(f"{row.names_in_tree:>6}  {row.lookups_per_second:>10.0f}  "
               f"{row.mean_lookup_us:>9.1f}")
 
-    banner("Figure 13: name-tree memory")
-    rows = run_size_experiment(name_counts=(100, 2500, 10000))
-    print(f"{'names':>6}  {'MB':>6}")
-    for row in rows:
-        print(f"{row.names_in_tree:>6}  {row.tree_megabytes:>6.2f}")
+    show("tree-size", name_counts=(100, 2500, 10000))
 
     banner("Figure 14: discovery time vs INR hops")
     rows, _ = run_discovery_experiment(max_hops=6)

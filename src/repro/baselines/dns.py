@@ -15,10 +15,11 @@ enough to measure the contrast:
 - :class:`DnsRegisteredService` registers itself once at startup, like
   a statically configured server.
 
-The benchmark in ``bench_baseline_dns.py`` runs the same mobility
-scenario against INS and against this baseline: INS's soft state and
-late binding recover automatically, the DNS baseline keeps handing out
-the stale cached address until the TTL expires *and* someone re-registers.
+The ``dns-mobility`` spec of ``repro.xp.default_suite()`` runs the
+same mobility scenario against INS and against this baseline: INS's
+soft state and late binding recover automatically, the DNS baseline
+keeps handing out the stale cached address until the TTL expires *and*
+someone re-registers.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ numbers, cumulative acks, retransmission on timeout, in-order delivery,
 duplicate suppression. The resolver uses it (``update_mode =
 "reliable-delta"``) to send only *changed* entries plus explicit
 withdrawals, instead of re-flooding every name each refresh interval.
-The bandwidth/staleness comparison lives in
-``benchmarks/bench_ablation_reliable.py``.
+The bandwidth/staleness comparison is the ``update-modes`` spec of
+``repro.xp.default_suite()``.
 
 Connections are identified by an *epoch* (a process-unique incarnation
 number) carried on every frame and ack, playing the role TCP's initial

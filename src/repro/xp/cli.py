@@ -2,9 +2,10 @@
 
 ``repro-xp run`` executes a suite of experiment specs (the committed
 default suite unless filtered), writes the schema-versioned
-``BENCH_matrix.json`` and, when asked, the historical ablation text
-tables. ``repro-xp list`` shows the registered workloads, their
-toggles and the committed suite with its stable run ids.
+``BENCH_matrix.json`` and, when asked, every result table the suite
+renders (the figures and ablations under ``benchmarks/results/``).
+``repro-xp list`` shows the registered workloads, their toggles and
+the committed suite with its stable run ids.
 
 This is the only place a timestamp enters an artifact: the matrix body
 is a deterministic function of the specs, and ``--timestamp`` stamps
@@ -113,12 +114,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_parser.add_argument(
         "--timing",
         action="store_true",
-        help="also collect wall-clock timings (non-deterministic section)",
+        help="also collect host-dependent timings (non-deterministic section)",
     )
     run_parser.add_argument(
         "--tables-dir",
         metavar="DIR",
-        help="also write the historical ablation__*.txt tables here",
+        help="also write the suite's result tables (*.txt) here",
     )
     run_parser.add_argument(
         "--timestamp",

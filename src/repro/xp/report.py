@@ -10,11 +10,13 @@ stamped by the caller (the CLI) *outside* the run, via the
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..obs import write_canonical_json
+from .gate import flatten
 from .runner import SpecRun, WORKLOADS
 
 #: Version of the ``BENCH_matrix.json`` artifact layout.
@@ -169,7 +171,13 @@ def write_bench_matrix_json(
     two-space indent, trailing newline — byte-identical for equal
     payloads). ``generated_at`` is the only non-deterministic field and
     is stamped by the caller, outside the run; ``None`` omits it.
+    Refuses (``ValueError``, nothing written) a NaN or an infinity
+    anywhere: JSON has no such number, and a workload says "never" as
+    a metric of its own.
     """
+    bad = [p for p, v in flatten(payload).items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite metric(s): {', '.join(sorted(bad))}")
     payload = dict(payload)
     if generated_at is not None:
         payload["generated_at"] = generated_at
@@ -180,8 +188,9 @@ def write_bench_matrix_json(
 
 
 # ----------------------------------------------------------------------
-# Text-table artifacts (the one slug rule and the one renderer; the
-# bench scripts' ``record_table`` writes through these too)
+# Text-table artifacts (the one slug rule and the one renderer): a
+# workload's ``suite_tables`` and the tables of the bench scripts that
+# write a ``BENCH_*.json`` family both go through these
 # ----------------------------------------------------------------------
 def table_filename(title: str) -> str:
     """The ``benchmarks/results/`` filename a table title maps to. A

@@ -5,10 +5,11 @@ engine: given a spec's params, a seed and concrete toggle values, it
 runs the experiment and returns a :class:`WorkloadResult` whose
 ``metrics`` are **deterministic** (simulated time, counters, ratios —
 anything that is a pure function of the spec) and whose ``timings``
-are wall-clock measurements (collected only when asked, and kept out
-of the deterministic report body). Workloads register themselves in
-:data:`WORKLOADS` at import time; :mod:`.workloads` populates the
-registry with every migrated benchmark.
+are host-dependent measurements (wall clock, interpreter object sizes;
+collected only when asked, and kept out of the deterministic report
+body). Workloads register themselves in :data:`WORKLOADS` at import
+time; :mod:`.workloads` populates the registry with every experiment
+and figure.
 
 :func:`run_spec` executes the baseline configuration plus one run per
 toggle the workload honors with that toggle flipped — the full ablation
@@ -39,12 +40,14 @@ class WorkloadResult:
     """What one configuration of one workload measured.
 
     ``metrics`` must be a deterministic function of (params, toggles,
-    seed); ``timings`` may read the host clock and is only populated
-    when the run was invoked with ``timing=True``. ``details`` carries
+    seed); ``timings`` holds what depends on the host instead — the
+    wall clock, ``sys.getsizeof`` bytes — and is only populated when
+    the run was invoked with ``timing=True``. ``details`` carries
     workload-native result objects (dataclasses, row lists) for
-    migrated bench drivers that keep their own assertions and artifact
-    writers; it never enters the matrix report. ``collector`` is the
-    :class:`repro.obs.ObsCollector` of an observed run, if any.
+    ``suite_tables``, tests and the bench scripts that write a
+    ``BENCH_*.json`` family; it never enters the matrix report.
+    ``collector`` is the :class:`repro.obs.ObsCollector` of an observed
+    run, if any.
     """
 
     metrics: Dict[str, float] = field(default_factory=dict)
@@ -65,17 +68,18 @@ class Workload:
 
     id: str
     description: str
-    #: the component toggles this workload responds to (ablation axes)
-    toggles: Tuple[str, ...]
+    run: WorkloadFn
+    #: the component toggles this workload responds to (ablation axes);
+    #: none for a figure that is one run
+    toggles: Tuple[str, ...] = ()
     #: toggle -> (metric name, direction). The metric a toggle's
     #: importance is judged on; direction is "higher" or "lower"
     #: (which way is better). Metrics named here must be deterministic.
-    primary_metrics: Mapping[str, Tuple[str, str]]
-    run: WorkloadFn
-    #: optional ``f(spec_run) -> [Table]`` producing the historical
-    #: cross-run comparison tables (``ablation__*.txt``) for this
-    #: workload; tables that need wall-clock numbers must return []
-    #: when ``spec_run.timing`` is False.
+    primary_metrics: Mapping[str, Tuple[str, str]] = field(default_factory=dict)
+    #: optional ``f(spec_run) -> [Table]`` producing this workload's
+    #: result tables (``figure_*.txt``, ``ablation__*.txt``); tables
+    #: built from host-dependent numbers must return [] when
+    #: ``spec_run.timing`` is False.
     suite_tables: Optional[Callable[["SpecRun"], List[Table]]] = None
 
     def __post_init__(self) -> None:

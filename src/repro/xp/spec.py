@@ -73,8 +73,9 @@ class ExperimentSpec:
     ``toggles`` holds the *baseline* value of every component the
     experiment controls; the runner produces one additional ablated run
     per toggle by flipping it. ``params`` are workload scale knobs
-    (name counts, durations, client counts) — part of the identity, so
-    a reduced-scale CI run and a full-scale run never share an ID.
+    (name counts, durations, client counts, a sweep's points as a
+    tuple) — part of the identity, so a reduced-scale CI run and a
+    full-scale run never share an ID.
     """
 
     name: str
@@ -109,6 +110,14 @@ class ExperimentSpec:
                 raise SpecError(
                     f"spec {self.name!r}: unknown ablation toggle {toggle!r}"
                 )
+        # Params are hashed as canonical JSON: what it cannot carry (a
+        # set, an object, a NaN or an infinity) has no run ID.
+        try:
+            json.dumps(dict(self.params), sort_keys=True, allow_nan=False)
+        except (TypeError, ValueError) as error:
+            raise SpecError(
+                f"spec {self.name!r}: params must be plain JSON data ({error})"
+            ) from None
         object.__setattr__(
             self, "ablations", tuple(sorted(set(self.ablations)))
         )

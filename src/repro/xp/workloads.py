@@ -1,4 +1,4 @@
-"""Workload adapters: every migrated benchmark as an engine Workload.
+"""Workload adapters: every experiment and figure as an engine Workload.
 
 Each adapter maps concrete toggle values onto the knobs the underlying
 experiment already exposes (``InrConfig`` flags, scenario arguments,
@@ -7,10 +7,11 @@ report into a :class:`~.runner.WorkloadResult`: it names the report
 fields it exports (:func:`_report_metrics`). The ``metrics`` it
 returns are deterministic — simulated-clock latencies, counters,
 ratios, analytic costs — so the matrix report is byte-reproducible;
-wall-clock throughput numbers go in ``timings`` and only exist when the
-run asked for them. ``details`` keeps the native report object so the
-migrated bench drivers retain their own assertions and artifact
-writers.
+host-dependent numbers (wall-clock throughput, interpreter object
+sizes) go in ``timings`` and only exist when the run asked for them.
+``details`` keeps the native report object for the workload's
+``suite_tables``, the tests' assertions and the bench scripts that
+write a ``BENCH_*.json`` family.
 
 This module (with :mod:`.runner` and :mod:`.cli`) reads the host clock,
 ``time.perf_counter`` only, which the ``entropy-taint`` lint rule
@@ -20,9 +21,10 @@ This module (with :mod:`.runner` and :mod:`.cli`) reads the host clock,
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .runner import (
     WORKLOADS,
@@ -603,15 +605,320 @@ register_workload(Workload(
 
 
 # ----------------------------------------------------------------------
+# Toggle-less workloads: the paper's figures and the design-choice
+# ablations with no component to flip. Each calls its driver with the
+# spec's params as keyword arguments (a sweep is a tuple param) and
+# renders the table the figure has always had.
+# ----------------------------------------------------------------------
+#: One table column: header, row attribute, format spec.
+Column = Tuple[str, str, str]
+
+
+def _point_label(point) -> str:
+    """A sweep point as a metric-name suffix: ``2.0`` -> ``2``,
+    ``"soft-state"`` -> ``soft_state``."""
+    text = f"{point:g}" if isinstance(point, float) else str(point)
+    return text.replace("-", "_")
+
+
+def _render(title: str, columns: Sequence[Column], rows) -> Table:
+    return (
+        title,
+        [header for header, _, _ in columns],
+        [
+            [format(getattr(row, attr), spec) for _, attr, spec in columns]
+            for row in rows
+        ],
+    )
+
+
+def _sweep(
+    workload_id: str,
+    description: str,
+    title: str,
+    columns: Sequence[Column],
+    extra_metrics: Sequence[str] = (),
+    timed: bool = False,
+) -> Callable:
+    """Register the decorated driver, which returns one row per sweep
+    point, as a workload. The first column is the point; every other
+    column (and each of ``extra_metrics``) is a metric
+    ``<attribute>_<point>``. ``timed`` marks numbers that depend on the
+    host: they are timings, so an untimed run does not call the driver
+    and writes no table. A driver imports its experiment itself, like
+    every adapter: importing ``repro.xp`` must not import the
+    experiments, whose T(d) fit needs the optional numpy."""
+    point = columns[0][1]
+    fields = [attr for _, attr, _ in columns[1:]] + list(extra_metrics)
+
+    def register(driver: Callable[..., list]) -> Callable[..., list]:
+        def run(params, toggles, seed, timing) -> WorkloadResult:
+            if timed and not timing:
+                return WorkloadResult()
+            rows = driver(seed=seed, **params)
+            result = WorkloadResult(details={"rows": rows})
+            numbers = result.timings if timed else result.metrics
+            for row in rows:
+                label = _point_label(getattr(row, point))
+                for name in fields:
+                    numbers[f"{name}_{label}"] = float(getattr(row, name))
+            return result
+
+        def tables(spec_run: SpecRun) -> List[Table]:
+            if timed and not spec_run.timing:
+                return []
+            return [_render(title, columns, spec_run.baseline.details["rows"])]
+
+        register_workload(Workload(
+            id=workload_id, description=description, run=run,
+            suite_tables=tables,
+        ))
+        return driver
+
+    return register
+
+
+@_sweep(
+    "saturation",
+    "Figure 8: INR CPU vs 1 Mbps link use as refreshed names grow",
+    "Figure 8: CPU vs bandwidth saturation (15 s refresh, 1 Mbps link)",
+    [
+        ("names", "total_names", ""),
+        ("cpu %", "cpu_percent", ".1f"),
+        ("bandwidth %", "bandwidth_percent", ".1f"),
+        ("bytes/interval", "bytes_per_interval", ""),
+    ],
+)
+def _saturation_rows(**params):
+    from ..experiments.fig08 import run_saturation_experiment
+
+    return run_saturation_experiment(**params)
+
+
+@_sweep(
+    "partition",
+    "Figure 9: update-round time, vspaces split over one or two machines",
+    "Figure 9: periodic update time (ms) vs names, two equal vspaces",
+    [
+        ("names", "total_names", ""),
+        ("1 vspace / 1 machine", "one_vspace_one_machine_ms", ".0f"),
+        ("2 vspaces / 1 machine", "two_vspaces_one_machine_ms", ".0f"),
+        ("2 vspaces / 2 machines", "two_vspaces_two_machines_ms", ".0f"),
+    ],
+)
+def _partition_rows(**params):
+    from ..experiments.fig09 import run_partition_experiment
+
+    return run_partition_experiment(**params)
+
+
+@_sweep(
+    "tree-size",
+    "Figure 13: the name-tree's deep getsizeof (host-dependent: timings)",
+    "Figure 13: name-tree size vs names in the tree",
+    [
+        ("names in tree", "names_in_tree", ""),
+        ("megabytes", "tree_megabytes", ".2f"),
+    ],
+    timed=True,
+)
+def _tree_size_rows(**params):
+    from ..experiments.fig13 import run_size_experiment
+
+    return run_size_experiment(**params)
+
+
+@_sweep(
+    "recovery-clocks",
+    "soft-state clocks vs crash detection, MTTR and control bandwidth",
+    "Ablation: soft-state clocks vs recovery "
+    "(5 INRs, crash+restart / flaps / noisy links / DSR failover)",
+    [
+        ("refresh (s)", "refresh_interval", ".0f"),
+        ("nbr timeout (s)", "neighbor_timeout", ".0f"),
+        ("crash detect p100 (s)", "crash_detect_p100", ".2f"),
+        ("crash MTTR p50 (s)", "crash_mttr_p50", ".2f"),
+        ("crash MTTR p100 (s)", "crash_mttr_p100", ".2f"),
+        ("failover MTTR (s)", "failover_mttr_p100", ".2f"),
+        ("control bytes/s", "control_bytes_per_second", ".0f"),
+    ],
+    extra_metrics=("violations",),
+)
+def _recovery_rows(**params):
+    from ..chaos import run_recovery_ablation
+
+    return run_recovery_ablation(**params)
+
+
+@_sweep(
+    "update-modes",
+    "footnote 3: soft-state flooding vs reliable-delta inter-INR updates",
+    "Ablation: soft-state vs reliable-delta inter-INR updates "
+    "(20 services, 15 s refresh)",
+    [
+        ("mode", "mode", ""),
+        ("steady bytes/s", "steady_state_bytes_per_second", ".1f"),
+        ("stale removal (s)", "stale_name_removal_s", ".1f"),
+        ("change propagation (s)", "change_propagation_s", ".3f"),
+    ],
+)
+def _update_mode_rows(**params):
+    from ..experiments.ablations import run_update_mode_comparison
+
+    return run_update_mode_comparison(**params)
+
+
+@_sweep(
+    "refresh-interval",
+    "Section 7: refresh interval vs control bandwidth and stale names",
+    "Ablation: soft-state refresh interval tradeoff "
+    "(10 services, lifetime = 3x interval)",
+    [
+        ("refresh interval (s)", "refresh_interval", ".0f"),
+        ("control bytes/s on INR link", "control_bytes_per_second", ".0f"),
+        ("stale-name removal (s)", "stale_name_removal_s", ".1f"),
+    ],
+)
+def _refresh_interval_rows(**params):
+    from ..experiments.ablations import run_softstate_experiment
+
+    return run_softstate_experiment(**params)
+
+
+#: The DNS baseline's three systems, in the driver's row order.
+_MOBILITY_SYSTEMS = ("ins", "dns_fixed", "dns_stale")
+
+
+def _run_dns_mobility(params, toggles, seed, timing) -> WorkloadResult:
+    from ..experiments.baseline_dns import run_mobility_comparison
+
+    rows = run_mobility_comparison(seed=seed, **params)
+    metrics = {}
+    for system, row in zip(_MOBILITY_SYSTEMS, rows):
+        metrics[f"requests_sent_{system}"] = float(row.requests_sent)
+        metrics[f"delivered_{system}"] = float(row.delivered)
+        # "Never recovers" is an infinite outage, which JSON cannot
+        # carry: it is a 0 in ``recovered_*`` and no ``outage_s_*``.
+        recovered = math.isfinite(row.outage_seconds)
+        metrics[f"recovered_{system}"] = float(recovered)
+        if recovered:
+            metrics[f"outage_s_{system}"] = row.outage_seconds
+    return WorkloadResult(metrics=metrics, details={"rows": rows})
+
+
+def _dns_mobility_tables(run: SpecRun) -> List[Table]:
+    return [(
+        "Baseline: node mobility at t=20s, one request per 0.5s for 120s",
+        ["system", "sent", "delivered", "outage after move (s)"],
+        [
+            (
+                row.system,
+                row.requests_sent,
+                row.delivered,
+                "never recovers" if math.isinf(row.outage_seconds)
+                else f"{row.outage_seconds:.1f}",
+            )
+            for row in run.baseline.details["rows"]
+        ],
+    )]
+
+
+register_workload(Workload(
+    id="dns-mobility",
+    description="INS late binding vs DNS-style early binding, host moving",
+    run=_run_dns_mobility,
+    suite_tables=_dns_mobility_tables,
+))
+
+
+def _run_lookup_model(params, toggles, seed, timing) -> WorkloadResult:
+    # Every number is wall clock: an untimed run has nothing to measure.
+    if not timing:
+        return WorkloadResult()
+    from ..experiments.ablations import run_lookup_model_check
+
+    rows, fitted_t_us, fitted_b_us = run_lookup_model_check(
+        seed=seed, **params
+    )
+    timings = {"fit_t_us": fitted_t_us, "fit_b_us": fitted_b_us}
+    for row in rows:
+        timings[f"measured_us_{row.depth}"] = row.measured_us
+        timings[f"predicted_us_{row.depth}"] = row.predicted_us
+    return WorkloadResult(
+        timings=timings,
+        details={"rows": rows, "fit": (fitted_t_us, fitted_b_us)},
+    )
+
+
+def _lookup_model_tables(run: SpecRun) -> List[Table]:
+    if not run.timing:
+        return []
+    fitted_t_us, fitted_b_us = run.baseline.details["fit"]
+    return [_render(
+        "Ablation: T(d) model vs measured lookup time "
+        f"(fit t={fitted_t_us:.2f}us, b={fitted_b_us:.2f}us)",
+        [
+            ("depth d", "depth", ""),
+            ("measured (us)", "measured_us", ".1f"),
+            ("model (us)", "predicted_us", ".1f"),
+        ],
+        run.baseline.details["rows"],
+    )]
+
+
+register_workload(Workload(
+    id="lookup-model",
+    description="Section 5.1.1: LOOKUP-NAME time vs the T(d) model (timed)",
+    run=_run_lookup_model,
+    suite_tables=_lookup_model_tables,
+))
+
+
+_RELAXATION_COLUMNS = (
+    ("after degradation", "initial_tree_cost", ".4f"),
+    ("after relaxation", "relaxed_tree_cost", ".4f"),
+    ("greedy under new latencies", "optimal_like_cost", ".4f"),
+)
+
+
+def _run_relaxation(params, toggles, seed, timing) -> WorkloadResult:
+    from ..experiments.ablations import run_relaxation_experiment
+
+    result = run_relaxation_experiment(seed=seed, **params)
+    return WorkloadResult(
+        metrics=_report_metrics(
+            result, [attr for _, attr, _ in _RELAXATION_COLUMNS]
+        ),
+        details={"result": result},
+    )
+
+
+def _relaxation_tables(run: SpecRun) -> List[Table]:
+    return [_render(
+        "Ablation: overlay tree cost (sum of parent-edge latencies, s)",
+        _RELAXATION_COLUMNS,
+        [run.baseline.details["result"]],
+    )]
+
+
+register_workload(Workload(
+    id="relaxation",
+    description="Section 2.4: overlay relaxation repairing a degraded tree",
+    run=_run_relaxation,
+    suite_tables=_relaxation_tables,
+))
+
+
+# ----------------------------------------------------------------------
 # The committed default suite
 # ----------------------------------------------------------------------
 def default_suite() -> Dict[str, ExperimentSpec]:
     """The suite behind the committed ``BENCH_matrix.json``, by spec
-    name and in run order: every toggle exercised at least once, scaled
-    to finish in well under a minute, deterministic with
-    ``timing=False``. A bench script that regenerates one entry's
-    artifact fetches the spec from here, so its run IDs are the
-    matrix's."""
+    name and in run order: every toggle exercised at least once, then
+    every toggle-less figure and ablation at its full scale, all
+    deterministic with ``timing=False``. A bench script that writes one
+    entry's ``BENCH_*.json`` family fetches the spec from here, so its
+    run IDs are the matrix's."""
     specs = [
         ExperimentSpec(
             name="lookup-memo-index",
@@ -652,5 +959,48 @@ def default_suite() -> Dict[str, ExperimentSpec]:
             params={"request_rate": 900.0, "duration": 40.0},
         ),
         ExperimentSpec(name="update-overload", workload="update-overload", seed=0),
+        ExperimentSpec(
+            name="fig08-saturation",
+            workload="saturation",
+            params={
+                "name_counts": tuple(range(0, 20001, 2500)),
+                "measure_intervals": 2,
+            },
+        ),
+        ExperimentSpec(
+            name="fig09-partition",
+            workload="partition",
+            params={"name_counts": (500, 1000, 2000, 3000, 4000, 5000)},
+        ),
+        ExperimentSpec(
+            name="fig13-tree-size",
+            workload="tree-size",
+            params={"name_counts": (100, 1000, 2500, 5000, 7500, 10000, 14300)},
+        ),
+        ExperimentSpec(name="dns-mobility", workload="dns-mobility"),
+        ExperimentSpec(
+            name="lookup-model-check",
+            workload="lookup-model",
+            params={"depths": (1, 2, 3, 4, 5), "names_per_tree": 300, "lookups": 400},
+        ),
+        ExperimentSpec(
+            name="overlay-relaxation",
+            workload="relaxation",
+            params={"inr_count": 8, "rounds": 400.0},
+        ),
+        ExperimentSpec(
+            name="recovery-clocks",
+            workload="recovery-clocks",
+            seed=7,
+            params={"sweep": ((1.0, 3.0), (2.0, 6.0), (4.0, 12.0))},
+        ),
+        ExperimentSpec(
+            name="update-modes", workload="update-modes", params={"services": 20}
+        ),
+        ExperimentSpec(
+            name="refresh-interval",
+            workload="refresh-interval",
+            params={"refresh_intervals": (2.0, 5.0, 15.0)},
+        ),
     ]
     return {spec.name: spec for spec in specs}

@@ -7,6 +7,7 @@ import pytest
 from repro.xp import (
     ExperimentSpec,
     build_matrix_report,
+    default_suite,
     run_spec,
     run_suite,
     validate_artifact,
@@ -17,16 +18,9 @@ from repro.xp.runner import SpecError
 
 
 def small_suite():
-    """The two fastest workloads — enough to exercise the whole path."""
-    return [
-        ExperimentSpec(
-            name="cache",
-            workload="packet-cache",
-            seed=0,
-            params={"requests": 10},
-        ),
-        ExperimentSpec(name="updates", workload="update-overload", seed=0),
-    ]
+    """The two fastest toggled specs — enough to exercise the whole path."""
+    suite = default_suite()
+    return [suite["packet-cache-camera"], suite["update-overload"]]
 
 
 class TestDeterminism:
@@ -52,6 +46,17 @@ class TestDeterminism:
         assert stamped["generated_at"] == "2026-01-01"
         bare = write_bench_matrix_json(path, payload, generated_at=None)
         assert "generated_at" not in bare
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_metric_is_refused_and_nothing_written(
+        self, tmp_path, value
+    ):
+        payload = build_matrix_report(run_suite(small_suite()[:1]))
+        payload["suite"][0]["baseline"]["metrics"]["outage_s"] = value
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=r"baseline\.metrics\.outage_s"):
+            write_bench_matrix_json(path, payload)
+        assert not path.exists()
 
     def test_without_timing_no_wall_clock_fields_leak(self):
         runs = run_suite(small_suite(), timing=False)

@@ -31,6 +31,18 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown ablation"):
             ExperimentSpec(name="x", workload="lookup", ablations=("nope",))
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"x": float("nan")},
+            {"sweep": (1.0, float("-inf"))},
+            {"x": {1, 2}},
+        ],
+    )
+    def test_rejects_params_canonical_json_cannot_carry(self, params):
+        with pytest.raises(SpecError, match="params must be plain JSON"):
+            ExperimentSpec(name="x", workload="lookup", params=params)
+
     def test_every_toggle_has_a_description(self):
         assert len(TOGGLES) >= 8
         for toggle, description in TOGGLES.items():
