@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..message import Binding, Delivery, InsMessage
 from ..naming import NameSpecifier
-from ..netsim import Node, Process
+from ..netsim import Node, Process, cancel
 from ..obs import STATUS_OK
 from ..message.dsr import DsrListRequest, DsrListResponse
 from ..resolver.ports import DSR_PORT, INR_PORT
@@ -119,13 +119,13 @@ class _PendingRequest:
     attempts: int = 0
     timeouts: int = 0
     resolver: Optional[str] = None
-    timer: Optional[object] = None
+    timer: Optional[list] = None
     #: The root span covering this request, when the domain is traced.
     span: Optional[object] = None
 
     def cancel_timer(self) -> None:
         if self.timer is not None:
-            self.timer.cancel()
+            cancel(self.timer)
             self.timer = None
 
 

@@ -8,16 +8,20 @@ and a deterministic event loop with virtual time.
 from .cpu import Cpu
 from .network import Link, LinkStats, Network, Node
 from .process import PeriodicTimer, Process
-from .simulator import Event, Simulator
+from .simulator import ARGS, CALLBACK, SEQUENCE, TIME, Simulator, cancel
 
 __all__ = [
+    "ARGS",
+    "CALLBACK",
     "Cpu",
-    "Event",
     "Link",
     "LinkStats",
     "Network",
     "Node",
     "PeriodicTimer",
     "Process",
+    "SEQUENCE",
     "Simulator",
+    "TIME",
+    "cancel",
 ]

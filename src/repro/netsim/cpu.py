@@ -54,22 +54,27 @@ class Cpu:
         return finish
 
     def execute_last(self, cost: float, callback: Callable[..., None], *args: Any) -> float:
-        """:meth:`execute` for a caller in tail position — one with
-        nothing left to do once the work is queued.
+        """:meth:`execute` for a caller in tail position — the last act
+        of the event it runs in.
 
-        Free work on an idle CPU completes at this very instant; when
-        the simulator has nothing else due, scheduling the callback
-        would only pop it straight back, so it is fired in place — still
-        one job and one event. Anything else is :meth:`execute`.
+        The accounting is :meth:`execute`'s. When nothing is due by the
+        work's completion, the heap would pop the callback straight
+        back, so the clock moves there and it is fired in place — still
+        one event. Otherwise it is scheduled, as :meth:`execute` does.
         """
+        if not cost >= 0:
+            raise ValueError(f"cpu cost must be non-negative, got {cost}")
         sim = self._sim
-        now = sim.now
-        if cost == 0 and self.free_at <= now and sim.nothing_else_due():
-            self.free_at = now
-            self.jobs_executed += 1
-            sim.fire(callback, *args)
-            return now
-        return self.execute(cost, callback, *args)
+        scaled = cost / self.speed
+        finish = max(sim.now, self.free_at) + scaled
+        self.free_at = finish
+        self.busy_seconds += scaled
+        self.jobs_executed += 1
+        if sim.nothing_due_by(finish):
+            sim.fire(finish, callback, *args)
+        else:
+            sim.at(finish, callback, *args)
+        return finish
 
     def utilization(self, window_start: float, busy_at_start: float) -> float:
         """Fraction of the window since ``window_start`` spent busy.

@@ -349,13 +349,13 @@ class Network:
             self.undeliverable += 1
             return
         if not process.admit(payload, source):
-            # Application-level shedding (admission control): the
-            # datagram arrived but the receiver refused to queue work
-            # for it, so no CPU cost is charged.
+            # The door admits everything (see Process.admit); the call
+            # stays because the whole-domain benchmark wraps INR.admit.
             return
         cost = process.processing_cost(payload, size_bytes)
         self.delivered += 1
-        # Nothing follows: the handler may run in place (see execute_last).
+        # The last act of this event: the handler's CPU job may complete
+        # in place (see Cpu.execute_last).
         node.cpu.execute_last(cost, process.handle_message, payload, source)
 
     def __repr__(self) -> str:

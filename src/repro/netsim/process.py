@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .network import Network, Node
-from .simulator import Event, Simulator
+from .simulator import CALLBACK, TIME, Simulator, cancel
 
 
 #: ``Process._timers`` is first swept of dead one-shot timers at this
@@ -48,7 +48,7 @@ class PeriodicTimer:
         delay = 0.0
         if not fire_immediately:
             delay = interval + sim.rng.uniform(-spread, spread) if spread else interval
-        self._event: Event = sim.at(sim.now + delay, self._fire)
+        self._event = sim.at(sim.now + delay, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:
@@ -69,7 +69,7 @@ class PeriodicTimer:
     def stop(self) -> None:
         """Cancel the timer; no further firings."""
         self._stopped = True
-        self._event.cancel()
+        cancel(self._event)
 
     @property
     def stopped(self) -> bool:
@@ -113,7 +113,7 @@ class Process:
             if isinstance(timer, PeriodicTimer):
                 timer.stop()
             else:
-                timer.cancel()
+                cancel(timer)
         self._timers = []
         self.node.unbind(self.port)
 
@@ -142,10 +142,10 @@ class Process:
         return 0.0
 
     def admit(self, payload: Any, source: str) -> bool:
-        """Accept or shed an arriving datagram *before* any CPU work is
-        queued for it. Returning False drops the message at the door —
-        the admission hook a process that bounds its pending-work queue
-        would override. The default accepts everything."""
+        """The door every arriving datagram passes before its CPU work
+        is queued. It admits everything — nothing in the system sheds
+        load — and is kept only because the whole-domain benchmark's
+        ledger wraps ``INR.admit``."""
         return True
 
     def handle_message(self, payload: Any, source: str) -> None:
@@ -154,8 +154,8 @@ class Process:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """One-shot timer; returns the cancellable event."""
+    def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> list:
+        """One-shot timer; returns the event, which ``cancel`` takes."""
         if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         sim = self.sim
@@ -173,7 +173,7 @@ class Process:
             timers[:] = [
                 timer for timer in timers
                 if isinstance(timer, PeriodicTimer)
-                or not (timer.cancelled or timer.time < now)
+                or not (timer[CALLBACK] is None or timer[TIME] < now)
             ]
             self._timers_sweep_at = max(_TIMER_SWEEP_FLOOR, 2 * len(timers))
         return event

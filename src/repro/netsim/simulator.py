@@ -8,47 +8,27 @@ speed; all protocol code runs unmodified on top of it.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 
-#: ``Simulator._budget_end`` while no ``run(max_events=...)`` is in progress
-_NO_BUDGET = float("inf")
+#: The slots of an event: the heap holds each one as the plain list
+#: ``[time, sequence, callback, args]`` that :meth:`Simulator.at`
+#: returns. Lists compare slot by slot and the sequence number is
+#: unique, so a push or pop compares floats and ints and never reaches
+#: the callback.
+TIME, SEQUENCE, CALLBACK, ARGS = 0, 1, 2, 3
+
+#: ``Simulator._until`` / ``_budget_end`` while no bounded run is in progress
+_UNBOUNDED = float("inf")
 
 
-class Event:
-    """A scheduled callback; cancellable until it fires.
-
-    Events define no ordering of their own: the simulator's heap holds
-    ``(time, sequence, event)`` tuples, so the comparisons a push or
-    pop makes happen between floats and ints, and the unique sequence
-    number settles every tie before an ``Event`` is ever compared.
-    """
-
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[..., None],
-        args: tuple,
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; safe to call repeatedly."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, {state}, {self.callback!r})"
+def cancel(event: list) -> None:
+    """Keep a scheduled event from firing; safe to call repeatedly. It
+    stays queued, a tombstone, until the loop pops it."""
+    event[CALLBACK] = None
 
 
 class Simulator:
@@ -62,21 +42,22 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[list] = []
         self._sequence = itertools.count()
         self._events_processed = 0
-        #: ``events_processed`` value at which a ``run(max_events=...)``
-        #: in progress must return; in-place firings count against it.
-        self._budget_end = _NO_BUDGET
-        #: Optional profiling hook, called with each Event just before
+        #: The ``run()`` in progress stops past ``_until`` and returns
+        #: at ``events_processed == _budget_end``. Kept here, not in its
+        #: locals: a callback fired in place is an event of that run too.
+        self._until = self._budget_end = _UNBOUNDED
+        #: Optional profiling hook, called with each event just before
         #: it fires (``repro.obs`` installs one to count events per
         #: callback). None costs a single comparison per event.
-        self.event_hook: Optional[Callable[[Event], None]] = None
+        self.event_hook: Optional[Callable[[list], None]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> list:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
         # Every guard here and in the rest of netsim is written as the
         # negated accepting comparison, so that NaN — which fails every
@@ -85,64 +66,77 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self.at(self.now + delay, callback, *args)
 
-    def at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Run ``callback(*args)`` at absolute virtual ``time``."""
+    def at(self, time: float, callback: Callable[..., None], *args: Any) -> list:
+        """Run ``callback(*args)`` at absolute virtual ``time``; returns
+        the event, which :func:`cancel` takes."""
         if not time >= self.now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        sequence = next(self._sequence)
-        event = Event(time, sequence, callback, args)
-        heapq.heappush(self._queue, (time, sequence, event))
+        event = [time, next(self._sequence), callback, args]
+        heappush(self._queue, event)
         return event
 
     # ------------------------------------------------------------------
     # Firing in place
     # ------------------------------------------------------------------
-    def nothing_else_due(self) -> bool:
-        """True when a callback scheduled for the current instant would
-        be the very next entry popped.
+    def nothing_due_by(self, time: float) -> bool:
+        """True when a callback scheduled now for ``time`` would be the
+        very next event fired.
 
         An entry pushed now gets the highest sequence number, so every
-        queued entry due at this instant — live or cancelled — goes
-        first; if the head of the heap is later than ``now`` there is
-        none, and a caller in tail position may :meth:`fire` the
-        callback in place with the same ``(time, sequence)`` firing
-        order as scheduling it. An exhausted ``run(max_events=...)``
-        budget also answers False: the callback belongs to a later run.
+        queued entry due by ``time`` — live or cancelled — goes first;
+        if the head of the heap is later there is none, and a caller in
+        tail position may :meth:`fire` the callback in place with the
+        same ``(time, sequence)`` firing order as scheduling it. It
+        must also be an event of the ``run()`` in progress: ``time``
+        within its ``until`` and its ``max_events`` budget not spent.
+        A NaN ``time`` answers False.
         """
         queue = self._queue
         return (
-            (not queue or queue[0][0] > self.now)
+            (not queue or queue[0][TIME] > time)
+            and time <= self._until
             and self._events_processed < self._budget_end
         )
 
-    def fire(self, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` now, counted and profiled as the
-        fired event it stands for — sequence number included, so every
-        later entry is keyed exactly as if this one had been scheduled.
-        Only valid in tail position while :meth:`nothing_else_due` holds."""
+    def fire(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Move the clock to ``time`` and run ``callback(*args)``,
+        counted and profiled as the fired event it stands for —
+        sequence number included, so every later entry is keyed exactly
+        as if this one had been scheduled. Only valid in tail position
+        while :meth:`nothing_due_by` ``(time)`` holds."""
         sequence = next(self._sequence)
+        self.now = time
         self._events_processed += 1
         if self.event_hook is not None:
-            self.event_hook(Event(self.now, sequence, callback, args))
+            self.event_hook([time, sequence, callback, args])
         callback(*args)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the next pending event (and whatever it fires in place);
-        False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
+        """Fire the next pending event and whatever it fires in place;
+        False when the queue is empty.
+
+        A step that fires a CPU job in place ends at the job's
+        completion, not at the arrival that queued it: the firings are
+        the ones two steps would make, but ``now`` between them is not
+        observable from outside. State a handler changes is changed at
+        the completion either way.
+        """
+        queue = self._queue
+        while queue:
+            event = heappop(queue)
+            callback = event[CALLBACK]
+            if callback is None:
                 continue
-            self.now = event.time
+            self.now = event[TIME]
             self._events_processed += 1
             if self.event_hook is not None:
                 self.event_hook(event)
-            event.callback(*event.args)
+            callback(*event[ARGS])
             return True
         return False
 
@@ -164,20 +158,20 @@ class Simulator:
         plain ``run()`` is for event sets that naturally drain.
         """
         queue = self._queue
-        pop = heapq.heappop
-        # The budget lives on the simulator, not in a local: a callback
-        # fired in place inside another is an event of this run too.
+        pop = heappop
+        self._until = bound = _UNBOUNDED if until is None else until
         self._budget_end = budget_end = (
-            _NO_BUDGET if max_events is None
+            _UNBOUNDED if max_events is None
             else self._events_processed + max_events
         )
         try:
             while queue:
-                batch_time, _, head = queue[0]
-                if head.cancelled:
+                head = queue[0]
+                if head[CALLBACK] is None:
                     pop(queue)
                     continue
-                if until is not None and batch_time > until:
+                batch_time = head[TIME]
+                if batch_time > bound:
                     break
                 # Fire the whole same-timestamp batch in one inner loop: the
                 # clock is assigned once per distinct time and each event
@@ -189,18 +183,19 @@ class Simulator:
                 # Exact equality is the batching criterion: only events whose
                 # float timestamp is bit-identical share a clock assignment; a
                 # near-equal time is a later instant and starts its own batch.
-                while queue and queue[0][0] == batch_time:
+                while queue and queue[0][TIME] == batch_time:
                     if self._events_processed >= budget_end:
                         return
-                    event = pop(queue)[2]
-                    if event.cancelled:
+                    event = pop(queue)
+                    callback = event[CALLBACK]
+                    if callback is None:
                         continue
                     self._events_processed += 1
                     if self.event_hook is not None:
                         self.event_hook(event)
-                    event.callback(*event.args)
+                    callback(*event[ARGS])
         finally:
-            self._budget_end = _NO_BUDGET
+            self._until = self._budget_end = _UNBOUNDED
         if until is not None:
             self.now = max(self.now, until)
 

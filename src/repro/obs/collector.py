@@ -45,7 +45,9 @@ class ObsCollector:
         )
 
         def on_event(event) -> None:
-            callback = event.callback
+            # netsim's [time, sequence, callback, args] entry, its slots
+            # named by unpacking: obs imports no other layer
+            _time, _sequence, callback, _args = event
             label = getattr(callback, "__qualname__", None)
             if label is None:
                 label = type(callback).__name__

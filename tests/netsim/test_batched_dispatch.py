@@ -10,7 +10,7 @@ timestamp from inside a callback* still fire within the same batch.
 
 import pytest
 
-from repro.netsim import Simulator
+from repro.netsim import TIME, Simulator, cancel
 
 
 def test_same_timestamp_fifo_order():
@@ -54,13 +54,13 @@ def test_cancellation_inside_batch_respected():
     sim = Simulator()
     fired = []
     victim = sim.at(1.0, fired.append, "victim")
-    sim.at(1.0, lambda: victim.cancel())
+    sim.at(1.0, cancel, victim)
     # Sequence order puts the canceller *after* the victim, so this one
     # fires; cancel a later-sequence victim instead.
     later = sim.at(1.0, fired.append, "later")
     sim.at(1.0, fired.append, "tail")
     victim2 = later
-    sim.at(0.5, lambda: victim2.cancel())
+    sim.at(0.5, cancel, victim2)
     sim.run()
     assert "later" not in fired
     assert fired == ["victim", "tail"]
@@ -95,7 +95,7 @@ def test_until_excludes_later_batch_and_pins_clock():
 def test_event_hook_sees_every_batched_event():
     sim = Simulator()
     seen = []
-    sim.event_hook = lambda event: seen.append(event.time)
+    sim.event_hook = lambda event: seen.append(event[TIME])
     for time in (1.0, 1.0, 2.0):
         sim.at(time, lambda: None)
     sim.run()

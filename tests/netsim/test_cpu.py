@@ -111,12 +111,40 @@ class TestExecuteLast:
         assert (cpu.jobs_executed, cpu.free_at, cpu.busy_seconds) == (1, 1.0, 0.0)
         assert sim.events_processed == 1
 
+    def test_costed_work_with_nothing_due_completes_in_place(self):
+        """The clock moves to the completion and the callback runs there,
+        with exactly the accounting ``execute`` does."""
+
+        def drive(submit_name):
+            sim = Simulator()
+            cpu = Cpu(sim, speed=4.0)
+            sim.at(2.0, lambda: None)  # later than the completion
+            sim.run(until=1.0)
+            done = []
+            finish = getattr(cpu, submit_name)(0.5, lambda: done.append(sim.now))
+            in_place = (list(done), sim.pending_events, sim.now)
+            sim.run()
+            return finish, in_place, done, cpu.jobs_executed, cpu.free_at, cpu.busy_seconds
+
+        scheduled, in_place = drive("execute"), drive("execute_last")
+        assert scheduled[1] == ([], 2, 1.0)
+        assert in_place[1] == ([1.125], 1, 1.125)
+        assert in_place[0] == scheduled[0] == 1.125
+        assert in_place[2:] == scheduled[2:] == ([1.125], 1, 1.125, 0.125)
+
     @pytest.mark.parametrize("why", ["costs time", "cpu busy", "something due"])
     def test_anything_else_is_execute(self, why):
+        """Something is due by the time the job would complete: costed
+        work with an entry queued before it finishes, free work queued
+        behind a job finishing at its own entry, free work with an entry
+        at this very instant."""
+
         def drive(submit_name):
             sim = Simulator()
             cpu = Cpu(sim)
             fired = []
+            if why == "costs time":
+                sim.at(0.1, fired.append, "due before the finish")
             if why == "cpu busy":
                 cpu.execute(0.5, fired.append, "earlier job")
             if why == "something due":

@@ -50,6 +50,8 @@ REFUSALS = {
     "Network.send(size_bytes)": lambda sim, net: net.send("a", "b", 1, "x", NAN),
     "Cpu(speed)": lambda sim, net: Cpu(sim, speed=NAN),
     "Cpu.execute(cost)": lambda sim, net: Cpu(sim).execute(NAN, _nothing),
+    # idle CPU, empty heap: the one place a cost could complete in place
+    "Cpu.execute_last(cost)": lambda sim, net: Cpu(sim).execute_last(NAN, _nothing),
 }
 
 
@@ -59,3 +61,14 @@ def test_nan_is_refused_and_nothing_is_queued(call):
     with pytest.raises(ValueError):
         REFUSALS[call](sim, network)
     assert sim.pending_events == 0
+
+
+def test_a_negative_cost_never_completes_in_place():
+    """Its completion would lie in the past, where nothing is due: the
+    guard, not the in-place rule, has to refuse it."""
+    sim, _ = _network()
+    sim.run(until=1.0)
+    fired = []
+    with pytest.raises(ValueError):
+        Cpu(sim).execute_last(-0.5, fired.append, "back in time")
+    assert (fired, sim.now, sim.events_processed, sim.pending_events) == ([], 1.0, 0, 0)

@@ -1,18 +1,19 @@
 """What one early-binding request costs the simulator, by count.
 
 A ``resolve_early`` from an attached client on a quiet domain is two
-datagrams. It schedules four heap entries — the request's arrival, the
-resolver's CPU job, the reply's arrival and the client's timeout — and
-fires four events, the last of them (the client's handler: zero cost,
-idle CPU, nothing else due) in place rather than through the heap. Each
-send finds its link and its FIFO clamp in one ``_paths`` probe, and the
-resolver walks its trees only inside the lookup.
+datagrams. It schedules three heap entries — the request's arrival, the
+client's timeout and the reply's arrival — and fires four events: each
+arrival's handler (the resolver's costed query job, the client's free
+one) completes in place inside the arrival, because nothing else is due
+by the time it finishes. Each send finds its link and its FIFO clamp in
+one ``_paths`` probe, and the resolver walks its trees only inside the
+lookup.
 
 Counts only — no wall clock. The timing claim lives in EXPERIMENTS.md.
 """
 
 from repro.experiments import InsDomain
-from repro.netsim import Network, Simulator
+from repro.netsim import ARGS, CALLBACK, TIME, Network, Simulator
 
 from ..conftest import CountingDict, parse
 
@@ -31,12 +32,14 @@ def _quiet_domain():
 
 
 def _count_scheduling(monkeypatch):
+    """Every event scheduled from now on, as ``(callback name, event)``:
+    the name is taken at once, for cancelling clears the callback."""
     scheduled = []
     real_at = Simulator.at
 
     def at_counted(sim, time, callback, *args):
         event = real_at(sim, time, callback, *args)
-        scheduled.append(event)
+        scheduled.append((callback.__qualname__, event))
         return event
 
     monkeypatch.setattr(Simulator, "at", at_counted)
@@ -51,7 +54,7 @@ def _step_until_settled(sim, reply, limit=20):
     return steps
 
 
-def test_one_request_is_four_heap_entries_and_four_events(monkeypatch):
+def test_one_request_is_three_heap_entries_and_four_events(monkeypatch):
     domain, inr, client = _quiet_domain()
     sim, network = domain.sim, domain.network
     scheduled = _count_scheduling(monkeypatch)
@@ -67,7 +70,7 @@ def test_one_request_is_four_heap_entries_and_four_events(monkeypatch):
     network._paths = paths = CountingDict(network._paths)
     inr.trees = trees = CountingDict(inr.trees)
     events = sim.events_processed
-    jobs = client.node.cpu.jobs_executed
+    jobs = (inr.node.cpu.jobs_executed, client.node.cpu.jobs_executed)
     lookups = inr.stats.lookups
 
     reply = client.resolve_early(parse("[service=camera]"))
@@ -75,22 +78,49 @@ def test_one_request_is_four_heap_entries_and_four_events(monkeypatch):
 
     assert len(reply.value) == 1
     assert inr.stats.lookups == lookups + 1
-    assert [event.callback.__qualname__ for event in scheduled] == [
+    assert [name for name, _ in scheduled] == [
         "Network._deliver",              # the request, on its way
         "InsClient._on_request_timeout",
-        "INR.handle_message",            # queued behind the query's CPU cost
         "Network._deliver",              # the reply, on its way
     ]
-    # The client's handler ran inside the reply's arrival, and counted.
+    # Each handler ran inside its datagram's arrival, and counted: the
+    # resolver's query job at its completion, the client's at once.
     assert sim.events_processed == events + 4
-    assert steps == 3
-    assert client.node.cpu.jobs_executed == jobs + 1
-    assert scheduled[1].cancelled
+    assert steps == 2
+    assert (inr.node.cpu.jobs_executed, client.node.cpu.jobs_executed) == (
+        jobs[0] + 1, jobs[1] + 1
+    )
+    assert scheduled[1][1][CALLBACK] is None  # the timeout, cancelled
     # Two sends: one probe each, no link looked up, no record written.
     assert (paths.probes, paths.writes, paths.walks) == (2, 0, 0)
     assert link_lookups == []
     # The resolver found the vspace's tree by key and walked nothing.
     assert (trees.probes, trees.writes, trees.walks) == (1, 0, 0)
+
+
+def test_a_request_arriving_with_an_entry_due_before_its_finish_is_scheduled(
+    monkeypatch,
+):
+    domain, inr, client = _quiet_domain()
+    sim = domain.sim
+    scheduled = _count_scheduling(monkeypatch)
+    order = []
+    lookups = inr.stats.lookups
+    reply = client.resolve_early(parse("[service=camera]"))
+    (arrival,) = [event for name, event in scheduled if name == "Network._deliver"]
+    _, _, payload, _, size = arrival[ARGS]
+    finish = arrival[TIME] + inr.processing_cost(payload, size)
+    # Due while the resolver's CPU works on the query.
+    sim.at((arrival[TIME] + finish) / 2, order.append, "something else")
+
+    assert sim.step()  # the arrival: the query job must wait its turn
+    assert inr.stats.lookups == lookups and sim.now == arrival[TIME]
+    name, job = scheduled[-1]
+    assert name == "INR.handle_message" and job[TIME] == finish
+    assert sim.step() and order == ["something else"]
+    assert sim.step() and inr.stats.lookups == lookups + 1 and sim.now == finish
+    _step_until_settled(sim, reply)
+    assert len(reply.value) == 1
 
 
 def test_a_reply_arriving_with_something_else_due_is_scheduled(monkeypatch):
@@ -100,19 +130,20 @@ def test_a_reply_arriving_with_something_else_due_is_scheduled(monkeypatch):
     order = []
     reply = client.resolve_early(parse("[service=camera]"))
     reply.then(lambda bindings: order.append("reply"))
-    assert sim.step() and sim.step()  # request arrives; the resolver answers
-    arrival = scheduled[-1]
-    assert arrival.callback.__qualname__ == "Network._deliver"
+    assert sim.step()  # the request arrives; the resolver answers in place
+    name, arrival = scheduled[-1]
+    assert name == "Network._deliver"
     events = sim.events_processed
     # Due at the very instant of the arrival, and queued behind it:
     # pushed now, the client's handler would sort after this entry.
-    sim.at(arrival.time, order.append, "something else")
+    sim.at(arrival[TIME], order.append, "something else")
 
     assert sim.step()  # the arrival: the handler must wait its turn
     assert not reply.settled and order == []
-    assert scheduled[-1].callback.__qualname__ == "InsClient.handle_message"
-    assert scheduled[-1].time == arrival.time  # the same instant, bit for bit
+    name, handler = scheduled[-1]
+    assert name == "InsClient.handle_message"
+    assert handler[TIME] == arrival[TIME]  # the same instant, bit for bit
     assert sim.step() and sim.step()
     assert order == ["something else", "reply"]
     assert sim.events_processed == events + 3
-    assert len(scheduled) == 6  # the usual four, the marker, the handler
+    assert len(scheduled) == 5  # the usual three, the marker, the handler

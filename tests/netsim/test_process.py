@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim import Network, PeriodicTimer, Process, Simulator
+from repro.netsim import CALLBACK, Network, PeriodicTimer, Process, Simulator, cancel
 
 
 def build():
@@ -69,7 +69,7 @@ class TestProcessBasics:
         for index in range(5000):
             timer = process.set_timer(0.5, fired.append, index)
             if index % 2:
-                timer.cancel()
+                cancel(timer)
             sim.run_for(1.0)
             longest = max(longest, len(process._timers))
         assert fired == list(range(0, 5000, 2))
@@ -78,7 +78,7 @@ class TestProcessBasics:
         live = process.set_timer(5.0, fired.append, "live")
         process.stop()
         sim.run_for(2000.0)
-        assert live.cancelled and periodic.stopped
+        assert live[CALLBACK] is None and periodic.stopped
         assert fired == list(range(0, 5000, 2))
 
     def test_pending_timers_survive_the_sweep(self):

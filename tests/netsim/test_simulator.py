@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim import Simulator
+from repro.netsim import ARGS, CALLBACK, SEQUENCE, TIME, Simulator, cancel
 
 
 class TestScheduling:
@@ -61,15 +61,15 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
+        cancel(event)
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
+        cancel(event)
+        cancel(event)
         sim.run()
 
 
@@ -112,30 +112,45 @@ class TestBoundedRuns:
 
 
 class TestFiringInPlace:
-    """``nothing_else_due`` is the whole test; ``fire`` the whole effect."""
+    """``nothing_due_by`` is the whole test; ``fire`` the whole effect."""
 
     def test_nothing_is_due_on_an_empty_or_later_heap(self):
         sim = Simulator()
-        assert sim.nothing_else_due()
+        assert sim.nothing_due_by(0.0) and sim.nothing_due_by(5.0)
         sim.at(1.0, lambda: None)
-        assert sim.nothing_else_due()
+        assert sim.nothing_due_by(0.0) and sim.nothing_due_by(0.999)
+        # an entry at the very time is queued ahead of one pushed now
+        assert not sim.nothing_due_by(1.0)
+        assert not sim.nothing_due_by(float("nan"))
 
     def test_an_entry_at_this_instant_is_due_even_when_cancelled(self):
         sim = Simulator()
-        sim.at(0.0, lambda: None).cancel()
-        assert not sim.nothing_else_due()
+        cancel(sim.at(0.0, lambda: None))
+        assert not sim.nothing_due_by(0.0)
         sim.run()
-        assert sim.nothing_else_due()
+        assert sim.nothing_due_by(0.0)
+        cancel(sim.at(2.0, lambda: None))  # a tombstone is due by its time
+        assert sim.nothing_due_by(1.5) and not sim.nothing_due_by(2.5)
 
     def test_an_exhausted_event_budget_leaves_the_callback_to_a_later_run(self):
         sim = Simulator()
         verdicts = []
-        sim.at(1.0, lambda: verdicts.append(sim.nothing_else_due()))
-        sim.at(2.0, lambda: verdicts.append(sim.nothing_else_due()))
+        sim.at(1.0, lambda: verdicts.append(sim.nothing_due_by(sim.now)))
+        sim.at(2.0, lambda: verdicts.append(sim.nothing_due_by(sim.now)))
         sim.run(max_events=1)
         sim.run(max_events=2)
         assert verdicts == [False, True]
-        assert sim.nothing_else_due()  # no run in progress, no budget
+        assert sim.nothing_due_by(sim.now)  # no run in progress, no budget
+
+    def test_a_time_past_the_running_until_belongs_to_a_later_run(self):
+        sim = Simulator()
+        verdicts = []
+        sim.at(1.0, lambda: verdicts.append(
+            (sim.nothing_due_by(2.0), sim.nothing_due_by(2.5))
+        ))
+        sim.run(until=2.0)
+        assert verdicts == [(True, False)]
+        assert sim.nothing_due_by(2.5)  # no run in progress, no bound
 
     def test_fire_counts_and_profiles_the_event_it_stands_for(self):
         sim = Simulator()
@@ -143,16 +158,16 @@ class TestFiringInPlace:
         sim.event_hook = seen.append
         first = sim.at(3.0, lambda: None)
         sim.run(until=1.0)
-        sim.fire(fired.append, "in place")
+        sim.fire(1.5, fired.append, "in place")
         after = sim.at(3.0, lambda: None)
-        assert fired == ["in place"]
+        assert fired == ["in place"] and sim.now == 1.5
         assert sim.events_processed == 1
         (event,) = seen
-        assert (event.time, event.callback, event.args) == (
-            1.0, fired.append, ("in place",)
+        assert (event[TIME], event[CALLBACK], event[ARGS]) == (
+            1.5, fired.append, ("in place",)
         )
         # it took the sequence number scheduling would have taken
-        assert (first.sequence, event.sequence, after.sequence) == (0, 1, 2)
+        assert (first[SEQUENCE], event[SEQUENCE], after[SEQUENCE]) == (0, 1, 2)
 
 
 class TestDeterminism:
@@ -168,8 +183,9 @@ class TestDeterminism:
 
 
 class TestEventOrdering:
-    """The heap orders ``(time, sequence, event)`` tuples; an ``Event``
-    is never compared, so it needs (and has) no ordering of its own."""
+    """The heap orders ``[time, sequence, callback, args]`` entries; the
+    sequence number is unique, so a comparison never reaches the
+    callback, which needs (and has) no ordering of its own."""
 
     def test_same_instant_events_fire_in_schedule_order_under_run_and_step(self):
         for drain in ("run", "step"):
@@ -202,7 +218,7 @@ class TestEventOrdering:
         fired = []
         events = [sim.at(1.0 + (index % 3), fired.append, index) for index in range(30)]
         for event in events[::2]:
-            event.cancel()
+            cancel(event)
         assert sim.pending_events == 30  # tombstones stay queued until popped
         assert sim.step() and fired == [3]  # the head (0) was a tombstone
         sim.run(until=1.0)
@@ -216,7 +232,8 @@ class TestEventOrdering:
         sim = Simulator()
         first = sim.at(1.0, lambda: None)
         second = sim.at(1.0, lambda: None)
-        assert "__lt__" not in vars(type(first))
+        assert type(first) is list
         with pytest.raises(TypeError):
-            first < second
-        assert (first.time, first.sequence) < (second.time, second.sequence)
+            first[CALLBACK] < second[CALLBACK]
+        assert first < second  # settled by the sequence number
+        assert (first[TIME], first[SEQUENCE]) < (second[TIME], second[SEQUENCE])

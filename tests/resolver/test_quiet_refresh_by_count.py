@@ -16,7 +16,7 @@ import repro.resolver.discovery as discovery_module
 from repro.client import Service
 from repro.experiments import InsDomain
 from repro.nametree import NameTree
-from repro.netsim import Network, PeriodicTimer
+from repro.netsim import ARGS, CALLBACK, Network, PeriodicTimer
 from repro.resolver import INR, InrConfig
 from repro.resolver.protocol import Advertisement
 
@@ -94,17 +94,18 @@ def test_a_service_refresh_is_three_events():
     assert refreshes >= len(services)
     timers, arrivals, jobs = [], [], []
     for event in fired:
-        owner = getattr(event.callback, "__self__", None)
-        function = getattr(event.callback, "__func__", None)
+        callback, args = event[CALLBACK], event[ARGS]
+        owner = getattr(callback, "__self__", None)
+        function = getattr(callback, "__func__", None)
         if isinstance(owner, PeriodicTimer):
             if getattr(owner._callback, "__self__", None) in services:
                 timers.append(event)
-        elif function is Network._deliver and type(event.args[2]) is Advertisement:
+        elif function is Network._deliver and type(args[2]) is Advertisement:
             arrivals.append(event)
-        elif function is INR.handle_message and type(event.args[0]) is Advertisement:
+        elif function is INR.handle_message and type(args[0]) is Advertisement:
             jobs.append(event)
         else:
             # nothing else the round fires carries or was caused by one
-            assert not any(type(arg) is Advertisement for arg in event.args)
+            assert not any(type(arg) is Advertisement for arg in args)
             assert not isinstance(owner, Service)
     assert len(timers) == len(arrivals) == len(jobs) == refreshes
