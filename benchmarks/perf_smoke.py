@@ -2,7 +2,7 @@
 
 Runs the fig12 lookup curve (same workload seeds as the checked-in
 ``benchmarks/results/BENCH_lookup.json``) and the memo ablation (the
-``fig12-memo`` spec of the ``lookup`` workload), then:
+default suite's ``fig12-memo`` spec of the ``lookup`` workload), then:
 
 1. hands the freshly-measured payload and the checked-in baseline to
    the :mod:`repro.xp.gate` comparison — the same machinery behind the
@@ -11,7 +11,10 @@ Runs the fig12 lookup curve (same workload seeds as the checked-in
    more than the threshold (default 20%, ``lower`` is better). The
    rest of the wall-clock payload stays informational, and the gate
    **exits non-zero on regression**;
-2. rewrites ``BENCH_lookup.json`` with the new numbers (CI uploads it
+2. checks the fresh numbers against the figure's own acceptance bars
+   (:func:`bar_failures`: the memo's speedup and the curve's shape) and
+   **exits non-zero** when one fails, baseline or not;
+3. rewrites ``BENCH_lookup.json`` with the new numbers (CI uploads it
    as an artifact; a release commit checks it in as the next baseline).
 
 Wall-clock noise is handled the way the baseline itself was produced:
@@ -30,25 +33,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 
-sys.path.insert(0, os.path.dirname(__file__))  # for _report
-from _report import RESULTS_DIR  # noqa: E402
+from repro.experiments.fig12 import bench_lookup_payload, run_lookup_experiment
+from repro.obs import write_canonical_json
+from repro.xp import default_suite, run_spec
+from repro.xp.gate import MetricRule, compare_artifacts, render_gate_report
+from repro.xp.workloads import memo_ablation_block
 
-from repro.experiments.fig12 import (  # noqa: E402
-    run_lookup_experiment,
-    write_bench_lookup_json,
-)
-from repro.xp import run_spec  # noqa: E402
-from repro.xp.gate import (  # noqa: E402
-    MetricRule,
-    compare_artifacts,
-    render_gate_report,
-)
-from repro.xp.workloads import (  # noqa: E402
-    FIG12_MEMO_SPEC,
-    memo_ablation_block,
-)
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: The curve protocol: same points and seeds as the checked-in
 #: baseline, and the paper's own 1000 lookups per point (Section 5.1.1
@@ -92,6 +84,41 @@ def gate_rules(curve, threshold: float) -> list:
     ]
 
 
+def bar_failures(curve, ablation: dict) -> list:
+    """The Figure-12 acceptance bars the fresh measurement misses. The
+    memo must be worth having (>= 2x on repeated queries), and the
+    uncached curve keeps the paper's mild, smooth decay: throughput
+    falls as the tree grows, no step gains more than 15 % (wall-clock
+    noise), the per-name cost grows < 25 ns (the paper's Java tree adds
+    ~22 ns) and the largest tree still beats 5000 lookups/s (the
+    paper's floor is 700/s)."""
+    failures = []
+    if ablation["speedup"] < 2.0:
+        failures.append(f"memo speedup {ablation['speedup']:.2f}x < 2x")
+    first, last = curve[0], curve[-1]
+    if last.lookups_per_second >= first.lookups_per_second:
+        failures.append("lookup throughput does not fall as the tree grows")
+    for earlier, later in zip(curve, curve[1:]):
+        if later.lookups_per_second > earlier.lookups_per_second * 1.15:
+            failures.append(
+                f"throughput rises > 15% from {earlier.names_in_tree} "
+                f"to {later.names_in_tree} names"
+            )
+    growth_ns_per_name = (
+        (last.mean_lookup_us - first.mean_lookup_us)
+        * 1000.0
+        / (last.names_in_tree - first.names_in_tree)
+    )
+    if growth_ns_per_name >= 25.0:
+        failures.append(f"lookup cost grows {growth_ns_per_name:.1f} ns/name >= 25")
+    if last.lookups_per_second <= 5000:
+        failures.append(
+            f"{last.lookups_per_second:.0f} lookups/s at "
+            f"{last.names_in_tree} names <= 5000"
+        )
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -119,7 +146,9 @@ def main(argv=None) -> int:
         baseline = None
 
     curve = measure_curve(args.repeats)
-    ablation = memo_ablation_block(run_spec(FIG12_MEMO_SPEC, timing=True))
+    ablation = memo_ablation_block(
+        run_spec(default_suite()["fig12-memo"], timing=True)
+    )
 
     for row in curve:
         print(
@@ -129,16 +158,16 @@ def main(argv=None) -> int:
         )
     print(f"perf-smoke: memo speedup {ablation['speedup']:.1f}x")
 
-    if args.dry_run:
-        # The writer both writes and returns the payload; a dry run
-        # only wants the return value.
-        payload = write_bench_lookup_json(os.devnull, curve, ablation)
-    else:
-        payload = write_bench_lookup_json(args.output, curve, ablation)
+    payload = bench_lookup_payload(curve, ablation)
+    if not args.dry_run:
+        write_canonical_json(args.output, payload)
         print(f"perf-smoke: wrote {args.output}")
 
+    failures = bar_failures(curve, ablation)
+    for failure in failures:
+        print(f"perf-smoke: FAIL {failure}")
     if baseline is None:
-        return 0
+        return 1 if failures else 0
     report = compare_artifacts(
         payload,
         baseline,
@@ -146,7 +175,7 @@ def main(argv=None) -> int:
         family="fig12-lookup",
     )
     print(render_gate_report(report))
-    return 0 if report.ok else 1
+    return 0 if report.ok and not failures else 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 """Regenerate every figure of the paper's evaluation, scaled down.
 
 The full-size figures are the default suite's specs (``repro-xp run
---tables-dir benchmarks/results``) and the Fig. 12/14/15 bench scripts;
-this script runs reduced versions of all six figures in about a minute
-and prints the same tables, so a reader can see the reproduction
-working before committing to the full run.
+--tables-dir benchmarks/results``); this script runs reduced versions
+of all six figures in about a minute and prints the same tables, so a
+reader can see the reproduction working before committing to the full
+run.
 
 Run:  python examples/figures_preview.py
 """
@@ -29,7 +29,7 @@ def show(workload: str, **params):
         name=f"preview-{workload}", workload=workload, params=params
     )
     run = run_spec(spec, timing=True)
-    for table in WORKLOADS[workload].suite_tables(run):
+    for table in WORKLOADS[workload].suite_tables(run, {}):
         print("\n" + format_table(*table), end="")
     return run.baseline.details["rows"]
 

@@ -16,23 +16,23 @@ recovery time and control bandwidth.
 
 from .availability import (
     AvailabilityReport,
+    bench_availability_payload,
     run_availability_scenario,
-    write_bench_availability_json,
 )
 from .delegation import (
     CRASH_PHASES,
     CRASH_ROLES,
     DelegationReport,
+    bench_delegation_payload,
     delegation_chaos_config,
     run_delegation_matrix,
     run_delegation_scenario,
-    write_bench_delegation_json,
 )
 from .dtn import (
     DtnReport,
+    bench_dtn_payload,
     dtn_chaos_config,
     run_dtn_scenario,
-    write_bench_dtn_json,
 )
 from .invariants import InvariantChecker, Violation
 from .plan import FAULT_KINDS, ChaosController, FaultEvent, FaultPlan
@@ -62,6 +62,9 @@ __all__ = [
     "RecoveryRecord",
     "RecoveryTracker",
     "Violation",
+    "bench_availability_payload",
+    "bench_delegation_payload",
+    "bench_dtn_payload",
     "delegation_chaos_config",
     "dtn_chaos_config",
     "fast_chaos_config",
@@ -73,7 +76,4 @@ __all__ = [
     "run_delegation_scenario",
     "run_dtn_scenario",
     "run_recovery_ablation",
-    "write_bench_availability_json",
-    "write_bench_dtn_json",
-    "write_bench_delegation_json",
 ]

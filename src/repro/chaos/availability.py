@@ -10,20 +10,18 @@ left permanently hanging. Running the same plan with the client
 resilience layer (retries, deadlines, failover) enabled versus disabled
 quantifies exactly what the request-resilience machinery buys.
 
-:func:`write_bench_availability_json` emits the on/off comparison as
+:func:`bench_availability_payload` folds the on/off comparison into
 ``BENCH_availability.json`` for trend tracking across sessions.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..client import RetryPolicy
 from ..experiments.domain import DSR_HOST
 from ..naming import NameSpecifier
-from ..obs import write_canonical_json
 from ..resolver import InrConfig
 from .plan import ChaosController, FaultEvent, FaultPlan
 from .recovery import RecoveryTracker, percentile
@@ -262,17 +260,15 @@ def run_availability_scenario(
     return report
 
 
-def write_bench_availability_json(
-    path: Union[str, Path],
-    resilience_on: AvailabilityReport,
-    resilience_off: AvailabilityReport,
+def bench_availability_payload(
+    resilience_on: AvailabilityReport, resilience_off: AvailabilityReport
 ) -> dict:
-    """Emit ``BENCH_availability.json``: the on/off availability
-    comparison as a machine-readable artifact for later sessions.
+    """The ``BENCH_availability.json`` payload: the on/off availability
+    comparison as a machine-readable artifact.
 
     A report carrying a collector (``observe=True`` runs) contributes
     an ``observability`` section — per-hop latency percentiles, drop
-    attribution, and the full metrics snapshot. Returns the payload.
+    attribution, and the full metrics snapshot.
     """
     payload = {
         "benchmark": "availability-chaos",
@@ -287,5 +283,4 @@ def write_bench_availability_json(
         payload,
         (("resilience_on", resilience_on), ("resilience_off", resilience_off)),
     )
-    write_canonical_json(path, payload)
     return payload

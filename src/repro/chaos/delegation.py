@@ -38,12 +38,10 @@ the comparison.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..experiments.domain import InsDomain
 from ..naming import NameSpecifier
-from ..obs import write_canonical_json
 from ..resolver import InrConfig
 from .availability import CHAOS_RETRY_POLICY
 from .invariants import InvariantChecker
@@ -466,8 +464,8 @@ def run_delegation_matrix(
     """The full crash matrix: a fault-free baseline plus one run per
     (role, phase) combination — donor and recipient each crashed at
     every handoff phase. Every run must converge to exactly one
-    authoritative resolver per vspace with zero lost records; the
-    benchmark asserts exactly that."""
+    authoritative resolver per vspace with zero lost records; tier-1
+    asserts exactly that on the committed ``BENCH_delegation.json``."""
     reports = [
         run_delegation_scenario(
             seed=seed, two_phase=True, observe=observe_baseline, **kwargs
@@ -488,13 +486,11 @@ def run_delegation_matrix(
     return reports
 
 
-def write_bench_delegation_json(
-    path: Union[str, Path],
-    matrix: Sequence[DelegationReport],
-    ablation_run,
+def bench_delegation_payload(
+    matrix: Sequence[DelegationReport], ablation_run
 ) -> dict:
-    """Emit ``BENCH_delegation.json``: the crash matrix and the
-    two-phase vs single-shot ablation. Returns the payload.
+    """The ``BENCH_delegation.json`` payload: the crash matrix and the
+    two-phase vs single-shot ablation.
 
     ``ablation_run`` is the executed ``delegation`` spec
     (``repro.xp.SpecRun``): the same recipient crash with no operator
@@ -530,5 +526,4 @@ def write_bench_delegation_json(
             for report in matrix
         ),
     )
-    write_canonical_json(path, payload)
     return payload

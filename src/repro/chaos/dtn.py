@@ -20,19 +20,17 @@ and disabled is a controlled ablation of the DTN machinery alone.
 
 The sweep over disruption lengths is one ``dtn`` experiment spec per
 length (``repro.xp``: baseline custody on, ``custody`` arm off);
-:func:`write_bench_dtn_json` folds those runs into ``BENCH_dtn.json``
+:func:`bench_dtn_payload` folds those runs into ``BENCH_dtn.json``
 for trend tracking across sessions.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..experiments.domain import DSR_HOST
 from ..naming import NameSpecifier
-from ..obs import write_canonical_json
 from ..resolver import InrConfig
 from .invariants import InvariantChecker
 from .plan import ChaosController, FaultEvent, FaultPlan
@@ -273,9 +271,9 @@ def run_dtn_scenario(
     return report
 
 
-def write_bench_dtn_json(path: Union[str, Path], runs: Sequence) -> dict:
-    """Emit ``BENCH_dtn.json``: delivery ratio and latency vs
-    disruption length, custody on vs off. Returns the payload.
+def bench_dtn_payload(runs: Sequence) -> dict:
+    """The ``BENCH_dtn.json`` payload: delivery ratio and latency vs
+    disruption length, custody on vs off.
 
     ``runs`` are executed ``dtn`` specs (``repro.xp.SpecRun``), one per
     disruption length: the baseline arm is the custody-on report, the
@@ -306,5 +304,4 @@ def write_bench_dtn_json(path: Union[str, Path], runs: Sequence) -> dict:
         ],
     }
     add_observability(payload, ((str(on.disruption), on) for on, _off in pairs))
-    write_canonical_json(path, payload)
     return payload

@@ -16,11 +16,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..nametree import NameTree
-from ..obs import write_canonical_json
 from .workload import UniformWorkload
 
 
@@ -97,21 +95,16 @@ def run_lookup_experiment(
     return rows
 
 
-def write_bench_lookup_json(
-    path: Union[str, Path],
-    curve: Sequence[LookupRow],
-    memo_ablation: Optional[dict] = None,
+def bench_lookup_payload(
+    curve: Sequence[LookupRow], memo_ablation: Optional[dict] = None
 ) -> dict:
-    """Emit ``BENCH_lookup.json``: the Figure-12 curve plus the
+    """The ``BENCH_lookup.json`` payload: the Figure-12 curve plus the
     cached-vs-uncached ablation block (built from the ``lookup``
-    workload's run by ``repro.xp.workloads.memo_ablation_block``), as a
-    machine-readable perf trajectory for later sessions to compare
-    against. Returns the payload."""
-    payload = {
+    workload's run by ``repro.xp.workloads.memo_ablation_block``), a
+    machine-readable perf trajectory to compare later runs against."""
+    return {
         "benchmark": "fig12-lookup",
         "schema_version": 3,
         "curve": [asdict(row) for row in curve],
         "memo_ablation": memo_ablation,
     }
-    write_canonical_json(path, payload)
-    return payload

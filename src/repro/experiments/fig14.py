@@ -18,11 +18,9 @@ the simulator event by event.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..naming import NameSpecifier
-from ..obs import write_canonical_json
 from ..resolver import InrConfig
 from .domain import InsDomain
 
@@ -120,16 +118,13 @@ def run_discovery_experiment(
     return rows, domain.harvest()
 
 
-def write_bench_discovery_json(
-    path: Union[str, Path],
-    rows: Sequence[DiscoveryRow],
-    collector: Optional[object] = None,
+def bench_discovery_payload(
+    rows: Sequence[DiscoveryRow], collector: Optional[object] = None
 ) -> dict:
-    """Emit ``BENCH_discovery.json``: the Figure 14 curve plus, when a
-    collector from an ``observe=True`` run is given, an
+    """The ``BENCH_discovery.json`` payload: the Figure 14 curve plus,
+    when a collector from an ``observe=True`` run is given, an
     ``observability`` section (metrics snapshot + span summary)
-    explaining where the per-hop milliseconds went. Returns the payload.
-    """
+    explaining where the per-hop milliseconds went."""
     payload = {
         "benchmark": "fig14-discovery-time",
         "schema_version": 1,
@@ -138,7 +133,6 @@ def write_bench_discovery_json(
     }
     if collector is not None:
         payload["observability"] = collector.observability_payload()
-    write_canonical_json(path, payload)
     return payload
 
 

@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 from ..message import Binding, Delivery, InsMessage
 from ..naming import NameSpecifier
 from ..nametree import AnnouncerID, Endpoint, NameRecord, Route
-from ..obs import write_canonical_json
 from ..resolver import DataPacket, InrConfig
 from ..resolver.costs import CostModel
 from ..resolver.ports import INR_PORT
@@ -242,16 +241,15 @@ def run_observed_routing(
     return burst_ms, domain.harvest()
 
 
-def write_bench_routing_json(
-    path,
+def bench_routing_payload(
     rows: Sequence[RoutingRow],
     observed_burst_ms: Optional[float] = None,
     collector=None,
 ) -> dict:
-    """Emit ``BENCH_routing.json``: the Figure 15 curves plus, when an
-    :func:`run_observed_routing` result is given, an ``observability``
-    section with the traced burst's span summary (per-hop percentiles,
-    drop attribution) and metrics snapshot. Returns the payload."""
+    """The ``BENCH_routing.json`` payload: the Figure 15 curves plus,
+    when an :func:`run_observed_routing` result is given, an
+    ``observability`` section with the traced burst's span summary
+    (per-hop percentiles, drop attribution) and metrics snapshot."""
     payload = {
         "benchmark": "fig15-routing-burst",
         "schema_version": 1,
@@ -263,5 +261,4 @@ def write_bench_routing_json(
             payload["observability"]["traced_burst_ms"] = round(
                 observed_burst_ms, 6
             )
-    write_canonical_json(path, payload)
     return payload

@@ -2,8 +2,10 @@
 
 ``repro-xp run`` executes a suite of experiment specs (the committed
 default suite unless filtered), writes the schema-versioned
-``BENCH_matrix.json`` and, when asked, every result table the suite
-renders (the figures and ablations under ``benchmarks/results/``).
+``BENCH_matrix.json`` and, when asked, every file the suite renders:
+the figure and ablation tables and the ``BENCH_*.json`` families with
+their span files under ``benchmarks/results/``, each printed with the
+specs it came from.
 ``repro-xp list`` shows the registered workloads, their toggles and
 the committed suite with its stable run ids.
 
@@ -64,6 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     try:
         runs = run_suite(specs, timing=args.timing)
+        written = write_tables(runs, args.tables_dir) if args.tables_dir else {}
     except SpecError as error:
         print(f"repro-xp: {error}", file=sys.stderr)
         return 2
@@ -77,9 +80,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = write_bench_matrix_json(out, payload, generated_at=generated_at)
     validate_artifact(out, payload)
-    written = [str(out)]
-    if args.tables_dir:
-        written.extend(write_tables(runs, args.tables_dir))
     total_runs = sum(1 + len(run.ablations) for run in runs)
     print(
         f"repro-xp: {len(runs)} spec(s), {total_runs} run(s) "
@@ -90,8 +90,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"  importance {entry['importance']:+.3f}  "
             f"{entry['component']}  [{entry['workload']}: {entry['metric']}]"
         )
-    for path in written:
-        print(f"  wrote {path}")
+    print(f"  wrote {out}  ({len(specs)} spec(s))")
+    for path, sources in written.items():
+        print(f"  wrote {path}  ({', '.join(sources)})")
     return 0
 
 
@@ -119,7 +120,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_parser.add_argument(
         "--tables-dir",
         metavar="DIR",
-        help="also write the suite's result tables (*.txt) here",
+        help="also write the suite's result tables and BENCH_* files here",
     )
     run_parser.add_argument(
         "--timestamp",

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import write_canonical_json
 from .gate import flatten
 from .runner import SpecRun, WORKLOADS
+from .spec import SpecError
 
 #: Version of the ``BENCH_matrix.json`` artifact layout.
 MATRIX_SCHEMA_VERSION = 1
@@ -188,9 +189,8 @@ def write_bench_matrix_json(
 
 
 # ----------------------------------------------------------------------
-# Text-table artifacts (the one slug rule and the one renderer): a
-# workload's ``suite_tables`` and the tables of the bench scripts that
-# write a ``BENCH_*.json`` family both go through these
+# The suite's files: every table (the one slug rule and the one
+# renderer) and every named file a workload's ``suite_tables`` returns
 # ----------------------------------------------------------------------
 def table_filename(title: str) -> str:
     """The ``benchmarks/results/`` filename a table title maps to. A
@@ -218,28 +218,54 @@ def format_table(title: str, headers: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_table(
-    results_dir: Union[str, Path], title: str, headers: Sequence[str], rows
-) -> Path:
-    """Write one table under ``results_dir`` at the name its title
-    maps to and return the path."""
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / table_filename(title)
-    path.write_text(format_table(title, headers, rows))
-    return path
+class _ReadLog(dict):
+    """The suite's runs by spec name, noting which ones a hook read."""
+
+    def __init__(self, runs: Dict[str, SpecRun]) -> None:
+        super().__init__(runs)
+        self.read: List[str] = []
+
+    def __getitem__(self, name: str) -> SpecRun:
+        if name not in self.read:
+            self.read.append(name)
+        return super().__getitem__(name)
 
 
 def write_tables(
     runs: Sequence[SpecRun], results_dir: Union[str, Path]
-) -> List[str]:
-    """Write every table the suite produced under ``results_dir`` and
-    return the paths written."""
-    written: List[str] = []
+) -> Dict[str, List[str]]:
+    """Write every table and named file the suite's ``suite_tables``
+    hooks return under ``results_dir``; return {path: the spec names it
+    came from}. Refuses (``SpecError``, nothing written) a suite in
+    which two runs write the same file name."""
+    by_name = {run.spec.name: run for run in runs}
+    outputs: Dict[str, Tuple[Union[dict, str], List[str]]] = {}
     for run in runs:
-        suite_tables = WORKLOADS[run.spec.workload].suite_tables
-        if suite_tables is None:
+        hook = WORKLOADS[run.spec.workload].suite_tables
+        if hook is None:
             continue
-        for title, headers, rows in suite_tables(run):
-            written.append(str(write_table(results_dir, title, headers, rows)))
+        log = _ReadLog(by_name)
+        for output in hook(run, log):
+            if len(output) == 3:
+                title, headers, rows = output
+                output = (table_filename(title), format_table(title, headers, rows))
+            name, content = output
+            if name in outputs:
+                raise SpecError(
+                    f"specs {outputs[name][1][0]!r} and {run.spec.name!r} "
+                    f"both write {name}"
+                )
+            sources = [run.spec.name]
+            sources += [read for read in log.read if read != run.spec.name]
+            outputs[name] = (content, sources)
+    results_dir = Path(results_dir)
+    results_dir.mkdir(parents=True, exist_ok=True)
+    written: Dict[str, List[str]] = {}
+    for name, (content, sources) in outputs.items():
+        path = results_dir / name
+        if isinstance(content, dict):
+            write_canonical_json(path, content)
+        else:
+            path.write_text(content)
+        written[str(path)] = sources
     return written

@@ -26,13 +26,20 @@ exception: the ``entropy-taint`` rule applies everywhere, and allows
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .spec import TOGGLES, ExperimentSpec, SpecError
 
 #: A rendered result table: (title, headers, rows). The runner writes
 #: these under their historical ``benchmarks/results/*.txt`` names.
 Table = Tuple[str, Sequence[str], List[Sequence[str]]]
+
+#: A named file: (file name, content). A dict is written as canonical
+#: JSON, a str (span JSONL, a Chrome trace) as it is.
+File = Tuple[str, Union[dict, str]]
+
+#: What a workload's ``suite_tables`` hook returns a list of.
+Output = Union[Table, File]
 
 
 @dataclass
@@ -44,8 +51,7 @@ class WorkloadResult:
     wall clock, ``sys.getsizeof`` bytes — and is only populated when
     the run was invoked with ``timing=True``. ``details`` carries
     workload-native result objects (dataclasses, row lists) for
-    ``suite_tables``, tests and the bench scripts that write a
-    ``BENCH_*.json`` family; it never enters the matrix report.
+    ``suite_tables`` and the tests; it never enters the matrix report.
     ``collector`` is the :class:`repro.obs.ObsCollector` of an observed
     run, if any.
     """
@@ -76,11 +82,16 @@ class Workload:
     #: importance is judged on; direction is "higher" or "lower"
     #: (which way is better). Metrics named here must be deterministic.
     primary_metrics: Mapping[str, Tuple[str, str]] = field(default_factory=dict)
-    #: optional ``f(spec_run) -> [Table]`` producing this workload's
-    #: result tables (``figure_*.txt``, ``ablation__*.txt``); tables
-    #: built from host-dependent numbers must return [] when
-    #: ``spec_run.timing`` is False.
-    suite_tables: Optional[Callable[["SpecRun"], List[Table]]] = None
+    #: optional ``f(spec_run, runs) -> [Table or File]``, the one output
+    #: hook: this workload's result tables (``figure_*.txt``,
+    #: ``ablation__*.txt``) and named files (a ``BENCH_*.json`` family,
+    #: its span JSONL). ``runs`` is the suite's runs by spec name, for a
+    #: family that folds several specs. Outputs built from
+    #: host-dependent numbers must be [] when ``spec_run.timing`` is
+    #: False.
+    suite_tables: Optional[
+        Callable[["SpecRun", Mapping[str, "SpecRun"]], List[Output]]
+    ] = None
 
     def __post_init__(self) -> None:
         for toggle in self.toggles:

@@ -10,8 +10,8 @@ ratios, analytic costs — so the matrix report is byte-reproducible;
 host-dependent numbers (wall-clock throughput, interpreter object
 sizes) go in ``timings`` and only exist when the run asked for them.
 ``details`` keeps the native report object for the workload's
-``suite_tables``, the tests' assertions and the bench scripts that
-write a ``BENCH_*.json`` family.
+``suite_tables`` — its tables and its ``BENCH_*.json`` files — and the
+tests' assertions.
 
 This module (with :mod:`.runner` and :mod:`.cli`) reads the host clock,
 ``time.perf_counter`` only, which the ``entropy-taint`` lint rule
@@ -21,20 +21,26 @@ This module (with :mod:`.runner` and :mod:`.cli`) reads the host clock,
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
+from ..obs import spans_to_jsonl, to_chrome_trace
 from .runner import (
     WORKLOADS,
+    Output,
     SpecRun,
     Table,
     Workload,
     WorkloadResult,
     register_workload,
 )
-from .spec import ExperimentSpec
+from .spec import ExperimentSpec, SpecError
+
+#: What a ``suite_tables`` hook is given besides its own run.
+Runs = Mapping[str, SpecRun]
 
 
 def _report_metrics(report, names: Sequence[str]) -> Dict[str, float]:
@@ -147,14 +153,11 @@ def memo_ablation_block(run: SpecRun) -> dict:
     }
 
 
-def _lookup_tables(run: SpecRun) -> List[Table]:
-    """The wall-clock memo table; it needs timing numbers, so a
+def _lookup_tables(run: SpecRun, runs: Runs) -> List[Table]:
+    """The wall-clock memo table, from the spec whose numbers
+    ``BENCH_lookup.json`` reports; it needs timing numbers, so a
     metrics-only run writes nothing."""
-    if not (
-        run.timing
-        and run.toggles.get("lookup_memo")
-        and "lookup_memo" in run.ablations
-    ):
+    if not run.timing or not _family(run, runs):
         return []
     block = memo_ablation_block(run)
     uncached = block["uncached_lookups_per_second"]
@@ -180,19 +183,6 @@ register_workload(Workload(
     run=_run_lookup,
     suite_tables=_lookup_tables,
 ))
-
-
-#: The memo's home workload at Figure-12 scale: the baseline arm runs
-#: memoized with periodic refreshes, the ``lookup_memo`` arm is the
-#: uncached control — same tree, same queries, same refreshes. The
-#: fig12 bench and ``perf_smoke.py`` both run this one spec.
-FIG12_MEMO_SPEC = ExperimentSpec(
-    name="fig12-memo",
-    workload="lookup",
-    seed=0,
-    params={"names": 5000, "lookups": 20000},
-    ablations=("lookup_memo",),
-)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +211,7 @@ def _run_packet_cache(params, toggles, seed, timing) -> WorkloadResult:
     )
 
 
-def _packet_cache_tables(run: SpecRun) -> List[Table]:
+def _packet_cache_tables(run: SpecRun, runs: Runs) -> List[Table]:
     if not run.toggles.get("packet_cache"):
         return []
     result = run.baseline.details["result"]
@@ -280,6 +270,55 @@ def _run_availability(params, toggles, seed, timing) -> WorkloadResult:
     )
 
 
+def _mttr_cell(report, kind: str) -> str:
+    stats = report.mttr.get(kind)
+    return f"{stats['p100']:.2f}" if stats else "-"
+
+
+def _availability_outputs(run: SpecRun, runs: Runs) -> List[Output]:
+    """``BENCH_availability.json`` with its span, Chrome-trace and
+    metrics files and the on/off table, from a traced run with the
+    ``resilience`` arm."""
+    if not _family(run, runs):
+        return []
+    from ..chaos import bench_availability_payload
+
+    resilient = run.baseline.details["report"]
+    bare = run.ablations["resilience"].details["report"]
+    spans = resilient.collector.tracer.spans
+    return [
+        ("BENCH_availability.json", bench_availability_payload(resilient, bare)),
+        ("BENCH_availability_spans.jsonl", spans_to_jsonl(spans)),
+        # as ``repro.obs.write_chrome_trace`` writes it
+        ("BENCH_availability_trace.json",
+         json.dumps(to_chrome_trace(spans), indent=1, sort_keys=True) + "\n"),
+        ("BENCH_availability_metrics.json",
+         resilient.collector.metrics_snapshot()),
+        (
+            "Availability: request resilience on vs off "
+            "(4 INRs, crash+restart / partition / lossy links / CPU overload)",
+            ["resilience", "requests", "success rate", "failed", "hung",
+             "p50 (s)", "p99 (s)", "retries", "failovers",
+             "crash MTTR p100 (s)"],
+            [
+                (
+                    "on" if report.resilience else "off",
+                    f"{report.requests_attempted}",
+                    f"{report.success_rate:.3f}",
+                    f"{report.requests_failed}",
+                    f"{report.requests_hung}",
+                    f"{report.latency_p50:.4f}",
+                    f"{report.latency_p99:.4f}",
+                    f"{report.retries}",
+                    f"{report.failovers}",
+                    _mttr_cell(report, "crash-inr"),
+                )
+                for report in (resilient, bare)
+            ],
+        ),
+    ]
+
+
 register_workload(Workload(
     id="availability",
     description=(
@@ -292,6 +331,7 @@ register_workload(Workload(
         "obs_tracing": ("success_rate", "higher"),
     },
     run=_run_availability,
+    suite_tables=_availability_outputs,
 ))
 
 
@@ -332,6 +372,47 @@ def _run_dtn(params, toggles, seed, timing) -> WorkloadResult:
     )
 
 
+def _dtn_outputs(run: SpecRun, runs: Runs) -> List[Output]:
+    """``BENCH_dtn.json`` over a sweep of disruption lengths, with the
+    first (traced) run's span and metrics files and the table."""
+    sweep = _family(run, runs)
+    if not sweep:
+        return []
+    from ..chaos import bench_dtn_payload
+
+    traced = run.baseline.collector
+    return [
+        ("BENCH_dtn.json", bench_dtn_payload(sweep)),
+        ("BENCH_dtn_spans.jsonl", spans_to_jsonl(traced.tracer.spans)),
+        ("BENCH_dtn_metrics.json", traced.metrics_snapshot()),
+        (
+            "DTN: custody transfer on vs off "
+            "(duty-cycled links + partition isolating the service's INR)",
+            ["disruption (s)", "custody", "sent", "delivered", "ratio",
+             "p50 (s)", "max (s)", "accepted", "released", "lapsed"],
+            [
+                (
+                    f"{report.disruption:.0f}",
+                    "on" if report.custody else "off",
+                    f"{report.messages_sent}",
+                    f"{report.messages_delivered}",
+                    f"{report.delivery_ratio:.3f}",
+                    f"{report.latency_p50:.3f}",
+                    f"{report.latency_max:.3f}",
+                    f"{report.custody_accepted}",
+                    f"{report.custody_released}",
+                    f"{report.drops_custody_expired}",
+                )
+                for spec_run in sweep
+                for report in (
+                    spec_run.baseline.details["report"],
+                    spec_run.ablations["custody"].details["report"],
+                )
+            ],
+        ),
+    ]
+
+
 register_workload(Workload(
     id="dtn",
     description=(
@@ -344,6 +425,7 @@ register_workload(Workload(
         "obs_tracing": ("delivery_ratio", "higher"),
     },
     run=_run_dtn,
+    suite_tables=_dtn_outputs,
 ))
 
 
@@ -387,6 +469,30 @@ def _run_delegation(params, toggles, seed, timing) -> WorkloadResult:
     return WorkloadResult(metrics=metrics, details={"report": report})
 
 
+def _delegation_tables(run: SpecRun, runs: Runs) -> List[Table]:
+    if "delegation_two_phase" not in run.ablations:
+        return []
+    on = run.baseline.details["report"]
+    off = run.ablations["delegation_two_phase"].details["report"]
+    return [(
+        "Delegation ablation: recipient crash, no operator restart "
+        "(two-phase vs single-shot transfer)",
+        ["mode", "window ok", "overall ok", "lost records", "authority",
+         "converged violations"],
+        [
+            (
+                label,
+                f"{report.window_success_rate:.3f}",
+                f"{report.success_rate:.3f}",
+                f"{report.lost_records}",
+                ",".join(report.authority) or "(none)",
+                ",".join(sorted(set(report.converged_violations))) or "-",
+            )
+            for label, report in (("two-phase", on), ("single-shot", off))
+        ],
+    )]
+
+
 register_workload(Workload(
     id="delegation",
     description=(
@@ -398,6 +504,85 @@ register_workload(Workload(
         "delegation_two_phase": ("window_success_rate", "higher"),
     },
     run=_run_delegation,
+    suite_tables=_delegation_tables,
+))
+
+
+def _run_delegation_matrix(params, toggles, seed, timing) -> WorkloadResult:
+    from ..chaos import run_delegation_matrix
+
+    reports = run_delegation_matrix(seed=seed, observe_baseline=True, **params)
+    crashed = [report for report in reports if report.crash_role is not None]
+    metrics = {
+        "runs": float(len(reports)),
+        "crashes_fired": float(sum(report.crash_at > 0.0 for report in crashed)),
+        "lost_records": float(sum(report.lost_records for report in reports)),
+        "single_authority_runs": float(
+            sum(len(report.authority) == 1 for report in reports)
+        ),
+        "converged_violations": float(
+            sum(len(report.converged_violations) for report in reports)
+        ),
+        "min_window_success_rate": min(
+            report.window_success_rate for report in reports
+        ),
+    }
+    return WorkloadResult(
+        metrics=metrics,
+        details={"reports": reports},
+        collector=reports[0].collector,
+    )
+
+
+def _delegation_matrix_outputs(
+    run: SpecRun, runs: Runs
+) -> List[Output]:
+    """``BENCH_delegation.json`` folds the crash matrix with a
+    ``delegation`` spec's two-phase vs single-shot ablation."""
+    family = _family(run, runs)
+    if not family:
+        return []
+    from ..chaos import bench_delegation_payload
+
+    _, ablation = family
+    matrix = run.baseline.details["reports"]
+    traced = run.baseline.collector
+    return [
+        ("BENCH_delegation.json", bench_delegation_payload(matrix, ablation)),
+        ("BENCH_delegation_spans.jsonl", spans_to_jsonl(traced.tracer.spans)),
+        ("BENCH_delegation_metrics.json", traced.metrics_snapshot()),
+        (
+            "Delegation under fire: two-phase handoff crash matrix "
+            "(sustained update overload; crash + restart at each phase)",
+            ["crash", "phase", "handoffs", "committed", "aborted",
+             "rollbacks", "window ok", "overall ok", "lost", "authority"],
+            [
+                (
+                    report.crash_role or "none",
+                    report.crash_phase or "-",
+                    f"{report.delegations_started}",
+                    f"{report.delegations_committed}",
+                    f"{report.delegations_aborted}",
+                    f"{report.delegation_rollbacks}",
+                    f"{report.window_success_rate:.3f}",
+                    f"{report.success_rate:.3f}",
+                    f"{report.lost_records}",
+                    ",".join(report.authority),
+                )
+                for report in matrix
+            ],
+        ),
+    ]
+
+
+register_workload(Workload(
+    id="delegation-matrix",
+    description=(
+        "the two-phase handoff with donor and recipient each crashed "
+        "and restarted at every phase, plus a fault-free traced run"
+    ),
+    run=_run_delegation_matrix,
+    suite_tables=_delegation_matrix_outputs,
 ))
 
 
@@ -427,6 +612,27 @@ def _run_discovery(params, toggles, seed, timing) -> WorkloadResult:
     )
 
 
+def _discovery_outputs(run: SpecRun, runs: Runs) -> List[Output]:
+    """Figure 14 and ``BENCH_discovery.json``, from the run at the
+    paper's 1-9 hops."""
+    if not _family(run, runs):
+        return []
+    from ..experiments.fig14 import bench_discovery_payload
+
+    rows = run.baseline.details["rows"]
+    slope = run.baseline.metrics["slope_ms_per_hop"]
+    return [
+        ("BENCH_discovery.json",
+         bench_discovery_payload(rows, run.baseline.collector)),
+        (
+            "Figure 14: discovery time of a new name vs INR hops "
+            f"(slope {slope:.2f} ms/hop)",
+            ["hops", "discovery time (ms)"],
+            [(row.hops, f"{row.discovery_ms:.2f}") for row in rows],
+        ),
+    ]
+
+
 register_workload(Workload(
     id="discovery",
     description=(
@@ -436,6 +642,7 @@ register_workload(Workload(
     toggles=("obs_tracing",),
     primary_metrics={"obs_tracing": ("slope_ms_per_hop", "lower")},
     run=_run_discovery,
+    suite_tables=_discovery_outputs,
 ))
 
 
@@ -443,16 +650,22 @@ register_workload(Workload(
 # routing — Figure 15: per-INR burst routing cost
 # ----------------------------------------------------------------------
 def _run_routing(params, toggles, seed, timing) -> WorkloadResult:
-    from ..experiments.fig15 import run_routing_experiment
+    from ..experiments.fig15 import run_observed_routing, run_routing_experiment
     from ..resolver import CostModel
 
     name_counts = tuple(int(n) for n in params.get("name_counts", (250, 5000)))
-    rows = run_routing_experiment(
-        name_counts=name_counts,
-        seed=seed,
-        costs=CostModel(model_delivery_artifact=toggles["delivery_artifact"]),
-    )
-    metrics = {}
+    costs = CostModel(model_delivery_artifact=toggles["delivery_artifact"])
+    rows = run_routing_experiment(name_counts=name_counts, seed=seed, costs=costs)
+    result = WorkloadResult(details={"rows": rows})
+    metrics = result.metrics
+    if "traced_burst" in params:
+        # One traced remote-same-vspace burst at that many names: the
+        # per-hop split behind the flat ~9.8 ms/packet curve.
+        burst_ms, result.collector = run_observed_routing(
+            names=int(params["traced_burst"]), seed=seed, costs=costs
+        )
+        result.details["traced_burst_ms"] = burst_ms
+        metrics["traced_burst_ms"] = burst_ms
     for row in rows:
         metrics[f"local_ms_{row.names_in_vspace}"] = row.local_ms
         metrics[f"remote_same_vspace_ms_{row.names_in_vspace}"] = (
@@ -465,10 +678,36 @@ def _run_routing(params, toggles, seed, timing) -> WorkloadResult:
     # the paper, so its importance is negative by construction: the
     # local curve flattens when it is disabled.
     metrics["local_ms_max_names"] = rows[-1].local_ms
-    return WorkloadResult(metrics=metrics, details={"rows": rows})
+    return result
 
 
-def _routing_tables(run: SpecRun) -> List[Table]:
+def _routing_outputs(run: SpecRun, runs: Runs) -> List[Output]:
+    """The Figure 15 run (with its ``traced_burst``) writes the figure's
+    table and ``BENCH_routing.json``. Any other renders the
+    delivery-artifact ablation."""
+    if _family(run, runs):
+        from ..experiments.fig15 import bench_routing_payload
+
+        rows = run.baseline.details["rows"]
+        payload = bench_routing_payload(
+            rows,
+            observed_burst_ms=run.baseline.details["traced_burst_ms"],
+            collector=run.baseline.collector,
+        )
+        return [("BENCH_routing.json", payload), (
+            "Figure 15: time to route 100 packets (ms per burst)",
+            ["names in vspace", "local", "remote same vspace",
+             "remote different vspace"],
+            [
+                (
+                    row.names_in_vspace,
+                    f"{row.local_ms:.0f}",
+                    f"{row.remote_same_vspace_ms:.0f}",
+                    f"{row.remote_other_vspace_ms:.0f}",
+                )
+                for row in rows
+            ],
+        )]
     arm = run.ablations.get("delivery_artifact")
     if not run.toggles.get("delivery_artifact") or arm is None:
         return []
@@ -489,7 +728,7 @@ register_workload(Workload(
     toggles=("delivery_artifact",),
     primary_metrics={"delivery_artifact": ("local_ms_max_names", "lower")},
     run=_run_routing,
-    suite_tables=_routing_tables,
+    suite_tables=_routing_outputs,
 ))
 
 
@@ -518,7 +757,7 @@ def _run_spawn_overload(params, toggles, seed, timing) -> WorkloadResult:
     )
 
 
-def _spawn_tables(run: SpecRun) -> List[Table]:
+def _spawn_tables(run: SpecRun, runs: Runs) -> List[Table]:
     if not run.toggles.get("load_balancing"):
         return []
     result = run.baseline.details["result"]
@@ -574,7 +813,7 @@ def _run_update_overload(params, toggles, seed, timing) -> WorkloadResult:
     )
 
 
-def _update_overload_tables(run: SpecRun) -> List[Table]:
+def _update_overload_tables(run: SpecRun, runs: Runs) -> List[Table]:
     if not run.toggles.get("load_balancing"):
         return []
     result = run.baseline.details["result"]
@@ -664,7 +903,7 @@ def _sweep(
                     numbers[f"{name}_{label}"] = float(getattr(row, name))
             return result
 
-        def tables(spec_run: SpecRun) -> List[Table]:
+        def tables(spec_run: SpecRun, runs: Runs) -> List[Table]:
             if timed and not spec_run.timing:
                 return []
             return [_render(title, columns, spec_run.baseline.details["rows"])]
@@ -726,6 +965,24 @@ def _tree_size_rows(**params):
     from ..experiments.fig13 import run_size_experiment
 
     return run_size_experiment(**params)
+
+
+@_sweep(
+    "lookup-curve",
+    "Figure 12: uncached LOOKUP-NAME throughput as the tree grows "
+    "(wall clock: timings)",
+    "Figure 12: name-tree lookup performance (r_a=3, r_v=3, n_a=2, d=3)",
+    [
+        ("names in tree", "names_in_tree", ""),
+        ("lookups/s", "lookups_per_second", ".0f"),
+        ("mean lookup (us)", "mean_lookup_us", ".1f"),
+    ],
+    timed=True,
+)
+def _lookup_curve_rows(**params):
+    from ..experiments.fig12 import run_lookup_experiment
+
+    return run_lookup_experiment(**params)
 
 
 @_sweep(
@@ -806,7 +1063,7 @@ def _run_dns_mobility(params, toggles, seed, timing) -> WorkloadResult:
     return WorkloadResult(metrics=metrics, details={"rows": rows})
 
 
-def _dns_mobility_tables(run: SpecRun) -> List[Table]:
+def _dns_mobility_tables(run: SpecRun, runs: Runs) -> List[Table]:
     return [(
         "Baseline: node mobility at t=20s, one request per 0.5s for 120s",
         ["system", "sent", "delivered", "outage after move (s)"],
@@ -850,7 +1107,7 @@ def _run_lookup_model(params, toggles, seed, timing) -> WorkloadResult:
     )
 
 
-def _lookup_model_tables(run: SpecRun) -> List[Table]:
+def _lookup_model_tables(run: SpecRun, runs: Runs) -> List[Table]:
     if not run.timing:
         return []
     fitted_t_us, fitted_b_us = run.baseline.details["fit"]
@@ -893,7 +1150,7 @@ def _run_relaxation(params, toggles, seed, timing) -> WorkloadResult:
     )
 
 
-def _relaxation_tables(run: SpecRun) -> List[Table]:
+def _relaxation_tables(run: SpecRun, runs: Runs) -> List[Table]:
     return [_render(
         "Ablation: overlay tree cost (sum of parent-edge latencies, s)",
         _RELAXATION_COLUMNS,
@@ -912,13 +1169,48 @@ register_workload(Workload(
 # ----------------------------------------------------------------------
 # The committed default suite
 # ----------------------------------------------------------------------
+#: ``BENCH_dtn.json``'s sweep: one ``dtn`` spec per disruption length,
+#: the first traced.
+DTN_SWEEP = ("dtn-disruption-10", "dtn-disruption-30", "dtn-disruption-60")
+
+#: The specs that write a ``BENCH_*.json`` family (``fig12-memo``: the
+#: memo table ``BENCH_lookup.json`` reports), each with the specs whose
+#: runs its family folds in. It is the one rule every hook asks
+#: (:func:`_family`), so another spec of the same workload writes only
+#: its toggle tables and no file has two writers.
+FAMILY_WRITERS: Dict[str, Tuple[str, ...]] = {
+    "availability-chaos": (),
+    DTN_SWEEP[0]: DTN_SWEEP[1:],
+    "delegation-matrix": ("delegation-crash",),
+    "fig14-discovery": (),
+    "fig15-routing": (),
+    "fig12-memo": (),
+}
+
+
+def _family(run: SpecRun, runs: Runs) -> List[SpecRun]:
+    """The runs the family written from ``run`` folds, ``run`` first;
+    [] when ``run``'s spec writes no family."""
+    folded = FAMILY_WRITERS.get(run.spec.name)
+    if folded is None:
+        return []
+    missing = [name for name in folded if name not in runs]
+    if missing:
+        raise SpecError(
+            f"spec {run.spec.name!r} folds {', '.join(missing)}, "
+            "which the suite does not run"
+        )
+    return [run] + [runs[name] for name in folded]
+
+
 def default_suite() -> Dict[str, ExperimentSpec]:
-    """The suite behind the committed ``BENCH_matrix.json``, by spec
-    name and in run order: every toggle exercised at least once, then
-    every toggle-less figure and ablation at its full scale, all
-    deterministic with ``timing=False``. A bench script that writes one
-    entry's ``BENCH_*.json`` family fetches the spec from here, so its
-    run IDs are the matrix's."""
+    """The suite behind the committed ``BENCH_matrix.json`` and every
+    other file under ``benchmarks/results/``, by spec name and in run
+    order: every toggle exercised at least once, then every toggle-less
+    figure and ablation at its full scale, then the runs the
+    ``BENCH_*.json`` families fold — all deterministic with
+    ``timing=False``, so each family's run IDs are matrix entries.
+    New specs go at the end: an entry's place is part of the matrix."""
     specs = [
         ExperimentSpec(
             name="lookup-memo-index",
@@ -1001,6 +1293,49 @@ def default_suite() -> Dict[str, ExperimentSpec]:
             name="refresh-interval",
             workload="refresh-interval",
             params={"refresh_intervals": (2.0, 5.0, 15.0)},
+        ),
+        *(
+            ExperimentSpec(
+                name=name,
+                workload="dtn",
+                seed=7,
+                toggles={"obs_tracing": name == DTN_SWEEP[0]},
+                params={"disruption": disruption},
+                ablations=("custody",),
+            )
+            for name, disruption in zip(DTN_SWEEP, (10.0, 30.0, 60.0))
+        ),
+        ExperimentSpec(name="delegation-matrix", workload="delegation-matrix", seed=7),
+        ExperimentSpec(
+            name="fig14-discovery",
+            workload="discovery",
+            seed=0,
+            params={"max_hops": 9},
+        ),
+        ExperimentSpec(
+            name="fig15-routing",
+            workload="routing",
+            seed=0,
+            params={"name_counts": (250, 1000, 2500, 5000), "traced_burst": 250},
+        ),
+        ExperimentSpec(
+            name="fig12-lookup-curve",
+            workload="lookup-curve",
+            params={
+                "name_counts": (100, 1000, 2500, 5000, 7500, 10000, 14300),
+                "lookups_per_point": 1000,
+            },
+        ),
+        # The memo's home workload at Figure-12 scale, the one
+        # ``perf_smoke.py`` reports in ``BENCH_lookup.json``: the
+        # baseline arm runs memoized with periodic refreshes, the
+        # ``lookup_memo`` arm is the uncached control.
+        ExperimentSpec(
+            name="fig12-memo",
+            workload="lookup",
+            seed=0,
+            params={"names": 5000, "lookups": 20000},
+            ablations=("lookup_memo",),
         ),
     ]
     return {spec.name: spec for spec in specs}

@@ -1,17 +1,12 @@
-"""Smoke tests for the BENCH_lookup.json emission path.
+"""Smoke tests for the BENCH_lookup.json payload.
 
-The real numbers come from ``benchmarks/bench_fig12_lookup_performance``
-(not run in tier 1); these tests run tiny versions of the same
-experiments so the ablation and the JSON schema cannot rot unnoticed.
+The real numbers come from ``benchmarks/perf_smoke.py`` (not run in
+tier 1); these tests run tiny versions of the same experiments so the
+ablation and the JSON schema cannot rot unnoticed.
 """
 
-import json
-
-from repro.experiments.fig12 import (
-    run_lookup_experiment,
-    write_bench_lookup_json,
-)
-from repro.xp import ExperimentSpec, run_spec
+from repro.experiments.fig12 import bench_lookup_payload, run_lookup_experiment
+from repro.xp import ExperimentSpec, run_spec, validate_artifact
 from repro.xp.workloads import memo_ablation_block
 
 
@@ -60,15 +55,14 @@ class TestBenchLookupJson:
         ablation = memo_ablation_block(
             small_memo_run(names=200, distinct_queries=4, lookups=100)
         )
-        path = tmp_path / "BENCH_lookup.json"
-        payload = write_bench_lookup_json(path, curve, ablation)
-        on_disk = json.loads(path.read_text())
-        assert on_disk == payload
-        assert on_disk["benchmark"] == "fig12-lookup"
-        assert on_disk["schema_version"] == 3
-        assert on_disk["curve"][0]["names_in_tree"] == 100
-        assert on_disk["curve"][0]["lookups_per_second"] > 0
-        ab = on_disk["memo_ablation"]
+        payload = bench_lookup_payload(curve, ablation)
+        assert validate_artifact(tmp_path / "BENCH_lookup.json", payload) == (
+            "fig12-lookup"
+        )
+        assert payload["schema_version"] == 3
+        assert payload["curve"][0]["names_in_tree"] == 100
+        assert payload["curve"][0]["lookups_per_second"] > 0
+        ab = payload["memo_ablation"]
         assert ab["memo_hits"] > 0
         assert (ab["names_in_tree"], ab["distinct_queries"], ab["lookups"]) == (
             200, 4, 100
@@ -88,7 +82,6 @@ class TestBenchLookupJson:
 
     def test_emission_without_ablation(self, tmp_path):
         curve = run_lookup_experiment(name_counts=(100,), lookups_per_point=50)
-        path = tmp_path / "BENCH_lookup.json"
-        payload = write_bench_lookup_json(path, curve)
+        payload = bench_lookup_payload(curve)
         assert payload["memo_ablation"] is None
-        assert json.loads(path.read_text()) == payload
+        assert payload["curve"][0]["names_in_tree"] == 100

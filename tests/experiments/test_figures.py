@@ -1,8 +1,8 @@
 """Scaled-down shape checks for every figure experiment (Section 5).
 
-The full-size sweeps are the default suite's specs (``repro.xp``) and
-the bench scripts; these verify, quickly, that each experiment
-reproduces the paper's qualitative result.
+The full-size sweeps are the default suite's specs (``repro.xp``);
+these verify, quickly, that each experiment reproduces the paper's
+qualitative result.
 """
 
 import pytest

@@ -4,19 +4,18 @@ Tiny-scale version of the availability chaos benchmark: steady client
 lookup traffic through one seeded fault plan (INR crash+restart, a mesh
 partition, lossy links, CPU overload), once with the resilience layer
 on and once off. The resilient run must achieve a strictly higher
-success rate, leave zero Reply objects permanently hanging, emit the
-``BENCH_availability.json`` artifact, and be bit-reproducible from its
-seed.
+success rate, leave zero Reply objects permanently hanging, fold into
+the ``BENCH_availability.json`` payload, and be bit-reproducible from
+its seed.
 """
 
-import json
 import math
 import time
 
 from repro.chaos import (
+    bench_availability_payload,
     fingerprint,
     run_availability_scenario,
-    write_bench_availability_json,
 )
 
 SCALE = dict(
@@ -28,7 +27,7 @@ SCALE = dict(
 )
 
 
-def test_availability_scenario_resilience_and_reproducibility(tmp_path):
+def test_availability_scenario_resilience_and_reproducibility():
     started = time.perf_counter()
     resilient = run_availability_scenario(resilience=True, **SCALE)
     bare = run_availability_scenario(resilience=False, **SCALE)
@@ -65,15 +64,12 @@ def test_availability_scenario_resilience_and_reproducibility(tmp_path):
         assert stats["unrecovered"] == 0.0, kind
         assert math.isfinite(stats["p100"]), kind
 
-    # The artifact is emitted and carries the comparison.
-    path = tmp_path / "BENCH_availability.json"
-    payload = write_bench_availability_json(path, resilient, bare)
-    on_disk = json.loads(path.read_text())
-    assert on_disk == json.loads(json.dumps(payload))
-    assert on_disk["benchmark"] == "availability-chaos"
-    assert on_disk["resilience_on"]["success_rate"] >= 0.75
-    assert on_disk["resilience_on"]["requests_hung"] == 0
-    assert on_disk["success_rate_delta"] > 0
+    # The artifact's payload carries the comparison.
+    payload = bench_availability_payload(resilient, bare)
+    assert payload["benchmark"] == "availability-chaos"
+    assert payload["resilience_on"]["success_rate"] >= 0.75
+    assert payload["resilience_on"]["requests_hung"] == 0
+    assert payload["success_rate_delta"] > 0
 
     # Same seed, same run — determinism extends to the new scenario.
     replay = run_availability_scenario(resilience=True, **SCALE)

@@ -1,6 +1,7 @@
 """End-to-end engine runs: determinism, schema, importance semantics."""
 
 import filecmp
+from dataclasses import replace
 
 import pytest
 
@@ -13,8 +14,9 @@ from repro.xp import (
     validate_artifact,
     write_bench_matrix_json,
 )
-from repro.xp.report import importance, metric_deltas, table_filename
-from repro.xp.runner import SpecError
+from repro.xp.report import importance, metric_deltas, table_filename, write_tables
+from repro.xp.runner import SpecError, SpecRun, WorkloadResult
+from repro.xp.workloads import DTN_SWEEP
 
 
 def small_suite():
@@ -136,6 +138,32 @@ class TestImportanceFunction:
         assert set(deltas) == {"a"}
         assert deltas["a"]["delta"] == 2.0
         assert deltas["a"]["relative"] == pytest.approx(2.0 / 3.0)
+
+
+class TestSuiteFiles:
+    def test_two_runs_writing_one_file_are_refused(self, tmp_path):
+        first = default_suite()["packet-cache-camera"]
+        second = replace(first, name="packet-cache-twice", params={"requests": 4})
+        runs = run_suite([first, second])
+        with pytest.raises(SpecError, match="both write ablation__inr_packet_cache"):
+            write_tables(runs, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_a_family_folds_the_runs_it_reads(self, tmp_path):
+        suite = default_suite()
+        written = write_tables(
+            run_suite([suite[name] for name in DTN_SWEEP]), tmp_path
+        )
+        path = tmp_path / "BENCH_dtn.json"
+        assert written[str(path)] == list(DTN_SWEEP)
+        assert validate_artifact(path) == "dtn-chaos"
+
+    def test_a_family_without_the_runs_it_folds_is_refused(self, tmp_path):
+        spec = default_suite()["delegation-matrix"]
+        run = SpecRun(spec, WorkloadResult(), {}, {}, timing=False)
+        with pytest.raises(SpecError, match="folds delegation-crash"):
+            write_tables([run], tmp_path)
+        assert not list(tmp_path.iterdir())
 
 
 class TestTableNaming:
