@@ -1,12 +1,11 @@
-"""Perf smoke: the deterministic Figure-12 bench gated by repro-bench-gate.
+"""Perf smoke: the Figure-12 lookup bench gated against its baseline.
 
 Runs the fig12 lookup curve (same workload seeds as the checked-in
 ``benchmarks/results/BENCH_lookup.json``) and the memo ablation (the
 default suite's ``fig12-memo`` spec of the ``lookup`` workload), then:
 
 1. hands the freshly-measured payload and the checked-in baseline to
-   the :mod:`repro.xp.gate` comparison — the same machinery behind the
-   ``repro-bench-gate`` console tool — with one explicit rule: the
+   the :mod:`repro.xp.gate` comparison with one explicit rule: the
    uncached lookup cost at the largest tree size may not regress by
    more than the threshold (default 20%, ``lower`` is better). The
    rest of the wall-clock payload stays informational, and the gate
@@ -49,6 +48,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 CURVE_POINTS = (100, 2500, 5000)
 LOOKUPS_PER_POINT = 1000
 
+#: Wall-clock numbers no rule names are reported, never gated.
+INFORMATIONAL = MetricRule("*", direction="info")
+
 
 def measure_curve(repeats: int) -> list:
     """The fig12 curve, each point at its best-of-``repeats`` time."""
@@ -71,8 +73,8 @@ def gate_rules(curve, threshold: float) -> list:
     """The perf-smoke gate as explicit metric rules: the tree sizes
     must match exactly (two different sweeps are not comparable), and
     the uncached lookup cost at the largest size may not regress past
-    the threshold. Everything else in the wall-clock payload is left to
-    the ``fig12-lookup`` family default (informational)."""
+    the threshold. Everything else in the wall-clock payload falls to
+    :data:`INFORMATIONAL`."""
     largest = len(curve) - 1
     return [
         MetricRule("curve[*].names_in_tree", tolerance=0.0, direction="both"),
@@ -172,7 +174,7 @@ def main(argv=None) -> int:
         payload,
         baseline,
         rules=gate_rules(curve, args.threshold),
-        family="fig12-lookup",
+        default_rule=INFORMATIONAL,
     )
     print(render_gate_report(report))
     return 0 if report.ok and not failures else 1

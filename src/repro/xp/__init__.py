@@ -6,19 +6,19 @@ set of named component toggles (the baseline configuration) and the
 workload's scale parameters. The :mod:`~.runner` executes the baseline
 plus one ablated run per toggle the workload honors, ingesting
 :mod:`repro.obs` metrics uniformly; :mod:`~.report` folds a suite of
-such runs into one schema-versioned ``BENCH_matrix.json`` with
-baseline-vs-ablated deltas and a per-component importance ranking.
+such runs into one ``BENCH_matrix.json`` with baseline-vs-ablated
+deltas and a per-component importance ranking, and each workload's
+``suite_tables`` hook renders the tables and ``BENCH_*.json`` files
+under ``benchmarks/results/``.
 
-Around the engine sit two data contracts:
+The committed files have one contract, checked twice: CI regenerates
+every deterministic file byte-identical, and tier-1
+(``tests/xp/test_committed_artifacts.py``) asserts each family's claims
+on the committed files. :mod:`~.gate` compares a fresh wall-clock
+payload against a baseline under per-metric tolerances, for
+``benchmarks/perf_smoke.py`` and the whole-domain benchmark.
 
-- :mod:`~.schema` — the versioned validation schema every
-  ``BENCH_*.json`` artifact under ``benchmarks/results/`` must satisfy
-  (a tier-1 test enforces it);
-- :mod:`~.gate` — the ``repro-bench-gate`` console tool that compares a
-  freshly produced artifact against a committed baseline and fails on
-  regressions beyond per-metric tolerances.
-
-Layering: spec/report/schema/gate code is pure (reports must be
+Layering: spec/report/gate code is pure (reports must be
 byte-reproducible); only the runner side (:mod:`~.runner`,
 :mod:`~.workloads`, :mod:`~.cli`) reads the host clock, and only for the
 optional wall-clock ``timings`` section. The ``entropy-taint`` lint rule
@@ -30,11 +30,6 @@ never feeds simulated behaviour.
 from .gate import GateReport, MetricRule, compare_artifacts, render_gate_report
 from .report import build_matrix_report, write_bench_matrix_json
 from .runner import SpecRun, Workload, WorkloadResult, run_spec, run_suite
-from .schema import (
-    SchemaError,
-    validate_artifact,
-    validate_results_dir,
-)
 from .spec import TOGGLES, ExperimentSpec
 from .workloads import WORKLOADS, default_suite
 
@@ -50,9 +45,6 @@ __all__ = [
     "default_suite",
     "build_matrix_report",
     "write_bench_matrix_json",
-    "SchemaError",
-    "validate_artifact",
-    "validate_results_dir",
     "MetricRule",
     "GateReport",
     "compare_artifacts",

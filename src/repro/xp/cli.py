@@ -8,24 +8,17 @@ their span files under ``benchmarks/results/``, each printed with the
 specs it came from.
 ``repro-xp list`` shows the registered workloads, their toggles and
 the committed suite with its stable run ids.
-
-This is the only place a timestamp enters an artifact: the matrix body
-is a deterministic function of the specs, and ``--timestamp`` stamps
-``generated_at`` *after* the run, so the committed artifact stays
-byte-reproducible without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .report import build_matrix_report, write_bench_matrix_json, write_tables
 from .runner import WORKLOADS, run_suite
-from .schema import validate_artifact
 from .spec import TOGGLES, SpecError
 from .workloads import default_suite
 
@@ -71,15 +64,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"repro-xp: {error}", file=sys.stderr)
         return 2
     payload = build_matrix_report(runs)
-    generated_at = (
-        time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        if args.timestamp
-        else None
-    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    payload = write_bench_matrix_json(out, payload, generated_at=generated_at)
-    validate_artifact(out, payload)
+    write_bench_matrix_json(out, payload)
     total_runs = sum(1 + len(run.ablations) for run in runs)
     print(
         f"repro-xp: {len(runs)} spec(s), {total_runs} run(s) "
@@ -121,12 +108,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--tables-dir",
         metavar="DIR",
         help="also write the suite's result tables and BENCH_* files here",
-    )
-    run_parser.add_argument(
-        "--timestamp",
-        action="store_true",
-        help="stamp generated_at (omitted by default so the artifact "
-        "is byte-reproducible)",
     )
     sub.add_parser("list", help="show workloads, toggles and the default suite")
     args = parser.parse_args(argv)

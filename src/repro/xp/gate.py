@@ -1,31 +1,25 @@
-"""``repro-bench-gate`` — compare a bench artifact against a baseline.
+"""Compare a freshly measured payload against a baseline payload.
 
-The gate flattens two artifacts of the same family into dotted metric
-paths (``suite[3].baseline.metrics.success_rate``), applies per-metric
-rules — a tolerance plus a direction saying which way is better — and
-fails (exit 1) when any gated metric regressed beyond its tolerance or
-disappeared. Families whose numbers are deterministic functions of the
-committed specs (the chaos artifacts, the matrix) default to an exact
-gate: any drift is a real behavior change, not noise. Wall-clock
-families (``fig12-lookup``) default to informational — callers gate
-those through explicit rules with honest tolerances, which is exactly
-what ``benchmarks/perf_smoke.py`` does.
+The gate flattens two JSON payloads into dotted metric paths
+(``suite[3].baseline.metrics.success_rate``), applies per-metric rules
+— a tolerance plus a direction saying which way is better — and fails
+when any gated metric regressed beyond its tolerance or disappeared.
+Paths no rule matches are gated exactly by default: any drift in a
+deterministic number is a real behavior change, not noise. Wall-clock
+payloads pass an informational default and gate a few paths through
+explicit rules with honest tolerances, which is what
+``benchmarks/perf_smoke.py`` and ``benchmarks/e2e/e2e_report.py`` do.
+The committed deterministic files need no gate of their own: CI
+regenerates them and compares the bytes.
 
-Pure comparison logic: no clocks, no subprocesses; the only I/O is
-reading the two files handed in.
+Pure comparison logic: no clocks, no I/O.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-from .schema import SchemaError, validate_artifact
+from typing import Dict, List, Optional, Sequence
 
 DIRECTIONS = ("higher", "lower", "both", "info")
 
@@ -59,17 +53,7 @@ class MetricRule:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
-#: Families measured on the wall clock (or too verbose to exact-gate)
-#: are informational unless the caller supplies explicit rules;
-#: everything else — deterministic sim metrics — gates exactly.
-DEFAULT_FAMILY_RULES: Dict[str, MetricRule] = {
-    "fig12-lookup": MetricRule("*", tolerance=0.25, direction="info"),
-    "chrome-trace": MetricRule("*", direction="info"),
-}
 EXACT_RULE = MetricRule("*", tolerance=0.0, direction="both")
-
-#: Stamped outside the run; never part of any comparison.
-IGNORED_KEYS = ("generated_at",)
 
 
 def flatten(payload: object, prefix: str = "") -> Dict[str, float]:
@@ -79,8 +63,6 @@ def flatten(payload: object, prefix: str = "") -> Dict[str, float]:
     out: Dict[str, float] = {}
     if isinstance(payload, dict):
         for key in payload:
-            if key in IGNORED_KEYS:
-                continue
             path = f"{prefix}.{key}" if prefix else str(key)
             out.update(flatten(payload[key], path))
     elif isinstance(payload, list):
@@ -107,9 +89,8 @@ class GateRow:
 
 @dataclass
 class GateReport:
-    """The verdict of one artifact-vs-baseline comparison."""
+    """The verdict of one payload-vs-baseline comparison."""
 
-    family: str
     rows: List[GateRow] = field(default_factory=list)
 
     @property
@@ -149,17 +130,14 @@ def compare_artifacts(
     current: dict,
     baseline: dict,
     rules: Sequence[MetricRule] = (),
-    family: str = "",
-    default_rule: Optional[MetricRule] = None,
+    default_rule: MetricRule = EXACT_RULE,
 ) -> GateReport:
     """Judge ``current`` against ``baseline``. ``rules`` are consulted
-    in order, first match wins; paths matching no rule fall to the
-    family default (exact for deterministic families)."""
-    if default_rule is None:
-        default_rule = DEFAULT_FAMILY_RULES.get(family, EXACT_RULE)
+    in order, first match wins; paths matching no rule fall to
+    ``default_rule`` (exact unless the caller says otherwise)."""
     base_flat = flatten(baseline)
     current_flat = flatten(current)
-    report = GateReport(family=family)
+    report = GateReport()
     for path in sorted(base_flat):
         rule = _match(rules, default_rule, path)
         before = base_flat[path]
@@ -202,7 +180,7 @@ def render_gate_report(report: GateReport, max_rows: int = 25) -> str:
             counts[row.status] += 1
     verdict = "PASS" if report.ok else "FAIL"
     lines.append(
-        f"bench-gate [{report.family or 'unknown'}]: {verdict} — "
+        f"bench-gate: {verdict} — "
         f"{len(report.regressions)} regression(s), "
         f"{len(report.improvements)} improvement(s), "
         f"{counts['ok']} within tolerance, {counts['info']} informational, "
@@ -241,101 +219,3 @@ def render_gate_report(report: GateReport, max_rows: int = 25) -> str:
             )
             shown += 1
     return "\n".join(lines)
-
-
-def parse_rule(text: str) -> MetricRule:
-    """``PATTERN=TOLERANCE[:DIRECTION]`` from the command line —
-    ``'curve[4].mean_lookup_us=0.2:lower'``."""
-    pattern, _, spec = text.partition("=")
-    if not pattern or not spec:
-        raise ValueError(
-            f"metric rule {text!r} must look like PATTERN=TOLERANCE[:DIRECTION]"
-        )
-    tolerance_text, _, direction = spec.partition(":")
-    try:
-        tolerance = float(tolerance_text)
-    except ValueError:
-        raise ValueError(f"metric rule {text!r}: bad tolerance {tolerance_text!r}")
-    return MetricRule(pattern, tolerance, direction or "both")
-
-
-def _load(path: Union[str, Path], check_schema: bool) -> Tuple[dict, str]:
-    with open(path) as handle:
-        payload = json.load(handle)
-    family = ""
-    if check_schema:
-        family = validate_artifact(path, payload)
-    elif isinstance(payload, dict):
-        family = str(payload.get("benchmark", ""))
-    return payload, family
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench-gate",
-        description=(
-            "Compare a BENCH_*.json artifact against a committed "
-            "baseline; exit 1 on any regression beyond tolerance."
-        ),
-    )
-    parser.add_argument("current", help="freshly produced artifact")
-    parser.add_argument("baseline", help="committed baseline artifact")
-    parser.add_argument(
-        "--metric",
-        action="append",
-        default=[],
-        metavar="PATTERN=TOL[:DIR]",
-        help=(
-            "per-metric rule, first match wins; DIR is higher|lower|"
-            "both|info (default both). May repeat."
-        ),
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help=(
-            "override the default tolerance for paths no --metric rule "
-            "matches (direction 'both')"
-        ),
-    )
-    parser.add_argument(
-        "--no-schema-check",
-        action="store_true",
-        help="skip artifact schema validation before comparing",
-    )
-    parser.add_argument("--max-rows", type=int, default=25)
-    args = parser.parse_args(argv)
-
-    try:
-        rules = [parse_rule(text) for text in args.metric]
-    except ValueError as error:
-        print(f"bench-gate: {error}", file=sys.stderr)
-        return 2
-    try:
-        current, family = _load(args.current, not args.no_schema_check)
-        baseline, base_family = _load(args.baseline, not args.no_schema_check)
-    except (OSError, json.JSONDecodeError, SchemaError) as error:
-        print(f"bench-gate: {error}", file=sys.stderr)
-        return 2
-    if family and base_family and family != base_family:
-        print(
-            f"bench-gate: family mismatch — current is {family!r}, "
-            f"baseline is {base_family!r}",
-            file=sys.stderr,
-        )
-        return 2
-    default_rule = (
-        MetricRule("*", args.tolerance, "both")
-        if args.tolerance is not None
-        else None
-    )
-    report = compare_artifacts(
-        current, baseline, rules, family=family, default_rule=default_rule
-    )
-    print(render_gate_report(report, max_rows=args.max_rows))
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -3,9 +3,7 @@
 Pure report assembly — no clocks, no randomness. Everything in the
 payload is a deterministic function of the executed
 :class:`~.runner.SpecRun` list, so two runs of the same suite write
-byte-identical ``BENCH_matrix.json`` files; the optional timestamp is
-stamped by the caller (the CLI) *outside* the run, via the
-``generated_at`` argument.
+byte-identical ``BENCH_matrix.json`` files.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..obs import write_canonical_json
 from .gate import flatten
@@ -163,29 +161,17 @@ def _plain_metrics(metrics: Dict[str, float]) -> Dict[str, float]:
     }
 
 
-def write_bench_matrix_json(
-    path: Union[str, Path],
-    payload: dict,
-    generated_at: Optional[str] = None,
-) -> dict:
+def write_bench_matrix_json(path: Union[str, Path], payload: dict) -> None:
     """Write the matrix payload as canonical JSON (sorted keys,
     two-space indent, trailing newline — byte-identical for equal
-    payloads). ``generated_at`` is the only non-deterministic field and
-    is stamped by the caller, outside the run; ``None`` omits it.
-    Refuses (``ValueError``, nothing written) a NaN or an infinity
-    anywhere: JSON has no such number, and a workload says "never" as
-    a metric of its own.
+    payloads). Refuses (``ValueError``, nothing written) a NaN or an
+    infinity anywhere: JSON has no such number, and a workload says
+    "never" as a metric of its own.
     """
     bad = [p for p, v in flatten(payload).items() if not math.isfinite(v)]
     if bad:
         raise ValueError(f"non-finite metric(s): {', '.join(sorted(bad))}")
-    payload = dict(payload)
-    if generated_at is not None:
-        payload["generated_at"] = generated_at
-    else:
-        payload.pop("generated_at", None)
     write_canonical_json(path, payload)
-    return payload
 
 
 # ----------------------------------------------------------------------

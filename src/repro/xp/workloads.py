@@ -15,8 +15,8 @@ tests' assertions.
 
 This module (with :mod:`.runner` and :mod:`.cli`) reads the host clock,
 ``time.perf_counter`` only, which the ``entropy-taint`` lint rule
-(applied everywhere) allows; :mod:`.spec`, :mod:`.report`,
-:mod:`.schema` and :mod:`.gate` read no clock at all.
+(applied everywhere) allows; :mod:`.spec`, :mod:`.report` and
+:mod:`.gate` read no clock at all.
 """
 
 from __future__ import annotations
@@ -154,10 +154,9 @@ def memo_ablation_block(run: SpecRun) -> dict:
 
 
 def _lookup_tables(run: SpecRun, runs: Runs) -> List[Table]:
-    """The wall-clock memo table, from the spec whose numbers
-    ``BENCH_lookup.json`` reports; it needs timing numbers, so a
+    """The wall-clock memo table; it needs timing numbers, so a
     metrics-only run writes nothing."""
-    if not run.timing or not _family(run, runs):
+    if not run.timing:
         return []
     block = memo_ablation_block(run)
     uncached = block["uncached_lookups_per_second"]
@@ -276,24 +275,31 @@ def _mttr_cell(report, kind: str) -> str:
 
 
 def _availability_outputs(run: SpecRun, runs: Runs) -> List[Output]:
-    """``BENCH_availability.json`` with its span, Chrome-trace and
-    metrics files and the on/off table, from a traced run with the
-    ``resilience`` arm."""
-    if not _family(run, runs):
+    """The on/off table, from a run with the ``resilience`` arm; the
+    family's traced run adds ``BENCH_availability.json`` with its span,
+    Chrome-trace and metrics files."""
+    arm = run.ablations.get("resilience")
+    if arm is None:
         return []
-    from ..chaos import bench_availability_payload
-
     resilient = run.baseline.details["report"]
-    bare = run.ablations["resilience"].details["report"]
-    spans = resilient.collector.tracer.spans
-    return [
-        ("BENCH_availability.json", bench_availability_payload(resilient, bare)),
-        ("BENCH_availability_spans.jsonl", spans_to_jsonl(spans)),
-        # as ``repro.obs.write_chrome_trace`` writes it
-        ("BENCH_availability_trace.json",
-         json.dumps(to_chrome_trace(spans), indent=1, sort_keys=True) + "\n"),
-        ("BENCH_availability_metrics.json",
-         resilient.collector.metrics_snapshot()),
+    bare = arm.details["report"]
+    outputs: List[Output] = []
+    if _family(run, runs):
+        from ..chaos import bench_availability_payload
+
+        spans = resilient.collector.tracer.spans
+        outputs = [
+            ("BENCH_availability.json",
+             bench_availability_payload(resilient, bare)),
+            ("BENCH_availability_spans.jsonl", spans_to_jsonl(spans)),
+            # as ``repro.obs.write_chrome_trace`` writes it
+            ("BENCH_availability_trace.json",
+             json.dumps(to_chrome_trace(spans), indent=1, sort_keys=True)
+             + "\n"),
+            ("BENCH_availability_metrics.json",
+             resilient.collector.metrics_snapshot()),
+        ]
+    return outputs + [
         (
             "Availability: request resilience on vs off "
             "(4 INRs, crash+restart / partition / lossy links / CPU overload)",
@@ -537,20 +543,25 @@ def _run_delegation_matrix(params, toggles, seed, timing) -> WorkloadResult:
 def _delegation_matrix_outputs(
     run: SpecRun, runs: Runs
 ) -> List[Output]:
-    """``BENCH_delegation.json`` folds the crash matrix with a
+    """The crash-matrix table; the family's run adds
+    ``BENCH_delegation.json``, which folds the matrix with a
     ``delegation`` spec's two-phase vs single-shot ablation."""
     family = _family(run, runs)
-    if not family:
-        return []
-    from ..chaos import bench_delegation_payload
-
-    _, ablation = family
     matrix = run.baseline.details["reports"]
-    traced = run.baseline.collector
-    return [
-        ("BENCH_delegation.json", bench_delegation_payload(matrix, ablation)),
-        ("BENCH_delegation_spans.jsonl", spans_to_jsonl(traced.tracer.spans)),
-        ("BENCH_delegation_metrics.json", traced.metrics_snapshot()),
+    outputs: List[Output] = []
+    if family:
+        from ..chaos import bench_delegation_payload
+
+        _, ablation = family
+        traced = run.baseline.collector
+        outputs = [
+            ("BENCH_delegation.json",
+             bench_delegation_payload(matrix, ablation)),
+            ("BENCH_delegation_spans.jsonl",
+             spans_to_jsonl(traced.tracer.spans)),
+            ("BENCH_delegation_metrics.json", traced.metrics_snapshot()),
+        ]
+    return outputs + [
         (
             "Delegation under fire: two-phase handoff crash matrix "
             "(sustained update overload; crash + restart at each phase)",
@@ -613,17 +624,17 @@ def _run_discovery(params, toggles, seed, timing) -> WorkloadResult:
 
 
 def _discovery_outputs(run: SpecRun, runs: Runs) -> List[Output]:
-    """Figure 14 and ``BENCH_discovery.json``, from the run at the
-    paper's 1-9 hops."""
-    if not _family(run, runs):
-        return []
-    from ..experiments.fig14 import bench_discovery_payload
-
+    """Figure 14; the family's run at the paper's 1-9 hops adds
+    ``BENCH_discovery.json``."""
     rows = run.baseline.details["rows"]
     slope = run.baseline.metrics["slope_ms_per_hop"]
-    return [
-        ("BENCH_discovery.json",
-         bench_discovery_payload(rows, run.baseline.collector)),
+    outputs: List[Output] = []
+    if _family(run, runs):
+        from ..experiments.fig14 import bench_discovery_payload
+
+        outputs = [("BENCH_discovery.json",
+                    bench_discovery_payload(rows, run.baseline.collector))]
+    return outputs + [
         (
             "Figure 14: discovery time of a new name vs INR hops "
             f"(slope {slope:.2f} ms/hop)",
@@ -682,41 +693,43 @@ def _run_routing(params, toggles, seed, timing) -> WorkloadResult:
 
 
 def _routing_outputs(run: SpecRun, runs: Runs) -> List[Output]:
-    """The Figure 15 run (with its ``traced_burst``) writes the figure's
-    table and ``BENCH_routing.json``. Any other renders the
-    delivery-artifact ablation."""
+    """Figure 15 and, from the ``delivery_artifact`` arm, its ablation;
+    the family's run (with its ``traced_burst``) adds
+    ``BENCH_routing.json``."""
+    rows = run.baseline.details["rows"]
+    outputs: List[Output] = []
     if _family(run, runs):
         from ..experiments.fig15 import bench_routing_payload
 
-        rows = run.baseline.details["rows"]
-        payload = bench_routing_payload(
+        outputs = [("BENCH_routing.json", bench_routing_payload(
             rows,
             observed_burst_ms=run.baseline.details["traced_burst_ms"],
             collector=run.baseline.collector,
-        )
-        return [("BENCH_routing.json", payload), (
-            "Figure 15: time to route 100 packets (ms per burst)",
-            ["names in vspace", "local", "remote same vspace",
-             "remote different vspace"],
-            [
-                (
-                    row.names_in_vspace,
-                    f"{row.local_ms:.0f}",
-                    f"{row.remote_same_vspace_ms:.0f}",
-                    f"{row.remote_other_vspace_ms:.0f}",
-                )
-                for row in rows
-            ],
-        )]
+        ))]
+    outputs.append((
+        "Figure 15: time to route 100 packets (ms per burst)",
+        ["names in vspace", "local", "remote same vspace",
+         "remote different vspace"],
+        [
+            (
+                row.names_in_vspace,
+                f"{row.local_ms:.0f}",
+                f"{row.remote_same_vspace_ms:.0f}",
+                f"{row.remote_other_vspace_ms:.0f}",
+            )
+            for row in rows
+        ],
+    ))
     arm = run.ablations.get("delivery_artifact")
-    if not run.toggles.get("delivery_artifact") or arm is None:
-        return []
-    rows = arm.details["rows"]
-    return [(
-        "Figure 15 ablation: local case with the delivery artifact disabled",
-        ["names in vspace", "local (ms/burst)"],
-        [(row.names_in_vspace, f"{row.local_ms:.0f}") for row in rows],
-    )]
+    if run.toggles.get("delivery_artifact") and arm is not None:
+        outputs.append((
+            "Figure 15 ablation: local case with the delivery artifact "
+            "disabled",
+            ["names in vspace", "local (ms/burst)"],
+            [(row.names_in_vspace, f"{row.local_ms:.0f}")
+             for row in arm.details["rows"]],
+        ))
+    return outputs
 
 
 register_workload(Workload(
@@ -1173,18 +1186,17 @@ register_workload(Workload(
 #: the first traced.
 DTN_SWEEP = ("dtn-disruption-10", "dtn-disruption-30", "dtn-disruption-60")
 
-#: The specs that write a ``BENCH_*.json`` family (``fig12-memo``: the
-#: memo table ``BENCH_lookup.json`` reports), each with the specs whose
-#: runs its family folds in. It is the one rule every hook asks
-#: (:func:`_family`), so another spec of the same workload writes only
-#: its toggle tables and no file has two writers.
+#: The specs that write a ``BENCH_*.json`` family or a table folding
+#: other specs' runs, each with the specs whose runs it folds in. It is
+#: the one rule every hook asks (:func:`_family`); every other output
+#: is a table built from one run, which each run of its workload
+#: renders.
 FAMILY_WRITERS: Dict[str, Tuple[str, ...]] = {
     "availability-chaos": (),
     DTN_SWEEP[0]: DTN_SWEEP[1:],
     "delegation-matrix": ("delegation-crash",),
     "fig14-discovery": (),
     "fig15-routing": (),
-    "fig12-memo": (),
 }
 
 
@@ -1206,18 +1218,12 @@ def _family(run: SpecRun, runs: Runs) -> List[SpecRun]:
 def default_suite() -> Dict[str, ExperimentSpec]:
     """The suite behind the committed ``BENCH_matrix.json`` and every
     other file under ``benchmarks/results/``, by spec name and in run
-    order: every toggle exercised at least once, then every toggle-less
-    figure and ablation at its full scale, then the runs the
-    ``BENCH_*.json`` families fold — all deterministic with
-    ``timing=False``, so each family's run IDs are matrix entries.
+    order, one spec per experiment, each at its full scale: the
+    toggled workloads, then the toggle-less figures and ablations, then
+    the runs the ``BENCH_*.json`` families fold — all deterministic
+    with ``timing=False``, so each family's run IDs are matrix entries.
     New specs go at the end: an entry's place is part of the matrix."""
     specs = [
-        ExperimentSpec(
-            name="lookup-memo-index",
-            workload="lookup",
-            seed=0,
-            params={"names": 6000, "lookups": 6000},
-        ),
         ExperimentSpec(
             name="packet-cache-camera",
             workload="packet-cache",
@@ -1225,25 +1231,7 @@ def default_suite() -> Dict[str, ExperimentSpec]:
             params={"requests": 10},
         ),
         ExperimentSpec(name="availability-chaos", workload="availability", seed=7),
-        ExperimentSpec(
-            name="dtn-disruption",
-            workload="dtn",
-            seed=7,
-            params={"disruption": 30.0},
-        ),
         ExperimentSpec(name="delegation-crash", workload="delegation", seed=7),
-        ExperimentSpec(
-            name="discovery-chain",
-            workload="discovery",
-            seed=0,
-            params={"max_hops": 6},
-        ),
-        ExperimentSpec(
-            name="routing-burst",
-            workload="routing",
-            seed=0,
-            params={"name_counts": (250, 5000)},
-        ),
         ExperimentSpec(
             name="spawn-overload",
             workload="spawn-overload",

@@ -1,7 +1,8 @@
-"""Artifact data contracts: every committed BENCH_* file must parse and
-make the claims its family is quoted for."""
+"""The committed evaluation's claims: each BENCH_* family, read from the
+files under benchmarks/results/, must make the claims it is quoted for.
+CI regenerates those files byte-identical, which ties them to the code;
+each test reads the fields it judges."""
 
-import copy
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -9,40 +10,12 @@ from pathlib import Path
 import pytest
 
 from repro.obs import NO_PARENT, Span, well_formed_traces
-from repro.xp import (
-    SchemaError,
-    default_suite,
-    run_spec,
-    validate_artifact,
-    validate_results_dir,
-)
-from repro.xp.schema import ARTIFACT_SCHEMAS
+from repro.xp import default_suite, run_spec
 
 RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 class TestCommittedArtifacts:
-    def test_every_committed_artifact_validates(self):
-        validated = validate_results_dir(RESULTS_DIR)
-        # The committed evaluation must at least cover the matrix, the
-        # perf trajectory, the three chaos artifacts and Figs. 14, 15.
-        families = set(validated.values())
-        for required in (
-            "xp-matrix",
-            "fig12-lookup",
-            "availability-chaos",
-            "dtn-chaos",
-            "delegation-chaos",
-            "fig14-discovery-time",
-            "fig15-routing-burst",
-        ):
-            assert required in families, f"missing committed {required}"
-
-    def test_every_declared_family_is_versioned(self):
-        for family, (version, check) in ARTIFACT_SCHEMAS.items():
-            assert isinstance(version, int) and version >= 1, family
-            assert callable(check), family
-
     def test_committed_matrix_covers_every_toggle(self):
         from repro.xp import TOGGLES
 
@@ -187,59 +160,3 @@ def committed_spans(name: str) -> list:
 
 def matrix_payload() -> dict:
     return committed("BENCH_matrix.json")
-
-
-class TestValidationFailures:
-    def test_unknown_family_is_an_error(self, tmp_path):
-        path = tmp_path / "BENCH_new.json"
-        path.write_text(json.dumps({"benchmark": "mystery", "v": 1}))
-        with pytest.raises(SchemaError, match="unknown benchmark family"):
-            validate_artifact(path)
-
-    def test_wrong_schema_version_is_an_error(self, tmp_path):
-        payload = matrix_payload()
-        payload["schema_version"] = 99
-        path = tmp_path / "BENCH_matrix.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="schema_version"):
-            validate_artifact(path)
-
-    def test_missing_required_field_is_an_error(self, tmp_path):
-        payload = matrix_payload()
-        del payload["importance_ranking"]
-        path = tmp_path / "BENCH_matrix.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="importance_ranking"):
-            validate_artifact(path)
-
-    def test_malformed_run_id_is_an_error(self, tmp_path):
-        payload = copy.deepcopy(matrix_payload())
-        payload["suite"][0]["run_id"] = "not-a-run-id"
-        path = tmp_path / "BENCH_matrix.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="run_id|run ID"):
-            validate_artifact(path)
-
-    def test_metrics_snapshot_requires_quantiles(self, tmp_path):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.histogram("latency").observe(0.05)
-        payload = registry.snapshot()
-        path = tmp_path / "BENCH_fresh_metrics.json"
-        path.write_text(json.dumps(payload))
-        assert validate_artifact(path) == "metrics-snapshot"
-        series = next(iter(payload["histograms"]["latency"].values()))
-        del series["quantiles"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="quantiles"):
-            validate_artifact(path)
-
-    def test_validate_results_dir_raises_on_any_bad_file(self, tmp_path):
-        good = matrix_payload()
-        (tmp_path / "BENCH_matrix.json").write_text(json.dumps(good))
-        bad = dict(good)
-        bad["schema_version"] = 99
-        (tmp_path / "BENCH_other.json").write_text(json.dumps(bad))
-        with pytest.raises(SchemaError):
-            validate_results_dir(tmp_path)

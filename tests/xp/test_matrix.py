@@ -1,4 +1,4 @@
-"""End-to-end engine runs: determinism, schema, importance semantics."""
+"""End-to-end engine runs: determinism, importance semantics, suite files."""
 
 import filecmp
 from dataclasses import replace
@@ -11,7 +11,6 @@ from repro.xp import (
     default_suite,
     run_spec,
     run_suite,
-    validate_artifact,
     write_bench_matrix_json,
 )
 from repro.xp.report import importance, metric_deltas, table_filename, write_tables
@@ -33,21 +32,6 @@ class TestDeterminism:
             runs = run_suite(small_suite(), timing=False)
             write_bench_matrix_json(path, build_matrix_report(runs))
         assert filecmp.cmp(first, second, shallow=False)
-
-    def test_matrix_payload_schema_validates(self, tmp_path):
-        runs = run_suite(small_suite(), timing=False)
-        path = tmp_path / "BENCH_matrix.json"
-        payload = write_bench_matrix_json(path, build_matrix_report(runs))
-        assert validate_artifact(path, payload) == "xp-matrix"
-
-    def test_generated_at_is_stamped_outside_the_run(self, tmp_path):
-        runs = run_suite(small_suite(), timing=False)
-        payload = build_matrix_report(runs)
-        path = tmp_path / "m.json"
-        stamped = write_bench_matrix_json(path, payload, generated_at="2026-01-01")
-        assert stamped["generated_at"] == "2026-01-01"
-        bare = write_bench_matrix_json(path, payload, generated_at=None)
-        assert "generated_at" not in bare
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_metric_is_refused_and_nothing_written(
@@ -156,7 +140,6 @@ class TestSuiteFiles:
         )
         path = tmp_path / "BENCH_dtn.json"
         assert written[str(path)] == list(DTN_SWEEP)
-        assert validate_artifact(path) == "dtn-chaos"
 
     def test_a_family_without_the_runs_it_folds_is_refused(self, tmp_path):
         spec = default_suite()["delegation-matrix"]
