@@ -25,7 +25,7 @@ against the current one. Per-client counters live in :class:`ClientStats`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from ..message import Binding, Delivery, InsMessage
@@ -90,23 +90,31 @@ class RetryPolicy:
         return cls(enabled=False)
 
 
-@dataclass
+#: The policy of every client built without one: frozen, so one object
+#: serves them all.
+DEFAULT_RETRY_POLICY = RetryPolicy()
+
+
 class ClientStats:
     """Per-client resilience counters."""
 
-    requests_sent: int = 0
-    attempts_sent: int = 0
-    retries: int = 0
-    requests_succeeded: int = 0
-    requests_failed: int = 0
-    deadline_exceeded: int = 0
-    failovers: int = 0
-    attach_retries: int = 0
+    __slots__ = (
+        "requests_sent", "attempts_sent", "retries", "requests_succeeded",
+        "requests_failed", "deadline_exceeded", "failovers", "attach_retries",
+    )
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def snapshot(self) -> Dict[str, int]:
         """Every counter in declaration order — the uniform shape the
         metrics registry ingests and artifacts embed."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self) -> str:
+        counters = ", ".join(f"{name}={value}" for name, value in self.snapshot().items())
+        return f"ClientStats({counters})"
 
 
 @dataclass
@@ -132,6 +140,15 @@ class _PendingRequest:
 class InsClient(Process):
     """An application endpoint speaking the INS protocols."""
 
+    __slots__ = (
+        "resolver", "dsr_address", "reselect_interval", "retry_policy", "stats",
+        "tracer", "attached", "_pending", "_ping_rtts", "_ping_sent",
+        "_message_handler", "_reselect_timer", "_exclude_resolver",
+        "_reselect_previous", "_reselect_epoch", "_attach_epoch",
+        "_attach_attempts", "_ping_round_open", "_consecutive_failures",
+        "_ever_attached",
+    )
+
     def __init__(
         self,
         node: Node,
@@ -154,7 +171,7 @@ class InsClient(Process):
         self.resolver = resolver
         self.dsr_address = dsr_address
         self.reselect_interval = reselect_interval
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.stats = ClientStats()
         #: Observability hook: a ``repro.obs.Tracer`` when the domain is
         #: being observed, None otherwise (zero cost when off).

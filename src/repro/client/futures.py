@@ -39,6 +39,11 @@ class Reply:
     ``settled`` reports "no longer pending".
     """
 
+    __slots__ = (
+        "_value", "_done", "_failed", "_error", "_callbacks", "_error_callbacks",
+        "deadline",
+    )
+
     def __init__(self) -> None:
         self._value: Any = None
         self._done = False

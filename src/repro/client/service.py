@@ -29,6 +29,11 @@ RequestHandler = Callable[[InsMessage, str], None]
 class Service(InsClient):
     """An application that provides functionality under a name."""
 
+    __slots__ = (
+        "name", "metric", "lifetime", "refresh_interval", "transport", "announcer",
+        "advertisements_sent", "_advertising", "_advertisement",
+    )
+
     def __init__(
         self,
         node: Node,

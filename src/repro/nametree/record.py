@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from ..naming import NameSpecifier
 
@@ -62,14 +61,16 @@ class AnnouncerID(NamedTuple):
         return f"{self.host}@{text}"
 
 
-@dataclass(frozen=True, order=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     """A network location of a final destination.
 
     Updates carry, for each IP address, a set of [port-number,
     transport-type] pairs so clients can implement early binding
     (Section 2.2); we flatten to one endpoint per (host, port,
     transport) triple.
+
+    A tuple, as ``AnnouncerID``: one per record and per message, and no
+    instance dict. It orders, equals and hashes as its field tuple.
     """
 
     host: str
@@ -80,12 +81,12 @@ class Endpoint:
         return f"{self.transport}://{self.host}:{self.port}"
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """The next-hop INR for a record and the overlay metric of the path.
 
     ``next_hop`` is None for records announced by a directly-attached
-    application; the metric is then zero by definition.
+    application; the metric is then zero by definition. A tuple, as
+    ``Endpoint``: it equals and hashes as ``(next_hop, metric)``.
     """
 
     next_hop: Optional[str]
@@ -103,7 +104,6 @@ class Route:
 LOCAL_ROUTE = Route(next_hop=None, metric=0.0)
 
 
-@dataclass
 class NameRecord:
     """The resolver-side state for one announced name.
 
@@ -113,51 +113,59 @@ class NameRecord:
     bound on ``expires_at`` (``NameTree.rehear`` and
     ``NameTree.set_expiry``) and drops ``kept_update`` with every
     payload store (``NameTree.refresh``).
+
+    Slotted: a domain holds one per name per resolver.
     """
 
-    announcer: AnnouncerID
-    endpoints: List[Endpoint] = field(default_factory=list)
-    anycast_metric: float = 0.0
-    route: Route = LOCAL_ROUTE
-    expires_at: float = math.inf
-    vspace: str = "default"
-
-    #: Leaf value-nodes of this record's name in its tree; maintained by
-    #: NameTree.insert/remove, read by GET-NAME.
-    attachments: list = field(default_factory=list, repr=False)
-
-    #: The name-specifier that was grafted — sealed, like every keyed
-    #: name, and shared with whoever sent it — kept so GET-NAME returns
-    #: it instead of re-tracing Figure 6 on every refresh round, and so
-    #: a refresh can detect "same name again" by identity. None while
-    #: the record is not grafted anywhere.
-    advertised_name: Optional[NameSpecifier] = field(default=None, repr=False)
-
-    #: What the owning resolver's last full table said about this
-    #: record (a ``NameUpdate``; opaque here), kept to be said again at
-    #: the next round. The tree clears it at every store to
-    #: ``endpoints``, ``anycast_metric`` or ``route`` and at every
-    #: graft, so while it is there it says what the record says.
-    kept_update: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
+    __slots__ = (
+        "announcer", "endpoints", "anycast_metric", "route", "expires_at", "vspace",
+        "attachments", "advertised_name", "kept_update", "heard", "_hash_cache",
     )
 
-    #: The message (an ``Advertisement`` or ``NameUpdate``; opaque here)
-    #: the payload was last compared with and written from, shared by
-    #: reference with its sender: hearing the same object again can only
-    #: move the deadline (``NameTree.rehear``). ``NameTree.refresh`` is
-    #: its one writer.
-    heard: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    #: Memoized __hash__. Records live in many sets (value-node record
-    #: sets, subtree caches, lookup results) and set operations probe
-    #: hashes constantly; recomputing the announcer/vspace tuple hash
-    #: per probe dominated LOOKUP-NAME's intersection cost. Filled on
-    #: first use, which happens no earlier than grafting — after
-    #: ``vspace`` is finalized by the owning tree.
-    _hash_cache: Optional[int] = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        announcer: AnnouncerID,
+        endpoints: Optional[List[Endpoint]] = None,
+        anycast_metric: float = 0.0,
+        route: Route = LOCAL_ROUTE,
+        expires_at: float = math.inf,
+        vspace: str = "default",
+        advertised_name: Optional[NameSpecifier] = None,
+    ) -> None:
+        self.announcer = announcer
+        self.endpoints = [] if endpoints is None else endpoints
+        self.anycast_metric = anycast_metric
+        self.route = route
+        self.expires_at = expires_at
+        self.vspace = vspace
+        #: Leaf value-nodes of this record's name in its tree; maintained by
+        #: NameTree.insert/remove, read by GET-NAME.
+        self.attachments: list = []
+        #: The name-specifier that was grafted — sealed, like every keyed
+        #: name, and shared with whoever sent it — kept so GET-NAME returns
+        #: it instead of re-tracing Figure 6 on every refresh round, and so
+        #: a refresh can detect "same name again" by identity. None while
+        #: the record is not grafted anywhere.
+        self.advertised_name = advertised_name
+        #: What the owning resolver's last full table said about this
+        #: record (a ``NameUpdate``; opaque here), kept to be said again at
+        #: the next round. The tree clears it at every store to
+        #: ``endpoints``, ``anycast_metric`` or ``route`` and at every
+        #: graft, so while it is there it says what the record says.
+        self.kept_update: Optional[object] = None
+        #: The message (an ``Advertisement`` or ``NameUpdate``; opaque here)
+        #: the payload was last compared with and written from, shared by
+        #: reference with its sender: hearing the same object again can only
+        #: move the deadline (``NameTree.rehear``). ``NameTree.refresh`` is
+        #: its one writer.
+        self.heard: Optional[object] = None
+        #: Memoized __hash__. Records live in many sets (value-node record
+        #: sets, subtree caches, lookup results) and set operations probe
+        #: hashes constantly; recomputing the announcer/vspace tuple hash
+        #: per probe dominated LOOKUP-NAME's intersection cost. Filled on
+        #: first use, which happens no earlier than grafting — after
+        #: ``vspace`` is finalized by the owning tree.
+        self._hash_cache: Optional[int] = None
 
     def is_expired(self, now: float) -> bool:
         """True once the soft-state lifetime has elapsed unrefreshed."""
@@ -172,3 +180,10 @@ class NameRecord:
 
     def __eq__(self, other: object) -> bool:
         return self is other
+
+    def __repr__(self) -> str:
+        return (
+            f"NameRecord(announcer={self.announcer!r}, endpoints={self.endpoints!r}, "
+            f"anycast_metric={self.anycast_metric!r}, route={self.route!r}, "
+            f"expires_at={self.expires_at!r}, vspace={self.vspace!r})"
+        )

@@ -24,6 +24,13 @@ objects already counted, or not, above). ``heard`` is its sender's: the
 advertisement a service re-sends, or the update a neighbor keeps on its
 own record, would exist without this tree, and is not counted. (A tree
 filled directly, as Figure 13's is, has neither.)
+
+The tree's own indexes are counted as containers: ``_by_announcer``
+(its keys are the records' AnnouncerIDs, counted with the records),
+``_by_text`` (its keys are the grafted names' cached wire texts and its
+values the names, both the senders', as above) and the LOOKUP-NAME memo
+with the frozen result sets it holds (its keys are the queries' canonical
+keys, cached on the query names).
 """
 
 from __future__ import annotations
@@ -67,6 +74,11 @@ def name_tree_bytes(tree: NameTree) -> int:
     """Resident bytes of ``tree``: nodes, dicts, records and strings."""
     seen: Set[int] = set()
     total = _sizeof(tree, seen)
+    total += _sizeof(tree._by_announcer, seen)
+    total += _sizeof(tree._by_text, seen)
+    total += _sizeof(tree._memo, seen)
+    for result in tree._memo.values():
+        total += _sizeof(result, seen)
     stack = [tree.root]
     while stack:
         value_node = stack.pop()

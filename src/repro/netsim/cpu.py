@@ -22,6 +22,8 @@ class Cpu:
     or slower hardware without touching the cost model.
     """
 
+    __slots__ = ("_sim", "speed", "free_at", "busy_seconds", "jobs_executed")
+
     def __init__(self, sim: Simulator, speed: float = 1.0) -> None:
         if not speed > 0:
             raise ValueError(f"cpu speed must be positive, got {speed}")

@@ -10,7 +10,6 @@ and demultiplexes messages to processes by port.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .cpu import Cpu
@@ -20,20 +19,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from .process import Process
 
 
-@dataclass
 class LinkStats:
     """Cumulative traffic counters for one link."""
 
-    messages: int = 0
-    bytes: int = 0
-    drops: int = 0
-    duplicates: int = 0
-    reorders: int = 0
+    __slots__ = ("messages", "bytes", "drops", "duplicates", "reorders")
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict:
         """Every counter in declaration order — the uniform shape the
         metrics registry ingests and artifacts embed."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self) -> str:
+        counters = ", ".join(f"{name}={value}" for name, value in self.snapshot().items())
+        return f"LinkStats({counters})"
 
 
 class Link:
@@ -98,6 +100,8 @@ class Link:
 
 class Node:
     """A host: an address, a serial CPU and port-bound processes."""
+
+    __slots__ = ("network", "address", "cpu", "_ports")
 
     def __init__(self, network: "Network", address: str, cpu_speed: float = 1.0) -> None:
         self.network = network

@@ -27,6 +27,8 @@ class PeriodicTimer:
     means each period is drawn uniformly from [0.9, 1.1] x interval.
     """
 
+    __slots__ = ("_sim", "interval", "_callback", "_spread", "_stopped", "_event")
+
     def __init__(
         self,
         sim: Simulator,
@@ -77,7 +79,14 @@ class PeriodicTimer:
 
 
 class Process:
-    """Base class for everything that runs on a simulated node."""
+    """Base class for everything that runs on a simulated node.
+
+    Slotted, as are ``InsClient`` and ``Service``: a domain holds one
+    per service. A subclass that declares no ``__slots__`` of its own
+    (the INR, the DSR, the apps) has an instance dict as usual.
+    """
+
+    __slots__ = ("node", "port", "network", "sim", "_timers", "_timers_sweep_at")
 
     def __init__(self, node: Node, port: int) -> None:
         self.node = node

@@ -1,7 +1,7 @@
 """A unified metrics registry: counters, gauges, histograms.
 
 One registry per run absorbs what used to be scattered per-component
-counter dataclasses (``InrStats``, ``ClientStats``, ``LinkStats``)
+counter classes (``InrStats``, ``ClientStats``, ``LinkStats``)
 behind a single ``snapshot() -> dict`` with label support — per-INR,
 per-vspace, per-drop-cause — so experiments and the chaos harness read
 one schema instead of plucking fields from three.

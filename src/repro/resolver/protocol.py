@@ -49,7 +49,7 @@ class NameUpdate:
     the bytes a socket INR would have decoded.
     """
 
-    # By hand: ``dataclass(slots=True)`` needs Python 3.10.
+    # By hand: the dataclass ``slots`` flag needs Python 3.10.
     __slots__ = (
         "name", "announcer", "endpoints", "anycast_metric", "route_metric",
         "lifetime", "vspace", "_size",
@@ -99,12 +99,19 @@ class Advertisement:
     identity, as a ``NameUpdate``.
     """
 
+    # By hand, as ``NameUpdate``'s; a slot cannot have a class default,
+    # so ``triggered`` is always passed.
+    __slots__ = (
+        "name", "announcer", "endpoints", "anycast_metric", "lifetime", "triggered",
+        "_size",
+    )
+
     name: NameSpecifier
     announcer: AnnouncerID
     endpoints: Tuple[Endpoint, ...]
     anycast_metric: float
     lifetime: float
-    triggered: bool = False
+    triggered: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(

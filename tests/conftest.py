@@ -48,23 +48,24 @@ def parse(text: str) -> NameSpecifier:
 
 @contextmanager
 def stores_to(owner, field):
-    """Count stores to the instance attribute ``field`` of ``owner``'s
-    instances: yields the list each store appends the instance to. A
-    data descriptor stands in front of the instance dict meanwhile.
-    (``NameTree.refresh`` stores ``NameRecord.heard`` exactly when it
-    compares a payload: recognising a message stores nothing.)"""
+    """Count stores to the slot ``field`` of ``owner``'s instances:
+    yields the list each store appends the instance to. A property
+    wraps the slot's member descriptor meanwhile, reading and writing
+    through it. (``NameTree.refresh`` stores ``NameRecord.heard``
+    exactly when it compares a payload: recognising a message stores
+    nothing.)"""
     stored = []
+    slot = vars(owner)[field]
 
     def store(self, value):
         stored.append(self)
-        vars(self)[field] = value
+        slot.__set__(self, value)
 
-    default = vars(owner)[field]
-    setattr(owner, field, property(lambda self: vars(self).get(field), store))
+    setattr(owner, field, property(slot.__get__, store))
     try:
         yield stored
     finally:
-        setattr(owner, field, default)
+        setattr(owner, field, slot)
 
 
 class CountingDict(dict):

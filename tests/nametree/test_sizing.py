@@ -61,3 +61,46 @@ class TestSizing:
         assert name_tree_bytes(tree) == (
             bare + sys.getsizeof(kept) + sys.getsizeof(kept.endpoints)
         )
+
+
+class TestIndexes:
+    """The tree's own indexes are its memory: the walk counts each
+    container, byte for byte."""
+
+    @staticmethod
+    def _padded(index):
+        padded = dict(index)
+        padded.update((("padding", i), None) for i in range(1000))
+        return padded
+
+    def test_the_announcer_index_is_counted(self, tree):
+        tree.insert(parse("[a=b]"), make_record())
+        before, index = name_tree_bytes(tree), tree._by_announcer
+        tree._by_announcer = padded = self._padded(index)
+        assert name_tree_bytes(tree) - before == (
+            sys.getsizeof(padded) - sys.getsizeof(index)
+        )
+
+    def test_the_retained_text_index_is_counted(self, tree):
+        name = parse("[a=b]")
+        name.to_wire()  # sized, so the graft retains it by its text
+        tree.insert(name, make_record())
+        assert tree._by_text
+        before, index = name_tree_bytes(tree), tree._by_text
+        tree._by_text = padded = self._padded(index)
+        assert name_tree_bytes(tree) - before == (
+            sys.getsizeof(padded) - sys.getsizeof(index)
+        )
+
+    def test_the_lookup_memo_and_its_result_sets_are_counted(self, tree):
+        for i in range(4):
+            tree.insert(parse(f"[service=cam[id=c{i}]][room=r{i % 2}]"), make_record(f"h{i}"))
+        # An intersection: a result set no value-node holds.
+        assert len(tree.lookup(parse("[service=cam][room=r1]"))) == 2
+        memo = tree._memo
+        (result,) = memo.values()
+        with_memo = name_tree_bytes(tree)
+        tree._memo = type(memo)()
+        assert with_memo - name_tree_bytes(tree) == (
+            sys.getsizeof(memo) - sys.getsizeof(tree._memo) + sys.getsizeof(result)
+        )

@@ -56,6 +56,7 @@ def random_payload(draw):
             endpoints=(),
             anycast_metric=draw(st.floats(allow_nan=False, allow_infinity=False)),
             lifetime=draw(st.floats(min_value=0, max_value=1e6)),
+            triggered=False,
         )
     if choice == 3:
         return PeerRequest(requester=draw(tokens),

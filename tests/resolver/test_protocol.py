@@ -50,6 +50,7 @@ class TestWireSizes:
             endpoints=(Endpoint("h", 1),),
             anycast_metric=0.0,
             lifetime=45.0,
+            triggered=False,
         )
         assert ad.wire_size() == BASE_OVERHEAD + len("[a=b]") + 12
 

@@ -66,10 +66,22 @@ def _shape(value, depth=2):
     return type(value).__name__
 
 
+def _attributes(value):
+    """Every attribute ``value`` holds: its instance dict and the slots
+    its classes declare (``Process`` keeps its state in slots, which
+    ``vars`` does not see)."""
+    attributes = dict(vars(value))
+    for cls in type(value).__mro__:
+        for name in vars(cls).get("__slots__", ()):
+            if hasattr(value, name):
+                attributes[name] = getattr(value, name)
+    return attributes
+
+
 def _shapes(inr):
     shapes = {"INR": {
         name: _shape(value, depth=0)
-        for name, value in vars(inr).items()
+        for name, value in _attributes(inr).items()
         if name not in SURVIVORS
     }}
     for component in COMPONENTS:
