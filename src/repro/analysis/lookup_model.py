@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import numpy as np
-
 
 def lookup_time_recurrence(d: int, n_a: int, t: float, b: float) -> float:
     """Evaluate T(d) by direct recursion (the paper's recurrence)."""
@@ -76,7 +74,8 @@ def fit_parameters(
 
         T = [n_a (n_a^d - 1)/(n_a - 1)] * t + [n_a^d] * b
 
-    so this is a two-column least-squares problem.
+    so this is a two-column least-squares problem, solved through its
+    2x2 normal equations.
     """
     if len(observations) < 2:
         raise ValueError("need at least two observations to fit two parameters")
@@ -92,11 +91,23 @@ def fit_parameters(
             b_coefficient = power
         rows.append((t_coefficient, b_coefficient))
         times.append(measured)
-    matrix = np.asarray(rows, dtype=float)
-    target = np.asarray(times, dtype=float)
-    solution, residuals, _rank, _sv = np.linalg.lstsq(matrix, target, rcond=None)
-    residual = float(residuals[0]) if len(residuals) else 0.0
-    return ModelFit(t=float(solution[0]), b=float(solution[1]), residual=residual)
+    t_column, b_column = zip(*rows)
+
+    def dot(u: Sequence[float], v: Sequence[float]) -> float:
+        return sum(x * y for x, y in zip(u, v))
+
+    tt, tb, bb = dot(t_column, t_column), dot(t_column, b_column), dot(b_column, b_column)
+    ty, by = dot(t_column, times), dot(b_column, times)
+    determinant = tt * bb - tb * tb
+    if determinant == 0:
+        raise ValueError("the observations do not determine both t and b")
+    t = (bb * ty - tb * by) / determinant
+    b = (tt * by - tb * ty) / determinant
+    residual = sum(
+        (t_coefficient * t + b_coefficient * b - measured) ** 2
+        for t_coefficient, b_coefficient, measured in zip(t_column, b_column, times)
+    )
+    return ModelFit(t=t, b=b, residual=residual)
 
 
 def relative_error(predicted: float, measured: float) -> float:

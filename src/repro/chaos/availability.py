@@ -17,12 +17,11 @@ quantifies exactly what the request-resilience machinery buys.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..client import RetryPolicy
 from ..experiments.domain import DSR_HOST
 from ..naming import NameSpecifier
-from ..resolver import InrConfig
 from .plan import ChaosController, FaultEvent, FaultPlan
 from .recovery import RecoveryTracker, percentile
 from .scenario import (
@@ -64,37 +63,21 @@ class AvailabilityReport:
 
 #: Retry policy scaled to the fast chaos clocks (requests resolve in
 #: milliseconds; soft state heals in seconds).
-CHAOS_RETRY_POLICY = RetryPolicy(
-    enabled=True,
-    request_timeout=0.4,
-    backoff_factor=2.0,
-    backoff_max=2.0,
-    jitter_fraction=0.1,
-    max_attempts=4,
-    deadline=5.0,
-    failover_threshold=3,
-)
+CHAOS_RETRY_POLICY = RetryPolicy(request_timeout=0.4, backoff_max=2.0, deadline=5.0)
+
+
+#: The domain every availability run drives: resolvers, services
+#: (round-robined over the resolvers) and lookup clients.
+N_INRS = 4
+N_SERVICES = 3
+N_CLIENTS = 3
 
 
 def run_availability_scenario(
     seed: int = 0,
     resilience: bool = True,
-    n_inrs: int = 4,
-    n_services: int = 3,
-    n_clients: int = 3,
     duration: float = 30.0,
     lookup_interval: float = 0.5,
-    crash_fraction: float = 0.35,
-    restart_after: Optional[float] = 6.0,
-    link_fault_fraction: float = 0.5,
-    loss_rate: float = 0.25,
-    cpu_degrade_fraction: float = 0.3,
-    cpu_degrade_factor: float = 0.02,
-    partition: bool = True,
-    config: Optional[InrConfig] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    settle: float = 3.0,
-    drain: Optional[float] = None,
     observe: bool = False,
 ) -> AvailabilityReport:
     """Run steady lookup traffic through a seeded fault plan.
@@ -102,7 +85,10 @@ def run_availability_scenario(
     ``resilience`` toggles the client's retries, deadlines and
     failover. The fault plan itself is identical for both settings
     (same seed, same surface), so the pair of runs is a controlled
-    ablation of the resilience machinery alone.
+    ablation of the resilience machinery alone: about a third of the
+    resolvers crash and restart, half the request-path links turn
+    lossy, a third of the resolvers' CPUs degrade, and one resolver is
+    partitioned from the rest of the mesh for the middle of the run.
 
     ``observe=True`` attaches a :class:`repro.obs.ObsCollector` before
     any traffic flows: every lookup then produces a hop-by-hop span
@@ -111,31 +97,21 @@ def run_availability_scenario(
     observed — it is not part of the dataclass, the fingerprint, or the
     JSON artifact's report sections).
     """
-    config = config or fast_chaos_config()
-    policy = (
-        (retry_policy or CHAOS_RETRY_POLICY)
-        if resilience
-        else RetryPolicy.disabled()
-    )
+    policy = CHAOS_RETRY_POLICY if resilience else RetryPolicy.disabled()
 
-    domain = chaos_domain(seed, config, observe=observe)
-    inrs = [domain.add_inr() for _ in range(n_inrs)]
+    domain = chaos_domain(seed, fast_chaos_config(), observe=observe)
+    inrs = [domain.add_inr() for _ in range(N_INRS)]
     names = [
         NameSpecifier.parse(f"[service=avail[id={index}]]")
-        for index in range(n_services)
+        for index in range(N_SERVICES)
     ]
     for index, name in enumerate(names):
-        domain.add_service(
-            name,
-            resolver=inrs[index % n_inrs],
-            refresh_interval=config.refresh_interval,
-            lifetime=config.record_lifetime,
-        )
+        domain.add_service(name, resolver=inrs[index % N_INRS])
     clients = [
-        domain.add_client(resolver=inrs[index % n_inrs], retry_policy=policy)
-        for index in range(n_clients)
+        domain.add_client(resolver=inrs[index % N_INRS], retry_policy=policy)
+        for index in range(N_CLIENTS)
     ]
-    domain.run(settle)
+    domain.run(3.0)
 
     plan = FaultPlan.random(
         seed=seed,
@@ -143,34 +119,33 @@ def run_availability_scenario(
         # the full request path, so lookups actually traverse faulty links
         link_pairs=fault_surface(domain, domain.services + domain.clients),
         duration=duration,
-        crash_fraction=crash_fraction,
+        crash_fraction=0.35,
         flap_fraction=0.0,
-        restart_after=restart_after,
-        link_fault_fraction=link_fault_fraction,
-        loss_rate=loss_rate,
+        restart_after=6.0,
+        link_fault_fraction=0.5,
+        loss_rate=0.25,
         duplicate_rate=0.05,
         reorder_rate=0.05,
-        cpu_degrade_fraction=cpu_degrade_fraction,
-        cpu_degrade_factor=cpu_degrade_factor,
+        cpu_degrade_fraction=0.3,
+        cpu_degrade_factor=0.02,
         cpu_degrade_length=duration * 0.25,
     )
-    if partition and n_inrs >= 2:
-        # Cut one resolver off from the rest of the mesh (and the DSR)
-        # for the middle third of the run; its directly-attached
-        # services stay reachable, everything else on it goes stale.
-        isolated = inrs[n_inrs // 2].address
-        others = [inr.address for inr in inrs if inr.address != isolated]
-        groups = ((isolated,), tuple(others) + (DSR_HOST,))
-        plan = FaultPlan(
-            events=FaultPlan.build(
-                list(plan.events)
-                + [
-                    FaultEvent(at=duration * 0.35, kind="partition", target=groups),
-                    FaultEvent(at=duration * 0.55, kind="heal", target=groups),
-                ]
-            ).events,
-            duration=duration,
-        )
+    # Cut one resolver off from the rest of the mesh (and the DSR) for
+    # the middle third of the run; its directly-attached services stay
+    # reachable, everything else on it goes stale.
+    isolated = inrs[N_INRS // 2].address
+    others = [inr.address for inr in inrs if inr.address != isolated]
+    groups = ((isolated,), tuple(others) + (DSR_HOST,))
+    plan = FaultPlan(
+        events=FaultPlan.build(
+            list(plan.events)
+            + [
+                FaultEvent(at=duration * 0.35, kind="partition", target=groups),
+                FaultEvent(at=duration * 0.55, kind="heal", target=groups),
+            ]
+        ).events,
+        duration=duration,
+    )
 
     tracker = RecoveryTracker(domain, poll_interval=0.25)
     controller = ChaosController(domain, tracker=tracker)
@@ -202,8 +177,8 @@ def run_availability_scenario(
 
     start = domain.sim.now
     request_index = 0
-    for client_index in range(n_clients):
-        offset = (client_index / max(n_clients, 1)) * lookup_interval
+    for client_index in range(N_CLIENTS):
+        offset = (client_index / N_CLIENTS) * lookup_interval
         t = offset
         while t < duration:
             name = names[request_index % len(names)]
@@ -213,9 +188,7 @@ def run_availability_scenario(
 
     domain.run(duration)
     # Drain: let in-flight retries hit their deadlines and settle.
-    if drain is None:
-        drain = (policy.deadline if policy.enabled else 0.0) + 3.0
-    domain.run(drain)
+    domain.run((policy.deadline if policy.enabled else 0.0) + 3.0)
     tracker.stop()
 
     # ------------------------------------------------------------------

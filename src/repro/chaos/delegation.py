@@ -68,6 +68,18 @@ CRASH_ROLES: Tuple[str, ...] = ("donor", "recipient")
 DELEGATED_VSPACE = "bulk"
 KEPT_VSPACE = "anchor"
 
+#: Seconds between a service's re-advertisements: fast enough that the
+#: bulk space's stream holds the donor over its delegate threshold.
+SERVICE_REFRESH = 0.5
+
+#: Lookup clients attached to the relay, and seconds between each
+#: one's lookups.
+N_CLIENTS = 2
+LOOKUP_INTERVAL = 0.1
+
+#: Seconds after the handoff starts whose lookups count as in-window.
+WINDOW = 6.0
+
 
 @dataclass
 class DelegationReport:
@@ -131,10 +143,7 @@ def delegation_chaos_config(two_phase: bool = True) -> InrConfig:
         load_check_interval=0.5,
         minimum_lifetime=2.0,
         delegation_two_phase=two_phase,
-        delegation_offer_timeout=0.3,
-        delegation_ack_timeout=0.3,
-        delegation_commit_timeout=0.3,
-        delegation_max_retries=3,
+        delegation_timeout=0.3,
         delegation_chunk_names=8,
         delegation_retry_cooldown=1.0,
     )
@@ -265,12 +274,7 @@ def run_delegation_scenario(
     restart_after: Optional[float] = 1.5,
     n_bulk: int = 24,
     n_anchor: int = 6,
-    service_refresh: float = 0.5,
-    lookup_interval: float = 0.1,
-    n_clients: int = 2,
     traffic: float = 14.0,
-    window: float = 6.0,
-    config: Optional[InrConfig] = None,
     observe: bool = False,
 ) -> DelegationReport:
     """One delegation-under-fire run.
@@ -295,8 +299,10 @@ def run_delegation_scenario(
     attribute, None when not observed — not part of the dataclass or
     the fingerprint).
     """
-    config = config or delegation_chaos_config(two_phase)
-    domain = chaos_domain(seed, config, observe=observe, sweep_floor=0.25)
+    domain = chaos_domain(
+        seed, delegation_chaos_config(two_phase), observe=observe,
+        sweep_floor=0.25,
+    )
     base = domain.add_inr(address="inr-base")
     donor = domain.add_inr(
         address="inr-donor", vspaces=(KEPT_VSPACE, DELEGATED_VSPACE)
@@ -307,19 +313,17 @@ def run_delegation_scenario(
         domain.add_service(
             f"[service=anchor[id=a{index}]][vspace={KEPT_VSPACE}]",
             resolver=donor,
-            refresh_interval=service_refresh,
-            lifetime=config.record_lifetime,
+            refresh_interval=SERVICE_REFRESH,
         )
     for index in range(n_bulk):
         domain.add_service(
             f"[service=bulk[id=n{index}]][vspace={DELEGATED_VSPACE}]",
             resolver=donor,
-            refresh_interval=service_refresh,
-            lifetime=config.record_lifetime,
+            refresh_interval=SERVICE_REFRESH,
         )
     clients = [
         domain.add_client(resolver=base, retry_policy=CHAOS_RETRY_POLICY)
-        for _ in range(n_clients)
+        for _ in range(N_CLIENTS)
     ]
 
     checker = InvariantChecker(domain).install(0.5)
@@ -348,11 +352,11 @@ def run_delegation_scenario(
             return  # mid-failover with no resolver selected
 
     start = domain.sim.now
-    for client_index in range(n_clients):
-        t = 0.1 + (client_index / max(n_clients, 1)) * lookup_interval
+    for client_index in range(N_CLIENTS):
+        t = 0.1 + (client_index / N_CLIENTS) * LOOKUP_INTERVAL
         while t < traffic:
             domain.sim.at(start + t, issue, client_index)
-            t += lookup_interval
+            t += LOOKUP_INTERVAL
 
     domain.run(traffic)
     watch.stop()
@@ -384,7 +388,7 @@ def run_delegation_scenario(
         in_window = [
             sample
             for sample in samples
-            if window_start <= sample["issued_at"] <= window_start + window
+            if window_start <= sample["issued_at"] <= window_start + WINDOW
         ]
     window_ok = sum(1 for sample in in_window if succeeded(sample))
 
@@ -457,7 +461,6 @@ def run_delegation_scenario(
 
 def run_delegation_matrix(
     seed: int = 0,
-    restart_after: float = 1.5,
     observe_baseline: bool = False,
     **kwargs,
 ) -> List[DelegationReport]:
@@ -479,7 +482,6 @@ def run_delegation_matrix(
                     two_phase=True,
                     crash_role=role,
                     crash_phase=phase,
-                    restart_after=restart_after,
                     **kwargs,
                 )
             )

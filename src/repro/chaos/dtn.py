@@ -27,7 +27,7 @@ for trend tracking across sessions.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..experiments.domain import DSR_HOST
 from ..naming import NameSpecifier
@@ -92,37 +92,37 @@ def dtn_chaos_config(disruption: float, custody: bool) -> InrConfig:
     return replace(
         config,
         enable_custody=True,
-        custody_capacity=256,
         custody_ttl=disruption + 20.0,
-        custody_retry_interval=0.5,
         custody_suspect_silence=2.5,
         partition_grace=2.0 * config.record_lifetime,
     )
+
+
+#: Seconds between the client's anycast payloads.
+SEND_INTERVAL = 0.5
+
+#: Seconds traffic keeps flowing after the partition heals.
+TAIL = 3.0
 
 
 def run_dtn_scenario(
     seed: int = 0,
     custody: bool = True,
     disruption: float = 30.0,
-    n_inrs: int = 3,
-    send_interval: float = 0.5,
     duty_window: float = 12.0,
-    duty_period: float = 6.0,
-    duty: float = 0.5,
-    settle: float = 3.0,
-    tail: float = 3.0,
-    config: Optional[InrConfig] = None,
     observe: bool = False,
 ) -> DtnReport:
     """Stream anycast payloads through duty-cycled links and one long
     partition; measure what arrived.
 
-    The fault plan is identical for both settings of ``custody`` (same
-    seed, same surface): first every link incident to the service's
-    resolver duty-cycles for ``duty_window`` seconds (radio-style
+    The domain is a three-resolver mesh: the client attaches to the
+    first, the service to the last. The fault plan is identical for
+    both settings of ``custody`` (same seed, same surface): first every
+    link incident to the service's resolver duty-cycles for
+    ``duty_window`` seconds (up half of each 6 s period: radio-style
     intermittent connectivity), then that resolver and its service are
     partitioned from the rest of the mesh — and the DSR — for
-    ``disruption`` seconds. Traffic runs from the start until ``tail``
+    ``disruption`` seconds. Traffic runs from the start until ``TAIL``
     seconds after the heal; the run then drains for the invariant
     checker's convergence bound so every custodied payload has settled
     (released or lapsed) before the post-heal invariants are checked.
@@ -132,20 +132,15 @@ def run_dtn_scenario(
     ``report.collector`` (a plain attribute, None when not observed —
     not part of the dataclass, the fingerprint, or the JSON artifact).
     """
-    config = config or dtn_chaos_config(disruption, custody)
-
-    domain = chaos_domain(seed, config, observe=observe)
-    inrs = [domain.add_inr() for _ in range(n_inrs)]
+    domain = chaos_domain(
+        seed, dtn_chaos_config(disruption, custody), observe=observe
+    )
+    inrs = [domain.add_inr() for _ in range(3)]
     far = inrs[-1]
     name = NameSpecifier.parse("[service=dtn[role=sink]]")
-    service = domain.add_service(
-        name,
-        resolver=far,
-        refresh_interval=config.refresh_interval,
-        lifetime=config.record_lifetime,
-    )
+    service = domain.add_service(name, resolver=far)
     client = domain.add_client(resolver=inrs[0])
-    domain.run(settle)
+    domain.run(3.0)
 
     # ------------------------------------------------------------------
     # The receiving side: dedup by sequence, latency from the virtual
@@ -186,8 +181,7 @@ def run_dtn_scenario(
         link_pairs=far_links,
         start=duty_start,
         end=duty_start + duty_window,
-        period=duty_period,
-        duty=duty,
+        period=6.0,
     )
     plan = FaultPlan(
         events=FaultPlan.build(
@@ -197,7 +191,7 @@ def run_dtn_scenario(
                 FaultEvent(at=heal_at, kind="heal", target=(isolated, others)),
             ]
         ).events,
-        duration=heal_at + tail,
+        duration=heal_at + TAIL,
     )
     controller = ChaosController(domain)
     controller.execute(plan)
@@ -213,12 +207,12 @@ def run_dtn_scenario(
         )
 
     start = domain.sim.now
-    traffic_end = heal_at + tail
+    traffic_end = heal_at + TAIL
     t = 0.0
     while t < traffic_end:
         domain.sim.at(start + t, send, sent)
         sent += 1
-        t += send_interval
+        t += SEND_INTERVAL
 
     domain.run(traffic_end)
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
+from ..resolver.custody import CUSTODY_RETRY_INTERVAL
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..experiments.domain import InsDomain
     from ..resolver.inr import INR
@@ -124,9 +126,7 @@ class InvariantChecker:
         if config.enable_custody:
             # A held payload is settled no later than its TTL plus one
             # retry tick: released if a route returned, lapsed if not.
-            expiry = max(
-                expiry, config.custody_ttl + config.custody_retry_interval
-            )
+            expiry = max(expiry, config.custody_ttl + CUSTODY_RETRY_INTERVAL)
         propagation = config.refresh_interval * (depth + 1)
         return expiry + propagation + 5.0
 

@@ -40,6 +40,12 @@ FAULT_KINDS = (
     "link-faults",
 )
 
+#: Seconds a flapped link stays down, and a noisy one noisy.
+FLAP_LENGTH = 8.0
+
+#: A duty-cycled link's cycle starts up to this many periods late.
+PHASE_JITTER = 0.3
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -101,7 +107,6 @@ class FaultPlan:
         crash_fraction: float = 0.3,
         flap_fraction: float = 0.2,
         restart_after: Optional[float] = 10.0,
-        flap_length: float = 8.0,
         dsr_failover: bool = False,
         cpu_degrade_fraction: float = 0.0,
         cpu_degrade_factor: float = 0.25,
@@ -116,6 +121,8 @@ class FaultPlan:
         Fault injection times land in the first 60% of ``duration`` so
         every fault has room to be detected and recovered from before
         the run ends. ``restart_after=None`` leaves crashed INRs down.
+        A flapped link and a noisy one recover ``FLAP_LENGTH`` seconds
+        after the fault.
         """
         rng = random.Random(seed)
         inrs = sorted(inr_addresses)
@@ -142,7 +149,7 @@ class FaultPlan:
             down_at = rng.uniform(duration * 0.05, window)
             events.append(FaultEvent(at=down_at, kind="link-down", target=pair))
             events.append(
-                FaultEvent(at=down_at + flap_length, kind="link-up", target=pair)
+                FaultEvent(at=down_at + FLAP_LENGTH, kind="link-up", target=pair)
             )
         if dsr_failover:
             events.append(
@@ -183,7 +190,7 @@ class FaultPlan:
             )
             events.append(
                 FaultEvent(
-                    at=noisy_at + flap_length,
+                    at=noisy_at + FLAP_LENGTH,
                     kind="link-faults",
                     target=pair,
                     params=(
@@ -205,7 +212,6 @@ class FaultPlan:
         end: float,
         period: float = 10.0,
         duty: float = 0.5,
-        phase_jitter: float = 0.3,
     ) -> "FaultPlan":
         """Duty-cycled links: the disruption-tolerance workload.
 
@@ -214,7 +220,7 @@ class FaultPlan:
         and ``end`` — the intermittent-connectivity regime (power-cycled
         radios, mobile nodes drifting in and out of range) that custody
         transfer is built for. Each link gets a seed-deterministic phase
-        offset of up to ``phase_jitter`` periods so cycles do not
+        offset of up to ``PHASE_JITTER`` periods so cycles do not
         phase-lock across links. Cycles only begin where the full
         period fits before ``end``, so the last event for every link is
         its ``link-up`` — a plan never strands a link down.
@@ -227,7 +233,7 @@ class FaultPlan:
         links = sorted(tuple(sorted(pair)) for pair in link_pairs)
         events: List[FaultEvent] = []
         for pair in links:
-            t = start + rng.uniform(0.0, period * phase_jitter)
+            t = start + rng.uniform(0.0, period * PHASE_JITTER)
             while t + period <= end:
                 events.append(
                     FaultEvent(

@@ -151,14 +151,7 @@ def run_chaos_scenario(
     n_inrs: int = 6,
     n_services: int = 4,
     chaos_duration: float = 30.0,
-    crash_fraction: float = 0.3,
-    flap_fraction: float = 0.2,
-    restart_after: Optional[float] = 8.0,
-    dsr_failover: bool = True,
-    link_fault_fraction: float = 0.2,
     config: Optional[InrConfig] = None,
-    invariant_interval: float = 1.0,
-    settle: float = 3.0,
 ) -> ChaosReport:
     """Run the standard chaos scenario and return its report.
 
@@ -166,34 +159,31 @@ def run_chaos_scenario(
     ``n_services`` services round-robined across them. The fault plan
     is generated from ``seed`` over the overlay's mutual peer edges and
     the service attachment links, so every fault hits a link or node
-    that actually carries protocol traffic.
+    that actually carries protocol traffic: 30% of the resolvers crash
+    and restart 8 s later, 20% of the links flap and 20% turn noisy,
+    and the DSR fails over once. The invariants are sampled every
+    virtual second.
     """
-    config = config or fast_chaos_config()
-    domain = chaos_domain(seed, config)
+    domain = chaos_domain(seed, config or fast_chaos_config())
     domain.add_dsr_replica()
     inrs = [domain.add_inr() for _ in range(n_inrs)]
     for index in range(n_services):
         domain.add_service(
-            f"[service=chaos[id={index}]]",
-            resolver=inrs[index % n_inrs],
-            refresh_interval=config.refresh_interval,
-            lifetime=config.record_lifetime,
+            f"[service=chaos[id={index}]]", resolver=inrs[index % n_inrs]
         )
-    domain.run(settle)
+    domain.run(3.0)
 
     plan = FaultPlan.random(
         seed=seed,
         inr_addresses=[inr.address for inr in inrs],
         link_pairs=fault_surface(domain, domain.services),
         duration=chaos_duration,
-        crash_fraction=crash_fraction,
-        flap_fraction=flap_fraction,
-        restart_after=restart_after,
-        dsr_failover=dsr_failover,
-        link_fault_fraction=link_fault_fraction,
+        restart_after=8.0,
+        dsr_failover=True,
+        link_fault_fraction=0.2,
     )
     tracker = RecoveryTracker(domain, poll_interval=0.25)
-    checker = InvariantChecker(domain).install(invariant_interval)
+    checker = InvariantChecker(domain).install(1.0)
     controller = ChaosController(domain, tracker=tracker)
     controller.execute(plan)
 
@@ -261,7 +251,6 @@ def run_recovery_ablation(
             n_services=n_services,
             chaos_duration=chaos_duration,
             config=fast_chaos_config(refresh_interval, neighbor_timeout),
-            dsr_failover=True,
         )
         crash = report.mttr.get("crash-inr", {})
         failover = report.mttr.get("dsr-failover", {})

@@ -55,6 +55,22 @@ _RESELECT_TIMEOUT = 2.0
 #: The probe name used when a client pings candidate resolvers.
 _PROBE = NameSpecifier.from_dict({"service": "client-ping"})
 
+#: Each retry waits this many times longer than the attempt before it,
+#: up to the policy's ``backoff_max``.
+BACKOFF_FACTOR = 2.0
+
+#: A backed-off wait is stretched by up to this fraction, drawn from
+#: the simulator's RNG, so synchronized clients do not retry in
+#: lockstep against a recovering resolver.
+JITTER_FRACTION = 0.1
+
+#: Timeouts after which a request fails with ``RequestTimeout``.
+MAX_ATTEMPTS = 4
+
+#: Consecutive timeouts against one resolver after which the client
+#: declares it suspect and fails over through the DSR.
+FAILOVER_THRESHOLD = 3
+
 MessageHandler = Callable[[InsMessage, str], None]
 
 
@@ -63,25 +79,21 @@ class RetryPolicy:
     """Resilience knobs for one client's request/response operations.
 
     The retransmit schedule: attempt k is answered within
-    ``min(request_timeout * backoff_factor**(k-1), backoff_max)``
+    ``min(request_timeout * BACKOFF_FACTOR**(k-1), backoff_max)``
     seconds or it times out and the next attempt goes out (retry delays
-    after the first carry multiplicative jitter so synchronized clients
-    do not retry in lockstep). ``max_attempts`` timeouts fail the
-    request with :class:`~.futures.RequestTimeout`; ``deadline`` caps
-    the whole request with :class:`~.futures.DeadlineExceeded`
-    regardless of how many attempts remain. ``failover_threshold``
-    consecutive timeouts against one resolver trigger ``reattach()``
-    through the DSR, excluding the suspect.
+    after the first carry up to ``JITTER_FRACTION`` multiplicative
+    jitter). ``MAX_ATTEMPTS`` timeouts fail the request with
+    :class:`~.futures.RequestTimeout`; ``deadline`` caps the whole
+    request with :class:`~.futures.DeadlineExceeded` regardless of how
+    many attempts remain. ``FAILOVER_THRESHOLD`` consecutive timeouts
+    against one resolver trigger ``reattach()`` through the DSR,
+    excluding the suspect.
     """
 
     enabled: bool = True
     request_timeout: float = 0.5
-    backoff_factor: float = 2.0
     backoff_max: float = 4.0
-    jitter_fraction: float = 0.1
-    max_attempts: int = 4
     deadline: float = 10.0
-    failover_threshold: int = 3
 
     @classmethod
     def disabled(cls) -> "RetryPolicy":
@@ -394,13 +406,11 @@ class InsClient(Process):
             timeout = min(policy.request_timeout, policy.backoff_max)
         else:
             timeout = min(
-                policy.request_timeout * policy.backoff_factor ** pending.timeouts,
+                policy.request_timeout * BACKOFF_FACTOR ** pending.timeouts,
                 policy.backoff_max,
             )
-            if policy.jitter_fraction > 0.0:
-                # Jitter only the backed-off waits: synchronized clients
-                # must not hammer a recovering resolver in lockstep.
-                timeout *= 1.0 + policy.jitter_fraction * self.sim.rng.random()
+            # Jitter only the backed-off waits.
+            timeout *= 1.0 + JITTER_FRACTION * self.sim.rng.random()
         remaining = pending.started_at + policy.deadline - self.now
         timeout = min(timeout, max(remaining, 1e-3))
         pending.timer = self.set_timer(
@@ -417,7 +427,7 @@ class InsClient(Process):
                 pending.span, f"timeout {pending.timeouts} at {pending.resolver}"
             )
         self._note_resolver_failure(pending.resolver)
-        if pending.timeouts >= self.retry_policy.max_attempts:
+        if pending.timeouts >= MAX_ATTEMPTS:
             self._fail_request(request_id, RequestTimeout(
                 f"request {request_id} unanswered after "
                 f"{pending.timeouts} attempts"
@@ -452,7 +462,7 @@ class InsClient(Process):
         self._consecutive_failures += 1
         if (
             self.dsr_address is not None
-            and self._consecutive_failures >= self.retry_policy.failover_threshold
+            and self._consecutive_failures >= FAILOVER_THRESHOLD
         ):
             self._consecutive_failures = 0
             self.stats.failovers += 1

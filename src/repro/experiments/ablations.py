@@ -8,10 +8,11 @@ the packet cache.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..analysis import fit_parameters, lookup_time_closed_form
 from ..naming import NameSpecifier
@@ -143,7 +144,6 @@ def run_relaxation_experiment(
     config = InrConfig(
         refresh_interval=50.0,
         enable_relaxation=True,
-        relaxation_interval=10.0,
     )
     domain = InsDomain(seed=seed, config=config)
     addresses = [f"inr-{i}" for i in range(1, inr_count + 1)]
@@ -391,6 +391,19 @@ def run_cache_experiment(
 # ----------------------------------------------------------------------
 # 5. Soft-state refresh interval: overhead vs responsiveness
 # ----------------------------------------------------------------------
+def _seconds_until(domain: InsDomain, holds: Callable[[], bool], what: str) -> float:
+    """Step ``domain`` one event at a time until ``holds()``: the
+    virtual seconds that took, infinity if the simulation drained
+    first. Five million events without it is a hang, and raises."""
+    started = domain.now
+    for _ in range(5_000_000):
+        if not domain.sim.step():
+            return math.inf
+        if holds():
+            return domain.now - started
+    raise RuntimeError(f"{what} never happened")
+
+
 @dataclass
 class SoftStateRow:
     refresh_interval: float
@@ -440,24 +453,15 @@ def run_softstate_experiment(
         rate = (link.stats.bytes - bytes_before) / window
 
         victims[0].stop()
-        died_at = domain.now
-        removed_at = None
-        guard = 0
-        while removed_at is None:
-            if not domain.sim.step():
-                break
-            guard += 1
-            if guard > 5_000_000:
-                raise RuntimeError("stale name never removed")
-            if b.name_count() < services:
-                removed_at = domain.now
-        if removed_at is None:
-            raise RuntimeError("simulation drained before removal")
         rows.append(
             SoftStateRow(
                 refresh_interval=interval,
                 control_bytes_per_second=rate,
-                stale_name_removal_s=removed_at - died_at,
+                stale_name_removal_s=_seconds_until(
+                    domain,
+                    lambda: b.name_count() < services,
+                    "stale name removal",
+                ),
             )
         )
     return rows
@@ -514,30 +518,18 @@ def run_update_mode_comparison(
         # Change propagation: flip one metric, watch it land at b.
         probe = NameSpecifier.parse("[service=um[id=n1]]")
         victims[1].set_metric(9.0)
-        changed_at = domain.now
-        seen_at = None
-        guard = 0
-        while seen_at is None and domain.sim.step():
-            guard += 1
-            if guard > 2_000_000:
-                raise RuntimeError("metric change never propagated")
+
+        def metric_landed() -> bool:
             records = b.trees["default"].lookup(probe)
-            if records and next(iter(records)).anycast_metric == 9.0:
-                seen_at = domain.now
-        change_lag = (seen_at - changed_at) if seen_at is not None else float("inf")
+            return bool(records) and next(iter(records)).anycast_metric == 9.0
+
+        change_lag = _seconds_until(domain, metric_landed, "metric propagation")
 
         # Staleness: kill one service, watch its name vanish at b.
         victims[0].stop()
-        died_at = domain.now
-        removed_at = None
-        guard = 0
-        while removed_at is None and domain.sim.step():
-            guard += 1
-            if guard > 5_000_000:
-                raise RuntimeError("stale name never removed")
-            if b.name_count() < services:
-                removed_at = domain.now
-        removal = (removed_at - died_at) if removed_at is not None else float("inf")
+        removal = _seconds_until(
+            domain, lambda: b.name_count() < services, "stale name removal"
+        )
 
         rows.append(
             UpdateModeRow(

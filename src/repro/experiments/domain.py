@@ -36,8 +36,6 @@ class InsDomain:
     def __init__(
         self,
         seed: int = 0,
-        default_latency: float = 0.002,
-        default_bandwidth_bps: float = 1_000_000.0,
         default_loss_rate: float = 0.0,
         config: Optional[InrConfig] = None,
         costs: Optional[CostModel] = None,
@@ -45,12 +43,7 @@ class InsDomain:
         dsr_sweep_interval: Optional[float] = None,
     ) -> None:
         self.sim = Simulator(seed=seed)
-        self.network = Network(
-            self.sim,
-            default_latency=default_latency,
-            default_bandwidth_bps=default_bandwidth_bps,
-            default_loss_rate=default_loss_rate,
-        )
+        self.network = Network(self.sim, default_loss_rate=default_loss_rate)
         self.config = config or InrConfig()
         self.costs = costs or DEFAULT_COSTS
         self.ports = PortAllocator()

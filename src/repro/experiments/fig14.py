@@ -36,20 +36,20 @@ class DiscoveryRow:
 def build_chain_domain(
     length: int,
     chain_latency: float = 0.002,
-    far_latency: float = 0.05,
     seed: int = 0,
 ) -> InsDomain:
     """An InsDomain whose INRs form a chain overlay of ``length`` nodes.
 
     Link latencies are shaped so that INR-pings make each joining INR
-    choose its chain predecessor: adjacent links are fast, all other
-    pairs slow. (The DSR links stay at the default.)
+    choose its chain predecessor: adjacent links take
+    ``chain_latency``, all other pairs a slow 50 ms. (The DSR links
+    stay at the default.)
     """
     domain = InsDomain(seed=seed, config=InrConfig(refresh_interval=1e6))
     addresses = [f"chain-{i}" for i in range(1, length + 1)]
     for i, a in enumerate(addresses):
         for j in range(i):
-            latency = chain_latency if i - j == 1 else far_latency
+            latency = chain_latency if i - j == 1 else 0.05
             domain.network.configure_link(addresses[j], a, latency=latency)
     for address in addresses:
         domain.add_inr(address=address, settle=2.0)

@@ -10,7 +10,7 @@ name count, cumulative lookups, and inter-INR traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .domain import InsDomain
 
@@ -87,16 +87,6 @@ class DomainSampler:
     def peak_utilization(self, address: str) -> float:
         utilizations = [s.cpu_utilization for s in self.series(address)]
         return max(utilizations) if utilizations else 0.0
-
-    def utilization_at(self, address: str, time: float) -> Optional[float]:
-        """Utilization of the sample interval covering ``time``."""
-        best: Optional[ResolverSample] = None
-        for sample in self.series(address):
-            if sample.time <= time + self.interval:
-                best = sample
-            else:
-                break
-        return best.cpu_utilization if best is not None else None
 
     def timeline(self) -> List[Tuple[float, Dict[str, float]]]:
         """[(time, {address: utilization})], one entry per interval."""

@@ -48,6 +48,10 @@ from .record import AnnouncerID, Endpoint, NameRecord, Route
 #: frame's pair loop without a per-pair emptiness test.
 _EXHAUSTED: Iterator[AVPair] = iter(())
 
+#: Result sets the LOOKUP-NAME memo holds before it evicts the least
+#: recently used.
+MEMO_CAPACITY = 1024
+
 
 @dataclass(frozen=True)
 class InsertOutcome:
@@ -71,7 +75,6 @@ class NameTree:
         self,
         vspace: str = "default",
         memoize: bool = True,
-        memo_capacity: int = 1024,
     ) -> None:
         """Attribute and value children are found by hashing (the
         implementation the paper measures, Section 5.1.1). ``memoize``
@@ -80,8 +83,6 @@ class NameTree:
         wholesale whenever the tree's record *set* changes (pure
         refreshes keep it warm).
         """
-        if memo_capacity <= 0:
-            raise ValueError("memo_capacity must be positive")
         self.vspace = vspace
         self._root = ValueNode(value=None, parent=None)
         self._by_announcer: Dict[AnnouncerID, NameRecord] = {}
@@ -99,7 +100,6 @@ class NameTree:
         # epoch, so a burst of mutations costs one flush, not many.
         self._memoize = memoize
         self._memo: "OrderedDict[tuple, FrozenSet[NameRecord]]" = OrderedDict()
-        self._memo_capacity = memo_capacity
         self._memo_epoch = 0
         self._epoch = 0
         self.memo_hits = 0
@@ -391,7 +391,7 @@ class NameTree:
             return set(cached)
         self.memo_misses += 1
         result = self._lookup(self._root, name._roots.values())
-        if len(self._memo) >= self._memo_capacity:
+        if len(self._memo) >= MEMO_CAPACITY:
             self._memo.popitem(last=False)
         if result.__class__ is frozenset:
             self._memo[key] = result

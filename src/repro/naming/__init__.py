@@ -34,7 +34,6 @@ from .operators import (
     ValueMatcher,
     WildcardMatcher,
     classify_value,
-    is_literal_value,
     is_operator_value,
     is_wildcard,
     parse_number,
@@ -66,7 +65,6 @@ __all__ = [
     "WildcardValueError",
     "WireFormatError",
     "classify_value",
-    "is_literal_value",
     "is_operator_value",
     "is_wildcard",
     "make_pair",

@@ -134,17 +134,6 @@ def is_operator_value(value: str) -> bool:
     return bool(value) and value[0] in "<>"
 
 
-def is_literal_value(value: str) -> bool:
-    """True when ``value`` selects exactly one advertised literal.
-
-    The complement of :func:`is_operator_value`; LOOKUP-NAME uses it to
-    take the hash-descent fast path without building a matcher object.
-    """
-    if value == WILDCARD:
-        return False
-    return not value or value[0] not in "<>"
-
-
 def classify_value(value: str) -> ValueMatcher:
     """Map a raw value token to the matcher implementing its semantics."""
     if is_wildcard(value):

@@ -15,11 +15,11 @@ everywhere above.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .export import summarize_spans
 from .metrics import MetricsRegistry
-from .span import Tracer, well_formed_traces
+from .span import Tracer
 
 
 class ObsCollector:
@@ -107,10 +107,6 @@ class ObsCollector:
 
     def span_summary(self) -> dict:
         return summarize_spans(self.tracer.spans)
-
-    def trace_defects(self) -> dict:
-        """trace_id -> well-formedness defects (empty when clean)."""
-        return well_formed_traces(self.tracer.spans)
 
     def observability_payload(self) -> dict:
         """The ``observability`` section a BENCH artifact embeds."""

@@ -161,10 +161,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def finished_spans(self) -> List[Span]:
-        return [span for span in self.spans if span.finished]
-
     def traces(self) -> Dict[int, List[Span]]:
         """Spans grouped by trace id, each group in start order."""
         grouped: Dict[int, List[Span]] = {}

@@ -146,15 +146,6 @@ class DomainSpaceResolver(Process):
     def resolvers_for(self, vspace: str) -> Tuple[str, ...]:
         return tuple(sorted(self._vspace_map.get(vspace, ())))
 
-    def vspace_map(self) -> Dict[str, Tuple[str, ...]]:
-        """The full vspace → resolvers mapping, deterministically
-        ordered. The delegation invariants read this to assert that a
-        handed-off space converges to exactly one authoritative INR."""
-        return {
-            vspace: tuple(sorted(resolvers))
-            for vspace, resolvers in sorted(self._vspace_map.items())
-        }
-
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------

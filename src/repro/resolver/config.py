@@ -56,21 +56,10 @@ class InrConfig:
     #: transfer (the ablation: no crash safety, no dual serving).
     delegation_two_phase: bool = True
 
-    #: Seconds the donor waits for the offer to be accepted before
-    #: retransmitting it.
-    delegation_offer_timeout: float = 1.0
-
-    #: Seconds the donor waits for a transfer chunk's cumulative ack.
-    delegation_ack_timeout: float = 1.0
-
-    #: Seconds either side waits on the COMMIT exchange (the donor for
-    #: the recipient's COMMIT, the recipient for the donor's echo)
-    #: before retransmitting.
-    delegation_commit_timeout: float = 1.0
-
-    #: Retransmissions allowed per handoff phase before the donor
-    #: aborts and keeps the vspace.
-    delegation_max_retries: int = 3
+    #: Seconds a handoff waits on each exchange before retransmitting:
+    #: the donor for the offer's acceptance, a chunk's cumulative ack
+    #: or the recipient's COMMIT, the recipient for the donor's echo.
+    delegation_timeout: float = 1.0
 
     #: Name-records per DELEGATE-TRANSFER chunk (stop-and-wait).
     delegation_chunk_names: int = 32
@@ -84,9 +73,6 @@ class InrConfig:
     #: lower-RTT earlier-ordered INR when the improvement is large.
     enable_relaxation: bool = False
 
-    #: Seconds between relaxation probes.
-    relaxation_interval: float = 30.0
-
     #: Maximum entries in the data-packet cache (0 disables caching).
     packet_cache_size: int = 128
 
@@ -98,17 +84,8 @@ class InrConfig:
     #: is the paper's behavior and what the figure experiments measure.
     enable_custody: bool = False
 
-    #: Maximum payloads held in custody at once (FIFO-within-priority
-    #: eviction past this bound).
-    custody_capacity: int = 64
-
     #: Seconds a payload may wait in custody before it lapses.
     custody_ttl: float = 30.0
-
-    #: How often held payloads are re-attempted and expired. Triggered
-    #: name updates retry immediately; this timer is the backstop that
-    #: catches link heals no update announces.
-    custody_retry_interval: float = 1.0
 
     #: A next hop silent for longer than this is treated as unreachable
     #: at forward time, diverting the payload into custody rather than

@@ -18,17 +18,25 @@ from .dataplane import best_route
 from .costs import cost_per_record
 from .protocol import DataPacket
 
+#: Maximum payloads held in custody at once (FIFO-within-priority
+#: eviction past this bound).
+CUSTODY_CAPACITY = 256
+
+#: How often held payloads are re-attempted and expired. Triggered name
+#: updates retry immediately; this timer is the backstop that catches
+#: link heals no update announces.
+CUSTODY_RETRY_INTERVAL = 0.5
+
 
 class Custodian:
     """The custody store of one INR and everything that acts on it."""
 
     def __init__(self, inr) -> None:
         self.inr = inr
-        config = inr.config
         #: None when custody is off: nothing is taken, and a handoff
         #: that arrives here is lost, attributably
         self.store: Optional[CustodyStore] = (
-            CustodyStore(config.custody_capacity) if config.enable_custody else None
+            CustodyStore(CUSTODY_CAPACITY) if inr.config.enable_custody else None
         )
 
     def next_hop_suspect(self, next_hop: Optional[str]) -> bool:

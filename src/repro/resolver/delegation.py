@@ -84,6 +84,10 @@ from .ports import INR_PORT
 #: from "resend terminal" to "drop and count".
 SETTLED_MEMORY = 32
 
+#: Retransmissions allowed per handoff phase before the donor aborts
+#: and keeps the vspace.
+MAX_RETRIES = 3
+
 #: Cap on donor-side remembered aborted ids (late COMMITs for them get
 #: an ABORT back instead of a mistaken echo).
 ABORTED_MEMORY = 64
@@ -288,7 +292,7 @@ class DelegationCoordinator:
             ),
         )
         inr.set_timer(
-            inr.config.delegation_offer_timeout,
+            inr.config.delegation_timeout,
             self._donor_timeout,
             handoff.handoff_id,
             handoff.epoch,
@@ -317,13 +321,8 @@ class DelegationCoordinator:
             handoff.phase = "await-commit"
             self._emit_span("donor", "await-commit", handoff.handoff_id,
                             handoff.vspace)
-        timeout = (
-            inr.config.delegation_commit_timeout
-            if final
-            else inr.config.delegation_ack_timeout
-        )
-        inr.set_timer(timeout, self._donor_timeout, handoff.handoff_id,
-                      handoff.epoch)
+        inr.set_timer(inr.config.delegation_timeout, self._donor_timeout,
+                      handoff.handoff_id, handoff.epoch)
 
     def _donor_timeout(self, handoff_id: int, epoch: int) -> None:
         handoff = self.donor
@@ -332,7 +331,7 @@ class DelegationCoordinator:
         if handoff.epoch != epoch:
             return  # progress happened since this timer was armed
         handoff.retries += 1
-        if handoff.retries > self.inr.config.delegation_max_retries:
+        if handoff.retries > MAX_RETRIES:
             self._donor_abort(f"timeout:{handoff.phase}")
             return
         if handoff.phase == "offer":
@@ -528,13 +527,7 @@ class DelegationCoordinator:
         retry budget, so a live donor can never be abandoned — only one
         that crashed (and whose restart forgot the handoff) or whose
         ABORT was lost."""
-        config = self.inr.config
-        per_try = max(
-            config.delegation_offer_timeout,
-            config.delegation_ack_timeout,
-            config.delegation_commit_timeout,
-        )
-        return per_try * (config.delegation_max_retries + 2)
+        return self.inr.config.delegation_timeout * (MAX_RETRIES + 2)
 
     def _arm_staging(self, handoff: RecipientHandoff) -> None:
         handoff.epoch += 1
@@ -567,7 +560,7 @@ class DelegationCoordinator:
         handoff.epoch += 1
         self._tell_commit(handoff.donor, handoff.handoff_id, handoff.vspace)
         inr.set_timer(
-            inr.config.delegation_commit_timeout,
+            inr.config.delegation_timeout,
             self._commit_retransmit,
             handoff.handoff_id,
             handoff.epoch,
@@ -580,7 +573,7 @@ class DelegationCoordinator:
         if handoff.epoch != epoch:
             return
         handoff.commit_resends += 1
-        if handoff.commit_resends > 4 * self.inr.config.delegation_max_retries:
+        if handoff.commit_resends > 4 * MAX_RETRIES:
             # The donor has been gone far past its whole retry budget.
             # We are registered and authoritative; settle locally so
             # this resolver is not pinned busy forever. The settled

@@ -25,7 +25,7 @@ from ..netsim import Node, Process
 from ..obs import DROP_PREFIX, STATUS_OK
 from .config import InrConfig
 from .costs import DEFAULT_COSTS, CostModel
-from .custody import Custodian
+from .custody import CUSTODY_RETRY_INTERVAL, Custodian
 from .dataplane import DataPlane
 from .delegation import DelegationCoordinator
 from .discovery import NameDiscovery
@@ -39,6 +39,9 @@ from .stats import InrStats
 #: Jitter fraction applied to the periodic timers so resolver timers do
 #: not phase-lock.
 TIMER_JITTER = 0.05
+
+#: Seconds between overlay relaxation probes (when relaxation is on).
+RELAXATION_INTERVAL = 10.0
 
 
 def merge_tables(**tables: Dict[type, tuple]) -> Dict[type, tuple]:
@@ -162,13 +165,13 @@ class INR(Process):
         )
         self.every(config.expiry_sweep_interval, self._sweep, jitter)
         if self.custody is not None:
-            self.every(config.custody_retry_interval, self.custodian.tick, jitter)
+            self.every(CUSTODY_RETRY_INTERVAL, self.custodian.tick, jitter)
         if self.dsr_address is not None:
             self.every(config.heartbeat_interval, self.membership.heartbeat, jitter)
             if config.enable_load_balancing:
                 self.every(config.load_check_interval, self.load.check, jitter)
             if config.enable_relaxation:
-                self.every(config.relaxation_interval, self.membership.relax, jitter)
+                self.every(RELAXATION_INTERVAL, self.membership.relax, jitter)
             self.membership.begin_join()
         else:
             self.active = True

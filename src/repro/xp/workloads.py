@@ -2,7 +2,9 @@
 
 Each adapter maps concrete toggle values onto the knobs the underlying
 experiment already exposes (``InrConfig`` flags, scenario arguments,
-``NameTree`` construction options) and folds the experiment's native
+``NameTree`` construction options), hands the spec's params to the
+experiment's driver as keyword arguments (so a param the driver does
+not take raises, naming it), and folds the experiment's native
 report into a :class:`~.runner.WorkloadResult`: it names the report
 fields it exports (:func:`_report_metrics`). The ``metrics`` it
 returns are deterministic — simulated-clock latencies, counters,
@@ -71,6 +73,9 @@ def _run_lookup(params, toggles, seed, timing) -> WorkloadResult:
     from ..naming import NameSpecifier
     from ..nametree import AnnouncerID, Endpoint, NameRecord, NameTree
 
+    unknown = sorted(set(params) - set(LOOKUP_DEFAULTS))
+    if unknown:
+        raise SpecError(f"the lookup workload takes no param {', '.join(unknown)}")
     params = {**LOOKUP_DEFAULTS, **params}
     names_in_tree = int(params["names"])
     distinct_queries = int(params["distinct_queries"])
@@ -191,9 +196,7 @@ def _run_packet_cache(params, toggles, seed, timing) -> WorkloadResult:
     from ..experiments.ablations import run_cache_experiment
 
     result = run_cache_experiment(
-        requests=int(params.get("requests", 10)),
-        seed=seed,
-        packet_cache=toggles["packet_cache"],
+        seed=seed, packet_cache=toggles["packet_cache"], **params
     )
     return WorkloadResult(
         metrics={
@@ -244,11 +247,7 @@ def _run_availability(params, toggles, seed, timing) -> WorkloadResult:
         seed=seed,
         resilience=toggles["resilience"],
         observe=toggles["obs_tracing"],
-        n_inrs=int(params.get("n_inrs", 4)),
-        n_services=int(params.get("n_services", 3)),
-        n_clients=int(params.get("n_clients", 3)),
-        duration=float(params.get("duration", 30.0)),
-        lookup_interval=float(params.get("lookup_interval", 0.5)),
+        **params,
     )
     return WorkloadResult(
         metrics=_report_metrics(report, (
@@ -350,9 +349,8 @@ def _run_dtn(params, toggles, seed, timing) -> WorkloadResult:
     report = run_dtn_scenario(
         seed=seed,
         custody=toggles["custody"],
-        disruption=float(params.get("disruption", 30.0)),
-        duty_window=float(params.get("duty_window", 12.0)),
         observe=toggles["obs_tracing"],
+        **params,
     )
     metrics = _report_metrics(report, (
         "delivery_ratio",
@@ -453,9 +451,7 @@ def _run_delegation(params, toggles, seed, timing) -> WorkloadResult:
         crash_role="recipient",
         crash_phase="transfer" if two_phase else "post-transfer",
         restart_after=None,
-        n_bulk=int(params.get("n_bulk", 24)),
-        n_anchor=int(params.get("n_anchor", 6)),
-        traffic=float(params.get("traffic", 14.0)),
+        **params,
     )
     metrics = _report_metrics(report, (
         "window_success_rate",
@@ -604,10 +600,7 @@ def _run_discovery(params, toggles, seed, timing) -> WorkloadResult:
     from ..experiments.fig14 import run_discovery_experiment, slope_ms_per_hop
 
     rows, collector = run_discovery_experiment(
-        max_hops=int(params.get("max_hops", 6)),
-        seed=seed,
-        chain_latency=float(params.get("chain_latency", 0.002)),
-        observe=toggles["obs_tracing"],
+        seed=seed, observe=toggles["obs_tracing"], **params
     )
     # Discovery traffic carries no trace contexts, so ablating tracing
     # must not move a single timestamp: importance 0 here is the
@@ -664,16 +657,17 @@ def _run_routing(params, toggles, seed, timing) -> WorkloadResult:
     from ..experiments.fig15 import run_observed_routing, run_routing_experiment
     from ..resolver import CostModel
 
-    name_counts = tuple(int(n) for n in params.get("name_counts", (250, 5000)))
+    params = dict(params)
+    traced_burst = params.pop("traced_burst", None)
     costs = CostModel(model_delivery_artifact=toggles["delivery_artifact"])
-    rows = run_routing_experiment(name_counts=name_counts, seed=seed, costs=costs)
+    rows = run_routing_experiment(seed=seed, costs=costs, **params)
     result = WorkloadResult(details={"rows": rows})
     metrics = result.metrics
-    if "traced_burst" in params:
+    if traced_burst is not None:
         # One traced remote-same-vspace burst at that many names: the
         # per-hop split behind the flat ~9.8 ms/packet curve.
         burst_ms, result.collector = run_observed_routing(
-            names=int(params["traced_burst"]), seed=seed, costs=costs
+            names=traced_burst, seed=seed, costs=costs
         )
         result.details["traced_burst_ms"] = burst_ms
         metrics["traced_burst_ms"] = burst_ms
@@ -752,10 +746,7 @@ def _run_spawn_overload(params, toggles, seed, timing) -> WorkloadResult:
     from ..experiments.ablations import run_spawn_experiment
 
     result = run_spawn_experiment(
-        request_rate=float(params.get("request_rate", 900.0)),
-        duration=float(params.get("duration", 40.0)),
-        seed=seed,
-        enable_load_balancing=toggles["load_balancing"],
+        seed=seed, enable_load_balancing=toggles["load_balancing"], **params
     )
     return WorkloadResult(
         metrics={
@@ -811,7 +802,7 @@ def _run_update_overload(params, toggles, seed, timing) -> WorkloadResult:
     from ..experiments.ablations import run_delegation_experiment
 
     result = run_delegation_experiment(
-        seed=seed, enable_load_balancing=toggles["load_balancing"]
+        seed=seed, enable_load_balancing=toggles["load_balancing"], **params
     )
     return WorkloadResult(
         metrics={
@@ -898,8 +889,8 @@ def _sweep(
     ``<attribute>_<point>``. ``timed`` marks numbers that depend on the
     host: they are timings, so an untimed run does not call the driver
     and writes no table. A driver imports its experiment itself, like
-    every adapter: importing ``repro.xp`` must not import the
-    experiments, whose T(d) fit needs the optional numpy."""
+    every adapter, so importing ``repro.xp`` does not import every
+    experiment and the simulated system behind it."""
     point = columns[0][1]
     fields = [attr for _, attr, _ in columns[1:]] + list(extra_metrics)
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.chaos import fingerprint, run_dtn_scenario
 
-SCALE = dict(disruption=8.0, duty_window=8.0, send_interval=0.5)
+SCALE = dict(disruption=8.0, duty_window=8.0)
 
 
 @pytest.mark.parametrize("seed", range(1, 13))

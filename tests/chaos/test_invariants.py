@@ -163,7 +163,6 @@ class TestCustodyDrained:
             fast_chaos_config(),
             enable_custody=True,
             custody_ttl=5.0,
-            custody_retry_interval=0.5,
         )
         domain = InsDomain(seed=52, config=config,
                            dsr_registration_lifetime=3.0,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import FAULT_KINDS, ChaosController, FaultEvent, FaultPlan
+from repro.chaos import FAULT_KINDS, ChaosController, FaultEvent, FaultPlan, plan as plan_module
 from repro.experiments import InsDomain
 
 
@@ -81,10 +81,9 @@ class TestFaultPlanRandom:
         for address, crashed_at in crashes.items():
             assert restarts[address] == pytest.approx(crashed_at + 4.0)
 
-    def test_flaps_come_in_down_up_pairs(self):
-        plan = FaultPlan.random(
-            9, self.ADDRESSES, self.LINKS, flap_fraction=0.2, flap_length=6.0
-        )
+    def test_flaps_come_in_down_up_pairs(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "FLAP_LENGTH", 6.0)
+        plan = FaultPlan.random(9, self.ADDRESSES, self.LINKS, flap_fraction=0.2)
         downs = {e.target: e.at for e in plan if e.kind == "link-down"}
         ups = {e.target: e.at for e in plan if e.kind == "link-up"}
         assert set(downs) == set(ups) and downs
@@ -214,15 +213,15 @@ class TestFaultPlanDutyCycle:
         with pytest.raises(ValueError, match="period"):
             FaultPlan.duty_cycle(0, self.LINKS, start=5.0, end=5.0)
 
-    def test_links_actually_cycle(self):
+    def test_links_actually_cycle(self, monkeypatch):
         """Executing a duty plan toggles the physical link state."""
         domain = InsDomain(seed=4)
         domain.add_inr(address="inr-a")
         domain.add_inr(address="inr-b")
         link = domain.network.link("inr-a", "inr-b")
+        monkeypatch.setattr(plan_module, "PHASE_JITTER", 0.0)
         plan = FaultPlan.duty_cycle(
-            0, [("inr-a", "inr-b")], start=0.5, end=10.5, period=10.0,
-            duty=0.5, phase_jitter=0.0
+            0, [("inr-a", "inr-b")], start=0.5, end=10.5, period=10.0
         )
         controller = ChaosController(domain)
         controller.execute(plan)

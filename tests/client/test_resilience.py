@@ -13,20 +13,20 @@ from repro.client import (
     RetryPolicy,
     Reply,
 )
+from repro.client import api
 from repro.experiments import InsDomain
 
 from ..conftest import parse
 
 NAME = parse("[service=printer]")
 
-FAST = RetryPolicy(
-    request_timeout=0.3,
-    backoff_factor=2.0,
-    backoff_max=1.0,
-    max_attempts=3,
-    deadline=5.0,
-    failover_threshold=3,
-)
+FAST = RetryPolicy(request_timeout=0.3, backoff_max=1.0, deadline=5.0)
+
+
+@pytest.fixture
+def fast(monkeypatch):
+    """The attempt budget that goes with ``FAST``."""
+    monkeypatch.setattr(api, "MAX_ATTEMPTS", 3)
 
 
 def printer_domain(seed, retry_policy=FAST, n_inrs=1):
@@ -39,6 +39,7 @@ def printer_domain(seed, retry_policy=FAST, n_inrs=1):
 
 
 class TestRetry:
+    @pytest.mark.usefixtures("fast")
     def test_lossless_request_uses_one_attempt(self):
         domain, _inrs, client = printer_domain(seed=700)
         reply = client.resolve_early(NAME)
@@ -47,14 +48,15 @@ class TestRetry:
         assert client.stats.attempts_sent == 1
         assert client.stats.retries == 0
 
-    def test_retries_through_packet_loss(self):
+    def test_retries_through_packet_loss(self, monkeypatch):
         """On a very lossy link the request eventually lands anyway —
         the whole point of retransmission."""
+        monkeypatch.setattr(api, "MAX_ATTEMPTS", 6)
+        monkeypatch.setattr(api, "FAILOVER_THRESHOLD", 1000)
         domain, inrs, client = printer_domain(
             seed=701,
             retry_policy=RetryPolicy(
-                request_timeout=0.3, backoff_max=1.0, max_attempts=6,
-                deadline=6.0, failover_threshold=1000,
+                request_timeout=0.3, backoff_max=1.0, deadline=6.0
             ),
         )
         domain.network.configure_link(client.address, inrs[0].address,
@@ -71,6 +73,7 @@ class TestRetry:
         assert retried > 0
         assert client.pending_requests == 0
 
+    @pytest.mark.usefixtures("fast")
     def test_retry_is_deterministic(self):
         """Same seed, same loss pattern, same retry counts."""
         outcomes = []
@@ -86,6 +89,7 @@ class TestRetry:
             )
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.usefixtures("fast")
     def test_all_attempts_lost_fails_with_timeout(self):
         domain, inrs, client = printer_domain(seed=703)
         domain.network.link(client.address, inrs[0].address).up = False
@@ -97,13 +101,13 @@ class TestRetry:
         assert isinstance(reply.error, RequestTimeout)
         assert len(errors) == 1
         assert client.stats.requests_failed == 1
-        assert client.stats.attempts_sent == FAST.max_attempts
+        assert client.stats.attempts_sent == api.MAX_ATTEMPTS == 3
         assert client.pending_requests == 0
 
     def test_deadline_caps_the_whole_request(self):
-        """With attempts to spare, the deadline still wins."""
-        policy = RetryPolicy(request_timeout=0.4, backoff_max=0.4,
-                             max_attempts=100, deadline=2.0)
+        """With attempts to spare, the deadline still wins: four 0.4 s
+        attempts outlast a 1 s deadline."""
+        policy = RetryPolicy(request_timeout=0.4, backoff_max=0.4, deadline=1.0)
         domain, inrs, client = printer_domain(seed=704, retry_policy=policy)
         domain.network.link(client.address, inrs[0].address).up = False
         reply = client.resolve_early(NAME)
@@ -126,10 +130,12 @@ class TestRetry:
 
 
 class TestFailover:
-    def test_consecutive_timeouts_fail_over_to_another_inr(self):
+    def test_consecutive_timeouts_fail_over_to_another_inr(self, monkeypatch):
         """A silently crashed resolver is abandoned: the client
         reattaches through the DSR, excluding the suspect, and later
         requests succeed at the new resolver."""
+        monkeypatch.setattr(api, "MAX_ATTEMPTS", 8)
+        monkeypatch.setattr(api, "FAILOVER_THRESHOLD", 2)
         domain = InsDomain(seed=710)
         a = domain.add_inr(address="inr-a")
         b = domain.add_inr(address="inr-b")
@@ -137,8 +143,7 @@ class TestFailover:
         client = domain.add_client(
             resolver=b,
             retry_policy=RetryPolicy(
-                request_timeout=0.3, backoff_max=1.0, max_attempts=8,
-                deadline=8.0, failover_threshold=2,
+                request_timeout=0.3, backoff_max=1.0, deadline=8.0
             ),
         )
         domain.run(3.0)  # let the advertisement propagate a->b
@@ -154,6 +159,7 @@ class TestFailover:
         domain.run(2.0)
         assert late.done
 
+    @pytest.mark.usefixtures("fast")
     def test_resolve_best_propagates_failure(self):
         domain, inrs, client = printer_domain(seed=712)
         domain.network.link(client.address, inrs[0].address).up = False
@@ -179,6 +185,7 @@ class TestAttachmentFixes:
         # and dropped its token.
         assert len(client._ping_sent) == 0
 
+    @pytest.mark.usefixtures("fast")
     def test_reselect_timeout_restores_previous_attachment(self):
         """A reselection round that dies on a lost datagram must not
         leave the client detached while its old resolver still works."""

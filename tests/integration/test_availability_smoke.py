@@ -18,13 +18,7 @@ from repro.chaos import (
     run_availability_scenario,
 )
 
-SCALE = dict(
-    seed=7,
-    n_inrs=4,
-    n_services=3,
-    n_clients=3,
-    duration=20.0,
-)
+SCALE = dict(seed=7, duration=20.0)
 
 
 def test_availability_scenario_resilience_and_reproducibility():

@@ -21,10 +21,6 @@ def test_chaos_scenario_invariants_recovery_and_reproducibility():
         n_inrs=6,
         n_services=4,
         chaos_duration=30.0,
-        crash_fraction=0.3,
-        flap_fraction=0.2,
-        dsr_failover=True,
-        link_fault_fraction=0.2,
     )
 
     # Chaos actually happened: crashes, restarts, flaps and a failover.
@@ -55,10 +51,6 @@ def test_chaos_scenario_invariants_recovery_and_reproducibility():
         n_inrs=6,
         n_services=4,
         chaos_duration=30.0,
-        crash_fraction=0.3,
-        flap_fraction=0.2,
-        dsr_failover=True,
-        link_fault_fraction=0.2,
     )
     assert fingerprint(first) == fingerprint(second)
 

@@ -20,7 +20,6 @@ SCALE = dict(
     seed=7,
     disruption=8.0,
     duty_window=8.0,
-    send_interval=0.5,
 )
 
 

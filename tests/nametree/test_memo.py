@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments import UniformWorkload
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
+from repro.nametree import tree as tree_module
 
 from ..conftest import make_record, parse
 
@@ -64,10 +65,6 @@ class TestMemoCounters:
         tree.lookup(query)
         assert tree.memo_hits == 0
         assert tree.memo_misses == 0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            NameTree(memo_capacity=0)
 
 
 class TestEpochInvalidation:
@@ -139,8 +136,9 @@ class TestEpochInvalidation:
 
 
 class TestMemoCapacity:
-    def test_lru_bound(self):
-        tree = NameTree(memo_capacity=2)
+    def test_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "MEMO_CAPACITY", 2)
+        tree = NameTree()
         tree.insert(parse("[service=camera]"), make_record("h1"))
         a, b, c = parse("[x=1]"), parse("[x=2]"), parse("[x=3]")
         tree.lookup(a)
@@ -171,53 +169,55 @@ def test_memoized_lookup_equals_fresh_uncached_tree(seed):
     """Under a random interleaving of insert / refresh / move / remove
     / expire / lookup, every memoized lookup returns exactly what a
     freshly built, uncached tree over the same live records returns."""
-    rng = random.Random(seed)
-    names = _workload(seed).distinct_names(12)
-    query_pool = [_workload(seed + 1).random_query(wildcard_probability=0.4)
-                  for _ in range(6)]
-    tree = NameTree(memo_capacity=4)  # small, so eviction is exercised
-    live = {}  # tag -> (name, expires_at)
-    clock = 0.0
-    next_tag = 0
-    for _ in range(60):
-        clock += 1.0
-        op = rng.choice(["insert", "refresh", "move", "remove", "expire",
-                         "lookup", "lookup"])
-        if op == "insert":
-            tag = f"m-{next_tag}"
-            next_tag += 1
-            name = rng.choice(names)
-            expires = clock + rng.choice([5.0, 1000.0])
-            tree.insert(name, _refresh_record(tag, expires))
-            live[tag] = (name, expires)
-        elif op == "refresh" and live:
-            tag = rng.choice(sorted(live))
-            name, _ = live[tag]
-            expires = clock + 1000.0
-            tree.insert(name, _refresh_record(tag, expires))
-            live[tag] = (name, expires)
-        elif op == "move" and live:
-            tag = rng.choice(sorted(live))
-            name = rng.choice(names)
-            expires = clock + 1000.0
-            tree.insert(name, _refresh_record(tag, expires))
-            live[tag] = (name, expires)
-        elif op == "remove" and live:
-            tag = rng.choice(sorted(live))
-            removed = tree.remove_announcer(
-                AnnouncerID.generate(tag, startup_time=1.0)
-            )
-            assert removed is not None
-            del live[tag]
-        elif op == "expire":
-            tree.expire(clock)
-            live = {tag: entry for tag, entry in live.items()
-                    if entry[1] > clock}
-        elif op == "lookup":
-            query = rng.choice(query_pool)
-            fresh = NameTree(memoize=False)
-            for tag, (name, expires) in live.items():
-                fresh.insert(name, _refresh_record(tag, expires))
-            expected = {r.announcer for r in fresh.lookup(query)}
-            assert {r.announcer for r in tree.lookup(query)} == expected
-    assert len(tree) == len(live)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "MEMO_CAPACITY", 4)  # small, so eviction is exercised
+        rng = random.Random(seed)
+        names = _workload(seed).distinct_names(12)
+        query_pool = [_workload(seed + 1).random_query(wildcard_probability=0.4)
+                      for _ in range(6)]
+        tree = NameTree()
+        live = {}  # tag -> (name, expires_at)
+        clock = 0.0
+        next_tag = 0
+        for _ in range(60):
+            clock += 1.0
+            op = rng.choice(["insert", "refresh", "move", "remove", "expire",
+                             "lookup", "lookup"])
+            if op == "insert":
+                tag = f"m-{next_tag}"
+                next_tag += 1
+                name = rng.choice(names)
+                expires = clock + rng.choice([5.0, 1000.0])
+                tree.insert(name, _refresh_record(tag, expires))
+                live[tag] = (name, expires)
+            elif op == "refresh" and live:
+                tag = rng.choice(sorted(live))
+                name, _ = live[tag]
+                expires = clock + 1000.0
+                tree.insert(name, _refresh_record(tag, expires))
+                live[tag] = (name, expires)
+            elif op == "move" and live:
+                tag = rng.choice(sorted(live))
+                name = rng.choice(names)
+                expires = clock + 1000.0
+                tree.insert(name, _refresh_record(tag, expires))
+                live[tag] = (name, expires)
+            elif op == "remove" and live:
+                tag = rng.choice(sorted(live))
+                removed = tree.remove_announcer(
+                    AnnouncerID.generate(tag, startup_time=1.0)
+                )
+                assert removed is not None
+                del live[tag]
+            elif op == "expire":
+                tree.expire(clock)
+                live = {tag: entry for tag, entry in live.items()
+                        if entry[1] > clock}
+            elif op == "lookup":
+                query = rng.choice(query_pool)
+                fresh = NameTree(memoize=False)
+                for tag, (name, expires) in live.items():
+                    fresh.insert(name, _refresh_record(tag, expires))
+                expected = {r.announcer for r in fresh.lookup(query)}
+                assert {r.announcer for r in tree.lookup(query)} == expected
+        assert len(tree) == len(live)

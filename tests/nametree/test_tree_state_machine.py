@@ -31,6 +31,7 @@ from hypothesis.stateful import (
 
 from repro.naming import AVPair, NameSpecifier, SealedNameError
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
+from repro.nametree import tree as tree_module
 
 from .fig5_oracle import oracle_lookup
 from .test_refresh import Message
@@ -78,12 +79,18 @@ def _reordered(name: NameSpecifier, rng: random.Random) -> NameSpecifier:
 class NameTreeMachine(RuleBasedStateMachine):
     @initialize(memoize=st.booleans())
     def plant(self, memoize):
-        self.tree = NameTree(memoize=memoize, memo_capacity=4)
+        # A small memo, so eviction is exercised.
+        self._patch = pytest.MonkeyPatch()
+        self._patch.setattr(tree_module, "MEMO_CAPACITY", 4)
+        self.tree = NameTree(memoize=memoize)
         self.grafted = {}    # announcer -> the name object the tree retains
         self.deadline = {}   # announcer -> what its record's expiry must be
         self.heard = {}      # announcer -> the message refresh() saw last
         self.now = 0.0
         self.epoch = 0
+
+    def teardown(self):
+        self._patch.undo()
 
     # ------------------------------------------------------------------
     def _insert(self, announcer, name, lifetime):

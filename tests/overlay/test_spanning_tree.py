@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import InsDomain
 from repro.experiments.fig14 import build_chain_domain
-from repro.resolver import InrConfig
+from repro.resolver import InrConfig, inr as inr_module
 
 
 def overlay_edges(domain):
@@ -66,9 +66,9 @@ class TestSelfConfiguration:
 
 
 class TestRelaxation:
-    def test_parent_switch_after_link_degradation(self):
-        config = InrConfig(enable_relaxation=True, relaxation_interval=5.0,
-                           refresh_interval=50.0)
+    def test_parent_switch_after_link_degradation(self, monkeypatch):
+        monkeypatch.setattr(inr_module, "RELAXATION_INTERVAL", 5.0)
+        config = InrConfig(enable_relaxation=True, refresh_interval=50.0)
         domain = InsDomain(seed=7, config=config)
         a = domain.add_inr(address="inr-a")
         domain.network.configure_link("inr-a", "inr-b", latency=0.002)
@@ -84,10 +84,10 @@ class TestRelaxation:
         assert c.neighbors.parent.address == "inr-b"
         assert is_tree(domain)
 
-    def test_no_switch_without_meaningful_improvement(self):
+    def test_no_switch_without_meaningful_improvement(self, monkeypatch):
         """Hysteresis: tiny differences must not flap the tree."""
-        config = InrConfig(enable_relaxation=True, relaxation_interval=5.0,
-                           refresh_interval=50.0)
+        monkeypatch.setattr(inr_module, "RELAXATION_INTERVAL", 5.0)
+        config = InrConfig(enable_relaxation=True, refresh_interval=50.0)
         domain = InsDomain(seed=8, config=config)
         a = domain.add_inr(address="inr-a")
         domain.network.configure_link("inr-a", "inr-b", latency=0.002)
@@ -99,11 +99,11 @@ class TestRelaxation:
         domain.run(120.0)
         assert c.neighbors.parent.address == parent_before
 
-    def test_relaxation_only_probes_earlier_inrs(self):
+    def test_relaxation_only_probes_earlier_inrs(self, monkeypatch):
         """Acyclicity: a node never adopts a later-ordered parent, so
         the overlay remains a tree through arbitrary relaxation."""
-        config = InrConfig(enable_relaxation=True, relaxation_interval=3.0,
-                           refresh_interval=50.0)
+        monkeypatch.setattr(inr_module, "RELAXATION_INTERVAL", 3.0)
+        config = InrConfig(enable_relaxation=True, refresh_interval=50.0)
         domain = InsDomain(seed=9, config=config)
         for _ in range(6):
             domain.add_inr()

@@ -32,10 +32,7 @@ def delegating_config(**overrides) -> InrConfig:
         minimum_lifetime=10.0,
         refresh_interval=1.0,
         record_lifetime=1e9,
-        delegation_offer_timeout=0.3,
-        delegation_ack_timeout=0.3,
-        delegation_commit_timeout=0.3,
-        delegation_max_retries=3,
+        delegation_timeout=0.3,
         delegation_chunk_names=8,
         delegation_retry_cooldown=1.0,
     )
@@ -314,7 +311,7 @@ class TestStagingTimeout:
             "inr-a",
         )
         assert b.delegation.busy
-        # patience = max(timeouts) * (max_retries + 2) = 0.3 * 5 = 1.5
+        # patience = delegation_timeout * (MAX_RETRIES + 2) = 0.3 * 5 = 1.5
         domain.run(3.0)
         assert not b.delegation.busy
         assert 80 not in b.delegation.recipients

@@ -10,21 +10,24 @@ custodied payload can finally die has its own ``drops_*`` cause and a
 
 from dataclasses import replace
 
+import pytest
+
 from repro.chaos.scenario import fast_chaos_config
 from repro.experiments import InsDomain
 from repro.message import CustodyRecord, CustodyTransfer, InsMessage
 from repro.obs import TraceContext
+from repro.resolver import custody
 
 from ..conftest import forge_packet, parse
 
 
+@pytest.fixture(autouse=True)
+def small_store(monkeypatch):
+    monkeypatch.setattr(custody, "CUSTODY_CAPACITY", 8)
+
+
 def custody_config(**overrides):
-    settings = dict(
-        enable_custody=True,
-        custody_capacity=8,
-        custody_ttl=20.0,
-        custody_retry_interval=0.5,
-    )
+    settings = dict(enable_custody=True, custody_ttl=20.0)
     settings.update(overrides)
     return replace(fast_chaos_config(), **settings)
 
@@ -74,10 +77,9 @@ class TestStoreAndForward:
         assert inr.stats.packets_dropped == 1
         assert len(inr.custody) == 0
 
-    def test_capacity_eviction_is_an_attributed_drop(self):
-        domain, (inr,), client = make_domain(
-            custody_config(custody_capacity=1)
-        )
+    def test_capacity_eviction_is_an_attributed_drop(self, monkeypatch):
+        monkeypatch.setattr(custody, "CUSTODY_CAPACITY", 1)
+        domain, (inr,), client = make_domain(custody_config())
         client.send_anycast(parse("[service=first]"), b"old")
         client.send_anycast(parse("[service=second]"), b"new")
         domain.run(0.5)

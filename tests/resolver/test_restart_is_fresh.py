@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments import InsDomain
 from repro.message import DsrClaimResponse
-from repro.resolver import InrConfig
+from repro.resolver import InrConfig, inr as inr_module
 
 from ..conftest import parse
 
@@ -35,7 +35,7 @@ BASE = dict(
 FEATURES = {
     "plain": {},
     "custody": dict(enable_custody=True, custody_ttl=60.0),
-    "relaxation": dict(enable_relaxation=True, relaxation_interval=1.0),
+    "relaxation": dict(enable_relaxation=True),
     "load-balancing": dict(enable_load_balancing=True, spawn_lookup_rate=1e9),
     "reliable-delta": dict(update_mode="reliable-delta"),
 }
@@ -111,7 +111,8 @@ def _dirty(domain, inr, other):
 
 
 @pytest.mark.parametrize("feature", sorted(FEATURES))
-def test_restart_leaves_nothing_of_the_previous_incarnation(feature):
+def test_restart_leaves_nothing_of_the_previous_incarnation(feature, monkeypatch):
+    monkeypatch.setattr(inr_module, "RELAXATION_INTERVAL", 1.0)
     config = InrConfig(**BASE, **FEATURES[feature])
     domain = InsDomain(seed=300, config=config, dsr_registration_lifetime=3.0,
                        dsr_sweep_interval=0.5)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.xp import (
+    WORKLOADS,
     ExperimentSpec,
     build_matrix_report,
     default_suite,
@@ -100,6 +101,16 @@ class TestMatrixContents:
         )
         with pytest.raises(SpecError, match="does not honor"):
             run_spec(spec, timing=False)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_a_param_the_workload_does_not_take_is_refused_by_name(self, workload):
+        """A misspelt param must not silently run the default. Timed, so
+        the host-clock workloads reach their drivers too."""
+        spec = ExperimentSpec(
+            name="misspelt", workload=workload, params={"no_such_param": 1}
+        )
+        with pytest.raises((SpecError, TypeError), match="no_such_param"):
+            run_spec(spec, timing=True)
 
 
 class TestImportanceFunction:
