@@ -48,8 +48,10 @@ from .record import AnnouncerID, Endpoint, NameRecord, Route
 #: frame's pair loop without a per-pair emptiness test.
 _EXHAUSTED: Iterator[AVPair] = iter(())
 
-#: Result sets the LOOKUP-NAME memo holds before it evicts the least
-#: recently used.
+#: Result sets the LOOKUP-NAME memo holds beyond one per record before
+#: it evicts the least recently used: room for every record's own name
+#: plus this many queries no record's name answers (group filters,
+#: publisher names, absent names).
 MEMO_CAPACITY = 1024
 
 
@@ -78,8 +80,9 @@ class NameTree:
     ) -> None:
         """Attribute and value children are found by hashing (the
         implementation the paper measures, Section 5.1.1). ``memoize``
-        enables the LOOKUP-NAME memo: a bounded LRU of ``lookup()``
-        result sets keyed by the query's canonical key, invalidated
+        enables the LOOKUP-NAME memo: an LRU of ``lookup()`` result
+        sets keyed by the query's canonical key, bounded at
+        ``MEMO_CAPACITY`` plus one entry per record, and invalidated
         wholesale whenever the tree's record *set* changes (pure
         refreshes keep it warm).
         """
@@ -105,6 +108,7 @@ class NameTree:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_invalidations = 0
+        self.memo_evictions = 0
 
     @property
     def epoch(self) -> int:
@@ -371,10 +375,17 @@ class NameTree:
         """All name-records whose advertisements satisfy ``name``.
 
         With memoization on (the default), a repeated query against an
-        unchanged record set is answered from a bounded LRU memo keyed
-        by the query's canonical key. Records are shared objects, so
-        in-place refreshes (endpoints, metrics, expiry) are visible
-        through memoized results without any invalidation.
+        unchanged record set is answered from an LRU memo keyed by the
+        query's canonical key. Records are shared objects, so in-place
+        refreshes (endpoints, metrics, expiry) are visible through
+        memoized results without any invalidation.
+
+        The bound (``MEMO_CAPACITY`` beyond one result per record) may
+        follow the tree because every entry belongs to the current
+        epoch's record set: a graft, removal or expiry flushes the whole
+        memo before the next answer, so a shrunken tree never serves
+        from an over-full memo, and one eviction per miss keeps it
+        within the bound.
         """
         if not self._memoize:
             return set(self._lookup(self._root, name._roots.values()))
@@ -391,8 +402,9 @@ class NameTree:
             return set(cached)
         self.memo_misses += 1
         result = self._lookup(self._root, name._roots.values())
-        if len(self._memo) >= MEMO_CAPACITY:
+        if len(self._memo) >= MEMO_CAPACITY + len(self._by_announcer):
             self._memo.popitem(last=False)
+            self.memo_evictions += 1
         if result.__class__ is frozenset:
             self._memo[key] = result
             return set(result)

@@ -45,7 +45,10 @@ VSPACE_CACHE_SIZE = 32
 def best_route(records: Sequence[NameRecord]) -> NameRecord:
     """The anycast choice among live matches: least application metric,
     then least route metric, then announcer (a total order, so the pick
-    never depends on the order the lookup returned)."""
+    never depends on the order the lookup returned). A lone match is
+    the choice, and no key is built for it."""
+    if len(records) == 1:
+        return records[0]
     return min(
         records, key=lambda r: (r.anycast_metric, r.route.metric, str(r.announcer))
     )
@@ -245,11 +248,12 @@ class DataPlane:
             return
         # lookup() returns a set; order the survivors deterministically
         # before any scheduling/emission decision observes hash order.
+        # A lone survivor has one order, and its announcer's string
+        # need not be formatted.
         now = inr.now
-        live = sorted(
-            (r for r in records if not r.is_expired(now)),
-            key=lambda r: str(r.announcer),
-        )
+        live = [r for r in records if not r.is_expired(now)]
+        if len(live) > 1:
+            live.sort(key=lambda r: str(r.announcer))
         if not live:
             # Every match outlived its soft-state lifetime but the sweep
             # has not collected it yet; routing through it would target

@@ -2,17 +2,18 @@
 
 The memo is beyond the paper (see ``NameTree.__init__``): repeated
 queries against an unchanged record set are answered from a bounded
-LRU keyed by the query's canonical key. The tree epoch advances only
-on membership changes — graft, remove, expiry — so pure soft-state
+LRU keyed by the query's canonical key, holding ``MEMO_CAPACITY``
+results beyond one per record. The tree epoch advances only on
+membership changes — graft, remove, expiry — so pure soft-state
 refreshes keep the memo warm. These tests pin down the counters, the
-invalidation points, the capacity bound, and (via hypothesis) that
-memoized results always equal a freshly built uncached tree's.
+invalidation points, the capacity bound, and (``check_histories``, run
+wide in CI) that memoized results always equal a freshly built
+uncached tree's.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.experiments import UniformWorkload
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
@@ -137,20 +138,67 @@ class TestEpochInvalidation:
 
 class TestMemoCapacity:
     def test_lru_bound(self, monkeypatch):
-        monkeypatch.setattr(tree_module, "MEMO_CAPACITY", 2)
+        """One record and ``MEMO_CAPACITY`` 2: the memo holds three
+        results, and the fourth distinct query evicts the least
+        recently used."""
+        monkeypatch.setattr(tree_module, "MEMO_CAPACITY", 2)  # small, so eviction is exercised
         tree = NameTree()
         tree.insert(parse("[service=camera]"), make_record("h1"))
-        a, b, c = parse("[x=1]"), parse("[x=2]"), parse("[x=3]")
+        a, b, c, d = parse("[x=1]"), parse("[x=2]"), parse("[x=3]"), parse("[x=4]")
         tree.lookup(a)
         tree.lookup(b)
+        tree.lookup(c)
         tree.lookup(a)  # touch a: b becomes least recently used
-        tree.lookup(c)  # evicts b
-        assert tree.memo_misses == 3
+        tree.lookup(d)  # evicts b
+        assert tree.memo_misses == 4
+        assert tree.memo_evictions == 1
         tree.lookup(a)
         tree.lookup(c)
-        assert tree.memo_hits == 3
+        tree.lookup(d)
+        assert tree.memo_hits == 4
         tree.lookup(b)  # evicted: misses again
-        assert tree.memo_misses == 4
+        assert tree.memo_misses == 5
+        assert tree.memo_evictions == 2
+
+    def test_bound_grows_with_the_records_held(self, monkeypatch):
+        """A tree of N records holds ``MEMO_CAPACITY + N`` results
+        before its first eviction, and then evicts the least recently
+        used."""
+        monkeypatch.setattr(tree_module, "MEMO_CAPACITY", 3)
+        tree = NameTree()
+        for index in range(5):
+            tree.insert(parse(f"[service=s{index}]"), make_record(f"h{index}"))
+        queries = [parse(f"[x={index}]") for index in range(9)]
+        for query in queries[:8]:
+            tree.lookup(query)
+        for query in queries[:8]:
+            tree.lookup(query)
+        assert (tree.memo_misses, tree.memo_hits) == (8, 8)
+        assert tree.memo_evictions == 0
+        tree.lookup(queries[0])  # touch: queries[1] is now least recently used
+        tree.lookup(queries[8])  # the ninth result evicts it
+        assert tree.memo_evictions == 1
+        tree.lookup(queries[0])
+        tree.lookup(queries[2])
+        assert tree.memo_hits == 11
+        tree.lookup(queries[1])
+        assert tree.memo_misses == 10
+
+    def test_quiet_tree_answers_its_own_names_from_the_memo(self):
+        """2,000 records of the benchmark's name shape, each asked its
+        own name round-robin, twice: the second pass is all hits. A
+        fixed 1,024-slot LRU would hit none of them, since every name
+        is evicted before the cycle comes back to it."""
+        names = UniformWorkload(rng=random.Random(1)).distinct_names(2000)
+        tree = NameTree()
+        for index, name in enumerate(names):
+            tree.insert(name, make_record(f"h{index}"))
+        for _ in range(2):
+            for name in names:
+                tree.lookup(name)
+        assert tree.memo_misses == 2000
+        assert tree.memo_hits == 2000
+        assert tree.memo_evictions == 0
 
 
 def _workload(seed: int) -> UniformWorkload:
@@ -163,61 +211,80 @@ def _workload(seed: int) -> UniformWorkload:
     )
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=40, deadline=None)
-def test_memoized_lookup_equals_fresh_uncached_tree(seed):
+def check_histories(seeds) -> dict:
     """Under a random interleaving of insert / refresh / move / remove
-    / expire / lookup, every memoized lookup returns exactly what a
-    freshly built, uncached tree over the same live records returns."""
+    / expire / bursts of lookups, every memoized lookup returns exactly
+    what a freshly built, uncached tree over the same live records
+    returns. Returns how often the memo hit and how often it evicted
+    over all ``seeds``."""
+    tally = {"hits": 0, "evictions": 0}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "MEMO_CAPACITY", 4)  # small, so eviction is exercised
-        rng = random.Random(seed)
-        names = _workload(seed).distinct_names(12)
-        query_pool = [_workload(seed + 1).random_query(wildcard_probability=0.4)
-                      for _ in range(6)]
-        tree = NameTree()
-        live = {}  # tag -> (name, expires_at)
-        clock = 0.0
-        next_tag = 0
-        for _ in range(60):
-            clock += 1.0
-            op = rng.choice(["insert", "refresh", "move", "remove", "expire",
-                             "lookup", "lookup"])
-            if op == "insert":
-                tag = f"m-{next_tag}"
-                next_tag += 1
-                name = rng.choice(names)
-                expires = clock + rng.choice([5.0, 1000.0])
-                tree.insert(name, _refresh_record(tag, expires))
-                live[tag] = (name, expires)
-            elif op == "refresh" and live:
-                tag = rng.choice(sorted(live))
-                name, _ = live[tag]
-                expires = clock + 1000.0
-                tree.insert(name, _refresh_record(tag, expires))
-                live[tag] = (name, expires)
-            elif op == "move" and live:
-                tag = rng.choice(sorted(live))
-                name = rng.choice(names)
-                expires = clock + 1000.0
-                tree.insert(name, _refresh_record(tag, expires))
-                live[tag] = (name, expires)
-            elif op == "remove" and live:
-                tag = rng.choice(sorted(live))
-                removed = tree.remove_announcer(
-                    AnnouncerID.generate(tag, startup_time=1.0)
-                )
-                assert removed is not None
-                del live[tag]
-            elif op == "expire":
-                tree.expire(clock)
-                live = {tag: entry for tag, entry in live.items()
-                        if entry[1] > clock}
-            elif op == "lookup":
-                query = rng.choice(query_pool)
-                fresh = NameTree(memoize=False)
-                for tag, (name, expires) in live.items():
-                    fresh.insert(name, _refresh_record(tag, expires))
+        for seed in seeds:
+            tree = _check_history(seed)
+            tally["hits"] += tree.memo_hits
+            tally["evictions"] += tree.memo_evictions
+    return tally
+
+
+def _check_history(seed: int) -> NameTree:
+    rng = random.Random(seed)
+    names = _workload(seed).distinct_names(12)
+    queries = _workload(seed + 1)
+    query_pool = [queries.random_query(wildcard_probability=0.4) for _ in range(16)]
+    tree = NameTree()
+    live = {}  # tag -> (name, expires_at)
+    clock = 0.0
+    next_tag = 0
+    for _ in range(60):
+        clock += 1.0
+        op = rng.choice(["insert", "refresh", "move", "remove", "expire",
+                         "lookup", "lookup"])
+        if op == "insert":
+            tag = f"m-{next_tag}"
+            next_tag += 1
+            name = rng.choice(names)
+            expires = clock + rng.choice([5.0, 1000.0])
+            tree.insert(name, _refresh_record(tag, expires))
+            live[tag] = (name, expires)
+        elif op == "refresh" and live:
+            tag = rng.choice(sorted(live))
+            name, _ = live[tag]
+            expires = clock + 1000.0
+            tree.insert(name, _refresh_record(tag, expires))
+            live[tag] = (name, expires)
+        elif op == "move" and live:
+            tag = rng.choice(sorted(live))
+            name = rng.choice(names)
+            expires = clock + 1000.0
+            tree.insert(name, _refresh_record(tag, expires))
+            live[tag] = (name, expires)
+        elif op == "remove" and live:
+            tag = rng.choice(sorted(live))
+            removed = tree.remove_announcer(
+                AnnouncerID.generate(tag, startup_time=1.0)
+            )
+            assert removed is not None
+            del live[tag]
+        elif op == "expire":
+            tree.expire(clock)
+            live = {tag: entry for tag, entry in live.items()
+                    if entry[1] > clock}
+        elif op == "lookup":
+            fresh = NameTree(memoize=False)
+            for tag, (name, expires) in live.items():
+                fresh.insert(name, _refresh_record(tag, expires))
+            for query in rng.choices(query_pool, k=rng.randint(1, 16)):
                 expected = {r.announcer for r in fresh.lookup(query)}
-                assert {r.announcer for r in tree.lookup(query)} == expected
-        assert len(tree) == len(live)
+                assert {r.announcer for r in tree.lookup(query)} == expected, (
+                    f"seed {seed}: a memoized lookup differs from an uncached tree's"
+                )
+    assert len(tree) == len(live)
+    return tree
+
+
+def test_memoized_lookup_equals_fresh_uncached_tree():
+    tally = check_histories(range(40))
+    # Worth running only while the memo both answers and evicts. Floors
+    # are half of what these seeds tallied (1,526 / 2,493).
+    assert tally["hits"] > 750 and tally["evictions"] > 1200, tally

@@ -79,7 +79,9 @@ def _reordered(name: NameSpecifier, rng: random.Random) -> NameSpecifier:
 class NameTreeMachine(RuleBasedStateMachine):
     @initialize(memoize=st.booleans())
     def plant(self, memoize):
-        # A small memo, so eviction is exercised.
+        # A small memo, so eviction is exercised: four results beyond
+        # one per record (at most five) against the eleven QUERIES the
+        # Figure 5 invariant asks after every rule.
         self._patch = pytest.MonkeyPatch()
         self._patch.setattr(tree_module, "MEMO_CAPACITY", 4)
         self.tree = NameTree(memoize=memoize)
@@ -91,6 +93,8 @@ class NameTreeMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self._patch.undo()
+        if self.tree._memoize:
+            assert self.tree.memo_evictions > 0
 
     # ------------------------------------------------------------------
     def _insert(self, announcer, name, lifetime):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import InsDomain
 from repro.message import Binding, Delivery, InsMessage
+from repro.nametree import AnnouncerID
 from repro.naming import NameSpecifier
 from repro.resolver import DataPacket
 from repro.resolver.ports import INR_PORT
@@ -48,6 +49,28 @@ class TestAnycast:
         assert message.data == b"payload-123"
         assert message.destination == parse("[service=p][room=1]")
         assert message.source == source
+
+    def test_one_survivor_formats_no_announcer_string(self, triangle, monkeypatch):
+        """Survivors are ordered on their announcer's string only when
+        there are two or more: a lone one is routed unformatted."""
+        domain, inrs, services, client, inbox = triangle
+        formatted = []
+        original = AnnouncerID.__str__
+
+        def counting(announcer):
+            formatted.append(announcer)
+            return original(announcer)
+
+        monkeypatch.setattr(AnnouncerID, "__str__", counting)
+        client.send_anycast(parse("[service=p[id=cheap]]"), b"job")
+        domain.run(1.0)
+        assert [who for who, _ in inbox] == ["cheap"]
+        assert formatted == []
+        # Two survivors at the first hop are still ordered by the string.
+        client.send_anycast(parse("[service=p][room=1]"), b"job")
+        domain.run(1.0)
+        assert [who for who, _ in inbox] == ["cheap", "cheap"]
+        assert len(formatted) >= 2
 
     def test_metric_flip_rebinds(self, triangle):
         domain, inrs, (cheap, costly), client, inbox = triangle
