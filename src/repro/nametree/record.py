@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from ..naming import NameSpecifier
 
@@ -125,7 +125,7 @@ class NameRecord:
     def __init__(
         self,
         announcer: AnnouncerID,
-        endpoints: Optional[List[Endpoint]] = None,
+        endpoints: Iterable[Endpoint] = (),
         anycast_metric: float = 0.0,
         route: Route = LOCAL_ROUTE,
         expires_at: float = math.inf,
@@ -133,14 +133,16 @@ class NameRecord:
         advertised_name: Optional[NameSpecifier] = None,
     ) -> None:
         self.announcer = announcer
-        self.endpoints = [] if endpoints is None else endpoints
+        #: A tuple, never copied: the one of the message the record was
+        #: built or refreshed from, when it came in one.
+        self.endpoints: Tuple[Endpoint, ...] = tuple(endpoints)
         self.anycast_metric = anycast_metric
         self.route = route
         self.expires_at = expires_at
         self.vspace = vspace
-        #: Leaf value-nodes of this record's name in its tree; maintained by
-        #: NameTree.insert/remove, read by GET-NAME.
-        self.attachments: list = []
+        #: Leaf value-nodes of this record's name in its tree, fixed at
+        #: graft; maintained by NameTree.insert/remove, read by GET-NAME.
+        self.attachments: tuple = ()
         #: The name-specifier that was grafted — sealed, like every keyed
         #: name, and shared with whoever sent it — kept so GET-NAME returns
         #: it instead of re-tracing Figure 6 on every refresh round, and so

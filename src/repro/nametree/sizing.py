@@ -16,11 +16,16 @@ not the senders'. (A caller that grafts a name and drops its own
 reference leaves the record as the last holder; those bytes are then
 kept alive by the tree and still not counted here.)
 
+A record's ``endpoints`` is the tuple of a message it was built or
+refreshed from; it is counted once, with the record, however many
+holders share it.
+
 Of the two message references a record carries, ``kept_update`` is this
 tree's memory — its resolver built the update and is the one that keeps
-it alive from round to round — so the update object and its endpoints
-tuple are counted (its name, announcer and endpoints are the shared
-objects already counted, or not, above). ``heard`` is its sender's: the
+it alive from round to round — so the update object is counted (its
+name, announcer and endpoints are the shared objects already counted,
+or not, above: the update says again the record's own endpoints tuple).
+``heard`` is its sender's: the
 advertisement a service re-sends, or the update a neighbor keeps on its
 own record, would exist without this tree, and is not counted. (A tree
 filled directly, as Figure 13's is, has neither.)

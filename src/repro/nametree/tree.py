@@ -211,7 +211,7 @@ class NameTree:
             record.route = Route(next_hop, route_metric)
             record.kept_update = None
             changed = True
-        offered = list(endpoints)
+        offered = tuple(endpoints)
         if record.endpoints != offered:
             # Endpoint order carries no meaning, and a refresh almost
             # always repeats the stored order: sort only on mismatch.
@@ -273,7 +273,6 @@ class NameTree:
         return InsertOutcome(record, created=existing is None, changed=True)
 
     def _graft(self, name: NameSpecifier, record: NameRecord) -> None:
-        record.attachments = []
         record.advertised_name = name
         # A graft writes everything: whatever was said or heard of the
         # record was said or heard of another one.
@@ -284,17 +283,15 @@ class NameTree:
         if text is not None:
             # The latest graft owns a text that replicas share.
             self._by_text[text] = name
-        for pair in name.roots:
-            self._graft_pair(self._root, pair, record)
-        self._by_announcer[record.announcer] = record
-        self._epoch += 1
-
-    def _graft_pair(self, value_node: ValueNode, pair: AVPair, record: NameRecord) -> None:
         # Explicit stack, pushed in reverse child order so leaves attach
         # in exactly the pre-order the recursive formulation produced
         # (attachment order feeds GET-NAME reconstruction order, which
-        # feeds update wire bytes: it must stay deterministic).
-        stack: List[Tuple[ValueNode, AVPair]] = [(value_node, pair)]
+        # feeds update wire bytes: it must stay deterministic). The
+        # leaves are gathered here and stored as one tuple.
+        attachments: List[ValueNode] = []
+        stack: List[Tuple[ValueNode, AVPair]] = [
+            (self._root, pair) for pair in name._roots[::-1]
+        ]
         while stack:
             parent_value, pair = stack.pop()
             attribute_node = parent_value.ensure_child(pair.attribute)
@@ -302,10 +299,13 @@ class NameTree:
             children = pair._children
             if not children:
                 child_value.records.add(record)
-                record.attachments.append(child_value)
+                attachments.append(child_value)
             else:
-                for child_pair in list(children.values())[::-1]:
+                for child_pair in children[::-1]:
                     stack.append((child_value, child_pair))
+        record.attachments = tuple(attachments)
+        self._by_announcer[record.announcer] = record
+        self._epoch += 1
 
     def remove(self, record: NameRecord) -> bool:
         """Detach ``record`` and prune branches it alone kept alive.
@@ -319,7 +319,7 @@ class NameTree:
         for value_node in record.attachments:
             value_node.records.discard(record)
             value_node.prune_upwards()
-        record.attachments = []
+        record.attachments = ()
         name = record.advertised_name
         text = name.cached_wire()
         if text is not None and self._by_text.get(text) is name:
@@ -388,7 +388,7 @@ class NameTree:
         within the bound.
         """
         if not self._memoize:
-            return set(self._lookup(self._root, name._roots.values()))
+            return set(self._lookup(self._root, name._roots))
         if self._memo_epoch != self._epoch:
             if self._memo:
                 self._memo.clear()
@@ -401,7 +401,7 @@ class NameTree:
             self._memo.move_to_end(key)
             return set(cached)
         self.memo_misses += 1
-        result = self._lookup(self._root, name._roots.values())
+        result = self._lookup(self._root, name._roots)
         if len(self._memo) >= MEMO_CAPACITY + len(self._by_announcer):
             self._memo.popitem(last=False)
             self.memo_evictions += 1
@@ -481,7 +481,7 @@ class NameTree:
                                 break
                     else:
                         frame[2] = candidates
-                        push([value_node, iter(children.values()), None])
+                        push([value_node, iter(children), None])
                         descend = True
                         break
                 else:

@@ -9,8 +9,8 @@ on this pair is a *descendant* of it.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Iterator, Optional, Tuple
 
 from .errors import DuplicateAttributeError, InvalidTokenError, SealedNameError
 
@@ -41,11 +41,13 @@ def validate_token(token: str, kind: str) -> str:
     return token
 
 
-#: The children of every childless av-pair. Most pairs are leaves, and
-#: an empty dict each is most of what a leaf would weigh. Read-only:
-#: ``add_child``, the only writer of ``_children``, gives a pair its own
-#: dict first.
-_NO_CHILDREN: Mapping[str, "AVPair"] = MappingProxyType({})
+_attribute_of = attrgetter("attribute")
+
+
+def duplicate_error(attribute: str, parent: Optional["AVPair"]) -> DuplicateAttributeError:
+    """A second sibling classifies ``attribute`` under ``parent`` (None: at the top level)."""
+    where = "at the top level" if parent is None else f"under {parent.attribute}={parent.value}"
+    return DuplicateAttributeError(f"av-pair with attribute {attribute!r} already present {where}")
 
 
 def _sibling_key(pairs) -> tuple:
@@ -60,15 +62,15 @@ def _pair_key(pair: "AVPair") -> tuple:
     decided: ``canonical_key`` (here and on the name) fills caches with
     them, and the parser seals each group with them at its ``]``.
     """
-    return (pair.attribute, pair.value, _sibling_key(pair._children.values()))
+    return (pair.attribute, pair.value, _sibling_key(pair._children))
 
 
 class AVPair:
     """One attribute-value pair and its dependent children.
 
-    The children are kept in a dict keyed by attribute, preserving
-    insertion order while enforcing sibling-attribute orthogonality and
-    giving O(1) child lookup during name-tree operations.
+    The children are a tuple in insertion order (a leaf shares the empty
+    one): siblings are few, so a scan finds one, and a tuple weighs a
+    fraction of a dict. Builders check sibling-attribute orthogonality.
 
     Sealed, like the name it belongs to, once its canonical key has
     been taken (see :class:`NameSpecifier`).
@@ -79,7 +81,7 @@ class AVPair:
     def __init__(self, attribute: str, value: str) -> None:
         self.attribute = validate_token(attribute, "attribute")
         self.value = validate_token(value, "value")
-        self._children: Mapping[str, "AVPair"] = _NO_CHILDREN
+        self._children: Tuple["AVPair", ...] = ()
         # canonical_key(), once taken; it is never cleared, and its
         # presence is the seal. A key is assembled from keyed children
         # only, so a keyed pair's whole subtree is keyed and sealed too.
@@ -90,13 +92,13 @@ class AVPair:
         """``AVPair(attribute, value)`` minus the token validation.
 
         For the parser, whose tokeniser has already proved both tokens
-        legal. The pair is unkeyed, so the parser can hang children
-        under it; the parser keys it at its ``]``.
+        legal, and for :meth:`copy`, whose source did. The pair is
+        unkeyed, so its builder can hang children under it.
         """
         pair = cls.__new__(cls)
         pair.attribute = attribute
         pair.value = value
-        pair._children = _NO_CHILDREN
+        pair._children = ()
         pair._key_cache = None
         return pair
 
@@ -113,14 +115,9 @@ class AVPair:
         if self._key_cache is not None:
             raise SealedNameError(f"{self!r} is keyed: edit a copy()")
         children = self._children
-        if child.attribute in children:
-            raise DuplicateAttributeError(
-                f"sibling av-pair with attribute {child.attribute!r} "
-                f"already present under {self.attribute}={self.value}"
-            )
-        if not children:
-            children = self._children = {}  # was the shared empty mapping
-        children[child.attribute] = child
+        if child.attribute in map(_attribute_of, children):
+            raise duplicate_error(child.attribute, self)
+        self._children = children + (child,)
         return child
 
     def add(self, attribute: str, value: str) -> "AVPair":
@@ -133,11 +130,14 @@ class AVPair:
     @property
     def children(self) -> Tuple["AVPair", ...]:
         """The dependent av-pairs, in insertion order."""
-        return tuple(self._children.values())
+        return self._children
 
     def child(self, attribute: str) -> Optional["AVPair"]:
         """The child av-pair classifying ``attribute``, or None."""
-        return self._children.get(attribute)
+        for child in self._children:
+            if child.attribute == attribute:
+                return child
+        return None
 
     @property
     def is_leaf(self) -> bool:
@@ -157,9 +157,7 @@ class AVPair:
         while stack:
             pair = pop()
             yield pair
-            children = pair._children
-            if children:
-                extend(list(children.values())[::-1])
+            extend(pair._children[::-1])
 
     def depth(self) -> int:
         """Number of av-pair levels in the subtree rooted here (>= 1)."""
@@ -170,19 +168,13 @@ class AVPair:
             if level > deepest:
                 deepest = level
             below = level + 1
-            for child in pair._children.values():
+            for child in pair._children:
                 stack.append((child, below))
         return deepest
 
     def count(self) -> int:
         """Total number of av-pairs in the subtree rooted here."""
-        total = 0
-        stack = [self]
-        while stack:
-            pair = stack.pop()
-            total += 1
-            stack.extend(pair._children.values())
-        return total
+        return sum(1 for _ in self.walk())
 
     # ------------------------------------------------------------------
     # Structural equality and canonical ordering
@@ -206,7 +198,7 @@ class AVPair:
             pair = pending.pop()
             if pair._key_cache is None:
                 order.append(pair)
-                pending.extend(pair._children.values())
+                pending.extend(pair._children)
         for pair in reversed(order):
             pair._key_cache = _pair_key(pair)
         return self._key_cache
@@ -220,16 +212,17 @@ class AVPair:
         return hash(self.canonical_key())
 
     def copy(self) -> "AVPair":
-        """A deep copy of this subtree, unsealed at every depth
-        (iterative, depth-safe)."""
-        duplicate = AVPair(self.attribute, self.value)
+        """A deep copy of this subtree, unsealed at every depth (iterative,
+        depth-safe; the source is legal, so each group is stored unchecked)."""
+        new = AVPair._unchecked
+        duplicate = new(self.attribute, self.value)
         stack = [(self, duplicate)]
         while stack:
             source, target = stack.pop()
-            for child in source._children.values():
-                twin = AVPair(child.attribute, child.value)
-                target.add_child(twin)
-                stack.append((child, twin))
+            twins = target._children = tuple(
+                [new(child.attribute, child.value) for child in source._children]
+            )
+            stack.extend(zip(source._children, twins))
         return duplicate
 
     def __repr__(self) -> str:

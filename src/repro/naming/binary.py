@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .avpair import AVPair
+from .avpair import AVPair, duplicate_error
 from .errors import NamingError, WireFormatError
 from .parser import MAX_NAME_DEPTH
 from .specifier import NameSpecifier
@@ -145,7 +145,7 @@ def encode_name(name: NameSpecifier, registry: "TokenRegistry" = None) -> bytes:
         body = bytearray()
     append = body.append
 
-    for root in name._roots.values():
+    for root in name._roots:
         # ``None`` marks a pending LEAVE for the pair pushed before it.
         stack: List[Optional[AVPair]] = [root]
         pop = stack.pop
@@ -168,9 +168,7 @@ def encode_name(name: NameSpecifier, registry: "TokenRegistry" = None) -> bytes:
                     index >>= 7
                 append(index)
             stack.append(None)
-            children = pair._children
-            if children:
-                stack.extend(list(children.values())[::-1])
+            stack.extend(pair._children[::-1])
     append(_END)
 
     if registry is not None:
@@ -234,16 +232,17 @@ def decode_name(
         raise BinaryNameError(f"unknown encoding mode {mode:#x}")
 
     table_size = len(table)
-    name = NameSpecifier()
-    stack: List[AVPair] = []
-    depth = 0
+    # Open av-pairs, innermost last, each beside the group it joined;
+    # ``group`` holds the innermost's children by attribute, as the parser's.
+    stack: List[tuple] = []
+    group: dict = {}
     while True:
         if offset >= size:
             raise BinaryNameError("missing terminator")
         opcode = data[offset]
         offset += 1
         if opcode == _ENTER:
-            if max_depth is not None and depth >= max_depth:
+            if max_depth is not None and len(stack) >= max_depth:
                 raise BinaryNameError(
                     f"name deeper than {max_depth} levels"
                 )
@@ -281,26 +280,28 @@ def decode_name(
                 raise BinaryNameError(f"token index {bad} out of range")
             try:
                 pair = AVPair(table[attribute_index], table[value_index])
-                if stack:
-                    stack[-1].add_child(pair)
-                else:
-                    name.add_pair(pair)
+                if pair.attribute in group:
+                    raise duplicate_error(pair.attribute, stack[-1][0] if stack else None)
             except NamingError as error:
                 # Reserved characters inside a token, or duplicate
                 # sibling attributes: the frame encodes an illegal name.
                 raise BinaryNameError(f"illegal name in frame: {error}") from error
-            stack.append(pair)
-            depth += 1
+            group[pair.attribute] = pair
+            stack.append((pair, group))
+            group = {}
         elif opcode == _LEAVE:
             if not stack:
                 raise BinaryNameError("unbalanced av-pair nesting")
-            stack.pop()
-            depth -= 1
+            pair, outer = stack.pop()
+            pair._children = tuple(group.values())
+            group = outer
         elif opcode == _END:
             if stack:
                 raise BinaryNameError("unbalanced av-pair nesting")
             if offset != size:
                 raise BinaryNameError("trailing bytes after terminator")
+            name = NameSpecifier()
+            name._roots = tuple(group.values())
             return name
         else:
             raise BinaryNameError(f"unknown opcode {opcode:#x}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .avpair import AVPair, _pair_key, _sibling_key, validate_token
+from .avpair import AVPair, _pair_key, _sibling_key, duplicate_error, validate_token
 from .errors import NameSyntaxError
 from .operators import WILDCARD
 from .specifier import NameSpecifier
@@ -71,11 +71,10 @@ def parse_name_specifier(text: str) -> NameSpecifier:
     carrying a reserved character; :class:`DuplicateAttributeError` for
     two siblings classifying the same attribute.
     """
-    name = NameSpecifier()
-    # Open groups, innermost last; ``attach`` adds a completed group to
-    # the innermost of them (to the name itself at the top level).
+    # Open groups, innermost last, each beside the group it joins; ``group``
+    # maps attribute to child for the innermost, so duplicates cost O(1).
     stack: list = []
-    attach = name.add_pair
+    group: dict = {}
     compact = True
     for item in _ITEM.finditer(text):
         attribute, value, leaf, closer, stray = item.groups()
@@ -95,8 +94,8 @@ def parse_name_specifier(text: str) -> NameSpecifier:
             pair = _new_pair(attribute, value)
             if leaf is None:
                 # Unkeyed, so unsealed, until its own ``]``.
-                stack.append(pair)
-                attach = pair.add_child
+                stack.append((pair, group))
+                group = {}
                 continue
             pair._key_cache = (attribute, value, ())  # _pair_key of a leaf
         elif closer is not None:
@@ -105,9 +104,11 @@ def parse_name_specifier(text: str) -> NameSpecifier:
                     "unexpected ']' outside any group", item.start(4)
                 )
             # Every child of the group is complete and keyed: key it.
-            pair = stack.pop()
+            pair, outer = stack.pop()
+            pair._children = tuple(group.values())
             pair._key_cache = _pair_key(pair)
-            attach = stack[-1].add_child if stack else name.add_pair
+            group = outer
+            attribute = pair.attribute
         elif stray is None:
             break  # end of text
         else:
@@ -120,15 +121,19 @@ def parse_name_specifier(text: str) -> NameSpecifier:
         # The group is complete and keyed: only now does it join its
         # siblings, so that an error inside it is reported before a
         # duplicate of it.
-        attach(pair)
+        if attribute in group:
+            raise duplicate_error(attribute, stack[-1][0] if stack else None)
+        group[attribute] = pair
     if stack:
         raise NameSyntaxError(
-            f"expected ']' closing {stack[-1].attribute!r}", len(text)
+            f"expected ']' closing {stack[-1][0].attribute!r}", len(text)
         )
     # Every root is keyed, so the name's key is one sort away;
     # canonical_key() would visit each root again to find that out.
     # It seals the name: what was read off the wire is a value.
-    name._key_cache = _sibling_key(name._roots.values())
+    name = NameSpecifier()
+    name._roots = tuple(group.values())
+    name._key_cache = _sibling_key(name._roots)
     if compact and _WHITESPACE.search(text) is None:
         try:
             size = len(text) if text.isascii() else len(text.encode("utf-8"))

@@ -10,10 +10,10 @@ to describe what they provide.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Tuple, Union
 
-from .avpair import AVPair, _sibling_key
-from .errors import DuplicateAttributeError, SealedNameError, WildcardValueError
+from .avpair import AVPair, _attribute_of, _sibling_key, duplicate_error
+from .errors import SealedNameError, WildcardValueError
 
 #: The well-known attribute an application uses to declare the virtual
 #: space(s) its names belong to (Section 2.5).
@@ -40,7 +40,7 @@ class NameSpecifier:
     __slots__ = ("_roots", "_key_cache", "_wire_cache", "_concrete")
 
     def __init__(self, roots: Optional[List[AVPair]] = None) -> None:
-        self._roots: Dict[str, AVPair] = {}
+        self._roots: Tuple[AVPair, ...] = ()
         # canonical_key(), once taken; never cleared, and its presence
         # is the seal (see AVPair).
         self._key_cache: Optional[tuple] = None
@@ -67,12 +67,10 @@ class NameSpecifier:
         """
         if self._key_cache is not None:
             raise SealedNameError(f"{self!r} is keyed: edit a copy()")
-        if pair.attribute in self._roots:
-            raise DuplicateAttributeError(
-                f"top-level av-pair with attribute {pair.attribute!r} "
-                "already present"
-            )
-        self._roots[pair.attribute] = pair
+        roots = self._roots
+        if pair.attribute in map(_attribute_of, roots):
+            raise duplicate_error(pair.attribute, None)
+        self._roots = roots + (pair,)
         return pair
 
     def add(self, attribute: str, value: str) -> AVPair:
@@ -81,7 +79,7 @@ class NameSpecifier:
 
     @classmethod
     def from_dict(cls, spec: NestedDict) -> "NameSpecifier":
-        """Build a name-specifier from a nested mapping.
+        """Build a name-specifier from a nested mapping (unchecked: keys are distinct).
 
         Each key is an attribute; each value is either the value string
         or a ``(value, children)`` tuple where ``children`` is another
@@ -93,8 +91,7 @@ class NameSpecifier:
             })
         """
         name = cls()
-        for attribute, described in spec.items():
-            name.add_pair(cls._pair_from_dict(attribute, described))
+        name._roots = tuple([cls._pair_from_dict(*item) for item in spec.items()])
         return name
 
     @staticmethod
@@ -103,10 +100,9 @@ class NameSpecifier:
             return AVPair(attribute, described)
         value, children = described
         pair = AVPair(attribute, value)
-        for child_attribute, child_described in children.items():
-            pair.add_child(
-                NameSpecifier._pair_from_dict(child_attribute, child_described)
-            )
+        pair._children = tuple(
+            [NameSpecifier._pair_from_dict(*item) for item in children.items()]
+        )
         return pair
 
     @classmethod
@@ -123,15 +119,18 @@ class NameSpecifier:
     @property
     def roots(self) -> Tuple[AVPair, ...]:
         """The top-level orthogonal av-pairs, in insertion order."""
-        return tuple(self._roots.values())
+        return self._roots
 
     def root(self, attribute: str) -> Optional[AVPair]:
         """The top-level av-pair classifying ``attribute``, or None."""
-        return self._roots.get(attribute)
+        for pair in self._roots:
+            if pair.attribute == attribute:
+                return pair
+        return None
 
     def walk(self) -> Iterator[AVPair]:
         """Yield every av-pair in the name, pre-order."""
-        for pair in self._roots.values():
+        for pair in self._roots:
             yield from pair.walk()
 
     def count(self) -> int:
@@ -142,7 +141,7 @@ class NameSpecifier:
         """Maximum number of av-pair levels (the paper's ``d``); 0 if empty."""
         if not self._roots:
             return 0
-        return max(pair.depth() for pair in self._roots.values())
+        return max(pair.depth() for pair in self._roots)
 
     @property
     def is_empty(self) -> bool:
@@ -159,13 +158,13 @@ class NameSpecifier:
         ingestion path."""
         if self._concrete:
             return None
-        stack = list(self._roots.values())
+        stack = list(self._roots)
         while stack:
             pair = stack.pop()
             value = pair.value
             if value == "*" or (value and value[0] in "<>"):
                 return pair
-            stack.extend(pair._children.values())
+            stack.extend(pair._children)
         # Keyed, so that the verdict stays true; whoever asks goes on
         # to key the name anyway (to graft it, to size it).
         self.canonical_key()
@@ -199,7 +198,7 @@ class NameSpecifier:
         expressed as dependent children of the first (the top level only
         permits one ``vspace`` pair because siblings are orthogonal).
         """
-        declared = self._roots.get(VSPACE_ATTRIBUTE)
+        declared = self.root(VSPACE_ATTRIBUTE)
         if declared is None:
             return (DEFAULT_VSPACE,)
         names = [declared.value]
@@ -230,7 +229,7 @@ class NameSpecifier:
         first_root = True
         # Stack items: an AVPair opens a bracket and schedules its
         # children; the two string sentinels emit themselves.
-        for root in self._roots.values():
+        for root in self._roots:
             if pretty and not first_root:
                 append(" ")
             first_root = False
@@ -243,14 +242,12 @@ class NameSpecifier:
                     continue
                 append(f"[{item.attribute}{eq}{item.value}")
                 stack.append("]")
-                children = item._children
-                if children:
-                    if pretty:
-                        for child in list(children.values())[::-1]:
-                            stack.append(child)
-                            stack.append(" ")
-                    else:
-                        stack.extend(list(children.values())[::-1])
+                if pretty:
+                    for child in item._children[::-1]:
+                        stack.append(child)
+                        stack.append(" ")
+                else:
+                    stack.extend(item._children[::-1])
         return "".join(out)
 
     def cached_wire(self) -> Optional[str]:
@@ -285,10 +282,9 @@ class NameSpecifier:
         :meth:`AVPair.canonical_key`)."""
         cached = self._key_cache
         if cached is None:
-            roots = self._roots.values()
-            for pair in roots:
+            for pair in self._roots:
                 pair.canonical_key()
-            cached = self._key_cache = _sibling_key(roots)
+            cached = self._key_cache = _sibling_key(self._roots)
         return cached
 
     def __eq__(self, other: object) -> bool:
@@ -301,7 +297,9 @@ class NameSpecifier:
 
     def copy(self) -> "NameSpecifier":
         """An unsealed deep copy of the name: how a name is edited."""
-        return NameSpecifier([pair.copy() for pair in self._roots.values()])
+        name = NameSpecifier()
+        name._roots = tuple([pair.copy() for pair in self._roots])
+        return name
 
     def __repr__(self) -> str:
         return f"NameSpecifier({self.to_wire()!r})"

@@ -51,7 +51,7 @@ def _graft(
             news.name,
             NameRecord(
                 announcer=news.announcer,
-                endpoints=list(endpoints),
+                endpoints=endpoints,
                 anycast_metric=news.anycast_metric,
                 route=Route(next_hop=next_hop, metric=metric),
                 expires_at=expires_at,
@@ -288,7 +288,7 @@ class NameDiscovery:
         return NameUpdate(
             name=name,
             announcer=record.announcer,
-            endpoints=tuple(record.endpoints),
+            endpoints=record.endpoints,
             anycast_metric=record.anycast_metric,
             route_metric=record.route.metric,
             # Reliable-delta entries are hard state: they live until

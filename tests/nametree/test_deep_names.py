@@ -33,12 +33,12 @@ def deep_name(depth: int = DEPTH) -> NameSpecifier:
 def chain_tokens(name: NameSpecifier):
     """(attribute, value) pairs of a single-chain name, iteratively."""
     tokens = []
-    pairs = list(name._roots.values())
+    pairs = name._roots
     while pairs:
         assert len(pairs) == 1, "not a chain"
         pair = pairs[0]
         tokens.append((pair.attribute, pair.value))
-        pairs = list(pair._children.values())
+        pairs = pair._children
     return tokens
 
 

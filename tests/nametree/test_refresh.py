@@ -64,7 +64,7 @@ class _Model:
         else:
             changed = True
         self.state[announcer] = {
-            "key": key, "endpoints": list(endpoints), "metric": metric,
+            "key": key, "endpoints": tuple(endpoints), "metric": metric,
             "route": route, "expires_at": expires_at,
         }
         return changed
@@ -186,7 +186,7 @@ def test_refresh_and_forced_insert_agree_with_the_parent_rule(history):
                 message,
             )
             verdict = model.announce(
-                announcer, name.canonical_key(), list(endpoints), metric,
+                announcer, name.canonical_key(), tuple(endpoints), metric,
                 Route(next_hop, route_metric), now + lifetime,
             )
             assert _via_refresh(refreshed, name, *fields) is verdict
@@ -247,7 +247,7 @@ class TestRefreshEntryPoint:
         assert self._refresh(tree, name, record, route_metric=0.75) is True
         other = (Endpoint("10.9.9.9", 1),)
         assert self._refresh(tree, name, record, endpoints=other) is True
-        assert record.endpoints == list(other)
+        assert record.endpoints is other
         assert self._refresh(tree, name, record) is False
 
     def test_reordered_endpoints_are_stored_but_are_not_news(self, tree):
@@ -255,7 +255,7 @@ class TestRefreshEntryPoint:
         first, second = Endpoint("10.0.0.1", 9), Endpoint("10.0.0.2", 9)
         assert self._refresh(tree, name, record, endpoints=(first, second)) is True
         assert self._refresh(tree, name, record, endpoints=(second, first)) is False
-        assert record.endpoints == [second, first]
+        assert record.endpoints == (second, first)
 
     def test_a_resent_name_object_is_recognized_without_a_key_comparison(
         self, tree, monkeypatch
@@ -341,4 +341,4 @@ class TestRefreshEntryPoint:
         outcome = tree.insert(parse(name.to_wire()), offered)
         assert outcome.record is record and not outcome.created and outcome.changed
         assert (record.anycast_metric, record.expires_at) == (3.0, 7.0)
-        assert offered.attachments == [] and offered.advertised_name is None
+        assert offered.attachments == () and offered.advertised_name is None

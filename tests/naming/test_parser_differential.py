@@ -12,6 +12,7 @@ the size tier-1 runs (``.github/workflows/ci.yml``, both Pythons: the
 ``re`` tokeniser has to agree with ``str.isspace`` on each).
 """
 
+import itertools
 import random
 import re
 import sys
@@ -107,11 +108,32 @@ def mutation_corpus(count: int, seed: int) -> Iterator[str]:
             yield _mutate(rng, rng.choice(SEEDS))
 
 
+def _wide_groups() -> Iterator[str]:
+    """Sibling groups about 1,000 and 4,000 wide, at the top level and
+    under one pair, each as it is and with one attribute repeated two
+    thirds of the way along: where a builder that scans its siblings
+    goes quadratic, and where a duplicate check that is not one set
+    per group misses or misreports."""
+    for width in (1_000, 4_000):
+        siblings = [f"[a{index}=v]" for index in range(width)]
+        repeated = list(siblings)
+        repeated[2 * width // 3] = f"[a{width // 3}=w]"
+        for group in ("".join(siblings), "".join(repeated)):
+            yield group
+            yield f"[p=q{group}]"
+
+
+#: The wide strings every corpus starts with.
+WIDE_GROUPS = tuple(_wide_groups())
+
+
 def check_corpus(count: int, seed: int = 13) -> Tuple[int, int]:
-    """Compare the parsers on ``count`` corpus strings; returns
+    """Compare the parsers on ``count`` corpus strings — the
+    :data:`WIDE_GROUPS`, then mutated and random strings — and return
     (strings checked, strings both parsers accepted)."""
     accepted = 0
-    for text in mutation_corpus(count, seed):
+    corpus = mutation_corpus(count - len(WIDE_GROUPS), seed)
+    for text in itertools.chain(WIDE_GROUPS, corpus):
         if not isinstance(assert_same(text), type):
             accepted += 1
     return count, accepted
