@@ -5,16 +5,21 @@ A user walks through a building: entering a region pops up its map
 (fetched from the Locator service by intentional name, never by
 address) and the services discovered there appear as icons. Services
 that stop advertising disappear from the display after their soft-state
-lifetime — no de-registration ever happens.
+lifetime — no de-registration ever happens. The TV is a device
+controller, driven by a universal remote that names the room's TV and
+never learns its address.
 
 Run:  python examples/floorplan_tour.py
 """
 
 from repro.apps import (
     CameraTransmitter,
+    DeviceController,
     FloorplanApp,
     Locator,
     PrinterSpooler,
+    RemoteControl,
+    controllers_in_room,
 )
 from repro.experiments import InsDomain
 from repro.resolver import InrConfig
@@ -41,10 +46,9 @@ def main() -> None:
                  refresh_interval=5.0, lifetime=15.0)
     printer = app(PrinterSpooler, "printer-host", printer_id="lw5",
                   room="517", refresh_interval=5.0, lifetime=15.0)
-    tv = domain.add_service(
-        "[service=controller[entity=tv-mp3][id=tv1]][room=511]",
-        resolver=inr, refresh_interval=5.0, lifetime=15.0,
-    )
+    tv = app(DeviceController, "tv-host", kind="tv-mp3", device_id="tv1",
+             room="511", refresh_interval=5.0, lifetime=15.0)
+    remote = app(RemoteControl, "remote-host", user="carol")
 
     user = app(FloorplanApp, "tablet", user="carol", region="floor-5")
     domain.run(2.0)
@@ -59,6 +63,15 @@ def main() -> None:
 
     target = user.click("camera/transmitter@510")
     print(f"  clicking the camera icon launches against: {target}")
+
+    print("\ncarol's remote drives whichever TV is in room 511:")
+    room_tv = controllers_in_room("511", kind="tv-mp3")
+    remote.power(room_tv, on=True)
+    remote.set_volume(room_tv, 40)
+    remote.play(room_tv, "news")
+    status = remote.status(room_tv)
+    domain.run(1.0)
+    print(f"  {status.value}")
 
     print("\nthe TV controller dies (simply stops advertising):")
     tv.stop()

@@ -4,12 +4,16 @@
 Builds a small domain (DSR + two self-configuring INRs), starts two
 printer services with different load metrics, and exercises all three
 INS delivery services: early binding, intentional anycast and
-intentional multicast — plus name discovery.
+intentional multicast — plus name discovery, a range query, and early
+binding asked for in band by a data packet with the B bit set.
 
 Run:  python examples/quickstart.py
 """
 
+import json
+
 from repro.experiments import InsDomain
+from repro.message import Binding, InsMessage
 from repro.naming import NameSpecifier
 
 
@@ -60,6 +64,30 @@ def main() -> None:
     print("discovered names:")
     for name, metric in discovery.value:
         print(f"  {name.to_wire()}  metric={metric}")
+
+    # 5. A range query (Section 2.1's inequality operators): any
+    #    printer in a room numbered below 520.
+    below_520 = client.discover(
+        NameSpecifier.parse("[service=printer][room=<520]")
+    )
+    domain.run(0.5)
+    print("printers in rooms below 520:")
+    for name, metric in below_520.value:
+        print(f"  {name.to_wire()}  metric={metric}")
+
+    # 6. Early binding over the data path: a packet with Figure 10's
+    #    B bit set asks the INR for the bindings instead of delivery;
+    #    they come back in band, addressed to the sender's own name.
+    asker = domain.add_service("[service=asker[id=q1]]", resolver=inr_a)
+    answers = []
+    asker.on_message(lambda message, _source: answers.append(message.data))
+    domain.run(0.5)
+    asker.send_message(InsMessage(destination=anything_in_517,
+                                  source=asker.name, binding=Binding.EARLY))
+    domain.run(0.5)
+    print("bindings answered to a B-bit data packet:")
+    for binding in json.loads(answers[0])["bindings"]:
+        print(f"  {binding['host']}:{binding['port']}  metric={binding['metric']}")
 
     stats = inr_a.stats
     print(f"inr-a stats: lookups={stats.lookups} "

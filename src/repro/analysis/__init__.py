@@ -3,17 +3,13 @@
 from .lookup_model import (
     ModelFit,
     fit_parameters,
-    linear_search_time,
     lookup_time_closed_form,
-    lookup_time_recurrence,
     relative_error,
 )
 
 __all__ = [
     "ModelFit",
     "fit_parameters",
-    "linear_search_time",
     "lookup_time_closed_form",
-    "lookup_time_recurrence",
     "relative_error",
 ]

@@ -14,24 +14,16 @@ with ``t`` the time to find an attribute and value (constant for the
 hash-table implementation, proportional to ``r_a + r_v`` for linear
 search) and ``b`` the base-case set-intersection cost.
 
-This module evaluates the recurrence and closed form, and fits ``t``
-and ``b`` from measured lookup times: the closed form is linear in both
-parameters, so the fit is ordinary least squares.
+This module evaluates the closed form, and fits ``t`` and ``b`` from
+measured lookup times: the closed form is linear in both parameters, so
+the fit is ordinary least squares. The recurrence itself is kept beside
+its test, which checks the closed form against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence, Tuple
-
-
-def lookup_time_recurrence(d: int, n_a: int, t: float, b: float) -> float:
-    """Evaluate T(d) by direct recursion (the paper's recurrence)."""
-    if d < 0:
-        raise ValueError("depth must be non-negative")
-    if d == 0:
-        return b
-    return n_a * (t + lookup_time_recurrence(d - 1, n_a, t, b))
 
 
 def lookup_time_closed_form(d: int, n_a: int, t: float, b: float) -> float:
@@ -42,14 +34,6 @@ def lookup_time_closed_form(d: int, n_a: int, t: float, b: float) -> float:
         return d * t + b
     power = float(n_a) ** d
     return t * n_a * (power - 1) / (n_a - 1) + power * b
-
-
-def linear_search_time(
-    d: int, n_a: int, r_a: int, r_v: int, per_comparison: float, b: float
-) -> float:
-    """T(d) when attributes/values are found by linear scan:
-    t proportional to r_a + r_v (the strawman of Section 5.1.1)."""
-    return lookup_time_closed_form(d, n_a, per_comparison * (r_a + r_v), b)
 
 
 @dataclass

@@ -479,18 +479,6 @@ class InsClient(Process):
         )
         return self._issue(request, Reply())
 
-    def resolve_best(self, name: NameSpecifier) -> Reply:
-        """Early binding plus the metric-based selection the paper
-        describes ("the client may select an end-node with the least
-        metric"): resolves to a single (Endpoint, metric) or None."""
-        reply = Reply()
-        inner = self.resolve_early(name)
-        inner.then(
-            lambda bindings: reply.resolve(bindings[0] if bindings else None)
-        )
-        inner.on_error(reply.fail)
-        return reply
-
     def discover(self, name_filter: NameSpecifier) -> Reply:
         """Name discovery: all known names matching ``name_filter`` as
         [(NameSpecifier, metric), ...]."""
@@ -598,7 +586,3 @@ class InsClient(Process):
     def pending_requests(self) -> int:
         """Requests issued but not yet settled (for tests and chaos)."""
         return len(self._pending)
-
-    def on_network_change(self) -> None:
-        """Called by the mobility manager after this node's address
-        changed; plain clients have no announcements to repair."""

@@ -5,14 +5,14 @@ network movement and rebinds the UDP socket when the IP address changes,
 transparently to applications. Here, node movement is an explicit
 simulation action: :meth:`MobilityManager.migrate` gives the node its
 new address (datagrams in flight to the old one are lost, like real
-UDP), then notifies every INS process on the node so services re-announce
-themselves immediately from the new location.
+UDP), then tells every service on the node, so each re-announces itself
+immediately from the new location.
 """
 
 from __future__ import annotations
 
 from ..netsim import Node
-from .api import InsClient
+from .service import Service
 
 
 class MobilityManager:
@@ -25,9 +25,10 @@ class MobilityManager:
     def migrate(self, new_address: str) -> None:
         """Change the node's network address (node mobility).
 
-        Every :class:`InsClient`-derived process on the node is told via
-        ``on_network_change()``; services re-advertise at once so the
-        name discovery protocol replaces the stale location quickly.
+        Every :class:`Service` on the node is told via
+        ``on_network_change()`` and re-advertises at once, so the name
+        discovery protocol replaces the stale location quickly; a plain
+        client has no announcement to repair.
         """
         old_address = self.node.address
         if new_address == old_address:
@@ -35,5 +36,5 @@ class MobilityManager:
         self.node.network.rename_node(old_address, new_address)
         self.moves += 1
         for process in self.node.processes:
-            if isinstance(process, InsClient):
+            if isinstance(process, Service):
                 process.on_network_change()

@@ -32,7 +32,7 @@ handoffs alike.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..naming import NameSpecifier
@@ -86,12 +86,6 @@ class CustodyCounts:
     evicted: int = 0
     #: entries adopted from a CUSTODY-TRANSFER or a snapshot
     adopted: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """Every counter in declaration order — the uniform shape the
-        metrics registry ingests."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 class CustodyStore:
     """A bounded, deterministically-evicted parking lot for payloads.

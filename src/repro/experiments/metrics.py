@@ -10,7 +10,7 @@ name count, cumulative lookups, and inter-INR traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .domain import InsDomain
 
@@ -83,16 +83,3 @@ class DomainSampler:
     def series(self, address: str) -> List[ResolverSample]:
         """All samples for one resolver, in time order."""
         return [s for s in self.samples if s.address == address]
-
-    def peak_utilization(self, address: str) -> float:
-        utilizations = [s.cpu_utilization for s in self.series(address)]
-        return max(utilizations) if utilizations else 0.0
-
-    def timeline(self) -> List[Tuple[float, Dict[str, float]]]:
-        """[(time, {address: utilization})], one entry per interval."""
-        grouped: Dict[float, Dict[str, float]] = {}
-        for sample in self.samples:
-            grouped.setdefault(sample.time, {})[sample.address] = (
-                sample.cpu_utilization
-            )
-        return sorted(grouped.items())

@@ -143,8 +143,3 @@ class UniformWorkload:
             tree.insert(name, record)
             records.append(record)
         return records
-
-    def average_wire_size(self, samples: int = 200) -> float:
-        """Mean compact wire size of generated names, in bytes."""
-        total = sum(self.random_name().wire_size() for _ in range(samples))
-        return total / samples

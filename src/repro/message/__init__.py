@@ -3,7 +3,6 @@ the custody-transfer handoff."""
 
 from .custody import CustodyRecord, CustodyTransfer
 from .delegation import (
-    DELEGATION_VERSION,
     DelegateAbort,
     DelegateAccept,
     DelegateCommit,
@@ -14,7 +13,6 @@ from .delegation import (
     MAX_RECORDS_PER_TRANSFER,
     OFFER_ACCEPTED,
     compose_handoff_id,
-    decode_delegation,
 )
 from .dsr import (
     DsrClaimCandidate,
@@ -45,7 +43,6 @@ __all__ = [
     "CustodyRecord",
     "CustodyTransfer",
     "DEFAULT_HOP_LIMIT",
-    "DELEGATION_VERSION",
     "DelegateAbort",
     "DelegateAccept",
     "DelegateCommit",
@@ -73,5 +70,4 @@ __all__ = [
     "MAX_RECORDS_PER_TRANSFER",
     "OFFER_ACCEPTED",
     "compose_handoff_id",
-    "decode_delegation",
 ]

@@ -18,49 +18,39 @@ abort, a delayed TRANSFER after a commit — can never resurrect a
 completed or aborted handoff (it is answered with the settled outcome,
 or dropped and counted).
 
-Unlike the other control dataclasses, these messages have a real byte
-codec (``encode()`` / :func:`decode_delegation`): the handoff moves
-whole name-trees between processes that may crash mid-stream, so the
-frames are built to be fuzzed — every way a frame can be undecodable
-raises :class:`DelegationWireError`, a :class:`ValueError`, never an
-IndexError/KeyError/struct.error escaping to the event loop. Name
-specifiers travel in the compact binary form (``naming.binary``,
-footnote 2).
+Like the other control dataclasses, these messages travel as objects:
+no node encodes or decodes a handoff. What the simulated network
+charges for one is its size under the byte layout below, computed in
+closed form by ``wire_size()``, which refuses a frame the layout cannot
+hold with :class:`DelegationWireError`, a :class:`ValueError`. Name
+specifiers are sized in the compact binary form (``naming.binary``,
+footnote 2). Each frame is a fixed header (magic, kind, version,
+reserved byte, u32 handoff id; charged as ``BASE_OVERHEAD``) and a body::
+
+    OFFER     str sender, str vspace, u32 total_records
+    ACCEPT    str sender, i32 ack_seq
+    TRANSFER  str sender, str vspace, u32 seq, u8 final, u16 count, record*
+    COMMIT    str sender, str vspace
+    ABORT     str sender, str vspace, str reason
+
+    record    u32 length, binary name, str announcer host, f64 startup,
+              u8 count, { str host, u16 port, str transport }*,
+              f64 anycast metric, f64 route metric, f64 lifetime
+    str       u16 length, utf-8 bytes
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Tuple
 
 from ..naming import NameSpecifier
-from ..naming.binary import decode_name, encode_name
+from ..naming.binary import encode_name
 
 #: Framing overhead accounted by ``wire_size`` for the fixed header.
 BASE_OVERHEAD = 28
 
-#: Protocol version emitted by this implementation.
-DELEGATION_VERSION = 1
-
-#: First byte of every delegation frame.
-_MAGIC = 0xD6
-
-_KIND_OFFER = 1
-_KIND_ACCEPT = 2
-_KIND_TRANSFER = 3
-_KIND_COMMIT = 4
-_KIND_ABORT = 5
-
-#: magic u8, kind u8, version u8, reserved u8, handoff_id u32.
-_FIXED = struct.Struct("!BBBBI")
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
-_I32 = struct.Struct("!i")
-_F64 = struct.Struct("!d")
-
-#: Hard cap on records per TRANSFER frame; a decoded count beyond this
-#: is a malformed frame, not a huge allocation.
+#: Hard cap on records per TRANSFER frame.
 MAX_RECORDS_PER_TRANSFER = 4096
 _MAX_ENDPOINTS = 255
 
@@ -88,42 +78,12 @@ def compose_handoff_id(incarnation: int, sequence: int) -> int:
     return (incarnation << 16) | sequence
 
 
-# ----------------------------------------------------------------------
-# Encode/decode primitives (bounds-checked cursor over a memoryview)
-# ----------------------------------------------------------------------
-def _write_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise DelegationWireError(f"string too long for frame: {len(data)}")
-    out += _U16.pack(len(data))
-    out += data
-
-
-def _read(data, offset: int, count: int) -> int:
-    """Bounds check: ``count`` bytes must exist at ``offset``."""
-    if offset + count > len(data):
-        raise DelegationWireError(
-            f"frame truncated: need {count} bytes at {offset}, "
-            f"have {len(data) - offset}"
-        )
-    return offset + count
-
-
-def _read_str(data, offset: int) -> Tuple[str, int]:
-    end = _read(data, offset, _U16.size)
-    (length,) = _U16.unpack_from(data, offset)
-    end = _read(data, end, length)
-    try:
-        text = bytes(data[end - length:end]).decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise DelegationWireError(f"bad utf-8 in frame: {error}") from error
-    return text, end
-
-
-def _read_f64(data, offset: int) -> Tuple[float, int]:
-    end = _read(data, offset, _F64.size)
-    (value,) = _F64.unpack_from(data, offset)
-    return value, end
+def _str_size(text: str) -> int:
+    """Wire bytes of a length-prefixed string."""
+    size = len(text.encode("utf-8"))
+    if size > 0xFFFF:
+        raise DelegationWireError(f"string too long for frame: {size}")
+    return 2 + size
 
 
 # ----------------------------------------------------------------------
@@ -148,82 +108,33 @@ class DelegateRecord:
     route_metric: float
     lifetime: float
 
-    def encode_into(self, out: bytearray) -> None:
-        blob = encode_name(self.name)
-        out += _U32.pack(len(blob))
-        out += blob
-        _write_str(out, self.announcer_host)
-        out += _F64.pack(self.announcer_startup)
+    def wire_size(self) -> int:
+        """Bytes this record adds to a TRANSFER body."""
         if len(self.endpoints) > _MAX_ENDPOINTS:
             raise DelegationWireError(
                 f"too many endpoints: {len(self.endpoints)}"
             )
-        out.append(len(self.endpoints))
-        for host, port, transport in self.endpoints:
-            _write_str(out, host)
-            out += _U16.pack(port)
-            _write_str(out, transport)
-        out += _F64.pack(self.anycast_metric)
-        out += _F64.pack(self.route_metric)
-        out += _F64.pack(self.lifetime)
-
-    @classmethod
-    def decode_from(cls, data, offset: int) -> Tuple["DelegateRecord", int]:
-        end = _read(data, offset, _U32.size)
-        (blob_length,) = _U32.unpack_from(data, offset)
-        end = _read(data, end, blob_length)
-        try:
-            name = decode_name(bytes(data[end - blob_length:end]))
-        except ValueError as error:  # BinaryNameError and kin
-            raise DelegationWireError(f"bad name blob: {error}") from error
-        host, end = _read_str(data, end)
-        startup, end = _read_f64(data, end)
-        endpoint_end = _read(data, end, 1)
-        endpoint_count = data[end]
-        end = endpoint_end
-        endpoints = []
-        for _ in range(endpoint_count):
-            endpoint_host, end = _read_str(data, end)
-            port_end = _read(data, end, _U16.size)
-            (port,) = _U16.unpack_from(data, end)
-            end = port_end
-            transport, end = _read_str(data, end)
-            endpoints.append((endpoint_host, port, transport))
-        anycast_metric, end = _read_f64(data, end)
-        route_metric, end = _read_f64(data, end)
-        lifetime, end = _read_f64(data, end)
         return (
-            cls(
-                name=name,
-                announcer_host=host,
-                announcer_startup=startup,
-                endpoints=tuple(endpoints),
-                anycast_metric=anycast_metric,
-                route_metric=route_metric,
-                lifetime=lifetime,
-            ),
-            end,
+            4 + len(encode_name(self.name)) + _str_size(self.announcer_host) + 8
+            + 1 + sum(_str_size(host) + 2 + _str_size(transport)
+                      for host, _port, transport in self.endpoints)
+            + 3 * 8
         )
 
 
 # ----------------------------------------------------------------------
 # The five handoff messages
 # ----------------------------------------------------------------------
-def _encode_fixed(kind: int, handoff_id: int) -> bytearray:
-    if not 0 <= handoff_id <= 0xFFFFFFFF:
-        raise DelegationWireError(f"handoff id out of range: {handoff_id}")
-    return bytearray(_FIXED.pack(_MAGIC, kind, DELEGATION_VERSION, 0, handoff_id))
-
-
 class _DelegationMessage:
-    """Shared surface: ``encode()`` plus the ``wire_size`` hook the
-    simulated network uses to charge transmission time."""
-
-    def encode(self) -> bytes:
-        raise NotImplementedError
+    """Shared surface: the ``wire_size`` hook the simulated network uses
+    to charge transmission time, the fixed header plus ``_body_size()``."""
 
     def wire_size(self) -> int:
-        return BASE_OVERHEAD + len(self.encode()) - _FIXED.size
+        if not 0 <= self.handoff_id <= 0xFFFFFFFF:
+            raise DelegationWireError(
+                f"handoff id out of range: {self.handoff_id}"
+            )
+        return BASE_OVERHEAD + self._body_size()
 
 
 @dataclass(frozen=True)
@@ -239,22 +150,8 @@ class DelegateOffer(_DelegationMessage):
     vspace: str
     total_records: int
 
-    def encode(self) -> bytes:
-        out = _encode_fixed(_KIND_OFFER, self.handoff_id)
-        _write_str(out, self.sender)
-        _write_str(out, self.vspace)
-        out += _U32.pack(self.total_records)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int, handoff_id: int) -> "DelegateOffer":
-        sender, offset = _read_str(data, offset)
-        vspace, offset = _read_str(data, offset)
-        end = _read(data, offset, _U32.size)
-        (total,) = _U32.unpack_from(data, offset)
-        _expect_end(data, end)
-        return cls(sender=sender, handoff_id=handoff_id, vspace=vspace,
-                   total_records=total)
+    def _body_size(self) -> int:
+        return _str_size(self.sender) + _str_size(self.vspace) + 4
 
 
 @dataclass(frozen=True)
@@ -270,19 +167,8 @@ class DelegateAccept(_DelegationMessage):
     handoff_id: int
     ack_seq: int = OFFER_ACCEPTED
 
-    def encode(self) -> bytes:
-        out = _encode_fixed(_KIND_ACCEPT, self.handoff_id)
-        _write_str(out, self.sender)
-        out += _I32.pack(self.ack_seq)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int, handoff_id: int) -> "DelegateAccept":
-        sender, offset = _read_str(data, offset)
-        end = _read(data, offset, _I32.size)
-        (ack_seq,) = _I32.unpack_from(data, offset)
-        _expect_end(data, end)
-        return cls(sender=sender, handoff_id=handoff_id, ack_seq=ack_seq)
+    def _body_size(self) -> int:
+        return _str_size(self.sender) + 4
 
 
 @dataclass(frozen=True)
@@ -303,50 +189,14 @@ class DelegateTransfer(_DelegationMessage):
     final: bool
     records: Tuple[DelegateRecord, ...]
 
-    def encode(self) -> bytes:
-        out = _encode_fixed(_KIND_TRANSFER, self.handoff_id)
-        _write_str(out, self.sender)
-        _write_str(out, self.vspace)
-        out += _U32.pack(self.seq)
-        out.append(1 if self.final else 0)
+    def _body_size(self) -> int:
         if len(self.records) > MAX_RECORDS_PER_TRANSFER:
             raise DelegationWireError(
                 f"too many records in one transfer: {len(self.records)}"
             )
-        out += _U16.pack(len(self.records))
-        for record in self.records:
-            record.encode_into(out)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int, handoff_id: int) -> "DelegateTransfer":
-        sender, offset = _read_str(data, offset)
-        vspace, offset = _read_str(data, offset)
-        end = _read(data, offset, _U32.size)
-        (seq,) = _U32.unpack_from(data, offset)
-        offset = end
-        end = _read(data, offset, 1)
-        final_flag = data[offset]
-        if final_flag not in (0, 1):
-            raise DelegationWireError(f"bad final flag: {final_flag}")
-        offset = end
-        end = _read(data, offset, _U16.size)
-        (count,) = _U16.unpack_from(data, offset)
-        if count > MAX_RECORDS_PER_TRANSFER:
-            raise DelegationWireError(f"record count too large: {count}")
-        offset = end
-        records = []
-        for _ in range(count):
-            record, offset = DelegateRecord.decode_from(data, offset)
-            records.append(record)
-        _expect_end(data, offset)
-        return cls(
-            sender=sender,
-            handoff_id=handoff_id,
-            vspace=vspace,
-            seq=seq,
-            final=bool(final_flag),
-            records=tuple(records),
+        return (
+            _str_size(self.sender) + _str_size(self.vspace) + 4 + 1 + 2
+            + sum(record.wire_size() for record in self.records)
         )
 
 
@@ -366,18 +216,8 @@ class DelegateCommit(_DelegationMessage):
     handoff_id: int
     vspace: str
 
-    def encode(self) -> bytes:
-        out = _encode_fixed(_KIND_COMMIT, self.handoff_id)
-        _write_str(out, self.sender)
-        _write_str(out, self.vspace)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int, handoff_id: int) -> "DelegateCommit":
-        sender, offset = _read_str(data, offset)
-        vspace, offset = _read_str(data, offset)
-        _expect_end(data, offset)
-        return cls(sender=sender, handoff_id=handoff_id, vspace=vspace)
+    def _body_size(self) -> int:
+        return _str_size(self.sender) + _str_size(self.vspace)
 
 
 @dataclass(frozen=True)
@@ -396,62 +236,12 @@ class DelegateAbort(_DelegationMessage):
     vspace: str
     reason: str
 
-    def encode(self) -> bytes:
-        out = _encode_fixed(_KIND_ABORT, self.handoff_id)
-        _write_str(out, self.sender)
-        _write_str(out, self.vspace)
-        _write_str(out, self.reason)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int, handoff_id: int) -> "DelegateAbort":
-        sender, offset = _read_str(data, offset)
-        vspace, offset = _read_str(data, offset)
-        reason, offset = _read_str(data, offset)
-        _expect_end(data, offset)
-        return cls(sender=sender, handoff_id=handoff_id, vspace=vspace,
-                   reason=reason)
-
-
-def _expect_end(data, offset: int) -> None:
-    if offset != len(data):
-        raise DelegationWireError(
-            f"{len(data) - offset} trailing byte(s) after frame"
-        )
-
-
-_DECODERS = {
-    _KIND_OFFER: DelegateOffer,
-    _KIND_ACCEPT: DelegateAccept,
-    _KIND_TRANSFER: DelegateTransfer,
-    _KIND_COMMIT: DelegateCommit,
-    _KIND_ABORT: DelegateAbort,
-}
-
-
-def decode_delegation(data):
-    """Decode any delegation frame; every malformation raises
-    :class:`DelegationWireError` (a ValueError)."""
-    view = memoryview(data) if not isinstance(data, memoryview) else data
-    if len(view) < _FIXED.size:
-        raise DelegationWireError(
-            f"frame too short for header: {len(view)} < {_FIXED.size}"
-        )
-    magic, kind, version, reserved, handoff_id = _FIXED.unpack_from(view)
-    if magic != _MAGIC:
-        raise DelegationWireError(f"bad magic byte: {magic:#x}")
-    if version != DELEGATION_VERSION:
-        raise DelegationWireError(f"unsupported delegation version {version}")
-    if reserved != 0:
-        raise DelegationWireError(f"reserved byte must be zero, got {reserved}")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise DelegationWireError(f"unknown delegation kind {kind}")
-    return decoder._decode_body(view, _FIXED.size, handoff_id)
+    def _body_size(self) -> int:
+        return (_str_size(self.sender) + _str_size(self.vspace)
+                + _str_size(self.reason))
 
 
 __all__ = [
-    "DELEGATION_VERSION",
     "DelegateAbort",
     "DelegateAccept",
     "DelegateCommit",
@@ -462,5 +252,4 @@ __all__ = [
     "MAX_RECORDS_PER_TRANSFER",
     "OFFER_ACCEPTED",
     "compose_handoff_id",
-    "decode_delegation",
 ]

@@ -18,7 +18,7 @@ from .record import (
     NameRecord,
     Route,
 )
-from .sizing import name_tree_bytes, name_tree_megabytes
+from .sizing import name_tree_bytes
 from .tree import InsertOutcome, NameTree
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "Route",
     "ValueNode",
     "name_tree_bytes",
-    "name_tree_megabytes",
 ]

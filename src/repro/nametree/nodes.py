@@ -54,15 +54,8 @@ class ValueNode:
         self._sub_epoch: int = -1
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def is_root(self) -> bool:
         return self.parent is None
-
-    def child(self, attribute: str) -> Optional["AttributeNode"]:
-        return self.children.get(attribute)
 
     def ensure_child(self, attribute: str) -> "AttributeNode":
         """The attribute-node for ``attribute``, created if absent."""
@@ -170,9 +163,6 @@ class AttributeNode:
         self.parent = parent
         #: child value-nodes keyed by value for O(1) exact-match descent
         self.children: Dict[str, ValueNode] = {}
-
-    def child(self, value: str) -> Optional[ValueNode]:
-        return self.children.get(value)
 
     def ensure_child(self, value: str) -> ValueNode:
         """The value-node for ``value``, created if absent."""

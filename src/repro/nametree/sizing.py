@@ -104,8 +104,3 @@ def name_tree_bytes(tree: NameTree) -> int:
             total += _sizeof(attribute_node.children, seen)
             stack.extend(attribute_node.children.values())
     return total
-
-
-def name_tree_megabytes(tree: NameTree) -> float:
-    """``name_tree_bytes`` scaled to megabytes, as Figure 13 plots."""
-    return name_tree_bytes(tree) / (1024.0 * 1024.0)

@@ -7,17 +7,11 @@ Public surface:
 - :func:`parse_name_specifier` — wire-format parser (depth-bounded).
 - Value operators: exact match, wild-card ``*``, and range operators.
 - :func:`encode_name` / :func:`decode_name` — the compact binary
-  encoding of footnote 2 (self-contained or registry mode).
+  encoding of footnote 2.
 """
 
-from .avpair import AVPair, make_pair, validate_token
-from .binary import (
-    BinaryNameError,
-    TokenRegistry,
-    compression_ratio,
-    decode_name,
-    encode_name,
-)
+from .avpair import AVPair, validate_token
+from .binary import BinaryNameError, decode_name, encode_name
 from .errors import (
     DuplicateAttributeError,
     InvalidTokenError,
@@ -34,7 +28,6 @@ from .operators import (
     ValueMatcher,
     WildcardMatcher,
     classify_value,
-    is_operator_value,
     is_wildcard,
     parse_number,
 )
@@ -44,8 +37,6 @@ from .specifier import DEFAULT_VSPACE, VSPACE_ATTRIBUTE, NameSpecifier
 __all__ = [
     "AVPair",
     "BinaryNameError",
-    "TokenRegistry",
-    "compression_ratio",
     "decode_name",
     "encode_name",
     "DEFAULT_VSPACE",
@@ -65,9 +56,7 @@ __all__ = [
     "WildcardValueError",
     "WireFormatError",
     "classify_value",
-    "is_operator_value",
     "is_wildcard",
-    "make_pair",
     "parse_name_specifier",
     "parse_number",
     "validate_token",

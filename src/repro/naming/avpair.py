@@ -159,23 +159,6 @@ class AVPair:
             yield pair
             extend(pair._children[::-1])
 
-    def depth(self) -> int:
-        """Number of av-pair levels in the subtree rooted here (>= 1)."""
-        deepest = 1
-        stack = [(self, 1)]
-        while stack:
-            pair, level = stack.pop()
-            if level > deepest:
-                deepest = level
-            below = level + 1
-            for child in pair._children:
-                stack.append((child, below))
-        return deepest
-
-    def count(self) -> int:
-        """Total number of av-pairs in the subtree rooted here."""
-        return sum(1 for _ in self.walk())
-
     # ------------------------------------------------------------------
     # Structural equality and canonical ordering
     # ------------------------------------------------------------------
@@ -227,11 +210,3 @@ class AVPair:
 
     def __repr__(self) -> str:
         return f"AVPair({self.attribute}={self.value}, children={len(self._children)})"
-
-
-def make_pair(attribute: str, value: str, *children: AVPair) -> AVPair:
-    """Convenience constructor: an av-pair with pre-built children."""
-    pair = AVPair(attribute, value)
-    for child in children:
-        pair.add_child(child)
-    return pair

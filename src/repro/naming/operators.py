@@ -122,18 +122,6 @@ def is_wildcard(value: str) -> bool:
     return value == WILDCARD
 
 
-def is_operator_value(value: str) -> bool:
-    """True if ``value`` is a wild-card or starts with a range operator.
-
-    Every range operator begins with ``<`` or ``>``, so one character
-    test suffices — this predicate runs once per av-pair on the
-    advertisement ingestion path and must stay allocation-free.
-    """
-    if value == WILDCARD:
-        return True
-    return bool(value) and value[0] in "<>"
-
-
 def classify_value(value: str) -> ValueMatcher:
     """Map a raw value token to the matcher implementing its semantics."""
     if is_wildcard(value):

@@ -138,10 +138,16 @@ class NameSpecifier:
         return sum(1 for _ in self.walk())
 
     def depth(self) -> int:
-        """Maximum number of av-pair levels (the paper's ``d``); 0 if empty."""
-        if not self._roots:
-            return 0
-        return max(pair.depth() for pair in self._roots)
+        """Maximum number of av-pair levels (the paper's ``d``); 0 if empty.
+
+        Iterative: programmatic names can nest deeper than the stack."""
+        deepest = 0
+        stack = [(pair, 1) for pair in self._roots]
+        while stack:
+            pair, level = stack.pop()
+            deepest = max(deepest, level)
+            stack.extend((child, level + 1) for child in pair._children)
+        return deepest
 
     @property
     def is_empty(self) -> bool:

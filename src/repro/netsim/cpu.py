@@ -78,19 +78,6 @@ class Cpu:
             sim.at(finish, callback, *args)
         return finish
 
-    def utilization(self, window_start: float, busy_at_start: float) -> float:
-        """Fraction of the window since ``window_start`` spent busy.
-
-        Callers snapshot ``busy_seconds`` at the window start and pass
-        it back; this keeps the CPU stateless about measurement windows.
-        The result may exceed 1.0 when queued work overflows the window,
-        which is exactly the saturation signal Figure 8 looks for.
-        """
-        elapsed = self._sim.now - window_start
-        if elapsed <= 0:
-            return 0.0
-        return (self.busy_seconds - busy_at_start) / elapsed
-
     @property
     def backlog(self) -> float:
         """Seconds of queued work not yet completed."""

@@ -6,9 +6,9 @@ The layer that turns black-box aggregates into explainable numbers:
   carried in the wire header across INR hops;
 - :mod:`.span` — spans, the deterministic :class:`Tracer`, span-tree
   well-formedness checks;
-- :mod:`.metrics` — the unified Counter/Gauge/Histogram registry with
-  labels and deterministic snapshots;
-- :mod:`.export` — JSONL, human timeline, Chrome trace-event format;
+- :mod:`.metrics` — the unified Counter/Gauge registry with labels and
+  deterministic snapshots;
+- :mod:`.export` — JSONL and the Chrome trace-event format;
 - :mod:`.collector` — the per-run bundle experiments attach.
 
 ``obs`` sits at the bottom of the layer DAG (beside ``message``): it
@@ -21,22 +21,12 @@ rule.
 from .context import NO_PARENT, TRACE_CONTEXT_SIZE, TraceContext
 from .collector import ObsCollector
 from .export import (
-    render_timeline,
     spans_to_jsonl,
     summarize_spans,
     to_chrome_trace,
     write_canonical_json,
-    write_chrome_trace,
-    write_spans_jsonl,
 )
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_counts,
-)
+from .metrics import Counter, Gauge, MetricsRegistry, merge_counts
 from .span import (
     DROP_PREFIX,
     STATUS_OK,
@@ -49,10 +39,8 @@ from .span import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_BUCKETS",
     "DROP_PREFIX",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NO_PARENT",
     "ObsCollector",
@@ -63,13 +51,10 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "merge_counts",
-    "render_timeline",
     "spans_to_jsonl",
     "summarize_spans",
     "to_chrome_trace",
     "trace_tree_errors",
     "well_formed_traces",
     "write_canonical_json",
-    "write_chrome_trace",
-    "write_spans_jsonl",
 ]

@@ -95,15 +95,8 @@ class ObsCollector:
     # ------------------------------------------------------------------
     # Snapshots and summaries
     # ------------------------------------------------------------------
-    @property
-    def spans(self):
-        return self.tracer.spans
-
     def metrics_snapshot(self) -> dict:
         return self.registry.snapshot()
-
-    def metrics_json(self) -> str:
-        return self.registry.to_json()
 
     def span_summary(self) -> dict:
         return summarize_spans(self.tracer.spans)

@@ -53,14 +53,3 @@ class TraceContext:
         return cls(
             trace_id=trace_id, span_id=span_id, parent_span_id=parent_span_id
         )
-
-    def as_dict(self) -> dict:
-        """Stable-key-order dict form (for JSONL span records)."""
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-        }
-
-    def __str__(self) -> str:
-        return f"{self.trace_id:x}/{self.span_id:x}<-{self.parent_span_id:x}"

@@ -1,20 +1,17 @@
-"""Exporters: JSONL dumps, a human timeline, Chrome trace events.
+"""Exporters: JSONL dumps and Chrome trace events.
 
-Three consumers, three formats:
+Two consumers, two formats, each written under ``benchmarks/results``
+by ``repro-xp run --tables-dir`` (``repro.xp.workloads``):
 
-- **JSONL / JSON** (:func:`write_spans_jsonl`,
+- **JSONL / JSON** (:func:`spans_to_jsonl`,
   :func:`write_canonical_json`) — machine-readable artifacts checked
   into ``benchmarks/results`` and uploaded by CI; one span per line,
   stable key order. Every ``BENCH_*.json`` writer in the repository
   ends in :func:`write_canonical_json`.
-- **timeline** (:func:`render_timeline`) — a human-readable rendering
-  of one trace's span tree, indented by causality, for terminal
-  debugging of a single slow or dropped request.
-- **Chrome trace events** (:func:`to_chrome_trace`,
-  :func:`write_chrome_trace`) — the ``chrome://tracing`` / Perfetto
-  JSON schema, so a whole-domain run can be opened in a real trace
-  viewer: one row per node, complete ("X") events per span,
-  microsecond timestamps.
+- **Chrome trace events** (:func:`to_chrome_trace`) — the
+  ``chrome://tracing`` / Perfetto JSON schema, so a whole-domain run
+  can be opened in a real trace viewer: one row per node, complete
+  ("X") events per span, microsecond timestamps.
 
 All output is a pure function of the span/metric state, so same-seed
 runs export byte-identical files.
@@ -24,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from .span import Span
 
@@ -42,11 +39,6 @@ def spans_to_jsonl(spans: Sequence[Span]) -> str:
     )
 
 
-def write_spans_jsonl(path: PathLike, spans: Sequence[Span]) -> None:
-    with open(path, "w") as handle:
-        handle.write(spans_to_jsonl(spans))
-
-
 def write_canonical_json(path: PathLike, payload: dict) -> None:
     """Write ``payload`` as canonical JSON: sorted keys, two-space
     indent, trailing newline — equal payloads give byte-identical
@@ -54,65 +46,6 @@ def write_canonical_json(path: PathLike, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-# ----------------------------------------------------------------------
-# Human timeline
-# ----------------------------------------------------------------------
-def render_timeline(
-    spans: Sequence[Span], trace_id: Optional[int] = None
-) -> str:
-    """Indented causal rendering of one trace (or every trace).
-
-    ::
-
-        trace 3 (2 spans, 1.204ms)
-          0.000000s +1.204ms client.request client-1 ok
-            0.000412s +0.310ms inr.resolve inr-2 ok
-    """
-    by_trace: Dict[int, List[Span]] = {}
-    for span in spans:
-        by_trace.setdefault(span.trace_id, []).append(span)
-    trace_ids = [trace_id] if trace_id is not None else sorted(by_trace)
-    lines: List[str] = []
-    for tid in trace_ids:
-        members = by_trace.get(tid, [])
-        if not members:
-            continue
-        start = min(span.start for span in members)
-        stop = max(span.end if span.end is not None else span.start
-                   for span in members)
-        lines.append(
-            f"trace {tid} ({len(members)} spans, "
-            f"{(stop - start) * 1000:.3f}ms)"
-        )
-        children: Dict[int, List[Span]] = {}
-        for span in members:
-            children.setdefault(span.parent_span_id, []).append(span)
-        known = {span.span_id for span in members}
-
-        def emit(span: Span, depth: int) -> None:
-            lines.append(
-                f"{'  ' * (depth + 1)}{span.start:.6f}s "
-                f"+{span.duration * 1000:.3f}ms {span.name} "
-                f"{span.node} {span.status}"
-                + (f" [{', '.join(t for _t, t in span.events)}]"
-                   if span.events else "")
-            )
-            for child in sorted(
-                children.get(span.span_id, []),
-                key=lambda s: (s.start, s.span_id),
-            ):
-                emit(child, depth + 1)
-
-        # Roots plus orphans (parent outside this dump) at depth 0.
-        tops = [
-            span for span in members
-            if span.is_root or span.parent_span_id not in known
-        ]
-        for top in sorted(tops, key=lambda s: (s.start, s.span_id)):
-            emit(top, 0)
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +98,6 @@ def to_chrome_trace(spans: Sequence[Span]) -> dict:
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(path: PathLike, spans: Sequence[Span]) -> None:
-    with open(path, "w") as handle:
-        json.dump(to_chrome_trace(spans), handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 # ----------------------------------------------------------------------

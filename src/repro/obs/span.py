@@ -158,20 +158,6 @@ class Tracer:
     def annotate(self, span: Span, text: str) -> None:
         span.annotate(self._clock(), text)
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def traces(self) -> Dict[int, List[Span]]:
-        """Spans grouped by trace id, each group in start order."""
-        grouped: Dict[int, List[Span]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
-
-    def clear(self) -> None:
-        self.spans = []
-
-
 # ----------------------------------------------------------------------
 # Span-tree analysis
 # ----------------------------------------------------------------------

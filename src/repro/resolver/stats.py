@@ -125,18 +125,6 @@ class InrStats:
             self._memo_retired[counter] += getattr(tree, counter)
 
     @property
-    def lookup_memo_hits(self) -> int:
-        return self._memo_total("memo_hits")
-
-    @property
-    def lookup_memo_misses(self) -> int:
-        return self._memo_total("memo_misses")
-
-    @property
-    def lookup_memo_invalidations(self) -> int:
-        return self._memo_total("memo_invalidations")
-
-    @property
     def packets_dropped(self) -> int:
         """Total packets dropped, across every cause."""
         return sum(getattr(self, name) for name in _DROP_FIELDS)

@@ -6,7 +6,6 @@ from .visualize import (
     domain_report,
     render_name_tree,
     render_overlay,
-    render_route_table,
     resolver_report,
 )
 
@@ -17,6 +16,5 @@ __all__ = [
     "domain_report",
     "render_name_tree",
     "render_overlay",
-    "render_route_table",
     "resolver_report",
 ]

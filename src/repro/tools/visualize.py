@@ -124,35 +124,3 @@ def domain_report(domain: "InsDomain") -> str:
         if not inr._terminated:
             sections.append(resolver_report(inr))
     return "\n\n".join(sections)
-
-
-def render_route_table(inr: "INR") -> str:
-    """The resolver's name-records as a routing table: one row per
-    record with its name, next hop, metrics and expiry."""
-    lines = [f"routes at {inr.address}"]
-    for vspace, tree in sorted(inr.trees.items()):
-        lines.append(f"  vspace {vspace!r}:")
-        rows = sorted(
-            (
-                (name.to_wire(), record)
-                for name, record in tree.names()
-            ),
-            key=lambda pair: pair[0],
-        )
-        if not rows:
-            lines.append("    (empty)")
-        for wire, record in rows:
-            hop = record.route.next_hop or "<local>"
-            expiry = (
-                "never"
-                if record.expires_at == float("inf")
-                else f"t={record.expires_at:.1f}"
-            )
-            endpoints = ",".join(str(e) for e in record.endpoints) or "-"
-            lines.append(
-                f"    {wire}\n"
-                f"      via {hop} route-metric={record.route.metric:.4f} "
-                f"anycast-metric={record.anycast_metric:g} "
-                f"expires {expiry} endpoints {endpoints}"
-            )
-    return "\n".join(lines)

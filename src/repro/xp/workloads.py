@@ -291,7 +291,6 @@ def _availability_outputs(run: SpecRun, runs: Runs) -> List[Output]:
             ("BENCH_availability.json",
              bench_availability_payload(resilient, bare)),
             ("BENCH_availability_spans.jsonl", spans_to_jsonl(spans)),
-            # as ``repro.obs.write_chrome_trace`` writes it
             ("BENCH_availability_trace.json",
              json.dumps(to_chrome_trace(spans), indent=1, sort_keys=True)
              + "\n"),

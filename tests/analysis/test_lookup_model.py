@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.analysis import (
-    fit_parameters,
-    linear_search_time,
-    lookup_time_closed_form,
-    lookup_time_recurrence,
-    relative_error,
-)
+from repro.analysis import fit_parameters, lookup_time_closed_form, relative_error
+
+
+def lookup_time_recurrence(d: int, n_a: int, t: float, b: float) -> float:
+    """T(d) by direct recursion: the paper's recurrence, the oracle the
+    closed form is checked against."""
+    if d < 0:
+        raise ValueError("depth must be non-negative")
+    if d == 0:
+        return b
+    return n_a * (t + lookup_time_recurrence(d - 1, n_a, t, b))
 
 
 class TestRecurrence:
@@ -37,20 +41,6 @@ class TestRecurrence:
         shallow = lookup_time_closed_form(2, 2, 1.0, 1.0)
         deep = lookup_time_closed_form(4, 2, 1.0, 1.0)
         assert deep / shallow > 3.0  # ~n_a^2
-
-
-class TestLinearSearch:
-    def test_linear_search_slower_than_hash(self):
-        """The paper's point: hashing makes t constant instead of
-        proportional to r_a + r_v."""
-        hash_time = lookup_time_closed_form(3, 2, 1.0, 1.0)
-        linear_time = linear_search_time(3, 2, r_a=5, r_v=5, per_comparison=1.0, b=1.0)
-        assert linear_time > hash_time
-
-    def test_linear_search_scales_with_ranges(self):
-        small = linear_search_time(2, 2, 3, 3, 1.0, 1.0)
-        large = linear_search_time(2, 2, 30, 30, 1.0, 1.0)
-        assert large > small
 
 
 class TestFitting:

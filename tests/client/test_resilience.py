@@ -159,16 +159,6 @@ class TestFailover:
         domain.run(2.0)
         assert late.done
 
-    @pytest.mark.usefixtures("fast")
-    def test_resolve_best_propagates_failure(self):
-        domain, inrs, client = printer_domain(seed=712)
-        domain.network.link(client.address, inrs[0].address).up = False
-        reply = client.resolve_best(NAME)
-        domain.run(10.0)
-        assert reply.failed
-        assert isinstance(reply.error, RequestTimeout)
-
-
 class TestAttachmentFixes:
     def test_ping_tokens_purged_when_selection_round_completes(self):
         """Unanswered INR-pings must not pin table entries forever

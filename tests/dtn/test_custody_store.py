@@ -149,18 +149,6 @@ class TestLifecycle:
         assert len(drained) == 2
         assert len(store) == 0
 
-    def test_counts_snapshot_shape(self):
-        store = CustodyStore(4)
-        accept(store, 1)
-        assert store.counts.snapshot() == {
-            "accepted": 1,
-            "released": 0,
-            "expired": 0,
-            "evicted": 0,
-            "adopted": 0,
-        }
-
-
 class TestSnapshotAdopt:
     def test_adopt_preserves_deadlines(self):
         store = CustodyStore(4)

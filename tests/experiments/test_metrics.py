@@ -42,7 +42,7 @@ class TestSampler:
             )
         domain.run(4.0)
         quiet = sampler.series("inr-a")[0].cpu_utilization
-        peak = sampler.peak_utilization("inr-a")
+        peak = max(s.cpu_utilization for s in sampler.series("inr-a"))
         assert quiet < 0.05
         assert 0.3 < peak < 1.0
 
@@ -77,17 +77,6 @@ class TestSampler:
         sampler.stop()
         domain.run(5.0)
         assert len(sampler.samples) == count
-
-    def test_timeline_groups_by_time(self):
-        domain = InsDomain(seed=905)
-        domain.add_inr(address="inr-a")
-        domain.add_inr(address="inr-b")
-        sampler = DomainSampler(domain, interval=1.0).start()
-        domain.run(3.5)
-        timeline = sampler.timeline()
-        assert len(timeline) == 3
-        for _time, utilizations in timeline:
-            assert set(utilizations) == {"inr-a", "inr-b"}
 
     def test_invalid_interval_rejected(self):
         domain = InsDomain(seed=906)

@@ -99,7 +99,7 @@ class TestHarvestAndDeterminism:
         first, second = self.scenario(), self.scenario()
         assert spans_to_jsonl(first.tracer.spans) == \
             spans_to_jsonl(second.tracer.spans)
-        assert first.metrics_json() == second.metrics_json()
+        assert first.metrics_snapshot() == second.metrics_snapshot()
 
     def test_observability_payload_shape(self):
         payload = self.scenario().observability_payload()

@@ -1,20 +1,15 @@
-"""Wire tests for the DELEGATE-* handoff codec.
+"""Wire sizes of the DELEGATE-* handoff frames and the fence arithmetic.
 
-Three families, per the delegation acceptance bar: exact round-trips
-for every frame kind (including a multi-record TRANSFER), seeded
-mutation fuzz where every corruption either still decodes or raises the
-controlled :class:`DelegationWireError` — never an IndexError or
-struct.error escaping to the event loop — and byte-identical same-seed
-encodings, because the chaos fingerprints hash wire traffic.
+No node encodes or decodes a handoff; the simulated network charges
+each frame ``wire_size()``, the closed-form size of its byte layout
+(``repro.message.delegation``). The sizes are pinned to literals, and
+every field the layout cannot hold raises the controlled
+:class:`DelegationWireError`.
 """
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.message import (
-    DELEGATION_VERSION,
     DelegateAbort,
     DelegateAccept,
     DelegateCommit,
@@ -25,7 +20,6 @@ from repro.message import (
     MAX_RECORDS_PER_TRANSFER,
     OFFER_ACCEPTED,
     compose_handoff_id,
-    decode_delegation,
 )
 from repro.naming import NameSpecifier
 
@@ -65,36 +59,45 @@ def _sample_messages():
 
 
 # ----------------------------------------------------------------------
-# Round-trips
+# Wire sizes
 # ----------------------------------------------------------------------
-def test_every_frame_kind_round_trips():
-    for message in _sample_messages():
-        assert decode_delegation(message.encode()) == message
-
-
-def test_transfer_round_trip_preserves_record_payload():
-    original = _record(7)
-    transfer = DelegateTransfer(
-        sender="inr-donor", handoff_id=compose_handoff_id(0, 1),
-        vspace="bulk", seq=0, final=True, records=(original,),
+def _multibyte_transfer():
+    """Several records, each with UTF-8 hosts of two- and three-byte
+    characters and several endpoints."""
+    return DelegateTransfer(
+        sender="inr-donor", handoff_id=compose_handoff_id(2, 9),
+        vspace="bulk", seq=3, final=True,
+        records=tuple(
+            DelegateRecord(
+                name=NameSpecifier.parse(
+                    f"[service=camera[id=c{i}]][room=51{i}][vspace=bulk]"
+                ),
+                announcer_host=f"hôte-{i}-東京",
+                announcer_startup=1.0 + i,
+                endpoints=tuple(
+                    (f"ñode-{i}-{j}.例え", 4000 + j, "udp") for j in range(3)
+                ),
+                anycast_metric=0.5, route_metric=1.0, lifetime=20.0,
+            )
+            for i in range(4)
+        ),
     )
-    decoded = decode_delegation(transfer.encode())
-    (record,) = decoded.records
-    assert record == original
-    assert record.name.canonical_key() == original.name.canonical_key()
-    assert "bulk" in record.name.vspaces()
-
-
-def test_decode_accepts_memoryview():
-    message = _sample_messages()[0]
-    assert decode_delegation(memoryview(message.encode())) == message
 
 
 def test_wire_size_tracks_encoding():
-    small = DelegateCommit(sender="a", handoff_id=1, vspace="v")
-    large = _sample_messages()[3]
-    assert small.wire_size() < large.wire_size()
-    assert large.wire_size() > len(large.encode()) - 28
+    """Each frame is charged its byte layout: ``BASE_OVERHEAD`` (28) for
+    the header and the body's bytes. The literals are what the byte
+    codec the closed form replaced measured, ``len(encode()) + 20``."""
+    assert [m.wire_size() for m in _sample_messages()] == [
+        49,   # OFFER
+        43,   # ACCEPT of the offer
+        43,   # ACCEPT of a chunk
+        361,  # TRANSFER of three records
+        52,   # final TRANSFER, no records
+        45,   # COMMIT
+        60,   # ABORT
+    ]
+    assert _multibyte_transfer().wire_size() == 808
 
 
 # ----------------------------------------------------------------------
@@ -116,30 +119,12 @@ def test_handoff_id_range_checks():
 
 
 # ----------------------------------------------------------------------
-# Controlled rejection of malformed frames
+# Fields the layout cannot hold
 # ----------------------------------------------------------------------
-def test_header_malformations_rejected():
-    frame = bytearray(_sample_messages()[0].encode())
-    for mutate, label in (
-        (lambda b: b[:4], "truncated header"),
-        (lambda b: bytes([0x00]) + bytes(b[1:]), "bad magic"),
-        (lambda b: bytes(b[:2]) + bytes([DELEGATION_VERSION + 1])
-         + bytes(b[3:]), "bad version"),
-        (lambda b: bytes(b[:3]) + bytes([7]) + bytes(b[4:]),
-         "nonzero reserved"),
-        (lambda b: bytes(b[:1]) + bytes([99]) + bytes(b[2:]),
-         "unknown kind"),
-        (lambda b: bytes(b) + b"\x00", "trailing bytes"),
-    ):
-        with pytest.raises(DelegationWireError):
-            decode_delegation(mutate(frame))
-            raise AssertionError(f"{label} decoded")
-
-
 def test_encode_guards_oversized_fields():
     with pytest.raises(DelegationWireError, match="string too long"):
         DelegateOffer(sender="x" * 70000, handoff_id=1, vspace="v",
-                      total_records=1).encode()
+                      total_records=1).wire_size()
     too_many = DelegateTransfer(
         sender="d", handoff_id=1, vspace="v", seq=0, final=True,
         records=tuple(
@@ -147,78 +132,16 @@ def test_encode_guards_oversized_fields():
         ),
     )
     with pytest.raises(DelegationWireError, match="too many records"):
-        too_many.encode()
+        too_many.wire_size()
     with pytest.raises(DelegationWireError, match="out of range"):
-        DelegateCommit(sender="d", handoff_id=1 << 32, vspace="v").encode()
-
-
-@given(
-    message_index=st.integers(min_value=0, max_value=6),
-    flip_position=st.integers(min_value=0, max_value=10_000),
-    flip_bits=st.integers(min_value=1, max_value=255),
-)
-@settings(max_examples=300, deadline=None)
-def test_seeded_mutations_raise_only_controlled_errors(
-    message_index, flip_position, flip_bits
-):
-    """Flip bits anywhere in a valid frame: decode either succeeds (the
-    mutation hit a byte the codec tolerates, e.g. inside a metric) or
-    raises the one controlled error family."""
-    encoded = bytearray(_sample_messages()[message_index].encode())
-    encoded[flip_position % len(encoded)] ^= flip_bits
-    try:
-        decode_delegation(bytes(encoded))
-    # lint: disable=no-silent-except -- fuzz oracle: the controlled error family IS the pass condition
-    except DelegationWireError:
-        pass
-
-
-@given(data=st.binary(max_size=300))
-@settings(max_examples=300, deadline=None)
-def test_arbitrary_bytes_raise_only_controlled_errors(data):
-    try:
-        decode_delegation(data)
-    # lint: disable=no-silent-except -- fuzz oracle: the controlled error family IS the pass condition
-    except DelegationWireError:
-        pass
-
-
-# ----------------------------------------------------------------------
-# Deterministic encodings
-# ----------------------------------------------------------------------
-def _seeded_transfer(seed):
-    rng = random.Random(seed)
-    records = tuple(
-        DelegateRecord(
-            name=NameSpecifier.parse(
-                f"[service=s{rng.randrange(16)}[id=n{i}]][vspace=bulk]"
-            ),
-            announcer_host=f"h{rng.randrange(8)}",
-            announcer_startup=rng.random() * 100.0,
-            endpoints=(
-                (f"10.0.{rng.randrange(256)}.{rng.randrange(256)}",
-                 rng.randrange(1, 65536), "udp"),
-            ),
-            anycast_metric=rng.random(),
-            route_metric=rng.random() * 4.0,
-            lifetime=rng.random() * 60.0,
-        )
-        for i in range(rng.randrange(1, 9))
+        DelegateCommit(sender="d", handoff_id=1 << 32, vspace="v").wire_size()
+    crowded = DelegateTransfer(
+        sender="d", handoff_id=1, vspace="v", seq=0, final=True,
+        records=(DelegateRecord(
+            name=NameSpecifier.parse("[a=b]"), announcer_host="h",
+            announcer_startup=0.0, endpoints=(("h", 1, "udp"),) * 256,
+            anycast_metric=0.0, route_metric=0.0, lifetime=1.0,
+        ),),
     )
-    return DelegateTransfer(
-        sender="inr-donor",
-        handoff_id=compose_handoff_id(rng.randrange(16), rng.randrange(64)),
-        vspace="bulk", seq=rng.randrange(4),
-        final=bool(rng.randrange(2)), records=records,
-    )
-
-
-def test_same_seed_encodings_are_byte_identical():
-    """Chaos fingerprints hash wire traffic, so the codec must be a
-    pure function of the message — same seed, same bytes."""
-    for seed in range(5):
-        first = _seeded_transfer(seed).encode()
-        second = _seeded_transfer(seed).encode()
-        assert first == second
-        assert decode_delegation(first) == decode_delegation(second)
-    assert _seeded_transfer(1).encode() != _seeded_transfer(2).encode()
+    with pytest.raises(DelegationWireError, match="too many endpoints"):
+        crowded.wire_size()

@@ -3,7 +3,7 @@
 import sys
 from collections import namedtuple
 
-from repro.nametree import NameTree, name_tree_bytes, name_tree_megabytes
+from repro.nametree import NameTree, name_tree_bytes
 
 from ..conftest import make_record, parse
 
@@ -43,10 +43,6 @@ class TestSizing:
         # The second identical name costs less than the first one did
         # (no new nodes, no new tokens; just a record).
         assert double - single < single
-
-    def test_megabytes_scaling(self, tree):
-        tree.insert(parse("[a=b]"), make_record())
-        assert name_tree_megabytes(tree) == name_tree_bytes(tree) / (1024 * 1024)
 
     def test_the_kept_update_is_this_trees_memory_the_heard_message_is_not(self, tree):
         """What a resolver keeps to say again it allocated; what it

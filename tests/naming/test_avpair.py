@@ -7,9 +7,16 @@ from repro.naming import (
     DuplicateAttributeError,
     InvalidTokenError,
     NameSpecifier,
-    make_pair,
     validate_token,
 )
+
+
+def pair_of(attribute: str, value: str, *children: AVPair) -> AVPair:
+    """An av-pair with the given children."""
+    pair = AVPair(attribute, value)
+    for child in children:
+        pair.add_child(child)
+    return pair
 
 
 class TestTokenValidation:
@@ -68,16 +75,10 @@ class TestConstruction:
         child.add("area", "south")  # no clash across levels
         assert parent.child("area2").child("area").value == "south"
 
-    def test_make_pair_with_children(self):
-        pair = make_pair(
-            "service", "camera", AVPair("entity", "transmitter"), AVPair("id", "a")
-        )
-        assert {c.attribute for c in pair.children} == {"entity", "id"}
-
 
 class TestInspection:
     def test_child_lookup(self):
-        pair = make_pair("a", "b", AVPair("c", "d"))
+        pair = pair_of("a", "b", AVPair("c", "d"))
         assert pair.child("c").value == "d"
         assert pair.child("missing") is None
 
@@ -89,44 +90,29 @@ class TestInspection:
         walked = [(p.attribute, p.value) for p in root.walk()]
         assert walked == [("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")]
 
-    def test_depth_counts_av_pair_levels(self):
-        root = AVPair("a", "1")
-        assert root.depth() == 1
-        child = root.add("b", "2")
-        assert root.depth() == 2
-        child.add("c", "3")
-        assert root.depth() == 3
-
-    def test_count(self):
-        root = AVPair("a", "1")
-        root.add("b", "2").add("c", "3")
-        root.add("d", "4")
-        assert root.count() == 4
-
-
 class TestEquality:
     def test_structural_equality(self):
-        a = make_pair("x", "1", AVPair("y", "2"))
-        b = make_pair("x", "1", AVPair("y", "2"))
+        a = pair_of("x", "1", AVPair("y", "2"))
+        b = pair_of("x", "1", AVPair("y", "2"))
         assert a == b
         assert hash(a) == hash(b)
 
     def test_sibling_order_is_irrelevant(self):
-        a = make_pair("x", "1", AVPair("y", "2"), AVPair("z", "3"))
-        b = make_pair("x", "1", AVPair("z", "3"), AVPair("y", "2"))
+        a = pair_of("x", "1", AVPair("y", "2"), AVPair("z", "3"))
+        b = pair_of("x", "1", AVPair("z", "3"), AVPair("y", "2"))
         assert a == b
 
     def test_value_difference_breaks_equality(self):
         assert AVPair("x", "1") != AVPair("x", "2")
 
     def test_structure_difference_breaks_equality(self):
-        assert make_pair("x", "1", AVPair("y", "2")) != AVPair("x", "1")
+        assert pair_of("x", "1", AVPair("y", "2")) != AVPair("x", "1")
 
     def test_not_equal_to_other_types(self):
         assert AVPair("x", "1") != "x=1"
 
     def test_copy_is_deep_and_equal(self):
-        original = make_pair("x", "1", make_pair("y", "2", AVPair("z", "3")))
+        original = pair_of("x", "1", pair_of("y", "2", AVPair("z", "3")))
         duplicate = original.copy()
         duplicate.child("y").add("w", "4")
         assert duplicate != original

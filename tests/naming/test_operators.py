@@ -7,7 +7,6 @@ from repro.naming import (
     RangeMatcher,
     WildcardMatcher,
     classify_value,
-    is_operator_value,
     is_wildcard,
     parse_number,
 )
@@ -40,13 +39,6 @@ class TestClassification:
     def test_longest_operator_wins(self):
         assert classify_value("<=9").operator == "<="
         assert classify_value("<9").operator == "<"
-
-    def test_is_operator_value(self):
-        assert is_operator_value("*")
-        assert is_operator_value("<10")
-        assert not is_operator_value("plain")
-        # '*' only counts when it IS the whole token (values are opaque)
-        assert not is_operator_value("a*b")
 
     def test_is_wildcard(self):
         assert is_wildcard("*")

@@ -17,14 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.naming import NamingError, WireFormatError
-from repro.naming.binary import (
-    BinaryNameError,
-    TokenRegistry,
-    compression_ratio,
-    decode_name,
-    encode_name,
-)
-from repro.naming.specifier import NameSpecifier
+from repro.naming.binary import BinaryNameError, decode_name, encode_name
 
 from ..conftest import OVAL_OFFICE_CAMERA, parse
 from .test_naming_properties import name_specifiers
@@ -57,13 +50,6 @@ class TestTruncation:
         for cut in range(len(frame)):
             with pytest.raises(BinaryNameError):
                 decode_name(frame[:cut])
-
-    def test_every_registry_prefix_raises_binary_error(self):
-        registry = TokenRegistry()
-        frame = encode_name(parse(OVAL_OFFICE_CAMERA), registry)
-        for cut in range(len(frame)):
-            with pytest.raises(BinaryNameError):
-                decode_name(frame[:cut], registry)
 
     def test_empty_buffer(self):
         with pytest.raises(BinaryNameError):
@@ -104,16 +90,11 @@ class TestMalformedFrames:
         with pytest.raises(BinaryNameError, match="out of range"):
             decode_name(frame)
 
-    def test_registry_index_out_of_range(self):
-        registry = TokenRegistry().preload(["a", "b"])
-        frame = bytes([_MODE_REGISTRY, 0x01, 0x00, 0x05, 0x02, 0x00])
-        with pytest.raises(BinaryNameError):
-            decode_name(frame, registry)
-
     def test_registry_frame_without_registry(self):
-        registry = TokenRegistry()
-        frame = encode_name(parse("[a=b]"), registry)
-        with pytest.raises(BinaryNameError, match="registry"):
+        # Footnote 2's shared-registry mode is not built: its mode byte
+        # is refused like any other unknown one.
+        frame = bytes([_MODE_REGISTRY, 0x01, 0x00, 0x01, 0x02, 0x00])
+        with pytest.raises(BinaryNameError, match="unknown encoding mode"):
             decode_name(frame)
 
     def test_bad_utf8_token_bytes(self):
@@ -195,26 +176,7 @@ class TestRoundTripProperties:
         # table order is the deterministic first-seen walk order.
         assert encode_name(decode_name(frame)) == frame
 
-    @given(name_specifiers())
-    @settings(max_examples=150, deadline=None)
-    def test_registry_round_trip(self, name):
-        sender, receiver = TokenRegistry(), TokenRegistry()
-        frame = encode_name(name, sender)
-        # The receiver's registry learns the same token<->index mapping
-        # from the same announcement stream (here: the name itself).
-        receiver.preload(sender._by_index)
-        assert decode_name(frame, receiver) == name
-        assert encode_name(name, sender) == frame  # stable once interned
-
     def test_memoryview_input(self):
         frame = _frame(OVAL_OFFICE_CAMERA)
         padded = b"\xaa" + frame + b"\xbb"
         assert decode_name(memoryview(padded)[1:-1]) == parse(OVAL_OFFICE_CAMERA)
-
-
-class TestCompressionRatioRegression:
-    def test_empty_name_defined_as_one(self):
-        """Regression: the empty name has zero string bytes; the ratio
-        used to divide by zero."""
-        assert compression_ratio(NameSpecifier()) == 1.0
-        assert compression_ratio(NameSpecifier(), TokenRegistry()) == 1.0

@@ -169,24 +169,6 @@ class TestAccounting:
         assert cpu.busy_seconds == pytest.approx(0.75)
         assert cpu.jobs_executed == 2
 
-    def test_utilization_over_window(self):
-        sim = Simulator()
-        cpu = Cpu(sim)
-        window_start = sim.now
-        busy_at_start = cpu.busy_seconds
-        cpu.execute(1.0, lambda: None)
-        sim.run()
-        sim.run(until=2.0)
-        assert cpu.utilization(window_start, busy_at_start) == pytest.approx(0.5)
-
-    def test_utilization_can_exceed_one_under_overload(self):
-        """Backlogged work shows >100% — the Figure 8 saturation signal."""
-        sim = Simulator()
-        cpu = Cpu(sim)
-        cpu.execute(10.0, lambda: None)
-        sim.run(until=1.0)
-        assert cpu.utilization(0.0, 0.0) > 1.0
-
     def test_backlog(self):
         sim = Simulator()
         cpu = Cpu(sim)

