@@ -33,11 +33,10 @@ import argparse
 import json
 import os
 
-from repro.experiments.fig12 import bench_lookup_payload, run_lookup_experiment
 from repro.obs import write_canonical_json
-from repro.xp import default_suite, run_spec
+from repro.xp import ExperimentSpec, default_suite, run_spec
+from repro.xp.experiments.fig12 import bench_lookup_payload, memo_ablation_block
 from repro.xp.gate import MetricRule, compare_artifacts, render_gate_report
-from repro.xp.workloads import memo_ablation_block
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -54,11 +53,14 @@ INFORMATIONAL = MetricRule("*", direction="info")
 
 def measure_curve(repeats: int) -> list:
     """The fig12 curve, each point at its best-of-``repeats`` time."""
+    spec = ExperimentSpec(
+        name="perf-smoke-curve",
+        workload="lookup-curve",
+        params={"name_counts": CURVE_POINTS, "lookups_per_point": LOOKUPS_PER_POINT},
+    )
     best: list = None
     for _ in range(repeats):
-        rows = run_lookup_experiment(
-            name_counts=CURVE_POINTS, lookups_per_point=LOOKUPS_PER_POINT
-        )
+        rows = run_spec(spec, timing=True).baseline.details["rows"]
         if best is None:
             best = rows
         else:

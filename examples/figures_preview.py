@@ -10,8 +10,8 @@ run.
 Run:  python examples/figures_preview.py
 """
 
-from repro.experiments.fig08 import saturation_point
 from repro.xp import WORKLOADS, ExperimentSpec, run_spec
+from repro.xp.experiments.fig08 import saturation_point
 from repro.xp.report import format_table
 
 
@@ -22,7 +22,7 @@ def show(workload: str, **params):
         name=f"preview-{workload}", workload=workload, params=params
     )
     run = run_spec(spec, timing=True)
-    for table in WORKLOADS[workload].suite_tables(run, {}):
+    for table in WORKLOADS[workload].suite_tables(run, []):
         print("\n" + format_table(*table), end="")
     return run.baseline.details["rows"]
 

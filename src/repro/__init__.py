@@ -13,7 +13,8 @@ Layering (bottom up):
 - :mod:`repro.overlay`  — DSR and overlay self-configuration (Section 2.4).
 - :mod:`repro.client`   — the application API (Section 3).
 - :mod:`repro.apps`     — Floorplan, Camera and Printer (Section 3).
-- :mod:`repro.experiments` — workloads and per-figure harnesses (Section 5).
+- :mod:`repro.experiments` — the domain harness and name workloads (Section 5).
+- :mod:`repro.xp`       — the evaluation: one workload per experiment (Section 5).
 - :mod:`repro.analysis` — the lookup cost model (Section 5.1.1).
 
 The most common entry points are re-exported here.

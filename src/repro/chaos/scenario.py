@@ -1,4 +1,6 @@
-"""Canned chaos scenarios and the recovery-time ablation.
+"""The chaos scenario harness: the domain a chaos run drives, the links
+its faults may hit, its clocks, the standard stress and the report
+fingerprint.
 
 :func:`run_chaos_scenario` is the standard stress: it builds a domain,
 generates a seed-driven :class:`~repro.chaos.plan.FaultPlan` that
@@ -6,13 +8,11 @@ crashes a fraction of the resolvers (with restarts), flaps a fraction
 of the overlay links, injects duplication/reordering, and fails the DSR
 over to a warm standby — all while the always-invariants are sampled —
 then waits out the convergence bound and checks the converged
-invariants. :func:`fingerprint` digests the returned report so two
-runs with the same seed can be compared bit-for-bit.
-
-:func:`run_recovery_ablation` sweeps the soft-state clocks (refresh
-interval and neighbor timeout) through that scenario and reports MTTR
-percentiles against control-bandwidth cost — the robustness analogue of
-the paper's bandwidth/staleness tradeoff.
+invariants. :func:`fingerprint` digests a chaos report (this one or an
+experiment's) so two runs with the same seed can be compared
+bit-for-bit. The experiments built on this harness — availability,
+DTN, delegation and the recovery-clocks sweep — are workloads of
+:mod:`repro.xp.experiments`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..experiments.domain import InsDomain
-from ..obs import merge_counts
 from ..resolver import InrConfig
 from .invariants import InvariantChecker, Violation
 from .plan import ChaosController, FaultPlan
@@ -79,30 +78,6 @@ def fault_surface(domain: InsDomain, endpoints: Iterable) -> List[Tuple[str, str
         if process.resolver is not None:
             pairs.add(tuple(sorted((process.address, process.resolver))))
     return sorted(pairs)
-
-
-def summed_counters(processes: Iterable, *names: str) -> Dict[str, int]:
-    """The named counters summed over ``processes``' uniform
-    ``stats.snapshot()`` shape, keyed by name — a report copies its
-    resolver/client counter fields with ``**summed_counters(...)``."""
-    totals = merge_counts(process.stats.snapshot() for process in processes)
-    return {name: int(totals.get(name, 0)) for name in names}
-
-
-def add_observability(
-    payload: dict, labelled_reports: Iterable[Tuple[str, object]]
-) -> None:
-    """Give a chaos ``BENCH_*.json`` payload its ``observability``
-    block: ``{label: observability payload}`` over the reports of
-    observed runs (``report.collector`` set by the scenario); no block
-    when none was observed."""
-    sections = {
-        label: report.collector.observability_payload()
-        for label, report in labelled_reports
-        if getattr(report, "collector", None) is not None
-    }
-    if sections:
-        payload["observability"] = sections
 
 
 def fingerprint(report) -> Tuple:
@@ -209,61 +184,3 @@ def run_chaos_scenario(
         control_bytes=sum(link.stats.bytes for _pair, link in domain.network.links),
         sim_time=domain.now,
     )
-
-
-# ----------------------------------------------------------------------
-# Recovery-time ablation (refresh interval / neighbor timeout sweep)
-# ----------------------------------------------------------------------
-@dataclass
-class RecoveryAblationRow:
-    """One sweep point of the recovery ablation."""
-
-    refresh_interval: float
-    neighbor_timeout: float
-    crash_detect_p100: float
-    crash_mttr_p50: float
-    crash_mttr_p100: float
-    failover_mttr_p100: float
-    control_bytes_per_second: float
-    violations: int
-
-
-def run_recovery_ablation(
-    sweep: Tuple[Tuple[float, float], ...] = ((1.0, 3.0), (2.0, 6.0), (4.0, 12.0)),
-    seed: int = 7,
-    n_inrs: int = 5,
-    n_services: int = 3,
-    chaos_duration: float = 25.0,
-) -> List[RecoveryAblationRow]:
-    """Sweep (refresh interval, neighbor timeout) against recovery time
-    and bandwidth.
-
-    The expected shape: slower soft-state clocks cut control bandwidth
-    roughly proportionally but stretch every recovery path — crashed
-    resolvers linger on peers until the neighbor timeout, and restarted
-    ones wait a full refresh for their names to come back.
-    """
-    rows = []
-    for refresh_interval, neighbor_timeout in sweep:
-        report = run_chaos_scenario(
-            seed=seed,
-            n_inrs=n_inrs,
-            n_services=n_services,
-            chaos_duration=chaos_duration,
-            config=fast_chaos_config(refresh_interval, neighbor_timeout),
-        )
-        crash = report.mttr.get("crash-inr", {})
-        failover = report.mttr.get("dsr-failover", {})
-        rows.append(
-            RecoveryAblationRow(
-                refresh_interval=refresh_interval,
-                neighbor_timeout=neighbor_timeout,
-                crash_detect_p100=crash.get("detect_p100", float("nan")),
-                crash_mttr_p50=crash.get("p50", float("nan")),
-                crash_mttr_p100=crash.get("p100", float("nan")),
-                failover_mttr_p100=failover.get("p100", float("nan")),
-                control_bytes_per_second=report.control_bytes / report.sim_time,
-                violations=len(report.all_violations),
-            )
-        )
-    return rows

@@ -12,7 +12,7 @@ The package sits low in the layer DAG (above ``naming``/``message``/
 ``obs`` only) so the resolver can embed a store; the wire form of a
 custody handoff lives in :mod:`repro.message.custody`, and the chaos
 scenario that measures delivery ratio versus disruption length lives
-in :mod:`repro.chaos.dtn`. All timing is virtual — the wall clock is
+in :mod:`repro.xp.experiments.dtn`. All timing is virtual — the wall clock is
 banned here, as everywhere, by the ``entropy-taint`` lint rule.
 """
 

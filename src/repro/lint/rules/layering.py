@@ -70,9 +70,10 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
         {"naming", "nametree", "message", "netsim", "resolver", "overlay",
          "client", "experiments", "obs"}
     ),
-    #: The experiment engine orchestrates everything below it — it maps
-    #: toggles onto experiment/chaos knobs and folds their reports —
-    #: and nothing imports it back.
+    #: The evaluation sits on top: one module per experiment (its
+    #: driver on the experiment and chaos harnesses, its metrics, tables
+    #: and ``BENCH_*`` payload) plus the engine that runs them. Nothing
+    #: imports it back.
     "xp": frozenset(
         {"naming", "nametree", "message", "netsim", "resolver", "overlay",
          "client", "apps", "baselines", "analysis", "experiments", "chaos",

@@ -1,7 +1,7 @@
 """Exporters: JSONL dumps and Chrome trace events.
 
 Two consumers, two formats, each written under ``benchmarks/results``
-by ``repro-xp run --tables-dir`` (``repro.xp.workloads``):
+by ``repro-xp run --tables-dir`` (``repro.xp.experiments``):
 
 - **JSONL / JSON** (:func:`spans_to_jsonl`,
   :func:`write_canonical_json`) — machine-readable artifacts checked

@@ -1,6 +1,6 @@
 """End-to-end request availability under chaos: resilience on vs off.
 
-The chaos harness (:mod:`.scenario`) proves the *resolver mesh* heals;
+The chaos harness (:mod:`repro.chaos`) proves the *resolver mesh* heals;
 this module closes the loop at the *client*: it drives steady
 early-binding lookup traffic from a set of clients through a seeded
 fault plan (INR crashes with restarts, lossy links, a partition, CPU
@@ -10,27 +10,27 @@ left permanently hanging. Running the same plan with the client
 resilience layer (retries, deadlines, failover) enabled versus disabled
 quantifies exactly what the request-resilience machinery buys.
 
-:func:`bench_availability_payload` folds the on/off comparison into
-``BENCH_availability.json`` for trend tracking across sessions.
+This is the ``availability`` workload, with arms ``resilience`` and
+``obs_tracing``. Its ``availability-chaos`` spec folds the on/off
+comparison into ``BENCH_availability.json``
+(:func:`bench_availability_payload`) with the traced run's span,
+Chrome-trace and metrics files.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
-from ..client import RetryPolicy
-from ..experiments.domain import DSR_HOST
-from ..naming import NameSpecifier
-from .plan import ChaosController, FaultEvent, FaultPlan
-from .recovery import RecoveryTracker, percentile
-from .scenario import (
-    chaos_domain,
-    fast_chaos_config,
-    fault_surface,
-    add_observability,
-    summed_counters,
-)
+from ...chaos import ChaosController, FaultEvent, FaultPlan, RecoveryTracker, percentile
+from ...chaos.scenario import chaos_domain, fast_chaos_config, fault_surface
+from ...client import RetryPolicy
+from ...experiments.domain import DSR_HOST
+from ...naming import NameSpecifier
+from ...obs import spans_to_jsonl, to_chrome_trace
+from ..runner import Output, SpecRun, Workload, WorkloadResult, register_workload
+from . import add_observability, report_metrics, summed_counters
 
 
 @dataclass
@@ -74,12 +74,12 @@ N_CLIENTS = 3
 
 
 def run_availability_scenario(
-    seed: int = 0,
-    resilience: bool = True,
+    seed: int,
+    resilience: bool,
+    obs_tracing: bool,
     duration: float = 30.0,
     lookup_interval: float = 0.5,
-    observe: bool = False,
-) -> AvailabilityReport:
+) -> WorkloadResult:
     """Run steady lookup traffic through a seeded fault plan.
 
     ``resilience`` toggles the client's retries, deadlines and
@@ -90,16 +90,14 @@ def run_availability_scenario(
     lossy, a third of the resolvers' CPUs degrade, and one resolver is
     partitioned from the rest of the mesh for the middle of the run.
 
-    ``observe=True`` attaches a :class:`repro.obs.ObsCollector` before
+    ``obs_tracing`` attaches a :class:`repro.obs.ObsCollector` before
     any traffic flows: every lookup then produces a hop-by-hop span
-    tree and the harvested metrics registry rides on the returned
-    report as ``report.collector`` (a plain attribute, None when not
-    observed — it is not part of the dataclass, the fingerprint, or the
-    JSON artifact's report sections).
+    tree, and the harvested collector is the result's ``collector``.
+    The result's ``report`` detail is the :class:`AvailabilityReport`.
     """
     policy = CHAOS_RETRY_POLICY if resilience else RetryPolicy.disabled()
 
-    domain = chaos_domain(seed, fast_chaos_config(), observe=observe)
+    domain = chaos_domain(seed, fast_chaos_config(), observe=obs_tracing)
     inrs = [domain.add_inr() for _ in range(N_INRS)]
     names = [
         NameSpecifier.parse(f"[service=avail[id={index}]]")
@@ -229,20 +227,37 @@ def run_availability_scenario(
         mttr=tracker.mttr_summary(),
         sim_time=domain.now,
     )
-    report.collector = domain.harvest()
-    return report
+    return WorkloadResult(
+        metrics=report_metrics(report, (
+            "success_rate",
+            "requests_attempted",
+            "requests_succeeded",
+            "requests_empty",
+            "requests_failed",
+            "requests_hung",
+            "latency_p50",
+            "latency_p99",
+            "retries",
+            "failovers",
+            "deadline_exceeded",
+        )),
+        details={"report": report},
+        collector=domain.harvest(),
+    )
 
 
-def bench_availability_payload(
-    resilience_on: AvailabilityReport, resilience_off: AvailabilityReport
-) -> dict:
+def bench_availability_payload(run: SpecRun) -> dict:
     """The ``BENCH_availability.json`` payload: the on/off availability
-    comparison as a machine-readable artifact.
+    comparison of an ``availability`` run (baseline resilient, the
+    ``resilience`` arm bare) as a machine-readable artifact.
 
-    A report carrying a collector (``observe=True`` runs) contributes
-    an ``observability`` section — per-hop latency percentiles, drop
-    attribution, and the full metrics snapshot.
+    A traced arm contributes an ``observability`` section — per-hop
+    latency percentiles, drop attribution, and the full metrics
+    snapshot.
     """
+    on, off = run.baseline, run.ablations["resilience"]
+    resilience_on = on.details["report"]
+    resilience_off = off.details["report"]
     payload = {
         "benchmark": "availability-chaos",
         "schema_version": 1,
@@ -252,8 +267,73 @@ def bench_availability_payload(
             resilience_on.success_rate - resilience_off.success_rate, 6
         ),
     }
-    add_observability(
-        payload,
-        (("resilience_on", resilience_on), ("resilience_off", resilience_off)),
-    )
+    add_observability(payload, (("resilience_on", on), ("resilience_off", off)))
     return payload
+
+
+def _mttr_cell(report: AvailabilityReport, kind: str) -> str:
+    stats = report.mttr.get(kind)
+    return f"{stats['p100']:.2f}" if stats else "-"
+
+
+def _availability_outputs(run: SpecRun, family: List[SpecRun]) -> List[Output]:
+    """The on/off table, from a run with the ``resilience`` arm; the
+    family's traced run adds ``BENCH_availability.json`` with its span,
+    Chrome-trace and metrics files."""
+    arm = run.ablations.get("resilience")
+    if arm is None:
+        return []
+    outputs: List[Output] = []
+    if family:
+        collector = run.baseline.collector
+        spans = collector.tracer.spans
+        outputs = [
+            ("BENCH_availability.json", bench_availability_payload(run)),
+            ("BENCH_availability_spans.jsonl", spans_to_jsonl(spans)),
+            ("BENCH_availability_trace.json",
+             json.dumps(to_chrome_trace(spans), indent=1, sort_keys=True)
+             + "\n"),
+            ("BENCH_availability_metrics.json", collector.metrics_snapshot()),
+        ]
+    return outputs + [
+        (
+            "Availability: request resilience on vs off "
+            "(4 INRs, crash+restart / partition / lossy links / CPU overload)",
+            ["resilience", "requests", "success rate", "failed", "hung",
+             "p50 (s)", "p99 (s)", "retries", "failovers",
+             "crash MTTR p100 (s)"],
+            [
+                (
+                    "on" if report.resilience else "off",
+                    f"{report.requests_attempted}",
+                    f"{report.success_rate:.3f}",
+                    f"{report.requests_failed}",
+                    f"{report.requests_hung}",
+                    f"{report.latency_p50:.4f}",
+                    f"{report.latency_p99:.4f}",
+                    f"{report.retries}",
+                    f"{report.failovers}",
+                    _mttr_cell(report, "crash-inr"),
+                )
+                for report in (
+                    run.baseline.details["report"], arm.details["report"]
+                )
+            ],
+        ),
+    ]
+
+
+register_workload(Workload(
+    id="availability",
+    description=(
+        "steady early-binding lookups through one seeded fault plan "
+        "(crashes, lossy links, partition, CPU overload)"
+    ),
+    toggles=("resilience", "obs_tracing"),
+    primary_metrics={
+        "resilience": ("success_rate", "higher"),
+        "obs_tracing": ("success_rate", "higher"),
+    },
+    run=run_availability_scenario,
+    suite_tables=_availability_outputs,
+))

@@ -26,31 +26,29 @@ role x phase matrix actually exercises the transition it names (a
 pre-computed :class:`FaultPlan` cannot, because the handoff's start
 time depends on load-policy timing).
 
-The ``delegation`` experiment workload (``repro.xp``) runs the same
-recipient-crash plan with ``delegation_two_phase=False`` — the
-paper-era single-shot transfer — as a controlled ablation: the records
-are flung in one unacknowledged batch and the tree dropped, so the
-crash loses the vspace outright until the operator restarts the
-recipient and soft state refills it. ``BENCH_delegation.json`` records
-the comparison.
+Two workloads. ``delegation-matrix`` is the crash matrix. ``delegation``
+runs a recipient crash with no operator restart, and its
+``delegation_two_phase`` arm is the paper-era single-shot transfer as a
+controlled ablation: the records are flung in one unacknowledged batch
+and the tree dropped, so the crash loses the vspace outright until the
+operator restarts the recipient and soft state refills it.
+``BENCH_delegation.json`` records both (:func:`bench_delegation_payload`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from ..experiments.domain import InsDomain
-from ..naming import NameSpecifier
-from ..resolver import InrConfig
+from ...chaos import InvariantChecker
+from ...chaos.scenario import chaos_domain, fast_chaos_config
+from ...experiments.domain import InsDomain
+from ...naming import NameSpecifier
+from ...obs import spans_to_jsonl
+from ...resolver import InrConfig
+from ..runner import Output, SpecRun, Workload, WorkloadResult, register_workload
+from . import add_observability, report_metrics, summed_counters
 from .availability import CHAOS_RETRY_POLICY
-from .invariants import InvariantChecker
-from .scenario import (
-    chaos_domain,
-    fast_chaos_config,
-    add_observability,
-    summed_counters,
-)
 
 #: The handoff phases a seeded crash can target. The first three are
 #: donor-side state-machine phases; "committed" is the recipient-side
@@ -79,6 +77,13 @@ LOOKUP_INTERVAL = 0.1
 
 #: Seconds after the handoff starts whose lookups count as in-window.
 WINDOW = 6.0
+
+#: The scale a run has unless a ``delegation`` spec says otherwise:
+#: bulk services (the delegated vspace), anchor services (the kept
+#: one) and seconds of lookup traffic.
+N_BULK = 24
+N_ANCHOR = 6
+TRAFFIC = 14.0
 
 
 @dataclass
@@ -267,16 +272,16 @@ class _HandoffWatch:
 
 
 def run_delegation_scenario(
-    seed: int = 0,
+    seed: int,
+    n_bulk: int,
+    n_anchor: int,
+    traffic: float,
     two_phase: bool = True,
     crash_role: Optional[str] = None,
     crash_phase: Optional[str] = None,
     restart_after: Optional[float] = 1.5,
-    n_bulk: int = 24,
-    n_anchor: int = 6,
-    traffic: float = 14.0,
     observe: bool = False,
-) -> DelegationReport:
+) -> WorkloadResult:
     """One delegation-under-fire run.
 
     Topology: a relay resolver (``inr-base``) that clients attach to,
@@ -294,10 +299,10 @@ def run_delegation_scenario(
     reconciliation paths are actually exercised. ``None``/``None`` is
     the fault-free baseline.
 
-    ``observe=True`` attaches an :class:`repro.obs.ObsCollector`; it
-    rides on the returned report as ``report.collector`` (a plain
-    attribute, None when not observed — not part of the dataclass or
-    the fingerprint).
+    ``observe=True`` attaches an :class:`repro.obs.ObsCollector`, and
+    the harvested collector is the result's ``collector``. The result's
+    ``report`` detail is the :class:`DelegationReport`; its metrics are
+    the ``delegation`` workload's.
     """
     domain = chaos_domain(
         seed, delegation_chaos_config(two_phase), observe=observe,
@@ -455,55 +460,151 @@ def run_delegation_scenario(
         invariant_samples=checker.samples_taken,
         sim_time=domain.now,
     )
-    report.collector = domain.harvest()
-    return report
+    metrics = report_metrics(report, (
+        "window_success_rate",
+        "success_rate",
+        "lost_records",
+        "delegations_started",
+        "delegations_committed",
+        "delegations_aborted",
+        "delegation_rollbacks",
+        "requests_attempted",
+        "requests_succeeded",
+        "window_requests",
+        "window_succeeded",
+    ))
+    metrics["authority_count"] = float(len(report.authority))
+    metrics["converged_violations"] = float(len(report.converged_violations))
+    return WorkloadResult(
+        metrics=metrics, details={"report": report}, collector=domain.harvest()
+    )
 
 
-def run_delegation_matrix(
-    seed: int = 0,
-    observe_baseline: bool = False,
-    **kwargs,
-) -> List[DelegationReport]:
-    """The full crash matrix: a fault-free baseline plus one run per
-    (role, phase) combination — donor and recipient each crashed at
-    every handoff phase. Every run must converge to exactly one
-    authoritative resolver per vspace with zero lost records; tier-1
-    asserts exactly that on the committed ``BENCH_delegation.json``."""
-    reports = [
-        run_delegation_scenario(
-            seed=seed, two_phase=True, observe=observe_baseline, **kwargs
-        )
+def run_delegation_ablation(
+    seed: int,
+    delegation_two_phase: bool,
+    n_bulk: int = N_BULK,
+    n_anchor: int = N_ANCHOR,
+    traffic: float = TRAFFIC,
+) -> WorkloadResult:
+    """The controlled comparison ``BENCH_delegation.json`` leads with: a
+    recipient crash with no operator restart. Two-phase is killed
+    mid-TRANSFER (the worst moment that protocol can be hit);
+    single-shot is killed right after its one unacknowledged batch —
+    the moment that *exists* for it and orphans the vspace. (A prompt
+    operator restart plus client retries can mask the single-shot
+    loss, which is why nothing restarts.)"""
+    return run_delegation_scenario(
+        seed,
+        n_bulk,
+        n_anchor,
+        traffic,
+        two_phase=delegation_two_phase,
+        crash_role="recipient",
+        crash_phase="transfer" if delegation_two_phase else "post-transfer",
+        restart_after=None,
+    )
+
+
+def _ablation_tables(run: SpecRun, family: List[SpecRun]) -> List[Output]:
+    if "delegation_two_phase" not in run.ablations:
+        return []
+    on = run.baseline.details["report"]
+    off = run.ablations["delegation_two_phase"].details["report"]
+    return [(
+        "Delegation ablation: recipient crash, no operator restart "
+        "(two-phase vs single-shot transfer)",
+        ["mode", "window ok", "overall ok", "lost records", "authority",
+         "converged violations"],
+        [
+            (
+                label,
+                f"{report.window_success_rate:.3f}",
+                f"{report.success_rate:.3f}",
+                f"{report.lost_records}",
+                ",".join(report.authority) or "(none)",
+                ",".join(sorted(set(report.converged_violations))) or "-",
+            )
+            for label, report in (("two-phase", on), ("single-shot", off))
+        ],
+    )]
+
+
+register_workload(Workload(
+    id="delegation",
+    description=(
+        "vspace handoff under update overload with a recipient crash "
+        "and no operator restart; two-phase vs single-shot transfer"
+    ),
+    toggles=("delegation_two_phase",),
+    primary_metrics={
+        "delegation_two_phase": ("window_success_rate", "higher"),
+    },
+    run=run_delegation_ablation,
+    suite_tables=_ablation_tables,
+))
+
+
+def run_delegation_matrix(seed: int) -> WorkloadResult:
+    """The full crash matrix: a fault-free traced baseline plus one run
+    per (role, phase) combination — donor and recipient each crashed at
+    every handoff phase and restarted. Every run must converge to
+    exactly one authoritative resolver per vspace with zero lost
+    records; tier-1 asserts exactly that on the committed
+    ``BENCH_delegation.json``, and CI on seeds 1-12."""
+    runs = [
+        run_delegation_scenario(seed, N_BULK, N_ANCHOR, TRAFFIC, observe=True)
     ]
     for role in CRASH_ROLES:
         for phase in CRASH_PHASES:
-            reports.append(
+            runs.append(
                 run_delegation_scenario(
-                    seed=seed,
-                    two_phase=True,
+                    seed,
+                    N_BULK,
+                    N_ANCHOR,
+                    TRAFFIC,
                     crash_role=role,
                     crash_phase=phase,
-                    **kwargs,
                 )
             )
-    return reports
+    reports = [run.details["report"] for run in runs]
+    crashed = [report for report in reports if report.crash_role is not None]
+    return WorkloadResult(
+        metrics={
+            "runs": float(len(reports)),
+            "crashes_fired": float(
+                sum(report.crash_at > 0.0 for report in crashed)
+            ),
+            "lost_records": float(sum(report.lost_records for report in reports)),
+            "single_authority_runs": float(
+                sum(len(report.authority) == 1 for report in reports)
+            ),
+            "converged_violations": float(
+                sum(len(report.converged_violations) for report in reports)
+            ),
+            "min_window_success_rate": min(
+                report.window_success_rate for report in reports
+            ),
+        },
+        details={"reports": reports},
+        collector=runs[0].collector,
+    )
 
 
-def bench_delegation_payload(
-    matrix: Sequence[DelegationReport], ablation_run
-) -> dict:
-    """The ``BENCH_delegation.json`` payload: the crash matrix and the
-    two-phase vs single-shot ablation.
+def _label(report: DelegationReport) -> str:
+    return f"{report.crash_role or 'baseline'}:{report.crash_phase or '-'}"
 
-    ``ablation_run`` is the executed ``delegation`` spec
-    (``repro.xp.SpecRun``): the same recipient crash with no operator
-    restart, baseline arm two-phase, ``delegation_two_phase`` arm
-    single-shot. (A prompt operator restart plus client retries can
-    mask the single-shot loss, which is why the spec restarts nothing.)
 
-    A report carrying a collector (an ``observe=True`` run) contributes
-    an ``observability`` section — drop attribution and per-hop span
-    percentiles for the traced run.
+def bench_delegation_payload(matrix_run: SpecRun, ablation_run: SpecRun) -> dict:
+    """The ``BENCH_delegation.json`` payload: the crash matrix of a
+    ``delegation-matrix`` run and the two-phase vs single-shot ablation
+    of a ``delegation`` run (baseline arm two-phase,
+    ``delegation_two_phase`` arm single-shot).
+
+    The traced baseline of the matrix contributes an ``observability``
+    section — drop attribution and per-hop span percentiles.
     """
+    matrix = matrix_run.baseline.details["reports"]
     on: DelegationReport = ablation_run.baseline.details["report"]
     off: DelegationReport = ablation_run.ablations[
         "delegation_two_phase"
@@ -521,11 +622,56 @@ def bench_delegation_payload(
             "lost_records_delta": off.lost_records - on.lost_records,
         },
     }
-    add_observability(
-        payload,
-        (
-            (f"{report.crash_role or 'baseline'}:{report.crash_phase or '-'}", report)
-            for report in matrix
-        ),
-    )
+    add_observability(payload, [(_label(matrix[0]), matrix_run.baseline)])
     return payload
+
+
+def _matrix_outputs(run: SpecRun, family: List[SpecRun]) -> List[Output]:
+    """The crash-matrix table; the family's run adds
+    ``BENCH_delegation.json``, which folds the matrix with a
+    ``delegation`` spec's two-phase vs single-shot ablation."""
+    matrix = run.baseline.details["reports"]
+    outputs: List[Output] = []
+    if family:
+        _, ablation = family
+        traced = run.baseline.collector
+        outputs = [
+            ("BENCH_delegation.json", bench_delegation_payload(run, ablation)),
+            ("BENCH_delegation_spans.jsonl",
+             spans_to_jsonl(traced.tracer.spans)),
+            ("BENCH_delegation_metrics.json", traced.metrics_snapshot()),
+        ]
+    return outputs + [
+        (
+            "Delegation under fire: two-phase handoff crash matrix "
+            "(sustained update overload; crash + restart at each phase)",
+            ["crash", "phase", "handoffs", "committed", "aborted",
+             "rollbacks", "window ok", "overall ok", "lost", "authority"],
+            [
+                (
+                    report.crash_role or "none",
+                    report.crash_phase or "-",
+                    f"{report.delegations_started}",
+                    f"{report.delegations_committed}",
+                    f"{report.delegations_aborted}",
+                    f"{report.delegation_rollbacks}",
+                    f"{report.window_success_rate:.3f}",
+                    f"{report.success_rate:.3f}",
+                    f"{report.lost_records}",
+                    ",".join(report.authority),
+                )
+                for report in matrix
+            ],
+        ),
+    ]
+
+
+register_workload(Workload(
+    id="delegation-matrix",
+    description=(
+        "the two-phase handoff with donor and recipient each crashed "
+        "and restarted at every phase, plus a fault-free traced run"
+    ),
+    run=run_delegation_matrix,
+    suite_tables=_matrix_outputs,
+))

@@ -18,28 +18,26 @@ delivery ratio and latency — including payloads that waited out the
 partition in custody. Running the identical plan with custody enabled
 and disabled is a controlled ablation of the DTN machinery alone.
 
-The sweep over disruption lengths is one ``dtn`` experiment spec per
-length (``repro.xp``: baseline custody on, ``custody`` arm off);
-:func:`bench_dtn_payload` folds those runs into ``BENCH_dtn.json``
-for trend tracking across sessions.
+This is the ``dtn`` workload, with arms ``custody`` and
+``obs_tracing``. The sweep over disruption lengths is one ``dtn`` spec
+per length (baseline custody on, ``custody`` arm off);
+:func:`bench_dtn_payload` folds those runs into ``BENCH_dtn.json`` for
+trend tracking across sessions.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..experiments.domain import DSR_HOST
-from ..naming import NameSpecifier
-from ..resolver import InrConfig
-from .invariants import InvariantChecker
-from .plan import ChaosController, FaultEvent, FaultPlan
-from .scenario import (
-    chaos_domain,
-    fast_chaos_config,
-    add_observability,
-    summed_counters,
-)
+from ...chaos import ChaosController, FaultEvent, FaultPlan, InvariantChecker
+from ...chaos.scenario import chaos_domain, fast_chaos_config
+from ...experiments.domain import DSR_HOST
+from ...naming import NameSpecifier
+from ...obs import spans_to_jsonl
+from ...resolver import InrConfig
+from ..runner import Output, SpecRun, Workload, WorkloadResult, register_workload
+from . import add_observability, report_metrics, summed_counters
 
 
 @dataclass
@@ -106,12 +104,12 @@ TAIL = 3.0
 
 
 def run_dtn_scenario(
-    seed: int = 0,
-    custody: bool = True,
+    seed: int,
+    custody: bool,
+    obs_tracing: bool,
     disruption: float = 30.0,
     duty_window: float = 12.0,
-    observe: bool = False,
-) -> DtnReport:
+) -> WorkloadResult:
     """Stream anycast payloads through duty-cycled links and one long
     partition; measure what arrived.
 
@@ -127,13 +125,13 @@ def run_dtn_scenario(
     checker's convergence bound so every custodied payload has settled
     (released or lapsed) before the post-heal invariants are checked.
 
-    ``observe=True`` attaches a :class:`repro.obs.ObsCollector` before
-    any traffic flows; it rides on the returned report as
-    ``report.collector`` (a plain attribute, None when not observed —
-    not part of the dataclass, the fingerprint, or the JSON artifact).
+    ``obs_tracing`` attaches a :class:`repro.obs.ObsCollector` before
+    any traffic flows; the harvested collector is the result's
+    ``collector``. The result's ``report`` detail is the
+    :class:`DtnReport`.
     """
     domain = chaos_domain(
-        seed, dtn_chaos_config(disruption, custody), observe=observe
+        seed, dtn_chaos_config(disruption, custody), observe=obs_tracing
     )
     inrs = [domain.add_inr() for _ in range(3)]
     far = inrs[-1]
@@ -261,19 +259,37 @@ def run_dtn_scenario(
         fault_kinds=plan.kinds,
         sim_time=domain.now,
     )
-    report.collector = domain.harvest()
-    return report
+    metrics = report_metrics(report, (
+        "delivery_ratio",
+        "messages_sent",
+        "messages_delivered",
+        "latency_p50",
+        "latency_p99",
+        "latency_max",
+        "custody_accepted",
+        "custody_released",
+        "custody_transfers_sent",
+        "custody_transfers_received",
+        "drops_custody_expired",
+        "drops_custody_evicted",
+        "drops_no_route",
+        "drops_expired_record",
+    ))
+    metrics["converged_violations"] = float(len(report.converged_violations))
+    return WorkloadResult(
+        metrics=metrics, details={"report": report}, collector=domain.harvest()
+    )
 
 
-def bench_dtn_payload(runs: Sequence) -> dict:
+def bench_dtn_payload(runs: Sequence[SpecRun]) -> dict:
     """The ``BENCH_dtn.json`` payload: delivery ratio and latency vs
     disruption length, custody on vs off.
 
-    ``runs`` are executed ``dtn`` specs (``repro.xp.SpecRun``), one per
-    disruption length: the baseline arm is the custody-on report, the
-    ``custody`` arm the custody-off one. A traced custody-on run
-    contributes an ``observability`` section keyed by its disruption
-    length — drop attribution and per-hop percentiles.
+    ``runs`` are executed ``dtn`` specs, one per disruption length: the
+    baseline arm is the custody-on report, the ``custody`` arm the
+    custody-off one. A traced custody-on run contributes an
+    ``observability`` section keyed by its disruption length — drop
+    attribution and per-hop percentiles.
     """
     pairs = [
         (
@@ -297,5 +313,62 @@ def bench_dtn_payload(runs: Sequence) -> dict:
             for on, off in pairs
         ],
     }
-    add_observability(payload, ((str(on.disruption), on) for on, _off in pairs))
+    add_observability(
+        payload,
+        ((str(on.disruption), run.baseline) for run, (on, _) in zip(runs, pairs)),
+    )
     return payload
+
+
+def _dtn_outputs(run: SpecRun, family: List[SpecRun]) -> List[Output]:
+    """``BENCH_dtn.json`` over a sweep of disruption lengths, with the
+    first (traced) run's span and metrics files and the table."""
+    if not family:
+        return []
+    traced = run.baseline.collector
+    return [
+        ("BENCH_dtn.json", bench_dtn_payload(family)),
+        ("BENCH_dtn_spans.jsonl", spans_to_jsonl(traced.tracer.spans)),
+        ("BENCH_dtn_metrics.json", traced.metrics_snapshot()),
+        (
+            "DTN: custody transfer on vs off "
+            "(duty-cycled links + partition isolating the service's INR)",
+            ["disruption (s)", "custody", "sent", "delivered", "ratio",
+             "p50 (s)", "max (s)", "accepted", "released", "lapsed"],
+            [
+                (
+                    f"{report.disruption:.0f}",
+                    "on" if report.custody else "off",
+                    f"{report.messages_sent}",
+                    f"{report.messages_delivered}",
+                    f"{report.delivery_ratio:.3f}",
+                    f"{report.latency_p50:.3f}",
+                    f"{report.latency_max:.3f}",
+                    f"{report.custody_accepted}",
+                    f"{report.custody_released}",
+                    f"{report.drops_custody_expired}",
+                )
+                for spec_run in family
+                for report in (
+                    spec_run.baseline.details["report"],
+                    spec_run.ablations["custody"].details["report"],
+                )
+            ],
+        ),
+    ]
+
+
+register_workload(Workload(
+    id="dtn",
+    description=(
+        "late-binding anycast through duty-cycled links and a long "
+        "partition; custody store-and-forward vs drop-at-no-route"
+    ),
+    toggles=("custody", "obs_tracing"),
+    primary_metrics={
+        "custody": ("delivery_ratio", "higher"),
+        "obs_tracing": ("delivery_ratio", "higher"),
+    },
+    run=run_dtn_scenario,
+    suite_tables=_dtn_outputs,
+))

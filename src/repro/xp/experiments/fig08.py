@@ -11,7 +11,7 @@ every refresh interval across a 1 Mbps link; the INR's simulated CPU
 charges the calibrated per-name update cost (see
 :class:`repro.resolver.costs.CostModel`). The shape to reproduce: the
 CPU utilization line crosses 100% while the bandwidth line is still
-comfortably below it.
+comfortably below it. The ``saturation`` workload.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..naming import NameSpecifier
-from ..nametree import AnnouncerID, Endpoint
-from ..netsim import Network, Process, Simulator
-from ..resolver import INR, InrConfig, NameUpdate, UpdateBatch
-from ..resolver.ports import INR_PORT
-from .workload import UniformWorkload
+from ...experiments.workload import UniformWorkload
+from ...nametree import AnnouncerID, Endpoint
+from ...netsim import Network, Process, Simulator
+from ...resolver import INR, InrConfig, NameUpdate, UpdateBatch
+from ...resolver.ports import INR_PORT
+from ..runner import Workload, WorkloadResult, register_workload
+from . import sweep_result, sweep_tables
 
 
 @dataclass
@@ -85,13 +86,22 @@ def _build_updates(count: int, seed: int, lifetime: float, vspace: str) -> List[
     ]
 
 
+#: The table's columns; every one but the first is a metric per point.
+COLUMNS = [
+    ("names", "total_names", ""),
+    ("cpu %", "cpu_percent", ".1f"),
+    ("bandwidth %", "bandwidth_percent", ".1f"),
+    ("bytes/interval", "bytes_per_interval", ""),
+]
+
+
 def run_saturation_experiment(
+    seed: int,
     name_counts: Sequence[int] = (0, 2500, 5000, 7500, 10000, 12500, 15000, 17500, 20000),
     refresh_interval: float = 15.0,
     link_bandwidth_bps: float = 1_000_000.0,
     measure_intervals: int = 2,
-    seed: int = 0,
-) -> List[SaturationRow]:
+) -> WorkloadResult:
     """Reproduce Figure 8. One fresh simulation per point."""
     rows: List[SaturationRow] = []
     for count in name_counts:
@@ -129,7 +139,7 @@ def run_saturation_experiment(
                 bytes_per_interval=transferred // measure_intervals,
             )
         )
-    return rows
+    return sweep_result(rows, COLUMNS)
 
 
 def saturation_point(rows: Sequence[SaturationRow]) -> int:
@@ -139,3 +149,14 @@ def saturation_point(rows: Sequence[SaturationRow]) -> int:
         if row.cpu_percent >= 100.0:
             return row.total_names
     return -1
+
+
+register_workload(Workload(
+    id="saturation",
+    description="Figure 8: INR CPU vs 1 Mbps link use as refreshed names grow",
+    run=run_saturation_experiment,
+    suite_tables=sweep_tables(
+        "Figure 8: CPU vs bandwidth saturation (15 s refresh, 1 Mbps link)",
+        COLUMNS,
+    ),
+))

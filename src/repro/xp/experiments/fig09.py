@@ -14,7 +14,8 @@ onto two resolvers halves the per-machine processing time — the paper's
 namespace-partitioning scaling technique (Section 2.5).
 
 We build each configuration, deliver one full update round, and measure
-the per-machine processing makespan (the maximum over machines).
+the per-machine processing makespan (the maximum over machines). The
+``partition`` workload.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..nametree import AnnouncerID, Endpoint
-from ..netsim import Network, Simulator
-from ..resolver import INR, InrConfig, NameUpdate, UpdateBatch
-from ..resolver.ports import INR_PORT
-from .workload import UniformWorkload
+from ...experiments.workload import UniformWorkload
+from ...nametree import AnnouncerID, Endpoint
+from ...netsim import Network, Simulator
+from ...resolver import INR, InrConfig, NameUpdate, UpdateBatch
+from ...resolver.ports import INR_PORT
+from ..runner import Workload, WorkloadResult, register_workload
+from . import sweep_result, sweep_tables
 
 
 @dataclass
@@ -107,10 +110,19 @@ def _measure_round(
     return max(makespans) * 1000.0
 
 
+#: The table's columns; every one but the first is a metric per point.
+COLUMNS = [
+    ("names", "total_names", ""),
+    ("1 vspace / 1 machine", "one_vspace_one_machine_ms", ".0f"),
+    ("2 vspaces / 1 machine", "two_vspaces_one_machine_ms", ".0f"),
+    ("2 vspaces / 2 machines", "two_vspaces_two_machines_ms", ".0f"),
+]
+
+
 def run_partition_experiment(
+    seed: int,
     name_counts: Sequence[int] = (500, 1000, 2000, 3000, 4000, 5000),
-    seed: int = 0,
-) -> List[PartitionRow]:
+) -> WorkloadResult:
     """Reproduce Figure 9. Names are split evenly into two vspaces."""
     rows: List[PartitionRow] = []
     lifetime = 1e9
@@ -145,4 +157,15 @@ def run_partition_experiment(
                 two_vspaces_two_machines_ms=two_two,
             )
         )
-    return rows
+    return sweep_result(rows, COLUMNS)
+
+
+register_workload(Workload(
+    id="partition",
+    description="Figure 9: update-round time, vspaces split over one or two machines",
+    run=run_partition_experiment,
+    suite_tables=sweep_tables(
+        "Figure 9: periodic update time (ms) vs names, two equal vspaces",
+        COLUMNS,
+    ),
+))

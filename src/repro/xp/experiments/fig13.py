@@ -8,7 +8,8 @@ add only pointers and name-records).
 
 We measure the same quantity with a deep ``sys.getsizeof`` walk. The
 shape to reproduce: a steeper start while the vocabulary fills, then
-clean linear growth in n.
+clean linear growth in n. The ``tree-size`` workload; interpreter
+object sizes depend on the host, so every number is a timing.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..nametree import AnnouncerID, Endpoint, NameRecord, NameTree, name_tree_bytes
-from .workload import UniformWorkload
+from ...experiments.workload import UniformWorkload
+from ...nametree import AnnouncerID, Endpoint, NameRecord, NameTree, name_tree_bytes
+from ..runner import Workload, WorkloadResult, register_workload
+from . import sweep_result, sweep_tables
 
 
 @dataclass
@@ -33,14 +36,21 @@ class SizeRow:
         return self.tree_bytes / (1024.0 * 1024.0)
 
 
+#: The table's columns; the second is a timing per point.
+COLUMNS = [
+    ("names in tree", "names_in_tree", ""),
+    ("megabytes", "tree_megabytes", ".2f"),
+]
+
+
 def run_size_experiment(
+    seed: int,
     name_counts: Sequence[int] = (100, 2000, 5000, 10000, 14300),
     depth: int = 3,
     attribute_range: int = 3,
     value_range: int = 3,
     attributes_per_level: int = 2,
-    seed: int = 0,
-) -> List[SizeRow]:
+) -> WorkloadResult:
     """Reproduce Figure 13: deep size of the tree at each name count."""
     counts = sorted(set(name_counts))
     workload = UniformWorkload(
@@ -63,4 +73,15 @@ def run_size_experiment(
             tree.insert(names[inserted], record)
             inserted += 1
         rows.append(SizeRow(names_in_tree=count, tree_bytes=name_tree_bytes(tree)))
-    return rows
+    return sweep_result(rows, COLUMNS, timed=True)
+
+
+register_workload(Workload(
+    id="tree-size",
+    description="Figure 13: the name-tree's deep getsizeof (host-dependent: timings)",
+    run=run_size_experiment,
+    suite_tables=sweep_tables(
+        "Figure 13: name-tree size vs names in the tree", COLUMNS
+    ),
+    timed=True,
+))

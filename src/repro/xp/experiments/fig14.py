@@ -12,17 +12,18 @@ under 10 ms/hop — typical discovery times of a few tens of ms.
 We build a chain overlay (link latencies make each joining INR pick the
 previous one as its minimum-RTT peer), advertise one new name at the
 head, and record the exact virtual time each INR grafts it, by stepping
-the simulator event by event.
+the simulator event by event. The ``discovery`` workload; its
+``fig14-discovery`` spec writes ``BENCH_discovery.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from ..naming import NameSpecifier
-from ..resolver import InrConfig
-from .domain import InsDomain
+from ...experiments.domain import InsDomain
+from ...resolver import InrConfig
+from ..runner import Output, SpecRun, Workload, WorkloadResult, register_workload
 
 
 @dataclass
@@ -57,26 +58,27 @@ def build_chain_domain(
 
 
 def run_discovery_experiment(
+    seed: int,
+    obs_tracing: bool,
     max_hops: int = 8,
-    seed: int = 0,
     chain_latency: float = 0.002,
-    observe: bool = False,
-) -> Tuple[List[DiscoveryRow], Optional[object]]:
+) -> WorkloadResult:
     """Reproduce Figure 14 on a chain of ``max_hops + 1`` INRs.
-    Returns ``(rows, collector)``.
 
     Hop h is the h-th resolver away from the one the new service
     attached to; discovery time is when h's tree first contains the
     name.
 
-    ``observe=True`` runs the chain under an
+    ``obs_tracing`` runs the chain under an
     :class:`~repro.obs.ObsCollector` with per-event simulator profiling;
     the harvested metrics explain the slope (update fan-out per hop,
     per-INR name counts, per-link traffic) rather than just reporting
-    it. Unobserved, the collector is None.
+    it. Discovery traffic carries no trace contexts, so ablating
+    tracing must not move a single timestamp: importance 0 here is the
+    reproduced zero-overhead claim, not a missing measurement.
     """
     domain = build_chain_domain(max_hops + 1, chain_latency=chain_latency, seed=seed)
-    if observe:
+    if obs_tracing:
         domain.observe(profile_events=True)
     # Verify the topology really is a chain; a mis-built overlay would
     # silently turn the linear-in-hops claim into something else.
@@ -115,24 +117,31 @@ def run_discovery_experiment(
                 discovery_ms=(discovered_at[address] - announced_at) * 1000.0,
             )
         )
-    return rows, domain.harvest()
+    return WorkloadResult(
+        metrics={
+            "slope_ms_per_hop": slope_ms_per_hop(rows),
+            "discovery_ms_first_hop": rows[0].discovery_ms,
+            "discovery_ms_max_hops": rows[-1].discovery_ms,
+            "hops": float(rows[-1].hops),
+        },
+        details={"rows": rows},
+        collector=domain.harvest(),
+    )
 
 
-def bench_discovery_payload(
-    rows: Sequence[DiscoveryRow], collector: Optional[object] = None
-) -> dict:
-    """The ``BENCH_discovery.json`` payload: the Figure 14 curve plus,
-    when a collector from an ``observe=True`` run is given, an
-    ``observability`` section (metrics snapshot + span summary)
-    explaining where the per-hop milliseconds went."""
+def bench_discovery_payload(result: WorkloadResult) -> dict:
+    """The ``BENCH_discovery.json`` payload of a ``discovery`` result:
+    the Figure 14 curve plus, for a traced run, an ``observability``
+    section (metrics snapshot + span summary) explaining where the
+    per-hop milliseconds went."""
     payload = {
         "benchmark": "fig14-discovery-time",
         "schema_version": 1,
-        "rows": [asdict(row) for row in rows],
-        "slope_ms_per_hop": round(slope_ms_per_hop(rows), 6),
+        "rows": [asdict(row) for row in result.details["rows"]],
+        "slope_ms_per_hop": round(result.metrics["slope_ms_per_hop"], 6),
     }
-    if collector is not None:
-        payload["observability"] = collector.observability_payload()
+    if result.collector is not None:
+        payload["observability"] = result.collector.observability_payload()
     return payload
 
 
@@ -146,3 +155,34 @@ def slope_ms_per_hop(rows: Sequence[DiscoveryRow]) -> float:
     numerator = sum((r.hops - mean_x) * (r.discovery_ms - mean_y) for r in rows)
     denominator = sum((r.hops - mean_x) ** 2 for r in rows)
     return numerator / denominator
+
+
+def _discovery_outputs(run: SpecRun, family: List[SpecRun]) -> List[Output]:
+    """Figure 14; the family's run at the paper's 1-9 hops adds
+    ``BENCH_discovery.json``."""
+    rows = run.baseline.details["rows"]
+    slope = run.baseline.metrics["slope_ms_per_hop"]
+    outputs: List[Output] = []
+    if family:
+        outputs = [("BENCH_discovery.json", bench_discovery_payload(run.baseline))]
+    return outputs + [
+        (
+            "Figure 14: discovery time of a new name vs INR hops "
+            f"(slope {slope:.2f} ms/hop)",
+            ["hops", "discovery time (ms)"],
+            [(row.hops, f"{row.discovery_ms:.2f}") for row in rows],
+        ),
+    ]
+
+
+register_workload(Workload(
+    id="discovery",
+    description=(
+        "Figure 14: time for a new name to reach the h-th resolver of "
+        "an INR chain, linear in hops"
+    ),
+    toggles=("obs_tracing",),
+    primary_metrics={"obs_tracing": ("slope_ms_per_hop", "lower")},
+    run=run_discovery_experiment,
+    suite_tables=_discovery_outputs,
+))

@@ -14,6 +14,10 @@ INR, the time to process and route the burst in three placements:
 - **remote destination, different vspace** — no local tree at all: a
   DSR query on first access, then cached next-hop forwarding at
   ~3.8 ms/packet, ~381 ms per burst regardless of name count.
+
+The ``routing`` workload: its ``delivery_artifact`` arm turns the
+artifact off, and its ``fig15-routing`` spec, with one traced burst,
+writes ``BENCH_routing.json``.
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ import random
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
-from ..message import Binding, Delivery, InsMessage
-from ..naming import NameSpecifier
-from ..nametree import AnnouncerID, Endpoint, NameRecord, Route
-from ..resolver import DataPacket, InrConfig
-from ..resolver.costs import CostModel
-from ..resolver.ports import INR_PORT
-from .domain import InsDomain
-from .workload import UniformWorkload
+from ...experiments.domain import InsDomain
+from ...experiments.workload import UniformWorkload
+from ...message import Binding, Delivery, InsMessage
+from ...naming import NameSpecifier
+from ...nametree import AnnouncerID, Endpoint, NameRecord, Route
+from ...resolver import DataPacket, InrConfig
+from ...resolver.costs import CostModel
+from ...resolver.ports import INR_PORT
+from ..runner import Output, SpecRun, Workload, WorkloadResult, register_workload
 
 #: Bytes of application payload that make the whole packet ~586 bytes,
 #: matching the paper's Camera messages.
@@ -129,7 +134,7 @@ def _quiet_config() -> InrConfig:
     )
 
 
-def _measure_local(names: int, seed: int, costs: Optional[CostModel]) -> float:
+def _measure_local(names: int, seed: int, costs: CostModel) -> float:
     domain = InsDomain(seed=seed, config=_quiet_config(), costs=costs)
     inr = domain.add_inr(address="inr-a")
     sink = domain.add_client(address="sink-host", resolver=inr)
@@ -174,17 +179,13 @@ def _setup_remote_same_vspace(domain: InsDomain, names: int, seed: int):
     return inr_a, destination
 
 
-def _measure_remote_same_vspace(
-    names: int, seed: int, costs: Optional[CostModel]
-) -> float:
+def _measure_remote_same_vspace(names: int, seed: int, costs: CostModel) -> float:
     domain = InsDomain(seed=seed, config=_quiet_config(), costs=costs)
     inr_a, destination = _setup_remote_same_vspace(domain, names, seed)
     return _burst_makespan_ms(domain, inr_a, destination, NameSpecifier())
 
 
-def _measure_remote_other_vspace(
-    names: int, seed: int, costs: Optional[CostModel]
-) -> float:
+def _measure_remote_other_vspace(names: int, seed: int, costs: CostModel) -> float:
     domain = InsDomain(seed=seed, config=_quiet_config(), costs=costs)
     inr_a = domain.add_inr(address="inr-a", vspaces=("default",))
     inr_b = domain.add_inr(address="inr-b", vspaces=("remote-space",))
@@ -203,12 +204,22 @@ def _measure_remote_other_vspace(
 
 
 def run_routing_experiment(
+    seed: int,
+    delivery_artifact: bool,
     name_counts: Sequence[int] = (250, 1000, 2500, 5000),
-    seed: int = 0,
-    costs: Optional[CostModel] = None,
-) -> List[RoutingRow]:
-    """Reproduce Figure 15. ``costs`` lets the ablation disable the
-    delivery-code artifact (``CostModel(model_delivery_artifact=False)``)."""
+    traced_burst: Optional[int] = None,
+) -> WorkloadResult:
+    """Reproduce Figure 15, the delivery-code artifact in the cost
+    model or not.
+
+    ``traced_burst`` adds one traced remote-same-vspace burst at that
+    many names: every packet's root span chains into an ``inr.hop``
+    span at ``inr-a`` (forwarded) and another at ``inr-b`` (delivered),
+    so the artifact shows the per-hop split behind the flat ~9.8
+    ms/packet curve. Traced packets are 24 wire bytes larger, so that
+    burst is *not* comparable to the untraced curves.
+    """
+    costs = CostModel(model_delivery_artifact=delivery_artifact)
     rows: List[RoutingRow] = []
     for names in name_counts:
         rows.append(
@@ -219,46 +230,90 @@ def run_routing_experiment(
                 remote_other_vspace_ms=_measure_remote_other_vspace(names, seed, costs),
             )
         )
-    return rows
+    result = WorkloadResult(details={"rows": rows})
+    metrics = result.metrics
+    if traced_burst is not None:
+        domain = InsDomain(seed=seed, config=_quiet_config(), costs=costs)
+        collector = domain.observe(profile_events=True)
+        inr_a, destination = _setup_remote_same_vspace(domain, traced_burst, seed)
+        burst_ms = _burst_makespan_ms(
+            domain, inr_a, destination, NameSpecifier(), tracer=collector.tracer
+        )
+        result.collector = domain.harvest()
+        result.details["traced_burst_ms"] = burst_ms
+        metrics["traced_burst_ms"] = burst_ms
+    for row in rows:
+        metrics[f"local_ms_{row.names_in_vspace}"] = row.local_ms
+        metrics[f"remote_same_vspace_ms_{row.names_in_vspace}"] = (
+            row.remote_same_vspace_ms
+        )
+        metrics[f"remote_other_vspace_ms_{row.names_in_vspace}"] = (
+            row.remote_other_vspace_ms
+        )
+    # The delivery artifact is a deliberately reproduced *cost* from
+    # the paper, so its importance is negative by construction: the
+    # local curve flattens when it is disabled.
+    metrics["local_ms_max_names"] = rows[-1].local_ms
+    return result
 
 
-def run_observed_routing(
-    names: int = 250, seed: int = 0, costs: Optional[CostModel] = None
-):
-    """One traced remote-same-vspace burst: every packet's root span
-    chains into an ``inr.hop`` span at ``inr-a`` (forwarded) and another
-    at ``inr-b`` (delivered), so the artifact shows the per-hop split of
-    the ~9.8 ms/packet figure. Traced packets are 24 wire bytes larger,
-    so the makespan here is *not* comparable to the untraced curves.
-    Returns ``(burst_ms, collector)``.
-    """
-    domain = InsDomain(seed=seed, config=_quiet_config(), costs=costs)
-    collector = domain.observe(profile_events=True)
-    inr_a, destination = _setup_remote_same_vspace(domain, names, seed)
-    burst_ms = _burst_makespan_ms(
-        domain, inr_a, destination, NameSpecifier(), tracer=collector.tracer
-    )
-    return burst_ms, domain.harvest()
-
-
-def bench_routing_payload(
-    rows: Sequence[RoutingRow],
-    observed_burst_ms: Optional[float] = None,
-    collector=None,
-) -> dict:
-    """The ``BENCH_routing.json`` payload: the Figure 15 curves plus,
-    when an :func:`run_observed_routing` result is given, an
-    ``observability`` section with the traced burst's span summary
-    (per-hop percentiles, drop attribution) and metrics snapshot."""
-    payload = {
+def bench_routing_payload(result: WorkloadResult) -> dict:
+    """The ``BENCH_routing.json`` payload of a ``routing`` result with a
+    ``traced_burst``: the Figure 15 curves plus an ``observability``
+    section with the traced burst's span summary (per-hop percentiles,
+    drop attribution), metrics snapshot and makespan."""
+    observability = result.collector.observability_payload()
+    observability["traced_burst_ms"] = round(result.details["traced_burst_ms"], 6)
+    return {
         "benchmark": "fig15-routing-burst",
         "schema_version": 1,
-        "rows": [asdict(row) for row in rows],
+        "rows": [asdict(row) for row in result.details["rows"]],
+        "observability": observability,
     }
-    if collector is not None:
-        payload["observability"] = collector.observability_payload()
-        if observed_burst_ms is not None:
-            payload["observability"]["traced_burst_ms"] = round(
-                observed_burst_ms, 6
+
+
+def _routing_outputs(run: SpecRun, family: List[SpecRun]) -> List[Output]:
+    """Figure 15 and, from the ``delivery_artifact`` arm, its ablation;
+    the family's run (with its ``traced_burst``) adds
+    ``BENCH_routing.json``."""
+    rows = run.baseline.details["rows"]
+    outputs: List[Output] = []
+    if family:
+        outputs = [("BENCH_routing.json", bench_routing_payload(run.baseline))]
+    outputs.append((
+        "Figure 15: time to route 100 packets (ms per burst)",
+        ["names in vspace", "local", "remote same vspace",
+         "remote different vspace"],
+        [
+            (
+                row.names_in_vspace,
+                f"{row.local_ms:.0f}",
+                f"{row.remote_same_vspace_ms:.0f}",
+                f"{row.remote_other_vspace_ms:.0f}",
             )
-    return payload
+            for row in rows
+        ],
+    ))
+    arm = run.ablations.get("delivery_artifact")
+    if run.toggles.get("delivery_artifact") and arm is not None:
+        outputs.append((
+            "Figure 15 ablation: local case with the delivery artifact "
+            "disabled",
+            ["names in vspace", "local (ms/burst)"],
+            [(row.names_in_vspace, f"{row.local_ms:.0f}")
+             for row in arm.details["rows"]],
+        ))
+    return outputs
+
+
+register_workload(Workload(
+    id="routing",
+    description=(
+        "Figure 15: simulated ms to route a 100-packet burst (local / "
+        "remote same-vspace / remote other-vspace) as the vspace grows"
+    ),
+    toggles=("delivery_artifact",),
+    primary_metrics={"delivery_artifact": ("local_ms_max_names", "lower")},
+    run=run_routing_experiment,
+    suite_tables=_routing_outputs,
+))

@@ -17,6 +17,7 @@ from ..obs import write_canonical_json
 from .gate import flatten
 from .runner import SpecRun, WORKLOADS
 from .spec import SpecError
+from .workloads import _family
 
 #: Version of the ``BENCH_matrix.json`` artifact layout.
 MATRIX_SCHEMA_VERSION = 1
@@ -204,34 +205,23 @@ def format_table(title: str, headers: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _ReadLog(dict):
-    """The suite's runs by spec name, noting which ones a hook read."""
-
-    def __init__(self, runs: Dict[str, SpecRun]) -> None:
-        super().__init__(runs)
-        self.read: List[str] = []
-
-    def __getitem__(self, name: str) -> SpecRun:
-        if name not in self.read:
-            self.read.append(name)
-        return super().__getitem__(name)
-
-
 def write_tables(
     runs: Sequence[SpecRun], results_dir: Union[str, Path]
 ) -> Dict[str, List[str]]:
     """Write every table and named file the suite's ``suite_tables``
     hooks return under ``results_dir``; return {path: the spec names it
     came from}. Refuses (``SpecError``, nothing written) a suite in
-    which two runs write the same file name."""
+    which two runs write the same file name, or a family whose folded
+    runs the suite does not hold."""
     by_name = {run.spec.name: run for run in runs}
     outputs: Dict[str, Tuple[Union[dict, str], List[str]]] = {}
     for run in runs:
-        hook = WORKLOADS[run.spec.workload].suite_tables
-        if hook is None:
+        workload = WORKLOADS[run.spec.workload]
+        if workload.suite_tables is None or (workload.timed and not run.timing):
             continue
-        log = _ReadLog(by_name)
-        for output in hook(run, log):
+        family = _family(run, by_name)
+        sources = [member.spec.name for member in family] or [run.spec.name]
+        for output in workload.suite_tables(run, family):
             if len(output) == 3:
                 title, headers, rows = output
                 output = (table_filename(title), format_table(title, headers, rows))
@@ -241,8 +231,6 @@ def write_tables(
                     f"specs {outputs[name][1][0]!r} and {run.spec.name!r} "
                     f"both write {name}"
                 )
-            sources = [run.spec.name]
-            sources += [read for read in log.read if read != run.spec.name]
             outputs[name] = (content, sources)
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)

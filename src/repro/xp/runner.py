@@ -1,15 +1,14 @@
 """The matrix runner: baseline × ablated execution of one spec.
 
-A :class:`Workload` adapts one benchmark or chaos scenario to the
-engine: given a spec's params, a seed and concrete toggle values, it
-runs the experiment and returns a :class:`WorkloadResult` whose
-``metrics`` are **deterministic** (simulated time, counters, ratios —
-anything that is a pure function of the spec) and whose ``timings``
-are host-dependent measurements (wall clock, interpreter object sizes;
-collected only when asked, and kept out of the deterministic report
-body). Workloads register themselves in :data:`WORKLOADS` at import
-time; :mod:`.workloads` populates the registry with every experiment
-and figure.
+A :class:`Workload` is one experiment of :mod:`.experiments`: its
+driver takes the spec's seed, its toggles by their registry names and
+its params as keyword arguments, runs the experiment and returns a
+:class:`WorkloadResult` whose ``metrics`` are **deterministic**
+(simulated time, counters, ratios — anything that is a pure function
+of the spec) and whose ``timings`` are host-dependent measurements
+(wall clock, interpreter object sizes; kept only when asked, and out
+of the deterministic report body). Each experiment module registers
+its workloads in :data:`WORKLOADS` when :mod:`.workloads` imports it.
 
 :func:`run_spec` executes the baseline configuration plus one run per
 toggle the workload honors with that toggle flipped — the full ablation
@@ -17,14 +16,15 @@ matrix for the spec. Determinism contract: two calls with the same
 spec and ``timing=False`` produce equal results, which is what the
 byte-identical ``BENCH_matrix.json`` test pins.
 
-This is the engine side (with :mod:`.workloads` and :mod:`.cli`) where
-host time may be read, for ``timings`` only. No module has a lint
-exception: the ``entropy-taint`` rule applies everywhere, and allows
-``time.perf_counter`` because it never feeds simulated behaviour.
+The drivers of :mod:`.experiments` may read host time, for ``timings``
+only. No module has a lint exception: the ``entropy-taint`` rule
+applies everywhere, and allows ``time.perf_counter`` because it never
+feeds simulated behaviour.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -62,19 +62,17 @@ class WorkloadResult:
     collector: Optional[object] = None
 
 
-#: run(params, toggles, seed, timing) -> WorkloadResult
-WorkloadFn = Callable[
-    [Mapping[str, object], Mapping[str, bool], int, bool], WorkloadResult
-]
-
-
 @dataclass(frozen=True)
 class Workload:
     """One engine-runnable experiment family."""
 
     id: str
     description: str
-    run: WorkloadFn
+    #: the driver: ``run(seed=..., **toggles, **params)`` returns a
+    #: :class:`WorkloadResult`; each toggle is a keyword named as in
+    #: :data:`~.spec.TOGGLES`, and its keyword defaults are the
+    #: workload's params when a spec does not say
+    run: Callable[..., WorkloadResult]
     #: the component toggles this workload responds to (ablation axes);
     #: none for a figure that is one run
     toggles: Tuple[str, ...] = ()
@@ -82,16 +80,19 @@ class Workload:
     #: importance is judged on; direction is "higher" or "lower"
     #: (which way is better). Metrics named here must be deterministic.
     primary_metrics: Mapping[str, Tuple[str, str]] = field(default_factory=dict)
-    #: optional ``f(spec_run, runs) -> [Table or File]``, the one output
-    #: hook: this workload's result tables (``figure_*.txt``,
+    #: optional ``f(spec_run, family) -> [Table or File]``, the one
+    #: output hook: this workload's result tables (``figure_*.txt``,
     #: ``ablation__*.txt``) and named files (a ``BENCH_*.json`` family,
-    #: its span JSONL). ``runs`` is the suite's runs by spec name, for a
-    #: family that folds several specs. Outputs built from
-    #: host-dependent numbers must be [] when ``spec_run.timing`` is
-    #: False.
+    #: its span JSONL). ``family`` is the runs the spec's ``BENCH_*``
+    #: family folds, ``spec_run`` first, or [] when the spec writes
+    #: none. Outputs built from host-dependent numbers must be [] when
+    #: ``spec_run.timing`` is False.
     suite_tables: Optional[
-        Callable[["SpecRun", Mapping[str, "SpecRun"]], List[Output]]
+        Callable[["SpecRun", List["SpecRun"]], List[Output]]
     ] = None
+    #: every number is host-dependent (``timings``): an untimed run
+    #: does not call the driver and writes none of its outputs
+    timed: bool = False
 
     def __post_init__(self) -> None:
         for toggle in self.toggles:
@@ -122,16 +123,6 @@ def register_workload(workload: Workload) -> Workload:
     return workload
 
 
-def baseline_toggles(
-    workload: Workload, spec: ExperimentSpec
-) -> Dict[str, bool]:
-    """The concrete baseline toggle values a spec runs under: every
-    toggle the workload honors on, unless the spec pins it."""
-    return {
-        toggle: spec.toggles.get(toggle, True) for toggle in workload.toggles
-    }
-
-
 @dataclass
 class SpecRun:
     """The executed matrix of one spec: baseline + per-toggle ablations."""
@@ -153,8 +144,27 @@ def run_spec(spec: ExperimentSpec, timing: bool = False) -> SpecRun:
             f"spec {spec.name!r} names unknown workload {spec.workload!r} "
             f"(known: {', '.join(sorted(WORKLOADS))})"
         )
-    base = baseline_toggles(workload, spec)
-    baseline = workload.run(spec.params, dict(base), spec.seed, timing)
+    taken = set(inspect.signature(workload.run).parameters)
+    misspelt = sorted(set(spec.params) - (taken - {"seed", *workload.toggles}))
+    if misspelt:
+        raise SpecError(
+            f"spec {spec.name!r}: workload {workload.id!r} takes no param "
+            f"{', '.join(misspelt)}"
+        )
+
+    def execute(toggles: Mapping[str, bool]) -> WorkloadResult:
+        """One arm: the driver under ``toggles``, its timings kept only
+        when the run asked for them."""
+        if workload.timed and not timing:
+            return WorkloadResult()
+        result = workload.run(seed=spec.seed, **toggles, **spec.params)
+        if not timing:
+            result.timings.clear()
+        return result
+
+    # Every toggle the workload honors is on, unless the spec pins it.
+    base = {toggle: spec.toggles.get(toggle, True) for toggle in workload.toggles}
+    baseline = execute(base)
     to_ablate = workload.toggles
     if spec.ablations:
         unknown = set(spec.ablations) - set(workload.toggles)
@@ -169,9 +179,7 @@ def run_spec(spec: ExperimentSpec, timing: bool = False) -> SpecRun:
     for toggle in to_ablate:
         flipped = dict(base)
         flipped[toggle] = not flipped[toggle]
-        ablations[toggle] = workload.run(
-            spec.params, flipped, spec.seed, timing
-        )
+        ablations[toggle] = execute(flipped)
     return SpecRun(
         spec=spec,
         baseline=baseline,

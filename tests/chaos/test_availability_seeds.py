@@ -6,7 +6,9 @@ no reply hangs, most requests succeed, and a seed reproduces itself."""
 
 import pytest
 
-from repro.chaos import fingerprint, run_availability_scenario
+from repro.xp import ExperimentSpec, run_spec
+
+from ..conftest import arm_fingerprints
 
 #: The lowest success rate observed over the sweep is 0.794 (seed 10 at
 #: one request per 0.1 s).
@@ -16,8 +18,16 @@ SUCCESS_FLOOR = 0.75
 @pytest.mark.parametrize("lookup_interval", [0.5, 0.1])
 @pytest.mark.parametrize("seed", range(1, 13))
 def test_availability_holds_across_seeds(seed, lookup_interval):
-    report = run_availability_scenario(seed=seed, lookup_interval=lookup_interval)
+    spec = ExperimentSpec(
+        name="availability-sweep",
+        workload="availability",
+        seed=seed,
+        toggles={"obs_tracing": False},
+        params={"lookup_interval": lookup_interval},
+        ablations=("resilience",),
+    )
+    run = run_spec(spec)
+    report = run.baseline.details["report"]
     assert report.requests_hung == 0
     assert report.success_rate >= SUCCESS_FLOOR
-    again = run_availability_scenario(seed=seed, lookup_interval=lookup_interval)
-    assert fingerprint(again) == fingerprint(report)
+    assert arm_fingerprints(run_spec(spec)) == arm_fingerprints(run)

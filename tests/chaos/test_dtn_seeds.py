@@ -6,20 +6,30 @@ hold in both runs, and a seed reproduces itself."""
 
 import pytest
 
-from repro.chaos import fingerprint, run_dtn_scenario
+from repro.xp import ExperimentSpec, run_spec
 
-SCALE = dict(disruption=8.0, duty_window=8.0)
+from ..conftest import arm_fingerprints
+
+SCALE = {"disruption": 8.0, "duty_window": 8.0}
 
 
 @pytest.mark.parametrize("seed", range(1, 13))
 def test_custody_holds_across_seeds(seed):
-    on = run_dtn_scenario(seed=seed, custody=True, **SCALE)
-    off = run_dtn_scenario(seed=seed, custody=False, **SCALE)
+    spec = ExperimentSpec(
+        name="dtn-sweep",
+        workload="dtn",
+        seed=seed,
+        toggles={"obs_tracing": False},
+        params=SCALE,
+        ablations=("custody",),
+    )
+    run = run_spec(spec)
+    on = run.baseline.details["report"]
+    off = run.ablations["custody"].details["report"]
     assert on.messages_sent == off.messages_sent > 0
     assert on.delivery_ratio >= off.delivery_ratio
     assert on.custody_accepted == (
         on.custody_released + on.drops_custody_expired + on.drops_custody_evicted
     )
     assert on.converged_violations == () == off.converged_violations
-    again = run_dtn_scenario(seed=seed, custody=True, **SCALE)
-    assert fingerprint(again) == fingerprint(on)
+    assert arm_fingerprints(run_spec(spec)) == arm_fingerprints(run)

@@ -5,14 +5,10 @@ import dataclasses
 
 import pytest
 
-from repro.chaos import (
-    AvailabilityReport,
-    ChaosReport,
-    DelegationReport,
-    DtnReport,
-    Violation,
-    fingerprint,
-)
+from repro.chaos import ChaosReport, Violation, fingerprint
+from repro.xp.experiments.availability import AvailabilityReport
+from repro.xp.experiments.delegation import DelegationReport
+from repro.xp.experiments.dtn import DtnReport
 
 #: One instance per report class, every field filled with a plausible
 #: value of its declared shape.
@@ -150,6 +146,8 @@ def test_fingerprint_is_insensitive_to_noise_and_mapping_order():
 
 
 def test_collector_rides_outside_the_fingerprint():
+    """Only declared fields count: an attribute set on a report (a
+    run's collector, say) does not move its fingerprint."""
     report = dataclasses.replace(REPORTS[2])
     report.collector = object()
     assert fingerprint(report) == fingerprint(REPORTS[2])

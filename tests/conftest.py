@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.chaos import fingerprint
 from repro.experiments import InsDomain
 from repro.message import (
     HEADER_SIZE,
@@ -17,6 +18,13 @@ from repro.message import (
 from repro.naming import NameSpecifier
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
 from repro.obs import TRACE_CONTEXT_SIZE
+
+
+def arm_fingerprints(run):
+    """The report fingerprint of every arm of a chaos workload's
+    ``SpecRun``, baseline first: equal for two runs of one spec."""
+    arms = (run.baseline, *run.ablations.values())
+    return [fingerprint(arm.details["report"]) for arm in arms]
 
 
 @pytest.fixture

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from repro.experiments.baseline_dns import run_mobility_comparison
+from repro.xp import default_suite, run_spec
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_mobility_comparison(seed=0)
+    return run_spec(default_suite()["dns-mobility"]).baseline.details["rows"]
 
 
 class TestMobilityComparison:

@@ -5,9 +5,8 @@ tier 1); these tests run tiny versions of the same experiments so the
 ablation and the JSON schema cannot rot unnoticed.
 """
 
-from repro.experiments.fig12 import bench_lookup_payload, run_lookup_experiment
 from repro.xp import ExperimentSpec, run_spec
-from repro.xp.workloads import memo_ablation_block
+from repro.xp.experiments.fig12 import bench_lookup_payload, memo_ablation_block
 
 
 def small_memo_run(**params):
@@ -21,6 +20,14 @@ def small_memo_run(**params):
         ablations=("lookup_memo",),
     )
     return run_spec(spec, timing=True)
+
+
+def small_curve(**params):
+    """The ``lookup-curve`` workload's rows at smoke scale, timed."""
+    spec = ExperimentSpec(
+        name="curve-smoke", workload="lookup-curve", params=params
+    )
+    return run_spec(spec, timing=True).baseline.details["rows"]
 
 
 class TestMemoAblation:
@@ -43,15 +50,13 @@ class TestMemoAblation:
         assert uncached["memo_hits"] == 0
 
     def test_memoized_curve_still_runs(self):
-        rows = run_lookup_experiment(
-            name_counts=(100,), lookups_per_point=50, memoize=True
-        )
+        rows = small_curve(name_counts=(100,), lookups_per_point=50, memoize=True)
         assert rows[0].lookups_per_second > 0
 
 
 class TestBenchLookupJson:
     def test_emission_schema(self):
-        curve = run_lookup_experiment(name_counts=(100,), lookups_per_point=50)
+        curve = small_curve(name_counts=(100,), lookups_per_point=50)
         ablation = memo_ablation_block(
             small_memo_run(names=200, distinct_queries=4, lookups=100)
         )
@@ -79,7 +84,7 @@ class TestBenchLookupJson:
         }
 
     def test_emission_without_ablation(self, tmp_path):
-        curve = run_lookup_experiment(name_counts=(100,), lookups_per_point=50)
+        curve = small_curve(name_counts=(100,), lookups_per_point=50)
         payload = bench_lookup_payload(curve)
         assert payload["memo_ablation"] is None
         assert payload["curve"][0]["names_in_tree"] == 100

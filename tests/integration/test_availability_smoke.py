@@ -12,19 +12,28 @@ its seed.
 import math
 import time
 
-from repro.chaos import (
-    bench_availability_payload,
-    fingerprint,
-    run_availability_scenario,
-)
+from repro.xp import ExperimentSpec, run_spec
+from repro.xp.experiments.availability import bench_availability_payload
 
-SCALE = dict(seed=7, duration=20.0)
+from ..conftest import arm_fingerprints
+
+#: The ``availability`` workload at smoke scale, untraced: baseline
+#: resilient, the ``resilience`` arm bare.
+SPEC = ExperimentSpec(
+    name="availability-smoke",
+    workload="availability",
+    seed=7,
+    toggles={"obs_tracing": False},
+    params={"duration": 20.0},
+    ablations=("resilience",),
+)
 
 
 def test_availability_scenario_resilience_and_reproducibility():
     started = time.perf_counter()
-    resilient = run_availability_scenario(resilience=True, **SCALE)
-    bare = run_availability_scenario(resilience=False, **SCALE)
+    run = run_spec(SPEC)
+    resilient = run.baseline.details["report"]
+    bare = run.ablations["resilience"].details["report"]
 
     # Chaos actually happened, over the full fault vocabulary.
     assert resilient.faults_applied >= 5
@@ -59,15 +68,14 @@ def test_availability_scenario_resilience_and_reproducibility():
         assert math.isfinite(stats["p100"]), kind
 
     # The artifact's payload carries the comparison.
-    payload = bench_availability_payload(resilient, bare)
+    payload = bench_availability_payload(run)
     assert payload["benchmark"] == "availability-chaos"
     assert payload["resilience_on"]["success_rate"] >= 0.75
     assert payload["resilience_on"]["requests_hung"] == 0
     assert payload["success_rate_delta"] > 0
 
     # Same seed, same run — determinism extends to the new scenario.
-    replay = run_availability_scenario(resilience=True, **SCALE)
-    assert fingerprint(replay) == fingerprint(resilient)
+    assert arm_fingerprints(run_spec(SPEC)) == arm_fingerprints(run)
 
-    # Smoke budget: all three runs well under five wall-clock seconds.
+    # Smoke budget: all four runs well under five wall-clock seconds.
     assert time.perf_counter() - started < 5.0

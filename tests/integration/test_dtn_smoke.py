@@ -13,19 +13,27 @@ bit-reproducible from its seed.
 
 import json
 
-from repro.chaos import bench_dtn_payload, fingerprint, run_dtn_scenario
 from repro.xp import ExperimentSpec, run_spec
+from repro.xp.experiments.dtn import bench_dtn_payload
 
-SCALE = dict(
+from ..conftest import arm_fingerprints
+
+#: The ``dtn`` workload at smoke scale, untraced: baseline custody on,
+#: the ``custody`` arm off.
+SPEC = ExperimentSpec(
+    name="dtn-scenario-smoke",
+    workload="dtn",
     seed=7,
-    disruption=8.0,
-    duty_window=8.0,
+    toggles={"obs_tracing": False},
+    params={"disruption": 8.0, "duty_window": 8.0},
+    ablations=("custody",),
 )
 
 
 def test_dtn_scenario_delivery_and_reproducibility(tmp_path):
-    on = run_dtn_scenario(custody=True, **SCALE)
-    off = run_dtn_scenario(custody=False, **SCALE)
+    run = run_spec(SPEC)
+    on = run.baseline.details["report"]
+    off = run.ablations["custody"].details["report"]
 
     # Chaos actually happened: duty cycles plus the partition/heal pair.
     assert on.faults_applied >= 4
@@ -64,8 +72,7 @@ def test_dtn_scenario_delivery_and_reproducibility(tmp_path):
     assert on.expiry_grace_readmissions > 0
 
     # Bit-reproducibility: same seed, same parameters, same run.
-    again = run_dtn_scenario(custody=True, **SCALE)
-    assert fingerprint(again) == fingerprint(on)
+    assert arm_fingerprints(run_spec(SPEC)) == arm_fingerprints(run)
 
 
 def test_bench_dtn_artifact_schema():

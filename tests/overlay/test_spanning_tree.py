@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import InsDomain
-from repro.experiments.fig14 import build_chain_domain
+from repro.xp.experiments.fig14 import build_chain_domain
 from repro.resolver import InrConfig, inr as inr_module
 
 

@@ -7,9 +7,13 @@ value other than its default — by keyword to the constructor or to
 its one reader, which a test patches.
 
 A defaulted parameter of a scenario driver stays only if some caller
-passes it a value other than its default, or a ``default_suite()`` spec
-whose adapter forwards its params does. Here tests count as callers:
-the run sizes and sweeps they vary are what the parameters are for.
+passes it a value other than its default, or a spec of a workload whose
+driver it is does (the engine hands a spec's params to its workload's
+driver as they are): a ``default_suite()`` spec, or an
+``ExperimentSpec(workload=..., params=...)`` written out anywhere. Here
+tests count as callers: the run sizes and sweeps they vary are what the
+parameters are for. A toggle is a driver parameter without a default;
+the engine gives it both values.
 
 A value the code computes counts as a second value; a literal counts
 only when it differs from the default.
@@ -20,19 +24,19 @@ import inspect
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from repro.chaos import (
-    FaultPlan,
-    run_availability_scenario,
-    run_chaos_scenario,
-    run_delegation_matrix,
-    run_delegation_scenario,
-    run_dtn_scenario,
-)
+from repro.chaos import FaultPlan, run_chaos_scenario
 from repro.client import RetryPolicy
 from repro.experiments import InsDomain
-from repro.experiments.fig14 import build_chain_domain
 from repro.resolver import InrConfig
-from repro.xp import default_suite
+from repro.xp import WORKLOADS, default_suite
+from repro.xp.experiments.availability import run_availability_scenario
+from repro.xp.experiments.delegation import (
+    run_delegation_ablation,
+    run_delegation_matrix,
+    run_delegation_scenario,
+)
+from repro.xp.experiments.dtn import run_dtn_scenario
+from repro.xp.experiments.fig14 import build_chain_domain
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -41,6 +45,7 @@ HARNESS = {
     "run_availability_scenario": run_availability_scenario,
     "run_dtn_scenario": run_dtn_scenario,
     "run_delegation_scenario": run_delegation_scenario,
+    "run_delegation_ablation": run_delegation_ablation,
     "run_delegation_matrix": run_delegation_matrix,
     "run_chaos_scenario": run_chaos_scenario,
     "FaultPlan.random": FaultPlan.random,
@@ -49,13 +54,12 @@ HARNESS = {
     "InsDomain": InsDomain,
 }
 
-#: The workloads whose adapter hands a spec's params to a driver as
-#: they are.
+#: The workloads whose driver is one of the above, which a spec's params
+#: reach as they are.
 FORWARDED = {
-    "availability": "run_availability_scenario",
-    "dtn": "run_dtn_scenario",
-    "delegation": "run_delegation_scenario",
-    "delegation-matrix": "run_delegation_matrix",
+    workload.id: workload.run.__name__
+    for workload in WORKLOADS.values()
+    if workload.run.__name__ in HARNESS
 }
 
 
@@ -91,10 +95,29 @@ def _module_dicts(tree):
     return found
 
 
+def _spec_params(keywords, dicts):
+    """An ``ExperimentSpec(...)`` call's workload and its params as
+    [(name, value node)], or (None, []) when either is not written out."""
+    named = dict(keywords)
+    workload, params = named.get("workload"), named.get("params")
+    if not isinstance(workload, ast.Constant):
+        return None, []
+    if isinstance(params, ast.Name):
+        return workload.value, dicts.get(params.id, [])
+    if isinstance(params, ast.Dict) and all(
+        isinstance(key, ast.Constant) for key in params.keys
+    ):
+        return workload.value, [
+            (key.value, item) for key, item in zip(params.keys, params.values)
+        ]
+    return None, []
+
+
 def _calls(roots):
     """(dotted callee, positional args, [(keyword, value node)]) for
     every call under ``roots``; ``cls(...)`` inside a class body is a
-    call of that class."""
+    call of that class, and an ``ExperimentSpec(...)`` of a forwarded
+    workload is a call of its driver with the spec's params."""
     for root in roots:
         for path in sorted((REPO / root).rglob("*.py")):
             tree = ast.parse(path.read_text())
@@ -111,7 +134,11 @@ def _calls(roots):
                         elif isinstance(keyword.value, ast.Name):
                             keywords.extend(dicts.get(keyword.value.id, ()))
                     callee = _dotted(node.func, enclosing_class)
-                    if callee is not None:
+                    if callee == "ExperimentSpec":
+                        workload, params = _spec_params(keywords, dicts)
+                        if workload in FORWARDED:
+                            yield FORWARDED[workload], [], params
+                    elif callee is not None:
                         yield callee, node.args, keywords
                 for child in ast.iter_child_nodes(node):
                     yield from visit(child, enclosing_class)
