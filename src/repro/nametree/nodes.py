@@ -2,17 +2,16 @@
 
 A name-tree consists of alternating layers of *attribute-nodes*, which
 contain orthogonal attributes, and *value-nodes*, which contain the
-possible values of their parent attribute. Value-nodes carry pointers
-to the name-records of advertisements whose name-specifier ends there.
-The tree root behaves like a value-node with no value.
+possible values of their parent attribute. Value-nodes point to
+the name-records of advertisements whose name-specifier ends there;
+here that pointer set is a bitmap over the owning tree's record slots,
+stored from the node's lowest slot up. The tree root behaves like a
+value-node with no value.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Optional, Set, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from .record import NameRecord
+from typing import Dict, Iterator, Optional
 
 
 class ValueNode:
@@ -22,9 +21,10 @@ class ValueNode:
         "value",
         "parent",
         "children",
-        "records",
+        "bits",
+        "offset",
         "ptr",
-        "_sub_fs",
+        "_sub_bits",
         "_sub_epoch",
     )
 
@@ -37,21 +37,26 @@ class ValueNode:
         self.parent = parent
         #: child attribute-nodes, keyed by attribute for O(1) descent
         self.children: Dict[str, AttributeNode] = {}
-        #: records whose advertised name-specifier has a leaf at this node
-        self.records: Set["NameRecord"] = set()
+        #: the records whose advertised name-specifier has a leaf at this
+        #: node, as a bitmap of their slots in the owning tree shifted
+        #: down by ``offset`` (bit ``i`` is ``NameTree``'s slot
+        #: ``offset + i``, and bit 0 is set while any is): a node's
+        #: records are ``bits << offset``. Stored from the lowest slot so
+        #: a node costs the span of its slots, not the highest one;
+        #: maintained by ``add_slot`` / ``drop_slot``.
+        self.bits = 0
+        self.offset = 0
         #: transient pointer used by GET-NAME (Figure 6); None outside it
         self.ptr = None
-        #: lazily-built set of every record at or below this node, valid
-        #: only while the owning tree's epoch equals ``_sub_epoch``. A
-        #: frozenset for interior nodes; for leaves it aliases
-        #: ``records`` outright.
-        #: LOOKUP-NAME consults it so wildcard-heavy (and deep concrete)
-        #: queries stop re-scanning unchanged subtrees; a membership
-        #: change advances the tree epoch, which invalidates every cache
-        #: by key without touching the nodes. Consumers must treat it as
-        #: read-only.
-        self._sub_fs: Optional[FrozenSet["NameRecord"]] = None
-        self._sub_epoch: int = -1
+        #: the bitmap of every record at or below this interior node,
+        #: valid only while the owning tree's epoch equals
+        #: ``_sub_epoch``. LOOKUP-NAME consults it so wildcard-heavy (and
+        #: deep concrete) queries stop re-scanning unchanged subtrees; a
+        #: membership change advances the tree epoch, which invalidates
+        #: every cache by key without touching the nodes. A leaf's
+        #: subtree is its own records and is never cached.
+        self._sub_bits = 0
+        self._sub_epoch = -1
 
     @property
     def is_root(self) -> bool:
@@ -65,56 +70,58 @@ class ValueNode:
             self.children[attribute] = node
         return node
 
-    def subtree_frozen(self, epoch: int) -> FrozenSet["NameRecord"]:
-        """All records attached at or below this value-node, as a cached
-        frozenset keyed by the owning tree's ``epoch``.
+    def add_slot(self, slot: int) -> None:
+        """Attach the record in ``slot`` (not attached here yet)."""
+        bits = self.bits
+        if not bits:
+            self.bits = 1
+            self.offset = slot
+        elif slot > self.offset:
+            self.bits = bits | 1 << (slot - self.offset)
+        else:
+            self.bits = bits << (self.offset - slot) | 1
+            self.offset = slot
+
+    def drop_slot(self, slot: int) -> None:
+        """Detach the record in ``slot`` (attached here)."""
+        bits = self.bits ^ 1 << (slot - self.offset)
+        if bits and not bits & 1:
+            shift = (bits & -bits).bit_length() - 1
+            bits >>= shift
+            self.offset += shift
+        self.bits = bits
+
+    def subtree_bits(self, epoch: int) -> int:
+        """The bitmap of all records attached at or below this
+        value-node, cached under the owning tree's ``epoch``.
 
         This is the union LOOKUP-NAME computes for wild-card matching
         and for queries that end above the advertisement's leaf
         (omitted query attributes are wild-cards). The first call after
-        a membership change rebuilds the set by traversal; every later
-        call at the same epoch returns the cached object, so the
-        unions and intersections of LOOKUP-NAME operate on shared
-        frozensets instead of walking the subtree per query. Callers
-        must not mutate the result (take ``set(...)`` to own a copy).
+        a membership change ORs the subtree's bitmaps together; every
+        later call at the same epoch returns the cached int.
         """
         if self._sub_epoch == epoch:
-            return self._sub_fs
-        if not self.children:
-            # A leaf's subtree IS its record set: alias it instead of
-            # copying (leaf builds dominate a cold pass). The read-only
-            # discipline holds because LOOKUP-NAME never mutates
-            # candidate sets and the public API copies at the boundary;
-            # a membership change advances the epoch, which retires the
-            # alias before the records set is ever served stale.
-            frozen = self.records
-        else:
-            collected = set(self.records)
-            update = collected.update
-            stack = list(self.children.values())
-            pop = stack.pop
-            extend = stack.extend
-            while stack:
-                attribute_node = pop()
-                for value_node in attribute_node.children.values():
+            return self._sub_bits
+        bits = self.bits << self.offset
+        stack = list(self.children.values())
+        pop = stack.pop
+        extend = stack.extend
+        while stack:
+            attribute_node = pop()
+            for value_node in attribute_node.children.values():
+                if not value_node.children:
+                    bits |= value_node.bits << value_node.offset
+                elif value_node._sub_epoch == epoch:
                     # A child whose cache is valid contributes its
                     # whole subtree at once; no need to re-walk it.
-                    if value_node._sub_epoch == epoch:
-                        update(value_node._sub_fs)
-                    else:
-                        update(value_node.records)
-                        if value_node.children:
-                            extend(value_node.children.values())
-                        else:
-                            # Caching a traversed leaf costs two slot
-                            # stores; later queries that constrain on it
-                            # directly then skip the build call.
-                            value_node._sub_fs = value_node.records
-                            value_node._sub_epoch = epoch
-            frozen = frozenset(collected)
-        self._sub_fs = frozen
+                    bits |= value_node._sub_bits
+                else:
+                    bits |= value_node.bits << value_node.offset
+                    extend(value_node.children.values())
+        self._sub_bits = bits
         self._sub_epoch = epoch
-        return frozen
+        return bits
 
     def walk_values(self) -> Iterator["ValueNode"]:
         """Yield this value-node and every value-node below it.
@@ -137,7 +144,7 @@ class ValueNode:
         """
         node: Optional[ValueNode] = self
         while node is not None and not node.is_root:
-            if node.records or node.children:
+            if node.bits or node.children:
                 return
             attribute_node = node.parent
             assert attribute_node is not None
@@ -150,7 +157,8 @@ class ValueNode:
 
     def __repr__(self) -> str:
         label = "<root>" if self.is_root else self.value
-        return f"ValueNode({label}, records={len(self.records)}, children={len(self.children)})"
+        records = bin(self.bits).count("1")
+        return f"ValueNode({label}, records={records}, children={len(self.children)})"
 
 
 class AttributeNode:

@@ -119,7 +119,7 @@ class NameRecord:
 
     __slots__ = (
         "announcer", "endpoints", "anycast_metric", "route", "expires_at", "vspace",
-        "attachments", "advertised_name", "kept_update", "heard", "_hash_cache",
+        "attachments", "slot", "advertised_name", "kept_update", "heard", "_hash_cache",
     )
 
     def __init__(
@@ -143,6 +143,10 @@ class NameRecord:
         #: Leaf value-nodes of this record's name in its tree, fixed at
         #: graft; maintained by NameTree.insert/remove, read by GET-NAME.
         self.attachments: tuple = ()
+        #: This record's slot in its tree: the bit it sets in the bitmap
+        #: of each of its leaf value-nodes. Taken at graft, freed (None)
+        #: by NameTree.remove.
+        self.slot: Optional[int] = None
         #: The name-specifier that was grafted — sealed, like every keyed
         #: name, and shared with whoever sent it — kept so GET-NAME returns
         #: it instead of re-tracing Figure 6 on every refresh round, and so
@@ -161,10 +165,10 @@ class NameRecord:
         #: move the deadline (``NameTree.rehear``). ``NameTree.refresh`` is
         #: its one writer.
         self.heard: Optional[object] = None
-        #: Memoized __hash__. Records live in many sets (value-node record
-        #: sets, subtree caches, lookup results) and set operations probe
+        #: Memoized __hash__. Records live in many sets (lookup results,
+        #: memoized results, resolver bookkeeping) and set operations probe
         #: hashes constantly; recomputing the announcer/vspace tuple hash
-        #: per probe dominated LOOKUP-NAME's intersection cost. Filled on
+        #: per probe would dominate building a lookup's result set. Filled on
         #: first use, which happens no earlier than grafting — after
         #: ``vspace`` is finalized by the owning tree.
         self._hash_cache: Optional[int] = None

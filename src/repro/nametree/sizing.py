@@ -30,8 +30,11 @@ advertisement a service re-sends, or the update a neighbor keeps on its
 own record, would exist without this tree, and is not counted. (A tree
 filled directly, as Figure 13's is, has neither.)
 
-The tree's own indexes are counted as containers: ``_by_announcer``
-(its keys are the records' AnnouncerIDs, counted with the records),
+The tree's own indexes are counted as containers: the slot table and
+its free list (every value-node's record bitmap, and every interior
+value-node's cached subtree bitmap, is counted with its node),
+``_by_announcer`` (its keys are the records' AnnouncerIDs, counted with
+the records),
 ``_by_text`` (its keys are the grafted names' cached wire texts and its
 values the names, both the senders', as above) and the LOOKUP-NAME memo
 with the frozen result sets it holds (its keys are the queries' canonical
@@ -43,7 +46,6 @@ from __future__ import annotations
 import sys
 from typing import Set
 
-from .nodes import ValueNode
 from .record import NameRecord
 from .tree import NameTree
 
@@ -79,6 +81,11 @@ def name_tree_bytes(tree: NameTree) -> int:
     """Resident bytes of ``tree``: nodes, dicts, records and strings."""
     seen: Set[int] = set()
     total = _sizeof(tree, seen)
+    total += _sizeof(tree._slots, seen)
+    total += _sizeof(tree._free, seen)
+    for record in tree._slots:
+        if record is not None:
+            total += _record_size(record, seen)
     total += _sizeof(tree._by_announcer, seen)
     total += _sizeof(tree._by_text, seen)
     total += _sizeof(tree._memo, seen)
@@ -91,13 +98,9 @@ def name_tree_bytes(tree: NameTree) -> int:
         if value_node.value is not None:
             total += _sizeof(value_node.value, seen)
         total += _sizeof(value_node.children, seen)
-        total += _sizeof(value_node.records, seen)
-        if value_node._sub_fs is not None:
-            # The memoized subtree frozenset is resident memory the tree
-            # owns; its record elements are deduplicated by identity.
-            total += _sizeof(value_node._sub_fs, seen)
-        for record in value_node.records:
-            total += _record_size(record, seen)
+        total += _sizeof(value_node.bits, seen)
+        total += _sizeof(value_node.offset, seen)
+        total += _sizeof(value_node._sub_bits, seen)
         for attribute_node in value_node.children.values():
             total += _sizeof(attribute_node, seen)
             total += _sizeof(attribute_node.attribute, seen)

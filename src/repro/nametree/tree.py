@@ -16,12 +16,15 @@ whole memo is flushed when a tree *epoch* counter advances. The epoch
 moves only on membership changes — graft, remove, expiry — never on a
 pure refresh, so periodic soft-state refreshes keep the memo warm.
 
-One implementation note on the hot path: LOOKUP-NAME runs iteratively
-over an explicit frame stack (names of any depth resolve without
-recursion) and reads per-value-node subtree sets through an epoch-keyed
-frozenset cache (:meth:`.nodes.ValueNode.subtree_frozen`), so repeated
-distinct queries against an unchanged record set stop re-walking
-subtrees.
+One implementation note on the hot path: each record holds a *slot* in
+its tree, and a value-node's records are one ``int`` bitmap of their
+slots (stored from the node's lowest slot up), so LOOKUP-NAME's
+intersections and unions are C-level ``&`` and ``|`` on ints, and the
+result is decoded into records once. It runs iteratively over an
+explicit frame stack (names of any depth resolve without recursion) and
+reads interior value-nodes' subtree bitmaps through an epoch-keyed
+cache (:meth:`.nodes.ValueNode.subtree_bits`), so repeated distinct
+queries against an unchanged record set stop re-walking subtrees.
 
 One fidelity note on LOOKUP-NAME: the paper states that omitted
 attributes correspond to wild-cards for both queries and advertisements.
@@ -35,8 +38,11 @@ to all records they correspond to, which is the same set.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..naming import AVPair, NameSpecifier, classify_value
@@ -44,9 +50,16 @@ from .nodes import ValueNode
 from .record import AnnouncerID, Endpoint, NameRecord, Route
 
 #: A shared always-empty cursor. The iterative LOOKUP-NAME assigns it to
-#: a frame whose candidate set just became empty, which ends that
+#: a frame whose candidates just became empty, which ends that
 #: frame's pair loop without a per-pair emptiness test.
 _EXHAUSTED: Iterator[AVPair] = iter(())
+
+#: ``array("Q")`` reads a word's bytes in the host's order; a lookup's
+#: answer is cut into words little-endian.
+_BIG_ENDIAN = sys.byteorder == "big"
+
+#: Maps a binary digit's byte to a ``compress`` selector (0 or 1).
+_DIGIT_TO_SELECTOR = bytes.maketrans(b"01", b"\0\1")
 
 #: Result sets the LOOKUP-NAME memo holds beyond one per record before
 #: it evicts the least recently used: room for every record's own name
@@ -85,10 +98,21 @@ class NameTree:
         ``MEMO_CAPACITY`` plus one entry per record, and invalidated
         wholesale whenever the tree's record *set* changes (pure
         refreshes keep it warm).
+
+        Every grafted record holds a slot, and a value-node's records are
+        the bitmap of their slots. The slot table and its free list never
+        hold more entries than the tree's peak live record count: a graft
+        appends a slot only when none is free. A value-node's bitmap spans
+        its lowest to its highest slot, so no bitmap is wider than that
+        peak either.
         """
         self.vspace = vspace
         self._root = ValueNode(value=None, parent=None)
         self._by_announcer: Dict[AnnouncerID, NameRecord] = {}
+        # The record in each slot (None once freed) and the freed slots,
+        # the last freed reused first.
+        self._slots: List[Optional[NameRecord]] = []
+        self._free: List[int] = []
         # Retained names by their compact wire text (see advertised()):
         # written by _graft, dropped by remove, never more entries than
         # records. A name grafted unsized is not in it.
@@ -283,6 +307,13 @@ class NameTree:
         if text is not None:
             # The latest graft owns a text that replicas share.
             self._by_text[text] = name
+        if self._free:
+            slot = self._free.pop()
+            self._slots[slot] = record
+        else:
+            slot = len(self._slots)
+            self._slots.append(record)
+        record.slot = slot
         # Explicit stack, pushed in reverse child order so leaves attach
         # in exactly the pre-order the recursive formulation produced
         # (attachment order feeds GET-NAME reconstruction order, which
@@ -298,7 +329,7 @@ class NameTree:
             child_value = attribute_node.ensure_child(pair.value)
             children = pair._children
             if not children:
-                child_value.records.add(record)
+                child_value.add_slot(slot)
                 attachments.append(child_value)
             else:
                 for child_pair in children[::-1]:
@@ -316,10 +347,14 @@ class NameTree:
         if stored is not record:
             return False
         del self._by_announcer[record.announcer]
+        slot = record.slot
         for value_node in record.attachments:
-            value_node.records.discard(record)
+            value_node.drop_slot(slot)
             value_node.prune_upwards()
         record.attachments = ()
+        self._slots[slot] = None
+        self._free.append(slot)
+        record.slot = None
         name = record.advertised_name
         text = name.cached_wire()
         if text is not None and self._by_text.get(text) is name:
@@ -388,7 +423,7 @@ class NameTree:
         within the bound.
         """
         if not self._memoize:
-            return set(self._lookup(self._root, name._roots))
+            return set(self._records_of(self._lookup(self._root, name._roots)))
         if self._memo_epoch != self._epoch:
             if self._memo:
                 self._memo.clear()
@@ -401,39 +436,60 @@ class NameTree:
             self._memo.move_to_end(key)
             return set(cached)
         self.memo_misses += 1
-        result = self._lookup(self._root, name._roots)
+        result = frozenset(self._records_of(self._lookup(self._root, name._roots)))
         if len(self._memo) >= MEMO_CAPACITY + len(self._by_announcer):
             self._memo.popitem(last=False)
             self.memo_evictions += 1
-        if result.__class__ is frozenset:
-            self._memo[key] = result
-            return set(result)
-        # ``result`` is a plain set: either one _lookup built (safe to
-        # hand out) or a leaf value-node's aliased records set (not
-        # safe). Memoize a frozen copy and return an owned copy rather
-        # than distinguishing the two.
-        self._memo[key] = frozen = frozenset(result)
-        return set(frozen)
+        self._memo[key] = result
+        return set(result)
 
-    _EMPTY: FrozenSet[NameRecord] = frozenset()
+    def _records_of(self, bits: int) -> List[NameRecord]:
+        """The records whose slots are set in ``bits``, lowest slot
+        first, in O(width + result size). The bitmap is shifted down to
+        its lowest set slot; wider than one 64-bit word, it is cut into
+        words once. When nearly every word holds a record, one C-level
+        pass selects the slots by the bitmap's binary digits; otherwise
+        the zero words are skipped in C and each other word is taken
+        apart a bit at a time. A bitmap a lookup returns holds live slots
+        only: remove clears a record's bits before it frees the slot."""
+        if not bits:
+            return []
+        slots = self._slots
+        start = (bits & -bits).bit_length() - 1
+        bits >>= start
+        if bits >> 64:
+            words = array("Q", bits.to_bytes((bits.bit_length() + 63) >> 6 << 3, "little"))
+            if words.count(0) * 8 < len(words):
+                digits = bin(bits)[:1:-1].encode("ascii").translate(_DIGIT_TO_SELECTOR)
+                return list(compress(slots[start:start + len(digits)], digits))
+            if _BIG_ENDIAN:
+                words.byteswap()
+            chunks = (
+                (start + (index << 6), words[index]) for index in compress(count(), words)
+            )
+        else:
+            chunks = ((start, bits),)
+        found: List[NameRecord] = []
+        append = found.append
+        for base, word in chunks:
+            while word:
+                low = word & -word
+                append(slots[base + low.bit_length() - 1])
+                word ^= low
+        return found
 
-    def _lookup(self, tree_node: ValueNode, pairs):
-        """Figure 5, iteratively: an explicit stack of frames replaces
-        recursion (a frame per query level), and subtree record sets
-        come from the epoch-keyed frozenset caches on value-nodes.
-
-        Candidate sets are never mutated in place, so the cached
-        frozensets flow through intersections unchanged and the common
-        single-constraint case costs zero copies. The returned set may
-        therefore BE one of those shared frozensets — ``lookup`` copies
-        before exposing a result the caller can own.
+    def _lookup(self, tree_node: ValueNode, pairs) -> int:
+        """Figure 5, iteratively, over record bitmaps: an explicit stack
+        of frames replaces recursion (a frame per query level), a leaf
+        value-node's records are ``bits << offset``, and an interior one's
+        subtree records come from its epoch-keyed cache. Returns the
+        bitmap of the matching records' slots.
 
         ``None`` candidates stand for the universal set so we never
         materialize "all possible name-records" just to intersect it
         away.
         """
         epoch = self._epoch
-        empty = self._EMPTY
         # Frame: [value_node, pair iterator, candidates]. The iterator
         # doubles as the resume cursor after a child frame returns; a
         # finished frame's result is merged straight into its parent's
@@ -462,44 +518,48 @@ class NameTree:
                     # no matcher object.
                     value_node = attribute_node.children.get(value)
                     if value_node is None:
-                        candidates = empty
+                        candidates = 0
                         break
                     children = pair._children
-                    if not value_node.children or not children:
-                        # Query leaf or tree leaf: intersect with the
-                        # value-node's whole subtree (omitted attributes
-                        # are wild-cards).
+                    # Query leaf or tree leaf: intersect with the
+                    # value-node's whole subtree (omitted attributes
+                    # are wild-cards).
+                    if not value_node.children:
+                        subtree = value_node.bits << value_node.offset
+                    elif not children:
                         if value_node._sub_epoch == epoch:
-                            subtree = value_node._sub_fs
+                            subtree = value_node._sub_bits
                         else:
-                            subtree = value_node.subtree_frozen(epoch)
-                        if candidates is None:
-                            candidates = subtree
-                        else:
-                            candidates = candidates & subtree
-                            if not candidates:
-                                break
+                            subtree = value_node.subtree_bits(epoch)
                     else:
                         frame[2] = candidates
                         push([value_node, iter(children), None])
                         descend = True
                         break
+                    if candidates is None:
+                        candidates = subtree
+                    else:
+                        candidates &= subtree
+                        if not candidates:
+                            break
                 else:
                     # Wild-card or range: union the subtrees of every
                     # matching value. Av-pairs below a wild-card are
                     # ignored, exactly as the paper specifies.
                     matches = classify_value(value).matches
-                    selected: Set[NameRecord] = set()
+                    selected = 0
                     for advertised, value_node in attribute_node.children.items():
                         if matches(advertised):
-                            if value_node._sub_epoch == epoch:
-                                selected |= value_node._sub_fs
+                            if not value_node.children:
+                                selected |= value_node.bits << value_node.offset
+                            elif value_node._sub_epoch == epoch:
+                                selected |= value_node._sub_bits
                             else:
-                                selected |= value_node.subtree_frozen(epoch)
+                                selected |= value_node.subtree_bits(epoch)
                     if candidates is None:
                         candidates = selected
                     else:
-                        candidates = candidates & selected
+                        candidates &= selected
                         if not candidates:
                             break
             if descend:
@@ -507,23 +567,18 @@ class NameTree:
             if candidates is None:
                 # No constraint applied at this level: everything below
                 # (and at) this node matches.
-                if node._sub_epoch == epoch:
-                    returned = node._sub_fs
-                else:
-                    returned = node.subtree_frozen(epoch)
+                returned = node.subtree_bits(epoch)
+            elif node.bits:
+                returned = candidates | node.bits << node.offset
             else:
-                records = node.records
-                if records:
-                    returned = candidates | records
-                else:
-                    returned = candidates
+                returned = candidates
             frames.pop()
             if not frames:
                 return returned
             parent = frames[-1]
             parent_candidates = parent[2]
             if parent_candidates is not None:
-                returned = parent_candidates & returned
+                returned &= parent_candidates
             parent[2] = returned
             if not returned:
                 # Intersection can only stay empty: skip the parent's

@@ -42,10 +42,10 @@ def render_name_tree(tree: NameTree, max_depth: int = 12) -> str:
             for v_index, value_node in enumerate(values):
                 v_last = v_index == len(values) - 1
                 v_branch = "`-" if v_last else "|-"
+                count = bin(value_node.bits).count("1")
                 suffix = (
-                    f"  ({len(value_node.records)} record"
-                    f"{'s' if len(value_node.records) != 1 else ''})"
-                    if value_node.records
+                    f"  ({count} record{'s' if count != 1 else ''})"
+                    if count
                     else ""
                 )
                 lines.append(f"{a_prefix}{v_branch} = {value_node.value}{suffix}")

@@ -16,7 +16,6 @@ pins the wall-clock ban.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
@@ -171,6 +170,11 @@ class ExperimentSpec:
 
     def run_id(self, ablate: Optional[str] = None) -> str:
         """Content-hashed run ID, stable across sessions and hosts."""
+        # Imported here, not with the module: ``hashlib`` maps OpenSSL
+        # (3.7 MiB of RSS), and the whole-domain benchmark imports this
+        # package (for ``repro.xp.gate``) without ever hashing a spec.
+        import hashlib
+
         digest = hashlib.sha256(
             self.canonical_json(ablate).encode("ascii")
         ).hexdigest()

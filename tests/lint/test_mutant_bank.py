@@ -124,9 +124,9 @@ BANK = (
     # The name-tree importing the resolver above it.
     Mutant(
         "layering",
-        (("src/repro/nametree/nodes.py", "    from .record import NameRecord\n",
-          "    from .record import NameRecord\n"
-          "    from ..resolver.protocol import NameUpdate\n"),),
+        (("src/repro/nametree/nodes.py", "from typing import Dict, Iterator, Optional\n",
+          "from typing import Dict, Iterator, Optional\n\n"
+          "from ..resolver.protocol import NameUpdate\n"),),
         (("src/repro/nametree/nodes.py", "from ..resolver.protocol import"),),
     ),
     # A handler fault swallowed at the INR's dispatch.

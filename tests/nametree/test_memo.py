@@ -12,6 +12,7 @@ uncached tree's.
 """
 
 import random
+from typing import Tuple
 
 import pytest
 
@@ -215,19 +216,21 @@ def check_histories(seeds) -> dict:
     """Under a random interleaving of insert / refresh / move / remove
     / expire / bursts of lookups, every memoized lookup returns exactly
     what a freshly built, uncached tree over the same live records
-    returns. Returns how often the memo hit and how often it evicted
-    over all ``seeds``."""
-    tally = {"hits": 0, "evictions": 0}
+    returns. Returns how often the memo hit, how often it evicted, and
+    how many grafts took a slot an earlier record had freed, over all
+    ``seeds``."""
+    tally = {"hits": 0, "evictions": 0, "slots_reused": 0}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "MEMO_CAPACITY", 4)  # small, so eviction is exercised
         for seed in seeds:
-            tree = _check_history(seed)
+            tree, reused = _check_history(seed)
             tally["hits"] += tree.memo_hits
             tally["evictions"] += tree.memo_evictions
+            tally["slots_reused"] += reused
     return tally
 
 
-def _check_history(seed: int) -> NameTree:
+def _check_history(seed: int) -> Tuple[NameTree, int]:
     rng = random.Random(seed)
     names = _workload(seed).distinct_names(12)
     queries = _workload(seed + 1)
@@ -236,6 +239,17 @@ def _check_history(seed: int) -> NameTree:
     live = {}  # tag -> (name, expires_at)
     clock = 0.0
     next_tag = 0
+    issued = set()  # every slot a graft has taken
+    reused = 0
+
+    def insert(tag: str, name, expires: float) -> None:
+        nonlocal reused
+        record = _refresh_record(tag, expires)
+        if tree.insert(name, record).record is record:  # grafted, not refreshed
+            reused += record.slot in issued
+            issued.add(record.slot)
+        live[tag] = (name, expires)
+
     for _ in range(60):
         clock += 1.0
         op = rng.choice(["insert", "refresh", "move", "remove", "expire",
@@ -243,22 +257,13 @@ def _check_history(seed: int) -> NameTree:
         if op == "insert":
             tag = f"m-{next_tag}"
             next_tag += 1
-            name = rng.choice(names)
-            expires = clock + rng.choice([5.0, 1000.0])
-            tree.insert(name, _refresh_record(tag, expires))
-            live[tag] = (name, expires)
+            insert(tag, rng.choice(names), clock + rng.choice([5.0, 1000.0]))
         elif op == "refresh" and live:
             tag = rng.choice(sorted(live))
-            name, _ = live[tag]
-            expires = clock + 1000.0
-            tree.insert(name, _refresh_record(tag, expires))
-            live[tag] = (name, expires)
+            insert(tag, live[tag][0], clock + 1000.0)
         elif op == "move" and live:
             tag = rng.choice(sorted(live))
-            name = rng.choice(names)
-            expires = clock + 1000.0
-            tree.insert(name, _refresh_record(tag, expires))
-            live[tag] = (name, expires)
+            insert(tag, rng.choice(names), clock + 1000.0)
         elif op == "remove" and live:
             tag = rng.choice(sorted(live))
             removed = tree.remove_announcer(
@@ -280,11 +285,13 @@ def _check_history(seed: int) -> NameTree:
                     f"seed {seed}: a memoized lookup differs from an uncached tree's"
                 )
     assert len(tree) == len(live)
-    return tree
+    return tree, reused
 
 
 def test_memoized_lookup_equals_fresh_uncached_tree():
     tally = check_histories(range(40))
-    # Worth running only while the memo both answers and evicts. Floors
-    # are half of what these seeds tallied (1,526 / 2,493).
+    # Worth running only while the memo both answers and evicts, and
+    # while grafts reuse freed slots. Floors are half of what these
+    # seeds tallied (1,526 / 2,493 / 391).
     assert tally["hits"] > 750 and tally["evictions"] > 1200, tally
+    assert tally["slots_reused"] > 190, tally

@@ -3,10 +3,10 @@ does to it leaves it equal to the paper's figures and holding only
 sealed names.
 
 Rules: advertise a new name / refresh with the grafted object, an equal
-copy, a reordered copy, a message heard before / rename / remove / let
-time pass / expire, with and without grace / look up literal, wild-card
-and range queries — over a tree with the lookup memo on or off. After
-every rule:
+copy, a reordered copy, a message heard before / rename / remove / remove
+and graft anew / let time pass / expire, with and without grace / look
+up literal, wild-card and range queries — over a tree with the lookup
+memo on or off. After every rule:
 
 - ``lookup`` is the literal Figure 5 (``fig5_oracle``) on every query;
 - ``get_name`` is the object grafted, and it is Figure 6's answer
@@ -14,6 +14,10 @@ every rule:
 - ``advertised(text)`` is a live record's own name spelling ``text``,
   and the index holds no more entries than the tree has records;
 - the epoch has not run backwards;
+- each value-node's bitmap, stored from its lowest slot, is exactly the
+  slots of the live records attached there, no freed slot's bit is set
+  in any bitmap, and live slots are distinct, below the slot table's
+  length, which never exceeds the peak live record count;
 - nothing the tree hands out can be written to.
 """
 
@@ -90,6 +94,7 @@ class NameTreeMachine(RuleBasedStateMachine):
         self.heard = {}      # announcer -> the message refresh() saw last
         self.now = 0.0
         self.epoch = 0
+        self.peak = 0        # the most records the tree has held at once
 
     def teardown(self):
         self._patch.undo()
@@ -183,6 +188,24 @@ class NameTreeMachine(RuleBasedStateMachine):
         del self.grafted[announcer], self.deadline[announcer]
         self.heard.pop(announcer, None)
 
+    @precondition(lambda self: self.grafted)
+    @rule(data=st.data(), shape=shapes, lifetime=st.sampled_from([3.0, 30.0]))
+    def regraft(self, data, shape, lifetime):
+        """Remove records, then graft a fresh record for the first one:
+        it takes a freed slot, which the next lookups read."""
+        removed = data.draw(st.lists(
+            st.sampled_from(sorted(self.grafted)), min_size=1, unique=True
+        ))
+        for announcer in removed:
+            assert self.tree.remove_announcer(announcer) is not None
+            del self.grafted[announcer], self.deadline[announcer]
+            self.heard.pop(announcer, None)
+        freed = set(self.tree._free)
+        name = NameSpecifier.from_dict(shape)
+        outcome = self._insert(removed[0], name, lifetime)
+        assert outcome.created and outcome.record.slot in freed
+        self.grafted[removed[0]] = name
+
     @rule(dt=st.sampled_from([1.0, 4.0, 20.0]))
     def pass_time(self, dt):
         self.now += dt
@@ -232,6 +255,30 @@ class NameTreeMachine(RuleBasedStateMachine):
         for text in list(tree._by_text):
             name = tree.advertised(text)
             assert id(name) in live and name.to_wire() == text
+
+    @invariant()
+    def value_node_bitmaps_are_the_live_slots(self):
+        tree = self.tree
+        live = list(tree.records())
+        self.peak = max(self.peak, len(live))
+        slots = [record.slot for record in live]
+        assert len(set(slots)) == len(slots)
+        assert all(0 <= slot < len(tree._slots) for slot in slots)
+        assert len(tree._slots) <= self.peak
+        assert all(tree._slots[record.slot] is record for record in live)
+        freed = [slot for slot, held in enumerate(tree._slots) if held is None]
+        assert sorted(tree._free) == freed
+        expected = {}
+        for record in live:
+            for value_node in record.attachments:
+                expected[value_node] = expected.get(value_node, 0) | 1 << record.slot
+        freed_bits = sum(1 << slot for slot in freed)
+        for value_node in tree.root.walk_values():
+            bits = value_node.bits
+            assert bits << value_node.offset == expected.get(value_node, 0)
+            assert not bits or bits & 1  # stored from its lowest slot
+            if value_node._sub_epoch == tree.epoch:
+                assert not value_node._sub_bits & freed_bits
 
     @invariant()
     def the_epoch_never_runs_backwards(self):

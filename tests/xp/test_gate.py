@@ -1,6 +1,11 @@
-"""The payload gate: flattening and rule semantics."""
+"""The payload gate: flattening and rule semantics, and what importing
+it loads."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.xp import MetricRule, compare_artifacts, render_gate_report
 from repro.xp.gate import EXACT_RULE, flatten
@@ -174,3 +179,19 @@ class TestRuleSemantics:
         assert "PASS" in render_gate_report(
             compare_artifacts(matrix_payload(), matrix_payload())
         )
+
+
+def test_importing_the_gate_does_not_load_hashlib():
+    """The whole-domain benchmark imports ``repro.xp.gate`` (and so the
+    package) in the process it measures; ``hashlib`` would map OpenSSL
+    into it for a spec hash it never computes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.xp.gate; "
+         "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
