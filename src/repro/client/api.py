@@ -190,8 +190,11 @@ class InsClient(Process):
         self.tracer = None
         self.attached = Reply()
         self._pending: Dict[int, _PendingRequest] = {}
-        self._ping_rtts: Dict[str, float] = {}
-        self._ping_sent: Dict[int, tuple] = {}
+        # The INR-ping round's measurements and outstanding pings: made
+        # when a round first opens, so a client or service bound to a
+        # fixed resolver never holds them.
+        self._ping_rtts: Optional[Dict[str, float]] = None
+        self._ping_sent: Optional[Dict[int, tuple]] = None
         self._message_handler: Optional[MessageHandler] = None
         self._reselect_timer = None
         #: resolver address skipped during the next selection round
@@ -293,11 +296,14 @@ class InsClient(Process):
             candidates = list(response.active)
         self._ping_round_open = True
         self._ping_rtts = {}
+        sent = self._ping_sent
+        if sent is None:
+            sent = self._ping_sent = {}
         for address in candidates:
             request = PingRequest(
                 probe=_PROBE, reply_to=self.address, reply_port=self.port
             )
-            self._ping_sent[request.token] = (address, self.now)
+            sent[request.token] = (address, self.now)
             self.send(address, INR_PORT, request)
         self.set_timer(_ATTACH_PING_TIMEOUT, self._pick_resolver)
 
@@ -575,7 +581,10 @@ class InsClient(Process):
             if self._message_handler is not None:
                 self._message_handler(payload.message, source)
         elif isinstance(payload, PingResponse):
-            sent = self._ping_sent.pop(payload.token, None)
+            sent = (
+                None if self._ping_sent is None
+                else self._ping_sent.pop(payload.token, None)
+            )
             if sent is not None:
                 address, sent_at = sent
                 self._ping_rtts[address] = self.now - sent_at

@@ -36,7 +36,8 @@ class Reply:
     Exactly one of three things happens to a reply: it stays pending
     forever (the caller abandoned it), it resolves with a value, or it
     fails with a :class:`RequestError`. ``done`` reports success only;
-    ``settled`` reports "no longer pending".
+    ``settled`` reports "no longer pending". A settled reply holds no
+    callback lists: nothing can be queued on it any more.
     """
 
     __slots__ = (
@@ -49,8 +50,9 @@ class Reply:
         self._done = False
         self._failed = False
         self._error: Optional[BaseException] = None
-        self._callbacks: List[Callable[[Any], None]] = []
-        self._error_callbacks: List[Callable[[BaseException], None]] = []
+        # Both None once the reply settles.
+        self._callbacks: Optional[List[Callable[[Any], None]]] = []
+        self._error_callbacks: Optional[List[Callable[[BaseException], None]]] = []
         #: Absolute virtual time by which this request must settle, when
         #: the issuing client enforces one (informational for callers).
         self.deadline: Optional[float] = None
@@ -94,8 +96,8 @@ class Reply:
             return
         self._value = value
         self._done = True
-        self._error_callbacks = []
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks = self._callbacks
+        self._callbacks = self._error_callbacks = None
         for callback in callbacks:
             callback(value)
 
@@ -106,8 +108,8 @@ class Reply:
             return
         self._error = error
         self._failed = True
-        self._callbacks = []
-        callbacks, self._error_callbacks = self._error_callbacks, []
+        callbacks = self._error_callbacks
+        self._callbacks = self._error_callbacks = None
         for callback in callbacks:
             callback(error)
 

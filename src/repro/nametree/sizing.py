@@ -36,7 +36,9 @@ value-node's cached subtree bitmap, is counted with its node),
 ``_by_announcer`` (its keys are the records' AnnouncerIDs, counted with
 the records),
 ``_by_text`` (its keys are the grafted names' cached wire texts and its
-values the names, both the senders', as above) and the LOOKUP-NAME memo
+values the names, both the senders', as above), the route table (its
+routes are the ones the records hold, counted once however many records
+share one) and the LOOKUP-NAME memo
 with the frozen result sets it holds (its keys are the queries' canonical
 keys, cached on the query names).
 """
@@ -88,6 +90,7 @@ def name_tree_bytes(tree: NameTree) -> int:
             total += _record_size(record, seen)
     total += _sizeof(tree._by_announcer, seen)
     total += _sizeof(tree._by_text, seen)
+    total += _sizeof(tree._routes, seen)
     total += _sizeof(tree._memo, seen)
     for result in tree._memo.values():
         total += _sizeof(result, seen)

@@ -47,7 +47,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from ..naming import AVPair, NameSpecifier, classify_value
 from .nodes import ValueNode
-from .record import AnnouncerID, Endpoint, NameRecord, Route
+from .record import LOCAL_ROUTE, AnnouncerID, Endpoint, NameRecord, Route
 
 #: A shared always-empty cursor. The iterative LOOKUP-NAME assigns it to
 #: a frame whose candidates just became empty, which ends that
@@ -66,6 +66,11 @@ _DIGIT_TO_SELECTOR = bytes.maketrans(b"01", b"\0\1")
 #: plus this many queries no record's name answers (group filters,
 #: publisher names, absent names).
 MEMO_CAPACITY = 1024
+
+#: Distinct routes a tree keeps shared before it starts its table
+#: afresh (see :meth:`NameTree.route`): far more than the few next hops
+#: and path metrics a resolver's records route by.
+ROUTE_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,9 @@ class NameTree:
         # written by _graft, dropped by remove, never more entries than
         # records. A name grafted unsized is not in it.
         self._by_text: Dict[str, NameSpecifier] = {}
+        # One Route per distinct (next_hop, metric) its records hold,
+        # local records' LOCAL_ROUTE among them (see route()).
+        self._routes: Dict[Route, Route] = {LOCAL_ROUTE: LOCAL_ROUTE}
         # A lower bound on every record's ``expires_at``: lowered by
         # set_expiry(), through which every deadline write goes, and
         # recomputed by the expire() scan it lets most sweeps skip.
@@ -142,6 +150,25 @@ class NameTree:
     # ------------------------------------------------------------------
     # Grafting and removal
     # ------------------------------------------------------------------
+    def route(self, next_hop: Optional[str], metric: float) -> Route:
+        """The ``Route`` for a record of this tree to hold: one object per
+        distinct ``(next_hop, metric)``, since a resolver's records route
+        through a few neighbors at a few path metrics, and
+        ``LOCAL_ROUTE`` for a directly-attached announcer. Equal routes
+        are interchangeable values, so the table, bounded at
+        ``ROUTE_CAPACITY``, is simply started afresh when full."""
+        routes = self._routes
+        # A Route hashes and equals as its field tuple: a plain tuple
+        # probes the table without building a Route.
+        route = routes.get((next_hop, metric))
+        if route is None:
+            if len(routes) >= ROUTE_CAPACITY:
+                routes.clear()
+                routes[LOCAL_ROUTE] = LOCAL_ROUTE
+            route = Route(next_hop, metric)
+            routes[route] = route
+        return route
+
     def rehear(
         self,
         record: NameRecord,
@@ -232,7 +259,7 @@ class NameTree:
             record.kept_update = None
             changed = True
         if route.next_hop != next_hop or route.metric != route_metric:
-            record.route = Route(next_hop, route_metric)
+            record.route = self.route(next_hop, route_metric)
             record.kept_update = None
             changed = True
         offered = tuple(endpoints)

@@ -10,7 +10,7 @@ on this pair is a *descendant* of it.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import DuplicateAttributeError, InvalidTokenError, SealedNameError
 
@@ -50,6 +50,31 @@ def duplicate_error(attribute: str, parent: Optional["AVPair"]) -> DuplicateAttr
     return DuplicateAttributeError(f"av-pair with attribute {attribute!r} already present {where}")
 
 
+#: Distinct leaf keys held shared (see :func:`_leaf_key`) before the
+#: table starts afresh: well above the leaves a domain's vocabulary
+#: spells, so that only a stream of fresh tokens ever clears it.
+LEAF_KEY_CAPACITY = 1024
+
+#: The shared key of each distinct leaf, by its value.
+_LEAF_KEYS: Dict[tuple, tuple] = {}
+
+
+def _leaf_key(attribute: str, value: str) -> tuple:
+    """The canonical key ``(attribute, value, ())`` of a leaf av-pair,
+    one shared tuple per distinct leaf: names repeat their leaves many
+    times over (every service of a kind ends in the same few values).
+    A key is a value, so the table, bounded at
+    :data:`LEAF_KEY_CAPACITY`, is simply cleared when full: keys made
+    before and after still compare and hash equal."""
+    key = (attribute, value, ())
+    shared = _LEAF_KEYS.get(key)
+    if shared is None:
+        if len(_LEAF_KEYS) >= LEAF_KEY_CAPACITY:
+            _LEAF_KEYS.clear()
+        shared = _LEAF_KEYS[key] = key
+    return shared
+
+
 def _sibling_key(pairs) -> tuple:
     """The order-insensitive key of sibling av-pairs that are all keyed."""
     return tuple(sorted([pair._key_cache for pair in pairs]))
@@ -58,11 +83,15 @@ def _sibling_key(pairs) -> tuple:
 def _pair_key(pair: "AVPair") -> tuple:
     """The canonical-key tuple of ``pair``, whose children are all keyed.
 
-    With :func:`_sibling_key`, the one place the shape of a key is
-    decided: ``canonical_key`` (here and on the name) fills caches with
-    them, and the parser seals each group with them at its ``]``.
+    With :func:`_sibling_key` and :func:`_leaf_key`, the one place the
+    shape of a key is decided: ``canonical_key`` (here and on the name)
+    fills caches with them, and the parser seals each group with them at
+    its ``]``.
     """
-    return (pair.attribute, pair.value, _sibling_key(pair._children))
+    children = pair._children
+    if not children:
+        return _leaf_key(pair.attribute, pair.value)
+    return (pair.attribute, pair.value, _sibling_key(children))
 
 
 class AVPair:

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import re
 
-from .avpair import AVPair, _pair_key, _sibling_key, duplicate_error, validate_token
+from .avpair import (
+    AVPair, _leaf_key, _pair_key, _sibling_key, duplicate_error, validate_token,
+)
 from .errors import NameSyntaxError
 from .operators import WILDCARD
 from .specifier import NameSpecifier
@@ -97,7 +99,7 @@ def parse_name_specifier(text: str) -> NameSpecifier:
                 stack.append((pair, group))
                 group = {}
                 continue
-            pair._key_cache = (attribute, value, ())  # _pair_key of a leaf
+            pair._key_cache = _leaf_key(attribute, value)  # _pair_key of a leaf
         elif closer is not None:
             if not stack:
                 raise NameSyntaxError(

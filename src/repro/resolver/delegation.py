@@ -73,7 +73,7 @@ from ..message.delegation import (
     OFFER_ACCEPTED,
     compose_handoff_id,
 )
-from ..nametree import AnnouncerID, Endpoint, NameRecord, NameTree, Route
+from ..nametree import LOCAL_ROUTE, AnnouncerID, Endpoint, NameRecord, NameTree
 from ..obs import DROP_PREFIX, STATUS_OK
 from .costs import cost_per_record, cost_receive
 from .ports import INR_PORT
@@ -506,7 +506,7 @@ class DelegationCoordinator:
                 # these names advertise to the donor, which forwards
                 # their ads here from now on — the same install shape
                 # those forwarded ads will refresh.
-                route=Route(next_hop=None, metric=0.0),
+                route=LOCAL_ROUTE,
                 expires_at=now + staged.lifetime,
             )
             tree.insert(staged.name, record)

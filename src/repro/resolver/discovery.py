@@ -11,11 +11,11 @@ channel of the ``reliable-delta`` mode (footnote 3).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..message import CustodyTransfer
 from ..naming import NameSpecifier
-from ..nametree import Endpoint, NameRecord, NameTree, Route
+from ..nametree import Endpoint, NameRecord, NameTree
 from .costs import cost_of_carried, cost_one_name, cost_receive, cost_update_batch
 from .ports import INR_PORT
 from .protocol import Advertisement, NameUpdate, NameWithdraw, UpdateBatch
@@ -53,7 +53,7 @@ def _graft(
                 announcer=news.announcer,
                 endpoints=endpoints,
                 anycast_metric=news.anycast_metric,
-                route=Route(next_hop=next_hop, metric=metric),
+                route=tree.route(next_hop, metric),
                 expires_at=expires_at,
             ),
         ).changed
@@ -128,11 +128,20 @@ class NameDiscovery:
         graced = inr.config.partition_grace > 0
         trees = inr.trees
         changed: List[tuple] = []  # (vspace, name, record) of what is news
+        # One deadline per distinct lifetime in the batch (in practice
+        # one): the records it refreshes share the float.
+        deadlines: Dict[float, float] = {}
         for update in batch.updates:
             tree = trees.get(update.vspace)
             if tree is None:
                 continue
-            if self._apply_update(tree, update, sender, link_rtt, now, graced):
+            lifetime = update.lifetime
+            expires_at = deadlines.get(lifetime)
+            if expires_at is None:
+                expires_at = deadlines[lifetime] = now + lifetime
+            if self._apply_update(
+                tree, update, sender, link_rtt, now, expires_at, graced
+            ):
                 record = tree.record_for(update.announcer)
                 if record is not None:
                     changed.append((update.vspace, update.name, record))
@@ -142,13 +151,13 @@ class NameDiscovery:
 
     def _apply_update(
         self, tree: NameTree, update: NameUpdate, sender: str, link_rtt: float,
-        now: float, graced: bool,
+        now: float, expires_at: float, graced: bool,
     ) -> bool:
         """Distributed Bellman-Ford acceptance; True when state changed
-        in a way neighbors should hear about. ``graced``: partition
-        grace is configured."""
+        in a way neighbors should hear about. ``expires_at`` is ``now``
+        plus the update's lifetime; ``graced``: partition grace is
+        configured."""
         new_metric = update.route_metric + link_rtt
-        expires_at = now + update.lifetime
         existing = tree.record_for(update.announcer)
         # A graced record names a route that died with the partition;
         # comparing metrics against the corpse would wrongly favor it.

@@ -90,9 +90,10 @@ def run_lookup_experiment(
     rows: List[LookupRow] = []
     for count in counts:
         while inserted < count:
+            host = f"fig12-{inserted}"  # one string, as a service's node address
             record = NameRecord(
-                announcer=AnnouncerID.generate(f"fig12-{inserted}"),
-                endpoints=[Endpoint(host=f"fig12-{inserted}", port=1)],
+                announcer=AnnouncerID.generate(host),
+                endpoints=[Endpoint(host=host, port=1)],
             )
             tree.insert(names[inserted], record)
             inserted += 1
@@ -154,9 +155,10 @@ def run_memo_experiment(
     queries = [query_source.random_name() for _ in range(distinct_queries)]
 
     def record(index: int) -> NameRecord:
+        host = f"memo-{index}"
         return NameRecord(
-            announcer=AnnouncerID.generate(f"memo-{index}", startup_time=1.0),
-            endpoints=[Endpoint(host=f"memo-{index}", port=1)],
+            announcer=AnnouncerID.generate(host, startup_time=1.0),
+            endpoints=[Endpoint(host=host, port=1)],
         )
 
     tree = NameTree(memoize=lookup_memo)

@@ -66,9 +66,10 @@ def run_size_experiment(
     rows: List[SizeRow] = []
     for count in counts:
         while inserted < count:
+            host = f"fig13-{inserted}"  # one string, as a service's node address
             record = NameRecord(
-                announcer=AnnouncerID.generate(f"fig13-{inserted}"),
-                endpoints=[Endpoint(host=f"fig13-{inserted}", port=1)],
+                announcer=AnnouncerID.generate(host),
+                endpoints=[Endpoint(host=host, port=1)],
             )
             tree.insert(names[inserted], record)
             inserted += 1

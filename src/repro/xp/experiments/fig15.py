@@ -30,7 +30,7 @@ from ...experiments.domain import InsDomain
 from ...experiments.workload import UniformWorkload
 from ...message import Binding, Delivery, InsMessage
 from ...naming import NameSpecifier
-from ...nametree import AnnouncerID, Endpoint, NameRecord, Route
+from ...nametree import AnnouncerID, Endpoint, NameRecord
 from ...resolver import DataPacket, InrConfig
 from ...resolver.costs import CostModel
 from ...resolver.ports import INR_PORT
@@ -161,12 +161,13 @@ def _setup_remote_same_vspace(domain: InsDomain, names: int, seed: int):
     destination = _destination_name(None)
     _fill_tree(inr_a.trees["default"], names - 1, seed)
     _fill_tree(inr_b.trees["default"], names - 1, seed + 1)
-    inr_a.trees["default"].insert(
+    tree_a = inr_a.trees["default"]
+    tree_a.insert(
         destination,
         NameRecord(
             announcer=AnnouncerID.generate("fig15-dst"),
             endpoints=[],
-            route=Route(next_hop=inr_b.address, metric=0.004),
+            route=tree_a.route(inr_b.address, 0.004),
         ),
     )
     inr_b.trees["default"].insert(

@@ -131,3 +131,47 @@ class TestReplyFailure:
 
     def test_deadline_defaults_to_none(self):
         assert Reply().deadline is None
+
+
+class TestSettledReplyHoldsNoCallbacks:
+    """A settled reply drops its callback lists: a domain keeps one
+    settled ``attached`` reply per client and per service."""
+
+    @staticmethod
+    def _settle(reply, how):
+        if how == "resolve":
+            reply.resolve("x")
+        else:
+            reply.fail(RequestTimeout("gone"))
+
+    @pytest.mark.parametrize("how", ["resolve", "fail"])
+    def test_settling_drops_both_lists(self, how):
+        reply = Reply()
+        reply.then(lambda value: None)
+        reply.on_error(lambda error: None)
+        self._settle(reply, how)
+        assert reply._callbacks is None
+        assert reply._error_callbacks is None
+
+    @pytest.mark.parametrize("how", ["resolve", "fail"])
+    def test_then_and_on_error_still_behave_once_settled(self, how):
+        reply = Reply()
+        self._settle(reply, how)
+        values, errors = [], []
+        assert reply.then(values.append) is reply
+        assert reply.on_error(errors.append) is reply
+        if how == "resolve":
+            assert values == ["x"] and errors == []
+        else:
+            assert values == [] and isinstance(errors[0], RequestTimeout)
+        # Settling again is still a no-op, with no lists to run.
+        reply.resolve("y")
+        reply.fail(RequestTimeout("again"))
+        assert len(values) + len(errors) == 1
+
+    def test_a_callback_registered_by_a_callback_runs_at_once(self):
+        reply = Reply()
+        seen = []
+        reply.then(lambda value: reply.then(lambda again: seen.append(again)))
+        reply.resolve(7)
+        assert seen == [7]

@@ -88,6 +88,16 @@ class TestIndexes:
             sys.getsizeof(padded) - sys.getsizeof(index)
         )
 
+    def test_the_route_table_is_counted(self, tree):
+        record = make_record()
+        record.route = tree.route("inr-b", 0.5)
+        tree.insert(parse("[a=b]"), record)
+        before, index = name_tree_bytes(tree), tree._routes
+        tree._routes = padded = self._padded(index)
+        assert name_tree_bytes(tree) - before == (
+            sys.getsizeof(padded) - sys.getsizeof(index)
+        )
+
     def test_the_lookup_memo_and_its_result_sets_are_counted(self, tree):
         for i in range(4):
             tree.insert(parse(f"[service=cam[id=c{i}]][room=r{i % 2}]"), make_record(f"h{i}"))

@@ -5,7 +5,8 @@ the one-pass reader replaced it. Every string — generated names
 re-spaced at random, value-less groups, range values, names at and past
 the depth bound, and a seeded corpus of mutated and random strings —
 must come out of both parsers as the same name (wire text, sibling
-order, canonical key) or as the same ``NamingError`` subclass.
+order, canonical key) or as the same ``NamingError`` subclass, and the
+corpus also counts the leaf keys both parsers share.
 
 :func:`check_corpus` is also what CI calls with a corpus forty times
 the size tier-1 runs (``.github/workflows/ci.yml``, both Pythons: the
@@ -22,6 +23,7 @@ from typing import Iterator, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.naming.avpair as avpair_module
 from repro.naming import (
     MAX_NAME_DEPTH,
     NameSpecifier,
@@ -127,26 +129,58 @@ def _wide_groups() -> Iterator[str]:
 WIDE_GROUPS = tuple(_wide_groups())
 
 
-def check_corpus(count: int, seed: int = 13) -> Tuple[int, int]:
+def _leaf_keys(key: tuple) -> Iterator[tuple]:
+    """The leaf keys inside a name's canonical key, in key order."""
+    stack = list(key)
+    while stack:
+        pair_key = stack.pop()
+        if pair_key[2]:
+            stack.extend(pair_key[2])
+        else:
+            yield pair_key
+
+
+def check_corpus(count: int, seed: int = 13) -> Tuple[int, int, int]:
     """Compare the parsers on ``count`` corpus strings — the
     :data:`WIDE_GROUPS`, then mutated and random strings — and return
-    (strings checked, strings both parsers accepted)."""
-    accepted = 0
+    (strings checked, strings both parsers accepted, leaf keys shared).
+
+    Equal leaves share one key tuple (``repro.naming.avpair._leaf_key``):
+    the one-pass parser keys each leaf as it reads it, the oracle builds
+    its name and then keys it, and both must hand back the tuple the
+    table holds. *Shared* counts the one-pass parser's leaf keys that
+    are the very tuple of the oracle's name for the same text, parsed
+    just before; it falls to zero if either way of keying stops
+    interning. The random tokens keep filling the table, so it is
+    cleared over and over; it may never hold more than its capacity.
+    """
+    accepted = shared = 0
     corpus = mutation_corpus(count - len(WIDE_GROUPS), seed)
     for text in itertools.chain(WIDE_GROUPS, corpus):
-        if not isinstance(assert_same(text), type):
-            accepted += 1
-    return count, accepted
+        expected = outcome(fig3_oracle.parse_name_specifier, text)
+        actual = outcome(parse_name_specifier, text)
+        assert actual == expected, f"parsers disagree on {text!r}"
+        assert len(avpair_module._LEAF_KEYS) <= avpair_module.LEAF_KEY_CAPACITY
+        if isinstance(actual, type):
+            continue
+        accepted += 1
+        shared += sum(
+            ours is theirs
+            for ours, theirs in zip(_leaf_keys(actual[2]), _leaf_keys(expected[2]))
+        )
+    return count, accepted, shared
 
 
 # ----------------------------------------------------------------------
 # The corpus
 # ----------------------------------------------------------------------
 def test_mutation_corpus_slice():
-    checked, accepted = check_corpus(5_000)
+    checked, accepted, shared = check_corpus(5_000)
     assert checked == 5_000
     # The corpus is worth running only while it exercises both sides.
     assert 200 < accepted < 4_000
+    # Most accepted names' leaves came back as the oracle's tuples.
+    assert shared > accepted
 
 
 def test_the_regex_and_str_agree_on_what_whitespace_is():

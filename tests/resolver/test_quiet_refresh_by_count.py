@@ -63,7 +63,7 @@ def test_each_name_heard_again_is_one_probe_and_builds_nothing(monkeypatch):
     refreshes = _count_calls(monkeypatch, NameTree, "refresh")
     built = (
         _count_constructions(monkeypatch, discovery_module, "NameRecord")
-        + _count_constructions(monkeypatch, discovery_module, "Route")
+        # every Route is built by NameTree.route
         + _count_constructions(monkeypatch, tree_module, "Route")
     )
     triggered = sum(inr.stats.triggered_updates_sent for inr in inrs)

@@ -117,8 +117,8 @@ def test_unchanged_domain_second_round_builds_no_update(monkeypatch):
     assert [inr.name_count() for inr in (a, b, c)] == [6, 6, 6]
 
     records = _count_constructions(monkeypatch, discovery_module, "NameRecord")
-    routes = _count_constructions(monkeypatch, discovery_module, "Route") + \
-        _count_constructions(monkeypatch, tree_module, "Route")
+    # every Route is built by NameTree.route
+    routes = _count_constructions(monkeypatch, tree_module, "Route")
     updates = _count_constructions(monkeypatch, discovery_module, "NameUpdate")
     advertisements = _count_constructions(monkeypatch, service_module, "Advertisement")
     endpoints = _count_constructions(monkeypatch, service_module, "Endpoint") + \
@@ -395,7 +395,7 @@ def test_rejected_updates_build_no_record(monkeypatch, rejected_by):
     )
     built = _count_constructions(monkeypatch, discovery_module, "NameRecord")
     assert holder.discovery._apply_update(
-        tree, update, "inr-elsewhere", 0.0, holder.now, False
+        tree, update, "inr-elsewhere", 0.0, holder.now, holder.now + 15.0, False
     ) is False
     assert built == []
     assert tree.record_for(service.announcer) is existing
