@@ -5,7 +5,7 @@ this module assembles those parses into one :class:`ProjectModel` — a
 module symbol table with import bindings chased through re-exports, a
 class index with resolved bases and best-effort attribute types, a
 function/method index, and a call graph — so rules can answer the
-questions no per-file visitor can: *does this dtn helper transitively
+questions no per-file visitor can: *does this custody helper transitively
 reach a wall clock?* *is every exported wire message dispatched
 somewhere reachable from the resolver's handler?* *does any node method
 write state it can only legitimately reach through the message plane?*

@@ -37,12 +37,7 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     "obs": frozenset(),
     "nametree": frozenset({"naming"}),
     "message": frozenset({"naming", "obs"}),
-    #: Disruption tolerance: the custody store sits beside nametree so
-    #: the resolver can embed one; its wire form lives in message.
-    "dtn": frozenset({"naming", "message", "obs"}),
-    "resolver": frozenset(
-        {"naming", "nametree", "message", "netsim", "dtn", "obs"}
-    ),
+    "resolver": frozenset({"naming", "nametree", "message", "netsim", "obs"}),
     "overlay": frozenset(
         {"naming", "nametree", "message", "netsim", "resolver", "obs"}
     ),
@@ -64,7 +59,7 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     ),
     "chaos": frozenset(
         {"naming", "nametree", "message", "netsim", "resolver", "overlay",
-         "client", "experiments", "dtn", "obs"}
+         "client", "experiments", "obs"}
     ),
     "tools": frozenset(
         {"naming", "nametree", "message", "netsim", "resolver", "overlay",
@@ -77,7 +72,7 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     "xp": frozenset(
         {"naming", "nametree", "message", "netsim", "resolver", "overlay",
          "client", "apps", "baselines", "analysis", "experiments", "chaos",
-         "dtn", "obs"}
+         "obs"}
     ),
 }
 
@@ -87,7 +82,7 @@ class LayeringRule(Rule):
     id = "layering"
     summary = (
         "imports must follow the declared layer DAG "
-        "(naming/obs -> nametree/message/dtn -> netsim -> resolver "
+        "(naming/obs -> nametree/message -> netsim -> resolver "
         "-> overlay -> client -> apps/baselines -> experiments "
         "-> chaos/tools)"
     )

@@ -55,7 +55,7 @@ DISPATCH_ENTRIES = (
 #: travels in an ``UpdateBatch``), error types, and InsMessage
 #: (dispatched wrapped in the resolver's DataPacket).
 NON_PAYLOAD = frozenset({
-    "Binding", "CustodyRecord", "DelegateRecord", "DelegationWireError",
+    "Binding", "DelegateRecord", "DelegationWireError",
     "Delivery", "Header", "HeaderError", "InsMessage", "NameUpdate",
 })
 

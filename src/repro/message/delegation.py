@@ -4,9 +4,9 @@ Wire definitions for crash-safe virtual-space delegation (PROTOCOL.md
 §11). The paper's §2.5 cure for update overload — handing a virtual
 space to a freshly spawned INR — becomes a two-phase handoff here:
 OFFER → ACCEPT → TRANSFER* → COMMIT, with ABORT on timeout or crash.
-Like the DSR and custody messages, these are wire-layer types: the
-resolver speaks them and the chaos harness inspects them, so they live
-in ``message`` below both.
+Like the DSR messages, these are wire-layer types: the resolver speaks
+them and the chaos harness inspects them, so they live in ``message``
+below both.
 
 Every message carries a **handoff id**: a 32-bit fence composed of the
 donor's restart incarnation (high 16 bits) and a per-incarnation

@@ -100,8 +100,7 @@ def cost_one_name(inr, payload: object) -> float:
 
 
 def cost_per_record(inr, payload: object) -> float:
-    # A custody handoff or delegation chunk costs what installing its
-    # names costs.
+    # A delegation chunk costs what installing its names costs.
     return inr.costs.update_batch(len(payload.records))
 
 

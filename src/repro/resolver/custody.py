@@ -1,21 +1,41 @@
-"""Disruption tolerance: custody store-and-forward (``repro.dtn``).
+"""Disruption tolerance: custody store-and-forward.
 
 With ``enable_custody`` on, a late-binding anycast payload the
-forwarding agent cannot move is parked in a bounded store and released
-when name state returns, instead of being dropped. This component is
-the custodian: it takes and releases payloads, lapses the overdue ones,
-and hands the store to a neighbor when the resolver retires.
+forwarding agent cannot move — no record matches the destination name,
+every match has outlived its soft-state lifetime, or the next hop has
+gone silent — is parked in a bounded store and released when name
+state returns, instead of being dropped. The name is what waits out
+the partition, the property that makes intentional naming a natural
+fit for delay-tolerant networks.
+
+This module is the store and its one user, the custodian: it takes and
+releases payloads, lapses the overdue ones, and restores the store
+after a crash (custody is stable storage). Custody is single-hop: a
+resolver that retires drops what it still holds.
+
+Everything about the store is deterministic: admission order assigns a
+monotonic sequence number, eviction is FIFO within priority tiers, and
+expiry compares virtual-time deadlines — two same-seed runs make
+identical custody decisions. Priorities keep the cheapest loss last:
+
+- :data:`PRIORITY_KNOWN_NAME` (0): the destination name *was* known
+  here (an expired record, or a suspect next hop on a live route). The
+  service evidently exists and is likely to re-advertise — evicted
+  last.
+- :data:`PRIORITY_UNKNOWN_NAME` (1): no record for the name was ever
+  seen. It may be a name that never existed — evicted first.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dtn import CustodyEntry, CustodyStore
-from ..message import Binding, CustodyRecord, CustodyTransfer, Delivery, Header
+from ..message import Binding, Delivery
+from ..naming import NameSpecifier
 from ..obs import DROP_PREFIX
 from .dataplane import best_route
-from .costs import cost_per_record
 from .protocol import DataPacket
 
 #: Maximum payloads held in custody at once (FIFO-within-priority
@@ -27,14 +47,139 @@ CUSTODY_CAPACITY = 256
 #: link heals no update announces.
 CUSTODY_RETRY_INTERVAL = 0.5
 
+#: Custody priority for payloads whose destination name was known when
+#: custody was taken (expired record / suspect next hop): evicted last.
+PRIORITY_KNOWN_NAME = 0
+
+#: Custody priority for payloads whose destination name was never seen
+#: at this resolver: evicted first.
+PRIORITY_UNKNOWN_NAME = 1
+
+
+@dataclass
+class CustodyEntry:
+    """One payload held in custody.
+
+    ``raw`` is the full encoded INS packet (header, names, data, any
+    trace context) — authoritative for re-injection. ``destination`` is
+    parsed once at accept time so retry matching never re-decodes the
+    packet.
+    """
+
+    raw: bytes
+    destination: NameSpecifier
+    vspace: str
+    #: absolute virtual time at which custody lapses (TTL expiry)
+    deadline: float
+    priority: int
+    #: admission order within this store; FIFO eviction key
+    sequence: int
+    #: why custody was taken (no-route / expired-record / next-hop-suspect)
+    cause: str
+    #: trace context carried by the packet, for drop/release spans
+    trace: object = field(repr=False)
+
+
+class CustodyStore:
+    """A bounded, deterministically-evicted parking lot for payloads.
+
+    ``capacity`` bounds the entry count. Admission past capacity evicts
+    from the numerically-highest (least valuable) priority tier first,
+    oldest sequence first within the tier — FIFO within priority. An
+    arriving payload strictly less valuable than everything stored is
+    refused at the door.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError(f"custody capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        #: sequence -> entry, in admission order (dict preserves it)
+        self._entries: Dict[int, CustodyEntry] = {}
+        self._sequences = itertools.count(1)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def accept(
+        self,
+        raw: bytes,
+        destination: NameSpecifier,
+        vspace: str,
+        deadline: float,
+        priority: int,
+        cause: str,
+        trace: object,
+    ) -> Tuple[Optional[CustodyEntry], List[CustodyEntry]]:
+        """Take custody of one payload until ``deadline``.
+
+        Returns ``(entry, evicted)``: the admitted entry (None when the
+        payload was refused because the store is full of higher-priority
+        state) and the entries evicted to make room.
+        """
+        evicted: List[CustodyEntry] = []
+        if len(self._entries) >= self.capacity:
+            victim = self._eviction_victim(priority)
+            if victim is None:
+                # Everything stored outranks the arrival; the newcomer
+                # itself is the cheapest loss.
+                return None, evicted
+            del self._entries[victim.sequence]
+            evicted.append(victim)
+        entry = CustodyEntry(
+            raw=raw,
+            destination=destination,
+            vspace=vspace,
+            deadline=deadline,
+            priority=priority,
+            sequence=next(self._sequences),
+            cause=cause,
+            trace=trace,
+        )
+        self._entries[entry.sequence] = entry
+        return entry, evicted
+
+    def _eviction_victim(self, arriving_priority: int) -> Optional[CustodyEntry]:
+        """The stored entry to evict for an arrival of the given
+        priority, or None when the arrival itself should be refused.
+
+        The victim tier is the numerically-largest stored priority; the
+        arrival is refused only when it is strictly worse than that.
+        Within the tier the oldest sequence goes first (FIFO).
+        """
+        victim = max(
+            self._entries.values(),
+            key=lambda e: (e.priority, -e.sequence),
+        )
+        if arriving_priority > victim.priority:
+            return None
+        return victim
+
+    def expire(self, now: float) -> List[CustodyEntry]:
+        """Remove and return every entry whose custody deadline passed."""
+        lapsed = [e for e in self._entries.values() if now >= e.deadline]
+        for entry in lapsed:
+            del self._entries[entry.sequence]
+        return lapsed
+
+    def release(self, entry: CustodyEntry) -> bool:
+        """Remove ``entry``; False when it was no longer held."""
+        return self._entries.pop(entry.sequence, None) is not None
+
+    def entries(self) -> List[CustodyEntry]:
+        """Current entries in admission order."""
+        return list(self._entries.values())
+
+    def __repr__(self) -> str:
+        return f"CustodyStore(held={len(self._entries)}/{self.capacity})"
+
 
 class Custodian:
     """The custody store of one INR and everything that acts on it."""
 
     def __init__(self, inr) -> None:
         self.inr = inr
-        #: None when custody is off: nothing is taken, and a handoff
-        #: that arrives here is lost, attributably
+        #: None when custody is off: nothing is taken
         self.store: Optional[CustodyStore] = (
             CustodyStore(CUSTODY_CAPACITY) if inr.config.enable_custody else None
         )
@@ -53,14 +198,7 @@ class Custodian:
             return True
         return inr.now - neighbor.last_heard > silence
 
-    def take(
-        self,
-        vspace: str,
-        packet: DataPacket,
-        cause: str,
-        priority: int,
-        span=None,
-    ) -> bool:
+    def take(self, vspace: str, packet: DataPacket, cause: str, span=None) -> bool:
         """Take custody of an unroutable payload instead of dropping it.
 
         Returns True when the payload's fate was settled here — held,
@@ -69,6 +207,9 @@ class Custodian:
         falls through to the paper's drop behavior. Only late-binding
         anycast is eligible: early binding answers from current state
         by design, and a multicast payload has no single custodian.
+        A ``no-route`` name was never seen here and is the first to go
+        under capacity pressure; any other cause means the name was
+        known, and the service is likely to come back.
         """
         if self.store is None:
             return False
@@ -76,15 +217,17 @@ class Custodian:
         message = packet.message
         if (message.binding, message.delivery) != (Binding.LATE, Delivery.ANYCAST):
             return False
+        priority = (
+            PRIORITY_UNKNOWN_NAME if cause == "no-route" else PRIORITY_KNOWN_NAME
+        )
         entry, evicted = self.store.accept(
             packet.raw,
             message.destination,
             vspace,
-            inr.now,
-            ttl=inr.config.custody_ttl,
-            priority=priority,
-            cause=cause,
-            trace=message.trace,
+            inr.now + inr.config.custody_ttl,
+            priority,
+            cause,
+            message.trace,
         )
         for victim in evicted:
             self._drop(victim, "custody-evicted")
@@ -102,22 +245,21 @@ class Custodian:
     def _drop(self, entry: CustodyEntry, cause: str) -> None:
         """Attribute the final loss of a custodied payload: a distinct
         drop counter per cause, and a span status a trace query finds."""
-        inr = self.inr
+        stats = self.inr.stats
         if cause == "custody-expired":
-            inr.stats.drops_custody_expired += 1
+            stats.drops_custody_expired += 1
         elif cause == "custody-evicted":
-            inr.stats.drops_custody_evicted += 1
+            stats.drops_custody_evicted += 1
         else:
-            inr.stats.drops_custody_transfer_failed += 1
+            stats.drops_terminated += 1
         self._span(entry, DROP_PREFIX + cause)
 
-    def _span(self, entry: CustodyEntry, status: str, note: str = "") -> None:
+    def _span(self, entry: CustodyEntry, status: str) -> None:
         """One ``inr.custody`` span per fate of a held payload."""
         inr = self.inr
-        span = inr.span_start("inr.custody", entry.trace, cause=entry.cause)
-        if note:
-            inr.span_note(span, note)
-        inr.span_end(span, status)
+        inr.span_end(
+            inr.span_start("inr.custody", entry.trace, cause=entry.cause), status
+        )
 
     def tick(self) -> None:
         """Periodic custody maintenance (armed when custody is on):
@@ -156,90 +298,29 @@ class Custodian:
                 self._span(entry, "custody-released")
                 inr.dataplane.handle_data(DataPacket(raw=entry.raw), inr.address)
 
-    def adopt(self, snapshot: tuple) -> None:
-        """Re-admit payloads from a crash snapshot or a handoff,
-        preserving each absolute deadline; the ones that lapsed on the
-        way, or that capacity pushes out, are attributed as drops."""
-        before = self.store.counts.accepted
-        lapsed, evicted = self.store.adopt(snapshot, self.inr.now)
-        self.inr.stats.custody_accepted += self.store.counts.accepted - before
-        for entry in lapsed:
-            self._drop(entry, "custody-expired")
-        for entry in evicted:
-            self._drop(entry, "custody-evicted")
+    def restore(self, held: Sequence[CustodyEntry]) -> None:
+        """Put back what the store held when its resolver crashed, in
+        admission order and each with its own deadline. A payload that
+        lapsed while the resolver was down is a ``custody-expired``
+        drop. The store is as large as the one that held them, so
+        nothing is evicted."""
+        inr = self.inr
+        for entry in held:
+            if inr.now >= entry.deadline:
+                self._drop(entry, "custody-expired")
+                continue
+            self.store.accept(
+                entry.raw, entry.destination, entry.vspace, entry.deadline,
+                entry.priority, entry.cause, entry.trace,
+            )
+            inr.stats.custody_accepted += 1
 
-    def handoff(self) -> None:
-        """Migrate held payloads to a surviving neighbor (termination
-        path). Deadlines ride along unchanged — a handoff must not
-        reset a payload's custody clock. Best-effort by nature: the
-        sender is about to stop and cannot retransmit past its death."""
+    def retire(self) -> None:
+        """The resolver is leaving the overlay: what it still holds has
+        no custodian left, and each payload is a ``terminated`` drop —
+        the cause of any packet that reaches a retired resolver."""
         if self.store is None:
             return
-        inr = self.inr
-        entries = self.store.drain()
-        if not entries:
-            return
-        parent = inr.neighbors.parent
-        if parent is not None:
-            recipient: Optional[str] = parent.address
-        else:
-            addresses = sorted(inr.neighbors.addresses)
-            recipient = addresses[0] if addresses else None
-        if recipient is None:
-            # Nobody left to hand custody to; the payloads die with us.
-            for entry in entries:
-                self._drop(entry, "custody-transfer-failed")
-            return
-        records = tuple(
-            CustodyRecord(
-                raw=entry.raw,
-                vspace=entry.vspace,
-                deadline=entry.deadline,
-                priority=entry.priority,
-                transfers=entry.transfers + 1,
-            )
-            for entry in entries
-        )
-        inr.discovery.send_control(
-            recipient, CustodyTransfer(sender=inr.address, records=records)
-        )
-        inr.stats.custody_transfers_sent += 1
-        for entry in entries:
-            self._span(entry, "custody-transferred", f"handoff to {recipient}")
-
-    def _handle_custody_transfer(
-        self, transfer: CustodyTransfer, source: str
-    ) -> None:
-        """Adopt payloads from a departing custodian, then immediately
-        re-attempt them — this resolver may well have the route its
-        predecessor lacked."""
-        inr = self.inr
-        inr.stats.custody_transfers_received += 1
-        if self.store is None:
-            # No custody store here: the handoff's payloads have no
-            # custodian left and are lost, attributably.
-            for record in transfer.records:
-                try:
-                    context = Header.unpack(record.raw).trace
-                except ValueError:
-                    context = None
-                inr.stats.drops_custody_transfer_failed += 1
-                span = inr.span_start("inr.custody", context)
-                inr.span_end(span, DROP_PREFIX + "custody-transfer-failed")
-            return
-        self.adopt(
-            tuple(
-                (
-                    record.raw,
-                    record.vspace,
-                    record.deadline,
-                    record.priority,
-                    "transferred",
-                    record.transfers,
-                )
-                for record in transfer.records
-            )
-        )
-        self.retry()
-
-    HANDLERS = {CustodyTransfer: (_handle_custody_transfer, cost_per_record)}
+        for entry in self.store.entries():
+            self.store.release(entry)
+            self._drop(entry, "terminated")

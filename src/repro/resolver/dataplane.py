@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Set
 
-from ..dtn import PRIORITY_KNOWN_NAME, PRIORITY_UNKNOWN_NAME
 from ..message import Binding, Delivery, InsMessage
 from ..message.dsr import DsrVspaceRequest, DsrVspaceResponse
 from ..naming import VSPACE_ATTRIBUTE, NameSpecifier
@@ -239,9 +238,7 @@ class DataPlane:
                     message.source, message.data, inr.now, message.cache_lifetime
                 )
         if not records:
-            if inr.custodian.take(
-                tree.vspace, packet, "no-route", PRIORITY_UNKNOWN_NAME, span
-            ):
+            if inr.custodian.take(tree.vspace, packet, "no-route", span):
                 return
             inr.stats.drops_no_route += 1
             inr.span_end(span, DROP_PREFIX + "no-route")
@@ -259,9 +256,7 @@ class DataPlane:
             # has not collected it yet; routing through it would target
             # a service presumed dead. The name *was* known here, so a
             # custodian holds the payload at the highest priority.
-            if inr.custodian.take(
-                tree.vspace, packet, "expired-record", PRIORITY_KNOWN_NAME, span
-            ):
+            if inr.custodian.take(tree.vspace, packet, "expired-record", span):
                 return
             inr.stats.drops_expired_record += 1
             inr.span_end(span, DROP_PREFIX + "expired-record")
@@ -331,9 +326,7 @@ class DataPlane:
             # The route exists but its next hop has gone silent —
             # forwarding would feed the payload to a dead link long
             # before the neighbor timeout flushes the route.
-            if inr.custodian.take(
-                tree.vspace, packet, "next-hop-suspect", PRIORITY_KNOWN_NAME, span
-            ):
+            if inr.custodian.take(tree.vspace, packet, "next-hop-suspect", span):
                 return
         self._forward_to_inr(packet, best.route.next_hop, span)
 

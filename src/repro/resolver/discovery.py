@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..message import CustodyTransfer
 from ..naming import NameSpecifier
 from ..nametree import Endpoint, NameRecord, NameTree
 from .costs import cost_of_carried, cost_one_name, cost_receive, cost_update_batch
@@ -26,8 +25,8 @@ from .reliable import ReliableAck, ReliableChannel, ReliableFrame
 _Entries = Tuple[List[NameRecord], List[NameUpdate]]
 
 #: What :meth:`NameDiscovery.send_control` is handed, and so what a
-#: reliable frame may carry (a ``CustodyTransfer`` from the custodian).
-_SENT_RELIABLY = frozenset({UpdateBatch, NameWithdraw, CustodyTransfer})
+#: reliable frame may carry.
+_SENT_RELIABLY = frozenset({UpdateBatch, NameWithdraw})
 
 #: Retransmission timeout of the reliable-delta channel.
 RELIABLE_RETRANSMIT_TIMEOUT = 1.0

@@ -85,7 +85,6 @@ class INR(Process):
         membership=OverlayMembership.HANDLERS,
         discovery=NameDiscovery.HANDLERS,
         dataplane=DataPlane.HANDLERS,
-        custodian=Custodian.HANDLERS,
         load=LoadControl.HANDLERS,
         delegation=DelegationCoordinator.HANDLERS,
     )
@@ -119,7 +118,7 @@ class INR(Process):
         self.tracer = None
         #: Stable storage written by crash(), re-adopted by restart():
         #: held payloads and finalized delegation facts (DSR pattern).
-        self._custody_snapshot: tuple = ()
+        self._custody_held: tuple = ()
         self._delegation_snapshot: tuple = ()
         self._incarnate()
 
@@ -185,9 +184,9 @@ class INR(Process):
         # (the flag flips after, so the abort message still sends).
         self.delegation.shutdown()
         self._terminated = True
-        # Held payloads must not die with their custodian: hand them to
-        # a surviving neighbor before saying goodbye.
-        self.custodian.handoff()
+        # Custody is single-hop: what this resolver still holds dies
+        # with it, counted and traced like any packet that reaches it.
+        self.custodian.retire()
         for neighbor in self.neighbors:
             self.send(neighbor.address, INR_PORT, PeerGoodbye(self.address))
         if self.dsr_address is not None:
@@ -205,8 +204,8 @@ class INR(Process):
         if self.custody is not None:
             # Custody is stable storage: the payloads a custodian
             # accepted responsibility for survive its process and are
-            # re-adopted when the operator restarts it.
-            self._custody_snapshot = self.custody.snapshot()
+            # restored when the operator restarts it.
+            self._custody_held = tuple(self.custody.entries())
         # Finalized delegation facts are stable storage too: which
         # vspaces left and which were adopted survive the process.
         # In-flight handoffs do NOT — the protocol aborts them.
@@ -237,9 +236,9 @@ class INR(Process):
         self.delegation.adopt_snapshot(self._delegation_snapshot)
         self._delegation_snapshot = ()
         self.node.bind(self.port, self)
-        if self._custody_snapshot:
-            self.custodian.adopt(self._custody_snapshot)
-            self._custody_snapshot = ()
+        if self._custody_held:
+            self.custodian.restore(self._custody_held)
+            self._custody_held = ()
         self.start()
 
     @property

@@ -72,10 +72,6 @@ class InrStats:
     custody_accepted: int = 0
     #: payloads released back into forwarding when a route returned
     custody_released: int = 0
-    #: CUSTODY-TRANSFER handoffs sent (terminating-INR migration)
-    custody_transfers_sent: int = 0
-    #: CUSTODY-TRANSFER handoffs received
-    custody_transfers_received: int = 0
     #: expired records re-admitted by a refresh inside the partition
     #: grace window (the soft-state fast path after a heal)
     expiry_grace_readmissions: int = 0
@@ -83,9 +79,6 @@ class InrStats:
     drops_custody_expired: int = 0
     #: custody pushed out by capacity pressure or refused at the door
     drops_custody_evicted: int = 0
-    #: custody handoff with no surviving recipient, or the payloads
-    #: arrived at a resolver that runs no custody store
-    drops_custody_transfer_failed: int = 0
 
     #: --- Crash-safe vspace delegation (two-phase handoff) ------------
     #: handoffs this resolver initiated as donor

@@ -1,4 +1,4 @@
-"""Disruption tolerance under chaos: custody transfer on vs off.
+"""Disruption tolerance under chaos: custody on vs off.
 
 The availability scenario (:mod:`.availability`) measures what request
 traffic experiences when faults are short next to the request deadline
@@ -6,8 +6,8 @@ traffic experiences when faults are short next to the request deadline
 regime the resilience layer cannot help with: duty-cycled links and
 partitions that outlast any reasonable deadline. Late-binding anycast
 payloads sent into a partition are simply gone unless *something*
-holds them; the custody store (:mod:`repro.dtn`) is that something,
-and this scenario quantifies exactly what it buys.
+holds them; the custody store (:mod:`repro.resolver.custody`) is that
+something, and this scenario quantifies exactly what it buys.
 
 One client streams intentional anycast payloads at a service whose
 resolver first suffers duty-cycled overlay links (intermittent
@@ -59,12 +59,9 @@ class DtnReport:
     #: aggregated resolver custody counters
     custody_accepted: int
     custody_released: int
-    custody_transfers_sent: int
-    custody_transfers_received: int
     expiry_grace_readmissions: int
     drops_custody_expired: int
     drops_custody_evicted: int
-    drops_custody_transfer_failed: int
     #: the paper's drop behavior — what custody exists to avoid
     drops_no_route: int
     drops_expired_record: int
@@ -243,12 +240,9 @@ def run_dtn_scenario(
             domain.inrs,
             "custody_accepted",
             "custody_released",
-            "custody_transfers_sent",
-            "custody_transfers_received",
             "expiry_grace_readmissions",
             "drops_custody_expired",
             "drops_custody_evicted",
-            "drops_custody_transfer_failed",
             "drops_no_route",
             "drops_expired_record",
         ),
@@ -268,8 +262,6 @@ def run_dtn_scenario(
         "latency_max",
         "custody_accepted",
         "custody_released",
-        "custody_transfers_sent",
-        "custody_transfers_received",
         "drops_custody_expired",
         "drops_custody_evicted",
         "drops_no_route",

@@ -57,12 +57,9 @@ REPORTS = [
         latency_max=31.0,
         custody_accepted=60,
         custody_released=58,
-        custody_transfers_sent=1,
-        custody_transfers_received=1,
         expiry_grace_readmissions=2,
         drops_custody_expired=1,
         drops_custody_evicted=1,
-        drops_custody_transfer_failed=0,
         drops_no_route=3,
         drops_expired_record=2,
         converged_violations=(),

@@ -100,7 +100,6 @@ def test_bench_dtn_artifact_schema():
             "custody_accepted",
             "drops_custody_expired",
             "drops_custody_evicted",
-            "drops_custody_transfer_failed",
             "expiry_grace_readmissions",
         ):
             assert field in report

@@ -12,8 +12,8 @@ import pytest
 
 from repro.experiments import InsDomain
 from repro.message import (
-    CustodyTransfer, DelegateAbort, DelegateAccept, DelegateCommit, DelegateOffer,
-    DelegateTransfer, DsrClaimResponse, DsrListResponse, DsrVspaceResponse,
+    DelegateAbort, DelegateAccept, DelegateCommit, DelegateOffer, DelegateTransfer,
+    DsrClaimResponse, DsrListResponse, DsrVspaceResponse,
 )
 from repro.resolver import INR
 from repro.resolver.inr import merge_tables
@@ -40,7 +40,6 @@ EXPECTED = [
     (_stub(UpdateBatch, updates=[]), C.receive),
     (_stub(Advertisement), C.receive + C.update_per_name),
     (_stub(NameWithdraw), C.receive + C.update_per_name),
-    (_stub(CustodyTransfer, records=THREE), C.receive + 3 * C.update_per_name),
     (_stub(DelegateTransfer, records=THREE), C.receive + 3 * C.update_per_name),
     (_stub(ResolutionRequest), C.query),
     (_stub(DiscoveryRequest), C.query),
@@ -98,14 +97,14 @@ def test_every_type_is_registered_by_exactly_one_component(inr):
         for owner, _handler, _rule in INR._DISPATCH.values()
     }
     assert set(components) == {
-        "membership", "discovery", "dataplane", "custodian", "load", "delegation",
+        "membership", "discovery", "dataplane", "load", "delegation",
     }
     claims = [
         (message, owner)
         for owner, component in components.items()
         for message in component.HANDLERS
     ]
-    assert len(claims) == len({message for message, _owner in claims}) == 22
+    assert len(claims) == len({message for message, _owner in claims}) == 21
     for message, owner in claims:
         registered_by, handler, rule = INR._DISPATCH[message]
         assert registered_by == owner

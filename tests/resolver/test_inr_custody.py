@@ -2,10 +2,10 @@
 
 A late-binding anycast payload the forwarding agent cannot move is
 parked in the custody store instead of dropped, re-attempted when name
-state returns, handed off when the custodian terminates, and preserved
-across a crash/restart through the snapshot/adopt pattern. Every way a
-custodied payload can finally die has its own ``drops_*`` cause and a
-``drop:<cause>`` span status.
+state returns, and restored after a crash/restart; a custodian that
+terminates drops what it holds. Every way a custodied payload can
+finally die has its own ``drops_*`` cause and a ``drop:<cause>`` span
+status.
 """
 
 from dataclasses import replace
@@ -14,11 +14,9 @@ import pytest
 
 from repro.chaos.scenario import fast_chaos_config
 from repro.experiments import InsDomain
-from repro.message import CustodyRecord, CustodyTransfer, InsMessage
-from repro.obs import TraceContext
 from repro.resolver import custody
 
-from ..conftest import forge_packet, parse
+from ..conftest import parse
 
 
 @pytest.fixture(autouse=True)
@@ -145,35 +143,9 @@ class TestSuspectNextHop:
 
 
 class TestCustodyMigration:
-    def test_terminate_hands_custody_to_a_neighbor(self):
-        """Held payloads must not die with their custodian: a
-        terminating INR ships them in a CUSTODY-TRANSFER, and they are
-        delivered once the successor learns the name."""
-        domain, (a, b), client = make_domain(custody_config(), n_inrs=2)
-        # Custody lands on the client's resolver (a); terminate it.
-        client.send_anycast(parse("[service=later]"), b"survive-me")
-        domain.run(0.5)
-        custodian = a if len(a.custody) else b
-        survivor = b if custodian is a else a
-        assert len(custodian.custody) == 1
-
-        custodian.terminate()
-        domain.run(1.0)
-        assert custodian.stats.custody_transfers_sent == 1
-        assert survivor.stats.custody_transfers_received == 1
-        assert len(survivor.custody) == 1
-        (held,) = survivor.custody.entries()
-        assert held.transfers == 1
-
-        inbox = []
-        service = domain.add_service("[service=later]", resolver=survivor)
-        service.on_message(lambda m, s: inbox.append(m))
-        domain.run(3.0)
-        assert [m.data for m in inbox] == [b"survive-me"]
-
     def test_crash_restart_preserves_custody(self):
-        """Custody is stable storage: the snapshot taken at crash is
-        re-adopted on restart with deadlines intact."""
+        """Custody is stable storage: the payloads held at crash are
+        restored on restart with deadlines intact."""
         domain, (inr,), client = make_domain(custody_config())
         client.send_anycast(parse("[service=later]"), b"persist-me")
         domain.run(0.5)
@@ -192,54 +164,33 @@ class TestCustodyMigration:
         domain.run(3.0)
         assert [m.data for m in inbox] == [b"persist-me"]
 
-    def test_transfer_into_custodyless_resolver_is_attributed(self):
-        """A handoff landing where no custody store runs loses its
-        payloads — but each loss is counted and has a span status, not
-        silently swallowed."""
-        domain, (inr,), _client = make_domain(
-            replace(fast_chaos_config(), enable_custody=False)
-        )
-        raw = InsMessage(destination=parse("[service=x]"), data=b"p").encode()
-        transfer = CustodyTransfer(
-            sender="inr-ghost",
-            records=(
-                CustodyRecord(
-                    raw=raw,
-                    vspace="default",
-                    deadline=domain.now + 10.0,
-                    priority=0,
-                    transfers=1,
-                ),
-            ),
-        )
-        inr.custodian._handle_custody_transfer(transfer, "inr-ghost")
-        assert inr.stats.custody_transfers_received == 1
-        assert inr.stats.drops_custody_transfer_failed == 1
-        assert inr.stats.drops_by_cause()["custody-transfer-failed"] == 1
-
-    def test_the_loss_is_traced_even_when_the_names_do_not_parse(self):
-        """The span joins the payload's trace from the header's context
-        alone; a record whose name sections are garbage (or that is no
-        packet at all) is still one attributed loss, not an exception."""
-        domain, (inr,), _client = make_domain(
-            replace(fast_chaos_config(), enable_custody=False)
+    def test_a_retiring_custodian_drops_what_it_holds(self):
+        """Custody is single-hop: a terminating resolver's held payloads
+        die with it, each counted as ``drops_terminated`` and ended as a
+        ``drop:terminated`` span under its own trace."""
+        domain = InsDomain(
+            seed=11,
+            config=custody_config(),
+            dsr_registration_lifetime=3.0,
+            dsr_sweep_interval=0.5,
         )
         collector = domain.observe()
-        context = TraceContext(trace_id=55, span_id=9)
-        records = tuple(
-            CustodyRecord(
-                raw=raw, vspace="default", deadline=domain.now + 10.0,
-                priority=0, transfers=1,
-            )
-            for raw in (forge_packet("", "[[", b"p", trace=context), b"\x01")
-        )
-        inr.custodian._handle_custody_transfer(
-            CustodyTransfer(sender="inr-ghost", records=records), "inr-ghost"
-        )
-        assert inr.stats.drops_custody_transfer_failed == 2
+        inr = domain.add_inr()
+        client = domain.add_client(resolver=inr)
+        domain.run(2.0)
+        client.send_anycast(parse("[service=later]"), b"one")
+        client.send_anycast(parse("[service=never]"), b"two")
+        domain.run(0.5)
+        held = [entry.trace.trace_id for entry in inr.custody.entries()]
+        assert len(held) == 2
+
+        inr.terminate()
+        assert inr.stats.drops_terminated == 2
+        assert inr.stats.drops_by_cause() == {"terminated": 2}
+        assert len(inr.custody) == 0
         spans = [s for s in collector.tracer.spans if s.name == "inr.custody"]
         assert [(s.trace_id, s.status) for s in spans] == [
-            (55, "drop:custody-transfer-failed")
+            (trace_id, "drop:terminated") for trace_id in held
         ]
 
 

@@ -52,7 +52,7 @@ def _shape(value, depth=2):
     if isinstance(value, (dict, list, tuple, set, frozenset, bytes)):
         return (type(value).__name__, "empty" if not value else "filled")
     module = type(value).__module__
-    if depth and module.startswith(("repro.resolver", "repro.dtn")) and hasattr(
+    if depth and module.startswith("repro.resolver") and hasattr(
         value, "__dict__"
     ):
         return (
@@ -130,7 +130,7 @@ def test_restart_leaves_nothing_of_the_previous_incarnation(feature, monkeypatch
     restarted = _shapes(inr)
 
     if feature == "custody":
-        # Re-adopted from the crash snapshot: the payload held for the
+        # Restored from what crash() kept: the payload held for the
         # name nobody advertises is still in custody.
         assert len(inr.custody) == 1
         store = restarted["custodian"]["store"][1]
