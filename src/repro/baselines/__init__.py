@@ -4,7 +4,6 @@ from .dns import (
     DNS_PORT,
     DnsAnswer,
     DnsClient,
-    DnsDeregister,
     DnsDirectory,
     DnsQuery,
     DnsRegister,
@@ -15,7 +14,6 @@ __all__ = [
     "DNS_PORT",
     "DnsAnswer",
     "DnsClient",
-    "DnsDeregister",
     "DnsDirectory",
     "DnsQuery",
     "DnsRegister",

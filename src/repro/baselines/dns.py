@@ -9,7 +9,7 @@ enough to measure the contrast:
 
 - a central :class:`DnsDirectory` mapping flat hostnames to address
   records; entries are hard state — they change only on explicit
-  (re-/de-)registration, never by timeout;
+  re-registration, never by timeout;
 - :class:`DnsClient` resolves names, caches answers for the record TTL
   and rotates round-robin through multi-record answers;
 - :class:`DnsRegisteredService` registers itself once at startup, like
@@ -48,15 +48,6 @@ class DnsRegister:
 
     def wire_size(self) -> int:
         return 28 + len(self.hostname) + len(self.owner) + 16
-
-
-@dataclass
-class DnsDeregister:
-    hostname: str
-    endpoint: Endpoint
-
-    def wire_size(self) -> int:
-        return 28 + len(self.hostname) + 16
 
 
 @dataclass
@@ -104,14 +95,6 @@ class DnsDirectory(Process):
                 if o != owner and e != payload.endpoint
             ]
             records.append((payload.endpoint, payload.ttl, owner))
-        elif isinstance(payload, DnsDeregister):
-            records = self._records.get(payload.hostname)
-            if records is not None:
-                records[:] = [
-                    (e, t, o) for e, t, o in records if e != payload.endpoint
-                ]
-                if not records:
-                    del self._records[payload.hostname]
         elif isinstance(payload, DnsQuery):
             self.queries_served += 1
             entries = self._records.get(payload.hostname, [])

@@ -400,27 +400,19 @@ class NameTree:
     # ------------------------------------------------------------------
     # Soft state
     # ------------------------------------------------------------------
-    def expire(self, now: float, grace: float = 0.0) -> List[NameRecord]:
+    def expire(self, now: float) -> List[NameRecord]:
         """Remove every record whose lifetime elapsed; returns them.
 
-        ``grace`` retains an expired record for that many extra seconds
-        before collection. A graced record is a tombstone with memory:
-        it never satisfies routing or queries (``is_expired`` still
-        holds), but a refresh arriving inside the window re-admits the
-        name as a fast-path update instead of a from-scratch rebuild —
-        the partition-tolerant soft-state behavior.
-
-        While ``now - grace`` is below the bound on every deadline
-        nothing can be due and no record is visited; a sweep that does
-        scan recomputes the bound from the records it leaves behind.
+        While ``now`` is below the bound on every deadline nothing can
+        be due and no record is visited; a sweep that does scan
+        recomputes the bound from the records it leaves behind.
         """
-        horizon = now - grace
-        if horizon < self._earliest_expiry:
+        if now < self._earliest_expiry:
             return []
         expired = [
             record
             for record in self._by_announcer.values()
-            if horizon >= record.expires_at
+            if now >= record.expires_at
         ]
         for record in expired:
             self.remove(record)

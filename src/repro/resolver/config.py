@@ -92,12 +92,6 @@ class InrConfig:
     #: onto a dead link. 0 disables the check (forward regardless).
     custody_suspect_silence: float = 0.0
 
-    #: Extra seconds an expired record is retained (unused for routing)
-    #: so a partitioned service's immediate re-advertisement on heal is
-    #: a fast-path refresh instead of a rebuild from nothing. 0 keeps
-    #: the paper's discard-at-expiry behavior.
-    partition_grace: float = 0.0
-
     #: --- Inter-INR update transport (footnote 3) ---------------------
     #: "soft-state": the paper's shipped design — periodic re-floods of
     #: every name plus triggered updates, names expire by lifetime.

@@ -69,18 +69,12 @@ class CostModel:
     #: Receiving any datagram (socket read, header decode).
     receive: float = 0.1e-3
 
-    #: When False, the Fig. 15 delivery artifact is disabled and local
-    #: delivery costs only ``local_delivery_base`` (the ablation).
-    model_delivery_artifact: bool = True
-
     def update_batch(self, name_count: int) -> float:
         """Cost of processing an update batch of ``name_count`` names."""
         return self.receive + self.update_per_name * name_count
 
     def local_delivery(self, names_in_vspace: int) -> float:
         """Cost of handing a packet to a directly-attached application."""
-        if not self.model_delivery_artifact:
-            return self.local_delivery_base
         return self.local_delivery_base + self.local_delivery_per_name * names_in_vspace
 
 

@@ -300,12 +300,14 @@ class Custodian:
 
     def restore(self, held: Sequence[CustodyEntry]) -> None:
         """Put back what the store held when its resolver crashed, in
-        admission order and each with its own deadline. A payload that
-        lapsed while the resolver was down is a ``custody-expired``
-        drop. The store is as large as the one that held them, so
-        nothing is evicted."""
+        admission order and each with its own deadline. Each one counts
+        as accepted in the new incarnation; a payload that lapsed while
+        the resolver was down is then a ``custody-expired`` drop. The
+        store is as large as the one that held them, so nothing is
+        evicted."""
         inr = self.inr
         for entry in held:
+            inr.stats.custody_accepted += 1
             if inr.now >= entry.deadline:
                 self._drop(entry, "custody-expired")
                 continue
@@ -313,7 +315,6 @@ class Custodian:
                 entry.raw, entry.destination, entry.vspace, entry.deadline,
                 entry.priority, entry.cause, entry.trace,
             )
-            inr.stats.custody_accepted += 1
 
     def retire(self) -> None:
         """The resolver is leaving the overlay: what it still holds has

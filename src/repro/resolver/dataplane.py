@@ -78,28 +78,11 @@ class DataPlane:
     # ------------------------------------------------------------------
     # Early binding and discovery queries
     # ------------------------------------------------------------------
-    def _query_records(
-        self, tree: NameTree, name: NameSpecifier
-    ) -> List[NameRecord]:
-        """Matches of ``name`` that a query answer may bind to.
-
-        With a partition grace configured, expired records linger in
-        the tree well past their lifetime; they must stay out of query
-        answers — grace preserves state for fast readmission, it does
-        not resurrect bindings. With grace off, the raw lookup set is
-        returned untouched so baseline behavior stays byte-identical.
-        """
-        records = tree.lookup(name)
-        if self.inr.config.partition_grace > 0:
-            now = self.inr.now
-            return [r for r in records if not r.is_expired(now)]
-        return list(records)
-
     def _bindings(self, tree: NameTree, name: NameSpecifier) -> List[tuple]:
         """``(endpoint, anycast metric)`` of every binding ``name`` resolves to."""
         return [
             (endpoint, record.anycast_metric)
-            for record in self._query_records(tree, name)
+            for record in tree.lookup(name)
             for endpoint in record.endpoints
         ]
 
@@ -146,7 +129,7 @@ class DataPlane:
         for tree in searched:
             names.extend(
                 (tree.get_name(record), record.anycast_metric)
-                for record in self._query_records(tree, request.filter)
+                for record in tree.lookup(request.filter)
             )
         # to_wire() is the cached text for every name already sized for
         # a send, which each retained name was when it was advertised.

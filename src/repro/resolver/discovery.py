@@ -87,7 +87,6 @@ class NameDiscovery:
     def _handle_advertisement(self, ad: Advertisement, source: str) -> None:
         inr = self.inr
         now = inr.now
-        graced = inr.config.partition_grace > 0
         inr.stats.advertisements_processed += 1
         changed: List[tuple] = []  # (vspace, name, record) of what is news
         for vspace in ad.name.vspaces():
@@ -97,22 +96,12 @@ class NameDiscovery:
                 continue
             expires_at = now + ad.lifetime
             record = tree.record_for(ad.announcer)
-            # A graced record that hears anything is re-admitted (below),
-            # so only a live one may be told "nothing new".
-            readmitted = graced and record is not None and record.is_expired(now)
-            if (
-                record is not None and not readmitted
-                and tree.rehear(record, ad, None, 0.0, expires_at)
+            if record is not None and tree.rehear(
+                record, ad, None, 0.0, expires_at
             ):
                 continue
             endpoints = ad.endpoints or (Endpoint(host=source),)
-            news = _graft(tree, record, ad, endpoints, None, 0.0, expires_at)
-            if readmitted:
-                # A graced record came back to life: the payload-equal
-                # fast path would suppress the triggered update, but
-                # neighbors believed the name dead — force propagation.
-                inr.stats.expiry_grace_readmissions += 1
-            if news or readmitted:
+            if _graft(tree, record, ad, endpoints, None, 0.0, expires_at):
                 changed.append((vspace, ad.name, tree.record_for(ad.announcer)))
         if changed:
             self._send_triggered(changed, exclude=None)
@@ -124,7 +113,6 @@ class NameDiscovery:
         sender = batch.sender
         link_rtt = inr.neighbors.rtt_to(sender)
         now = inr.sim.now
-        graced = inr.config.partition_grace > 0
         trees = inr.trees
         changed: List[tuple] = []  # (vspace, name, record) of what is news
         # One deadline per distinct lifetime in the batch (in practice
@@ -138,9 +126,7 @@ class NameDiscovery:
             expires_at = deadlines.get(lifetime)
             if expires_at is None:
                 expires_at = deadlines[lifetime] = now + lifetime
-            if self._apply_update(
-                tree, update, sender, link_rtt, now, expires_at, graced
-            ):
+            if self._apply_update(tree, update, sender, link_rtt, expires_at):
                 record = tree.record_for(update.announcer)
                 if record is not None:
                     changed.append((update.vspace, update.name, record))
@@ -150,22 +136,15 @@ class NameDiscovery:
 
     def _apply_update(
         self, tree: NameTree, update: NameUpdate, sender: str, link_rtt: float,
-        now: float, expires_at: float, graced: bool,
+        expires_at: float,
     ) -> bool:
         """Distributed Bellman-Ford acceptance; True when state changed
-        in a way neighbors should hear about. ``expires_at`` is ``now``
-        plus the update's lifetime; ``graced``: partition grace is
-        configured."""
+        in a way neighbors should hear about. ``expires_at`` is the
+        current time plus the update's lifetime."""
         new_metric = update.route_metric + link_rtt
         existing = tree.record_for(update.announcer)
-        # A graced record names a route that died with the partition;
-        # comparing metrics against the corpse would wrongly favor it.
-        # Any fresh news re-admits the name.
-        readmitted = graced and existing is not None and existing.is_expired(now)
         if existing is not None:
-            if not readmitted and tree.rehear(
-                existing, update, sender, new_metric, expires_at
-            ):
+            if tree.rehear(existing, update, sender, new_metric, expires_at):
                 # Heard again from the current next hop at the same
                 # metric: no check below can find news in it.
                 return False
@@ -174,21 +153,14 @@ class NameDiscovery:
                 # Never let a reflected update displace a directly-attached
                 # service; the local announcement is authoritative.
                 return False
-            if (
-                not readmitted
-                and route.next_hop != sender
-                and not new_metric < route.metric
-            ):
+            if route.next_hop != sender and not new_metric < route.metric:
                 # News from the current next hop is always accepted, even
                 # if the metric worsened (standard distance-vector rule);
                 # from anyone else only a strictly better metric is.
                 return False
-        news = _graft(
+        return _graft(
             tree, existing, update, update.endpoints, sender, new_metric, expires_at
         )
-        if readmitted:
-            self.inr.stats.expiry_grace_readmissions += 1
-        return news or readmitted
 
     # ------------------------------------------------------------------
     # Forgetting names
@@ -238,10 +210,10 @@ class NameDiscovery:
 
     def expire(self) -> None:
         """The soft-state sweep: collect names that outlived their
-        lifetime (and any partition grace)."""
+        lifetime."""
         inr = self.inr
         for tree in inr.trees.values():
-            expired = tree.expire(inr.now, grace=inr.config.partition_grace)
+            expired = tree.expire(inr.now)
             if self._reliable is not None:
                 # Explicitly withdraw locally announced names that died
                 # (the service stopped refreshing its advertisement).

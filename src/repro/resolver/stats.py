@@ -72,9 +72,6 @@ class InrStats:
     custody_accepted: int = 0
     #: payloads released back into forwarding when a route returned
     custody_released: int = 0
-    #: expired records re-admitted by a refresh inside the partition
-    #: grace window (the soft-state fast path after a heal)
-    expiry_grace_readmissions: int = 0
     #: custody lapsed: the payload's TTL deadline passed unresolved
     drops_custody_expired: int = 0
     #: custody pushed out by capacity pressure or refused at the door

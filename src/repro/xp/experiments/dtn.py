@@ -59,7 +59,6 @@ class DtnReport:
     #: aggregated resolver custody counters
     custody_accepted: int
     custody_released: int
-    expiry_grace_readmissions: int
     drops_custody_expired: int
     drops_custody_evicted: int
     #: the paper's drop behavior — what custody exists to avoid
@@ -77,9 +76,7 @@ def dtn_chaos_config(disruption: float, custody: bool) -> InrConfig:
     """The fast chaos clocks plus the DTN knobs for one run.
 
     The custody TTL must outlast the partition plus reconvergence or
-    payloads lapse moments before they could have been delivered; the
-    grace window spans two record lifetimes so the partitioned
-    service's first post-heal refresh is a fast-path readmission.
+    payloads lapse moments before they could have been delivered.
     """
     config = fast_chaos_config()
     if not custody:
@@ -89,7 +86,6 @@ def dtn_chaos_config(disruption: float, custody: bool) -> InrConfig:
         enable_custody=True,
         custody_ttl=disruption + 20.0,
         custody_suspect_silence=2.5,
-        partition_grace=2.0 * config.record_lifetime,
     )
 
 
@@ -240,7 +236,6 @@ def run_dtn_scenario(
             domain.inrs,
             "custody_accepted",
             "custody_released",
-            "expiry_grace_readmissions",
             "drops_custody_expired",
             "drops_custody_evicted",
             "drops_no_route",

@@ -220,7 +220,8 @@ def run_routing_experiment(
     ms/packet curve. Traced packets are 24 wire bytes larger, so that
     burst is *not* comparable to the untraced curves.
     """
-    costs = CostModel(model_delivery_artifact=delivery_artifact)
+    # Without the artifact local delivery costs only its fixed part.
+    costs = CostModel() if delivery_artifact else CostModel(local_delivery_per_name=0.0)
     rows: List[RoutingRow] = []
     for names in name_counts:
         rows.append(

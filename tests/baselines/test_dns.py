@@ -4,10 +4,8 @@ import pytest
 
 from repro.baselines import (
     DnsClient,
-    DnsDeregister,
     DnsDirectory,
     DnsRegisteredService,
-    DNS_PORT,
 )
 from repro.nametree import Endpoint
 from repro.netsim import Network, Simulator
@@ -68,19 +66,6 @@ class TestDirectory:
         assert directory.records_for("printer.example") == (
             Endpoint(host="srv-moved", port=7000),
         )
-
-    def test_deregister_removes_record(self, dns_world):
-        sim, network, directory, client = dns_world
-        service = add_server(network, "srv-1", "printer.example")
-        sim.run_for(1.0)
-        network.send(
-            "srv-1", "dns-server", DNS_PORT,
-            DnsDeregister("printer.example",
-                          Endpoint(host="srv-1", port=7000)),
-            50,
-        )
-        sim.run_for(1.0)
-        assert directory.records_for("printer.example") == ()
 
 
 class TestClientCaching:

@@ -57,7 +57,6 @@ REPORTS = [
         latency_max=31.0,
         custody_accepted=60,
         custody_released=58,
-        expiry_grace_readmissions=2,
         drops_custody_expired=1,
         drops_custody_evicted=1,
         drops_no_route=3,

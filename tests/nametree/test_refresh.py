@@ -69,8 +69,8 @@ class _Model:
         }
         return changed
 
-    def expire(self, now, grace):
-        gone = [a for a, s in self.state.items() if now - grace >= s["expires_at"]]
+    def expire(self, now):
+        gone = [a for a, s in self.state.items() if now >= s["expires_at"]]
         for announcer in gone:
             del self.state[announcer]
         return set(gone)
@@ -117,7 +117,7 @@ def _snapshot(tree):
 steps = st.lists(
     st.tuples(
         st.sampled_from(range(len(ANNOUNCERS))),
-        st.sampled_from(KINDS + ["expire", "expire-with-grace"]),
+        st.sampled_from(KINDS + ["expire"]),
         st.integers(min_value=0, max_value=5),      # which alternative
         st.booleans(),                              # re-send the name object
         st.sampled_from([0.5, 4.0, 11.0]),          # virtual time step
@@ -138,11 +138,10 @@ def test_refresh_and_forced_insert_agree_with_the_parent_rule(history):
     for who, kind, pick, resend, dt, resend_message, lifetime in history:
         now += dt
         announcer = ANNOUNCERS[who]
-        if kind.startswith("expire"):
-            grace = 6.0 if kind == "expire-with-grace" else 0.0
-            gone = model.expire(now, grace)
+        if kind == "expire":
+            gone = model.expire(now)
             for tree in (refreshed, inserted):
-                assert {r.announcer for r in tree.expire(now, grace)} == gone
+                assert {r.announcer for r in tree.expire(now)} == gone
         else:
             text, name, endpoints, metric, next_hop, route_metric = last.get(
                 announcer, (NAMES[0], None, [ENDPOINTS[0]], 0.0, None, 0.0)

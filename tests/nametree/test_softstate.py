@@ -53,8 +53,8 @@ class TestExpiry:
         tree.set_expiry(late, 20.0)
         assert tree.expire(now=19.0) == []
         assert tree.expire(now=20.0) == [late]
-        assert tree.expire(now=49.0, grace=5.0) == []
-        assert tree.expire(now=55.0, grace=5.0) == [early]
+        assert tree.expire(now=49.0) == []
+        assert tree.expire(now=50.0) == [early]
 
     def test_infinite_lifetime_never_expires(self, tree):
         record = make_record(expires_at=math.inf)

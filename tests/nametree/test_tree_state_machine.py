@@ -4,9 +4,8 @@ sealed names.
 
 Rules: advertise a new name / refresh with the grafted object, an equal
 copy, a reordered copy, a message heard before / rename / remove / remove
-and graft anew / let time pass / expire, with and without grace / look
-up literal, wild-card and range queries — over a tree with the lookup
-memo on or off. After every rule:
+and graft anew / let time pass / expire / look up literal, wild-card and
+range queries — over a tree with the lookup memo on or off. After every rule:
 
 - ``lookup`` is the literal Figure 5 (``fig5_oracle``) on every query;
 - ``get_name`` is the object grafted, and it is Figure 6's answer
@@ -210,10 +209,10 @@ class NameTreeMachine(RuleBasedStateMachine):
     def pass_time(self, dt):
         self.now += dt
 
-    @rule(grace=st.sampled_from([0.0, 5.0]))
-    def expire(self, grace):
-        due = {a for a, t in self.deadline.items() if self.now - grace >= t}
-        assert {r.announcer for r in self.tree.expire(self.now, grace)} == due
+    @rule()
+    def expire(self):
+        due = {a for a, t in self.deadline.items() if self.now >= t}
+        assert {r.announcer for r in self.tree.expire(self.now)} == due
         for announcer in sorted(due):
             del self.grafted[announcer], self.deadline[announcer]
             self.heard.pop(announcer, None)

@@ -27,9 +27,7 @@ from ..conftest import parse
 
 #: INR operations that cost nothing: its handlers become in-place
 #: candidates as well (clients, services and the DSR always are).
-FREE = CostModel(**{
-    f.name: 0.0 for f in fields(CostModel) if f.name != "model_delivery_artifact"
-})
+FREE = CostModel(**{f.name: 0.0 for f in fields(CostModel)})
 
 ROOMS = ("510", "511", "512")
 KINDS = ("camera", "printer")

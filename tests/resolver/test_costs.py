@@ -54,8 +54,8 @@ class TestModelMechanics:
         )
 
     def test_artifact_switch(self):
-        with_artifact = CostModel(model_delivery_artifact=True)
-        without = CostModel(model_delivery_artifact=False)
+        with_artifact = CostModel()
+        without = CostModel(local_delivery_per_name=0.0)
         assert with_artifact.local_delivery(5000) > with_artifact.local_delivery(100)
         assert without.local_delivery(5000) == without.local_delivery(100)
         assert without.local_delivery(5000) == without.local_delivery_base

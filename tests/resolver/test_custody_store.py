@@ -158,6 +158,11 @@ class TestRestore:
         (held,) = inr.custody.entries()
         assert held.destination == second.destination
         assert held.deadline == second.deadline
-        assert inr.stats.custody_accepted == 1
+        assert inr.stats.custody_accepted == 2
         assert inr.stats.drops_custody_expired == 1
         assert inr.stats.drops_by_cause() == {"custody-expired": 1}
+        stats = inr.stats
+        assert stats.custody_accepted == (
+            stats.custody_released + stats.drops_custody_expired
+            + stats.drops_custody_evicted + len(inr.custody)
+        )

@@ -193,29 +193,3 @@ class TestCustodyMigration:
             (trace_id, "drop:terminated") for trace_id in held
         ]
 
-
-class TestPartitionGrace:
-    def test_refresh_inside_grace_readmits_and_counts(self):
-        """Satellite: soft-state expiry during a partition keeps a
-        tombstone for the grace window, so the service's first
-        post-heal refresh re-admits the name (counted in InrStats)
-        instead of rebuilding from nothing."""
-        config = custody_config(partition_grace=6.0)
-        domain, (inr,), client = make_domain(config)
-        service = domain.add_service("[service=graced]", resolver=inr)
-        domain.run(2.0)
-
-        domain.network.partition([service.address], [inr.address])
-        # Past the record lifetime (3s) but inside lifetime + grace.
-        domain.run(5.0)
-        # The graced record is a tombstone: queries must not bind to it.
-        reply = client.resolve_early(parse("[service=graced]"))
-        domain.run(0.5)
-        assert reply.done and reply.value == []
-
-        domain.network.heal([service.address], [inr.address])
-        domain.run(2.0)
-        assert inr.stats.expiry_grace_readmissions >= 1
-        reply = client.resolve_early(parse("[service=graced]"))
-        domain.run(0.5)
-        assert reply.done and len(reply.value) == 1

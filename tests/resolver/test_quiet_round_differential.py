@@ -15,10 +15,9 @@ generated history — metric changes, renames and re-spellings, node
 mobility (announced and not), endpoints appearing, changing order and
 left to the datagram's source, an owner swapping in an edited copy of
 its name without saying so, services stopping and coming back, loss,
-duplication, late delivery, partitions (with and without grace),
-overlay RTTs drifting, an INR crash and restart, in both update modes —
-under both, and must agree on every datagram, every counter, every
-table, every answer.
+duplication, late delivery, partitions, overlay RTTs drifting, an INR
+crash and restart, in both update modes — under both, and must agree
+on every datagram, every counter, every table, every answer.
 
 The overrides exist only in this file; ``src/`` has one behaviour and
 no switch. Tier-1 runs 30 seeds; ``check_seeds`` is what the CI
@@ -94,9 +93,9 @@ def shortcuts(overridden: bool, tally: dict):
 
             NameDiscovery.table = rebuilding
 
-            def scanning(tree, now, grace=0.0):
+            def scanning(tree, now):
                 tree._earliest_expiry = -math.inf
-                return expire(tree, now, grace)
+                return expire(tree, now)
 
             NameTree.expire = scanning
             for message in (Advertisement, UpdateBatch):
@@ -122,10 +121,10 @@ def shortcuts(overridden: bool, tally: dict):
                 tally["compared"] += len(compared) - before
                 return verdict
 
-            def counted_expire(tree, now, grace=0.0):
-                due = now - grace >= tree._earliest_expiry
+            def counted_expire(tree, now):
+                due = now >= tree._earliest_expiry
                 tally["scanned" if due else "skipped"] += 1
-                return expire(tree, now, grace)
+                return expire(tree, now)
 
             NameDiscovery.table = counted_table
             NameTree.rehear = counted_rehear
@@ -205,7 +204,6 @@ def run_history(seed: int, overridden: bool, tally: dict) -> dict:
             expiry_sweep_interval=2.0,
             neighbor_timeout=3.2 * REFRESH,
             heartbeat_interval=4.0,
-            partition_grace=shape.choice((0.0, 0.0, 2.5 * REFRESH)),
             update_mode=("soft-state", "reliable-delta")[seed % 2],
             enable_relaxation=shape.random() < 0.5,
         )
@@ -313,7 +311,7 @@ def run_history(seed: int, overridden: bool, tally: dict) -> dict:
                 else tuple([inr.address] for inr in shape.sample(inrs, 2))
             )
             network.partition(*sides)
-            # past the lifetime; with grace configured, sometimes inside it
+            # sometimes inside the lifetime, sometimes past it
             later(shape.choice((0.5 * LIFETIME, 1.3 * LIFETIME)), network.heal, *sides)
 
         def crash(service):

@@ -176,32 +176,6 @@ def test_triggered_updates_are_built_once_for_all_neighbors(monkeypatch):
         assert record.anycast_metric == 4.0
 
 
-def test_grace_readmitted_name_still_triggers_an_update(monkeypatch):
-    """A refresh that revives a graced (expired, not yet collected)
-    record is payload-equal, so the refresh entry point reports no news;
-    neighbors believed the name dead and must hear about it anyway."""
-    domain, trace, (a, b) = _domain(["inr-a", "inr-b"], partition_grace=2 * REFRESH)
-    service = _service(domain, "[service=graced[id=1]]", a)
-    domain.run(1.0)
-    domain.network.partition([service.address], [a.address])
-    domain.run(3 * REFRESH + 1.0)   # past the lifetime, inside the grace
-    record = a.trees["default"].record_for(service.announcer)
-    assert record is not None and record.is_expired(domain.now)
-    domain.network.heal([service.address], [a.address])
-    start = domain.now
-    domain.run(REFRESH * 1.2)
-    assert a.stats.expiry_grace_readmissions == 1
-    assert a.trees["default"].record_for(service.announcer) is record
-    triggered = [
-        update.announcer
-        for event in trace.between("inr-a", "inr-b")
-        if event.kind == "UpdateBatch" and event.time >= start
-        and event.payload.triggered
-        for update in event.payload.updates
-    ]
-    assert triggered == [service.announcer]
-
-
 def test_duplicated_and_reordered_refreshes_leave_the_trees_as_they_were():
     """The advertisement a service re-sends and the name-specifiers in
     updates are shared by reference between sender, receiver and
@@ -395,7 +369,7 @@ def test_rejected_updates_build_no_record(monkeypatch, rejected_by):
     )
     built = _count_constructions(monkeypatch, discovery_module, "NameRecord")
     assert holder.discovery._apply_update(
-        tree, update, "inr-elsewhere", 0.0, holder.now, holder.now + 15.0, False
+        tree, update, "inr-elsewhere", 0.0, holder.now + 15.0
     ) is False
     assert built == []
     assert tree.record_for(service.announcer) is existing
