@@ -415,11 +415,7 @@ class InvariantChecker:
         for inr in sorted(self._live_inrs(), key=lambda i: i.address):
             for vspace, tree in sorted(inr.trees.items()):
                 want = expected.get(vspace, set())
-                have = {
-                    record.announcer
-                    for record in tree.records()
-                    if not record.is_expired(self.domain.sim.now)
-                }
+                have = {record.announcer for record in tree.records()}
                 missing = want - have
                 stale = have - want
                 if missing:

@@ -164,7 +164,6 @@ class RecoveryTracker:
         detected = self._crash_detector(address)
 
         def names_rebuilt(revived: "INR") -> bool:
-            now = domain.sim.now
             for service in domain.services:
                 if service.resolver != address:
                     continue
@@ -172,12 +171,7 @@ class RecoveryTracker:
                     continue  # service itself is down
                 for vspace in service.name.vspaces():
                     tree = revived.trees.get(vspace)
-                    record = (
-                        tree.record_for(service.announcer)
-                        if tree is not None
-                        else None
-                    )
-                    if record is None or record.is_expired(now):
+                    if tree is None or tree.record_for(service.announcer) is None:
                         return False
             return True
 

@@ -173,10 +173,6 @@ class NameRecord:
         #: ``vspace`` is finalized by the owning tree.
         self._hash_cache: Optional[int] = None
 
-    def is_expired(self, now: float) -> bool:
-        """True once the soft-state lifetime has elapsed unrefreshed."""
-        return now >= self.expires_at
-
     def __hash__(self) -> int:
         cached = self._hash_cache
         if cached is None:

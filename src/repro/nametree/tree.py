@@ -8,6 +8,10 @@ grafted name-specifier kept on the record — a sealed value).
 Grafting (``insert``), soft-state expiry (``expire``) and branch pruning
 keep the structure consistent as advertisements come and go.
 
+The tree alone decides whether a record is alive (Section 2.2): every
+read and write hides a record whose deadline is not after the clock the
+tree is given, collected by ``expire`` or not; ``expire`` only reclaims it.
+
 Beyond the paper, ``lookup`` memoizes its results (see
 ``NameTree.__init__``): query resolution at scale is dominated by
 repeated queries over a record set that changes far less often than it
@@ -43,7 +47,9 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..naming import AVPair, NameSpecifier, classify_value
 from .nodes import ValueNode
@@ -73,6 +79,11 @@ MEMO_CAPACITY = 1024
 ROUTE_CAPACITY = 256
 
 
+def _before_every_deadline() -> float:
+    """The clock of a tree no resolver owns: it shows all it holds."""
+    return -math.inf
+
+
 @dataclass(frozen=True)
 class InsertOutcome:
     """What an insert did, for the discovery protocol's benefit.
@@ -95,6 +106,7 @@ class NameTree:
         self,
         vspace: str = "default",
         memoize: bool = True,
+        clock: Callable[[], float] = _before_every_deadline,
     ) -> None:
         """Attribute and value children are found by hashing (the
         implementation the paper measures, Section 5.1.1). ``memoize``
@@ -110,8 +122,13 @@ class NameTree:
         appends a slot only when none is free. A value-node's bitmap spans
         its lowest to its highest slot, so no bitmap is wider than that
         peak either.
+
+        ``clock`` is the time deadlines are read against (a resolver's
+        trees pass its simulator's): a record whose ``expires_at`` is not
+        after it is absent for every read and write, held or not.
         """
         self.vspace = vspace
+        self._clock = clock
         self._root = ValueNode(value=None, parent=None)
         self._by_announcer: Dict[AnnouncerID, NameRecord] = {}
         # The record in each slot (None once freed) and the freed slots,
@@ -187,7 +204,7 @@ class NameTree:
         after a message's own endpoints), carries the grafted name
         object, and ``next_hop`` and ``route_metric`` — the receiver's
         own terms — equal the stored route. This is the one statement
-        of that rule; :meth:`refresh` runs it first.
+        of that rule; :meth:`refresh` runs it first, on a live record.
         """
         route = record.route
         if (
@@ -220,8 +237,9 @@ class NameTree:
         payload". The caller found ``record`` (``record_for``); it is
         not looked up again.
 
-        Returns None, touching nothing, when ``name`` is another name:
-        the caller builds a ``NameRecord`` and takes :meth:`insert`.
+        Returns None, touching nothing, when ``name`` is another name or
+        ``record`` is past its deadline: the caller builds a
+        ``NameRecord`` and takes :meth:`insert`.
         Otherwise the record's expiry is moved to ``expires_at`` and the
         answer says whether the payload carried new routing information
         (other endpoints, another metric, another route) that neighbor
@@ -240,6 +258,8 @@ class NameTree:
         fields were read from, when there is one. Offered with its own
         endpoints tuple, it is first tried by :meth:`rehear`.
         """
+        if record.expires_at <= self._clock():
+            return None
         if (
             message is not None
             and endpoints is message.endpoints
@@ -295,12 +315,12 @@ class NameTree:
         If this announcer is already known under this name, the stored
         record is refreshed from ``record``'s fields (:meth:`refresh`,
         the one home of that rule) and ``record`` itself is discarded;
-        under another name the old record is removed and ``record``
-        grafted in its place (service mobility, Section 3.2).
-        Advertisements must be concrete: wild-cards and ranges are
-        query-only.
+        under another name (service mobility, Section 3.2) or past its
+        deadline the old record is removed and ``record`` grafted in its
+        place. Advertisements must be concrete: wild-cards and ranges
+        are query-only.
         """
-        existing = self._by_announcer.get(record.announcer)
+        existing = self.record_for(record.announcer)
         if existing is not None:
             route = record.route
             changed = self.refresh(
@@ -318,8 +338,9 @@ class NameTree:
         if name.is_empty:
             raise ValueError("cannot advertise an empty name-specifier")
         record.vspace = self.vspace
-        if existing is not None:
-            self.remove(existing)
+        held = self._by_announcer.get(record.announcer)
+        if held is not None:
+            self.remove(held)  # renamed, or past its deadline
         self._graft(name, record)
         return InsertOutcome(record, created=existing is None, changed=True)
 
@@ -403,9 +424,9 @@ class NameTree:
     def expire(self, now: float) -> List[NameRecord]:
         """Remove every record whose lifetime elapsed; returns them.
 
-        While ``now`` is below the bound on every deadline nothing can
-        be due and no record is visited; a sweep that does scan
-        recomputes the bound from the records it leaves behind.
+        Reads hide them already; this reclaims their memory. While
+        ``now`` is below the bound on every deadline no record is
+        visited; a sweep that does scan recomputes the bound.
         """
         if now < self._earliest_expiry:
             return []
@@ -426,13 +447,14 @@ class NameTree:
     # LOOKUP-NAME (Figure 5)
     # ------------------------------------------------------------------
     def lookup(self, name: NameSpecifier) -> Set[NameRecord]:
-        """All name-records whose advertisements satisfy ``name``.
+        """All live name-records whose advertisements satisfy ``name``.
 
         With memoization on (the default), a repeated query against an
         unchanged record set is answered from an LRU memo keyed by the
         query's canonical key. Records are shared objects, so in-place
         refreshes (endpoints, metrics, expiry) are visible through
-        memoized results without any invalidation.
+        memoized results without any invalidation; the memo holds dead
+        records too, and :meth:`_live` drops them from the answer.
 
         The bound (``MEMO_CAPACITY`` beyond one result per record) may
         follow the tree because every entry belongs to the current
@@ -442,7 +464,7 @@ class NameTree:
         within the bound.
         """
         if not self._memoize:
-            return set(self._records_of(self._lookup(self._root, name._roots)))
+            return set(self._live(self._records_of(self._lookup(self._root, name._roots))))
         if self._memo_epoch != self._epoch:
             if self._memo:
                 self._memo.clear()
@@ -453,14 +475,22 @@ class NameTree:
         if cached is not None:
             self.memo_hits += 1
             self._memo.move_to_end(key)
-            return set(cached)
+            return set(self._live(cached))
         self.memo_misses += 1
         result = frozenset(self._records_of(self._lookup(self._root, name._roots)))
         if len(self._memo) >= MEMO_CAPACITY + len(self._by_announcer):
             self._memo.popitem(last=False)
             self.memo_evictions += 1
         self._memo[key] = result
-        return set(result)
+        return set(self._live(result))
+
+    def _live(self, records: Iterable[NameRecord]) -> Iterable[NameRecord]:
+        """``records`` whose deadline is after the clock, in order: below
+        the bound on every deadline, ``records`` itself, unvisited."""
+        now = self._clock()
+        if now < self._earliest_expiry:
+            return records
+        return [record for record in records if record.expires_at > now]
 
     def _records_of(self, bits: int) -> List[NameRecord]:
         """The records whose slots are set in ``bits``, lowest slot
@@ -672,27 +702,25 @@ class NameTree:
     # ------------------------------------------------------------------
     def record_for(self, announcer: AnnouncerID) -> Optional[NameRecord]:
         """The live record announced by ``announcer``, or None."""
-        return self._by_announcer.get(announcer)
+        record = self._by_announcer.get(announcer)
+        return record if record is not None and record.expires_at > self._clock() else None
 
     def records(self) -> Iterator[NameRecord]:
         """All live records, in no particular order."""
-        return iter(list(self._by_announcer.values()))
+        return iter(list(self._live(self._by_announcer.values())))
 
     def names(self) -> Iterator[Tuple[NameSpecifier, NameRecord]]:
-        """All (name-specifier, record) pairs, as GET-NAME gives them.
+        """All live (name-specifier, record) pairs, as GET-NAME gives them.
 
         This is exactly what the discovery protocol transmits in
         periodic updates (Section 2.3.3).
         """
-        for record in list(self._by_announcer.values()):
+        for record in self.records():
             yield self.get_name(record), record
 
     def __len__(self) -> int:
-        """Number of live name-records (distinct announcers)."""
+        """Number of name-records held, the dead not yet expired too."""
         return len(self._by_announcer)
-
-    def __contains__(self, announcer: AnnouncerID) -> bool:
-        return announcer in self._by_announcer
 
     def node_counts(self) -> Tuple[int, int]:
         """(attribute-node count, value-node count), excluding the root."""

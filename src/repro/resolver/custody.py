@@ -1,12 +1,11 @@
 """Disruption tolerance: custody store-and-forward.
 
 With ``enable_custody`` on, a late-binding anycast payload the
-forwarding agent cannot move — no record matches the destination name,
-every match has outlived its soft-state lifetime, or the next hop has
-gone silent — is parked in a bounded store and released when name
-state returns, instead of being dropped. The name is what waits out
-the partition, the property that makes intentional naming a natural
-fit for delay-tolerant networks.
+forwarding agent cannot move — no live record matches the destination
+name, or the next hop has gone silent — is parked in a bounded store
+and released when name state returns, instead of being dropped. The
+name is what waits out the partition, the property that makes
+intentional naming a natural fit for delay-tolerant networks.
 
 This module is the store and its one user, the custodian: it takes and
 releases payloads, lapses the overdue ones, and restores the store
@@ -18,12 +17,12 @@ monotonic sequence number, eviction is FIFO within priority tiers, and
 expiry compares virtual-time deadlines — two same-seed runs make
 identical custody decisions. Priorities keep the cheapest loss last:
 
-- :data:`PRIORITY_KNOWN_NAME` (0): the destination name *was* known
-  here (an expired record, or a suspect next hop on a live route). The
-  service evidently exists and is likely to re-advertise — evicted
-  last.
-- :data:`PRIORITY_UNKNOWN_NAME` (1): no record for the name was ever
-  seen. It may be a name that never existed — evicted first.
+- :data:`PRIORITY_KNOWN_NAME` (0): the destination name is known here
+  and routed by a live record, but its next hop has gone silent. The
+  service evidently exists — evicted last.
+- :data:`PRIORITY_UNKNOWN_NAME` (1): no live record matches the name.
+  It may be a name that never existed, or one whose soft state lapsed
+  — evicted first.
 """
 
 from __future__ import annotations
@@ -47,12 +46,12 @@ CUSTODY_CAPACITY = 256
 #: link heals no update announces.
 CUSTODY_RETRY_INTERVAL = 0.5
 
-#: Custody priority for payloads whose destination name was known when
-#: custody was taken (expired record / suspect next hop): evicted last.
+#: Custody priority for payloads whose destination name was routed by a
+#: live record when custody was taken (a suspect next hop): evicted last.
 PRIORITY_KNOWN_NAME = 0
 
-#: Custody priority for payloads whose destination name was never seen
-#: at this resolver: evicted first.
+#: Custody priority for payloads whose destination name no live record
+#: matched at this resolver: evicted first.
 PRIORITY_UNKNOWN_NAME = 1
 
 
@@ -74,7 +73,7 @@ class CustodyEntry:
     priority: int
     #: admission order within this store; FIFO eviction key
     sequence: int
-    #: why custody was taken (no-route / expired-record / next-hop-suspect)
+    #: why custody was taken (no-route / next-hop-suspect)
     cause: str
     #: trace context carried by the packet, for drop/release spans
     trace: object = field(repr=False)
@@ -207,9 +206,9 @@ class Custodian:
         falls through to the paper's drop behavior. Only late-binding
         anycast is eligible: early binding answers from current state
         by design, and a multicast payload has no single custodian.
-        A ``no-route`` name was never seen here and is the first to go
-        under capacity pressure; any other cause means the name was
-        known, and the service is likely to come back.
+        A ``no-route`` name has no live record here and is the first to
+        go under capacity pressure; a ``next-hop-suspect`` one has a
+        live route, and the service is likely to be reached again.
         """
         if self.store is None:
             return False
@@ -281,14 +280,10 @@ class Custodian:
             tree = inr.trees.get(entry.vspace)
             if tree is None:
                 continue
-            live = [
-                r
-                for r in tree.lookup(entry.destination)
-                if not r.is_expired(inr.now)
-            ]
-            if not live:
+            records = tree.lookup(entry.destination)
+            if not records:
                 continue
-            best = best_route(live)
+            best = best_route(records)
             if not best.route.is_local and self.next_hop_suspect(
                 best.route.next_hop
             ):

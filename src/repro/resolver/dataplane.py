@@ -10,7 +10,7 @@ when the name is not one this INR routes.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Collection, Dict, List, Optional, Sequence, Set
 
 from ..message import Binding, Delivery, InsMessage
 from ..message.dsr import DsrVspaceRequest, DsrVspaceResponse
@@ -41,13 +41,13 @@ NAME_TABLE_MAX_TEXT = 256
 VSPACE_CACHE_SIZE = 32
 
 
-def best_route(records: Sequence[NameRecord]) -> NameRecord:
-    """The anycast choice among live matches: least application metric,
+def best_route(records: Collection[NameRecord]) -> NameRecord:
+    """The anycast choice among matches: least application metric,
     then least route metric, then announcer (a total order, so the pick
     never depends on the order the lookup returned). A lone match is
     the choice, and no key is built for it."""
     if len(records) == 1:
-        return records[0]
+        return next(iter(records))
     return min(
         records, key=lambda r: (r.anycast_metric, r.route.metric, str(r.announcer))
     )
@@ -226,28 +226,17 @@ class DataPlane:
             inr.stats.drops_no_route += 1
             inr.span_end(span, DROP_PREFIX + "no-route")
             return
-        # lookup() returns a set; order the survivors deterministically
+        # lookup() returns a set; order the matches deterministically
         # before any scheduling/emission decision observes hash order.
-        # A lone survivor has one order, and its announcer's string
-        # need not be formatted.
-        now = inr.now
-        live = [r for r in records if not r.is_expired(now)]
-        if len(live) > 1:
-            live.sort(key=lambda r: str(r.announcer))
-        if not live:
-            # Every match outlived its soft-state lifetime but the sweep
-            # has not collected it yet; routing through it would target
-            # a service presumed dead. The name *was* known here, so a
-            # custodian holds the payload at the highest priority.
-            if inr.custodian.take(tree.vspace, packet, "expired-record", span):
-                return
-            inr.stats.drops_expired_record += 1
-            inr.span_end(span, DROP_PREFIX + "expired-record")
-            return
+        # A lone match has one order, and its announcer's string need
+        # not be formatted.
+        matches = list(records)
+        if len(matches) > 1:
+            matches.sort(key=lambda r: str(r.announcer))
         if message.delivery is Delivery.ANYCAST:
-            self._route_anycast(tree, packet, live, span)
+            self._route_anycast(tree, packet, matches, span)
         else:
-            self._route_multicast(tree, packet, live, arrived_from=source, span=span)
+            self._route_multicast(tree, packet, matches, arrived_from=source, span=span)
 
     def _answer_early_binding(
         self, tree: NameTree, message: InsMessage, span=None

@@ -73,7 +73,7 @@ from ..message.delegation import (
     OFFER_ACCEPTED,
     compose_handoff_id,
 )
-from ..nametree import LOCAL_ROUTE, AnnouncerID, Endpoint, NameRecord, NameTree
+from ..nametree import LOCAL_ROUTE, AnnouncerID, Endpoint, NameRecord
 from ..obs import DROP_PREFIX, STATUS_OK
 from .costs import cost_per_record, cost_receive
 from .ports import INR_PORT
@@ -216,7 +216,7 @@ class DelegationCoordinator:
             self.adopted[vspace] = donor
             self._adopted_ids[vspace] = handoff_id
             if vspace not in inr.trees:
-                inr.trees[vspace] = NameTree(vspace=vspace)
+                inr.trees[vspace] = inr.new_tree(vspace)
             self._tell_commit(donor, handoff_id, vspace)
 
     def shutdown(self) -> None:
@@ -239,9 +239,6 @@ class DelegationCoordinator:
         now = inr.now
         records = []
         for name, record in tree.names():
-            lifetime = record.expires_at - now
-            if lifetime <= 0:
-                continue  # the sweep will collect it; don't hand off a corpse
             records.append(
                 DelegateRecord(
                     name=name,
@@ -252,7 +249,7 @@ class DelegationCoordinator:
                     ),
                     anycast_metric=record.anycast_metric,
                     route_metric=record.route.metric,
-                    lifetime=lifetime,
+                    lifetime=record.expires_at - now,
                 )
             )
         chunk = max(1, self.inr.config.delegation_chunk_names)
@@ -490,7 +487,7 @@ class DelegationCoordinator:
         now = inr.now
         tree = inr.trees.get(handoff.vspace)
         if tree is None:
-            tree = NameTree(vspace=handoff.vspace)
+            tree = inr.new_tree(handoff.vspace)
         for staged in handoff.staged:
             record = NameRecord(
                 announcer=AnnouncerID(

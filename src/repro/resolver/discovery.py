@@ -102,7 +102,9 @@ class NameDiscovery:
                 continue
             endpoints = ad.endpoints or (Endpoint(host=source),)
             if _graft(tree, record, ad, endpoints, None, 0.0, expires_at):
-                changed.append((vspace, ad.name, tree.record_for(ad.announcer)))
+                record = tree.record_for(ad.announcer)
+                if record is not None:
+                    changed.append((vspace, ad.name, record))
         if changed:
             self._send_triggered(changed, exclude=None)
             inr.custodian.retry()
@@ -140,7 +142,8 @@ class NameDiscovery:
     ) -> bool:
         """Distributed Bellman-Ford acceptance; True when state changed
         in a way neighbors should hear about. ``expires_at`` is the
-        current time plus the update's lifetime."""
+        current time plus the update's lifetime. A dead record is no
+        route: neither an incumbent to beat nor a local one to defer to."""
         new_metric = update.route_metric + link_rtt
         existing = tree.record_for(update.announcer)
         if existing is not None:
@@ -281,13 +284,13 @@ class NameDiscovery:
         )
 
     def table(self, tree: NameTree) -> _Entries:
-        """What a full table says about ``tree``'s vspace: every record
-        and, beside it, its update — the one kept on the record since
-        the last table, which the tree drops whenever the record stops
-        saying what it says. Only a record that changed since costs a
-        ``GET-NAME`` and a ``NameUpdate``; nothing else an update is
-        built from moves (the vspace and the lifetime are fixed for the
-        tree and the incarnation)."""
+        """What a full table says about ``tree``'s vspace: every live
+        record and, beside it, its update — the one kept on the record
+        since the last table, which the tree drops whenever the record
+        stops saying what it says. Only a record that changed since
+        costs a ``GET-NAME`` and a ``NameUpdate``; nothing else an
+        update is built from moves (the vspace and the lifetime are
+        fixed for the tree and the incarnation)."""
         records = list(tree.records())
         updates = []
         for record in records:

@@ -128,7 +128,7 @@ class INR(Process):
         self.active = False
         self._terminated = False
         self.trees: Dict[str, NameTree] = {
-            v: NameTree(vspace=v) for v in self._initial_vspaces
+            v: self.new_tree(v) for v in self._initial_vspaces
         }
         self.stats = InrStats(self._memo_trees)
         self.membership = OverlayMembership(self)
@@ -253,12 +253,17 @@ class INR(Process):
     def routes_vspace(self, vspace: str) -> bool:
         return vspace in self.trees
 
+    def new_tree(self, vspace: str) -> NameTree:
+        """An empty name-tree for ``vspace`` on this resolver's clock."""
+        sim = self.sim
+        return NameTree(vspace=vspace, clock=lambda: sim.now)
+
     def name_count(self, vspace: Optional[str] = None) -> int:
         """Live names in one vspace, or across all of them."""
-        if vspace is not None:
-            tree = self.trees.get(vspace)
-            return len(tree) if tree is not None else 0
-        return sum(len(tree) for tree in self.trees.values())
+        return sum(
+            len(list(tree.records()))
+            for name, tree in self.trees.items() if vspace in (None, name)
+        )
 
     def drop_tree(self, vspace: str) -> None:
         """Stop routing ``vspace`` (delegated away, or an adoption

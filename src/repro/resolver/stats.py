@@ -23,9 +23,8 @@ class InrStats:
 
     Packet drops are kept per cause so chaos runs can attribute loss:
     a burst of ``drops_no_route`` during a crash means routes were
-    flushed before refreshes re-installed them, while
-    ``drops_expired_record`` means soft state aged out faster than the
-    service refreshed. ``packets_dropped`` stays available as the sum.
+    flushed, or their soft state aged out, before refreshes
+    re-installed them. ``packets_dropped`` stays available as the sum.
     A ``drops_<cause>`` field *is* a drop cause: the sum and the
     per-cause breakdown are derived from the field names.
 
@@ -49,10 +48,8 @@ class InrStats:
     triggered_updates_sent: int = 0
     periodic_updates_sent: int = 0
     queries_served: int = 0
-    #: no record matched the destination name
+    #: no live record matched the destination name
     drops_no_route: int = 0
-    #: records matched but every one had outlived its soft-state lifetime
-    drops_expired_record: int = 0
     #: foreign-vspace payload with no DSR or no resolver for the vspace
     drops_foreign_vspace: int = 0
     #: packet reached a crashed/terminated resolver process

@@ -407,11 +407,7 @@ def run_delegation_scenario(
         tree = inr.trees.get(DELEGATED_VSPACE)
         if tree is None:
             continue
-        present |= {
-            record.announcer
-            for record in tree.records()
-            if not record.is_expired(domain.sim.now)
-        }
+        present |= {record.announcer for record in tree.records()}
     lost = len(expected - present)
     authority = tuple(
         sorted(

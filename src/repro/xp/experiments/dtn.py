@@ -63,7 +63,6 @@ class DtnReport:
     drops_custody_evicted: int
     #: the paper's drop behavior — what custody exists to avoid
     drops_no_route: int
-    drops_expired_record: int
     #: post-heal convergence invariants (must be empty; includes the
     #: custody-drained invariant when custody is on)
     converged_violations: Tuple[str, ...]
@@ -239,7 +238,6 @@ def run_dtn_scenario(
             "drops_custody_expired",
             "drops_custody_evicted",
             "drops_no_route",
-            "drops_expired_record",
         ),
         converged_violations=tuple(
             violation.invariant for violation in converged
@@ -260,7 +258,6 @@ def run_dtn_scenario(
         "drops_custody_expired",
         "drops_custody_evicted",
         "drops_no_route",
-        "drops_expired_record",
     ))
     metrics["converged_violations"] = float(len(report.converged_violations))
     return WorkloadResult(

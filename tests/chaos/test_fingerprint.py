@@ -60,7 +60,6 @@ REPORTS = [
         drops_custody_expired=1,
         drops_custody_evicted=1,
         drops_no_route=3,
-        drops_expired_record=2,
         converged_violations=(),
         faults_applied=6,
         fault_kinds=("link-down", "partition"),

@@ -154,5 +154,5 @@ class TestRemove:
     def test_contains_and_record_for(self, tree):
         record = make_record()
         tree.insert(parse("[a=b]"), record)
-        assert record.announcer in tree
         assert tree.record_for(record.announcer) is record
+        assert tree.record_for(make_record().announcer) is None

@@ -8,7 +8,8 @@ membership changes — graft, remove, expiry — so pure soft-state
 refreshes keep the memo warm. These tests pin down the counters, the
 invalidation points, the capacity bound, and (``check_histories``, run
 wide in CI) that memoized results always equal a freshly built
-uncached tree's.
+uncached tree's over the live records, however long ago the last sweep
+ran.
 """
 
 import random
@@ -214,33 +215,37 @@ def _workload(seed: int) -> UniformWorkload:
 
 def check_histories(seeds) -> dict:
     """Under a random interleaving of insert / refresh / move / remove
-    / expire / bursts of lookups, every memoized lookup returns exactly
-    what a freshly built, uncached tree over the same live records
-    returns. Returns how often the memo hit, how often it evicted, and
-    how many grafts took a slot an earlier record had freed, over all
-    ``seeds``."""
-    tally = {"hits": 0, "evictions": 0, "slots_reused": 0}
+    / sparse sweeps / bursts of lookups, every memoized lookup returns
+    exactly what a freshly built, uncached tree over the records whose
+    deadline is after the history's clock returns. Returns how often
+    the memo hit, how often it evicted, how many grafts took a slot an
+    earlier record had freed, and how many lookups the expiry view
+    changed (a matching record past its deadline that no sweep had
+    collected yet was hidden), over all ``seeds``."""
+    tally = {"hits": 0, "evictions": 0, "slots_reused": 0, "hidden": 0}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "MEMO_CAPACITY", 4)  # small, so eviction is exercised
         for seed in seeds:
-            tree, reused = _check_history(seed)
+            tree, reused, hidden = _check_history(seed)
             tally["hits"] += tree.memo_hits
             tally["evictions"] += tree.memo_evictions
             tally["slots_reused"] += reused
+            tally["hidden"] += hidden
     return tally
 
 
-def _check_history(seed: int) -> Tuple[NameTree, int]:
+def _check_history(seed: int) -> Tuple[NameTree, int, int]:
     rng = random.Random(seed)
     names = _workload(seed).distinct_names(12)
     queries = _workload(seed + 1)
     query_pool = [queries.random_query(wildcard_probability=0.4) for _ in range(16)]
-    tree = NameTree()
-    live = {}  # tag -> (name, expires_at)
     clock = 0.0
+    tree = NameTree(clock=lambda: clock)
+    held = {}  # tag -> (name, expires_at), live or not yet swept
     next_tag = 0
     issued = set()  # every slot a graft has taken
     reused = 0
+    hidden = 0
 
     def insert(tag: str, name, expires: float) -> None:
         nonlocal reused
@@ -248,7 +253,7 @@ def _check_history(seed: int) -> Tuple[NameTree, int]:
         if tree.insert(name, record).record is record:  # grafted, not refreshed
             reused += record.slot in issued
             issued.add(record.slot)
-        live[tag] = (name, expires)
+        held[tag] = (name, expires)
 
     for _ in range(60):
         clock += 1.0
@@ -258,40 +263,48 @@ def _check_history(seed: int) -> Tuple[NameTree, int]:
             tag = f"m-{next_tag}"
             next_tag += 1
             insert(tag, rng.choice(names), clock + rng.choice([5.0, 1000.0]))
-        elif op == "refresh" and live:
-            tag = rng.choice(sorted(live))
-            insert(tag, live[tag][0], clock + 1000.0)
-        elif op == "move" and live:
-            tag = rng.choice(sorted(live))
+        elif op == "refresh" and held:
+            tag = rng.choice(sorted(held))
+            insert(tag, held[tag][0], clock + 1000.0)
+        elif op == "move" and held:
+            tag = rng.choice(sorted(held))
             insert(tag, rng.choice(names), clock + 1000.0)
-        elif op == "remove" and live:
-            tag = rng.choice(sorted(live))
+        elif op == "remove" and held:
+            tag = rng.choice(sorted(held))
             removed = tree.remove_announcer(
                 AnnouncerID.generate(tag, startup_time=1.0)
             )
             assert removed is not None
-            del live[tag]
-        elif op == "expire":
+            del held[tag]
+        elif op == "expire" and rng.random() < 0.25:
+            # Sparse, as a resolver's sweep is beside its lookups: dead
+            # records stay held for a while, and the view must hide them.
             tree.expire(clock)
-            live = {tag: entry for tag, entry in live.items()
+            held = {tag: entry for tag, entry in held.items()
                     if entry[1] > clock}
         elif op == "lookup":
+            # Every record held, into a tree that hides none of them.
             fresh = NameTree(memoize=False)
-            for tag, (name, expires) in live.items():
+            for tag, (name, expires) in held.items():
                 fresh.insert(name, _refresh_record(tag, expires))
             for query in rng.choices(query_pool, k=rng.randint(1, 16)):
-                expected = {r.announcer for r in fresh.lookup(query)}
+                matched = fresh.lookup(query)
+                expected = {r.announcer for r in matched if r.expires_at > clock}
+                hidden += len(expected) < len(matched)
                 assert {r.announcer for r in tree.lookup(query)} == expected, (
-                    f"seed {seed}: a memoized lookup differs from an uncached tree's"
+                    f"seed {seed}: a memoized lookup differs from an uncached "
+                    f"tree's over the live records"
                 )
-    assert len(tree) == len(live)
-    return tree, reused
+    assert len(tree) == len(held)
+    return tree, reused, hidden
 
 
 def test_memoized_lookup_equals_fresh_uncached_tree():
     tally = check_histories(range(40))
-    # Worth running only while the memo both answers and evicts, and
-    # while grafts reuse freed slots. Floors are half of what these
-    # seeds tallied (1,526 / 2,493 / 391).
+    # Worth running only while the memo both answers and evicts, while
+    # grafts reuse freed slots, and while the view hides records no
+    # sweep has collected. Floors are half of what these seeds tallied
+    # (1,526 / 2,493 / 391; hidden 29 once sweeps became sparse).
     assert tally["hits"] > 750 and tally["evictions"] > 1200, tally
     assert tally["slots_reused"] > 190, tally
+    assert tally["hidden"] > 14, tally

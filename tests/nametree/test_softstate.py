@@ -2,7 +2,7 @@
 
 import math
 
-from repro.nametree import DEFAULT_LIFETIME, NameTree
+from repro.nametree import DEFAULT_LIFETIME, NameRecord, NameTree
 
 from ..conftest import make_record, parse
 
@@ -62,12 +62,75 @@ class TestExpiry:
         assert tree.expire(now=1e12) == []
 
 
-class TestRecordBasics:
-    def test_is_expired_boundary(self):
-        record = make_record(expires_at=10.0)
-        assert not record.is_expired(9.999)
-        assert record.is_expired(10.0)
+class Clock:
+    """A settable time for a tree to read its deadlines against."""
 
+    def __init__(self, now: float = 0.0) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class TestExpiryView:
+    """A record past its deadline is gone for every read and write,
+    whether or not ``expire`` has collected it."""
+
+    def test_record_is_hidden_at_its_deadline(self):
+        clock = Clock(9.999)
+        tree = NameTree(clock=clock)
+        record = make_record(expires_at=10.0)
+        name = parse("[a=b]")
+        tree.insert(name, record)
+        assert tree.lookup(name) == {record}
+        assert tree.record_for(record.announcer) is record
+        assert list(tree.records()) == [record]
+        assert list(tree.names()) == [(name, record)]
+        clock.now = 10.0
+        assert tree.lookup(name) == set()
+        assert tree.lookup(parse("[a=*]")) == set()
+        assert tree.record_for(record.announcer) is None
+        assert list(tree.records()) == []
+        assert list(tree.names()) == []
+        assert len(tree) == 1          # held until the sweep reclaims it
+        assert tree.expire(10.0) == [record]
+        assert len(tree) == 0
+
+    def test_view_hides_only_the_dead(self):
+        clock = Clock(0.0)
+        tree = NameTree(clock=clock)
+        doomed = make_record(host="doomed", expires_at=5.0)
+        survivor = make_record(host="survivor", expires_at=100.0)
+        tree.insert(parse("[a=b]"), doomed)
+        tree.insert(parse("[a=c]"), survivor)
+        assert tree.lookup(parse("[a=*]")) == {doomed, survivor}
+        clock.now = 50.0
+        assert tree.lookup(parse("[a=*]")) == {survivor}
+        assert list(tree.records()) == [survivor]
+
+    def test_a_dead_record_is_grafted_afresh_as_news(self):
+        clock = Clock(0.0)
+        tree = NameTree(clock=clock)
+        dead = make_record(expires_at=10.0)
+        name = parse("[a=b]")
+        tree.insert(name, dead)
+        clock.now = 12.0
+        assert tree.refresh(dead, name, (), 0.0, None, 0.0, 60.0) is None
+        assert dead.expires_at == 10.0
+        again = NameRecord(announcer=dead.announcer, expires_at=70.0)
+        outcome = tree.insert(name, again)
+        assert outcome.record is again and outcome.created and outcome.changed
+        assert dead.slot is None and len(tree) == 1
+        assert tree.lookup(name) == {again}
+
+    def test_a_tree_without_a_clock_shows_everything_held(self, tree):
+        record = make_record(expires_at=-1e300)
+        tree.insert(parse("[a=b]"), record)
+        assert tree.lookup(parse("[a=b]")) == {record}
+        assert tree.record_for(record.announcer) is record
+
+
+class TestRecordBasics:
     def test_records_hash_by_identity_semantics(self):
         """Two records never compare equal unless identical objects —
         a set of records is a set of distinct announcements."""
