@@ -11,7 +11,7 @@ Run:  python examples/vspace_partitioning.py
 
 from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
-from repro.tools import render_name_tree
+from repro.experiments.visualize import render_name_tree
 
 
 def main() -> None:

@@ -14,8 +14,8 @@ Layering (bottom up):
 - :mod:`repro.client`   — the application API (Section 3).
 - :mod:`repro.apps`     — Floorplan, Camera and Printer (Section 3).
 - :mod:`repro.experiments` — the domain harness and name workloads (Section 5).
-- :mod:`repro.xp`       — the evaluation: one workload per experiment (Section 5).
-- :mod:`repro.analysis` — the lookup cost model (Section 5.1.1).
+- :mod:`repro.xp`       — the evaluation: one workload per experiment (Section 5),
+  the lookup cost model (Section 5.1.1) among them.
 
 The most common entry points are re-exported here.
 """

@@ -11,7 +11,7 @@ from .apps import CameraTransmitter, PrinterSpooler
 from .client import MobilityManager
 from .experiments import InsDomain
 from .naming import NameSpecifier
-from .tools import domain_report, render_name_tree
+from .experiments.visualize import domain_report, render_name_tree
 
 
 def main() -> None:

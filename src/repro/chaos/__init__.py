@@ -20,7 +20,6 @@ from .recovery import RecoveryRecord, RecoveryTracker, percentile
 from .scenario import (
     ChaosReport,
     fast_chaos_config,
-    fingerprint,
     run_chaos_scenario,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "RecoveryTracker",
     "Violation",
     "fast_chaos_config",
-    "fingerprint",
     "percentile",
     "run_chaos_scenario",
 ]

@@ -1,6 +1,5 @@
 """The chaos scenario harness: the domain a chaos run drives, the links
-its faults may hit, its clocks, the standard stress and the report
-fingerprint.
+its faults may hit, its clocks and the standard stress.
 
 :func:`run_chaos_scenario` is the standard stress: it builds a domain,
 generates a seed-driven :class:`~repro.chaos.plan.FaultPlan` that
@@ -8,16 +7,14 @@ crashes a fraction of the resolvers (with restarts), flaps a fraction
 of the overlay links, injects duplication/reordering, and fails the DSR
 over to a warm standby — all while the always-invariants are sampled —
 then waits out the convergence bound and checks the converged
-invariants. :func:`fingerprint` digests a chaos report (this one or an
-experiment's) so two runs with the same seed can be compared
-bit-for-bit. The experiments built on this harness — availability,
+invariants. The experiments built on this harness — availability,
 DTN, delegation and the recovery-clocks sweep — are workloads of
 :mod:`repro.xp.experiments`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..experiments.domain import InsDomain
@@ -78,26 +75,6 @@ def fault_surface(domain: InsDomain, endpoints: Iterable) -> List[Tuple[str, str
         if process.resolver is not None:
             pairs.add(tuple(sorted((process.address, process.resolver))))
     return sorted(pairs)
-
-
-def fingerprint(report) -> Tuple:
-    """A deterministic digest of a chaos report: every declared field,
-    floats rounded to six places, mappings sorted by key, nested
-    dataclasses (violations) digested the same way. Two executions
-    with the same seed and parameters must fingerprint identically."""
-    return tuple(_digest(getattr(report, f.name)) for f in fields(report))
-
-
-def _digest(value):
-    if isinstance(value, float):
-        return round(value, 6)
-    if isinstance(value, dict):
-        return tuple((key, _digest(item)) for key, item in sorted(value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_digest(item) for item in value)
-    if is_dataclass(value):
-        return fingerprint(value)
-    return value
 
 
 @dataclass

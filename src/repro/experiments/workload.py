@@ -88,7 +88,7 @@ class UniformWorkload:
                 self._add_children(root, 1)
             name.add_pair(root)
         if self.vspace is not None:
-            name.add(VSPACE_ATTRIBUTE, self.vspace)
+            name.add_pair(AVPair(VSPACE_ATTRIBUTE, self.vspace))
         return name
 
     def distinct_names(self, count: int, max_attempts_factor: int = 200) -> List[NameSpecifier]:
@@ -114,16 +114,6 @@ class UniformWorkload:
                 seen.add(key)
                 names.append(name)
         return names
-
-    def random_query(self, wildcard_probability: float = 0.0) -> NameSpecifier:
-        """A random query; leaf values become ``*`` with the given
-        probability (wild-cards are leaf-only, Section 2.3.2)."""
-        name = self.random_name()
-        if wildcard_probability > 0:
-            for pair in name.walk():
-                if pair.is_leaf and self.rng.random() < wildcard_probability:
-                    pair.value = "*"
-        return name
 
     # ------------------------------------------------------------------
     # Tree construction helpers

@@ -29,7 +29,6 @@ from . import Rule, register
 LAYER_DAG: Dict[str, FrozenSet[str]] = {
     "naming": frozenset(),
     "netsim": frozenset(),
-    "analysis": frozenset(),
     "lint": frozenset(),
     #: Observability sits at the bottom, beside naming/netsim: it
     #: imports nothing from the system so every layer above may record
@@ -55,13 +54,9 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     ),
     "experiments": frozenset(
         {"naming", "nametree", "message", "netsim", "resolver", "overlay",
-         "client", "apps", "baselines", "analysis", "obs"}
+         "client", "apps", "baselines", "obs"}
     ),
     "chaos": frozenset(
-        {"naming", "nametree", "message", "netsim", "resolver", "overlay",
-         "client", "experiments", "obs"}
-    ),
-    "tools": frozenset(
         {"naming", "nametree", "message", "netsim", "resolver", "overlay",
          "client", "experiments", "obs"}
     ),
@@ -71,8 +66,7 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     #: imports it back.
     "xp": frozenset(
         {"naming", "nametree", "message", "netsim", "resolver", "overlay",
-         "client", "apps", "baselines", "analysis", "experiments", "chaos",
-         "obs"}
+         "client", "apps", "baselines", "experiments", "chaos", "obs"}
     ),
 }
 
@@ -84,7 +78,7 @@ class LayeringRule(Rule):
         "imports must follow the declared layer DAG "
         "(naming/obs -> nametree/message -> netsim -> resolver "
         "-> overlay -> client -> apps/baselines -> experiments "
-        "-> chaos/tools)"
+        "-> chaos -> xp)"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -11,7 +11,7 @@ value-node with no value.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 
 class ValueNode:
@@ -23,7 +23,6 @@ class ValueNode:
         "children",
         "bits",
         "offset",
-        "ptr",
         "_sub_bits",
         "_sub_epoch",
     )
@@ -46,8 +45,6 @@ class ValueNode:
         #: maintained by ``add_slot`` / ``drop_slot``.
         self.bits = 0
         self.offset = 0
-        #: transient pointer used by GET-NAME (Figure 6); None outside it
-        self.ptr = None
         #: the bitmap of every record at or below this interior node,
         #: valid only while the owning tree's epoch equals
         #: ``_sub_epoch``. LOOKUP-NAME consults it so wildcard-heavy (and
@@ -122,19 +119,6 @@ class ValueNode:
         self._sub_bits = bits
         self._sub_epoch = epoch
         return bits
-
-    def walk_values(self) -> Iterator["ValueNode"]:
-        """Yield this value-node and every value-node below it.
-
-        Iterative: name-trees grown from deep programmatic names would
-        exhaust the interpreter stack under a nested-generator walk.
-        """
-        stack = [self]
-        while stack:
-            value_node = stack.pop()
-            yield value_node
-            for attribute_node in list(value_node.children.values())[::-1]:
-                stack.extend(list(attribute_node.children.values())[::-1])
 
     def prune_upwards(self) -> None:
         """Remove this node, and now-empty ancestors, from the tree.

@@ -2,9 +2,10 @@
 
 ``NameTree`` stores the superposition of every name-specifier an INR
 knows about and maps each to its name-record. ``lookup`` implements
-LOOKUP-NAME (Figure 5) and ``get_name`` implements GET-NAME (Figure 6;
-``reconstruct_name`` is the literal trace, ``get_name`` answers with the
-grafted name-specifier kept on the record — a sealed value).
+LOOKUP-NAME (Figure 5) and ``get_name`` implements GET-NAME (Figure 6:
+it answers with the grafted name-specifier kept on the record — a
+sealed value — which the literal trace rebuilds equal, sibling order
+included).
 Grafting (``insert``), soft-state expiry (``expire``) and branch pruning
 keep the structure consistent as advertisements come and go.
 
@@ -158,11 +159,6 @@ class NameTree:
         self.memo_misses = 0
         self.memo_invalidations = 0
         self.memo_evictions = 0
-
-    @property
-    def epoch(self) -> int:
-        """Mutation counter: advances only when the record set changes."""
-        return self._epoch
 
     # ------------------------------------------------------------------
     # Grafting and removal
@@ -641,7 +637,7 @@ class NameTree:
         """The name-specifier advertised for ``record``: the object
         grafted, a sealed value shared with its other holders (the
         advertiser, neighbor INRs' trees, messages in flight).
-        :meth:`reconstruct_name` rebuilds the same name from the tree,
+        Figure 6's literal trace rebuilds the same name from the tree,
         sibling order included: leaves attach in pre-order."""
         return record.advertised_name
 
@@ -650,52 +646,6 @@ class NameTree:
         exactly ``text``, or None: a name section recognised by its
         bytes instead of parsed again."""
         return self._by_text.get(text)
-
-    def reconstruct_name(self, record: NameRecord) -> NameSpecifier:
-        """GET-NAME as Figure 6 states it, always from the tree.
-
-        Traces upward from each of the record's leaf value-nodes,
-        grafting reconstructed fragments onto av-pairs already rebuilt
-        (tracked through the transient PTR variable on value-nodes).
-        """
-        name = NameSpecifier()
-        touched: List[ValueNode] = [self._root]
-        self._root.ptr = name
-        try:
-            for value_node in record.attachments:
-                self._trace(value_node, None, touched)
-        finally:
-            for node in touched:
-                node.ptr = None
-        return name
-
-    def _trace(
-        self,
-        value_node: ValueNode,
-        fragment: Optional[AVPair],
-        touched: List[ValueNode],
-    ) -> None:
-        # Iterative upward walk: the chain is as long as the name is
-        # deep, and deep names must reconstruct without recursion.
-        while value_node.ptr is None:
-            assert value_node.parent is not None, "root always has a PTR"
-            pair = AVPair(value_node.parent.attribute, value_node.value)
-            value_node.ptr = pair
-            touched.append(value_node)
-            if fragment is not None:
-                pair.add_child(fragment)
-            fragment = pair
-            value_node = value_node.parent.parent
-        # Something to graft onto: attach the fragment and stop.
-        if fragment is not None:
-            self._graft_fragment(value_node, fragment)
-
-    @staticmethod
-    def _graft_fragment(value_node: ValueNode, fragment: AVPair) -> None:
-        if value_node.is_root:
-            value_node.ptr.add_pair(fragment)
-        else:
-            value_node.ptr.add_child(fragment)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -722,28 +672,10 @@ class NameTree:
         """Number of name-records held, the dead not yet expired too."""
         return len(self._by_announcer)
 
-    def node_counts(self) -> Tuple[int, int]:
-        """(attribute-node count, value-node count), excluding the root."""
-        attributes = 0
-        values = 0
-        stack = [self._root]
-        while stack:
-            value_node = stack.pop()
-            for attribute_node in value_node.children.values():
-                attributes += 1
-                for child in attribute_node.children.values():
-                    values += 1
-                    stack.append(child)
-        return attributes, values
-
     @property
     def root(self) -> ValueNode:
         """The root value-node (read-only use: sizing, visualization)."""
         return self._root
 
     def __repr__(self) -> str:
-        attributes, values = self.node_counts()
-        return (
-            f"NameTree(vspace={self.vspace!r}, records={len(self)}, "
-            f"attribute_nodes={attributes}, value_nodes={values})"
-        )
+        return f"NameTree(vspace={self.vspace!r}, records={len(self)})"

@@ -149,10 +149,6 @@ class AVPair:
         self._children = children + (child,)
         return child
 
-    def add(self, attribute: str, value: str) -> "AVPair":
-        """Create an av-pair and attach it; returns the new child."""
-        return self.add_child(AVPair(attribute, value))
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -160,13 +156,6 @@ class AVPair:
     def children(self) -> Tuple["AVPair", ...]:
         """The dependent av-pairs, in insertion order."""
         return self._children
-
-    def child(self, attribute: str) -> Optional["AVPair"]:
-        """The child av-pair classifying ``attribute``, or None."""
-        for child in self._children:
-            if child.attribute == attribute:
-                return child
-        return None
 
     @property
     def is_leaf(self) -> bool:

@@ -32,9 +32,9 @@ class NameSpecifier:
     Names are values. A name is built freely until something takes its
     canonical key — hashing or comparing it, parsing it from text,
     sizing it for a send, finding it concrete, grafting it, looking it
-    up — and is *sealed* from then on: ``add_pair`` / ``add``, and
-    ``add_child`` anywhere below, raise :class:`SealedNameError`. To
-    edit a name, edit its :meth:`copy`, which is unsealed.
+    up — and is *sealed* from then on: ``add_pair``, and ``add_child``
+    anywhere below, raise :class:`SealedNameError`. To edit a name,
+    edit its :meth:`copy`, which is unsealed.
     """
 
     __slots__ = ("_roots", "_key_cache", "_wire_cache", "_concrete")
@@ -72,10 +72,6 @@ class NameSpecifier:
             raise duplicate_error(pair.attribute, None)
         self._roots = roots + (pair,)
         return pair
-
-    def add(self, attribute: str, value: str) -> AVPair:
-        """Create and attach a top-level av-pair; returns it."""
-        return self.add_pair(AVPair(attribute, value))
 
     @classmethod
     def from_dict(cls, spec: NestedDict) -> "NameSpecifier":
@@ -116,11 +112,6 @@ class NameSpecifier:
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
-    @property
-    def roots(self) -> Tuple[AVPair, ...]:
-        """The top-level orthogonal av-pairs, in insertion order."""
-        return self._roots
-
     def root(self, attribute: str) -> Optional[AVPair]:
         """The top-level av-pair classifying ``attribute``, or None."""
         for pair in self._roots:
@@ -132,22 +123,6 @@ class NameSpecifier:
         """Yield every av-pair in the name, pre-order."""
         for pair in self._roots:
             yield from pair.walk()
-
-    def count(self) -> int:
-        """Total number of av-pairs in the name."""
-        return sum(1 for _ in self.walk())
-
-    def depth(self) -> int:
-        """Maximum number of av-pair levels (the paper's ``d``); 0 if empty.
-
-        Iterative: programmatic names can nest deeper than the stack."""
-        deepest = 0
-        stack = [(pair, 1) for pair in self._roots]
-        while stack:
-            pair, level = stack.pop()
-            deepest = max(deepest, level)
-            stack.extend((child, level + 1) for child in pair._children)
-        return deepest
 
     @property
     def is_empty(self) -> bool:

@@ -4,8 +4,7 @@ The layer that turns black-box aggregates into explainable numbers:
 
 - :mod:`.context` — the (trace_id, span_id, parent_span_id) triple
   carried in the wire header across INR hops;
-- :mod:`.span` — spans, the deterministic :class:`Tracer`, span-tree
-  well-formedness checks;
+- :mod:`.span` — spans and the deterministic :class:`Tracer`;
 - :mod:`.metrics` — the unified Counter/Gauge registry with labels and
   deterministic snapshots;
 - :mod:`.export` — JSONL and the Chrome trace-event format;
@@ -33,8 +32,6 @@ from .span import (
     STATUS_OPEN,
     Span,
     Tracer,
-    trace_tree_errors,
-    well_formed_traces,
 )
 
 __all__ = [
@@ -54,7 +51,5 @@ __all__ = [
     "spans_to_jsonl",
     "summarize_spans",
     "to_chrome_trace",
-    "trace_tree_errors",
-    "well_formed_traces",
     "write_canonical_json",
 ]

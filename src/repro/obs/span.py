@@ -60,10 +60,6 @@ class Span:
         )
 
     @property
-    def is_root(self) -> bool:
-        return self.parent_span_id == NO_PARENT
-
-    @property
     def finished(self) -> bool:
         return self.end is not None
 
@@ -157,47 +153,3 @@ class Tracer:
 
     def annotate(self, span: Span, text: str) -> None:
         span.annotate(self._clock(), text)
-
-# ----------------------------------------------------------------------
-# Span-tree analysis
-# ----------------------------------------------------------------------
-def trace_tree_errors(spans: List[Span]) -> List[str]:
-    """Well-formedness defects of one trace's span list.
-
-    A well-formed trace has exactly one root, every non-root span's
-    parent present in the trace, unique span ids, and no span ending
-    before it starts. Packet duplication legitimately yields sibling
-    spans with the same parent; that is not a defect.
-    """
-    errors: List[str] = []
-    if not spans:
-        return ["trace has no spans"]
-    ids = [span.span_id for span in spans]
-    if len(set(ids)) != len(ids):
-        errors.append("duplicate span ids")
-    roots = [span for span in spans if span.is_root]
-    if len(roots) != 1:
-        errors.append(f"expected exactly one root span, found {len(roots)}")
-    known = set(ids)
-    for span in spans:
-        if not span.is_root and span.parent_span_id not in known:
-            errors.append(
-                f"span {span.span_id} ({span.name}) has unknown parent "
-                f"{span.parent_span_id}"
-            )
-        if span.end is not None and span.end < span.start:
-            errors.append(f"span {span.span_id} ends before it starts")
-    return errors
-
-
-def well_formed_traces(spans: List[Span]) -> Dict[int, List[str]]:
-    """trace_id -> defects, for every trace with at least one defect."""
-    grouped: Dict[int, List[Span]] = {}
-    for span in spans:
-        grouped.setdefault(span.trace_id, []).append(span)
-    defects = {}
-    for trace_id in sorted(grouped):
-        errors = trace_tree_errors(grouped[trace_id])
-        if errors:
-            defects[trace_id] = errors
-    return defects

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import fit_parameters, lookup_time_closed_form, relative_error
+from repro.xp.experiments.lookup_model import fit_parameters, lookup_time_closed_form
 
 
 def lookup_time_recurrence(d: int, n_a: int, t: float, b: float) -> float:
@@ -69,7 +69,7 @@ class TestFitting:
             )
         fit = fit_parameters(observations)
         for d in (1, 2, 3, 4, 5):
-            assert fit.predict(d, 2) == pytest.approx(
+            assert lookup_time_closed_form(d, 2, fit.t, fit.b) == pytest.approx(
                 lookup_time_closed_form(d, 2, t_true, b_true), rel=0.2
             )
 
@@ -77,11 +77,3 @@ class TestFitting:
         with pytest.raises(ValueError):
             fit_parameters([(1, 2, 1.0)])
 
-
-class TestRelativeError:
-    def test_basic(self):
-        assert relative_error(11.0, 10.0) == pytest.approx(0.1)
-
-    def test_zero_measured(self):
-        assert relative_error(0.0, 0.0) == 0.0
-        assert relative_error(1.0, 0.0) == float("inf")

@@ -7,7 +7,7 @@ from repro.client import MobilityManager
 from repro.experiments import InsDomain
 from repro.resolver import InrConfig
 
-from ..conftest import parse
+from ..conftest import child, parse
 
 
 @pytest.fixture
@@ -175,9 +175,9 @@ class TestFigure2Attributes:
 
         name = transmitter_name("a", "510")
         camera = name.root("service")
-        assert camera.child("data-type").value == "picture"
-        assert camera.child("data-type").child("format").value == "jpg"
-        assert camera.child("resolution").value == "640x480"
+        assert child(camera, "data-type").value == "picture"
+        assert child(camera, "data-type", "format").value == "jpg"
+        assert child(camera, "resolution").value == "640x480"
 
     def test_select_camera_by_resolution(self):
         domain = InsDomain(seed=114)
@@ -200,7 +200,7 @@ class TestFigure2Attributes:
             "[service=camera[entity=transmitter][resolution=1280x960]]"
         ))
         domain.run(1.0)
-        ids = {name.root("service").child("id").value
+        ids = {child(name.root("service"), "id").value
                for name, _ in reply.value}
         assert ids == {"high"}
 

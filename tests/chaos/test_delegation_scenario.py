@@ -5,9 +5,10 @@ representative slice in tier-1 so a regression in the handoff protocol,
 the invariants, or the scenario plumbing fails fast.
 """
 
-from repro.chaos import fingerprint
 from repro.xp import ExperimentSpec, run_spec
 from repro.xp.experiments.delegation import run_delegation_scenario
+
+from ..conftest import fingerprint
 
 # Small enough to stay fast in tier-1, but with >= 3 transfer chunks
 # (20 records / chunk size 8) so a mid-transfer crash has an observable

@@ -5,10 +5,12 @@ import dataclasses
 
 import pytest
 
-from repro.chaos import ChaosReport, Violation, fingerprint
+from repro.chaos import ChaosReport, Violation
 from repro.xp.experiments.availability import AvailabilityReport
 from repro.xp.experiments.delegation import DelegationReport
 from repro.xp.experiments.dtn import DtnReport
+
+from ..conftest import fingerprint
 
 #: One instance per report class, every field filled with a plausible
 #: value of its declared shape.

@@ -4,9 +4,9 @@ import pytest
 
 from repro.experiments import InsDomain
 from repro.naming import WildcardValueError
-from repro.tools import ProtocolTrace
 
 from ..conftest import parse
+from ..tools.protocol_trace import ProtocolTrace
 
 
 class TestAdvertising:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
-from repro.chaos import fingerprint
-from repro.experiments import InsDomain
+from repro.experiments import InsDomain, UniformWorkload
 from repro.message import (
     HEADER_SIZE,
     INS_VERSION,
@@ -15,9 +16,29 @@ from repro.message import (
     Delivery,
     Header,
 )
-from repro.naming import NameSpecifier
-from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
-from repro.obs import TRACE_CONTEXT_SIZE
+from repro.naming import AVPair, NameSpecifier
+from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree, ValueNode
+from repro.obs import NO_PARENT, TRACE_CONTEXT_SIZE, Span
+
+
+def fingerprint(report) -> Tuple:
+    """A deterministic digest of a chaos report: every declared field,
+    floats rounded to six places, mappings sorted by key, nested
+    dataclasses (violations) digested the same way. Two executions
+    with the same seed and parameters must fingerprint identically."""
+    return tuple(_digest(getattr(report, f.name)) for f in fields(report))
+
+
+def _digest(value):
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return tuple((key, _digest(item)) for key, item in sorted(value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_digest(item) for item in value)
+    if is_dataclass(value):
+        return fingerprint(value)
+    return value
 
 
 def arm_fingerprints(run):
@@ -52,6 +73,102 @@ def make_record(host: str = "10.0.0.1", port: int = 9, metric: float = 0.0,
 
 def parse(text: str) -> NameSpecifier:
     return NameSpecifier.parse(text)
+
+
+def child(pair: AVPair, *attributes: str) -> Optional[AVPair]:
+    """The av-pair below ``pair`` down the path of ``attributes``, or None."""
+    for attribute in attributes:
+        pair = next((c for c in pair.children if c.attribute == attribute), None)
+        if pair is None:
+            return None
+    return pair
+
+
+def count(name: NameSpecifier) -> int:
+    """Total number of av-pairs in the name."""
+    return sum(1 for _ in name.walk())
+
+
+def depth(name: NameSpecifier) -> int:
+    """Maximum number of av-pair levels (the paper's ``d``); 0 if empty.
+    Iterative: programmatic names can nest deeper than the stack."""
+    deepest = 0
+    stack = [(pair, 1) for pair in name._roots]
+    while stack:
+        pair, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((kid, level + 1) for kid in pair.children)
+    return deepest
+
+
+def random_query(workload: UniformWorkload, wildcard_probability: float) -> NameSpecifier:
+    """A random query; leaf values become ``*`` with the given
+    probability (wild-cards are leaf-only, Section 2.3.2)."""
+    name = workload.random_name()
+    for pair in name.walk():
+        if pair.is_leaf and workload.rng.random() < wildcard_probability:
+            pair.value = "*"
+    return name
+
+
+def walk_values(node: ValueNode) -> Iterator[ValueNode]:
+    """``node`` and every value-node below it, pre-order, iteratively
+    (a deep programmatic name would exhaust the stack otherwise)."""
+    stack = [node]
+    while stack:
+        value_node = stack.pop()
+        yield value_node
+        for attribute_node in list(value_node.children.values())[::-1]:
+            stack.extend(list(attribute_node.children.values())[::-1])
+
+
+def node_counts(tree: NameTree) -> Tuple[int, int]:
+    """(attribute-node count, value-node count), excluding the root."""
+    values = sum(1 for _ in walk_values(tree.root)) - 1
+    attributes = sum(len(node.children) for node in walk_values(tree.root))
+    return attributes, values
+
+
+def trace_tree_errors(spans: List[Span]) -> List[str]:
+    """Well-formedness defects of one trace's span list.
+
+    A well-formed trace has exactly one root, every non-root span's
+    parent present in the trace, unique span ids, and no span ending
+    before it starts. Packet duplication legitimately yields sibling
+    spans with the same parent; that is not a defect.
+    """
+    errors: List[str] = []
+    if not spans:
+        return ["trace has no spans"]
+    ids = [span.span_id for span in spans]
+    if len(set(ids)) != len(ids):
+        errors.append("duplicate span ids")
+    roots = [span for span in spans if span.parent_span_id == NO_PARENT]
+    if len(roots) != 1:
+        errors.append(f"expected exactly one root span, found {len(roots)}")
+    known = set(ids)
+    for span in spans:
+        if span.parent_span_id != NO_PARENT and span.parent_span_id not in known:
+            errors.append(
+                f"span {span.span_id} ({span.name}) has unknown parent "
+                f"{span.parent_span_id}"
+            )
+        if span.end is not None and span.end < span.start:
+            errors.append(f"span {span.span_id} ends before it starts")
+    return errors
+
+
+def well_formed_traces(spans: List[Span]) -> Dict[int, List[str]]:
+    """trace_id -> defects, for every trace with at least one defect."""
+    grouped: Dict[int, List[Span]] = {}
+    for span in spans:
+        grouped.setdefault(span.trace_id, []).append(span)
+    defects = {}
+    for trace_id in sorted(grouped):
+        errors = trace_tree_errors(grouped[trace_id])
+        if errors:
+            defects[trace_id] = errors
+    return defects
 
 
 @contextmanager

@@ -7,6 +7,8 @@ import pytest
 from repro.experiments import UniformWorkload
 from repro.nametree import NameTree
 
+from ..conftest import count, depth, random_query
+
 
 def make(seed=0, **kwargs):
     defaults = dict(depth=3, attribute_range=3, value_range=3,
@@ -19,20 +21,20 @@ class TestGeneration:
     def test_names_have_requested_depth(self):
         workload = make(depth=3)
         for _ in range(20):
-            assert workload.random_name().depth() == 3
+            assert depth(workload.random_name()) == 3
 
     def test_names_have_requested_breadth(self):
         workload = make(attributes_per_level=2)
         for _ in range(20):
             name = workload.random_name()
-            assert len(name.roots) == 2
-            for root in name.roots:
+            assert len(name._roots) == 2
+            for root in name._roots:
                 assert len(root.children) == 2
 
     def test_av_pair_count_matches_geometry(self):
         """n_a attributes per level, d levels -> sum n_a^i pairs."""
         workload = make(depth=3, attributes_per_level=2)
-        assert workload.random_name().count() == 2 + 4 + 8
+        assert count(workload.random_name()) == 2 + 4 + 8
 
     def test_attribute_range_respected(self):
         workload = make(attribute_range=3)
@@ -99,12 +101,10 @@ class TestDistinctNames:
 
 class TestQueriesAndTrees:
     def test_wildcard_probability_zero_yields_concrete(self):
-        workload = make()
-        assert workload.random_query(0.0).is_concrete()
+        assert random_query(make(), 0.0).is_concrete()
 
     def test_wildcard_probability_one_stars_all_leaves(self):
-        workload = make()
-        query = workload.random_query(1.0)
+        query = random_query(make(), 1.0)
         for pair in query.walk():
             if pair.is_leaf:
                 assert pair.value == "*"

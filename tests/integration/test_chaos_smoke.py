@@ -11,7 +11,9 @@ seed. Uses the scaled-down soft-state clocks so the suite stays fast.
 import math
 import time
 
-from repro.chaos import fingerprint, run_chaos_scenario
+from repro.chaos import run_chaos_scenario
+
+from ..conftest import fingerprint
 
 
 def test_chaos_scenario_invariants_recovery_and_reproducibility():

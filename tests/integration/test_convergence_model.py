@@ -17,6 +17,8 @@ from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
 from repro.resolver import InrConfig
 
+from ..conftest import child
+
 
 class Operation:
     START, STOP, RENAME, METRIC, CRASH_INR = range(5)
@@ -92,7 +94,7 @@ def test_every_live_resolver_converges_to_the_live_service_set(script, seed):
         if inr.address in crashed:
             continue
         found = {
-            name.root("service").child("id").value
+            child(name.root("service"), "id").value
             for name, _ in inr.trees["default"].names()
         }
         assert found == expected, (

@@ -6,7 +6,7 @@ from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
 from repro.resolver import InrConfig
 
-from ..conftest import parse
+from ..conftest import child, parse
 
 
 class TestFullDomain:
@@ -58,7 +58,7 @@ class TestFullDomain:
         client = domain.add_client(resolver=inrs[0])
         reply = client.discover(parse("[building=ne43[floor=1]]"))
         domain.run(1.0)
-        found = {name.root("service").child("id").value
+        found = {child(name.root("service"), "id").value
                  for name, _ in reply.value}
         assert found == {"s1", "s3"}
 
@@ -100,7 +100,7 @@ class TestDynamicWorld:
                                   refresh_interval=2.0, lifetime=6.0)
         domain.run(20.0)
         for inr in (a, b):
-            names = {name.root("service").child("id").value
+            names = {child(name.root("service"), "id").value
                      for name, _ in inr.trees["default"].names()}
             assert names == {"stable", "late"}
 

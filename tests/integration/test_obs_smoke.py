@@ -10,9 +10,9 @@ same-seed observed runs export byte-identical artifacts.
 
 from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
-from repro.obs import spans_to_jsonl, well_formed_traces
+from repro.obs import NO_PARENT, spans_to_jsonl
 
-from ..conftest import parse
+from ..conftest import parse, well_formed_traces
 
 
 def build_observed_domain(seed: int = 42):
@@ -33,7 +33,7 @@ class TestTracedRequests:
         domain.run(1.0)
         assert reply.done and reply.value
         assert well_formed_traces(collector.tracer.spans) == {}
-        roots = [s for s in collector.tracer.spans if s.is_root]
+        roots = [s for s in collector.tracer.spans if s.parent_span_id == NO_PARENT]
         assert [s.name for s in roots] == ["client.request"]
         resolves = [s for s in collector.tracer.spans
                     if s.name == "inr.resolve"]

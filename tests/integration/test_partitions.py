@@ -5,7 +5,7 @@ import pytest
 from repro.experiments import DSR_HOST, InsDomain
 from repro.resolver import InrConfig
 
-from ..conftest import parse
+from ..conftest import child, parse
 
 
 @pytest.fixture
@@ -34,9 +34,9 @@ class TestPartitionBehaviour:
         domain.network.partition(side_a, side_b)
         domain.run(20.0)
         # Each side keeps its own service, loses the other's.
-        a_names = {n.root("service").child("id").value
+        a_names = {child(n.root("service"), "id").value
                    for n, _ in a.trees["default"].names()}
-        b_names = {n.root("service").child("id").value
+        b_names = {child(n.root("service"), "id").value
                    for n, _ in b.trees["default"].names()}
         assert a_names == {"a"}
         assert b_names == {"b"}

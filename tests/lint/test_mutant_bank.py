@@ -124,8 +124,8 @@ BANK = (
     # The name-tree importing the resolver above it.
     Mutant(
         "layering",
-        (("src/repro/nametree/nodes.py", "from typing import Dict, Iterator, Optional\n",
-          "from typing import Dict, Iterator, Optional\n\n"
+        (("src/repro/nametree/nodes.py", "from typing import Dict, Optional\n",
+          "from typing import Dict, Optional\n\n"
           "from ..resolver.protocol import NameUpdate\n"),),
         (("src/repro/nametree/nodes.py", "from ..resolver.protocol import"),),
     ),

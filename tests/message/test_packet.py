@@ -13,7 +13,7 @@ from repro.message import (
     HeaderError,
     InsMessage,
 )
-from repro.naming import NameSpecifier, SealedNameError
+from repro.naming import AVPair, NameSpecifier, SealedNameError
 
 from ..conftest import forge_packet, parse
 
@@ -152,4 +152,4 @@ class TestForwardingHelpers:
         assert reply.destination is message.source
         assert reply.source is message.destination
         with pytest.raises(SealedNameError):
-            reply.destination.add("extra", "1")
+            reply.destination.add_pair(AVPair("extra", "1"))

@@ -73,4 +73,4 @@ def lookup_name(T: ValueNode, n: Iterable[AVPair], pointers: Pointers) -> Set[Na
 
 def oracle_lookup(tree: NameTree, name: NameSpecifier) -> Set[NameRecord]:
     """What ``tree.lookup(name)`` must return."""
-    return lookup_name(tree.root, name.roots, record_pointers(tree))
+    return lookup_name(tree.root, name._roots, record_pointers(tree))

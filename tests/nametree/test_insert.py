@@ -5,7 +5,7 @@ import pytest
 from repro.naming import NameSpecifier, WildcardValueError
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree, Route
 
-from ..conftest import make_record, parse
+from ..conftest import make_record, node_counts, parse
 
 
 class TestInsert:
@@ -19,14 +19,14 @@ class TestInsert:
 
     def test_insert_builds_alternating_layers(self, tree):
         tree.insert(parse("[a=b[c=d]]"), make_record())
-        attributes, values = tree.node_counts()
+        attributes, values = node_counts(tree)
         assert attributes == 2  # a, c
         assert values == 2  # b, d
 
     def test_superposition_shares_prefixes(self, tree):
         tree.insert(parse("[a=b[c=d]]"), make_record())
         tree.insert(parse("[a=b[c=e]]"), make_record("10.0.0.2"))
-        attributes, values = tree.node_counts()
+        attributes, values = node_counts(tree)
         assert attributes == 2  # 'a' and one shared 'c' attribute node
         assert values == 3  # b, d, e
 
@@ -131,7 +131,7 @@ class TestRemove:
         record = make_record()
         tree.insert(parse("[a=b[c=d]]"), record)
         tree.remove(record)
-        assert tree.node_counts() == (0, 0)
+        assert node_counts(tree) == (0, 0)
 
     def test_remove_keeps_shared_branches(self, tree):
         first = make_record("h1")
@@ -139,7 +139,7 @@ class TestRemove:
         tree.insert(parse("[a=b[c=d]]"), first)
         tree.insert(parse("[a=b[c=e]]"), second)
         tree.remove(first)
-        assert tree.node_counts() == (2, 2)  # a,b and c,e survive
+        assert node_counts(tree) == (2, 2)  # a,b and c,e survive
         assert tree.lookup(parse("[a=b[c=e]]")) == {second}
 
     def test_remove_unknown_record_returns_false(self, tree):

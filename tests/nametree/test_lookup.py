@@ -5,7 +5,7 @@ import pytest
 from repro.naming import NameSpecifier
 from repro.nametree import NameTree
 
-from ..conftest import OVAL_OFFICE_CAMERA, make_record, parse
+from ..conftest import OVAL_OFFICE_CAMERA, make_record, node_counts, parse
 from .fig5_oracle import oracle_lookup
 
 
@@ -268,7 +268,7 @@ class TestValueDependentHierarchy:
         assert tree.lookup(parse("[country=us[state=virginia]]")) == {us}
         assert tree.lookup(parse("[country=canada[province=ontario]]")) == {canada}
         # both live under one 'country' attribute-node
-        attributes, _values = tree.node_counts()
+        attributes, _values = node_counts(tree)
         assert attributes == 3  # country, state, province
 
     def test_omitted_attribute_is_a_wildcard_for_the_advertisement(self, tree):

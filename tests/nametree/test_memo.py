@@ -21,7 +21,7 @@ from repro.experiments import UniformWorkload
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
 from repro.nametree import tree as tree_module
 
-from ..conftest import make_record, parse
+from ..conftest import make_record, parse, random_query
 
 
 def _refresh_record(host: str, expires_at: float = float("inf")) -> NameRecord:
@@ -115,10 +115,10 @@ class TestEpochInvalidation:
         tree.insert(parse("[service=camera]"), _refresh_record("h1", 10.0))
         query = parse("[service=camera]")
         tree.lookup(query)
-        epoch_before = tree.epoch
+        epoch_before = tree._epoch
         outcome = tree.insert(parse("[service=camera]"), _refresh_record("h1", 20.0))
         assert not outcome.created
-        assert tree.epoch == epoch_before
+        assert tree._epoch == epoch_before
         found = tree.lookup(query)
         assert tree.memo_hits == 1
         assert tree.memo_invalidations == 0
@@ -238,7 +238,7 @@ def _check_history(seed: int) -> Tuple[NameTree, int, int]:
     rng = random.Random(seed)
     names = _workload(seed).distinct_names(12)
     queries = _workload(seed + 1)
-    query_pool = [queries.random_query(wildcard_probability=0.4) for _ in range(16)]
+    query_pool = [random_query(queries, wildcard_probability=0.4) for _ in range(16)]
     clock = 0.0
     tree = NameTree(clock=lambda: clock)
     held = {}  # tag -> (name, expires_at), live or not yet swept

@@ -177,7 +177,7 @@ def test_refresh_and_forced_insert_agree_with_the_parent_rule(history):
                 message.endpoints if list(message.endpoints) == endpoints
                 else tuple(endpoints)
             )
-            epoch_before = refreshed.epoch
+            epoch_before = refreshed._epoch
             known = model.state.get(announcer)
             same_name = known is not None and known["key"] == name.canonical_key()
             fields = (
@@ -191,8 +191,8 @@ def test_refresh_and_forced_insert_agree_with_the_parent_rule(history):
             assert _via_refresh(refreshed, name, *fields) is verdict
             assert _via_insert(inserted, name, *fields) is verdict
             if same_name:
-                assert refreshed.epoch == epoch_before  # the memo stays warm
-        assert refreshed.epoch == inserted.epoch
+                assert refreshed._epoch == epoch_before  # the memo stays warm
+        assert refreshed._epoch == inserted._epoch
         assert _snapshot(refreshed) == _snapshot(inserted)
         assert {
             announcer: (s["key"], s["endpoints"], s["metric"], s["route"], s["expires_at"])
@@ -222,11 +222,11 @@ class TestRefreshEntryPoint:
 
     def test_pure_refresh_moves_only_the_expiry(self, tree):
         name, record = self._grafted(tree, expires_at=10.0)
-        endpoints, route, epoch = record.endpoints, record.route, tree.epoch
+        endpoints, route, epoch = record.endpoints, record.route, tree._epoch
         assert self._refresh(tree, name, record, expires_at=25.0) is False
         assert record.expires_at == 25.0
         assert record.endpoints is endpoints and record.route is route
-        assert tree.epoch == epoch and tree.record_for(record.announcer) is record
+        assert tree._epoch == epoch and tree.record_for(record.announcer) is record
 
     def test_declines_and_touches_nothing_for_a_stranger_or_another_name(self, tree):
         name, record = self._grafted(tree, expires_at=10.0)

@@ -1,7 +1,7 @@
 """``get_name`` answers with the grafted name-specifier it retained.
 
 The retained object is a sealed value, and indistinguishable from the
-literal Figure 6 trace (``reconstruct_name``) — same structure *and*
+literal Figure 6 trace (``fig6_oracle``) — same structure *and*
 same sibling order, since the order is what update wire bytes and
 discovery ordering are made of. That it stays so over any history of
 tree mutations is ``test_tree_state_machine.py``'s to show; these are
@@ -11,6 +11,7 @@ the two cases worth reading.
 from repro.nametree import NameRecord
 
 from ..conftest import make_record, parse
+from .fig6_oracle import oracle_get_name
 
 
 def test_refresh_with_reordered_siblings_keeps_first_graft_order(tree):
@@ -22,7 +23,7 @@ def test_refresh_with_reordered_siblings_keeps_first_graft_order(tree):
     assert outcome.record is record and not outcome.created
     assert tree.get_name(record) is first
     assert tree.get_name(record).to_wire() == "[a=1[x=1][y=2]][b=2]"
-    assert tree.reconstruct_name(record).to_wire() == "[a=1[x=1][y=2]][b=2]"
+    assert oracle_get_name(tree, record).to_wire() == "[a=1[x=1][y=2]][b=2]"
 
 
 def test_rename_retains_the_new_object_and_remove_drops_it(tree):

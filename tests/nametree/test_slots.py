@@ -91,7 +91,7 @@ class TestSlotReuse:
         assert len(tree.expire(now=10.0)) == 8
         assert _live_slots(tree) == [3, 7]
         assert sorted(tree._free) == [0, 1, 2, 4, 5, 6, 8, 9]
-        assert tree.root.subtree_bits(tree.epoch) == (1 << 3) | (1 << 7)
+        assert tree.root.subtree_bits(tree._epoch) == (1 << 3) | (1 << 7)
         for index in range(10, 13):
             tree.insert(parse(f"[id={index}][all=1]"), make_record(f"h{index}"))
         live = _live_slots(tree)

@@ -4,7 +4,7 @@ import math
 
 from repro.nametree import DEFAULT_LIFETIME, NameRecord, NameTree
 
-from ..conftest import make_record, parse
+from ..conftest import make_record, node_counts, parse
 
 
 class TestExpiry:
@@ -25,7 +25,7 @@ class TestExpiry:
         record = make_record(expires_at=5.0)
         tree.insert(parse("[a=b[c=d]]"), record)
         tree.expire(now=6.0)
-        assert tree.node_counts() == (0, 0)
+        assert node_counts(tree) == (0, 0)
 
     def test_partial_expiry(self, tree):
         doomed = make_record(host="doomed", expires_at=5.0)

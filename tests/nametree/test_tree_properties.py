@@ -9,7 +9,9 @@ from repro.experiments import UniformWorkload
 from repro.naming import NameSpecifier
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
 
+from ..conftest import node_counts, random_query
 from .fig5_oracle import oracle_lookup
+from .fig6_oracle import oracle_get_name
 
 
 def _workload(seed: int, depth: int = 2) -> UniformWorkload:
@@ -58,7 +60,7 @@ def test_get_name_inverts_insert(seed, count):
         tree.insert(name, record)
         pairs.append((name, record))
     for name, record in pairs:
-        assert tree.reconstruct_name(record) == name
+        assert oracle_get_name(tree, record) == name
         assert tree.get_name(record) == name
 
 
@@ -80,7 +82,7 @@ def test_remove_then_empty_tree_is_pristine(seed, count):
     for record in records:
         tree.remove(record)
     assert len(tree) == 0
-    assert tree.node_counts() == (0, 0)
+    assert node_counts(tree) == (0, 0)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -109,10 +111,10 @@ def test_lookup_results_subset_of_wildcard_union(seed, count):
     for index, name in enumerate(names):
         tree.insert(name, _record(f"s-{index}"))
     probe = names[0]
-    attribute = probe.roots[0].attribute
+    attribute = probe._roots[0].attribute
     wild = NameSpecifier.parse(f"[{attribute}=*]")
     exact = NameSpecifier.parse(
-        f"[{attribute}={probe.roots[0].value}]"
+        f"[{attribute}={probe._roots[0].value}]"
     )
     assert tree.lookup(exact) <= tree.lookup(wild)
 
@@ -121,10 +123,10 @@ def _query_variants(seed: int):
     """One generated query with wild-cards, the same with its first
     literal leaf turned into a range, and its first root pair alone
     (every attribute below it omitted)."""
-    wild = _workload(seed).random_query(wildcard_probability=0.3)
+    wild = random_query(_workload(seed), wildcard_probability=0.3)
     text = wild.to_wire()
     ranged = NameSpecifier.parse(re.sub(r"=(v\d+)\]", r"=>=\1]", text, count=1))
-    root = wild.roots[0]
+    root = wild._roots[0]
     omitted = NameSpecifier.parse(f"[{root.attribute}={root.value}]")
     return wild, ranged, omitted
 

@@ -9,7 +9,7 @@ range queries — over a tree with the lookup memo on or off. After every rule:
 
 - ``lookup`` is the literal Figure 5 (``fig5_oracle``) on every query;
 - ``get_name`` is the object grafted, and it is Figure 6's answer
-  (``reconstruct_name``) in wire text and in key;
+  (``fig6_oracle``) in wire text and in key;
 - ``advertised(text)`` is a live record's own name spelling ``text``,
   and the index holds no more entries than the tree has records;
 - the epoch has not run backwards;
@@ -36,7 +36,9 @@ from repro.naming import AVPair, NameSpecifier, SealedNameError
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
 from repro.nametree import tree as tree_module
 
+from ..conftest import walk_values
 from .fig5_oracle import oracle_lookup
+from .fig6_oracle import oracle_get_name
 from .test_refresh import Message
 
 ANNOUNCERS = [AnnouncerID(host=f"h{index}", startup_time=1.0) for index in range(5)]
@@ -74,7 +76,7 @@ def _reordered(name: NameSpecifier, rng: random.Random) -> NameSpecifier:
             twin.add_child(rebuild(child))
         return twin
 
-    roots = list(name.roots)
+    roots = list(name._roots)
     rng.shuffle(roots)
     return NameSpecifier([rebuild(root) for root in roots])
 
@@ -117,12 +119,12 @@ class NameTreeMachine(RuleBasedStateMachine):
         is a refresh, whatever object and sibling order it comes as."""
         held = self.grafted[announcer]
         record = self.tree.record_for(announcer)
-        epoch = self.tree.epoch
+        epoch = self.tree._epoch
         outcome = self._insert(announcer, name, lifetime)
         assert outcome.record is record and not outcome.created
         assert not outcome.changed
         assert self.tree.get_name(record) is held  # the first graft's object stays
-        assert self.tree.epoch == epoch
+        assert self.tree._epoch == epoch
 
     @rule(
         announcer=st.sampled_from(ANNOUNCERS), shape=shapes, sized=st.booleans(),
@@ -223,7 +225,7 @@ class NameTreeMachine(RuleBasedStateMachine):
         its first root's value replaced by an operator or left literal."""
         query = NameSpecifier.from_dict(shape)
         if wild:
-            query.roots[0].value = wild
+            query._roots[0].value = wild
         assert self.tree.lookup(query) == oracle_lookup(self.tree, query)
 
     # ------------------------------------------------------------------
@@ -239,7 +241,7 @@ class NameTreeMachine(RuleBasedStateMachine):
         assert len(tree) == len(self.grafted)
         for record in tree.records():
             retained = tree.get_name(record)
-            traced = tree.reconstruct_name(record)
+            traced = oracle_get_name(tree, record)
             assert retained is self.grafted[record.announcer]
             assert retained is not traced
             assert retained.to_wire() == traced.to_wire()
@@ -272,17 +274,17 @@ class NameTreeMachine(RuleBasedStateMachine):
             for value_node in record.attachments:
                 expected[value_node] = expected.get(value_node, 0) | 1 << record.slot
         freed_bits = sum(1 << slot for slot in freed)
-        for value_node in tree.root.walk_values():
+        for value_node in walk_values(tree.root):
             bits = value_node.bits
             assert bits << value_node.offset == expected.get(value_node, 0)
             assert not bits or bits & 1  # stored from its lowest slot
-            if value_node._sub_epoch == tree.epoch:
+            if value_node._sub_epoch == tree._epoch:
                 assert not value_node._sub_bits & freed_bits
 
     @invariant()
     def the_epoch_never_runs_backwards(self):
-        assert self.tree.epoch >= self.epoch
-        self.epoch = self.tree.epoch
+        assert self.tree._epoch >= self.epoch
+        self.epoch = self.tree._epoch
 
     @invariant()
     def what_the_tree_hands_out_is_sealed(self):
@@ -291,10 +293,10 @@ class NameTreeMachine(RuleBasedStateMachine):
         handed_out += [tree.advertised(text) for text in list(tree._by_text)]
         for name in handed_out:
             with pytest.raises(SealedNameError):
-                name.add("extra", "1")
+                name.add_pair(AVPair("extra", "1"))
             for pair in name.walk():
                 with pytest.raises(SealedNameError):
-                    pair.add("extra", "1")
+                    pair.add_child(AVPair("extra", "1"))
 
 
 NameTreeMachine.TestCase.settings = settings(

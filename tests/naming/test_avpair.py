@@ -10,12 +10,14 @@ from repro.naming import (
     validate_token,
 )
 
+from ..conftest import child
+
 
 def pair_of(attribute: str, value: str, *children: AVPair) -> AVPair:
     """An av-pair with the given children."""
     pair = AVPair(attribute, value)
-    for child in children:
-        pair.add_child(child)
+    for kid in children:
+        pair.add_child(kid)
     return pair
 
 
@@ -56,37 +58,33 @@ class TestConstruction:
 
     def test_add_child_returns_child(self):
         parent = AVPair("service", "camera")
-        child = parent.add("entity", "transmitter")
-        assert child.attribute == "entity"
-        assert parent.children == (child,)
+        kid = AVPair("entity", "transmitter")
+        assert parent.add_child(kid) is kid
+        assert parent.children == (kid,)
         assert not parent.is_leaf
 
     def test_sibling_attributes_must_be_orthogonal(self):
         parent = AVPair("service", "camera")
-        parent.add("entity", "transmitter")
+        parent.add_child(AVPair("entity", "transmitter"))
         with pytest.raises(DuplicateAttributeError):
-            parent.add("entity", "receiver")
+            parent.add_child(AVPair("entity", "receiver"))
 
     def test_same_attribute_allowed_at_different_levels(self):
         # country=us -> state=virginia vs country=canada -> province=...
         # but also room can nest under room-like chains.
         parent = AVPair("area", "north")
-        child = parent.add("area2", "x")
-        child.add("area", "south")  # no clash across levels
-        assert parent.child("area2").child("area").value == "south"
+        parent.add_child(AVPair("area2", "x")).add_child(AVPair("area", "south"))
+        assert child(parent, "area2", "area").value == "south"  # no clash
 
 
 class TestInspection:
     def test_child_lookup(self):
         pair = pair_of("a", "b", AVPair("c", "d"))
-        assert pair.child("c").value == "d"
-        assert pair.child("missing") is None
+        assert child(pair, "c").value == "d"
+        assert child(pair, "missing") is None
 
     def test_walk_is_preorder(self):
-        root = AVPair("a", "1")
-        child = root.add("b", "2")
-        child.add("c", "3")
-        root.add("d", "4")
+        root = pair_of("a", "1", pair_of("b", "2", AVPair("c", "3")), AVPair("d", "4"))
         walked = [(p.attribute, p.value) for p in root.walk()]
         assert walked == [("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")]
 
@@ -114,7 +112,7 @@ class TestEquality:
     def test_copy_is_deep_and_equal(self):
         original = pair_of("x", "1", pair_of("y", "2", AVPair("z", "3")))
         duplicate = original.copy()
-        duplicate.child("y").add("w", "4")
+        child(duplicate, "y").add_child(AVPair("w", "4"))
         assert duplicate != original
         assert original.copy() == original
 
@@ -127,25 +125,24 @@ class TestLeavesShareNoState:
         first = NameSpecifier.parse("[a=1[b=2][c=3]][d=4]").copy()
         second = NameSpecifier.parse("[a=1[b=2][c=3]][d=4]")
         built = AVPair("e", "5")
-        first.root("a").child("b").add("x", "9")
+        child(first.root("a"), "b").add_child(AVPair("x", "9"))
         for pair in list(second.walk()) + [built]:
             if pair.attribute in ("b", "c", "d", "e"):
                 assert pair.is_leaf and pair.children == ()
-                assert pair.child("x") is None
-        assert first.root("a").child("c").is_leaf and first.root("d").is_leaf
-        assert [p.attribute for p in first.root("a").child("b").children] == ["x"]
+        assert child(first.root("a"), "c").is_leaf and first.root("d").is_leaf
+        assert [p.attribute for p in child(first.root("a"), "b").children] == ["x"]
 
     def test_the_copy_of_a_leaf_is_independent(self):
         leaf = AVPair("a", "1")
         duplicate = leaf.copy()
-        duplicate.add("b", "2")
-        leaf.add("c", "3")
+        duplicate.add_child(AVPair("b", "2"))
+        leaf.add_child(AVPair("c", "3"))
         assert [p.attribute for p in duplicate.children] == ["b"]
         assert [p.attribute for p in leaf.children] == ["c"]
         assert leaf != duplicate
 
     def test_a_duplicate_sibling_is_still_refused_on_the_first_child(self):
         pair = AVPair("a", "1")
-        pair.add("b", "2")
+        pair.add_child(AVPair("b", "2"))
         with pytest.raises(DuplicateAttributeError):
-            pair.add("b", "3")
+            pair.add_child(AVPair("b", "3"))

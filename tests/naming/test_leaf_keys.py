@@ -20,8 +20,8 @@ def _leaf_keys(name: NameSpecifier):
 
 def _generated() -> NameSpecifier:
     name = NameSpecifier()
-    name.add("service", "camera").add("entity", "transmitter")
-    name.add("room", "510")
+    name.add_pair(AVPair("service", "camera")).add_child(AVPair("entity", "transmitter"))
+    name.add_pair(AVPair("room", "510"))
     name.canonical_key()
     return name
 
@@ -49,7 +49,7 @@ def test_parsed_generated_decoded_and_copied_leaves_share_one_key():
 def test_interior_keys_are_equal_and_their_leaves_shared():
     one = parse_name_specifier("[a=b[c=d]]")
     two = parse_name_specifier("[a=b[c=d]]")
-    (root_one,), (root_two,) = one.roots, two.roots
+    (root_one,), (root_two,) = one._roots, two._roots
     assert root_one._key_cache == root_two._key_cache
     assert root_one.children[0]._key_cache is root_two.children[0]._key_cache
 

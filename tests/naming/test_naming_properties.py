@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.naming import AVPair, NameSpecifier
 
+from ..conftest import depth
+
 TOKEN_ALPHABET = string.ascii_lowercase + string.digits + "-_."
 
 tokens = st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=8)
@@ -63,16 +65,10 @@ def test_copy_equals_original(name):
 
 @given(name_specifiers())
 @settings(max_examples=100, deadline=None)
-def test_count_matches_walk(name):
-    assert name.count() == sum(1 for _ in name.walk())
-
-
-@given(name_specifiers())
-@settings(max_examples=100, deadline=None)
 def test_depth_bounds(name):
-    depth = name.depth()
-    assert 1 <= depth <= 4  # the generator bounds nesting at 4 levels
-    assert depth <= name.count()
+    levels = depth(name)
+    assert 1 <= levels <= 4  # the generator bounds nesting at 4 levels
+    assert levels <= sum(1 for _ in name.walk())
 
 
 @given(name_specifiers())

@@ -4,28 +4,28 @@ import pytest
 
 from repro.naming import NameSpecifier, NameSyntaxError, parse_name_specifier
 
-from ..conftest import OVAL_OFFICE_CAMERA
+from ..conftest import OVAL_OFFICE_CAMERA, child, count, depth
 
 
 class TestBasicParsing:
     def test_single_pair(self):
         name = parse_name_specifier("[city=washington]")
-        assert name.roots[0].attribute == "city"
-        assert name.roots[0].value == "washington"
+        assert name._roots[0].attribute == "city"
+        assert name._roots[0].value == "washington"
 
     def test_nested_pairs(self):
         name = parse_name_specifier("[a=b[c=d[e=f]]]")
-        assert name.root("a").child("c").child("e").value == "f"
+        assert child(name.root("a"), "c", "e").value == "f"
 
     def test_orthogonal_roots(self):
         name = parse_name_specifier("[a=b][c=d][e=f]")
-        assert [p.attribute for p in name.roots] == ["a", "c", "e"]
+        assert [p.attribute for p in name._roots] == ["a", "c", "e"]
 
     def test_orthogonal_children(self):
         name = parse_name_specifier("[service=camera[data-type=picture][resolution=640x480]]")
         camera = name.root("service")
-        assert camera.child("data-type").value == "picture"
-        assert camera.child("resolution").value == "640x480"
+        assert child(camera, "data-type").value == "picture"
+        assert child(camera, "resolution").value == "640x480"
 
     def test_empty_input_is_the_empty_name(self):
         name = parse_name_specifier("")
@@ -44,15 +44,15 @@ class TestWhitespaceTolerance:
 
     def test_newlines_and_tabs(self):
         name = parse_name_specifier("[a\n=\tb\n[c =d]\n]")
-        assert name.root("a").child("c").value == "d"
+        assert child(name.root("a"), "c").value == "d"
 
     def test_papers_figure_3_example(self):
         name = parse_name_specifier(OVAL_OFFICE_CAMERA)
-        assert name.count() == 9
-        assert name.depth() == 4
-        west_wing = name.root("city").child("building").child("wing")
+        assert count(name) == 9
+        assert depth(name) == 4
+        west_wing = child(name.root("city"), "building", "wing")
         assert west_wing.value == "west"
-        assert west_wing.child("room").value == "oval-office"
+        assert child(west_wing, "room").value == "oval-office"
         assert name.root("accessibility").value == "public"
 
 
@@ -140,7 +140,7 @@ class TestDepthBound:
 
         deep = "[a=b" * MAX_NAME_DEPTH + "]" * MAX_NAME_DEPTH
         name = parse_name_specifier(deep)
-        assert name.depth() == MAX_NAME_DEPTH
+        assert depth(name) == MAX_NAME_DEPTH
 
     def test_beyond_maximum_depth_rejected(self):
         from repro.naming import MAX_NAME_DEPTH

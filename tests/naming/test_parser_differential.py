@@ -212,7 +212,7 @@ def _render(draw, name: NameSpecifier) -> str:
         out.append("]")
 
     out.append(draw(_GAPS))
-    for root in name.roots:
+    for root in name._roots:
         emit(root)
         out.append(draw(_GAPS))
     return "".join(out)

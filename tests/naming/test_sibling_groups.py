@@ -84,7 +84,7 @@ def test_a_wide_group_parses_decodes_and_copies_in_order(parent):
     parsed = parse_name_specifier(_text(attributes, parent))
     decoded = decode_name(_frame(attributes, parent))
     for name in (parsed, decoded, parsed.copy(), decoded.copy()):
-        group = name.roots if parent is None else name.roots[0].children
+        group = name._roots if parent is None else name._roots[0].children
         assert [pair.attribute for pair in group] == attributes
         assert name == parsed
     assert parsed.to_wire() == _text(attributes, parent)
@@ -109,15 +109,15 @@ def test_one_at_a_time_builders_keep_their_checks():
     pair = AVPair("p", "q")
     name = NameSpecifier()
     for attribute in _attributes(50):
-        pair.add(attribute, "v")
-        name.add(attribute, "v")
+        pair.add_child(AVPair(attribute, "v"))
+        name.add_pair(AVPair(attribute, "v"))
     with pytest.raises(DuplicateAttributeError, match="under p=q"):
-        pair.add("a49", "w")
+        pair.add_child(AVPair("a49", "w"))
     with pytest.raises(DuplicateAttributeError, match="at the top level"):
-        name.add("a0", "w")
+        name.add_pair(AVPair("a0", "w"))
     with pytest.raises(DuplicateAttributeError):
         NameSpecifier([AVPair("a", "1"), AVPair("b", "2"), AVPair("a", "3")])
-    assert len(pair.children) == len(name.roots) == 50
+    assert len(pair.children) == len(name._roots) == 50
 
 
 def _best_of_three(build, argument):
@@ -170,7 +170,7 @@ def test_a_uniform_name_weighs_its_pairs_and_one_tuple_per_group():
     ).random_name()
     pairs = list(name.walk())
     assert len(pairs) == 14
-    groups = [name.roots] + [pair.children for pair in pairs if not pair.is_leaf]
+    groups = [name._roots] + [pair.children for pair in pairs if not pair.is_leaf]
     assert len(groups) == 7
     bound = (
         sys.getsizeof(name)

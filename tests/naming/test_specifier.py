@@ -4,24 +4,27 @@ import pytest
 
 from repro.naming import (
     DEFAULT_VSPACE,
+    AVPair,
     DuplicateAttributeError,
     NameSpecifier,
     WildcardValueError,
 )
 
+from ..conftest import child, count, depth
+
 
 class TestConstruction:
     def test_add_builds_roots_in_order(self):
         name = NameSpecifier()
-        name.add("a", "1")
-        name.add("b", "2")
-        assert [p.attribute for p in name.roots] == ["a", "b"]
+        name.add_pair(AVPair("a", "1"))
+        name.add_pair(AVPair("b", "2"))
+        assert [p.attribute for p in name._roots] == ["a", "b"]
 
     def test_duplicate_top_level_attribute_rejected(self):
         name = NameSpecifier()
-        name.add("a", "1")
+        name.add_pair(AVPair("a", "1"))
         with pytest.raises(DuplicateAttributeError):
-            name.add("a", "2")
+            name.add_pair(AVPair("a", "2"))
 
     def test_from_dict_flat(self):
         name = NameSpecifier.from_dict({"room": "510", "floor": "5"})
@@ -38,14 +41,14 @@ class TestConstruction:
         name = NameSpecifier.from_dict(
             {"city": ("washington", {"building": ("whitehouse", {"wing": "west"})})}
         )
-        assert name.root("city").child("building").child("wing").value == "west"
+        assert child(name.root("city"), "building", "wing").value == "west"
 
 
 class TestInspection:
     def test_count_and_depth_empty(self):
         empty = NameSpecifier()
-        assert empty.count() == 0
-        assert empty.depth() == 0
+        assert count(empty) == 0
+        assert depth(empty) == 0
         assert empty.is_empty
 
     def test_walk_covers_all_pairs(self):
@@ -121,7 +124,7 @@ class TestEqualityAndCopy:
     def test_copy_is_independent(self):
         original = NameSpecifier.parse("[a=1[b=2]]")
         duplicate = original.copy()
-        duplicate.root("a").add("c", "3")
+        duplicate.root("a").add_child(AVPair("c", "3"))
         assert duplicate != original
         assert original == NameSpecifier.parse("[a=1[b=2]]")
         assert original.copy() == original
@@ -166,7 +169,7 @@ class TestWireCache:
         name = NameSpecifier.parse(self.DEEP)
         name.wire_size()
         twin = name.copy()
-        twin.add("z", "9")
+        twin.add_pair(AVPair("z", "9"))
         assert name.wire_size() == len(self.DEEP)
         assert twin.wire_size() == len(self.DEEP) + len("[z=9]")
 

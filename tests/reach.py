@@ -13,7 +13,11 @@ which is not a run of the system.
 A function no run reaches must have a line in ``tests/reach_allowlist.txt``:
 ``path::Qualified.name  reason``, the path relative to ``src/repro``
 and the name its classes and enclosing functions joined by dots. There
-are no pattern exemptions. Exit 1 when an unreached function is not
+are no pattern exemptions. A reason is a dunder, a fault path, an
+interface, a one-line accessor a test reads ("instrument") or CI's
+perf smoke; code that exists only for the tests (an oracle, a tracer,
+a helper) lives under ``tests/``, and ``tests/test_reach_allowlist.py``
+fails on a "test oracle" line. Exit 1 when an unreached function is not
 listed, when a listed one is reached now, or when a line names no
 function; exit 2 when a run fails.
 """

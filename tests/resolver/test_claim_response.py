@@ -11,7 +11,8 @@ from repro.experiments import InsDomain
 from repro.experiments.domain import DSR_HOST
 from repro.message import DsrClaimResponse
 from repro.resolver import InrConfig
-from repro.tools import ProtocolTrace
+
+from ..tools.protocol_trace import ProtocolTrace
 
 
 def _domain(seed):

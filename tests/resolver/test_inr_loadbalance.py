@@ -6,9 +6,9 @@ from repro.experiments import InsDomain
 from repro.naming import NameSpecifier
 from repro.resolver import InrConfig, ResolutionRequest
 from repro.resolver.ports import INR_PORT
-from repro.tools import ProtocolTrace
 
 from ..conftest import parse
+from ..tools.protocol_trace import ProtocolTrace
 
 
 def loaded_config(**overrides) -> InrConfig:

@@ -6,9 +6,9 @@ import pytest
 
 from repro.experiments import InsDomain
 from repro.resolver import InrConfig
-from repro.tools import ProtocolTrace
 
 from ..conftest import parse
+from ..tools.protocol_trace import ProtocolTrace
 
 
 @pytest.fixture

@@ -35,14 +35,15 @@ import pytest
 from repro.client import Service
 from repro.client.mobility import MobilityManager
 from repro.experiments import InsDomain
+from repro.naming import AVPair
 from repro.nametree import Endpoint, NameRecord, NameTree
 from repro.resolver import INR, InrConfig, inr as inr_module
 from repro.resolver.discovery import NameDiscovery
 from repro.resolver.ports import INR_PORT
 from repro.resolver.protocol import Advertisement, UpdateBatch
-from repro.tools import ProtocolTrace
 
 from ..conftest import parse, stores_to
+from ..tools.protocol_trace import ProtocolTrace
 
 REFRESH = 5.0
 LIFETIME = 3 * REFRESH
@@ -190,7 +191,7 @@ def _respelt(name) -> str:
             spell(child) for child in reversed(pair.children)
         ) + "]"
 
-    return "".join(spell(root) for root in reversed(name.roots))
+    return "".join(spell(root) for root in reversed(name._roots))
 
 
 def run_history(seed: int, overridden: bool, tally: dict) -> dict:
@@ -276,7 +277,7 @@ def run_history(seed: int, overridden: bool, tally: dict) -> dict:
             # The owner swaps in an edited copy of the name it advertised
             # and says nothing: its next refresh is the first to carry it.
             edited = service.name.copy()
-            edited.root("service").add(f"edit{next(serial)}", "x")
+            edited.root("service").add_child(AVPair(f"edit{next(serial)}", "x"))
             service.rename(edited, announce_now=False)
 
         def stop(service):
@@ -361,7 +362,7 @@ def run_history(seed: int, overridden: bool, tally: dict) -> dict:
                 for inr in domain.inrs
             ],
             "epochs": [
-                [tree.epoch for tree in inr.trees.values()] for inr in domain.inrs
+                [tree._epoch for tree in inr.trees.values()] for inr in domain.inrs
             ],
             "events_processed": sim.events_processed,
             "pending_events": sim.pending_events,

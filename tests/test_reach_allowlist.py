@@ -3,7 +3,10 @@
 ``python -m tests.reach`` (the CI ``reach`` job) runs the system to find
 the functions no run reaches; this tier-1 check needs only ``ast``: every
 line of ``tests/reach_allowlist.txt`` names a ``def`` that exists under
-``src/repro``, gives a reason, and appears once.
+``src/repro``, gives a reason, and appears once. No reason is "test
+oracle": a literal or checking version a test compares with lives under
+``tests/`` (``nametree/fig5_oracle.py``, ``nametree/fig6_oracle.py``,
+``protocol_trace.py``), not in the system.
 """
 
 from collections import Counter
@@ -29,3 +32,9 @@ def test_every_line_gives_a_reason():
 def test_no_function_is_listed_twice():
     counts = Counter(name for _number, name, _reason in read_allowlist())
     assert [name for name, count in counts.items() if count > 1] == []
+
+
+def test_no_test_oracle_ships_in_src():
+    oracles = [f"line {number}: {name}" for number, name, reason in read_allowlist()
+               if reason.startswith("test oracle")]
+    assert oracles == []

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.experiments import InsDomain
-from repro.tools import ProtocolTrace, TraceOverflow
 
 from ..conftest import parse
+from .protocol_trace import ProtocolTrace, TraceOverflow
 
 
 @pytest.fixture

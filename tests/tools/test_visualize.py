@@ -1,13 +1,13 @@
 """Tests for the visualization tooling."""
 
 from repro.experiments import InsDomain
-from repro.nametree import NameTree
-from repro.tools import (
+from repro.experiments.visualize import (
     domain_report,
     render_name_tree,
     render_overlay,
     resolver_report,
 )
+from repro.nametree import NameTree
 
 from ..conftest import OVAL_OFFICE_CAMERA, make_record, parse
 

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import NO_PARENT, Span, well_formed_traces
+from repro.obs import NO_PARENT, Span
 from repro.xp import default_suite, run_spec
+
+from ..conftest import well_formed_traces
 
 RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 

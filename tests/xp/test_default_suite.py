@@ -8,8 +8,8 @@ The figures whose shape ``tests/experiments/`` already checks (Figs. 8,
 """
 
 import math
+import statistics
 
-from repro.analysis import fit_parameters, relative_error
 from repro.xp import default_suite, run_spec
 
 SUITE = default_suite()
@@ -78,19 +78,21 @@ def test_slower_soft_state_clocks_are_cheaper_and_slower_to_heal():
 def test_lookup_time_tracks_the_t_d_model():
     # Each depth is a few ms of wall clock: one sample is at the mercy
     # of whatever else the host (or a garbage collection over a long
-    # test session) is doing, so the best of five runs of the spec
-    # stands for each depth (same seed, same trees, same queries), and
-    # the model is fitted to those.
+    # test session) is doing, so five runs of the spec are taken (same
+    # seed, same trees, same queries). Each run fits the model to its
+    # own rows and stores the prediction on each one.
     spec = SUITE["lookup-model-check"]
     runs = [run_spec(spec, timing=True).baseline.details["rows"] for _ in range(5)]
-    rows = [min(depth, key=lambda row: row.measured_us) for depth in zip(*runs)]
-    n_a = 2  # the driver's attributes_per_level, which the spec keeps
-    fit = fit_parameters([(row.depth, n_a, row.measured_us) for row in rows])
+    depths = list(zip(*runs))
+    best = [min(row.measured_us for row in rows) for rows in depths]
     # Growth is super-linear in d (the n_a^d term).
-    assert rows[-1].measured_us > 3 * rows[0].measured_us
-    # The fitted model tracks the deeper measurements well.
-    for row in rows[1:]:
-        assert relative_error(fit.predict(row.depth, n_a), row.measured_us) < 0.5
+    assert best[-1] > 3 * best[0]
+    # The fitted model tracks the deeper measurements well: in the
+    # median run, each deeper depth's relative error is under one half.
+    for rows in depths[1:]:
+        assert statistics.median(
+            abs(row.predicted_us - row.measured_us) / row.measured_us for row in rows
+        ) < 0.5
 
 
 def test_packet_cache_shields_the_origin():
