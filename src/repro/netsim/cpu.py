@@ -60,9 +60,12 @@ class Cpu:
         of the event it runs in.
 
         The accounting is :meth:`execute`'s. When nothing is due by the
-        work's completion, the heap would pop the callback straight
-        back, so the clock moves there and it is fired in place — still
-        one event. Otherwise it is scheduled, as :meth:`execute` does.
+        work's completion (:meth:`Simulator.nothing_due_by`), the queue
+        would pop the callback straight back, so the clock moves there
+        and it is fired in place: counted and profiled as the event it
+        stands for, sequence number included, so every later entry is
+        keyed exactly as if this one had been scheduled. Otherwise it is
+        scheduled, as :meth:`execute` does.
         """
         if not cost >= 0:
             raise ValueError(f"cpu cost must be non-negative, got {cost}")
@@ -73,7 +76,12 @@ class Cpu:
         self.busy_seconds += scaled
         self.jobs_executed += 1
         if sim.nothing_due_by(finish):
-            sim.fire(finish, callback, *args)
+            sequence = next(sim._sequence)
+            sim.now = finish
+            sim._events_processed += 1
+            if sim.event_hook is not None:
+                sim.event_hook([finish, sequence, callback, args])
+            callback(*args)
         else:
             sim.at(finish, callback, *args)
         return finish

@@ -60,11 +60,13 @@ class PeriodicTimer:
             return
         # Re-armed here, not in a helper: every periodic timer of the
         # domain passes through this frame once a period.
+        # The jitter is random.uniform(-spread, spread), inline: the
+        # same float operations on the same draw, one frame fewer.
         sim = self._sim
         spread = self._spread
         delay = (
-            self.interval + sim.rng.uniform(-spread, spread) if spread
-            else self.interval
+            self.interval + (-spread + (spread + spread) * sim.rng.random())
+            if spread else self.interval
         )
         self._event = sim.at(sim.now + delay, self._fire)
 

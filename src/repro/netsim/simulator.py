@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Dict, List, Optional
 
 
 #: The slots of an event: the heap holds each one as the plain list
@@ -23,6 +23,18 @@ TIME, SEQUENCE, CALLBACK, ARGS = 0, 1, 2, 3
 
 #: ``Simulator._until`` / ``_budget_end`` while no bounded run is in progress
 _UNBOUNDED = float("inf")
+
+#: Seconds of virtual time per far bucket (see :class:`Simulator`). A
+#: power of two, so that ``time / BUCKET_WIDTH`` and ``k * BUCKET_WIDTH``
+#: are exact and a time is below bucket ``k + 1``'s start exactly when
+#: its bucket index is at most ``k``.
+BUCKET_WIDTH = 1.0
+
+#: Every time from ``_LAST_BUCKET * BUCKET_WIDTH`` on, infinity included,
+#: shares this one bucket: the index stays an exact float product (and
+#: ``int(inf)`` would raise).
+_LAST_BUCKET = 2 ** 52
+_LAST_TIME = _LAST_BUCKET * BUCKET_WIDTH
 
 
 def cancel(event: list) -> None:
@@ -37,12 +49,30 @@ class Simulator:
     The RNG is owned by the simulator so every random decision in an
     experiment (loss, workload generation, jitter) derives from one
     seed, making whole-system runs reproducible.
+
+    The queue has two tiers. Events before ``_horizon`` are on a small
+    binary heap, ``_queue``; later ones are appended, unsorted, to the
+    far bucket ``int(time / BUCKET_WIDTH)`` (a calendar queue, R. Brown,
+    CACM 31(10), 1988). When the heap runs empty, the earliest bucket is
+    heapified into it and the horizon moves to that bucket's end. The
+    bucket index never decreases as time grows and every far event lies
+    at or past the horizon, so each heap entry precedes each far one in
+    ``(time, sequence)`` order and the firings are exactly a single
+    heap's. What it saves: the refresh timers a domain parks seconds or
+    hours ahead no longer sit under every push and pop of the heap.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
+        #: the near tier: a heap of every event before ``_horizon``
         self._queue: List[list] = []
+        self._horizon = BUCKET_WIDTH
+        #: the far tier: bucket index -> its events in push order, the
+        #: indices on a heap of their own, and how many events they hold
+        self._far: Dict[int, List[list]] = {}
+        self._far_buckets: List[int] = []
+        self._far_count = 0
         self._sequence = itertools.count()
         self._events_processed = 0
         #: The ``run()`` in progress stops past ``_until`` and returns
@@ -74,8 +104,33 @@ class Simulator:
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
         event = [time, next(self._sequence), callback, args]
-        heappush(self._queue, event)
+        if time < self._horizon:
+            heappush(self._queue, event)
+            return event
+        bucket = int(time / BUCKET_WIDTH) if time < _LAST_TIME else _LAST_BUCKET
+        parked = self._far.get(bucket)
+        if parked is None:
+            self._far[bucket] = [event]
+            heappush(self._far_buckets, bucket)
+        else:
+            parked.append(event)
+        self._far_count += 1
         return event
+
+    def _refill(self) -> bool:
+        """Move the earliest far bucket onto the empty near heap; False
+        when there is none. Called wherever the head is read."""
+        if not self._far_buckets:
+            return False
+        bucket = heappop(self._far_buckets)
+        events = self._far.pop(bucket)
+        self._far_count -= len(events)
+        heapify(events)
+        self._queue += events
+        self._horizon = (
+            (bucket + 1) * BUCKET_WIDTH if bucket < _LAST_BUCKET else _UNBOUNDED
+        )
+        return True
 
     # ------------------------------------------------------------------
     # Firing in place
@@ -86,32 +141,22 @@ class Simulator:
 
         An entry pushed now gets the highest sequence number, so every
         queued entry due by ``time`` — live or cancelled — goes first;
-        if the head of the heap is later there is none, and a caller in
-        tail position may :meth:`fire` the callback in place with the
-        same ``(time, sequence)`` firing order as scheduling it. It
-        must also be an event of the ``run()`` in progress: ``time``
-        within its ``until`` and its ``max_events`` budget not spent.
-        A NaN ``time`` answers False.
+        if the head of the queue is later there is none, and a caller in
+        tail position may fire the callback in place (as
+        :meth:`Cpu.execute_last <repro.netsim.cpu.Cpu.execute_last>`
+        does) with the same ``(time, sequence)`` firing order as
+        scheduling it. It must also be an event of the ``run()`` in
+        progress: ``time`` within its ``until`` and its ``max_events``
+        budget not spent. A NaN ``time`` answers False.
         """
         queue = self._queue
+        if not queue:
+            self._refill()
         return (
             (not queue or queue[0][TIME] > time)
             and time <= self._until
             and self._events_processed < self._budget_end
         )
-
-    def fire(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Move the clock to ``time`` and run ``callback(*args)``,
-        counted and profiled as the fired event it stands for —
-        sequence number included, so every later entry is keyed exactly
-        as if this one had been scheduled. Only valid in tail position
-        while :meth:`nothing_due_by` ``(time)`` holds."""
-        sequence = next(self._sequence)
-        self.now = time
-        self._events_processed += 1
-        if self.event_hook is not None:
-            self.event_hook([time, sequence, callback, args])
-        callback(*args)
 
     # ------------------------------------------------------------------
     # Execution
@@ -127,7 +172,7 @@ class Simulator:
         the completion either way.
         """
         queue = self._queue
-        while queue:
+        while queue or self._refill():
             event = heappop(queue)
             callback = event[CALLBACK]
             if callback is None:
@@ -165,7 +210,7 @@ class Simulator:
             else self._events_processed + max_events
         )
         try:
-            while queue:
+            while queue or self._refill():
                 head = queue[0]
                 if head[CALLBACK] is None:
                     pop(queue)
@@ -183,6 +228,8 @@ class Simulator:
                 # Exact equality is the batching criterion: only events whose
                 # float timestamp is bit-identical share a clock assignment; a
                 # near-equal time is a later instant and starts its own batch.
+                # (A batch at infinity can continue from a refill: the outer
+                # loop starts it again at the same time.)
                 while queue and queue[0][TIME] == batch_time:
                     if self._events_processed >= budget_end:
                         return
@@ -210,8 +257,9 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Events still queued (including cancelled tombstones)."""
-        return len(self._queue)
+        """Events still queued, near and far (including cancelled
+        tombstones)."""
+        return len(self._queue) + self._far_count
 
     def __repr__(self) -> str:
         return f"Simulator(now={self.now:.6f}, pending={self.pending_events})"

@@ -291,7 +291,9 @@ class Custodian:
             if self.store.release(entry):
                 inr.stats.custody_released += 1
                 self._span(entry, "custody-released")
-                inr.dataplane.handle_data(DataPacket(raw=entry.raw), inr.address)
+                inr.dataplane.handle_data(
+                    DataPacket(raw=entry.raw), inr.address, last=False
+                )
 
     def restore(self, held: Sequence[CustodyEntry]) -> None:
         """Put back what the store held when its resolver crashed, in

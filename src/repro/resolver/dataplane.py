@@ -177,7 +177,12 @@ class DataPlane:
             table[text] = name
         return name
 
-    def handle_data(self, packet: DataPacket, source: str) -> None:
+    def handle_data(self, packet: DataPacket, source: str, last: bool = True) -> None:
+        """One data-plane hop: decode, open the hop span, charge the
+        lookup and route. Dispatched as the last act of the packet's
+        arrival, so the lookup's job may complete in place; custody's
+        release loop, which hands over several packets in one event,
+        passes ``last=False`` and the job is scheduled."""
         inr = self.inr
         try:
             message = packet.decode(self.name_of)
@@ -196,7 +201,9 @@ class DataPlane:
             return
         inr.stats.lookups += 1
         # Charge one LOOKUP-NAME per packet per INR, then route.
-        inr.work(inr.costs.lookup, self._route, tree, packet, source, span)
+        (inr.work_last if last else inr.work)(
+            inr.costs.lookup, self._route, tree, packet, source, span
+        )
 
     def _route(
         self, tree: NameTree, packet: DataPacket, source: str, span=None
@@ -256,23 +263,26 @@ class DataPlane:
         ]
         bindings.sort(key=lambda b: (b["metric"], b["host"], b["port"]))
         inr.stats.queries_served += 1
+        inr.span_end(span, "early-binding")
         self._reply(
             message, message.destination,
             json.dumps({"bindings": bindings}).encode("utf-8"),
         )
-        inr.span_end(span, "early-binding")
 
     def _answer_from_cache(
         self, message: InsMessage, entry, span=None
     ) -> None:
         """Reply to a request directly from the packet cache."""
         self.inr.stats.packets_answered_from_cache += 1
-        self._reply(message, entry.name, entry.data)
         self.inr.span_end(span, "cache-hit")
+        self._reply(message, entry.name, entry.data)
 
     def _reply(self, request: InsMessage, source: NameSpecifier, data: bytes) -> None:
         """Answer ``request`` in band: a late-binding anycast to the
-        requester's own intentional name, routed like any other packet."""
+        requester's own intentional name, routed like any other packet.
+        The last act of its caller's event, as a dispatched arrival is:
+        the reply's hop may run in place, past this instant, so the
+        answering span has ended already."""
         reply = InsMessage(
             destination=request.source,
             source=source,
@@ -291,8 +301,9 @@ class DataPlane:
     ) -> None:
         inr = self.inr
         best = best_route(records)
+        # The route's job is the last act of this hop's event.
         if best.route.is_local:
-            self._deliver_local(tree, packet, best, span)
+            self._deliver_local(tree, packet, best, span, last=True)
             return
         if inr.custodian.next_hop_suspect(best.route.next_hop):
             # The route exists but its next hop has gone silent —
@@ -300,7 +311,7 @@ class DataPlane:
             # before the neighbor timeout flushes the route.
             if inr.custodian.take(tree.vspace, packet, "next-hop-suspect", span):
                 return
-        self._forward_to_inr(packet, best.route.next_hop, span)
+        self._forward_to_inr(packet, best.route.next_hop, span, last=True)
 
     def _route_multicast(
         self,
@@ -327,7 +338,8 @@ class DataPlane:
             self._forward_to_inr(packet, next_hop, span)
 
     def _deliver_local(
-        self, tree: NameTree, packet: DataPacket, record, span=None
+        self, tree: NameTree, packet: DataPacket, record, span=None,
+        last: bool = False,
     ) -> None:
         inr = self.inr
         if not record.endpoints:
@@ -336,13 +348,13 @@ class DataPlane:
             return
         endpoint = record.endpoints[0]
         inr.stats.packets_delivered_locally += 1
-        inr.work(
+        (inr.work_last if last else inr.work)(
             inr.costs.local_delivery(len(tree)),
             self._send, endpoint.host, endpoint.port, packet, span, "delivered",
         )
 
     def _forward_to_inr(
-        self, packet: DataPacket, next_hop: str, span=None
+        self, packet: DataPacket, next_hop: str, span=None, last: bool = False
     ) -> None:
         inr = self.inr
         message = packet.message
@@ -356,7 +368,7 @@ class DataPlane:
             raw=message.forwarded_frame(None if span is None else span.context)
         )
         inr.stats.packets_forwarded += 1
-        inr.work(
+        (inr.work_last if last else inr.work)(
             inr.costs.forward, self._send, next_hop, INR_PORT, forwarded, span,
             "forwarded",
         )

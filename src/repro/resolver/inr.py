@@ -295,6 +295,13 @@ class INR(Process):
         """Charge ``cost`` CPU seconds, then run ``continuation(*args)``."""
         self.node.cpu.execute(cost, continuation, *args)
 
+    def work_last(self, cost: float, continuation: Callable[..., None], *args) -> None:
+        """:meth:`work` as the last act of the running event: the
+        continuation may run in place at the work's completion
+        (``Cpu.execute_last``). Nothing after the call may read the
+        clock or the state the continuation changes."""
+        self.node.cpu.execute_last(cost, continuation, *args)
+
     def span_start(self, name: str, context, **tags):
         """Open a hop span joining ``context``'s trace.
 

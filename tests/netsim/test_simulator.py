@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim import ARGS, CALLBACK, SEQUENCE, TIME, Simulator, cancel
+from repro.netsim import ARGS, CALLBACK, SEQUENCE, TIME, Cpu, Simulator, cancel
 
 
 class TestScheduling:
@@ -112,7 +112,8 @@ class TestBoundedRuns:
 
 
 class TestFiringInPlace:
-    """``nothing_due_by`` is the whole test; ``fire`` the whole effect."""
+    """``nothing_due_by`` is the whole test; ``Cpu.execute_last`` firing
+    in place the whole effect."""
 
     def test_nothing_is_due_on_an_empty_or_later_heap(self):
         sim = Simulator()
@@ -158,7 +159,7 @@ class TestFiringInPlace:
         sim.event_hook = seen.append
         first = sim.at(3.0, lambda: None)
         sim.run(until=1.0)
-        sim.fire(1.5, fired.append, "in place")
+        Cpu(sim).execute_last(0.5, fired.append, "in place")
         after = sim.at(3.0, lambda: None)
         assert fired == ["in place"] and sim.now == 1.5
         assert sim.events_processed == 1
@@ -168,6 +169,43 @@ class TestFiringInPlace:
         )
         # it took the sequence number scheduling would have taken
         assert (first[SEQUENCE], event[SEQUENCE], after[SEQUENCE]) == (0, 1, 2)
+
+
+class TestExtremeTimes:
+    """Times far past any run, infinity included, are accepted (only NaN
+    and the past are refused) and queue behind every finite event."""
+
+    TIMES = (float("inf"), 1e300, 2.0 ** 60, 1e15, 1e9)
+
+    def test_extreme_times_sort_after_every_finite_event(self):
+        sim = Simulator()
+        fired = []
+        for time in self.TIMES:
+            sim.at(time, fired.append, time)
+        sim.at(1e15, fired.append, "second at 1e15")
+        sim.at(3.5, fired.append, 3.5)
+        assert sim.pending_events == 7
+        while sim.step():
+            pass
+        assert fired == [3.5, 1e9, 1e15, "second at 1e15", 2.0 ** 60, 1e300,
+                         float("inf")]
+        assert sim.now == float("inf")
+
+    def test_extreme_times_stay_queued_under_a_bounded_run(self):
+        sim = Simulator()
+        fired = []
+        for time in self.TIMES:
+            sim.at(time, fired.append, time)
+        sim.run(until=1e9 - 1)
+        sim.run(until=1e12)
+        assert fired == [1e9] and sim.now == 1e12
+        assert sim.pending_events == len(self.TIMES) - 1
+        # infinity is a time like any other: only an unbounded run reaches it
+        sim.run(until=1e300)
+        sim.at(float("inf"), fired.append, "last")
+        assert fired == [1e9, 1e15, 2.0 ** 60, 1e300] and sim.pending_events == 2
+        sim.run()
+        assert fired[-2:] == [float("inf"), "last"] and sim.pending_events == 0
 
 
 class TestDeterminism:

@@ -37,12 +37,6 @@ class TraceEvent:
     size: int
     payload: Any = None
 
-    def __str__(self) -> str:
-        return (
-            f"{self.time:9.4f}s  {self.source} -> {self.destination}:{self.port}"
-            f"  {self.kind} ({self.size}B)"
-        )
-
 
 class ProtocolTrace:
     """Records datagrams passing through one network.
@@ -91,18 +85,6 @@ class ProtocolTrace:
         network.send = traced_send  # type: ignore[method-assign]
         return self
 
-    def detach(self) -> None:
-        if self._network is not None and self._original_send is not None:
-            self._network.send = self._original_send  # type: ignore[method-assign]
-        self._network = None
-        self._original_send = None
-
-    def __enter__(self) -> "ProtocolTrace":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.detach()
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -136,32 +118,3 @@ class ProtocolTrace:
     def since(self, time: float, allow_dropped: bool = False) -> List[TraceEvent]:
         self._complete(allow_dropped)
         return [event for event in self.events if event.time >= time]
-
-    def count(self, kind: Optional[str] = None, allow_dropped: bool = False) -> int:
-        self._complete(allow_dropped)
-        if kind is None:
-            return len(self.events)
-        return len(self.of_kind(kind, allow_dropped=allow_dropped))
-
-    def total_bytes(
-        self, kind: Optional[str] = None, allow_dropped: bool = False
-    ) -> int:
-        self._complete(allow_dropped)
-        events = (
-            self.events
-            if kind is None
-            else self.of_kind(kind, allow_dropped=allow_dropped)
-        )
-        return sum(event.size for event in events)
-
-    def render(self, limit: int = 50) -> str:
-        """The last ``limit`` stored events, one per line. Never raises:
-        a truncated trace renders with an explicit overflow note."""
-        tail = self.events[-limit:]
-        lines = [str(event) for event in tail]
-        if self.dropped:
-            lines.append(
-                f"... trace overflowed: {self.dropped} further event(s) "
-                "not recorded ..."
-            )
-        return "\n".join(lines)
