@@ -200,7 +200,9 @@ class NameTree:
         after a message's own endpoints), carries the grafted name
         object, and ``next_hop`` and ``route_metric`` — the receiver's
         own terms — equal the stored route. This is the one statement
-        of that rule; :meth:`refresh` runs it first, on a live record.
+        of that rule; the resolver asks it first, of the live record
+        ``record_for`` found, and calls :meth:`refresh` only when it
+        answers False.
         """
         route = record.route
         if (
@@ -251,17 +253,12 @@ class NameTree:
         at graft time.
 
         ``message`` is the ``Advertisement`` or ``NameUpdate`` the
-        fields were read from, when there is one. Offered with its own
-        endpoints tuple, it is first tried by :meth:`rehear`.
+        fields were read from, when there is one; the caller has already
+        offered it to :meth:`rehear`. Offered with its own endpoints
+        tuple, it is stored as ``heard`` for the next one to recognise.
         """
         if record.expires_at <= self._clock():
             return None
-        if (
-            message is not None
-            and endpoints is message.endpoints
-            and self.rehear(record, message, next_hop, route_metric, expires_at)
-        ):
-            return False
         grafted = record.advertised_name
         if name is not grafted and name.canonical_key() != grafted.canonical_key():
             return None

@@ -6,13 +6,15 @@ What the two-phase handoff promises must hold on every seed: the crash
 fires, no record is lost, exactly one resolver ends up authoritative,
 no invariant breaks and the handoff window keeps serving; single-shot
 loses records and orphans the vspace every time; and a seed reproduces
-itself."""
+itself under ``tests/literal.py``'s ``literal_domain()``: the second
+run of each spec takes every reference arm at once and must equal the
+first exactly, report and datagrams."""
 
 import pytest
 
-from repro.xp import ExperimentSpec, run_spec
+from repro.xp import ExperimentSpec
 
-from ..conftest import arm_fingerprints
+from ..literal import check_spec
 
 #: The spec's crash at 20 bulk records instead of 24 and 7 s of traffic
 #: instead of 14, which keeps the runs near three seconds. At 16
@@ -26,7 +28,7 @@ def test_two_phase_survives_a_recipient_crash_across_seeds(seed):
     spec = ExperimentSpec(
         name="delegation-sweep", workload="delegation", seed=seed, params=SCALE
     )
-    run = run_spec(spec)
+    run = check_spec(spec)
     two_phase = run.baseline.details["report"]
     assert two_phase.crash_at > 0.0
     assert two_phase.lost_records == 0
@@ -37,5 +39,3 @@ def test_two_phase_survives_a_recipient_crash_across_seeds(seed):
     single_shot = run.ablations["delegation_two_phase"].details["report"]
     assert single_shot.lost_records > 0
     assert "single-vspace-authority" in single_shot.converged_violations
-
-    assert arm_fingerprints(run_spec(spec)) == arm_fingerprints(run)

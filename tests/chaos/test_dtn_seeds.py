@@ -2,13 +2,16 @@
 on vs off. What the custody store promises must hold on every one of
 them: it never delivers less than dropping at no route, every payload
 it accepted is released, lapsed or evicted, the post-heal invariants
-hold in both runs, and a seed reproduces itself."""
+hold in both runs, and a seed reproduces itself under
+``tests/literal.py``'s ``literal_domain()``: the second run of each
+spec takes every reference arm at once and must equal the first
+exactly, report and datagrams."""
 
 import pytest
 
-from repro.xp import ExperimentSpec, run_spec
+from repro.xp import ExperimentSpec
 
-from ..conftest import arm_fingerprints
+from ..literal import check_spec
 
 SCALE = {"disruption": 8.0, "duty_window": 8.0}
 
@@ -23,7 +26,7 @@ def test_custody_holds_across_seeds(seed):
         params=SCALE,
         ablations=("custody",),
     )
-    run = run_spec(spec)
+    run = check_spec(spec)
     on = run.baseline.details["report"]
     off = run.ablations["custody"].details["report"]
     assert on.messages_sent == off.messages_sent > 0
@@ -32,4 +35,3 @@ def test_custody_holds_across_seeds(seed):
         on.custody_released + on.drops_custody_expired + on.drops_custody_evicted
     )
     assert on.converged_violations == () == off.converged_violations
-    assert arm_fingerprints(run_spec(spec)) == arm_fingerprints(run)

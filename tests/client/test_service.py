@@ -6,7 +6,7 @@ from repro.experiments import InsDomain
 from repro.naming import WildcardValueError
 
 from ..conftest import parse
-from ..tools.protocol_trace import ProtocolTrace
+from ..protocol_trace import ProtocolTrace
 
 
 class TestAdvertising:

@@ -8,8 +8,9 @@ histories through both forms and through a literal model of the rule
 ``insert`` carried before the entry point existed (compare every
 payload field, overwrite them all), and wants the same verdicts, record
 fields, epochs and lookups — also when the very message object is
-offered again (which ``refresh`` hands to ``rehear`` instead of
-comparing) and when a lifetime shrinks (which the
+offered again (which the resolver offers to ``rehear`` first, and to
+``refresh`` only when it is not recognised) and when a lifetime
+shrinks (which the
 bound that lets ``expire`` skip its scan must follow; the model's scan
 of every deadline is the oracle for what a sweep collects).
 """
@@ -92,7 +93,15 @@ def _record(announcer, endpoints, metric, next_hop, route_metric, expires_at,
 
 
 def _via_refresh(tree, name, announcer, *fields):
+    """The resolver's order: a message offered with its own endpoints
+    is first tried by ``rehear``, then ``refresh``, then a graft."""
+    endpoints, _metric, next_hop, route_metric, expires_at, message = fields
     record = tree.record_for(announcer)
+    if (
+        record is not None and endpoints is message.endpoints
+        and tree.rehear(record, message, next_hop, route_metric, expires_at)
+    ):
+        return False
     news = None if record is None else tree.refresh(record, name, *fields)
     if news is None:
         news = tree.insert(name, _record(announcer, *fields)).changed
@@ -209,7 +218,7 @@ class TestRefreshEntryPoint:
         tree.insert(name, record)
         return name, record
 
-    def _refresh(self, tree, name, record, **override):
+    def _fields(self, record, **override):
         fields = {
             "endpoints": tuple(record.endpoints),
             "anycast_metric": record.anycast_metric,
@@ -218,7 +227,10 @@ class TestRefreshEntryPoint:
             "expires_at": record.expires_at,
         }
         fields.update(override)
-        return tree.refresh(record, name, **fields)
+        return fields
+
+    def _refresh(self, tree, name, record, **override):
+        return tree.refresh(record, name, **self._fields(record, **override))
 
     def test_pure_refresh_moves_only_the_expiry(self, tree):
         name, record = self._grafted(tree, expires_at=10.0)
@@ -275,9 +287,16 @@ class TestRefreshEntryPoint:
         name, record = self._grafted(tree, expires_at=10.0)
         message = Message(name, tuple(record.endpoints), record.anycast_metric)
 
-        def hear(**override):
-            override.setdefault("endpoints", message.endpoints)
-            return self._refresh(tree, name, record, message=message, **override)
+        def hear(heard=message, **override):
+            # The resolver's order: rehear first, refresh when it declines.
+            override.setdefault("endpoints", heard.endpoints)
+            fields = self._fields(record, **override)
+            if fields["endpoints"] is heard.endpoints and tree.rehear(
+                record, heard, fields["next_hop"], fields["route_metric"],
+                fields["expires_at"],
+            ):
+                return False
+            return tree.refresh(record, name, message=heard, **fields)
 
         with stores_to(NameRecord, "heard") as compared:
             assert hear() is False and compared == [record]   # compared, remembered
@@ -301,9 +320,7 @@ class TestRefreshEntryPoint:
             assert hear() is False and compared == []
             # ...and so is any other object, however equal,
             twin = Message(*message)
-            assert self._refresh(
-                tree, name, record, endpoints=twin.endpoints, message=twin
-            ) is False
+            assert hear(twin) is False
             assert compared == [record] and record.heard is twin
 
     def test_every_payload_store_drops_the_kept_update(self, tree):

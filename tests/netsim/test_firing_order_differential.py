@@ -5,15 +5,16 @@
 lookup's job and the delivery or forwarding job it routes to): the clock
 moves to the job's completion and the callback fires there when
 ``Simulator.nothing_due_by(finish)`` says the queue would pop it next
-anyway. The oracle here is the behaviour that rule replaced:
-``nothing_due_by`` overridden to answer False, so every handler takes
-its trip through the heap. Seeded small domains are run under both and
-must agree on every firing — ``(virtual time, sequence number,
-callback)`` — and on everything the firings leave behind.
+anyway. Seeded small domains are run as shipped and under
+``tests/literal.py``'s ``literal_domain()`` — among its arms the
+behaviour that rule replaced, ``nothing_due_by`` answering False so
+every handler takes its trip through the queue — and must agree on
+every firing — ``(virtual time, sequence number, callback)`` — and on
+everything the firings leave behind.
 
-The override exists only in this file; ``src/`` has one delivery rule
-and no switch. Tier-1 runs a few seeds of each driving mode;
-``check_seeds`` is what the CI ``test`` job calls with a wide range.
+``src/`` has one delivery rule and no switch. Tier-1 runs a few seeds
+of each driving mode; ``check_seeds`` is what the CI ``test`` job calls
+with a wide range.
 """
 
 import random
@@ -26,6 +27,7 @@ from repro.netsim import CALLBACK, SEQUENCE, TIME, Process, Simulator, cancel
 from repro.resolver import CostModel
 
 from ..conftest import parse
+from ..literal import ARMS, domain_state, literal_domain, unfired
 
 #: INR operations that cost nothing: its handlers become in-place
 #: candidates as well (clients, services and the DSR always are).
@@ -38,14 +40,15 @@ QUERIES = (
     "[service=camera][room=512]", "[service=nobody]",
 )
 
+VERDICTS = ("free", "costed", "scheduled", "delivery", "data-plane")
+
 
 @contextmanager
-def delivery_rule(always_schedule: bool, tally: dict):
-    """Run the shipped rule (counting its verdicts into ``tally``: in
-    place at this instant, in place at a later completion, scheduled;
-    and the in-place ones again by caller, a datagram's delivery or a
-    data-plane hop) or the oracle that answers "something is due"
-    every time."""
+def verdicts_counted(tally: dict):
+    """Count the shipped rule's verdicts into ``tally``: in place at
+    this instant, in place at a later completion, scheduled; and the
+    in-place ones again by caller, a datagram's delivery or a
+    data-plane hop."""
     shipped = Simulator.nothing_due_by
 
     def counted(sim, time):
@@ -60,9 +63,7 @@ def delivery_rule(always_schedule: bool, tally: dict):
             tally["data-plane" if hop else "delivery"] += 1
         return verdict
 
-    Simulator.nothing_due_by = (
-        (lambda sim, time: False) if always_schedule else counted
-    )
+    Simulator.nothing_due_by = counted
     try:
         yield
     finally:
@@ -131,171 +132,161 @@ def _collisions(domain, probe, shape, splits):
     return burst
 
 
-def run_scenario(seed: int, mode: str, always_schedule: bool, tally: dict) -> dict:
+def run_scenario(seed: int, mode: str) -> dict:
     """One seeded domain, driven to the end; everything observable."""
-    with delivery_rule(always_schedule, tally):
-        shape = random.Random(seed)
-        domain = InsDomain(seed=seed)
-        sim, network = domain.sim, domain.network
-        firings = []
-        sim.event_hook = lambda event: firings.append(
-            (event[TIME], event[SEQUENCE], _label(event[CALLBACK]))
+    shape = random.Random(seed)
+    domain = InsDomain(seed=seed)
+    sim, network = domain.sim, domain.network
+    firings = []
+    sim.event_hook = lambda event: firings.append(
+        (event[TIME], event[SEQUENCE], _label(event[CALLBACK]))
+    )
+
+    inrs = [
+        domain.add_inr(
+            address=f"inr-{i}", costs=FREE if shape.random() < 0.4 else None,
+            cpu_speed=shape.choice((1.0, 1.0, 0.5, 3.0)),
         )
-
-        inrs = [
-            domain.add_inr(
-                address=f"inr-{i}", costs=FREE if shape.random() < 0.4 else None,
-                cpu_speed=shape.choice((1.0, 1.0, 0.5, 3.0)),
+        for i in range(shape.randint(1, 3))
+    ]
+    inboxes = []
+    for i in range(shape.randint(2, 5)):
+        resolver = shape.choice(inrs)
+        service = domain.add_service(
+            f"[service={shape.choice(KINDS)}[id={i}]][room={shape.choice(ROOMS)}]",
+            # now and then on its resolver's own node: a zero-cost
+            # receiver behind a CPU that is busy with resolver work
+            address=resolver.address if shape.random() < 0.3 else None,
+            resolver=resolver, metric=float(shape.randint(0, 3)),
+        )
+        inbox = []
+        service.on_message(
+            lambda message, source, inbox=inbox: inbox.append(
+                (sim.now, message.data, source)
             )
-            for i in range(shape.randint(1, 3))
-        ]
-        inboxes = []
-        for i in range(shape.randint(2, 5)):
-            resolver = shape.choice(inrs)
-            service = domain.add_service(
-                f"[service={shape.choice(KINDS)}[id={i}]][room={shape.choice(ROOMS)}]",
-                # now and then on its resolver's own node: a zero-cost
-                # receiver behind a CPU that is busy with resolver work
-                address=resolver.address if shape.random() < 0.3 else None,
-                resolver=resolver, metric=float(shape.randint(0, 3)),
+        )
+        inboxes.append(inbox)
+    clients = [
+        domain.add_client(resolver=shape.choice(inrs))
+        for _ in range(shape.randint(2, 3))
+    ]
+    for client in clients:
+        if shape.random() < 0.6:
+            network.configure_link(
+                client.address, client.resolver or inrs[0].address,
+                loss_rate=shape.choice((0.0, 0.1, 0.3)),
+                duplicate_rate=shape.choice((0.0, 0.3)),
+                reorder_rate=shape.choice((0.0, 0.3)),
             )
-            inbox = []
-            service.on_message(
-                lambda message, source, inbox=inbox: inbox.append(
-                    (sim.now, message.data, source)
-                )
-            )
-            inboxes.append(inbox)
-        clients = [
-            domain.add_client(resolver=shape.choice(inrs))
-            for _ in range(shape.randint(2, 3))
-        ]
-        for client in clients:
-            if shape.random() < 0.6:
-                network.configure_link(
-                    client.address, client.resolver or inrs[0].address,
-                    loss_rate=shape.choice((0.0, 0.1, 0.3)),
-                    duplicate_rate=shape.choice((0.0, 0.3)),
-                    reorder_rate=shape.choice((0.0, 0.3)),
-                )
-        network.add_node("sink", cpu_speed=shape.choice((1.0, 0.5, 3.0)))
-        for name in ("src-1", "src-2", "src-3"):
-            network.add_node(name)
-        probe = Probe(network.node("sink"), 7, shape.choice((0.0, 0.001, 0.003)))
-        domain.run(2.0)
+    network.add_node("sink", cpu_speed=shape.choice((1.0, 0.5, 3.0)))
+    for name in ("src-1", "src-2", "src-3"):
+        network.add_node(name)
+    probe = Probe(network.node("sink"), 7, shape.choice((0.0, 0.001, 0.003)))
+    domain.run(2.0)
 
-        replies = []
+    replies = []
 
-        def issue(kind, client, text):
-            name = parse(text)
-            if kind == "resolve":
-                replies.append(client.resolve_early(name))
-            elif kind == "discover":
-                replies.append(client.discover(name))
-            elif client.resolver is None:
-                pass  # mid-failover on a lossy link: a late-binding send would raise
-            elif kind == "anycast":
-                client.send_anycast(name, b"a" * shape.randint(0, 300))
-            else:
-                client.send_multicast(name, b"m" * shape.randint(0, 300))
-
-        start = sim.now
-        for _ in range(shape.randint(10, 30)):
-            # a millisecond grid, so that ops of several clients collide
-            at = start + shape.randint(0, 1500) / 1000.0
-            kind = shape.choice(("resolve", "resolve", "discover", "anycast", "multicast"))
-            sim.at(at, issue, kind, shape.choice(clients), shape.choice(QUERIES))
-        splits = []
-        bursts = sorted(start + shape.randint(0, 1500) / 1000.0 for _ in range(2))
-        for at in bursts:
-            sim.at(at, _collisions(domain, probe, shape, splits))
-
-        end = start + 12.0  # past every retry of a lossy link
-        marks = []
-        if mode == "run":
-            # each run() stops at a burst, then between an arrival and
-            # its job's completion — where the clock and the count must
-            # stop too — then goes on to the end
-            for at in bursts:
-                sim.run(until=at)
-                for split in sorted(splits):
-                    sim.run(until=split)
-                    marks.append((sim.now, sim.events_processed))
-                del splits[:]
-            sim.run(until=end)
-        elif mode == "step":
-            # one event at a time (plus what it fires in place) while any
-            # request is open, then the rest in batches. A step that
-            # fires a job in place ends at its completion: what a caller
-            # sees at a step's end is each reply settling, at the
-            # instant it settled.
-            settled = 0
-            while sim.now < start + 1.5 or settled < len(replies):
-                if not sim.step() or sim.now >= end:
-                    break
-                now_settled = sum(reply.settled for reply in replies)
-                if now_settled != settled:
-                    settled = now_settled
-                    marks.append((settled, sim.now))
-            sim.run(until=end)
+    def issue(kind, client, text):
+        name = parse(text)
+        if kind == "resolve":
+            replies.append(client.resolve_early(name))
+        elif kind == "discover":
+            replies.append(client.discover(name))
+        elif client.resolver is None:
+            pass  # mid-failover on a lossy link: a late-binding send would raise
+        elif kind == "anycast":
+            client.send_anycast(name, b"a" * shape.randint(0, 300))
         else:
-            # each run() gets its own budget, and often spends it on an
-            # arrival whose handler must then wait for the next one
-            while sim.now < end:
-                sim.run(until=end, max_events=shape.randint(1, 7))
-                marks.append(sim.events_processed)
-            sim.run(until=end)  # a budget can run out on the last instant
+            client.send_multicast(name, b"m" * shape.randint(0, 300))
 
-        return {
-            "firings": firings,
-            "marks": marks,
-            "events_processed": sim.events_processed,
-            "pending_events": sim.pending_events,
-            "now": sim.now,
-            "next_random": sim.rng.random(),
-            "cpus": {
-                node.address: (
-                    node.cpu.jobs_executed, node.cpu.busy_seconds, node.cpu.free_at
-                )
-                for node in network.nodes
-            },
-            "links": {pair: link.stats.snapshot() for pair, link in network.links},
-            "delivered": (network.delivered, network.undeliverable),
-            "inrs": [inr.stats.snapshot() for inr in domain.inrs],
-            "clients": [client.stats.snapshot() for client in clients],
-            "replies": [
-                repr(reply.value) if reply.done else type(reply.error).__name__
-                for reply in replies
-            ],
-            "inboxes": inboxes,
-            "probe": probe.log,
-        }
+    start = sim.now
+    for _ in range(shape.randint(10, 30)):
+        # a millisecond grid, so that ops of several clients collide
+        at = start + shape.randint(0, 1500) / 1000.0
+        kind = shape.choice(("resolve", "resolve", "discover", "anycast", "multicast"))
+        sim.at(at, issue, kind, shape.choice(clients), shape.choice(QUERIES))
+    splits = []
+    bursts = sorted(start + shape.randint(0, 1500) / 1000.0 for _ in range(2))
+    for at in bursts:
+        sim.at(at, _collisions(domain, probe, shape, splits))
+
+    end = start + 12.0  # past every retry of a lossy link
+    marks = []
+    if mode == "run":
+        # each run() stops at a burst, then between an arrival and
+        # its job's completion — where the clock and the count must
+        # stop too — then goes on to the end
+        for at in bursts:
+            sim.run(until=at)
+            for split in sorted(splits):
+                sim.run(until=split)
+                marks.append((sim.now, sim.events_processed))
+            del splits[:]
+        sim.run(until=end)
+    elif mode == "step":
+        # one event at a time (plus what it fires in place) while any
+        # request is open, then the rest in batches. A step that
+        # fires a job in place ends at its completion: what a caller
+        # sees at a step's end is each reply settling, at the
+        # instant it settled.
+        settled = 0
+        while sim.now < start + 1.5 or settled < len(replies):
+            if not sim.step() or sim.now >= end:
+                break
+            now_settled = sum(reply.settled for reply in replies)
+            if now_settled != settled:
+                settled = now_settled
+                marks.append((settled, sim.now))
+        sim.run(until=end)
+    else:
+        # each run() gets its own budget, and often spends it on an
+        # arrival whose handler must then wait for the next one
+        while sim.now < end:
+            sim.run(until=end, max_events=shape.randint(1, 7))
+            marks.append(sim.events_processed)
+        sim.run(until=end)  # a budget can run out on the last instant
+
+    return {
+        "firings": firings,
+        "marks": marks,
+        "replies": [
+            repr(reply.value) if reply.done else type(reply.error).__name__
+            for reply in replies
+        ],
+        "inboxes": inboxes,
+        "probe": probe.log,
+        **domain_state(domain, clients),
+    }
 
 
 MODES = ("run", "step", "budget")
 
 
 def check_seeds(seeds) -> dict:
-    """Compare both rules on every seed; returns how often the shipped
-    rule fired a handler in place at its arrival (``free``), in place at
-    its job's later completion (``costed``), and how often it found
-    something due first (``scheduled``); the in-place firings split
-    again by caller, ``Network._deliver`` (``delivery``) or an anycast
-    data-plane hop (``data-plane``)."""
-    tally = {"free": 0, "costed": 0, "scheduled": 0, "delivery": 0, "data-plane": 0}
+    """Compare the shipped system with ``literal_domain()`` on every
+    seed; returns how often the shipped rule fired a handler in place
+    at its arrival (``free``), in place at its job's later completion
+    (``costed``), and how often it found something due first
+    (``scheduled``); the in-place firings split again by caller,
+    ``Network._deliver`` (``delivery``) or an anycast data-plane hop
+    (``data-plane``); and every literal arm's firing tally."""
+    tally = dict.fromkeys(VERDICTS + ARMS, 0)
     for seed in seeds:
         mode = MODES[seed % len(MODES)]
-        shipped = run_scenario(seed, mode, always_schedule=False, tally=tally)
-        oracle = run_scenario(seed, mode, always_schedule=True, tally=tally)
-        for key in oracle:
-            assert shipped[key] == oracle[key], (
-                f"seed {seed} ({mode}): {key} differs from the always-schedule oracle"
+        with verdicts_counted(tally):
+            shipped = run_scenario(seed, mode)
+        with literal_domain(tally):
+            literal = run_scenario(seed, mode)
+        for key in literal:
+            assert shipped[key] == literal[key], (
+                f"seed {seed} ({mode}): {key} differs from the literal domain"
             )
     return tally
 
 
 def test_reduced_seed_set_fires_as_the_always_schedule_oracle_does():
     tally = check_seeds(range(30))
+    assert not unfired(tally), tally
     # Worth running only while every verdict is being exercised.
     assert tally["free"] > 1000
     assert tally["costed"] > 300

@@ -2,13 +2,16 @@
 
 ``Simulator`` keeps the events before a horizon on a small heap and
 parks later ones, unsorted, in fixed-width time buckets that it
-heapifies one at a time as the heap runs empty. The oracle here,
-``HeapSimulator``, is the queue that replaced: one heap of every event,
-transcribed as it was. Both are driven in lockstep — by seeded random
-schedules and by the firing-order differential's seeded domains — and
-must agree, after every call, on every firing ``(time, sequence,
-callback)``, on ``events_processed``, ``pending_events`` (near, far and
-tombstones: ``netsim.peak_pending_events`` reads it) and ``now``.
+heapifies one at a time as the heap runs empty. The oracle,
+``tests/literal.py``'s ``HeapSimulator``, is the queue that replaced:
+one heap of every event, transcribed as it was. Both are driven in
+lockstep by seeded random schedules and must agree, after every call,
+on every firing ``(time, sequence, callback)``, on
+``events_processed``, ``pending_events`` (near, far and tombstones:
+``netsim.peak_pending_events`` reads it) and ``now``. The
+firing-order differential's seeded domains run as shipped and under
+``literal_domain()``, every arm at once, and must agree on the same
+after every ``run``.
 
 The schedules reach what the split could get wrong: cancels and
 tombstones, same-instant batches, ``run(until=...)`` stopping inside a
@@ -24,114 +27,16 @@ Tier-1 runs a reduced seed set; ``check_schedules`` and
 import itertools
 import math
 import random
-from contextlib import contextmanager
-from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional
+from typing import Callable, List
+
+import pytest
 
 import repro.experiments.domain as domain_module
-from repro.netsim import ARGS, CALLBACK, SEQUENCE, TIME, Cpu, Simulator, cancel
+from repro.netsim import ARGS, SEQUENCE, TIME, Cpu, Simulator, cancel
 from repro.netsim.simulator import BUCKET_WIDTH
 
-from .test_firing_order_differential import MODES, run_scenario
-
-_UNBOUNDED = float("inf")
-
-
-class HeapSimulator:
-    """The single-heap event loop, as it was before the queue had two
-    tiers: the reference the shipped ``Simulator`` is compared with.
-    It keeps the attributes ``Cpu.execute_last`` reads and writes."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self.now = 0.0
-        self.rng = random.Random(seed)
-        self._queue: List[list] = []
-        self._sequence = itertools.count()
-        self._events_processed = 0
-        self._until = self._budget_end = _UNBOUNDED
-        self.event_hook: Optional[Callable[[list], None]] = None
-
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> list:
-        if not delay >= 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.at(self.now + delay, callback, *args)
-
-    def at(self, time: float, callback: Callable[..., None], *args: Any) -> list:
-        if not time >= self.now:
-            raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self.now})"
-            )
-        event = [time, next(self._sequence), callback, args]
-        heappush(self._queue, event)
-        return event
-
-    def nothing_due_by(self, time: float) -> bool:
-        queue = self._queue
-        return (
-            (not queue or queue[0][TIME] > time)
-            and time <= self._until
-            and self._events_processed < self._budget_end
-        )
-
-    def step(self) -> bool:
-        queue = self._queue
-        while queue:
-            event = heappop(queue)
-            callback = event[CALLBACK]
-            if callback is None:
-                continue
-            self.now = event[TIME]
-            self._events_processed += 1
-            if self.event_hook is not None:
-                self.event_hook(event)
-            callback(*event[ARGS])
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        queue = self._queue
-        pop = heappop
-        self._until = bound = _UNBOUNDED if until is None else until
-        self._budget_end = budget_end = (
-            _UNBOUNDED if max_events is None
-            else self._events_processed + max_events
-        )
-        try:
-            while queue:
-                head = queue[0]
-                if head[CALLBACK] is None:
-                    pop(queue)
-                    continue
-                batch_time = head[TIME]
-                if batch_time > bound:
-                    break
-                self.now = batch_time
-                while queue and queue[0][TIME] == batch_time:
-                    if self._events_processed >= budget_end:
-                        return
-                    event = pop(queue)
-                    callback = event[CALLBACK]
-                    if callback is None:
-                        continue
-                    self._events_processed += 1
-                    if self.event_hook is not None:
-                        self.event_hook(event)
-                    callback(*event[ARGS])
-        finally:
-            self._until = self._budget_end = _UNBOUNDED
-        if until is not None:
-            self.now = max(self.now, until)
-
-    def run_for(self, duration: float) -> None:
-        self.run(until=self.now + duration)
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
+from ..literal import ARMS, HeapSimulator, unfired
+from .test_firing_order_differential import check_seeds
 
 
 class CountedSimulator(Simulator):
@@ -154,32 +59,6 @@ class CountedSimulator(Simulator):
 
 def _state(sim) -> tuple:
     return (sim.now, sim.events_processed, sim.pending_events)
-
-
-class CallLog:
-    """Records :func:`_state` after every ``step`` and ``run`` of a
-    simulator that a domain builds and drives itself."""
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        self.calls: List[tuple] = []
-
-    def step(self) -> bool:
-        fired = super().step()
-        self.calls.append((fired,) + _state(self))
-        return fired
-
-    def run(self, until=None, max_events=None) -> None:
-        super().run(until, max_events)
-        self.calls.append(_state(self))
-
-
-class ShippedQueue(CallLog, CountedSimulator):
-    pass
-
-
-class ReferenceQueue(CallLog, HeapSimulator):
-    pass
 
 
 # ----------------------------------------------------------------------
@@ -321,48 +200,40 @@ def check_schedules(seeds) -> dict:
 # ----------------------------------------------------------------------
 # The firing-order differential's seeded domains
 # ----------------------------------------------------------------------
-@contextmanager
-def domain_queue(simulator_class, built: list):
-    """Build every ``InsDomain`` on ``simulator_class``, appending each
-    simulator to ``built``."""
-    shipped = domain_module.Simulator
+def check_domains(seeds) -> dict:
+    """The firing-order differential's ``check_seeds`` with every
+    shipped domain on a :class:`CountedSimulator`, and ``now``,
+    ``events_processed`` and ``pending_events`` also compared after
+    every ``run``. (Not after every ``step``: under the always-schedule
+    arm a step that would fire a job in place ends at the arrival, so
+    the literal domain takes more steps to make the same firings.)
+    Returns the shipped queue's far-tier tally and every literal arm's."""
+    built: List[CountedSimulator] = []
+    runs: dict = {Simulator: [], HeapSimulator: []}
 
     def build(seed=0):
-        built.append(simulator_class(seed))
+        built.append(CountedSimulator(seed))
         return built[-1]
 
-    domain_module.Simulator = build
-    try:
-        yield
-    finally:
-        domain_module.Simulator = shipped
+    def logged(run, queue):
+        def logged_run(sim, until=None, max_events=None):
+            run(sim, until, max_events)
+            runs[queue].append(_state(sim))
+        return logged_run
 
-
-def check_domains(seeds) -> dict:
-    """Run each seeded domain on both queues under the shipped in-place
-    rule; every firing, counter, snapshot and reply must be equal, and
-    ``now``, ``events_processed`` and ``pending_events`` after every
-    ``step`` and ``run``. Returns the shipped queue's far-tier tally."""
-    tally = {"firings": 0, "parked": 0, "refills": 0, "calls": 0}
-    for seed in seeds:
-        mode = MODES[seed % len(MODES)]
-        verdicts = {"free": 0, "costed": 0, "scheduled": 0, "delivery": 0, "data-plane": 0}
-        built: list = []
-        with domain_queue(ShippedQueue, built):
-            shipped = run_scenario(seed, mode, always_schedule=False, tally=verdicts)
-        with domain_queue(ReferenceQueue, built):
-            oracle = run_scenario(seed, mode, always_schedule=False, tally=verdicts)
-        sim, reference = built
-        shipped["calls"], oracle["calls"] = sim.calls, reference.calls
-        for key in oracle:
-            assert shipped[key] == oracle[key], (
-                f"seed {seed} ({mode}): {key} differs from the single-heap oracle"
-            )
-        tally["firings"] += len(shipped["firings"])
-        tally["parked"] += sim.parked
-        tally["refills"] += sim.refills
-        tally["calls"] += len(sim.calls)
-    return tally
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(domain_module, "Simulator", build)
+        for queue in runs:
+            patch.setattr(queue, "run", logged(queue.run, queue))
+        tally = check_seeds(seeds)
+    assert runs[Simulator] == runs[HeapSimulator]
+    return {
+        "firings": sum(sim.events_processed for sim in built),
+        "parked": sum(sim.parked for sim in built),
+        "refills": sum(sim.refills for sim in built),
+        "calls": len(runs[Simulator]),
+        **{arm: tally[arm] for arm in ARMS},
+    }
 
 
 def test_reduced_seed_set_of_schedules_fires_as_one_heap_does():
@@ -378,6 +249,7 @@ def test_reduced_seed_set_of_schedules_fires_as_one_heap_does():
 
 def test_reduced_seed_set_of_domains_fires_as_one_heap_does():
     tally = check_domains(range(30))
+    assert not unfired(tally), tally
     # half of what these seeds tallied (964 / 304)
     assert tally["parked"] > 480, tally
     assert tally["refills"] > 150, tally

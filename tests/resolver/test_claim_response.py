@@ -12,7 +12,7 @@ from repro.experiments.domain import DSR_HOST
 from repro.message import DsrClaimResponse
 from repro.resolver import InrConfig
 
-from ..tools.protocol_trace import ProtocolTrace
+from ..protocol_trace import ProtocolTrace
 
 
 def _domain(seed):

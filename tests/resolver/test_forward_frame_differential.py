@@ -3,17 +3,18 @@
 An INR recognises a name section it has understood before by its bytes
 (``DataPlane.name_of``: the trees' retained names, then a bounded
 table) and forwards a canonical frame by patching a copy of it
-(``InsMessage.forwarded_frame``). The oracle here is the behaviour that
-replaced: every section through ``NameSpecifier.parse``, every forward
-through ``hop_decremented()`` … ``encode()``. A seeded corpus of frames
-— well-formed and not, laid out as ``encode`` would and as no encoder
-does — is pushed through the same small domain under both, and
-everything observable must be equal: every byte put on every link,
-every ``InrStats.snapshot()``, every span, every delivery.
+(``InsMessage.forwarded_frame``). A seeded corpus of frames —
+well-formed and not, laid out as ``encode`` would and as no encoder
+does — is pushed through the same small domain as shipped and under
+``tests/literal.py``'s ``literal_domain()``, whose arms include the
+behaviour these shortcuts replaced: every section through
+``NameSpecifier.parse``, every forward through ``hop_decremented()`` …
+``encode()``. Everything observable must be equal: every byte put on
+every link, every ``InrStats.snapshot()``, every span, every delivery.
 
-The override exists only in this file; ``src/`` has one forwarding
-path and no switch. Tier-1 runs a 5k-frame slice; ``check_frames`` is
-what the CI ``test`` job calls with forty times that.
+``src/`` has one forwarding path and no switch. Tier-1 runs a 5k-frame
+slice; ``check_frames`` is what the CI ``test`` job calls with forty
+times that.
 """
 
 import itertools
@@ -23,12 +24,13 @@ from contextlib import contextmanager
 
 from repro.experiments import InsDomain
 from repro.message import HEADER_SIZE, InsMessage
-from repro.naming import NameSpecifier
 from repro.nametree import AnnouncerID
 from repro.obs import TraceContext, spans_to_jsonl
 from repro.resolver import DataPacket, InrConfig
-from repro.resolver.dataplane import DataPlane
 from repro.resolver.ports import INR_PORT
+
+from ..literal import ARMS, domain_state, literal_domain, unfired
+from ..protocol_trace import ProtocolTrace
 
 VERDICTS = ("patched", "re-encoded", "dropped malformed", "dropped hop-limit")
 
@@ -134,50 +136,43 @@ def generate_frame(rng: random.Random) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# The two forwarding paths
+# The shipped world and the literal one
 # ----------------------------------------------------------------------
 @contextmanager
-def forwarding_path(reference: bool, tally: dict):
-    """Run the shipped path (counting which way each forward went into
-    ``tally``) or the one it replaced: parse every section, rebuild and
-    re-serialize every forwarded message."""
-    shipped_name_of = DataPlane.name_of
-    shipped_forward = InsMessage.forwarded_frame
-    announcers = AnnouncerID._sequence
-
-    def parse_always(dataplane, text):
-        return NameSpecifier.parse(text)
-
-    def encode_always(message, trace=None):
-        outgoing = message.hop_decremented()
-        if trace is not None:
-            outgoing.trace = trace
-        return outgoing.encode()
+def forwards_counted(tally: dict):
+    """Count which way each shipped forward went into ``tally``."""
+    shipped = InsMessage.forwarded_frame
 
     def counted(message, trace=None):
         tally["patched" if message._frame is not None else "re-encoded"] += 1
-        return shipped_forward(message, trace)
+        return shipped(message, trace)
 
-    if reference:
-        DataPlane.name_of = parse_always
-    InsMessage.forwarded_frame = encode_always if reference else counted
-    # AnnouncerIDs count up process-wide, and a record's hash — hence
-    # set order — includes them: both worlds start from the same one.
+    InsMessage.forwarded_frame = counted
+    try:
+        yield
+    finally:
+        InsMessage.forwarded_frame = shipped
+
+
+@contextmanager
+def announcers_from_one():
+    """AnnouncerIDs count up process-wide, and a record's hash — hence
+    set order — includes them: every world starts from the same one."""
+    announcers = AnnouncerID._sequence
     AnnouncerID._sequence = itertools.count(1)
     try:
         yield
     finally:
-        DataPlane.name_of = shipped_name_of
-        InsMessage.forwarded_frame = shipped_forward
         AnnouncerID._sequence = announcers
 
 
-def run_world(frames, seed: int, reference: bool, tally: dict) -> dict:
+def run_world(frames, seed: int) -> dict:
     """inr-a — inr-b — inr-c with receivers on each, custody and tracing
     on, fed ``frames`` one every 100 virtual ms; everything observable."""
-    with forwarding_path(reference, tally):
+    with announcers_from_one():
         shape = random.Random(seed)
         domain = InsDomain(seed=seed, config=InrConfig(enable_custody=True, custody_ttl=120.0))
+        trace = ProtocolTrace(keep_payloads=True).attach(domain.network)
         collector = domain.observe()
         a = domain.add_inr(address="inr-a")
         b = domain.add_inr(address="inr-b")
@@ -217,17 +212,16 @@ def run_world(frames, seed: int, reference: bool, tally: dict) -> dict:
         domain.run(2.0)
 
         wire = []
-        put_on_link = domain.network.send
 
-        def send(source, destination, port, payload, size_bytes):
-            wire.append((
-                domain.now, source, destination, port, size_bytes,
-                payload.raw if isinstance(payload, DataPacket)
-                else type(payload).__name__,
-            ))
-            put_on_link(source, destination, port, payload, size_bytes)
+        def drain():
+            # the bytes, not the packets: a packet keeps its decoded message
+            wire.extend(
+                (e.time, e.source, e.destination, e.port, e.size,
+                 e.payload.raw if e.kind == "DataPacket" else e.kind)
+                for e in trace.events
+            )
+            trace.events.clear()
 
-        domain.network.send = send
         sender = domain.network.add_node("fuzzer").address
         for index, frame in enumerate(frames):
             if index == len(frames) // 2:
@@ -239,40 +233,47 @@ def run_world(frames, seed: int, reference: bool, tally: dict) -> dict:
                 packet.wire_size(),
             )
             domain.run(0.1)
+            drain()
         domain.run(5.0)
+        drain()
         for inr in inrs:
             for tree in inr.trees.values():
                 assert len(tree._by_text) <= len(tree)
-        stats = [inr.stats.snapshot() for inr in inrs]
-        tally["dropped malformed"] += sum(s["drops_malformed"] for s in stats)
-        tally["dropped hop-limit"] += sum(s["drops_hop_limit"] for s in stats)
+        assert trace.dropped == 0
         return {
             "wire": wire,
-            "stats": stats,
             "spans": spans_to_jsonl(collector.tracer.spans),
             "deliveries": deliveries,
+            **domain_state(domain, ()),
         }
 
 
 def check_frames(count: int, seed: int = 7) -> dict:
     """Push ``count`` corpus frames through both worlds; returns how
-    often the shipped one reached each of its four verdicts."""
+    often the shipped one reached each of its four verdicts, and every
+    literal arm's firing tally."""
     rng = random.Random(seed)
     frames = [generate_frame(rng) for _ in range(count)]
-    tally = dict.fromkeys(VERDICTS, 0)
-    shipped = run_world(frames, seed, False, tally)
-    reference = run_world(frames, seed, True, dict.fromkeys(VERDICTS, 0))
-    for observed in ("deliveries", "stats", "spans"):
-        assert shipped[observed] == reference[observed], observed
-    for sent, expected in zip(shipped["wire"], reference["wire"]):
+    tally = dict.fromkeys(VERDICTS + ARMS, 0)
+    with forwards_counted(tally):
+        shipped = run_world(frames, seed)
+    with literal_domain(tally):
+        literal = run_world(frames, seed)
+    for observed in literal:
+        if observed != "wire":
+            assert shipped[observed] == literal[observed], observed
+    for sent, expected in zip(shipped["wire"], literal["wire"]):
         assert sent == expected
-    assert len(shipped["wire"]) == len(reference["wire"])
+    assert len(shipped["wire"]) == len(literal["wire"])
     assert shipped["deliveries"], "nothing was delivered"
+    tally["dropped malformed"] += sum(s["drops_malformed"] for s in shipped["inrs"])
+    tally["dropped hop-limit"] += sum(s["drops_hop_limit"] for s in shipped["inrs"])
     return tally
 
 
 def test_frame_corpus_slice():
     tally = check_frames(5_000)
+    assert not unfired(tally), tally
     # The corpus is worth running only while it reaches every verdict.
     assert tally["patched"] > 1_000
     assert tally["re-encoded"] > 100

@@ -8,7 +8,7 @@ from repro.resolver import InrConfig, ResolutionRequest
 from repro.resolver.ports import INR_PORT
 
 from ..conftest import parse
-from ..tools.protocol_trace import ProtocolTrace
+from ..protocol_trace import ProtocolTrace
 
 
 def loaded_config(**overrides) -> InrConfig:

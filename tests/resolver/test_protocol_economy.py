@@ -8,7 +8,7 @@ from repro.experiments import InsDomain
 from repro.resolver import InrConfig
 
 from ..conftest import parse
-from ..tools.protocol_trace import ProtocolTrace
+from ..protocol_trace import ProtocolTrace
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from repro.resolver import InrConfig
 from repro.resolver.protocol import Advertisement, NameUpdate
 
 from ..conftest import parse, stores_to
-from ..tools.protocol_trace import ProtocolTrace
+from ..protocol_trace import ProtocolTrace
 
 
 REFRESH = 5.0

@@ -5,8 +5,9 @@ the functions no run reaches; this tier-1 check needs only ``ast``: every
 line of ``tests/reach_allowlist.txt`` names a ``def`` that exists under
 ``src/repro``, gives a reason, and appears once. No reason is "test
 oracle": a literal or checking version a test compares with lives under
-``tests/`` (``nametree/fig5_oracle.py``, ``nametree/fig6_oracle.py``,
-``protocol_trace.py``), not in the system.
+``tests/`` (``literal.py``, whose arms put back what each speed
+shortcut replaced, ``nametree/fig5_oracle.py``,
+``nametree/fig6_oracle.py``, ``protocol_trace.py``), not in the system.
 """
 
 from collections import Counter

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments import InsDomain
 
 from ..conftest import parse
-from .protocol_trace import ProtocolTrace, TraceOverflow
+from ..protocol_trace import ProtocolTrace, TraceOverflow
 
 
 @pytest.fixture
