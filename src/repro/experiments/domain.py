@@ -273,8 +273,9 @@ class InsDomain:
         each client request produces a complete hop-by-hop span tree.
         ``profile_events=True`` additionally counts every simulator
         event by callback. Idempotent: repeated calls return the same
-        collector. Call :meth:`harvest` at the end of the run to absorb
-        the per-component stats into the collector's registry.
+        collector. Call :meth:`harvest` at the end of the run to file
+        the per-component stats into the collector's counters and
+        gauges.
         """
         from ..obs import ObsCollector
 
@@ -290,10 +291,11 @@ class InsDomain:
         return self.collector
 
     def harvest(self):
-        """Absorb every component's stats into the collector's metrics
-        registry (labelled per INR / client / link) and return it; a
+        """File every component's stats into the collector's counters
+        and gauges (labelled per INR / client / link) and return it; a
         run nobody observed has no collector and returns None, so a
-        driver ends in ``domain.harvest()`` either way."""
+        driver ends in ``domain.harvest()`` either way. Each call files
+        the stats as they stand, replacing what the last one filed."""
         if self.collector is not None:
             self.collector.harvest_domain(self)
         return self.collector

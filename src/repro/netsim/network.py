@@ -29,8 +29,8 @@ class LinkStats:
             setattr(self, name, 0)
 
     def snapshot(self) -> dict:
-        """Every counter in declaration order — the uniform shape the
-        metrics registry ingests and artifacts embed."""
+        """Every counter in declaration order — the uniform shape
+        ``repro.obs.stats_fields`` reads and artifacts embed."""
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:

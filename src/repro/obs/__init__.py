@@ -5,10 +5,11 @@ The layer that turns black-box aggregates into explainable numbers:
 - :mod:`.context` — the (trace_id, span_id, parent_span_id) triple
   carried in the wire header across INR hops;
 - :mod:`.span` — spans and the deterministic :class:`Tracer`;
-- :mod:`.metrics` — the unified Counter/Gauge registry with labels and
-  deterministic snapshots;
+- :mod:`.metrics` — the one reader of a stats ``snapshot()`` and the
+  canonical label text;
 - :mod:`.export` — JSONL and the Chrome trace-event format;
-- :mod:`.collector` — the per-run bundle experiments attach.
+- :mod:`.collector` — the per-run bundle experiments attach: the
+  tracer, and the labelled counters and gauges a harvest files.
 
 ``obs`` sits at the bottom of the layer DAG (beside ``message``): it
 imports nothing from the rest of the system, so every layer above may
@@ -25,7 +26,7 @@ from .export import (
     to_chrome_trace,
     write_canonical_json,
 )
-from .metrics import Counter, Gauge, MetricsRegistry, merge_counts
+from .metrics import stats_fields
 from .span import (
     DROP_PREFIX,
     STATUS_OK,
@@ -35,10 +36,7 @@ from .span import (
 )
 
 __all__ = [
-    "Counter",
     "DROP_PREFIX",
-    "Gauge",
-    "MetricsRegistry",
     "NO_PARENT",
     "ObsCollector",
     "STATUS_OK",
@@ -47,8 +45,8 @@ __all__ = [
     "TRACE_CONTEXT_SIZE",
     "TraceContext",
     "Tracer",
-    "merge_counts",
     "spans_to_jsonl",
+    "stats_fields",
     "summarize_spans",
     "to_chrome_trace",
     "write_canonical_json",

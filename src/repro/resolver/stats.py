@@ -1,7 +1,7 @@
 """Operation counters of one INR incarnation.
 
 One flat dataclass that every resolver component writes directly:
-``snapshot()``'s key order is what the metrics registry and the
+``snapshot()``'s key order is what the harvested metrics and the
 committed artifacts embed, so the fields stay in one place, in one order.
 """
 
@@ -124,8 +124,8 @@ class InrStats:
 
     def snapshot(self) -> Dict[str, object]:
         """Every counter in declaration order, plus the derived sum and
-        the per-cause drop breakdown — the uniform shape the metrics
-        registry ingests and artifacts embed."""
+        the per-cause drop breakdown — the uniform shape
+        ``repro.obs.stats_fields`` reads and artifacts embed."""
         out: Dict[str, object] = {}
         for f in fields(self):
             if f.name == _MEMO_BEFORE:

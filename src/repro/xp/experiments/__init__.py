@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ...obs import merge_counts
+from ...obs import stats_fields
 from ..runner import SpecRun, Table, WorkloadResult
 
 #: One table column: header, row attribute, format spec.
@@ -83,8 +83,12 @@ def summed_counters(processes: Iterable, *names: str) -> Dict[str, int]:
     """The named counters summed over ``processes``' uniform
     ``stats.snapshot()`` shape, keyed by name — a chaos report copies
     its resolver/client counter fields with ``**summed_counters(...)``."""
-    totals = merge_counts(process.stats.snapshot() for process in processes)
-    return {name: int(totals.get(name, 0)) for name in names}
+    totals = dict.fromkeys(names, 0.0)
+    for process in processes:
+        for field_name, inner, value in stats_fields(process.stats.snapshot()):
+            if inner is None and field_name in totals:
+                totals[field_name] += value
+    return {name: int(total) for name, total in totals.items()}
 
 
 def add_observability(

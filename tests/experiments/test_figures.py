@@ -23,48 +23,65 @@ def run(workload, timing=False, **params):
 
 
 class TestFig08Shape:
-    def test_cpu_saturates_before_bandwidth(self):
+    """One run of the ``saturation`` workload at the union of the
+    points the shape checks read: each point is a fresh simulation
+    from the same seed, so a row is what a run of that point alone
+    measures."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
         rows = run(
-            "saturation", name_counts=(5000, 10000, 15000, 20000), measure_intervals=1
+            "saturation",
+            name_counts=(1000, 2500, 5000, 10000, 15000, 20000),
+            measure_intervals=1,
         )
-        by_names = {row.total_names: row for row in rows}
+        return {row.total_names: row for row in rows}
+
+    def test_cpu_saturates_before_bandwidth(self, rows):
+        points = [rows[count] for count in (5000, 10000, 15000, 20000)]
         # CPU crosses 100% somewhere in 10k-15k names...
-        assert by_names[10000].cpu_percent < 100 <= by_names[15000].cpu_percent
+        assert rows[10000].cpu_percent < 100 <= rows[15000].cpu_percent
         # ...while bandwidth never reaches the 1 Mbps link capacity.
-        assert all(row.bandwidth_percent < 100 for row in rows)
+        assert all(row.bandwidth_percent < 100 for row in points)
         # and CPU leads bandwidth at every point (the CPU-bound claim).
-        assert all(row.cpu_percent > row.bandwidth_percent for row in rows)
+        assert all(row.cpu_percent > row.bandwidth_percent for row in points)
 
-    def test_both_scale_linearly_with_names(self):
-        rows = run("saturation", name_counts=(2500, 5000, 10000), measure_intervals=1)
-        assert rows[1].cpu_percent == pytest.approx(2 * rows[0].cpu_percent, rel=0.05)
-        assert rows[2].cpu_percent == pytest.approx(4 * rows[0].cpu_percent, rel=0.05)
+    def test_both_scale_linearly_with_names(self, rows):
+        base = rows[2500].cpu_percent
+        assert rows[5000].cpu_percent == pytest.approx(2 * base, rel=0.05)
+        assert rows[10000].cpu_percent == pytest.approx(4 * base, rel=0.05)
 
-    def test_saturation_point_helper(self):
-        rows = run("saturation", name_counts=(1000, 20000), measure_intervals=1)
-        assert saturation_point(rows) == 20000
-        assert saturation_point(rows[:1]) == -1
+    def test_saturation_point_helper(self, rows):
+        points = [rows[1000], rows[20000]]
+        assert saturation_point(points) == 20000
+        assert saturation_point(points[:1]) == -1
 
 
 class TestFig09Shape:
-    def test_two_machines_halve_processing_time(self):
-        rows = run("partition", name_counts=(1000, 2000))
-        for row in rows:
+    """One run of the ``partition`` workload at the union of the
+    points the shape checks read (each point is measured on its own,
+    from the same seed)."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rows = run("partition", name_counts=(1000, 2000, 3000))
+        return {row.total_names: row for row in rows}
+
+    def test_two_machines_halve_processing_time(self, rows):
+        for row in (rows[1000], rows[2000]):
             assert row.two_vspaces_two_machines_ms == pytest.approx(
                 row.one_vspace_one_machine_ms / 2, rel=0.1
             )
 
-    def test_two_vspaces_on_one_machine_do_not_help(self):
-        rows = run("partition", name_counts=(1000,))
-        row = rows[0]
+    def test_two_vspaces_on_one_machine_do_not_help(self, rows):
+        row = rows[1000]
         assert row.two_vspaces_one_machine_ms == pytest.approx(
             row.one_vspace_one_machine_ms, rel=0.1
         )
 
-    def test_time_grows_linearly_with_names(self):
-        rows = run("partition", name_counts=(1000, 3000))
-        assert rows[1].one_vspace_one_machine_ms == pytest.approx(
-            3 * rows[0].one_vspace_one_machine_ms, rel=0.1
+    def test_time_grows_linearly_with_names(self, rows):
+        assert rows[3000].one_vspace_one_machine_ms == pytest.approx(
+            3 * rows[1000].one_vspace_one_machine_ms, rel=0.1
         )
 
 

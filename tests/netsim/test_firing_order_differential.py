@@ -9,8 +9,13 @@ anyway. Seeded small domains are run as shipped and under
 ``tests/literal.py``'s ``literal_domain()`` — among its arms the
 behaviour that rule replaced, ``nothing_due_by`` answering False so
 every handler takes its trip through the queue — and must agree on
-every firing — ``(virtual time, sequence number, callback)`` — and on
-everything the firings leave behind.
+every firing — ``(virtual time, sequence number, callback)`` — on
+everything the firings leave behind, and on ``now``,
+``events_processed`` and ``pending_events`` after every ``run()``.
+Among the arms is also the single heap the two-tier event queue
+replaced; the shipped domains run on :class:`CountedSimulator`, which
+counts what the queue's far tier did, so the same run shows that tier
+at work.
 
 ``src/`` has one delivery rule and no switch. Tier-1 runs a few seeds
 of each driving mode; ``check_seeds`` is what the CI ``test`` job calls
@@ -22,12 +27,15 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields
 
+import pytest
+
+import repro.experiments.domain as domain_module
 from repro.experiments import InsDomain
 from repro.netsim import CALLBACK, SEQUENCE, TIME, Process, Simulator, cancel
 from repro.resolver import CostModel
 
 from ..conftest import parse
-from ..literal import ARMS, domain_state, literal_domain, unfired
+from ..literal import ARMS, HeapSimulator, domain_state, literal_domain, unfired
 
 #: INR operations that cost nothing: its handlers become in-place
 #: candidates as well (clients, services and the DSR always are).
@@ -41,6 +49,68 @@ QUERIES = (
 )
 
 VERDICTS = ("free", "costed", "scheduled", "delivery", "data-plane")
+
+#: What the shipped domains' two-tier queue did: events pushed past the
+#: horizon, and buckets moved onto the heap.
+FAR_TIER = ("parked", "refills")
+
+
+class CountedSimulator(Simulator):
+    """The shipped queue, counting what its far tier did."""
+
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(seed)
+        self.parked = self.refills = 0
+
+    def at(self, time, callback, *args):
+        if time >= self._horizon:
+            self.parked += 1
+        return super().at(time, callback, *args)
+
+    def _refill(self) -> bool:
+        refilled = super()._refill()
+        self.refills += refilled
+        return refilled
+
+
+def queue_state(sim) -> tuple:
+    return (sim.now, sim.events_processed, sim.pending_events)
+
+
+@contextmanager
+def runs_logged(runs: list):
+    """Append ``queue_state`` to ``runs`` after every ``run()`` of
+    either queue. (Not after every ``step``: under the always-schedule
+    arm a step that would fire a job in place ends at the arrival, so
+    the literal domain takes more steps to make the same firings.)"""
+
+    def logged(run):
+        def logged_run(sim, until=None, max_events=None):
+            run(sim, until, max_events)
+            runs.append(queue_state(sim))
+        return logged_run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for queue in (Simulator, HeapSimulator):
+            patch.setattr(queue, "run", logged(queue.run))
+        yield
+
+
+@contextmanager
+def on_counted_queue(tally: dict):
+    """Build every domain on a :class:`CountedSimulator` and add its
+    far-tier counts to ``tally``."""
+    built = []
+
+    def build(seed=0):
+        built.append(CountedSimulator(seed))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(domain_module, "Simulator", build)
+        yield
+    tally["parked"] += sum(sim.parked for sim in built)
+    tally["refills"] += sum(sim.refills for sim in built)
 
 
 @contextmanager
@@ -263,20 +333,25 @@ MODES = ("run", "step", "budget")
 
 
 def check_seeds(seeds) -> dict:
-    """Compare the shipped system with ``literal_domain()`` on every
-    seed; returns how often the shipped rule fired a handler in place
-    at its arrival (``free``), in place at its job's later completion
-    (``costed``), and how often it found something due first
-    (``scheduled``); the in-place firings split again by caller,
-    ``Network._deliver`` (``delivery``) or an anycast data-plane hop
-    (``data-plane``); and every literal arm's firing tally."""
-    tally = dict.fromkeys(VERDICTS + ARMS, 0)
+    """Compare the shipped system, on a :class:`CountedSimulator`, with
+    ``literal_domain()`` on every seed, ``now``, ``events_processed``
+    and ``pending_events`` included after every ``run()``; returns how
+    often the shipped rule fired a handler in place at its arrival
+    (``free``), in place at its job's later completion (``costed``),
+    and how often it found something due first (``scheduled``); the
+    in-place firings split again by caller, ``Network._deliver``
+    (``delivery``) or an anycast data-plane hop (``data-plane``); what
+    the shipped queue's far tier did (:data:`FAR_TIER`); and every
+    literal arm's firing tally."""
+    tally = dict.fromkeys(VERDICTS + FAR_TIER + ARMS, 0)
     for seed in seeds:
         mode = MODES[seed % len(MODES)]
-        with verdicts_counted(tally):
+        shipped_runs, literal_runs = [], []
+        with verdicts_counted(tally), on_counted_queue(tally), runs_logged(shipped_runs):
             shipped = run_scenario(seed, mode)
-        with literal_domain(tally):
+        with literal_domain(tally), runs_logged(literal_runs):
             literal = run_scenario(seed, mode)
+        shipped["runs"], literal["runs"] = shipped_runs, literal_runs
         for key in literal:
             assert shipped[key] == literal[key], (
                 f"seed {seed} ({mode}): {key} differs from the literal domain"
@@ -294,3 +369,7 @@ def test_reduced_seed_set_fires_as_the_always_schedule_oracle_does():
     # Half of what these seeds tallied when anycast data-plane hops
     # began to complete in place (417).
     assert tally["data-plane"] > 200
+    # Half of what these seeds tallied when the queue gained its far
+    # tier (964 / 304).
+    assert tally["parked"] > 480, tally
+    assert tally["refills"] > 150, tally

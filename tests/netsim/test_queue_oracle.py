@@ -8,10 +8,11 @@ one heap of every event, transcribed as it was. Both are driven in
 lockstep by seeded random schedules and must agree, after every call,
 on every firing ``(time, sequence, callback)``, on
 ``events_processed``, ``pending_events`` (near, far and tombstones:
-``netsim.peak_pending_events`` reads it) and ``now``. The
-firing-order differential's seeded domains run as shipped and under
-``literal_domain()``, every arm at once, and must agree on the same
-after every ``run``.
+``netsim.peak_pending_events`` reads it) and ``now``. Whole domains
+on both queues are the firing-order differential's business
+(``test_firing_order_differential.check_seeds``: its shipped domains
+run on the :class:`CountedSimulator` used here, its literal ones on the
+single heap).
 
 The schedules reach what the split could get wrong: cancels and
 tombstones, same-instant batches, ``run(until=...)`` stopping inside a
@@ -20,8 +21,8 @@ bucket and at its edges, ``run(max_events=...)``, ``step()``,
 bucket edges ``k * BUCKET_WIDTH`` and their ``math.nextafter``
 neighbours, handlers fired in place by ``Cpu.execute_last``, and the
 far times a quiet domain parks its timers at (1e6, 1e9) and beyond.
-Tier-1 runs a reduced seed set; ``check_schedules`` and
-``check_domains`` are what the CI ``test`` job calls with a wide one.
+Tier-1 runs a reduced seed set; ``check_schedules`` is what the CI
+``test`` job calls with a wide one.
 """
 
 import itertools
@@ -29,36 +30,11 @@ import math
 import random
 from typing import Callable, List
 
-import pytest
-
-import repro.experiments.domain as domain_module
-from repro.netsim import ARGS, SEQUENCE, TIME, Cpu, Simulator, cancel
+from repro.netsim import ARGS, SEQUENCE, TIME, Cpu, cancel
 from repro.netsim.simulator import BUCKET_WIDTH
 
-from ..literal import ARMS, HeapSimulator, unfired
-from .test_firing_order_differential import check_seeds
-
-
-class CountedSimulator(Simulator):
-    """The shipped queue, counting what its far tier did."""
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        self.parked = self.refills = 0
-
-    def at(self, time, callback, *args):
-        if time >= self._horizon:
-            self.parked += 1
-        return super().at(time, callback, *args)
-
-    def _refill(self) -> bool:
-        refilled = super()._refill()
-        self.refills += refilled
-        return refilled
-
-
-def _state(sim) -> tuple:
-    return (sim.now, sim.events_processed, sim.pending_events)
+from ..literal import HeapSimulator
+from .test_firing_order_differential import CountedSimulator, queue_state
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +163,7 @@ def check_schedules(seeds) -> dict:
             oracle.call(op)
             where = f"seed {seed}, call {step} {op[0]}"
             assert shipped.firings == oracle.firings, where
-            assert _state(shipped.sim) == _state(oracle.sim), where
+            assert queue_state(shipped.sim) == queue_state(oracle.sim), where
             assert shipped.verdicts == oracle.verdicts, where
         tally["firings"] += len(shipped.firings)
         tally["parked"] += shipped.sim.parked
@@ -195,45 +171,6 @@ def check_schedules(seeds) -> dict:
         tally["in place"] += shipped.in_place
         tally["verdicts"] += len(shipped.verdicts)
     return tally
-
-
-# ----------------------------------------------------------------------
-# The firing-order differential's seeded domains
-# ----------------------------------------------------------------------
-def check_domains(seeds) -> dict:
-    """The firing-order differential's ``check_seeds`` with every
-    shipped domain on a :class:`CountedSimulator`, and ``now``,
-    ``events_processed`` and ``pending_events`` also compared after
-    every ``run``. (Not after every ``step``: under the always-schedule
-    arm a step that would fire a job in place ends at the arrival, so
-    the literal domain takes more steps to make the same firings.)
-    Returns the shipped queue's far-tier tally and every literal arm's."""
-    built: List[CountedSimulator] = []
-    runs: dict = {Simulator: [], HeapSimulator: []}
-
-    def build(seed=0):
-        built.append(CountedSimulator(seed))
-        return built[-1]
-
-    def logged(run, queue):
-        def logged_run(sim, until=None, max_events=None):
-            run(sim, until, max_events)
-            runs[queue].append(_state(sim))
-        return logged_run
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(domain_module, "Simulator", build)
-        for queue in runs:
-            patch.setattr(queue, "run", logged(queue.run, queue))
-        tally = check_seeds(seeds)
-    assert runs[Simulator] == runs[HeapSimulator]
-    return {
-        "firings": sum(sim.events_processed for sim in built),
-        "parked": sum(sim.parked for sim in built),
-        "refills": sum(sim.refills for sim in built),
-        "calls": len(runs[Simulator]),
-        **{arm: tally[arm] for arm in ARMS},
-    }
 
 
 def test_reduced_seed_set_of_schedules_fires_as_one_heap_does():
@@ -246,10 +183,3 @@ def test_reduced_seed_set_of_schedules_fires_as_one_heap_does():
     assert tally["in place"] > 120, tally
     assert tally["verdicts"] > 5_000, tally
 
-
-def test_reduced_seed_set_of_domains_fires_as_one_heap_does():
-    tally = check_domains(range(30))
-    assert not unfired(tally), tally
-    # half of what these seeds tallied (964 / 304)
-    assert tally["parked"] > 480, tally
-    assert tally["refills"] > 150, tally

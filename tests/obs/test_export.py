@@ -4,13 +4,14 @@ import json
 
 from repro.obs import (
     DROP_PREFIX,
-    MetricsRegistry,
     Tracer,
     spans_to_jsonl,
     summarize_spans,
     to_chrome_trace,
     write_canonical_json,
 )
+
+from ..integration.test_obs_smoke import build_observed_domain
 
 
 class FakeClock:
@@ -105,9 +106,9 @@ class TestSummarize:
 
 class TestMetricsJson:
     def test_registry_json_round_trips(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("inr.packets_routed").inc(5.0, inr="inr-1")
+        domain, _collector, _client, _service = build_observed_domain()
+        snapshot = domain.harvest().metrics_snapshot()
         path = tmp_path / "metrics.json"
-        write_canonical_json(path, registry.snapshot())
-        decoded = json.loads(path.read_text())
-        assert decoded["counters"]["inr.packets_routed"]["inr=inr-1"] == 5.0
+        write_canonical_json(path, snapshot)
+        assert json.loads(path.read_text()) == snapshot
+        assert snapshot["counters"]["sim.events"] and snapshot["gauges"]["inr.names"]
