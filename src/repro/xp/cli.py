@@ -17,10 +17,18 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .report import build_matrix_report, write_bench_matrix_json, write_tables
-from .runner import WORKLOADS, run_suite
-from .spec import TOGGLES, SpecError
-from .workloads import default_suite
+# The engine's names through the package, as every other caller takes
+# them (the package loads them on first use).
+from . import (
+    TOGGLES,
+    WORKLOADS,
+    build_matrix_report,
+    default_suite,
+    run_suite,
+    write_bench_matrix_json,
+)
+from .report import write_tables
+from .spec import SpecError
 
 DEFAULT_OUT = Path("benchmarks") / "results" / "BENCH_matrix.json"
 

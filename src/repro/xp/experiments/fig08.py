@@ -142,15 +142,6 @@ def run_saturation_experiment(
     return sweep_result(rows, COLUMNS)
 
 
-def saturation_point(rows: Sequence[SaturationRow]) -> int:
-    """The smallest name count whose CPU utilization reaches 100%,
-    or -1 when none does."""
-    for row in rows:
-        if row.cpu_percent >= 100.0:
-            return row.total_names
-    return -1
-
-
 register_workload(Workload(
     id="saturation",
     description="Figure 8: INR CPU vs 1 Mbps link use as refreshed names grow",

@@ -1,8 +1,11 @@
-"""Scaled-down shape checks for every figure experiment (Section 5).
+"""The claims that need a fresh wall-clock measurement (Section 5).
 
-The full-size sweeps are the default suite's specs (``repro.xp``);
-these run the same workloads through ``run_spec`` at reduced params and
-verify, quickly, that each reproduces the paper's qualitative result.
+Figs. 12 and 13, the Section 5.1.1 T(d) fit and the lookup-model
+memo check are measured on this host, so their committed tables are
+host-dependent and only a timed run writes them: each is judged here
+on a live run. Every claim that is a pure function of its spec
+(virtual time, counters) is judged once, on its committed row, in
+``tests/xp/test_committed_artifacts.py``.
 """
 
 import dataclasses
@@ -12,77 +15,12 @@ import pytest
 
 from repro.xp import ExperimentSpec, default_suite, run_spec
 from repro.xp.experiments import lookup_model
-from repro.xp.experiments.fig08 import saturation_point
-from repro.xp.experiments.fig14 import slope_ms_per_hop
 
 
 def run(workload, timing=False, **params):
     """The baseline arm's rows of a reduced ``workload`` spec."""
     spec = ExperimentSpec(name=f"shape-{workload}", workload=workload, params=params)
     return run_spec(spec, timing=timing).baseline.details["rows"]
-
-
-class TestFig08Shape:
-    """One run of the ``saturation`` workload at the union of the
-    points the shape checks read: each point is a fresh simulation
-    from the same seed, so a row is what a run of that point alone
-    measures."""
-
-    @pytest.fixture(scope="class")
-    def rows(self):
-        rows = run(
-            "saturation",
-            name_counts=(1000, 2500, 5000, 10000, 15000, 20000),
-            measure_intervals=1,
-        )
-        return {row.total_names: row for row in rows}
-
-    def test_cpu_saturates_before_bandwidth(self, rows):
-        points = [rows[count] for count in (5000, 10000, 15000, 20000)]
-        # CPU crosses 100% somewhere in 10k-15k names...
-        assert rows[10000].cpu_percent < 100 <= rows[15000].cpu_percent
-        # ...while bandwidth never reaches the 1 Mbps link capacity.
-        assert all(row.bandwidth_percent < 100 for row in points)
-        # and CPU leads bandwidth at every point (the CPU-bound claim).
-        assert all(row.cpu_percent > row.bandwidth_percent for row in points)
-
-    def test_both_scale_linearly_with_names(self, rows):
-        base = rows[2500].cpu_percent
-        assert rows[5000].cpu_percent == pytest.approx(2 * base, rel=0.05)
-        assert rows[10000].cpu_percent == pytest.approx(4 * base, rel=0.05)
-
-    def test_saturation_point_helper(self, rows):
-        points = [rows[1000], rows[20000]]
-        assert saturation_point(points) == 20000
-        assert saturation_point(points[:1]) == -1
-
-
-class TestFig09Shape:
-    """One run of the ``partition`` workload at the union of the
-    points the shape checks read (each point is measured on its own,
-    from the same seed)."""
-
-    @pytest.fixture(scope="class")
-    def rows(self):
-        rows = run("partition", name_counts=(1000, 2000, 3000))
-        return {row.total_names: row for row in rows}
-
-    def test_two_machines_halve_processing_time(self, rows):
-        for row in (rows[1000], rows[2000]):
-            assert row.two_vspaces_two_machines_ms == pytest.approx(
-                row.one_vspace_one_machine_ms / 2, rel=0.1
-            )
-
-    def test_two_vspaces_on_one_machine_do_not_help(self, rows):
-        row = rows[1000]
-        assert row.two_vspaces_one_machine_ms == pytest.approx(
-            row.one_vspace_one_machine_ms, rel=0.1
-        )
-
-    def test_time_grows_linearly_with_names(self, rows):
-        assert rows[3000].one_vspace_one_machine_ms == pytest.approx(
-            3 * rows[1000].one_vspace_one_machine_ms, rel=0.1
-        )
 
 
 class TestFig12Shape:
@@ -180,61 +118,26 @@ class TestFig13Shape:
         assert sizes == sorted(sizes)  # monotone growth
         # Same order of magnitude as the paper at full size (0.5-4 MB there).
         assert 0.5 < suite_rows[-1].tree_megabytes < 40
-        # Early slope (vocabulary building) steeper than the late slope.
-        early = (suite_rows[1].tree_bytes - suite_rows[0].tree_bytes) / 900
-        late = (suite_rows[-1].tree_bytes - suite_rows[-2].tree_bytes) / 4300
-        assert early > late
 
 
-class TestFig14Shape:
-    def test_discovery_time_linear_in_hops(self):
-        rows = run("discovery", max_hops=5)
-        slope = slope_ms_per_hop(rows)
-        assert slope < 10.0  # the paper's bound
-        # near-perfect linearity: residuals small relative to the slope
-        for row in rows:
-            predicted = rows[0].discovery_ms + slope * (row.hops - 1)
-            assert row.discovery_ms == pytest.approx(predicted, rel=0.15)
-
-    def test_absolute_times_are_tens_of_ms(self):
-        rows = run("discovery", max_hops=5)
-        assert rows[-1].discovery_ms < 100.0
-
-
-class TestFig15Shape:
-    @pytest.fixture(scope="class")
-    def spec_run(self):
-        return run_spec(ExperimentSpec(
-            name="shape-routing",
-            workload="routing",
-            params={"name_counts": (250, 2500)},
-        ))
-
-    @pytest.fixture(scope="class")
-    def rows(self, spec_run):
-        return spec_run.baseline.details["rows"]
-
-    def test_local_case_grows_with_names(self, rows):
-        assert rows[1].local_ms > 2 * rows[0].local_ms
-
-    def test_local_per_packet_matches_paper_range(self, rows):
-        assert rows[0].local_ms / 100 == pytest.approx(3.1, rel=0.15)
-
-    def test_remote_case_flat(self, rows):
-        assert rows[1].remote_same_vspace_ms == pytest.approx(
-            rows[0].remote_same_vspace_ms, rel=0.05
-        )
-
-    def test_remote_per_packet_near_9_8ms(self, rows):
-        assert rows[0].remote_same_vspace_ms / 100 == pytest.approx(9.8, rel=0.1)
-
-    def test_cross_vspace_constant_near_381ms(self, rows):
-        for row in rows:
-            assert row.remote_other_vspace_ms == pytest.approx(381, rel=0.1)
-
-    def test_artifact_ablation_flattens_local_case(self, spec_run):
-        rows = spec_run.ablations["delivery_artifact"].details["rows"]
-        assert rows[1].local_ms == pytest.approx(rows[0].local_ms, rel=0.05)
+def test_lookup_time_tracks_the_t_d_model():
+    # Each depth is a few ms of wall clock: one sample is at the mercy
+    # of whatever else the host (or a garbage collection over a long
+    # test session) is doing, so five runs of the spec are taken (same
+    # seed, same trees, same queries). Each run fits the model to its
+    # own rows and stores the prediction on each one.
+    spec = default_suite()["lookup-model-check"]
+    runs = [run_spec(spec, timing=True).baseline.details["rows"] for _ in range(5)]
+    depths = list(zip(*runs))
+    best = [min(row.measured_us for row in rows) for rows in depths]
+    # Growth is super-linear in d (the n_a^d term).
+    assert best[-1] > 3 * best[0]
+    # The fitted model tracks the deeper measurements well: in the
+    # median run, each deeper depth's relative error is under one half.
+    for rows in depths[1:]:
+        assert statistics.median(
+            abs(row.predicted_us - row.measured_us) / row.measured_us for row in rows
+        ) < 0.5
 
 
 class TestLookupModelCheck:

@@ -20,7 +20,6 @@ EXAMPLES = [
     "vspace_partitioning.py",
     "load_balancing.py",
     "reliable_updates.py",
-    "figures_preview.py",
 ]
 
 

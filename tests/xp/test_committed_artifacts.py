@@ -1,9 +1,14 @@
-"""The committed evaluation's claims: each BENCH_* family, read from the
-files under benchmarks/results/, must make the claims it is quoted for.
-CI regenerates those files byte-identical, which ties them to the code;
-each test reads the fields it judges."""
+"""The committed evaluation's claims, each judged once, on the files under
+benchmarks/results/: every BENCH_* family, and every figure and ablation
+whose rows are a pure function of its spec (virtual time, counters) and
+land in BENCH_matrix.json. CI regenerates those files byte-identical,
+which ties them to the code; each test reads the fields it judges.
+Claims that need a fresh wall-clock measurement are judged in
+tests/experiments/test_figures.py instead."""
 
 import json
+import math
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -74,17 +79,7 @@ class TestCommittedArtifacts:
     def test_two_phase_handoff_survives_every_crash(self):
         payload = committed("BENCH_delegation.json")
         for report in payload["matrix"]:
-            where = (report["crash_role"], report["crash_phase"])
-            if report["crash_role"] is not None:
-                assert report["crash_at"] > 0.0, where
-            assert report["lost_records"] == 0, where
-            assert len(report["authority"]) == 1, where
-            assert report["converged_violations"] == [], where
-            assert report["always_violations"] == [], where
-            assert report["delegations_committed"] >= 1, where
-            assert report["window_requests"] > 0, where
-            floor = 0.70 if report["crash_role"] == "donor" else 0.95
-            assert report["window_success_rate"] >= floor, where
+            check_crash_run(report)
         two_phase = payload["ablation"]["two_phase"]
         single_shot = payload["ablation"]["ablated"]
         assert two_phase["lost_records"] == 0 < single_shot["lost_records"]
@@ -122,8 +117,6 @@ class TestCommittedArtifacts:
         assert [asdict(row) for row in untraced.details["rows"]] == rows
 
     def test_routing_cost_matches_the_paper(self):
-        # The 250-name point's 3.1 and 9.8 ms/packet are
-        # tests/experiments/test_figures.py::TestFig15Shape's.
         payload = committed("BENCH_routing.json")
         rows = {row["names_in_vspace"]: row for row in payload["rows"]}
         assert sorted(rows) == [250, 1000, 2500, 5000]
@@ -136,20 +129,242 @@ class TestCommittedArtifacts:
         counters = payload["observability"]["metrics"]["counters"]
         assert counters["inr.packets_forwarded"]["inr=inr-a"] == 100
         assert counters["inr.packets_delivered_locally"]["inr=inr-b"] == 100
+        # Local delivery grows with the names (the paper's artifact):
+        # 3.1 ms/packet at 250 names, 19 at 5,000. Remote forwarding is
+        # flat at 9.8 ms/packet, and a burst to another vspace ~381 ms.
+        assert rows[250]["local_ms"] / 100 == pytest.approx(3.1, rel=0.15)
+        assert rows[2500]["local_ms"] > 2 * rows[250]["local_ms"]
         assert rows[5000]["local_ms"] / 100 == pytest.approx(19.0, rel=0.15)
+        assert rows[250]["remote_same_vspace_ms"] / 100 == pytest.approx(9.8, rel=0.1)
         for row in rows.values():
             assert row["remote_same_vspace_ms"] == pytest.approx(
                 rows[250]["remote_same_vspace_ms"], rel=0.05
             )
             assert row["remote_other_vspace_ms"] == pytest.approx(381, rel=0.1)
+        # Without the delivery artifact the local case stays flat.
+        ablated = suite_entry("fig15-routing")["ablations"]["delivery_artifact"]
+        local = {n: ablated["metrics"][f"local_ms_{n}"] for n in rows}
+        for value in local.values():
+            assert value == pytest.approx(local[250], rel=0.05)
 
     def test_memo_serves_repeats_from_one_miss_per_query(self):
         # Its >= 2x speedup is wall clock: ``perf_smoke.py`` gates it on
         # a fresh measurement.
-        (entry,) = [e for e in matrix_payload()["suite"] if e["name"] == "fig12-memo"]
-        metrics = entry["baseline"]["metrics"]
+        metrics = suite_entry("fig12-memo")["baseline"]["metrics"]
         assert metrics["memo_misses"] == 64  # the distinct queries
         assert metrics["memo_invalidations"] == 0 < metrics["refreshes"]
+
+    # The figures and ablations whose rows are BENCH_matrix.json's
+    # metrics, ``<field>_<point>`` for a sweep.
+    def test_cpu_saturates_before_bandwidth_and_both_grow_linearly(self):
+        entry = suite_entry("fig08-saturation")
+        metrics = entry["baseline"]["metrics"]
+        # CPU and link compare past zero names.
+        points = [n for n in entry["params"]["name_counts"] if n]
+        cpu = {n: metrics[f"cpu_percent_{n}"] for n in points}
+        bandwidth = {n: metrics[f"bandwidth_percent_{n}"] for n in points}
+        # CPU crosses 100% somewhere in 10k-15k names, while bandwidth
+        # never reaches the 1 Mbps link and CPU leads it at every point
+        # (the paper's CPU-bound claim).
+        assert cpu[10000] < 100 <= cpu[15000]
+        assert all(value < 100 for value in bandwidth.values())
+        assert all(cpu[n] > bandwidth[n] for n in points)
+        for n in points:
+            assert cpu[n] == pytest.approx(n / 2500 * cpu[2500], rel=0.05)
+            assert bandwidth[n] == pytest.approx(n / 2500 * bandwidth[2500], rel=0.05)
+
+    def test_two_machines_halve_the_update_time_and_two_vspaces_alone_do_not(self):
+        entry = suite_entry("fig09-partition")
+        metrics = entry["baseline"]["metrics"]
+        for n in entry["params"]["name_counts"]:
+            one = metrics[f"one_vspace_one_machine_ms_{n}"]
+            assert metrics[f"two_vspaces_two_machines_ms_{n}"] == pytest.approx(
+                one / 2, rel=0.1
+            )
+            assert metrics[f"two_vspaces_one_machine_ms_{n}"] == pytest.approx(
+                one, rel=0.1
+            )
+            # linear in the names
+            assert one == pytest.approx(
+                n / 1000 * metrics["one_vspace_one_machine_ms_1000"], rel=0.1
+            )
+
+    def test_refresh_interval_trades_bandwidth_for_staleness(self):
+        entry = suite_entry("refresh-interval")
+        metrics = entry["baseline"]["metrics"]
+        points = [f"{p:g}" for p in entry["params"]["refresh_intervals"]]
+        # Faster refresh -> more bandwidth, faster staleness removal.
+        bandwidths = [metrics[f"control_bytes_per_second_{p}"] for p in points]
+        removals = [metrics[f"stale_name_removal_s_{p}"] for p in points]
+        assert bandwidths == sorted(bandwidths, reverse=True)
+        assert removals == sorted(removals)
+        # Roughly proportional both ways across the 7.5x interval span.
+        assert bandwidths[0] / bandwidths[-1] > 4
+        assert removals[-1] / removals[0] > 3
+
+    def test_reliable_delta_saves_bandwidth_and_removes_faster(self):
+        metrics = suite_entry("update-modes")["baseline"]["metrics"]
+        soft, reliable = (
+            {
+                field: metrics[f"{field}_{mode}"]
+                for field in (
+                    "steady_state_bytes_per_second",
+                    "stale_name_removal_s",
+                    "change_propagation_s",
+                )
+            }
+            for mode in ("soft_state", "reliable_delta")
+        )
+        # Reliable-delta slashes steady-state bandwidth by an order of
+        # magnitude or more...
+        assert reliable["steady_state_bytes_per_second"] < (
+            soft["steady_state_bytes_per_second"] / 10
+        )
+        # ...and removes dead names faster (origin expiry only, no
+        # per-hop soft-state cascade)...
+        assert reliable["stale_name_removal_s"] < soft["stale_name_removal_s"] * 0.7
+        # ...while changes propagate equally fast in both modes
+        # (triggered updates are immediate either way).
+        assert abs(
+            reliable["change_propagation_s"] - soft["change_propagation_s"]
+        ) < 0.1
+
+    def test_relaxation_repairs_the_degraded_tree(self):
+        result = suite_entry("overlay-relaxation")["baseline"]["metrics"]
+        assert result["relaxed_tree_cost"] < result["initial_tree_cost"] * 0.7
+        assert result["relaxed_tree_cost"] <= result["optimal_like_cost"] * 1.5
+
+    def test_slower_soft_state_clocks_are_cheaper_and_slower_to_heal(self):
+        entry = suite_entry("recovery-clocks")
+        metrics = entry["baseline"]["metrics"]
+        points = [f"{refresh:g}" for refresh, _ in entry["params"]["sweep"]]
+        # Every fault at every sweep point must actually heal: a
+        # non-finite value here means a crashed resolver never fully
+        # rejoined or a failed-over DSR never reconverged on the live set.
+        for p in points:
+            for field in (
+                "crash_detect_p100", "crash_mttr_p50", "crash_mttr_p100",
+                "failover_mttr_p100",
+            ):
+                assert math.isfinite(metrics[f"{field}_{p}"]), (field, p)
+            assert metrics[f"violations_{p}"] == 0
+        # Slower clocks -> cheaper control plane but slower failure
+        # detection; repair time is monotone too (restart delay floor
+        # plus a refresh-interval-bound name rebuild).
+        bandwidths = [metrics[f"control_bytes_per_second_{p}"] for p in points]
+        detects = [metrics[f"crash_detect_p100_{p}"] for p in points]
+        repairs = [metrics[f"crash_mttr_p100_{p}"] for p in points]
+        assert bandwidths == sorted(bandwidths, reverse=True)
+        assert detects == sorted(detects)
+        assert repairs == sorted(repairs)
+        # The 4x clock span should move both sides of the tradeoff
+        # materially, not within noise.
+        assert bandwidths[0] / bandwidths[-1] > 2
+        assert detects[-1] / detects[0] > 2
+
+    def test_packet_cache_shields_the_origin(self):
+        entry = suite_entry("packet-cache-camera")
+        result = entry["baseline"]["metrics"]
+        assert result["origin_served"] <= 2
+        assert result["cache_answers"] >= result["requests"] - 2
+        # The ablated arm: with the cache off, nothing shields the origin.
+        ablated = entry["ablations"]["packet_cache"]["metrics"]
+        assert ablated["cache_answers"] == 0
+        assert ablated["origin_served"] == ablated["requests"]
+
+    def test_lookup_overload_spawns_a_helper_that_retires(self):
+        entry = suite_entry("spawn-overload")
+        result = entry["baseline"]["metrics"]
+        assert result["inrs_before"] == 1
+        assert result["inrs_during_load"] >= 2
+        assert result["inrs_after"] == 1  # helpers retire when idle
+        # The overloaded resolver was saturated, and client re-selection
+        # moved the load off it for at least part of the late window
+        # (one client oscillates between resolvers rather than splitting).
+        assert result["main_peak_utilization"] > 0.9
+        assert result["main_min_utilization_late"] < (
+            result["main_peak_utilization"] / 2
+        )
+        # Ablated: with the policy off no helper ever appears and the
+        # main resolver never gets relief.
+        off = entry["ablations"]["load_balancing"]["metrics"]
+        assert off["spawned"] == 0
+        assert off["inrs_during_load"] == 1
+
+    def test_update_overload_delegates_a_resolvable_vspace(self):
+        entry = suite_entry("update-overload")
+        result = entry["baseline"]["metrics"]
+        assert result["vspaces_after"] < result["vspaces_before"]
+        assert result["still_resolvable"] == 1.0
+        ((_, _, resolvers, _),) = committed_table(
+            "ablation__vspace_delegation_on_update_overload.txt"
+        )
+        assert resolvers != "-"  # some resolver took the delegated vspace
+        # Ablated: the overloaded resolver keeps every vspace.
+        off = entry["ablations"]["load_balancing"]["metrics"]
+        assert off["vspaces_after"] == off["vspaces_before"]
+        # No committed file carries the ablated arm's delegate
+        # resolvers, so that one field comes from a rerun of the arm
+        # (~0.1 s of virtual time).
+        rerun = run_spec(default_suite()["update-overload"])
+        assert not rerun.ablations["load_balancing"].details["result"].delegate_resolvers
+
+    def test_ins_rides_out_a_move_that_dns_does_not(self):
+        entry = suite_entry("dns-mobility")
+        assert entry["toggles"] == {} and entry["ablations"] == {}
+        metrics = entry["baseline"]["metrics"]
+        table = committed_table(
+            "baseline__node_mobility_at_t_20s__one_request_per_0_5s_for_120s.txt"
+        )
+        assert [row[0].split(" ")[0] for row in table] == ["INS", "DNS", "DNS"]
+        sent, delivered = (
+            {system: metrics[f"{field}_{system}"] for system in DNS_SYSTEMS}
+            for field in ("requests_sent", "delivered")
+        )
+        assert len(set(sent.values())) == 1  # identical workloads
+        assert [row[1:3] for row in table] == [
+            [f"{sent[s]:.0f}", f"{delivered[s]:.0f}"] for s in DNS_SYSTEMS
+        ]
+        # INS is essentially lossless.
+        assert delivered["ins"] >= sent["ins"] - 2
+        assert metrics["outage_s_ins"] < 2.0
+        # DNS with the record fixed at the move suffers a TTL outage:
+        # bounded by the record TTL (60 s), but substantial.
+        assert delivered["dns_fixed"] < sent["dns_fixed"]
+        assert delivered["dns_fixed"] <= delivered["ins"] - 50
+        assert 10.0 < metrics["outage_s_dns_fixed"] <= 65.0
+        # Stale DNS never recovers and delivers only the pre-move
+        # traffic. "Never" is a 0 in ``recovered_*`` and no
+        # ``outage_s_*``, not an infinity JSON cannot carry.
+        assert metrics["recovered_dns_stale"] == 0.0
+        assert "outage_s_dns_stale" not in metrics
+        assert table[2][3] == "never recovers"
+        assert delivered["dns_stale"] < delivered["ins"] / 2
+        assert metrics["recovered_ins"] == 1.0
+        assert all(math.isfinite(value) for value in metrics.values())
+
+
+#: The dns-mobility metrics' suffixes, in its table's row order.
+DNS_SYSTEMS = ("ins", "dns_fixed", "dns_stale")
+
+
+def check_crash_run(report: dict, *where) -> None:
+    """The bars every run of the delegation crash matrix holds.
+    ``report`` is a ``DelegationReport`` as a dict: a committed row of
+    BENCH_delegation.json, or ``dataclasses.asdict`` of a fresh run
+    (CI sweeps seeds 1-12 through this); ``where`` prefixes the
+    failure message."""
+    where = (*where, report["crash_role"], report["crash_phase"])
+    if report["crash_role"] is not None:
+        assert report["crash_at"] > 0.0, where
+    assert report["lost_records"] == 0, where
+    assert len(report["authority"]) == 1, where
+    assert not report["converged_violations"], where
+    assert not report["always_violations"], where
+    assert report["delegations_committed"] >= 1, where
+    assert report["window_requests"] > 0, where
+    floor = 0.70 if report["crash_role"] == "donor" else 0.95
+    assert report["window_success_rate"] >= floor, where
 
 
 def committed(name: str) -> dict:
@@ -160,5 +375,15 @@ def committed_spans(name: str) -> list:
     return [json.loads(line) for line in (RESULTS_DIR / name).read_text().splitlines()]
 
 
-def matrix_payload() -> dict:
-    return committed("BENCH_matrix.json")
+def committed_table(name: str) -> list:
+    """A committed table's body rows, each a list of its cells (cells
+    are separated by two or more spaces; title, rule and header are
+    skipped)."""
+    lines = (RESULTS_DIR / name).read_text().splitlines()[3:]
+    return [re.split(r"\s{2,}", line.strip()) for line in lines]
+
+
+def suite_entry(name: str) -> dict:
+    """One spec's entry in the committed BENCH_matrix.json."""
+    (entry,) = [e for e in committed("BENCH_matrix.json")["suite"] if e["name"] == name]
+    return entry
